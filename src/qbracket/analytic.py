@@ -339,14 +339,17 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
     the ring of integers, giving the default cutoff.
     """
     ctx = x.ctx
-    if m0 * (ctx.p - 1) <= 1:
-        raise DomainError("series2 needs m0 > 1/(p-1)")
+    # representability first, so a caller learns the e that would work
+    # even when m0 is also out of range
     t = m0 * ctx.e
     if t.denominator != 1:
         required = ctx.e * m0.denominator // math.gcd(ctx.e, m0.denominator)
         raise DomainError(
-            f"m0 = {m0} is not representable with ramification e = {ctx.e}",
+            f"m0 = {m0} needs ramification e divisible by {m0.denominator}; "
+            f"rebuild the context with e = {required}",
             required_e=required)
+    if m0 * (ctx.p - 1) <= 1:
+        raise DomainError("series2 needs m0 > 1/(p-1)")
     t = int(t)
     if x.is_zero or (x - ctx.one()).is_zero:
         raise DomainError("x in {0, 1} puts the defining quotient out of domain")

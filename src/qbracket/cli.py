@@ -101,16 +101,7 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _record_json(rec) -> dict:
-    return {
-        "x": _numj(rec.x),
-        "q": _numj(rec.q),
-        "u": _numj(rec.u),
-        "m0": _fracs(rec.m0),
-        "residue_x": rec.residue_x,
-        "residue_u": rec.residue_u,
-        "multiplicity": rec.multiplicity,
-        "certified_to": rec.certified_to,
-    }
+    return dict(rec.to_json(), x=_numj(rec.x), q=_numj(rec.q), u=_numj(rec.u))
 
 
 def _record_lines(out) -> list:
@@ -151,31 +142,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_fixed_points(args) -> int:
+def _cmd_fiber(args, key: str, solve) -> int:
+    """fixed-points (key "q") and solve-q (key "x"): one fiber solve."""
     ctx = ctx_new(args.p, args.e, args.K)
-    q = _parse_number(ctx, args.q, "--q")
-    out = fixed_points_for_q(q)
+    v = _parse_number(ctx, getattr(args, key), f"--{key}")
+    out = solve(v)
     payload = {
-        "command": "fixed-points",
+        "command": args.command,
         "params": _params(args),
-        "q": _numj(q),
-        "m0": _fracs(out.m0),
-        "predicted": out.predicted,
-        "deficit": out.deficit,
-        "records": [_record_json(r) for r in out],
-    }
-    _emit(args, payload, [_header(args)] + _record_lines(out))
-    return 0
-
-
-def _cmd_solve_q(args) -> int:
-    ctx = ctx_new(args.p, args.e, args.K)
-    x = _parse_number(ctx, args.x, "--x")
-    out = q_for_x(x)
-    payload = {
-        "command": "solve-q",
-        "params": _params(args),
-        "x": _numj(x),
+        key: _numj(v),
         "m0": _fracs(out.m0),
         "predicted": out.predicted,
         "deficit": out.deficit,
@@ -203,12 +178,6 @@ def _cmd_polygon(args) -> int:
             raise _TokenError("--series series2 takes --m0, not --q")
         x = _parse_number(ctx, args.x, "--x")
         m0 = _parse_fraction(args.m0, "--m0") if args.m0 is not None else m0_for_x(x)
-        t = m0 * ctx.e
-        if t.denominator != 1:
-            lcm = ctx.e * m0.denominator // math.gcd(ctx.e, m0.denominator)
-            raise DomainError(
-                f"m0 = {_fracs(m0)} is not representable at e = {ctx.e}",
-                required_e=lcm)
         s = series2(x, 0, m0)
         inputs = {"x": _numj(x), "m0": _fracs(m0)}
     pts_in = s.valuation_points()
@@ -288,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fixed-points", help="all nontrivial fixed points of [X]_q")
     _add_common(sp)
     sp.add_argument("--q", required=True, help="parameter with v(q-1) > 1/(p-1)")
-    sp.set_defaults(fn=_cmd_fixed_points)
+    sp.set_defaults(fn=lambda args: _cmd_fiber(args, "q", fixed_points_for_q))
 
     sp = sub.add_parser("solve-q", help="all q making x a nontrivial fixed point")
     _add_common(sp)
     sp.add_argument("--x", required=True, help="point in phi1's image")
-    sp.set_defaults(fn=_cmd_solve_q)
+    sp.set_defaults(fn=lambda args: _cmd_fiber(args, "x", q_for_x))
 
     sp = sub.add_parser("polygon", help="Newton polygon and unit-disk zero count")
     _add_common(sp)

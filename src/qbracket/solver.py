@@ -4,8 +4,10 @@ Roots are always hunted on the deflated quotient
 g(X) = ([X]_q - X)/((q-1) X (X-1)), so the trivial fixed points 0 and 1
 and the global factor q-1 are out of the way before any Newton step;
 likewise the parameter direction works on h(x, U) with q = 1 + pi^t U.
-Every returned record is re-certified by direct evaluation of the
-bracket, independent of the series the root was found on.
+Every returned record is re-certified by one direct evaluation at x,
+independent of the series the root was found on: the first two Taylor
+coefficients of [X]_q - X at x give both the certification gap
+[x]_q - x and the multiplicity coefficient c1.
 
 Newton iteration runs on a precision ladder: each step evaluates the
 series only a little past the accuracy the iterate already has, which
@@ -20,9 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import (TruncatedSeries, _series2_monomials, a_poly, in_S,
-                       log1p, q_bracket, q_pow, series1)
-from .core import PadicNumber, PrimeContext
+from .analytic import TruncatedSeries, a_poly, in_S, q_bracket, series1, series2
+from .core import PadicNumber, PrimeContext, equals_to_precision
 from .errors import CertificationFailure, DomainError, LiftFailure
 from .polygon import unit_disk_zero_count
 
@@ -76,10 +77,14 @@ class SolveOutcome(Sequence):
     """Sequence of records plus the polygon's predicted root count.
 
     ``deficit`` counts roots the Newton polygon certifies inside the
-    closed unit disk but that do not lie in the working field; they are
-    reported, not chased into extensions.  When the missing roots have
-    residues in F_{p^f} (an irreducible factor of degree f in the
-    reduction), re-solving in ``ctx_new(p, e, K, f=f)`` recovers them.
+    closed unit disk but that were not returned.  Such a root may lie
+    outside the working field: it is reported, not chased into
+    extensions, and when its residue lies in F_{p^f} (an irreducible
+    factor of degree f in the reduction), re-solving in
+    ``ctx_new(p, e, K, f=f)`` recovers it.  A deficit may also count
+    roots of seeds the solver gave up on: the search from one seed
+    stops after 8 p^f subdivision nodes and skips any point whose Newton
+    lift fails.
     """
 
     __slots__ = ("records", "predicted", "m0")
@@ -233,23 +238,10 @@ def _roots_from_seed(ctx: PrimeContext, g: TruncatedSeries, gp: TruncatedSeries,
     return found
 
 
-def _same_point(a: PadicNumber, b: PadicNumber) -> bool:
-    d = a - b
-    return d.is_zero or d.val >= min(a.prec, b.prec) - 2 * a.ctx.e
-
-
 def _probe_target(series: TruncatedSeries, point: PadicNumber) -> int:
     """Attainable evaluation precision, probed rather than derived."""
     probe = series.evaluate(point)
     return probe.prec - series.ctx.e
-
-
-def _c1_at(x: PadicNumber, q: PadicNumber) -> PadicNumber:
-    """The derivative coefficient q^x log(q)/(q-1) - 1 at a point."""
-    ctx = q.ctx
-    y = q - ctx.one()
-    big_l = log1p(y)
-    return q_pow(x, q) * big_l * y.inv() - ctx.one()
 
 
 def multiplicity_from_c1(c1: PadicNumber) -> int:
@@ -257,28 +249,72 @@ def multiplicity_from_c1(c1: PadicNumber) -> int:
     return 2 if c1.is_zero else 1
 
 
-def _certify(x: PadicNumber, q: PadicNumber, m0: Fraction,
-             u: PadicNumber) -> FixedPointRecord:
+def _gap_and_c1(x: PadicNumber, q: PadicNumber, failure: type) -> tuple:
+    """Certified v([x]_q - x) and c1 from one direct evaluation at x.
+
+    Raises ``failure`` when the gap sits below the acceptance line
+    K - 4e, so (x, q) is not a fixed point at working precision.
+    """
     ctx = q.ctx
-    diff = q_bracket(x, q) - x
+    diff, c1 = series1(x, q, n_max=1).coeffs
     cert = diff.prec if diff.is_zero else diff.val
     bound = ctx.K - 4 * ctx.e
     if cert < bound:
-        raise CertificationFailure(
+        raise failure(
             f"direct evaluation certifies only v >= {cert} pi-units, below the "
             f"acceptance line {bound}")
+    return cert, c1
+
+
+def _certify(x: PadicNumber, q: PadicNumber, u: PadicNumber,
+             m0: Fraction) -> FixedPointRecord:
+    ctx = q.ctx
+    cert, c1 = _gap_and_c1(x, q, CertificationFailure)
     if x.is_zero or (x - ctx.one()).is_zero:
         raise CertificationFailure("trivial root escaped deflation")
     return FixedPointRecord(
         x=x, q=q, m0=m0, u=u,
         residue_x=x.residue(), residue_u=u.residue(),
-        multiplicity=multiplicity_from_c1(_c1_at(x, q)),
+        multiplicity=multiplicity_from_c1(c1),
         certified_to=cert)
 
 
 def _record_key(rec: FixedPointRecord):
     return (rec.residue_x, rec.residue_u, rec.x.val if not rec.x.is_zero else rec.x.prec,
             rec.x.digits())
+
+
+def _split_q(q: PadicNumber) -> tuple:
+    """(y, t, m0, u) with y = q - 1 = pi^t u, u a unit and m0 = t/e."""
+    ctx = q.ctx
+    y = q - ctx.one()
+    if y.is_zero:
+        raise DomainError("q = 1 fixes everything; the fiber is not discrete")
+    t = y.val
+    return y, t, Fraction(t, ctx.e), y.scale_pi(-t)
+
+
+def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
+                 probe: int, point) -> SolveOutcome:
+    """Lift the roots of a fiber's series from residue seeds, then certify them.
+
+    Seeds are tried in the given order until ``predicted`` distinct
+    roots are found; ``point(root)`` is the (x, q, u) a root stands for.
+    Records come out sorted by residues, then digits.
+    """
+    ctx = series.ctx
+    deriv = series.derivative()
+    target = _probe_target(series, ctx.from_int(probe)) + ctx.e
+    roots = []
+    for r in seeds:
+        for root in _roots_from_seed(ctx, series, deriv, ctx.from_residue(r), target):
+            if not any(equals_to_precision(root, old, min(root.prec, old.prec) - 2 * ctx.e)
+                       for old in roots):
+                roots.append(root)
+        if len(roots) == predicted:
+            break
+    records = sorted((_certify(*point(root), m0) for root in roots), key=_record_key)
+    return SolveOutcome(tuple(records), predicted, m0)
 
 
 def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
@@ -290,33 +326,18 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     Seeds range over the whole residue field F_{p^f} of the context.
     """
     ctx = q.ctx
-    one = ctx.one()
-    y = q - one
-    if y.is_zero:
-        raise DomainError("q = 1 fixes everything; the fiber is not discrete")
+    y, _, m0, u = _split_q(q)
     if not in_S(y):
         raise DomainError("fixed_points_for_q needs v(q-1) > 1/(p-1)")
-    t = y.val
-    m0 = Fraction(t, ctx.e)
     if ctx.p == 2 or m0 > Fraction(1, ctx.p - 2):
         return SolveOutcome((), 0, m0)
-    u = y.scale_pi(-t)
     s1 = series1(ctx.from_int(0), q,
                  tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
     predicted = unit_disk_zero_count(s1) - 2
-    g = s1.drop_center_root().divide_by_root(one).scale(y.inv())
-    gp = g.derivative()
-    target = _probe_target(g, ctx.from_int(ctx.p + 1)) + ctx.e
-    roots = []
+    g = s1.drop_center_root().divide_by_root(ctx.one()).scale(y.inv())
     field = ctx.residue_field()
-    for r in field[2:] + field[:2]:
-        for root in _roots_from_seed(ctx, g, gp, ctx.from_residue(r), target):
-            if not any(_same_point(root, old) for old in roots):
-                roots.append(root)
-        if len(roots) == predicted:
-            break
-    records = sorted((_certify(x, q, m0, u) for x in roots), key=_record_key)
-    return SolveOutcome(tuple(records), predicted, m0)
+    return _solve_fiber(g, predicted, m0, field[2:] + field[:2], ctx.p + 1,
+                        lambda x: (x, q, u))
 
 
 def phi1_contains(x: PadicNumber) -> bool:
@@ -358,48 +379,19 @@ def q_for_x(x: PadicNumber) -> SolveOutcome:
     """
     ctx = x.ctx
     m0 = m0_for_x(x)
-    t = m0 * ctx.e
-    if t.denominator != 1:
-        required = ctx.e * m0.denominator // math.gcd(ctx.e, m0.denominator)
-        raise DomainError(
-            f"m0 = {m0} needs ramification e divisible by {m0.denominator}; "
-            f"rebuild the context with e = {required}",
-            required_e=required)
-    t = int(t)
-    h = _series2_monomials(x, m0)
+    h = series2(x, 0, m0)
     if h.coeffs[0].is_zero or h.coeffs[0].val != 0:
         raise CertificationFailure("leading parameter coefficient is not a unit")
-    predicted = unit_disk_zero_count(h)
-    hp = h.derivative()
-    target = _probe_target(h, ctx.from_int(1)) + ctx.e
-    units = []
-    for r in ctx.residue_field()[1:]:
-        for root in _roots_from_seed(ctx, h, hp, ctx.from_residue(r), target):
-            if not any(_same_point(root, old) for old in units):
-                units.append(root)
-        if len(units) == predicted:
-            break
+    t = int(m0 * ctx.e)
     one = ctx.one()
-    records = []
-    for u in units:
-        q = one + u.scale_pi(t)
-        records.append(_certify(x, q, m0, u))
-    records.sort(key=_record_key)
-    return SolveOutcome(tuple(records), predicted, m0)
-
-
-def _on_manifold(x: PadicNumber, q: PadicNumber) -> bool:
-    ctx = q.ctx
-    diff = q_bracket(x, q) - x
-    cert = diff.prec if diff.is_zero else diff.val
-    return cert >= ctx.K - 4 * ctx.e
+    return _solve_fiber(h, unit_disk_zero_count(h), m0, ctx.residue_field()[1:], 1,
+                        lambda u: (x, one + u.scale_pi(t), u))
 
 
 def multiplicity_of(x: PadicNumber, q: PadicNumber) -> int:
     """1 for a simple fixed point, 2 when the series derivative vanishes."""
-    if not _on_manifold(x, q):
-        raise DomainError("(x, q) is not certified as a fixed point at precision")
-    return multiplicity_from_c1(_c1_at(x, q))
+    _, c1 = _gap_and_c1(x, q, DomainError)
+    return multiplicity_from_c1(c1)
 
 
 def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
@@ -410,13 +402,8 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
     v(q'-q) = v(([x']_q - x')/(x'(x'-1))) is checked before returning.
     """
     ctx = q.ctx
-    if not _on_manifold(x, q):
-        raise DomainError("(x, q) is not certified as a fixed point at precision")
-    one = ctx.one()
-    y = q - one
-    t = y.val
-    m0 = Fraction(t, ctx.e)
-    u = y.scale_pi(-t)
+    _gap_and_c1(x, q, DomainError)
+    _, t, m0, u = _split_q(q)
     gap = xp - x
     if not gap.is_zero:
         big_a = a_poly(ctx.p - 2, x)
@@ -424,10 +411,11 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("cannot locate the ball radius: A_{p-2}(x) is zero-flagged")
         if gap.val <= big_a.val:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
-    h = _series2_monomials(xp, m0)
+    h = series2(xp, 0, m0)
     hp = h.derivative()
     target = _probe_target(h, u) + ctx.e
     u2 = _newton_loop(ctx, h.evaluate, hp.evaluate, u, target, _budget(ctx.K))
+    one = ctx.one()
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q
     rhs = (q_bracket(xp, q) - xp) * (xp * (xp - one)).inv()

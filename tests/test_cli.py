@@ -87,9 +87,14 @@ def test_exit_3_on_precondition_violations(capsys):
 
 
 def test_exit_3_names_the_needed_ramification(capsys):
-    code, _, err = _run(capsys, "solve-q", "--p", "5", "--e", "2", "--x", "5")
-    assert code == 3
-    assert "required_e = 6" in err
+    for argv in (
+        ("solve-q", "--p", "5", "--e", "2", "--x", "5"),
+        # m0 = 1/6 is also below 1/(p-1); the missing ramification is named first
+        ("polygon", "--p", "5", "--series", "series2", "--x", "5", "--m0", "1/6"),
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == 3, argv
+        assert "required_e = 6" in err, argv
 
 
 def test_polygon_series2_counts_three(capsys):

@@ -170,6 +170,7 @@ def test_parameter_fiber_needs_enough_ramification():
     with pytest.raises(DomainError) as ei:
         q_for_x(c.from_int(5))
     assert ei.value.required_e == 6
+    assert "rebuild the context with e = 6" in str(ei.value)
 
 
 def test_m0_for_x_frozen_values():
@@ -210,6 +211,8 @@ def test_multiplicity_on_the_witness():
     assert multiplicity_of(x, q) == 1
     with pytest.raises(DomainError):
         multiplicity_of(c.from_int(2), q)  # not a fixed point
+    with pytest.raises(DomainError, match="q = 1"):
+        multiplicity_of(x, c.one())        # every x is fixed; no fiber to classify in
     assert multiplicity_from_c1(c.zero(10)) == 2
     assert multiplicity_from_c1(c.from_int(3)) == 1
 
@@ -243,6 +246,8 @@ def test_local_Q_domain_checks():
         local_Q(c.from_int(2), q, x)       # (x, q) off the manifold
     with pytest.raises(DomainError):
         local_Q(x, q, x + c.one())         # outside B(x, |A_1(x)|)
+    with pytest.raises(DomainError, match="q = 1"):
+        local_Q(x, c.one(), x)             # q = 1 has no parameter valuation
 
 
 def test_round_trip_between_the_two_charts():
