@@ -8,6 +8,12 @@ exp preserve valuations and are mutually inverse, which is also why the
 incremental term recurrences below never lose relative precision (each
 division by n is covered by the extra factor y^(n-1)).
 
+The parameter q enters only through q^x = exp(x log q) with q = 1 + y
+in 1+S.  How q splits is decided here, once per public call: a private
+split holds y = pi^t u, the q = 1 and 1+S checks, and log q and y^-1
+from their first use, so q_pow, q_bracket, the series1 jets and the
+solver's certifications share one log1p per q.
+
 TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
 omitted, valid for evaluation anywhere in the closed unit disk around
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import PadicNumber, PrimeContext
@@ -125,30 +132,83 @@ def exp(z: PadicNumber) -> PadicNumber:
     return acc
 
 
-def q_pow(x, q: PadicNumber) -> PadicNumber:
-    """q^x = exp(x log q) for x in the ring of integers and q in 1+S."""
-    ctx = q.ctx
+def _integral(ctx: PrimeContext, x, who: str) -> PadicNumber:
     x = _coerce(ctx, x)
     if not x.is_zero and x.val < 0:
-        raise DomainError("q_pow needs v(x) >= 0")
-    y = q - ctx.one()
-    return exp(x * log1p(y))
+        raise DomainError(f"{who} needs v(x) >= 0")
+    return x
+
+
+class _QSplit:
+    """q = 1 + y, split once per public call and shared by every use of q.
+
+    L = log1p(y) and y^-1 are computed on first use and kept, so q^x =
+    exp(x L), [x]_q and series1 jets at any number of points share one
+    log1p, and a path that needs neither never computes them.
+    """
+
+    def __init__(self, q: PadicNumber):
+        self.q, self.one = q, q.ctx.one()
+        self.y = q - self.one
+
+    def check(self, who: str, at_one: str | None = None) -> None:
+        """Raise unless q - 1 is nonzero and in S; ``who`` names the caller."""
+        if self.y.is_zero:
+            raise DomainError(at_one or f"{who} is undefined at q = 1")
+        if not in_S(self.y):
+            raise DomainError(f"{who} needs v(q-1) > 1/(p-1)")
+
+    def parts(self) -> tuple:
+        """(t, m0, u) with q - 1 = pi^t u, u a unit and m0 = t/e."""
+        t = self.y.val
+        return t, Fraction(t, self.q.ctx.e), self.y.scale_pi(-t)
+
+    @cached_property
+    def log_q(self) -> PadicNumber:
+        return log1p(self.y)
+
+    @cached_property
+    def inv_y(self) -> PadicNumber:
+        return self.y.inv()
+
+    def bracket(self, x) -> PadicNumber:
+        x = _integral(self.q.ctx, x, "q_bracket")
+        if self.y.is_zero:
+            # [x]_q - x is a multiple of q - 1 for integral x, so this cap is sound
+            return x._cap_prec(min(x.prec, self.y.prec))
+        self.check("q_bracket")
+        return (exp(x * self.log_q) - self.one) * self.inv_y
+
+    def jet(self, x, n_max: int | None = None,
+            tail_target: Fraction | None = None) -> "TruncatedSeries":
+        """The series1 coefficients around x; see ``series1``."""
+        ctx = self.q.ctx
+        x = _integral(ctx, x, "series1")
+        self.check("series1")
+        delta = Fraction(self.y.val, ctx.e) - Fraction(1, ctx.p - 1)
+        if n_max is None:
+            if tail_target is None:
+                tail_target = Fraction(ctx.K, ctx.e)
+            n_max = _n_for_tail(delta, tail_target)
+        inv_y, big_l = self.inv_y, self.log_q
+        qx = exp(x * big_l)
+        coeffs = [(qx - self.one) * inv_y - x]
+        term = qx * big_l * inv_y
+        coeffs.append(term - self.one)
+        for n in range(2, n_max + 1):
+            term = (term * big_l)._div_int(n)
+            coeffs.append(term)
+        return TruncatedSeries(ctx, x, tuple(coeffs), n_max * delta)
+
+
+def q_pow(x, q: PadicNumber) -> PadicNumber:
+    """q^x = exp(x log q) for x in the ring of integers and q in 1+S."""
+    return exp(_integral(q.ctx, x, "q_pow") * _QSplit(q).log_q)
 
 
 def q_bracket(x, q: PadicNumber) -> PadicNumber:
     """[x]_q = (q^x - 1)/(q - 1), and x itself when q - 1 is zero-flagged."""
-    ctx = q.ctx
-    x = _coerce(ctx, x)
-    if not x.is_zero and x.val < 0:
-        raise DomainError("q_bracket needs v(x) >= 0")
-    one = ctx.one()
-    y = q - one
-    if y.is_zero:
-        # [x]_q - x is a multiple of q - 1 for integral x, so this cap is sound
-        return x._cap_prec(min(x.prec, y.prec))
-    if not in_S(y):
-        raise DomainError("q_bracket needs v(q-1) > 1/(p-1)")
-    return (q_pow(x, q) - one) * y.inv()
+    return _QSplit(q).bracket(x)
 
 
 def a_poly(n: int, x: PadicNumber) -> PadicNumber:
@@ -167,8 +227,9 @@ def cocycle_check(x, xp, q: PadicNumber) -> bool:
     ctx = q.ctx
     x = _coerce(ctx, x)
     xp = _coerce(ctx, xp)
-    lhs = q_bracket(x + xp, q)
-    rhs = q_bracket(x, q) + q_pow(x, q) * q_bracket(xp, q)
+    s = _QSplit(q)
+    lhs = s.bracket(x + xp)
+    rhs = s.bracket(x) + exp(x * s.log_q) * s.bracket(xp)
     return (lhs - rhs).is_zero
 
 
@@ -302,33 +363,7 @@ def series1(x, q: PadicNumber, n_max: int | None = None, *,
     with the -1 folded into c_1.  Omitted terms obey
     v(c_n) >= (n-1)(m0 - 1/(p-1)), which fixes the default n_max.
     """
-    ctx = q.ctx
-    x = _coerce(ctx, x)
-    if not x.is_zero and x.val < 0:
-        raise DomainError("series1 needs v(x) >= 0")
-    one = ctx.one()
-    y = q - one
-    if y.is_zero:
-        raise DomainError("series1 is undefined at q = 1")
-    if not in_S(y):
-        raise DomainError("series1 needs v(q-1) > 1/(p-1)")
-    m0 = Fraction(y.val, ctx.e)
-    delta = m0 - Fraction(1, ctx.p - 1)
-    if n_max is None:
-        if tail_target is None:
-            tail_target = Fraction(ctx.K, ctx.e)
-        n_max = _n_for_tail(delta, tail_target)
-    tail = n_max * delta
-    inv_y = y.inv()
-    big_l = log1p(y)
-    qx = exp(x * big_l)
-    coeffs = [(qx - one) * inv_y - x]
-    term = qx * big_l * inv_y
-    coeffs.append(term - one)
-    for n in range(2, n_max + 1):
-        term = (term * big_l)._div_int(n)
-        coeffs.append(term)
-    return TruncatedSeries(ctx, x, tuple(coeffs), tail)
+    return _QSplit(q).jet(x, n_max, tail_target)
 
 
 def _series2_monomials(x: PadicNumber, m0: Fraction,

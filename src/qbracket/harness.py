@@ -190,12 +190,15 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     c3 = ctx_new(3, 1, K3)
     params = {"p": 3, "e": 1, "K": K3, "heavy_leg": [5, 10, _scaled(200, 10, k_scale)]}
 
+    def dgdy(r) -> PadicNumber:
+        """The implicit derivative [x-1]_q / ((q-1)(x-1)) at a record."""
+        one = r.x.ctx.one()
+        return q_bracket(r.x - one, r.q) * ((r.q - one) * (r.x - one)).inv()
+
     out = fixed_points_for_q(c3.from_int(4))
     R.check("lift_exists", "prop2", out.predicted, len(out))
     rec = out[0]
-    y = rec.q - c3.one()
-    dgdy = q_bracket(rec.x - c3.one(), rec.q) * (y * (rec.x - c3.one())).inv()
-    R.check("implicit_derivative_val", "prop2", -1, _vof(dgdy))
+    R.check("implicit_derivative_val", "prop2", -1, _vof(dgdy(rec)))
 
     back = q_for_x(rec.x)
     ok_rt = len(back) >= 1 and equals_to_precision(back[0].q, rec.q, K3 - 8)
@@ -217,12 +220,10 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     R.tally("g_tends_to_half", "prop2", good, 20)
 
     c5 = ctx_new(5, 10, params["heavy_leg"][2])
-    q5 = c5.one() + sample(c5, rng, valuation=3)
-    out5 = fixed_points_for_q(q5)
+    out5 = fixed_points_for_q(_q_in_S(c5, rng, t=3))
     R.check("heavy_leg_lift_exists", "prop2", out5.predicted, len(out5))
-    d5 = [_vof(q_bracket(r.x - c5.one(), r.q) * ((r.q - c5.one()) * (r.x - c5.one())).inv())
-          for r in out5]
-    R.check("heavy_leg_derivative_val", "prop2", [-3] * len(out5), d5)
+    R.check("heavy_leg_derivative_val", "prop2", [-3] * len(out5),
+            [_vof(dgdy(r)) for r in out5])
     return params
 
 
@@ -242,8 +243,7 @@ def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
                           for c in configs]}
     for (cp, ce, cK, m0, want_n) in configs:
         ctx = ctx_new(cp, ce, _scaled(cK, ce, k_scale))
-        t = int(m0 * ce)
-        q = ctx.one() + sample(ctx, rng, valuation=t)
+        q = _q_in_S(ctx, rng, t=int(m0 * ce))
         n = unit_disk_zero_count(series1(0, q))
         R.check(f"weierstrass_degree_p{cp}_m0_{m0.numerator}_{m0.denominator}",
                 "prop3", want_n, n)
@@ -264,8 +264,7 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     c53 = ctx_new(5, 3, _scaled(90, 3, k_scale))
     records += list(q_for_x(c53.from_int(5)))
     c34 = ctx_new(3, 4, _scaled(120, 4, k_scale))
-    q34 = c34.one() + sample(c34, rng, valuation=3)
-    records += list(fixed_points_for_q(q34))
+    records += list(fixed_points_for_q(_q_in_S(c34, rng, t=3)))
 
     expect = []
     got = []
@@ -319,7 +318,7 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     fails = []
     first = None
     for _ in range(10):
-        q = ca.one() + sample(ca, rng, valuation=3)
+        q = _q_in_S(ca, rng, t=3)
         out = fixed_points_for_q(q)
         if first is None:
             first = (q, out)
@@ -337,8 +336,7 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     cb = ctx_new(5, 3, KB)
     good_b = 0
     for _ in range(5):
-        q = cb.one() + sample(cb, rng, valuation=1)
-        out = fixed_points_for_q(q)
+        out = fixed_points_for_q(_q_in_S(cb, rng, t=1))
         ok = (out.predicted == 3
               and all(r.residue_x in (0, 1) for r in out)
               and all(r.certified_to >= KB - 12 for r in out))
@@ -478,7 +476,7 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     for lp in (5, 7):
         cl = ctx_new(lp, 1, 40)
         for _ in range(5):
-            ql = cl.one() + sample(cl, rng, valuation=rng.choice((1, 2)))
+            ql = _q_in_S(cl, rng, t=rng.choice((1, 2)))
             empty += len(fixed_points_for_q(ql)) == 0
     R.tally("no_integer_pairs_p5_p7", "prop9", empty, 10)
 

@@ -9,6 +9,11 @@ independent of the series the root was found on: the first two Taylor
 coefficients of [X]_q - X at x give both the certification gap
 [x]_q - x and the multiplicity coefficient c1.
 
+The solver never takes q apart itself.  It asks the analytic layer for
+one split of q per fiber (per record in the parameter direction, where
+each record has its own q) and reads m0, u, the deflated series and
+every certification of that fiber from it, so log q is computed once.
+
 Newton iteration runs on a precision ladder: each step evaluates the
 series only a little past the accuracy the iterate already has, which
 keeps the Horner sums short early on.  The ladder is transparent to
@@ -22,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import TruncatedSeries, a_poly, in_S, q_bracket, series1, series2
+from .analytic import TruncatedSeries, _QSplit, a_poly, series2
 from .core import PadicNumber, PrimeContext, equals_to_precision
 from .errors import CertificationFailure, DomainError, LiftFailure
 from .polygon import unit_disk_zero_count
@@ -249,14 +254,14 @@ def multiplicity_from_c1(c1: PadicNumber) -> int:
     return 2 if c1.is_zero else 1
 
 
-def _gap_and_c1(x: PadicNumber, q: PadicNumber, failure: type) -> tuple:
+def _gap_and_c1(x: PadicNumber, s: _QSplit, failure: type) -> tuple:
     """Certified v([x]_q - x) and c1 from one direct evaluation at x.
 
     Raises ``failure`` when the gap sits below the acceptance line
     K - 4e, so (x, q) is not a fixed point at working precision.
     """
-    ctx = q.ctx
-    diff, c1 = series1(x, q, n_max=1).coeffs
+    ctx = s.q.ctx
+    diff, c1 = s.jet(x, 1).coeffs
     cert = diff.prec if diff.is_zero else diff.val
     bound = ctx.K - 4 * ctx.e
     if cert < bound:
@@ -266,14 +271,13 @@ def _gap_and_c1(x: PadicNumber, q: PadicNumber, failure: type) -> tuple:
     return cert, c1
 
 
-def _certify(x: PadicNumber, q: PadicNumber, u: PadicNumber,
+def _certify(x: PadicNumber, s: _QSplit, u: PadicNumber,
              m0: Fraction) -> FixedPointRecord:
-    ctx = q.ctx
-    cert, c1 = _gap_and_c1(x, q, CertificationFailure)
-    if x.is_zero or (x - ctx.one()).is_zero:
+    cert, c1 = _gap_and_c1(x, s, CertificationFailure)
+    if x.is_zero or (x - s.one).is_zero:
         raise CertificationFailure("trivial root escaped deflation")
     return FixedPointRecord(
-        x=x, q=q, m0=m0, u=u,
+        x=x, q=s.q, m0=m0, u=u,
         residue_x=x.residue(), residue_u=u.residue(),
         multiplicity=multiplicity_from_c1(c1),
         certified_to=cert)
@@ -284,23 +288,13 @@ def _record_key(rec: FixedPointRecord):
             rec.x.digits())
 
 
-def _split_q(q: PadicNumber) -> tuple:
-    """(y, t, m0, u) with y = q - 1 = pi^t u, u a unit and m0 = t/e."""
-    ctx = q.ctx
-    y = q - ctx.one()
-    if y.is_zero:
-        raise DomainError("q = 1 fixes everything; the fiber is not discrete")
-    t = y.val
-    return y, t, Fraction(t, ctx.e), y.scale_pi(-t)
-
-
 def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
                  probe: int, point) -> SolveOutcome:
     """Lift the roots of a fiber's series from residue seeds, then certify them.
 
     Seeds are tried in the given order until ``predicted`` distinct
-    roots are found; ``point(root)`` is the (x, q, u) a root stands for.
-    Records come out sorted by residues, then digits.
+    roots are found; ``point(root)`` is the (x, split of q, u) a root
+    stands for.  Records come out sorted by residues, then digits.
     """
     ctx = series.ctx
     deriv = series.derivative()
@@ -326,31 +320,33 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     Seeds range over the whole residue field F_{p^f} of the context.
     """
     ctx = q.ctx
-    y, _, m0, u = _split_q(q)
-    if not in_S(y):
-        raise DomainError("fixed_points_for_q needs v(q-1) > 1/(p-1)")
+    s = _QSplit(q)
+    s.check("fixed_points_for_q", "q = 1 fixes everything; the fiber is not discrete")
+    _, m0, u = s.parts()
     if ctx.p == 2 or m0 > Fraction(1, ctx.p - 2):
         return SolveOutcome((), 0, m0)
-    s1 = series1(ctx.from_int(0), q,
-                 tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
+    s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
     predicted = unit_disk_zero_count(s1) - 2
-    g = s1.drop_center_root().divide_by_root(ctx.one()).scale(y.inv())
+    g = s1.drop_center_root().divide_by_root(s.one).scale(s.inv_y)
     field = ctx.residue_field()
     return _solve_fiber(g, predicted, m0, field[2:] + field[:2], ctx.p + 1,
-                        lambda x: (x, q, u))
+                        lambda x: (x, s, u))
+
+
+def _phi1_val(x: PadicNumber) -> int | None:
+    """v(A_{p-2}(x)) in pi-units when x is in phi1(M), else None."""
+    ctx = x.ctx
+    if ctx.p == 2 or (not x.is_zero and x.val < 0):
+        return None
+    big_a = a_poly(ctx.p - 2, x)
+    if big_a.is_zero or not 0 <= big_a.val * (ctx.p - 1) < ctx.e:
+        return None
+    return big_a.val
 
 
 def phi1_contains(x: PadicNumber) -> bool:
     """Is x in phi1(M)?  Exactly when 0 <= v(A_{p-2}(x)) < 1/(p-1)."""
-    ctx = x.ctx
-    if ctx.p == 2:
-        return False
-    if not x.is_zero and x.val < 0:
-        return False
-    big_a = a_poly(ctx.p - 2, x)
-    if big_a.is_zero:
-        return False
-    return 0 <= big_a.val and big_a.val * (ctx.p - 1) < ctx.e
+    return _phi1_val(x) is not None
 
 
 def phi2_contains(m0, p: int) -> bool:
@@ -364,10 +360,10 @@ def m0_for_x(x: PadicNumber) -> Fraction:
     ctx = x.ctx
     if ctx.p == 2:
         raise DomainError("p = 2 admits no nontrivial fixed points")
-    if not phi1_contains(x):
+    v_a = _phi1_val(x)
+    if v_a is None:
         raise DomainError("x is not in phi1(M): need 0 <= v(A_{p-2}(x)) < 1/(p-1)")
-    big_a = a_poly(ctx.p - 2, x)
-    return (1 - Fraction(big_a.val, ctx.e)) / (ctx.p - 2)
+    return (1 - Fraction(v_a, ctx.e)) / (ctx.p - 2)
 
 
 def q_for_x(x: PadicNumber) -> SolveOutcome:
@@ -385,12 +381,12 @@ def q_for_x(x: PadicNumber) -> SolveOutcome:
     t = int(m0 * ctx.e)
     one = ctx.one()
     return _solve_fiber(h, unit_disk_zero_count(h), m0, ctx.residue_field()[1:], 1,
-                        lambda u: (x, one + u.scale_pi(t), u))
+                        lambda u: (x, _QSplit(one + u.scale_pi(t)), u))
 
 
 def multiplicity_of(x: PadicNumber, q: PadicNumber) -> int:
     """1 for a simple fixed point, 2 when the series derivative vanishes."""
-    _, c1 = _gap_and_c1(x, q, DomainError)
+    _, c1 = _gap_and_c1(x, _QSplit(q), DomainError)
     return multiplicity_from_c1(c1)
 
 
@@ -402,8 +398,8 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
     v(q'-q) = v(([x']_q - x')/(x'(x'-1))) is checked before returning.
     """
     ctx = q.ctx
-    _gap_and_c1(x, q, DomainError)
-    _, t, m0, u = _split_q(q)
+    s = _QSplit(q)
+    _gap_and_c1(x, s, DomainError)
     gap = xp - x
     if not gap.is_zero:
         big_a = a_poly(ctx.p - 2, x)
@@ -411,14 +407,15 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("cannot locate the ball radius: A_{p-2}(x) is zero-flagged")
         if gap.val <= big_a.val:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
+    t, m0, u = s.parts()
     h = series2(xp, 0, m0)
     hp = h.derivative()
     target = _probe_target(h, u) + ctx.e
     u2 = _newton_loop(ctx, h.evaluate, hp.evaluate, u, target, _budget(ctx.K))
-    one = ctx.one()
+    one = s.one
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q
-    rhs = (q_bracket(xp, q) - xp) * (xp * (xp - one)).inv()
+    rhs = (s.bracket(xp) - xp) * (xp * (xp - one)).inv()
     if lhs.is_zero != rhs.is_zero:
         raise CertificationFailure("local uniqueness law failed at carried precision")
     if not lhs.is_zero and lhs.val != rhs.val:

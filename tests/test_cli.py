@@ -137,3 +137,22 @@ def test_verify_forwards_overrides(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["suites"][0]["params"]["legs"] == [[13, 1, 40]]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("eval", "--p", "3", "--x", "2", "--q", "2"), 3,
+     "q_bracket needs v(q-1) > 1/(p-1)"),
+    (("fixed-points", "--p", "3", "--q", "1"), 3,
+     "q = 1 fixes everything; the fiber is not discrete"),
+    (("fixed-points", "--p", "3", "--q", "2"), 3,
+     "fixed_points_for_q needs v(q-1) > 1/(p-1)"),
+    (("polygon", "--p", "3", "--series", "series1", "--q", "1"), 3,
+     "series1 is undefined at q = 1"),
+    (("polygon", "--p", "3", "--series", "series1", "--q", "2"), 3,
+     "series1 needs v(q-1) > 1/(p-1)"),
+    (("eval", "--p", "3", "--x", "2", "--q", "1"), 0, None),
+])
+def test_q_domain_exit_codes_and_messages(capsys, argv, code, err):
+    got, _, stderr = _run(capsys, *argv)
+    assert got == code
+    assert stderr == ("" if err is None else f"precondition violated: {err}\n")

@@ -10,11 +10,13 @@ from random import Random
 
 import pytest
 
+import qbracket.analytic as analytic
 from qbracket import (
     DomainError,
     FixedPointRecord,
     LiftFailure,
     TruncatedSeries,
+    cocycle_check,
     ctx_new,
     fixed_points_for_q,
     hensel_lift,
@@ -260,3 +262,24 @@ def test_round_trip_between_the_two_charts():
         x = out[0].x
         back = q_for_x(x)
         assert any((r.q - q).is_zero for r in back.records)
+
+
+def test_one_log_per_q_per_call(monkeypatch):
+    # q is split once per public call: the fiber's series and every record's
+    # certification, local_Q's certification and law, and the three brackets
+    # and the power of the cocycle identity all share one log q
+    calls = []
+    log1p = analytic.log1p
+    monkeypatch.setattr(analytic, "log1p", lambda y: calls.append(y) or log1p(y))
+    c = ctx_new(3, 1, 60)
+    q = c.from_int(4)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(fixed_points_for_q, q) == 1
+    x = fixed_points_for_q(q)[0].x
+    assert count(local_Q, x, q, x + sample(c, Random(5), valuation=3)) == 1
+    assert count(cocycle_check, 2, 5, q) == 1
