@@ -15,6 +15,9 @@ carry in base-pi digit arithmetic jumps e positions, and reduce zeta^f by
 the defining polynomial.  At f = 1 there is no zeta and the field is the
 totally ramified Q_p(pi).  The layout of unramified and totally ramified
 parts follows Caruso, "Computations with p-adic numbers" (2017), sec. 2.
+One context class serves every f: reduction, valuation and shifts act on
+the f blocks of e entries alike, and only the product and the inverse in
+the residue field depend on f.
 
 Precision is absolute and counted in pi-units: a number with ``prec`` K is
 known modulo pi^K.  A value whose digits all vanish below its precision is
@@ -130,7 +133,7 @@ def _irreducible_modulus(p: int, f: int) -> tuple:
 
 
 def _product_table(p: int, e: int, modulus: Sequence[int]) -> list:
-    """Products of basis elements at f > 1, for _UnramifiedContext._vec_mul.
+    """Products of basis elements at f > 1, for PrimeContext._vec_mul.
 
     Basis element k = j*e + i is zeta^j pi^i.  table[k1][k2] lists the
     pairs (k, m) with element k1 times element k2 = sum m * element k:
@@ -170,13 +173,7 @@ class PrimeContext:
     parameters agree.
     """
 
-    __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp")
-
-    def __new__(cls, p: int = 0, e: int = 1, K: int | None = None, f: int = 1):
-        # the defaults let copy and pickle create an empty instance
-        if cls is PrimeContext and f > 1:
-            cls = _UnramifiedContext
-        return super().__new__(cls)
+    __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_table")
 
     def __init__(self, p: int, e: int, K: int | None = None, f: int = 1):
         if not _is_prime(p):
@@ -196,6 +193,9 @@ class PrimeContext:
         self.modulus = _irreducible_modulus(p, f)
         self._dim = e * f
         self._pp: dict[int, int] = {}
+        self._mods: dict[int, list] = {}  # rel -> per-entry moduli of _vec_reduce
+        # products of basis elements, needed only when zeta is present
+        self._table = _product_table(p, e, self.modulus) if f > 1 else None
 
     def _ppow(self, m: int) -> int:
         pw = self._pp.get(m)
@@ -353,27 +353,31 @@ class PrimeContext:
 
     # -- coefficient-vector kernels ----------------------------------
     #
-    # A vector is a list of e integers for sum vec[i]*pi^i, meaningful
-    # modulo pi^rel for whatever rel the caller tracks.  Vectors are kept
-    # reduced: vec[i] canonical in [0, p^ceil((rel-i)/e)).  At f > 1 the
-    # vector has f such blocks, one per power of zeta (see
-    # _UnramifiedContext), and these methods are overridden there.
+    # A vector holds f blocks of e integers, block j holding the
+    # pi-coefficients of zeta^j, so entry k = j*e + i multiplies
+    # zeta^j pi^i; at f = 1 there is one block.  It is meaningful modulo
+    # pi^rel for whatever rel the caller tracks.  Vectors are kept
+    # reduced: entry j*e + i canonical in [0, p^ceil((rel-i)/e)).
+    # Reduction, valuation and shifts treat every block alike; only the
+    # product and the residue-field inverse depend on f.
 
     def _vec_reduce(self, vec: Sequence[int], rel: int) -> tuple:
-        e = self.e
-        out = []
-        for i in range(e):
-            m = _ceil_div(rel - i, e)
-            out.append(vec[i] % self._ppow(m) if m > 0 else 0)
-        return tuple(out)
+        mods = self._mods.get(rel)
+        if mods is None:
+            e = self.e
+            # p^0 = 1 clears the entries that carry no digit
+            mods = [self._ppow(max(_ceil_div(rel - i, e), 0)) for i in range(e)] * self.f
+            self._mods[rel] = mods
+        return tuple(map(operator.mod, vec, mods))
 
     def _vec_val(self, vec: Sequence[int], rel: int) -> int | None:
-        """min(e*vp(a_i) + i) over nonzero entries, or None if that is >= rel."""
+        """min(e*vp(a_k) + k % e) over nonzero entries, or None if that is >= rel."""
+        e, p = self.e, self.p
         best = None
-        for i, a in enumerate(vec):
+        for k, a in enumerate(vec):
             if a == 0:
                 continue
-            t = self.e * _vp(a, self.p) + i
+            t = e * _vp(a, p) + k % e
             if best is None or t < best:
                 best = t
         if best is None or best >= rel:
@@ -381,6 +385,20 @@ class PrimeContext:
         return best
 
     def _vec_mul(self, a: Sequence[int], b: Sequence[int]) -> list:
+        table = self._table
+        if table is not None:
+            c = [0] * self._dim
+            for k1, x in enumerate(a):
+                if not x:
+                    continue
+                row = table[k1]
+                for k2, y in enumerate(b):
+                    if not y:
+                        continue
+                    xy = x * y
+                    for k, m in row[k2]:
+                        c[k] += m * xy
+            return c
         e = self.e
         if e == 1:
             return [a[0] * b[0]]
@@ -404,24 +422,39 @@ class PrimeContext:
         if t == 0:
             return list(vec)
         e = self.e
-        out = [0] * e
-        for i, ai in enumerate(vec):
-            if not ai:
+        out = [0] * self._dim
+        for k, ak in enumerate(vec):
+            if not ak:
                 continue
-            f, r = divmod(i + t, e)
-            if f >= 0:
-                out[r] += ai * self._ppow(f)
+            i = k % e  # entry k is zeta^j pi^i, and its block starts at k - i
+            s, r = divmod(i + t, e)
+            if s >= 0:
+                out[k - i + r] += ak * self._ppow(s)
             else:
-                q, rem = divmod(ai, self._ppow(-f))
+                q, rem = divmod(ak, self._ppow(-s))
                 if rem:
                     raise PrecisionExhausted("non-integral shift; internal valuation accounting broke")
-                out[r] += q
+                out[k - i + r] += q
         return out
 
-    def _residue_inv(self, u: Sequence[int]) -> list:
-        """A vector w with u*w = 1 modulo pi, for a unit vector u."""
-        w = [0] * self.e
-        w[0] = pow(u[0] % self.p, -1, self.p)
+    def _residue_inv(self, u: Sequence[int]) -> Sequence[int]:
+        """A vector w with u*w = 1 modulo pi, for a unit vector u.
+
+        At f = 1 this inverts u_0 mod p; at f > 1 it is u^(p^f - 2) in
+        F_{p^f}, by square and multiply modulo pi.
+        """
+        w = [0] * self._dim
+        if self.f == 1:
+            w[0] = pow(u[0] % self.p, -1, self.p)
+            return w
+        w[0] = 1
+        base = self._vec_reduce(u, 1)
+        n = self.p ** self.f - 2
+        while n:
+            if n & 1:
+                w = self._vec_reduce(self._vec_mul(w, base), 1)
+            base = self._vec_reduce(self._vec_mul(base, base), 1)
+            n >>= 1
         return w
 
     def _vec_inv(self, u: Sequence[int], rel: int) -> tuple:
@@ -436,71 +469,6 @@ class PrimeContext:
             corr[0] += 2
             w = self._vec_reduce(self._vec_mul(w, corr), k)
         return self._vec_reduce(w, rel)
-
-
-class _UnramifiedContext(PrimeContext):
-    """A context with residue degree f > 1.
-
-    A vector holds f blocks of e entries, block j holding the
-    pi-coefficients of zeta^j, so entry j*e + i multiplies zeta^j pi^i.
-    Reduction, valuation and shifts act on each block as at f = 1 (the
-    valuation of sum_j a_j zeta^j is min_j vp(a_j) because zeta generates
-    an unramified extension); products go through a table of basis
-    products that folds pi^e to p and zeta^f by the defining polynomial.
-    """
-
-    __slots__ = ("_mods", "_table")
-
-    def __init__(self, p: int, e: int, K: int | None = None, f: int = 2):
-        super().__init__(p, e, K, f)
-        self._mods: dict[int, list] = {}
-        self._table = _product_table(p, e, self.modulus)
-
-    def _vec_reduce(self, vec: Sequence[int], rel: int) -> tuple:
-        mods = self._mods.get(rel)
-        if mods is None:
-            e = self.e
-            # p^0 = 1 clears the entries that carry no digit
-            mods = [self._ppow(max(_ceil_div(rel - i, e), 0)) for i in range(e)] * self.f
-            self._mods[rel] = mods
-        return tuple(map(operator.mod, vec, mods))
-
-    def _blocks(self, vec: Sequence[int]) -> list:
-        return [vec[b:b + self.e] for b in range(0, self._dim, self.e)]
-
-    def _vec_val(self, vec: Sequence[int], rel: int) -> int | None:
-        vals = [PrimeContext._vec_val(self, block, rel) for block in self._blocks(vec)]
-        return min((v for v in vals if v is not None), default=None)
-
-    def _vec_mul(self, a: Sequence[int], b: Sequence[int]) -> list:
-        c = [0] * self._dim
-        for k1, x in enumerate(a):
-            if not x:
-                continue
-            row = self._table[k1]
-            for k2, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                for k, m in row[k2]:
-                    c[k] += m * xy
-        return c
-
-    def _vec_shift(self, vec: Sequence[int], t: int) -> list:
-        return [c for block in self._blocks(vec) for c in PrimeContext._vec_shift(self, block, t)]
-
-    def _residue_inv(self, u: Sequence[int]) -> list:
-        """u^(p^f - 2) in F_{p^f}, by square and multiply modulo pi."""
-        base = self._vec_reduce(u, 1)
-        w = [0] * self._dim
-        w[0] = 1
-        n = self.p ** self.f - 2
-        while n:
-            if n & 1:
-                w = self._vec_reduce(self._vec_mul(w, base), 1)
-            base = self._vec_reduce(self._vec_mul(base, base), 1)
-            n >>= 1
-        return list(w)
 
 
 def ctx_new(p: int, e: int = 1, K: int | None = None, f: int = 1) -> PrimeContext:
@@ -661,9 +629,6 @@ class PadicNumber:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def pow_int(self, n: int) -> "PadicNumber":
-        return self ** n
 
     def scale_pi(self, t: int) -> "PadicNumber":
         """Exact multiplication by pi^t: shifts valuation and precision."""

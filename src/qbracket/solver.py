@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytic import TruncatedSeries, _QSplit, a_poly, series2
-from .core import PadicNumber, PrimeContext, equals_to_precision
+from .core import PadicNumber, equals_to_precision
 from .errors import CertificationFailure, DomainError, LiftFailure
 from .polygon import unit_disk_zero_count
 
@@ -114,19 +114,17 @@ class SolveOutcome(Sequence):
                 f"predicted={self.predicted}, m0={self.m0})")
 
 
-def _budget(K: int) -> int:
-    return math.ceil(math.log2(max(K, 2))) + 2
-
-
-def _newton_loop(ctx: PrimeContext, feval, fpeval, seed: PadicNumber,
-                 target: int, budget: int) -> PadicNumber:
+def _newton_loop(feval, fpeval, seed: PadicNumber, target: int) -> PadicNumber:
     """Newton iteration with laddered evaluation hints.
 
     ``feval(point, hint)`` must be honest: the result carries only
     digits that are actually correct.  Stops once v(f(x)) >= target.
     The derivative is evaluated at the same hint as f so the step never
-    truncates the iterate harder than the ladder intends.
+    truncates the iterate harder than the ladder intends.  Raises
+    LiftFailure once more than ceil(log2 K) + 2 steps were needed.
     """
+    ctx = seed.ctx
+    budget = math.ceil(math.log2(max(ctx.K, 2))) + 2
     x = seed
     est = 1        # lower bound on v(f(x)) guaranteed by the last step
     s = 0          # v(f'), measured at the first nonzero evaluation
@@ -161,8 +159,7 @@ def _newton_loop(ctx: PrimeContext, feval, fpeval, seed: PadicNumber,
         stepped = True
         updates += 1
         if updates > budget:
-            raise LiftFailure("no convergence within the iteration budget "
-                              "(is the target precision attainable?)")
+            break
     raise LiftFailure("no convergence within the iteration budget "
                       "(is the target precision attainable?)")
 
@@ -194,25 +191,26 @@ def hensel_lift(f, seed: PadicNumber, *, target: int | None = None) -> PadicNumb
     fp0 = fpeval(seed, None)
     if fp0.is_zero:
         raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
-    root = _newton_loop(ctx, feval, fpeval, seed, target, _budget(ctx.K))
+    root = _newton_loop(feval, fpeval, seed, target)
     moved = root - seed
     if not moved.is_zero and moved.val <= fp0.val:
         raise LiftFailure("lift left the contraction ball of the seed")
     return root
 
 
-def _roots_from_seed(ctx: PrimeContext, g: TruncatedSeries, gp: TruncatedSeries,
-                     seed: PadicNumber, target: int) -> list:
+def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
+                     target: int) -> list:
     """All roots reachable from one residue seed, refining when needed.
 
     When the Newton criterion fails at a seed but the value still
     vanishes there at precision, the disk is subdivided one pi-level
-    down, one sub-center per residue, and each retried, up to a bounded
-    depth and 8 p^f nodes.  In the configurations the solver is used on,
-    every in-field root has a unit derivative at its residue seed and
-    refinement never fires; it exists so clustered roots degrade into an
-    honest deficit instead of a wrong count.
+    down, one sub-center per residue, and each retried, up to depth 2e
+    and 8 p^f nodes.  This finds roots that share one residue disk, such
+    as 6 and 11 from the seed 1 over Q_5; without it they would show up
+    as a deficit, not as a wrong count.  Roots past the node budget and
+    failed lifts are dropped, so they too show up as a deficit.
     """
+    ctx = seed.ctx
     found = []
     stack = [(seed, 0)]
     nodes = 0
@@ -229,8 +227,7 @@ def _roots_from_seed(ctx: PrimeContext, g: TruncatedSeries, gp: TruncatedSeries,
         low = fx.prec if fx.is_zero else fx.val
         if not fpx.is_zero and low > 2 * fpx.val:
             try:
-                found.append(_newton_loop(ctx, g.evaluate, gp.evaluate, pt,
-                                          target, _budget(ctx.K)))
+                found.append(_newton_loop(g.evaluate, gp.evaluate, pt, target))
             except LiftFailure:
                 pass
             continue
@@ -243,10 +240,9 @@ def _roots_from_seed(ctx: PrimeContext, g: TruncatedSeries, gp: TruncatedSeries,
     return found
 
 
-def _probe_target(series: TruncatedSeries, point: PadicNumber) -> int:
+def _probe_prec(series: TruncatedSeries, point: PadicNumber) -> int:
     """Attainable evaluation precision, probed rather than derived."""
-    probe = series.evaluate(point)
-    return probe.prec - series.ctx.e
+    return series.evaluate(point).prec
 
 
 def multiplicity_from_c1(c1: PadicNumber) -> int:
@@ -298,10 +294,10 @@ def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
     """
     ctx = series.ctx
     deriv = series.derivative()
-    target = _probe_target(series, ctx.from_int(probe)) + ctx.e
+    target = _probe_prec(series, ctx.from_int(probe))
     roots = []
     for r in seeds:
-        for root in _roots_from_seed(ctx, series, deriv, ctx.from_residue(r), target):
+        for root in _roots_from_seed(series, deriv, ctx.from_residue(r), target):
             if not any(equals_to_precision(root, old, min(root.prec, old.prec) - 2 * ctx.e)
                        for old in roots):
                 roots.append(root)
@@ -409,9 +405,7 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
     t, m0, u = s.parts()
     h = series2(xp, 0, m0)
-    hp = h.derivative()
-    target = _probe_target(h, u) + ctx.e
-    u2 = _newton_loop(ctx, h.evaluate, hp.evaluate, u, target, _budget(ctx.K))
+    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, _probe_prec(h, u))
     one = s.one
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -320,9 +321,9 @@ def test_mixed_residue_degrees_rejected():
 def test_deepcopy_keeps_context_parameters():
     for f in (1, 2):
         x = ctx_new(5, 3, 30, f=f).from_int(7)
-        y = copy.deepcopy(x)
-        assert type(y.ctx) is type(x.ctx) and y.ctx.f == f
-        assert y.render() == x.render() and (y * y).render() == (x * x).render()
+        for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y.ctx) is type(x.ctx) and y.ctx.f == f
+            assert y.render() == x.render() and (y * y).render() == (x * x).render()
 
 
 def test_modulus_generates_a_field():
@@ -385,3 +386,74 @@ def test_render_parse_json_at_f2_carry_f():
     y = ctx_new(3, 1, 5).from_int(7)
     assert y.render() == "p^0*(1 2 0 0 0; prec=5)"
     assert y.to_json() == {"p": 3, "e": 1, "val": 0, "digits": [1, 2, 0, 0, 0], "prec": 5}
+
+
+# -- precision honesty ----------------------------------------------------
+#
+# Every digit below a result's claimed precision must be right.  Inputs
+# are drawn as digits known to 2K and read once in a K context and once
+# in a 2K context; each K result must agree with the 2K result below its
+# own precision.  At e = f = 1 the digits also spell exact rationals, and
+# each K result must agree with the exact result below its precision.
+
+_HONESTY_CASES = ((2, 1, 1), (3, 1, 1), (5, 3, 1), (5, 10, 1), (3, 2, 2), (5, 1, 2))
+
+
+@st.composite
+def _honesty_inputs(draw):
+    p, e, f = draw(st.sampled_from(_HONESTY_CASES))
+    K = 4 * e + 8
+    size = p ** f
+
+    def number(val, prefix=()):
+        head = list(prefix) or [draw(st.integers(1, size - 1))]
+        n = 2 * K - val - len(head)
+        return val, head + draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+
+    a = number(draw(st.integers(-e, 2 * e)))
+    # b sometimes repeats a's leading digits, so that a - b cancels them
+    share = draw(st.integers(0, K))
+    b = number(a[0], a[1][:share]) if share else number(draw(st.integers(-e, 2 * e)))
+    n = draw(st.integers(-60, 60).filter(bool))
+    return (p, e, f, K), a, b, n
+
+
+def _read(c, val, digits):
+    digits = digits[:c.K - val]
+    if c.f > 1:
+        digits = [tuple((d // c.p ** j) % c.p for j in range(c.f)) for d in digits]
+    return c.from_digits(val, digits, c.K)
+
+
+def _honest_ops(a, b, n):
+    return {"+": a + b, "-": a - b, "*": a * b, "inv": a.inv(), "div_int": a._div_int(n)}
+
+
+def _agrees_below(x, y):
+    """Does y, known at least as precisely as x, match x modulo pi^x.prec?"""
+    if y.prec < x.prec:
+        return False
+    if x.is_zero:
+        return y.is_zero or y.val >= x.prec
+    return not y.is_zero and y.val == x.val and y.digits()[:x.prec - x.val] == x.digits()
+
+
+def _rational(val, digits, p):
+    return Fraction(p) ** val * sum(d * p ** k for k, d in enumerate(digits))
+
+
+@given(_honesty_inputs())
+@settings(max_examples=100, deadline=None)
+def test_core_ops_are_honest_below_claimed_precision(case):
+    (p, e, f, K), a, b, n = case
+    lo, hi = ctx_new(p, e, K, f), ctx_new(p, e, 2 * K, f)
+    low = _honest_ops(_read(lo, *a), _read(lo, *b), n)
+    high = _honest_ops(_read(hi, *a), _read(hi, *b), n)
+    for op, x in low.items():
+        assert _agrees_below(x, high[op]), op
+    if e == f == 1:
+        ra, rb = _rational(*a, p), _rational(*b, p)
+        exact = {"+": ra + rb, "-": ra - rb, "*": ra * rb, "inv": 1 / ra, "div_int": ra / n}
+        for op, x in low.items():
+            d = exact[op] - (0 if x.is_zero else _rational(x.val, x.digits(), p))
+            assert d == 0 or _vp_int(d.numerator, p) - _vp_int(d.denominator, p) >= x.prec, op

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 import qbracket.analytic as analytic
+import qbracket.solver as solver
 from qbracket import (
     DomainError,
     FixedPointRecord,
@@ -18,6 +19,7 @@ from qbracket import (
     TruncatedSeries,
     cocycle_check,
     ctx_new,
+    equals_to_precision,
     fixed_points_for_q,
     hensel_lift,
     local_Q,
@@ -81,6 +83,19 @@ def test_hensel_respects_explicit_target():
     root = hensel_lift(_poly(c, [-8, 0, 1]), c.from_int(1), target=20)
     d = root * root - c.from_int(8)
     assert d.is_zero and d.prec >= 20
+
+
+def test_roots_from_seed_subdivides_a_shared_residue_disk():
+    # 6 and 11 both reduce to 1 mod 5: at the seed 1, v(f) = 2 is not above
+    # 2 v(f') = 2, so only the subdivision one level down reaches them
+    c = ctx_new(5, 1, 40)
+    g = _poly(c, [66, -17, 1])  # (X - 6)(X - 11)
+    with pytest.raises(LiftFailure):
+        hensel_lift(g, c.from_int(1))
+    roots = solver._roots_from_seed(g, g.derivative(), c.from_int(1), c.K - 2)
+    assert len(roots) == 2
+    for want in (6, 11):
+        assert sum(equals_to_precision(r, c.from_int(want), c.K - 2) for r in roots) == 1
 
 
 def test_witness_fiber_at_q4():
