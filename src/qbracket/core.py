@@ -241,7 +241,8 @@ class PrimeContext:
         """Exact image of num/den at full precision K.
 
         The denominator may be divisible by p; the result then has
-        negative valuation.
+        negative valuation.  A value of valuation K or more is zero at
+        that precision and comes back as ``zero()``.
         """
         if den == 0:
             raise ValueError("zero denominator")
@@ -252,6 +253,8 @@ class PrimeContext:
         a = _vp(num, self.p)
         b = _vp(den, self.p)
         val = self.e * (a - b)
+        if val >= self.K:
+            return self.zero()
         rel = self.K - val
         m = _ceil_div(rel, self.e)
         mod = self._ppow(m)
@@ -621,14 +624,19 @@ class PadicNumber:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ctx.one()
+        if n == 0:
+            return self.ctx.one()
+        # seeded with the base, not with one(), whose precision K would cap
+        # a value carried above K
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale_pi(self, t: int) -> "PadicNumber":
         """Exact multiplication by pi^t: shifts valuation and precision."""

@@ -5,6 +5,7 @@ integer/Fraction oracles (partial sums, big-integer Hensel, direct
 factorial stripping) before the assertions were written.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from qbracket import (
     DomainError,
+    PrimeContext,
     TruncatedSeries,
     a_poly,
     cocycle_check,
@@ -242,3 +244,203 @@ def test_derivative_of_polynomial():
     d = s.derivative()
     x = c.from_int(9)
     assert (d.evaluate(x) - (c.from_int(2) * x - c.from_int(5))).is_zero
+
+
+# -- precision honesty of the analytic layer -----------------------------
+#
+# As in tests/test_core.py, each input is one digit string read at
+# precision K and again at 2K.  The 2K result is carried at least as
+# precisely, so it must agree with the K result below the K result's
+# claimed precision.  At e = f = 1 the digits also spell rationals, and
+# exp and log1p must agree with Fraction partial sums whose omitted terms
+# all lie above that precision, and q^n and [n]_q with exact powers.
+
+def _read(c, val, digits, prec=None):
+    """pi^val times the digits (ints below p^f) read at prec, K by default."""
+    prec = c.K if prec is None else prec
+    digits = digits[:prec - val]
+    if c.f > 1:
+        digits = [tuple((d // c.p ** j) % c.p for j in range(c.f)) for d in digits]
+    return c.from_digits(val, digits, prec)
+
+
+def _agrees_below(x, y):
+    """Does y, known at least as precisely as x, match x modulo pi^x.prec?"""
+    if y.prec < x.prec:
+        return False
+    if x.is_zero:
+        return y.is_zero or y.val >= x.prec
+    return not y.is_zero and y.val == x.val and y.digits()[:x.prec - x.val] == x.digits()
+
+
+def _honest(x):
+    return x.is_zero or x.val < x.prec
+
+
+def _vp_frac(r, p):
+    v, n, d = 0, r.numerator, r.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def _close(r, x, p):
+    """Does the e = f = 1 value x equal the rational r below x.prec?"""
+    d = r - (0 if x.is_zero else Fraction(p) ** x.val * sum(
+        dk * p ** k for k, dk in enumerate(x.digits())))
+    return d == 0 or _vp_frac(d, p) >= x.prec
+
+
+@st.composite
+def _analytic_inputs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 5))
+    f = draw(st.sampled_from((1, 2)))
+    K = 5 * e + 10
+    lo = e // (p - 1) + 1  # the boundary of S, drawn on purpose
+    size = p ** f
+
+    def digits(val):
+        n = 2 * K - val
+        return val, [draw(st.integers(1, size - 1))] + draw(
+            st.lists(st.integers(0, size - 1), min_size=n - 1, max_size=n - 1))
+
+    z = digits(draw(st.sampled_from((lo, lo, lo + 1)) | st.integers(lo, lo + 2 * e)))
+    y = digits(draw(st.sampled_from((lo, lo, lo + 1)) | st.integers(lo, lo + 2 * e)))
+    x = digits(draw(st.sampled_from((0, 0, 1, 2))))
+    w = digits(draw(st.sampled_from((0, 0, 1))))
+    n = draw(st.integers(0, 12))
+    return (p, e, f, K), z, y, x, w, n
+
+
+def _analytic_results(c, z, y, x, w, n):
+    z, y, x, w = (_read(c, *a) for a in (z, y, x, w))
+    q = c.one() + y
+    out = {"exp": exp(z), "log1p": log1p(y), "q_pow": q_pow(x, q),
+           "q_bracket": q_bracket(x, q), "q_pow(n)": q_pow(n, q), "[n]_q": q_bracket(n, q)}
+    s = series1(x, q)
+    out["series1(w)"] = s.evaluate(w)
+    for k, ck in enumerate(s.coeffs[:8]):
+        out[f"series1[{k}]"] = ck
+    return out
+
+
+@given(_analytic_inputs())
+@settings(max_examples=40, deadline=None)
+def test_analytic_layer_is_honest_below_claimed_precision(case):
+    (p, e, f, K), z, y, x, w, n = case
+    lo, hi = ctx_new(p, e, K, f), ctx_new(p, e, 2 * K, f)
+    low = _analytic_results(lo, z, y, x, w, n)
+    high = _analytic_results(hi, z, y, x, w, n)
+    for name, v in low.items():
+        assert _honest(v) and _honest(high[name]), name
+        assert _agrees_below(v, high[name]), name
+    if e == f == 1:
+        rz, ry = (Fraction(p) ** a[0] * sum(d * p ** k for k, d in enumerate(a[1][:K - a[0]]))
+                  for a in (z, y))
+        # every omitted term has valuation >= K: n(v - 1/(p-1)) >= K for exp,
+        # n v - log_p(n) >= K for log
+        n_exp = math.ceil(K / (z[0] - Fraction(1, p - 1))) + 1
+        e_sum = sum(rz ** k / math.factorial(k) for k in range(n_exp))
+        l_sum = sum((-1) ** (k + 1) * ry ** k / k for k in range(1, 2 * K + 2))
+        assert _close(e_sum, low["exp"], p)
+        assert _close(l_sum, low["log1p"], p)
+        rq = 1 + ry
+        assert _close(rq ** n, low["q_pow(n)"], p)
+        assert _close(sum(rq ** k for k in range(n)), low["[n]_q"], p)
+
+
+# -- the pre-change term-by-term kernels, kept as reference oracles ------
+
+def _ceil_frac(r):
+    return -((-r.numerator) // r.denominator)
+
+
+def _log1p_ref(y):
+    ctx = y.ctx
+    if not in_S(y):
+        raise DomainError("log1p needs v(y) > 1/(p-1)")
+    if y.is_zero:
+        if y.prec * (ctx.p - 1) < ctx.e:
+            raise DomainError("zero at too little precision to certify membership in S")
+        return ctx.zero(y.prec)
+    t, target = y.val, y.prec
+    j = 1
+    while ctx.p ** j * t - ctx.e * j < target or ctx.p ** j * t * (ctx.p - 1) <= ctx.e:
+        j += 1
+    n_stop = min(ctx.p ** j, _ceil_frac(Fraction(target + ctx.e * (j - 1), t)))
+    acc = y
+    power = y
+    for n in range(2, n_stop):
+        power = power * y
+        term = power._div_int(n)
+        acc = acc + (term if n % 2 else -term)
+    return acc
+
+
+def _exp_ref(z):
+    ctx = z.ctx
+    if not in_S(z):
+        raise DomainError("exp needs v(z) > 1/(p-1)")
+    if z.is_zero:
+        if z.prec * (ctx.p - 1) < ctx.e:
+            raise DomainError("zero at too little precision to certify membership in S")
+        return ctx.one(z.prec)
+    t, target = z.val, z.prec
+    delta = Fraction(t) - Fraction(ctx.e, ctx.p - 1)
+    n_stop = _ceil_frac(Fraction(target) / delta)
+    acc = ctx.one(target) + z
+    term = z
+    for n in range(2, n_stop):
+        term = (term * z)._div_int(n)
+        acc = acc + term
+    return acc
+
+
+def _outcome(fn, x):
+    try:
+        return fn(x)
+    except Exception as exc:  # the error type and message must match too
+        return type(exc), str(exc)
+
+
+@st.composite
+def _kernel_arguments(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 6))
+    f = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(2 * e, 8 * e + 12))
+    c = ctx_new(p, e, K, f)
+    top = K + e  # a value may be carried above K
+    if draw(st.integers(0, 5)) == 0:
+        return c.zero(draw(st.integers(0, top)))
+    lo = e // (p - 1) + 1
+    t = draw(st.sampled_from((lo - 1, lo, lo, lo + 1)) | st.integers(-1, lo + 2 * e))
+    prec = draw(st.integers(t + 1, max(t + 1, top)))  # low precision included
+    n = prec - t
+    digits = [draw(st.integers(1, p ** f - 1))] + draw(
+        st.lists(st.integers(0, p ** f - 1), min_size=n - 1, max_size=n - 1))
+    return _read(c, t, digits, prec)
+
+
+@given(_kernel_arguments())
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_term_by_term_reference(z):
+    assert _outcome(exp, z) == _outcome(_exp_ref, z)
+    assert _outcome(log1p, z) == _outcome(_log1p_ref, z)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernels_match_reference_at_5_10_600(seed):
+    c = ctx_new(5, 10, 600)
+    rng = Random(seed)
+    for t in (3, rng.randrange(4, 30)):
+        z = sample(c, rng, valuation=t)
+        low = z._cap_prec(rng.randrange(t + 1, 600))
+        for v in (z, low):
+            assert exp(v) == _exp_ref(v)
+            assert log1p(v) == _log1p_ref(v)

@@ -59,6 +59,30 @@ def test_from_rational_covers_negative_valuation():
     assert c.from_rational(Fraction(2, 5)).val == 0
 
 
+def test_from_rational_at_or_above_precision_is_zero():
+    # p^5 and p^7 vanish modulo p^5; so does 3^9/3^4 = 3^5
+    c = ctx_new(3, 1, 5)
+    for num, den in ((3 ** 5, 1), (3 ** 7, 1), (3 ** 9, 3 ** 4), (-2 * 3 ** 6, 5)):
+        assert c.from_rational(num, den) == c.zero()
+    assert c.from_int(3 ** 4).val == 4 and c.from_int(3 ** 4).prec == 5
+    c3 = ctx_new(5, 3, 7)  # 25 has valuation 6 < 7, 125 has 9
+    assert c3.from_int(25).val == 6 and c3.from_int(125) == c3.zero()
+
+
+def test_power_keeps_precision_above_K():
+    # x ** n is a product of copies of x, never capped by one() at K
+    c = ctx_new(5, 3, 30)
+    x = sample(c, Random(3), valuation=1)
+    y = x._lift_exact(40)
+    assert y ** 1 == y
+    assert y ** 2 == y * y and (y ** 2).prec == 41
+    assert y ** 5 == y * y * y * y * y
+    assert x ** 0 == c.one()
+    half = c.from_rational(1, 5)  # val -3, relative precision K + 3
+    assert half ** 2 == half * half
+    assert (half ** -3 - c.from_int(125)).is_zero
+
+
 def test_uniformizer_cubes_to_p():
     c = ctx_new(5, 3, 60)
     pi = c.from_digits(1, [1] + [0] * 58)
