@@ -5,8 +5,17 @@ below in valuation, so results are honest PadicNumbers: their carried
 precision never exceeds what the truncation proves.  The convergence
 domain that makes this work is S = {v(y) > 1/(p-1)}; on it log(1+y) and
 exp preserve valuations and are mutually inverse, which is also why the
-incremental term recurrences below never lose relative precision (each
-division by n is covered by the extra factor y^(n-1)).
+term recurrence of the series1 jets never loses relative precision (each
+division by n is covered by the extra factor (log q)^(n-1)).
+
+exp and log1p sum their series on raw coefficient vectors modulo
+pi^target and normalize once.  exp uses rectangular splitting
+(Paterson-Stockmeyer): about 2 sqrt(N) vector products for N terms.
+log1p first raises 1+y to a p-power, which moves y deeper into S so the
+series needs fewer terms, then divides the log by that power.  Both
+return, digit for digit, the truncated series of the stored
+representative, so the claimed precisions are those the proved cutoffs
+give, as before: no digit and no precision changes with the method.
 
 The parameter q enters only through q^x = exp(x log q) with q = 1 + y
 in 1+S.  How q splits is decided here, once per public call: a private
@@ -28,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import PadicNumber, PrimeContext
+from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw
 from .errors import CertificationFailure, ContextMismatch, DomainError
 
 __all__ = [
@@ -89,6 +98,15 @@ def log1p(y: PadicNumber) -> PadicNumber:
     and that lower envelope increases in j once p^j*t*(p-1) > e.  The
     first j where both the envelope clears the target precision and the
     growth condition holds gives a sound cutoff N = p^j.
+
+    Argument reduction: Y = (1+y)^(p^k) - 1 has valuation t + k*e and
+    log(1+Y) = p^k log(1+y).  So y is lifted to its exact representative
+    at target + k*e, raised by k p-th powers, the series for Y is summed
+    to target + k*e, and the sum is divided by p^k.  That takes fewer
+    terms, about (target + k*e)/(t + k*e); ``_log_reduction`` picks k.
+    The result is the value the unreduced series gives for the stored
+    representative, modulo pi^target, and is claimed to the same
+    precision, because log is an isometry on S.
     """
     ctx = y.ctx
     if not in_S(y):
@@ -97,22 +115,78 @@ def log1p(y: PadicNumber) -> PadicNumber:
         if y.prec * (ctx.p - 1) < ctx.e:
             raise DomainError("zero at too little precision to certify membership in S")
         return ctx.zero(y.prec)
-    t, target = y.val, y.prec
+    p, e, target = ctx.p, ctx.e, y.prec
+    k = _log_reduction(p, e, y.val, target)
+    if k:
+        one = ctx.one(target + k * e)
+        big = one + y._lift_exact(target + k * e)
+        for _ in range(k):
+            big = big ** p
+        y = big - one
+    t, rel = y.val, y.prec
+    n_stop = _log_cutoff(p, e, t, rel)
+    terms = _log_terms(p, e, t, n_stop, ctx._ppow(_ceil_div(rel, e)))
+    return _from_raw(ctx, -k * e, _power_sum(ctx, y._unit, terms, n_stop, rel), target)
+
+
+def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
+    """The blockwise cutoff of ``log1p`` for valuation t (see there)."""
     j = 1
-    while ctx.p ** j * t - ctx.e * j < target or ctx.p ** j * t * (ctx.p - 1) <= ctx.e:
+    while p ** j * t - e * j < target or p ** j * t * (p - 1) <= e:
         j += 1
-    n_stop = min(ctx.p ** j, _ceil_frac(Fraction(target + ctx.e * (j - 1), t)))
-    acc = y
-    power = y
-    for n in range(2, n_stop):
-        power = power * y
-        term = power._div_int(n)
-        acc = acc + (term if n % 2 else -term)
-    return acc
+    return min(p ** j, _ceil_frac(Fraction(target + e * (j - 1), t)))
+
+
+def _log_reduction(p: int, e: int, t: int, target: int) -> int:
+    """The number k of p-th powers taken before the log series.
+
+    Integer cost rule, in products: a p-th power by square and multiply
+    takes bit_length(p) + popcount(p) - 2, the series on N terms takes
+    about 2 sqrt(N), and each term adds one scalar multiply and shift,
+    counted as 1/4 of a product.  The smallest k of least cost wins.
+    """
+    power = p.bit_length() + bin(p).count("1") - 2
+    best_k = best = None
+    k = 0
+    while best is None or 4 * k * power < best:
+        n = _log_cutoff(p, e, t + k * e, target + k * e)
+        cost = 4 * (k * power + 2 * math.isqrt(n)) + n
+        if best is None or cost < best:
+            best_k, best = k, cost
+        k += 1
+    return best_k
+
+
+def _log_terms(p: int, e: int, t: int, n_stop: int, mod: int):
+    """(s_n, c_n) for the log series, n = n_stop - 1 down to 0.
+
+    Term n is (-1)^(n+1) y^n/n = pi^(s_n) c_n u^n for y = pi^t u, with
+    s_n = n t - e v_p(n) and c_n = (-1)^(n+1)/m modulo ``mod``, where m
+    is n stripped of p; there is no term at n = 0.
+    """
+    for n in range(n_stop - 1, 0, -1):
+        m, v = n, 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        yield n * t - e * v, pow(m if n % 2 else -m, -1, mod)
+    yield 0, 0
 
 
 def exp(z: PadicNumber) -> PadicNumber:
-    """exp(z) for z in S; v(exp(z) - 1) = v(z)."""
+    """exp(z) for z in S; v(exp(z) - 1) = v(z).
+
+    v(z^n/n!) > n*(t - e/(p-1)) for t = v(z), so the first N with
+    N*(t - e/(p-1)) >= target is a sound cutoff.  With z = pi^t u the
+    sum is sum_{n<N} pi^(s_n) u^n / m_n, where s_n = n t - e v_p(n!) and
+    m_n is n! stripped of p.  It is taken on raw coefficient vectors by
+    rectangular splitting (``_power_sum``, Paterson and Stockmeyer
+    1973): about 2 sqrt(N) vector products instead of N, with the m_n^-1
+    from one modular inverse and a running product taken in the order of
+    the Horner pass.  The result is the value the term-by-term series
+    gives for the stored representative, modulo pi^target, and is
+    claimed to the same precision.
+    """
     ctx = z.ctx
     if not in_S(z):
         raise DomainError("exp needs v(z) > 1/(p-1)")
@@ -121,14 +195,74 @@ def exp(z: PadicNumber) -> PadicNumber:
             raise DomainError("zero at too little precision to certify membership in S")
         return ctx.one(z.prec)
     t, target = z.val, z.prec
-    # v(z^n/n!) > n*(t - e/(p-1)), so the first N with N*delta >= target works
     delta = Fraction(t) - Fraction(ctx.e, ctx.p - 1)
     n_stop = _ceil_frac(Fraction(target) / delta)
-    acc = ctx.one(target) + z
-    term = z
-    for n in range(2, n_stop):
-        term = (term * z)._div_int(n)
-        acc = acc + term
+    terms = _exp_terms(ctx.p, ctx.e, t, n_stop, ctx._ppow(_ceil_div(target, ctx.e)))
+    return _from_raw(ctx, 0, _power_sum(ctx, z._unit, terms, n_stop, target), target)
+
+
+def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
+    """(s_n, m_n^-1 modulo ``mod``) for the exp series, n = n_stop - 1 down to 0.
+
+    One forward pass forms m_{N-1}, one pow inverts it, and m_(n-1)^-1
+    = m_n^-1 * (n stripped of p) walks back down; nothing of size N is
+    stored.
+    """
+    n = n_stop - 1
+    m = 1
+    for k in range(2, n_stop):
+        while k % p == 0:
+            k //= p
+        m = m * k % mod
+    inv = pow(m, -1, mod)
+    fact_v = (n - digit_sum(n, p)) // (p - 1)  # v_p(n!)
+    while True:
+        yield n * t - e * fact_v, inv
+        if n == 0:
+            return
+        k = n
+        while k % p == 0:
+            k //= p
+            fact_v -= 1
+        inv = inv * k % mod
+        n -= 1
+
+
+def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int) -> list:
+    """sum_{n < n_stop} c_n pi^(s_n) u^n modulo pi^rel, on raw vectors.
+
+    ``terms`` yields the integer pairs (s_n, c_n) for n = n_stop - 1 down
+    to 0, with s_n >= 0.  Rectangular splitting: u^0 ... u^b, b =
+    isqrt(n_stop), are formed once; block i, the terms ib <= n < (i+1)b,
+    is a sum of scaled powers with no product; the blocks are joined by
+    Horner in u^b from the top.  That is b - 1 + (n_stop - 1) // b
+    products, and b + 1 vectors held.  pi^s = p^(s // e) pi^(s % e), so a
+    block keeps one partial sum per residue s % e, folds p^(s // e) into
+    the scalar, and shifts each partial sum once.
+    """
+    e = ctx.e
+    b = max(1, math.isqrt(n_stop))
+    powers = [ctx._vec_reduce([1] + [0] * (ctx._dim - 1), rel), ctx._vec_reduce(u, rel)]
+    while len(powers) <= b:
+        powers.append(ctx._vec_reduce(ctx._vec_mul(powers[-1], powers[1]), rel))
+    acc = None
+    for i in range((n_stop - 1) // b, -1, -1):
+        parts = [None] * e
+        for j in range(min(b, n_stop - i * b) - 1, -1, -1):
+            s, c = next(terms)
+            if c and s < rel:
+                q, r = divmod(s, e)
+                c *= ctx._ppow(q)
+                part = parts[r]
+                parts[r] = ([c * x for x in powers[j]] if part is None
+                            else [a + c * x for a, x in zip(part, powers[j])])
+        block = [0] * ctx._dim
+        for r, part in enumerate(parts):
+            if part is not None:
+                block = [a + x for a, x in zip(block, ctx._vec_shift(part, r))]
+        if acc is not None:
+            block = [a + x for a, x in zip(block, ctx._vec_mul(acc, powers[b]))]
+        acc = ctx._vec_reduce(block, rel)
     return acc
 
 

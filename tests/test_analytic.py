@@ -444,3 +444,20 @@ def test_kernels_match_reference_at_5_10_600(seed):
         for v in (z, low):
             assert exp(v) == _exp_ref(v)
             assert log1p(v) == _log1p_ref(v)
+
+
+def test_kernel_product_counts(monkeypatch):
+    # rectangular splitting keeps exp near 2 sqrt(N) vector products, and
+    # argument reduction keeps log1p far below its N; the term-by-term
+    # loops took one product per term (about 1200 and 210 here)
+    calls = []
+    vec_mul = PrimeContext._vec_mul
+    monkeypatch.setattr(PrimeContext, "_vec_mul",
+                        lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
+    c = ctx_new(5, 10, 600)
+    z = sample(c, Random(11), valuation=3)  # N = 600/(3 - 10/4) = 1200 terms
+    exp(z)
+    assert len(calls) <= 3 * math.isqrt(1200) + 10
+    calls.clear()
+    log1p(z)
+    assert len(calls) <= 60
