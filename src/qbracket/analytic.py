@@ -140,10 +140,11 @@ def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
 def _log_reduction(p: int, e: int, t: int, target: int) -> int:
     """The number k of p-th powers taken before the log series.
 
-    Integer cost rule, in products: a p-th power by square and multiply
-    takes bit_length(p) + popcount(p) - 2, the series on N terms takes
-    about 2 sqrt(N), and each term adds one scalar multiply and shift,
-    counted as 1/4 of a product.  The smallest k of least cost wins.
+    Integer cost rule, in vector products: a p-th power by square and
+    multiply takes bit_length(p) + popcount(p) - 2, the series on N
+    terms takes about 2 sqrt(N), and each term adds a scalar multiply-add
+    and a modular inverse, counted as 1/4 of a product.  The smallest k
+    of least cost wins.
     """
     power = p.bit_length() + bin(p).count("1") - 2
     best_k = best = None
@@ -236,12 +237,12 @@ def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int
     isqrt(n_stop), are formed once; block i, the terms ib <= n < (i+1)b,
     is a sum of scaled powers with no product; the blocks are joined by
     Horner in u^b from the top.  That is b - 1 + (n_stop - 1) // b
-    products, and b + 1 vectors held.  pi^s = p^(s // e) pi^(s % e), so a
+    products, with b + 1 powers held.  pi^s = p^(s // e) pi^(s % e), so a
     block keeps one partial sum per residue s % e, folds p^(s // e) into
     the scalar, and shifts each partial sum once.
     """
     e = ctx.e
-    b = max(1, math.isqrt(n_stop))
+    b = math.isqrt(n_stop)  # n_stop >= 2 for both series
     powers = [ctx._vec_reduce([1] + [0] * (ctx._dim - 1), rel), ctx._vec_reduce(u, rel)]
     while len(powers) <= b:
         powers.append(ctx._vec_reduce(ctx._vec_mul(powers[-1], powers[1]), rel))

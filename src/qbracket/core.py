@@ -626,8 +626,8 @@ class PadicNumber:
             return self.inv() ** (-n)
         if n == 0:
             return self.ctx.one()
-        # seeded with the base, not with one(), whose precision K would cap
-        # a value carried above K
+        # start from the base: one() carries precision K and would cap a
+        # value carried above K
         result = None
         base = self
         while True:
