@@ -27,7 +27,12 @@ TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
 omitted, valid for evaluation anywhere in the closed unit disk around
 the center.  The q-bracket series in X and the parameter series in U are
-built here; root hunting on them lives in the solver module.
+built here; root hunting on them lives in the solver module.  Its
+evaluation is one Horner pass on raw coefficient vectors over a common
+base valuation, normalized once; the precision the PadicNumber loop
+would carry, P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n)), is kept
+as an integer beside it (Caruso, Roe and Vaccon, "Tracking p-adic
+precision", 2014), so value, digits and precision are the loop's.
 """
 
 from __future__ import annotations
@@ -404,6 +409,24 @@ class TruncatedSeries:
         ``prec_hint`` (absolute pi-units) trades precision for speed:
         trailing coefficients whose suffix already sits above the hint
         are skipped.  The result is never claimed beyond the tail bound.
+
+        One Horner pass on raw integral vectors, normalized once.  The
+        kept coefficients are put on one base b, their least valuation,
+        dz = point - center becomes the vector D = pi^v(dz) unit (D = 0
+        at v(dz) = prec(dz) when dz is zero-flagged), and each step is
+        acc <- acc D + c_n modulo pi^(W-b).  Beside it runs the precision
+        the PadicNumber loop acc <- acc*dz + c_n would carry,
+        P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n), W), with v(acc)
+        measured only when prec(dz) + b is below the other terms, since
+        v(acc) >= b.  That loop returns the stored representatives'
+        polynomial modulo pi^P, and so does the pass, so value, digits,
+        precision and zero flag are the loop's.  W is the target, which
+        capped the loop's result; clamping P at it changes no result,
+        because every term grows with P when v(dz) >= 0, and when dz is
+        zero-flagged at negative precision P falls below the target after
+        the first step, the top coefficient being kept only for v < W.
+        An exact polynomial without a hint takes W = max prec(c_n), which
+        P never exceeds.
         """
         ctx = self.ctx
         dz = point - self.center
@@ -426,10 +449,29 @@ class TruncatedSeries:
             kept = kept[:cut]
         if not kept:
             return ctx.zero(target)
-        acc = kept[-1]
+        base = min(c.prec if c.is_zero else c.val for c in kept)
+        dz_prec = dz.prec
+        if dz.is_zero:
+            dz_val, big_d = dz_prec, [0] * ctx._dim
+        else:
+            dz_val, big_d = dz.val, ctx._vec_shift(dz._unit, dz.val)
+        wall = max(c.prec for c in kept) if target is None else target
+        rel = wall - base
+        top = kept[-1]
+        acc = [0] * ctx._dim if top.is_zero else ctx._vec_shift(top._unit, top.val - base)
+        prec = min(top.prec, wall)
         for c in reversed(kept[:-1]):
-            acc = acc * dz + c
-        return acc if target is None else acc._cap_prec(target)
+            nxt = min(prec + dz_val, c.prec, wall)
+            if dz_prec + base < nxt:
+                v = ctx._vec_val(ctx._vec_reduce(acc, prec - base), prec - base)
+                if v is not None:
+                    nxt = min(nxt, dz_prec + base + v)
+            acc = ctx._vec_mul(acc, big_d)
+            if not c.is_zero:
+                acc = [a + x for a, x in zip(acc, ctx._vec_shift(c._unit, c.val - base))]
+            acc = ctx._vec_reduce(acc, rel)
+            prec = nxt
+        return _from_raw(ctx, base, acc, prec)
 
     def derivative(self) -> "TruncatedSeries":
         # v(n*c_n) >= v(c_n), so the omitted-term bound carries over

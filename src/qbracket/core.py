@@ -425,6 +425,19 @@ class PrimeContext:
         if t == 0:
             return list(vec)
         e = self.e
+        if t > 0:
+            # pi^t = p^s pi^r: entry i of a block moves to i + r, and the
+            # last r entries wrap to the front of the block with one more p
+            s, r = divmod(t, e)
+            lo = self._ppow(s)
+            if not r:
+                return [lo * x for x in vec]
+            hi = self._ppow(s + 1)
+            out = []
+            for j in range(0, self._dim, e):
+                out += [hi * x for x in vec[j + e - r:j + e]]
+                out += [lo * x for x in vec[j:j + e - r]]
+            return out
         out = [0] * self._dim
         for k, ak in enumerate(vec):
             if not ak:

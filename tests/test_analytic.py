@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbracket import analytic
 from qbracket import (
     DomainError,
+    PadicNumber,
     PrimeContext,
     TruncatedSeries,
     a_poly,
@@ -23,9 +25,11 @@ from qbracket import (
     digit_sum,
     exp,
     factorial_valuation,
+    fixed_points_for_q,
     in_S,
     log1p,
     q_bracket,
+    q_for_x,
     q_pow,
     sample,
     series1,
@@ -314,28 +318,44 @@ def _analytic_inputs(draw):
     x = digits(draw(st.sampled_from((0, 0, 1, 2))))
     w = digits(draw(st.sampled_from((0, 0, 1))))
     n = draw(st.integers(0, 12))
-    return (p, e, f, K), z, y, x, w, n
+    hint = draw(st.none() | st.integers(1, 2 * K))
+    u = digits(0)
+    n_max = draw(st.integers(1, 40))
+    return (p, e, f, K), z, y, x, w, n, hint, u, n_max
 
 
-def _analytic_results(c, z, y, x, w, n):
-    z, y, x, w = (_read(c, *a) for a in (z, y, x, w))
-    q = c.one() + y
+def _analytic_results(c, z, y, x, w, n, hint, u, n_max):
+    z, y, x, w, u = (_read(c, *a) for a in (z, y, x, w, u))
+    one = c.one()
+    q = one + y
     out = {"exp": exp(z), "log1p": log1p(y), "q_pow": q_pow(x, q),
            "q_bracket": q_bracket(x, q), "q_pow(n)": q_pow(n, q), "[n]_q": q_bracket(n, q)}
     s = series1(x, q)
     out["series1(w)"] = s.evaluate(w)
     for k, ck in enumerate(s.coeffs[:8]):
         out[f"series1[{k}]"] = ck
+    # the solver's deflation: the trivial roots 0 and 1 divided out
+    deflated = series1(0, q).drop_center_root().divide_by_root(one)
+    out["deflated(w)"] = deflated.evaluate(w, hint)
+    m0 = Fraction(y.val, c.e)
+    if m0 * (c.p - 1) > 1 and not (x.is_zero or (x - one).is_zero):
+        # one cutoff for K and 2K: a recentred coefficient sums every kept
+        # monomial, and the default cutoff near the edge of S takes
+        # hundreds of monomials, and seconds to recentre, at 2K
+        h = series2(x, u, m0, n_max)
+        out["series2(w)"] = h.evaluate(w)
+        for k, dk in enumerate(h.coeffs[:8]):
+            out[f"series2[{k}]"] = dk
     return out
 
 
 @given(_analytic_inputs())
 @settings(max_examples=40, deadline=None)
 def test_analytic_layer_is_honest_below_claimed_precision(case):
-    (p, e, f, K), z, y, x, w, n = case
+    (p, e, f, K), z, y, x, w, n, hint, u, n_max = case
     lo, hi = ctx_new(p, e, K, f), ctx_new(p, e, 2 * K, f)
-    low = _analytic_results(lo, z, y, x, w, n)
-    high = _analytic_results(hi, z, y, x, w, n)
+    low = _analytic_results(lo, z, y, x, w, n, hint, u, n_max)
+    high = _analytic_results(hi, z, y, x, w, n, hint, u, n_max)
     for name, v in low.items():
         assert _honest(v) and _honest(high[name]), name
         assert _agrees_below(v, high[name]), name
@@ -461,3 +481,147 @@ def test_kernel_product_counts(monkeypatch):
     calls.clear()
     log1p(z)
     assert len(calls) <= 60
+
+
+# -- TruncatedSeries.evaluate against the PadicNumber Horner loop --------
+#
+# The loop below is the pre-change body of ``evaluate``: the raw pass must
+# give the same value, digits, precision and zero flag, or the same error.
+
+def _evaluate_ref(series, point, prec_hint=None):
+    ctx = series.ctx
+    dz = point - series.center
+    if not dz.is_zero and dz.val < 0:
+        raise DomainError("evaluation point outside the closed unit disk around the center")
+    target = series._cap_pi()
+    if prec_hint is not None:
+        target = prec_hint if target is None else min(target, prec_hint)
+    kept = series.coeffs
+    if target is not None:
+        cut = 0
+        low = None
+        for i in range(len(kept) - 1, -1, -1):
+            c = kept[i]
+            b = c.prec if c.is_zero else c.val
+            low = b if low is None else min(low, b)
+            if low < target:
+                cut = i + 1
+                break
+        kept = kept[:cut]
+    if not kept:
+        return ctx.zero(target)
+    acc = kept[-1]
+    for c in reversed(kept[:-1]):
+        acc = acc * dz + c
+    return acc if target is None else acc._cap_prec(target)
+
+
+@st.composite
+def _evaluate_arguments(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 5))
+    f = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(2 * e, 6 * e + 12))
+    c = ctx_new(p, e, K, f)
+
+    def number(lo, hi, zeros=True):
+        """val in [lo, hi], prec up to K + e; now and then zero-flagged."""
+        if zeros and draw(st.integers(0, 4)) == 0:
+            return c.zero(draw(st.integers(lo, K + e)))
+        val = draw(st.integers(lo, hi))
+        prec = draw(st.integers(val + 1, max(val + 1, K + e)))
+        n = prec - val
+        return _read(c, val, [draw(st.integers(1, p ** f - 1))] + draw(
+            st.lists(st.integers(0, p ** f - 1), min_size=n - 1, max_size=n - 1)), prec)
+
+    center = number(0, 2)
+    coeffs = [number(0, K) for _ in range(draw(st.integers(1, 10)))]
+    tail = draw(st.none() | st.integers(1, 3 * K).map(lambda t: Fraction(t, e)))
+    s = TruncatedSeries(c, center, tuple(coeffs), tail)
+    if draw(st.booleans()):  # negative valuations, and a lower tail bound
+        s = s.scale(number(1, 2 * e, zeros=False).inv())
+    kind = draw(st.sampled_from(("center", "unit", "deep", "low", "outside", "void")))
+    if kind == "center":  # dz zero-flagged
+        point = center
+    elif kind == "void":  # zero-flagged down to a negative precision
+        point = c.zero(draw(st.integers(-2, 2)))
+    elif kind == "outside":
+        point = center + number(-e, -1, zeros=False)
+    else:
+        point = center + number(*{"unit": (0, 0), "deep": (1, 2 * e), "low": (0, 2)}[kind])
+        if kind == "low":  # a point known below K
+            point = point._cap_prec(draw(st.integers(1, K - 1)))
+    cap = s._cap_pi()
+    ref = K if cap is None else cap
+    hint = draw(st.none() | st.integers(ref - 3 * e, ref - 1) | st.integers(ref + 1, ref + 3 * e))
+    return s, point, hint
+
+
+@given(_evaluate_arguments())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_horner_reference(case):
+    s, point, hint = case
+    got = _outcome(lambda pt: s.evaluate(pt, hint), point)
+    assert got == _outcome(lambda pt: _evaluate_ref(s, pt, hint), point)
+
+
+def test_evaluate_at_a_zero_point_of_negative_precision():
+    # dz = 0 at precision -1 or -2 lowers the precision at every step; the
+    # second series is carried to pi^36, which min_n(prec(c_n) + n v(dz))
+    # would clamp to pi^35 before the first step
+    c = ctx_new(5, 3, 30)
+    rng = Random(15)
+    high = tuple(sample(c, rng, valuation=24 + k)._lift_exact(60) for k in range(4))
+    zero_top = (sample(c, rng, valuation=0)._lift_exact(36), c.zero(36))
+    for coeffs in (high, zero_top):
+        s = TruncatedSeries(c, c.zero(), coeffs, None)
+        for point in (c.zero(-1), c.zero(-2)):
+            for hint in (None, 20, 40):
+                assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
+
+
+def test_evaluate_matches_reference_on_solver_calls(monkeypatch):
+    # every (series, point, hint) the solver asks for on a heavy fixed-point
+    # solve and a parameter fiber, replayed through both bodies
+    calls = []
+    evaluate = TruncatedSeries.evaluate
+
+    def record(series, point, prec_hint=None):
+        calls.append((series, point, prec_hint))
+        return evaluate(series, point, prec_hint)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", record)
+    c = ctx_new(5, 10, 200)
+    out = fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))
+    assert len(out) == 3
+    c3 = ctx_new(5, 3, 90)
+    fiber = q_for_x(c3.from_int(5) + sample(c3, Random(13), valuation=4))
+    assert len(fiber) >= 1
+    monkeypatch.undo()
+    assert len({id(s) for s, _, _ in calls}) >= 4 and len(calls) >= 50
+    for s, point, hint in calls:
+        assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
+
+
+@pytest.mark.parametrize("hint,n", [(None, 12), (6, 6)])
+def test_evaluate_operation_counts(monkeypatch, hint, n):
+    # one vector product per Horner step and one normalization; the
+    # PadicNumber loop paid a full * and + per step
+    c = ctx_new(5, 3, 90)
+    rng = Random(14)
+    coeffs = tuple(sample(c, rng, valuation=k) for k in range(12))
+    s = TruncatedSeries(c, c.one(), coeffs, None)
+    point = c.one() + sample(c, rng, valuation=1)
+    counts = {"vec_mul": 0, "from_raw": 0, "mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
+    monkeypatch.setattr(analytic, "_from_raw", counted("from_raw", analytic._from_raw))
+    monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
+    s.evaluate(point, hint)
+    assert counts == {"vec_mul": n - 1, "from_raw": 1, "mul": 0}

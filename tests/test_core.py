@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qbracket import (
     ContextMismatch,
     PrecisionExhausted,
+    PrimeContext,
     ZeroAtPrecision,
     ctx_new,
     equals_to_precision,
@@ -481,3 +482,53 @@ def test_core_ops_are_honest_below_claimed_precision(case):
         for op, x in low.items():
             d = exact[op] - (0 if x.is_zero else _rational(x.val, x.digits(), p))
             assert d == 0 or _vp_int(d.numerator, p) - _vp_int(d.denominator, p) >= x.prec, op
+
+
+# -- the upward pi-shift -------------------------------------------------
+#
+# _vec_shift builds an upward shift from two slices per block.  The
+# per-entry loop below is the shift it replaced; it must give the same
+# vector, a downward shift must undo it, and + and * must not change.
+
+_SHIFT_CASES = ((3, 1, 1), (5, 3, 1), (5, 10, 1), (3, 2, 2), (5, 1, 2))
+
+
+def _vec_shift_ref(c, vec, t):
+    e = c.e
+    out = [0] * c._dim
+    for k, ak in enumerate(vec):
+        if not ak:
+            continue
+        i = k % e
+        s, r = divmod(i + t, e)
+        if s >= 0:
+            out[k - i + r] += ak * c.p ** s
+        else:
+            q, rem = divmod(ak, c.p ** -s)
+            if rem:
+                raise PrecisionExhausted("non-integral shift; internal valuation accounting broke")
+            out[k - i + r] += q
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_vec_shift_matches_per_entry_loop(data):
+    draw = data.draw
+    p, e, f = draw(st.sampled_from(_SHIFT_CASES))
+    K = 4 * e + 8
+    c = ctx_new(p, e, K, f)
+    rel = draw(st.integers(1, K))
+    vec = c._vec_reduce(draw(st.lists(st.integers(0, p ** K), min_size=e * f,
+                                      max_size=e * f)), rel)
+    t = draw(st.integers(0, 3 * e))
+    up = c._vec_shift(vec, t)
+    assert up == _vec_shift_ref(c, vec, t)
+    assert c._vec_shift(up, -t) == list(vec)
+    size = p ** f
+    a, b = (_read(c, draw(st.integers(-e, 2 * e)), [draw(st.integers(1, size - 1))] + draw(
+        st.lists(st.integers(0, size - 1), min_size=2 * K, max_size=2 * K))) for _ in "ab")
+    got = (a + b, a - b, a * b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PrimeContext, "_vec_shift", _vec_shift_ref)
+        assert got == (a + b, a - b, a * b)
