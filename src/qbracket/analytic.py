@@ -532,15 +532,14 @@ def _n_for_tail(delta: Fraction, target: Fraction, offset: Fraction = Fraction(0
     return max(1, _ceil_frac((target + offset) / delta))
 
 
-def series1(x, q: PadicNumber, n_max: int | None = None, *,
-            tail_target: Fraction | None = None) -> TruncatedSeries:
+def series1(x, q: PadicNumber, n_max: int | None = None) -> TruncatedSeries:
     """Taylor coefficients of [X]_q - X around X = x.
 
     c_0 = [x]_q - x, and c_n = q^x (log q)^n / ((q-1) n!) for n >= 1
     with the -1 folded into c_1.  Omitted terms obey
     v(c_n) >= (n-1)(m0 - 1/(p-1)), which fixes the default n_max.
     """
-    return _QSplit(q).jet(x, n_max, tail_target)
+    return _QSplit(q).jet(x, n_max)
 
 
 def _series2_monomials(x: PadicNumber, m0: Fraction,
@@ -595,4 +594,7 @@ def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
     for j in range(len(work)):
         for i in range(len(work) - 2, j - 1, -1):
             work[i] = work[i] + u * work[i + 1]
-    return TruncatedSeries(ctx, u, tuple(work), mono.tail_bound)
+    # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
+    # each of valuation above the tail bound, so d_n is known only to it
+    cap = mono._cap_pi()
+    return TruncatedSeries(ctx, u, tuple(d._cap_prec(cap) for d in work), mono.tail_bound)

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .analytic import q_bracket, series1, series2
 from .core import PadicNumber, PrimeContext, ctx_new
-from .errors import CertificationFailure, ContextMismatch, DomainError, \
-    LiftFailure, PadicError, PrecisionExhausted
+from .errors import DomainError, PadicError
 from .harness import SUITE_IDS, run_all, run_suite
 from .polygon import polygon_build, unit_disk_zero_count
 from .solver import fixed_points_for_q, m0_for_x, q_for_x
@@ -33,7 +32,7 @@ __all__ = ["main"]
 _FRACTION = re.compile(r"^(-?\d+)/([1-9]\d*)$")
 
 
-class _TokenError(Exception):
+class _TokenError(ValueError):
     """A number literal the CLI refuses; maps to exit code 2."""
 
 
@@ -316,9 +315,6 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.fn(args)
-    except _TokenError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -326,8 +322,7 @@ def main(argv=None) -> int:
         note = f" (required_e = {ex.required_e})" if ex.required_e else ""
         print(f"precondition violated: {ex}{note}", file=sys.stderr)
         return 3
-    except (CertificationFailure, LiftFailure, PrecisionExhausted,
-            ContextMismatch, PadicError) as ex:
+    except PadicError as ex:
         print(f"precondition violated: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 3
 

@@ -227,7 +227,7 @@ class PrimeContext:
 
     def one(self, prec: int | None = None) -> "PadicNumber":
         if prec is None:
-            return self.from_int(1)
+            prec = self.K
         if prec < 1:
             raise ValueError("one() needs at least one digit of precision")
         vec = [0] * self._dim
@@ -240,37 +240,29 @@ class PrimeContext:
     def from_rational(self, num: int, den: int = 1) -> "PadicNumber":
         """Exact image of num/den at full precision K.
 
-        The denominator may be divisible by p; the result then has
-        negative valuation.  A value of valuation K or more is zero at
-        that precision and comes back as ``zero()``.
+        num and den may be ints or ``Fraction``s.  The denominator may be
+        divisible by p; the result then has negative valuation.  A value
+        of valuation K or more is zero at that precision and comes back
+        as ``zero()``.
         """
         if den == 0:
             raise ValueError("zero denominator")
         if num == 0:
             return self.zero()
-        frac = Fraction(num, den)
-        num, den = frac.numerator, frac.denominator
-        a = _vp(num, self.p)
-        b = _vp(den, self.p)
-        val = self.e * (a - b)
+        if type(num) is not int or type(den) is not int:
+            frac = Fraction(num, den)
+            num, den = frac.numerator, frac.denominator
+        val = self.e * (_vp(num, self.p) - _vp(den, self.p))
         if val >= self.K:
             return self.zero()
-        rel = self.K - val
-        m = _ceil_div(rel, self.e)
-        mod = self._ppow(m)
-        u = (num // self._ppow(a)) * pow(den // self._ppow(b), -1, mod) % mod
-        vec = [0] * self._dim
-        vec[0] = u
-        return PadicNumber(self, val, self._vec_reduce(vec, rel), self.K, False)
+        return self.one(self.K - val)._scale(num, den)
 
     def uniformizer(self) -> "PadicNumber":
         return self.pi_pow(1)
 
     def pi_pow(self, t: int) -> "PadicNumber":
         """pi^t, carried at relative precision K."""
-        vec = [0] * self._dim
-        vec[0] = 1
-        return PadicNumber(self, t, self._vec_reduce(vec, self.K), self.K + t, False)
+        return self.one().scale_pi(t)
 
     def from_residue(self, r) -> "PadicNumber":
         """The lift of a residue (an entry of ``residue_field()``) at precision K.
@@ -657,45 +649,49 @@ class PadicNumber:
             return self.ctx.zero(self._prec + t)
         return PadicNumber(self.ctx, self._val + t, self._unit, self._prec + t, False)
 
+    def _scale(self, num: int, den: int) -> "PadicNumber":
+        """Exact multiplication by num/den for nonzero ints; relative precision kept.
+
+        p is stripped from both sides and moves the valuation by e per
+        factor; the unit vector is multiplied by num' / den' modulo
+        p^ceil(rel/e), which covers every entry's modulus.
+        """
+        if num == den:
+            return self
+        ctx = self.ctx
+        a = b = 0
+        if num != 1:
+            a = _vp(num, ctx.p)
+            if a:
+                num //= ctx._ppow(a)
+        if den != 1:
+            b = _vp(den, ctx.p)
+            if b:
+                den //= ctx._ppow(b)
+        shift = ctx.e * (a - b)
+        if self._is_zero:
+            return ctx.zero(self._prec + shift)
+        rel = self._prec - self._val
+        if den == 1:
+            factor = num
+        else:
+            mod = ctx._ppow(_ceil_div(rel, ctx.e))
+            factor = num * pow(den, -1, mod) % mod
+        vec = self._unit if factor == 1 else ctx._vec_reduce([x * factor for x in self._unit], rel)
+        val = self._val + shift
+        return PadicNumber(ctx, val, vec, val + rel, False)
+
     def _mul_int(self, n: int) -> "PadicNumber":
         """Exact multiplication by a nonzero integer; relative precision kept."""
         if n == 0:
             raise ValueError("scalar zero would erase the valuation bookkeeping")
-        if n < 0:
-            return (-self)._mul_int(-n)
-        if n == 1:
-            return self
-        ctx = self.ctx
-        k = _vp(n, ctx.p)
-        m = n // ctx._ppow(k)
-        if self._is_zero:
-            return ctx.zero(self._prec + k * ctx.e)
-        rel = self._prec - self._val
-        vec = self._unit if m == 1 else ctx._vec_reduce([a * m for a in self._unit], rel)
-        val = self._val + k * ctx.e
-        return PadicNumber(ctx, val, vec, val + rel, False)
+        return self._scale(n, 1)
 
     def _div_int(self, n: int) -> "PadicNumber":
         """Exact division by a nonzero integer (infinite-precision scalar)."""
         if n == 0:
             raise ZeroDivisionError("division by integer zero")
-        if n < 0:
-            return (-self)._div_int(-n)
-        if n == 1:
-            return self
-        ctx = self.ctx
-        k = _vp(n, ctx.p)
-        m = n // ctx._ppow(k)
-        if self._is_zero:
-            return ctx.zero(self._prec - k * ctx.e)
-        rel = self._prec - self._val
-        if m == 1:
-            vec = self._unit
-        else:
-            minv = pow(m, -1, ctx._ppow(_ceil_div(rel, ctx.e)))
-            vec = ctx._vec_reduce([a * minv for a in self._unit], rel)
-        val = self._val - k * ctx.e
-        return PadicNumber(ctx, val, vec, val + rel, False)
+        return self._scale(1, n)
 
     def _lift_exact(self, prec: int) -> "PadicNumber":
         """Reinterpret as the exact representative with zero digits appended.

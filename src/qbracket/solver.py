@@ -240,11 +240,6 @@ def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
     return found
 
 
-def _probe_prec(series: TruncatedSeries, point: PadicNumber) -> int:
-    """Attainable evaluation precision, probed rather than derived."""
-    return series.evaluate(point).prec
-
-
 def multiplicity_from_c1(c1: PadicNumber) -> int:
     """Classifier core: a vanishing first derivative means a double point."""
     return 2 if c1.is_zero else 1
@@ -294,7 +289,8 @@ def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
     """
     ctx = series.ctx
     deriv = series.derivative()
-    target = _probe_prec(series, ctx.from_int(probe))
+    # the attainable evaluation precision, probed rather than derived
+    target = series.evaluate(ctx.from_int(probe)).prec
     roots = []
     for r in seeds:
         for root in _roots_from_seed(series, deriv, ctx.from_residue(r), target):
@@ -405,7 +401,7 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
     t, m0, u = s.parts()
     h = series2(xp, 0, m0)
-    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, _probe_prec(h, u))
+    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h.evaluate(u).prec)
     one = s.one
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q

@@ -625,3 +625,22 @@ def test_evaluate_operation_counts(monkeypatch, hint, n):
     monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
     s.evaluate(point, hint)
     assert counts == {"vec_mul": n - 1, "from_raw": 1, "mul": 0}
+
+
+def test_series2_recentred_coefficients_stay_below_the_tail():
+    # the recentred coefficients sum only the kept monomials; at the
+    # default cutoff each is known to the tail bound and no further, and
+    # must agree there with the same series at twice the precision
+    lo, hi = ctx_new(2, 1, 15), ctx_new(2, 1, 30)
+    m0 = Fraction(4)
+    rng = Random(11)
+    for _ in range(50):
+        x, u = ([1] + [rng.randrange(2) for _ in range(29)] for _ in "xu")
+        if not any(x[1:15]):
+            continue  # x = 1 at K is out of domain
+        low = series2(_read(lo, 0, x), _read(lo, 0, u), m0)
+        high = series2(_read(hi, 0, x), _read(hi, 0, u), m0)
+        cap = low._cap_pi()
+        for n, d in enumerate(low.coeffs):
+            assert d.prec <= cap, n
+            assert _agrees_below(d, high.coeffs[n]), n

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbracket.core as _core
 from qbracket import (
     ContextMismatch,
     PrecisionExhausted,
@@ -532,3 +533,167 @@ def test_vec_shift_matches_per_entry_loop(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PrimeContext, "_vec_shift", _vec_shift_ref)
         assert got == (a + b, a - b, a * b)
+
+
+# -- exact scalars -------------------------------------------------------
+#
+# from_rational, from_int, one, pi_pow, _mul_int and _div_int share one
+# scaling body.  The functions below are the separate bodies it replaced;
+# every entry point must give the same value, or the same error, as its
+# reference over contexts, scalars and values drawn at the edges:
+# zero-flagged values (also at negative precision), values carried above
+# K, negative valuations, few digits, and scalars that are p-powers,
+# negative, above p^K, or fractions with p on both sides.
+
+
+def _from_rational_ref(c, num, den=1):
+    if den == 0:
+        raise ValueError("zero denominator")
+    if num == 0:
+        return c.zero()
+    frac = Fraction(num, den)
+    num, den = frac.numerator, frac.denominator
+    a = _core._vp(num, c.p)
+    b = _core._vp(den, c.p)
+    val = c.e * (a - b)
+    if val >= c.K:
+        return c.zero()
+    rel = c.K - val
+    mod = c.p ** _core._ceil_div(rel, c.e)
+    u = (num // c.p ** a) * pow(den // c.p ** b, -1, mod) % mod
+    vec = [0] * c._dim
+    vec[0] = u
+    return _core.PadicNumber(c, val, c._vec_reduce(vec, rel), c.K, False)
+
+
+def _one_ref(c, prec=None):
+    if prec is None:
+        return _from_rational_ref(c, 1, 1)
+    if prec < 1:
+        raise ValueError("one() needs at least one digit of precision")
+    vec = [0] * c._dim
+    vec[0] = 1
+    return _core.PadicNumber(c, 0, c._vec_reduce(vec, prec), prec, False)
+
+
+def _pi_pow_ref(c, t):
+    vec = [0] * c._dim
+    vec[0] = 1
+    return _core.PadicNumber(c, t, c._vec_reduce(vec, c.K), c.K + t, False)
+
+
+def _mul_int_ref(x, n):
+    if n == 0:
+        raise ValueError("scalar zero would erase the valuation bookkeeping")
+    if n < 0:
+        return _mul_int_ref(-x, -n)
+    if n == 1:
+        return x
+    c = x.ctx
+    k = _core._vp(n, c.p)
+    m = n // c.p ** k
+    if x.is_zero:
+        return c.zero(x.prec + k * c.e)
+    rel = x.prec - x.val
+    vec = x._unit if m == 1 else c._vec_reduce([a * m for a in x._unit], rel)
+    val = x.val + k * c.e
+    return _core.PadicNumber(c, val, vec, val + rel, False)
+
+
+def _div_int_ref(x, n):
+    if n == 0:
+        raise ZeroDivisionError("division by integer zero")
+    if n < 0:
+        return _div_int_ref(-x, -n)
+    if n == 1:
+        return x
+    c = x.ctx
+    k = _core._vp(n, c.p)
+    m = n // c.p ** k
+    if x.is_zero:
+        return c.zero(x.prec - k * c.e)
+    rel = x.prec - x.val
+    if m == 1:
+        vec = x._unit
+    else:
+        minv = pow(m, -1, c.p ** _core._ceil_div(rel, c.e))
+        vec = c._vec_reduce([a * minv for a in x._unit], rel)
+    val = x.val - k * c.e
+    return _core.PadicNumber(c, val, vec, val + rel, False)
+
+
+def _outcome(fn, *args):
+    try:
+        x = fn(*args)
+    except Exception as exc:  # the error itself is part of the outcome
+        return type(exc), str(exc)
+    return x, x.render()
+
+
+def _scalar(draw, c):
+    p, K = c.p, c.K
+    sign = draw(st.sampled_from((1, -1)))
+    unit = draw(st.integers(1, 10 ** 6).filter(lambda u: u % p))
+    edge = -(-K // c.e)  # p^edge is the least p-power that vanishes at K
+    k = draw(st.integers(1, K + 3) | st.sampled_from((edge - 1, edge, edge + 1)))
+    return sign * draw(st.sampled_from((
+        0, 1, unit, p ** k, p ** k * unit,
+        p ** K + draw(st.integers(1, p ** K)),
+        draw(st.integers(1, 10 ** 12)))))
+
+
+def _value(draw, c):
+    kind = draw(st.sampled_from(("zero", "full", "lifted", "low")))
+    if kind == "zero":
+        return c.zero(draw(st.integers(-c.K, c.K + c.e)))
+    val = draw(st.integers(-2 * c.e, min(2 * c.e, c.K - 1)))
+    rel = draw(st.integers(1, 3)) if kind == "low" else c.K - val
+    size = c.p ** c.f
+    digits = [draw(st.integers(1, size - 1))] + draw(
+        st.lists(st.integers(0, size - 1), min_size=rel - 1, max_size=rel - 1))
+    if c.f > 1:
+        digits = [tuple((d // c.p ** j) % c.p for j in range(c.f)) for d in digits]
+    x = c.from_digits(val, digits, val + rel)
+    return x._lift_exact(2 * c.K) if kind == "lifted" else x
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_scalar_entry_points_match_separate_bodies(data):
+    draw = data.draw
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 5))
+    f = draw(st.sampled_from((1, 2)))
+    c = ctx_new(p, e, draw(st.integers(2 * e, 6 * e + 10)), f)
+    x = _value(draw, c)
+    n = _scalar(draw, c)
+    assert _outcome(x._mul_int, n) == _outcome(_mul_int_ref, x, n)
+    assert _outcome(x._div_int, n) == _outcome(_div_int_ref, x, n)
+    assert _outcome(c.from_int, n) == _outcome(_from_rational_ref, c, n)
+    num, den = n, _scalar(draw, c)
+    if draw(st.booleans()):  # p on both sides before cancelling
+        shared = p ** draw(st.integers(1, 4))
+        num, den = num * shared, den * shared
+    args = draw(st.sampled_from((
+        (num, den), (num, Fraction(den)), (Fraction(num), Fraction(den)),
+        (Fraction(num, den),) if den else (num, den))))
+    assert _outcome(c.from_rational, *args) == _outcome(_from_rational_ref, c, *args)
+    t = draw(st.integers(-c.K, c.K))
+    assert _outcome(c.pi_pow, t) == _outcome(_pi_pow_ref, c, t)
+    assert _outcome(c.one) == _outcome(_one_ref, c)
+    prec = draw(st.integers(-2, 2 * c.K))
+    assert _outcome(c.one, prec) == _outcome(_one_ref, c, prec)
+
+
+def test_from_int_builds_no_fraction(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(_core, "Fraction", counting)
+    c = ctx_new(5, 3, 90)
+    assert c.from_int(12345) == _from_rational_ref(c, 12345)
+    assert c.one() == _one_ref(c)
+    assert calls == []
