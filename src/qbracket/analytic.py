@@ -27,7 +27,13 @@ TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
 omitted, valid for evaluation anywhere in the closed unit disk around
 the center.  The q-bracket series in X and the parameter series in U are
-built here; root hunting on them lives in the solver module.  Its
+built here; root hunting on them lives in the solver module.  Both are
+running products r_k = r_(k-1) a_k pi^t / d_k (the series1 terms c_n =
+c_(n-1) log q / n, the series2 monomials with a_k = x - (k+1) and t =
+m0 e), taken by one kernel on raw unit vectors: the valuation, relative
+precision and zero flag of the PadicNumber chain are additive, so each
+step is one vector product and one reduction, with no normalization,
+and gives the chain's coefficients digit for digit.  A series'
 evaluation is one Horner pass on raw coefficient vectors over a common
 base valuation, normalized once; the precision the PadicNumber loop
 would carry, P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n)), is kept
@@ -37,6 +43,7 @@ precision", 2014), so value, digits and precision are the loop's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -272,6 +279,73 @@ def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int
     return acc
 
 
+def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
+    """r_k = r_(k-1) a_k pi^t / d_k for k = 1, 2, ..., with r_0 = ``start``.
+
+    ``dens`` yields the nonzero integers d_k and ends the product;
+    ``factors`` yields each a_k raw, as (v, unit, rel): its valuation and
+    its unit vector known modulo pi^rel, reduced or not, or (prec, None,
+    None) when a_k is zero-flagged.  The bookkeeping of the chain r * a, scale_pi(t),
+    _div_int(d) is additive, so each step is one vector product and one
+    reduction and builds its value directly: v_k = v_(k-1) + v(a_k) + t
+    - e v_p(d_k), rel_k = min(rel_(k-1), rel(a_k)), and the unit part of
+    d_k, inverted modulo p^ceil(rel_k/e), is folded into the reduction.
+    A zero-flagged value's precision stands in for its valuation, and
+    once r_k is zero-flagged it stays so, its precision following the
+    same recurrence: these are the chain's own rules, so every value,
+    digit, precision and zero flag is the chain's.
+    """
+    ctx = start.ctx
+    p, e = ctx.p, ctx.e
+    zero = start.is_zero
+    v = start.prec if zero else start.val
+    vec, rel = start._unit, start.prec - v
+    out = []
+    for d, (av, au, arel) in zip(dens, factors):
+        s = 0
+        while d % p == 0:
+            d //= p
+            s += 1
+        v += av + t - e * s
+        if zero or au is None:
+            zero = True
+            out.append(ctx.zero(v))
+            continue
+        rel = min(rel, arel)
+        prod = ctx._vec_mul(vec, au)
+        if d != 1:
+            c = pow(d, -1, ctx._ppow(_ceil_div(rel, e)))
+            prod = [c * a for a in prod]
+        vec = ctx._vec_reduce(prod, rel)
+        out.append(PadicNumber(ctx, v, vec, v + rel, False))
+    return out
+
+
+def _minus_integers(x: PadicNumber, start: int, stop: int):
+    """x - j for j = start, ..., stop - 1, raw, as ``_running_product`` takes them.
+
+    For v(x) >= 0, x - j is known modulo pi^P, P = min(prec(x), K), as
+    x - from_int(j) is.  It is x's integral vector with j taken from
+    entry 0; its valuation is 0 unless that entry is divisible by p, and
+    only then is it measured.
+    """
+    ctx = x.ctx
+    p, prec = ctx.p, min(x.prec, ctx.K)
+    vec = ctx._vec_shift(x._unit, x.val)
+    for j in range(start, stop):
+        a = list(vec)
+        a[0] -= j
+        if a[0] % p:
+            yield 0, a, prec
+            continue
+        a = ctx._vec_reduce(a, prec)
+        v = ctx._vec_val(a, prec)
+        if v is None:
+            yield prec, None, None
+        else:
+            yield v, ctx._vec_reduce(ctx._vec_shift(a, -v), prec - v), prec - v
+
+
 def _integral(ctx: PrimeContext, x, who: str) -> PadicNumber:
     x = _coerce(ctx, x)
     if not x.is_zero and x.val < 0:
@@ -321,7 +395,12 @@ class _QSplit:
 
     def jet(self, x, n_max: int | None = None,
             tail_target: Fraction | None = None) -> "TruncatedSeries":
-        """The series1 coefficients around x; see ``series1``."""
+        """The series1 coefficients around x; see ``series1``.
+
+        c_0 and c_1 are PadicNumber arithmetic; c_n = c_(n-1) L / n for
+        n >= 2 is ``_running_product`` with the one factor L = log q, t = 0
+        and d_n = n, one vector product per coefficient.
+        """
         ctx = self.q.ctx
         x = _integral(ctx, x, "series1")
         self.check("series1")
@@ -335,9 +414,9 @@ class _QSplit:
         coeffs = [(qx - self.one) * inv_y - x]
         term = qx * big_l * inv_y
         coeffs.append(term - self.one)
-        for n in range(2, n_max + 1):
-            term = (term * big_l)._div_int(n)
-            coeffs.append(term)
+        # L is nonzero: log keeps v(y), and v(y) < prec(y)
+        raw_l = (big_l.val, big_l._unit, big_l.prec - big_l.val)
+        coeffs += _running_product(term, itertools.repeat(raw_l), 0, range(2, n_max + 1))
         return TruncatedSeries(ctx, x, tuple(coeffs), n_max * delta)
 
 
@@ -547,7 +626,12 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
     """h(x, U) = sum_k A_k(x) p^(k m0) U^k / (k+2)! around U = 0.
 
     Coefficient k has valuation >= k(m0 - 1/(p-1)) - 1/(p-1) for x in
-    the ring of integers, giving the default cutoff.
+    the ring of integers, giving the default cutoff.  Coefficient k is
+    coefficient k-1 times (x - (k+1)) pi^t / (k+2), t = m0 e: one
+    ``_running_product`` from 1/2, with the factors x - (k+1) formed on
+    x's integral vector (``_minus_integers``), so a monomial costs one
+    vector product.  An integer x in 2..n_max+1 makes its factor, and
+    every later coefficient, zero-flagged, as the PadicNumber chain did.
     """
     ctx = x.ctx
     # representability first, so a caller learns the e that would work
@@ -572,10 +656,8 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
         n_max = _n_for_tail(delta, Fraction(ctx.K, ctx.e), offset)
     tail = n_max * delta - offset
     ek = ctx.one()._div_int(2)
-    coeffs = [ek]
-    for k in range(1, n_max + 1):
-        ek = ((ek * (x - ctx.from_int(k + 1))).scale_pi(t))._div_int(k + 2)
-        coeffs.append(ek)
+    coeffs = [ek] + _running_product(ek, _minus_integers(x, 2, n_max + 2), t,
+                                     range(3, n_max + 3))
     return TruncatedSeries(ctx, ctx.zero(), tuple(coeffs), tail)
 
 

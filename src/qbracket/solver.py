@@ -114,14 +114,18 @@ class SolveOutcome(Sequence):
                 f"predicted={self.predicted}, m0={self.m0})")
 
 
-def _newton_loop(feval, fpeval, seed: PadicNumber, target: int) -> PadicNumber:
+def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
+                 known: tuple | None = None) -> PadicNumber:
     """Newton iteration with laddered evaluation hints.
 
     ``feval(point, hint)`` must be honest: the result carries only
     digits that are actually correct.  Stops once v(f(x)) >= target.
     The derivative is evaluated at the same hint as f so the step never
-    truncates the iterate harder than the ladder intends.  Raises
-    LiftFailure once more than ceil(log2 K) + 2 steps were needed.
+    truncates the iterate harder than the ladder intends, and again
+    without a hint when it is zero-flagged there.  ``known`` = (hint,
+    f(seed), f'(seed)) hands over evaluations the caller already made at
+    the seed; the first step uses them when its hint is that hint.
+    Raises LiftFailure once more than ceil(log2 K) + 2 steps were needed.
     """
     ctx = seed.ctx
     budget = math.ceil(math.log2(max(ctx.K, 2))) + 2
@@ -132,7 +136,11 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int) -> PadicNumber:
     updates = 0
     for _ in range(2 * budget + 6):
         hint = min(target, max(8 * ctx.e, 2 * est - s + 2 * ctx.e))
-        fx = feval(x, hint)
+        if known is not None and known[0] == hint:
+            _, fx, fpx = known
+        else:
+            fx, fpx = feval(x, hint), None
+        known = None
         low = fx.prec if fx.is_zero else fx.val
         if low >= target:
             if not stepped:
@@ -145,11 +153,12 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int) -> PadicNumber:
                 raise LiftFailure("evaluation caps out below the target precision")
             est = max(est, fx.prec)
             continue
-        fpx = fpeval(x, hint)
-        if fpx.is_zero:
-            fpx = fpeval(x, None)
+        if fpx is None:
+            fpx = fpeval(x, hint)
             if fpx.is_zero:
-                raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
+                fpx = fpeval(x, None)
+        if fpx.is_zero:
+            raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
         if not stepped:
             s = fpx.val
             if fx.val <= 2 * s:
@@ -227,7 +236,8 @@ def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
         low = fx.prec if fx.is_zero else fx.val
         if not fpx.is_zero and low > 2 * fpx.val:
             try:
-                found.append(_newton_loop(g.evaluate, gp.evaluate, pt, target))
+                found.append(_newton_loop(g.evaluate, gp.evaluate, pt, target,
+                                          (8 * ctx.e, fx, fpx)))
             except LiftFailure:
                 pass
             continue

@@ -341,11 +341,13 @@ def _analytic_results(c, z, y, x, w, n, hint, u, n_max):
     if m0 * (c.p - 1) > 1 and not (x.is_zero or (x - one).is_zero):
         # one cutoff for K and 2K: a recentred coefficient sums every kept
         # monomial, and the default cutoff near the edge of S takes
-        # hundreds of monomials, and seconds to recentre, at 2K
-        h = series2(x, u, m0, n_max)
-        out["series2(w)"] = h.evaluate(w)
-        for k, dk in enumerate(h.coeffs[:8]):
-            out[f"series2[{k}]"] = dk
+        # hundreds of monomials, and seconds to recentre, at 2K.  The
+        # monomials themselves (u = 0) are what every library caller uses
+        for name, center in (("series2", u), ("series2@0", 0)):
+            h = series2(x, center, m0, n_max)
+            out[f"{name}(w)"] = h.evaluate(w)
+            for k, dk in enumerate(h.coeffs[:8]):
+                out[f"{name}[{k}]"] = dk
     return out
 
 
@@ -644,3 +646,136 @@ def test_series2_recentred_coefficients_stay_below_the_tail():
         for n, d in enumerate(low.coeffs):
             assert d.prec <= cap, n
             assert _agrees_below(d, high.coeffs[n]), n
+
+
+# -- the series builds against the PadicNumber recurrences ---------------
+#
+# The two loops below are the pre-change bodies of the series2 monomials
+# and of the series1 jet's n >= 2 terms.  The running-product kernel must
+# give the same coefficients, digit for digit, the same tail bound, or
+# the same error.
+
+def _series2_monomials_ref(x, m0, n_max=None):
+    ctx = x.ctx
+    t = m0 * ctx.e
+    if t.denominator != 1:
+        required = ctx.e * m0.denominator // math.gcd(ctx.e, m0.denominator)
+        raise DomainError(
+            f"m0 = {m0} needs ramification e divisible by {m0.denominator}; "
+            f"rebuild the context with e = {required}",
+            required_e=required)
+    if m0 * (ctx.p - 1) <= 1:
+        raise DomainError("series2 needs m0 > 1/(p-1)")
+    t = int(t)
+    if x.is_zero or (x - ctx.one()).is_zero:
+        raise DomainError("x in {0, 1} puts the defining quotient out of domain")
+    if x.val < 0:
+        raise DomainError("series2 needs v(x) >= 0")
+    delta = m0 - Fraction(1, ctx.p - 1)
+    offset = Fraction(1, ctx.p - 1)
+    if n_max is None:
+        n_max = analytic._n_for_tail(delta, Fraction(ctx.K, ctx.e), offset)
+    ek = ctx.one()._div_int(2)
+    coeffs = [ek]
+    for k in range(1, n_max + 1):
+        ek = ((ek * (x - ctx.from_int(k + 1))).scale_pi(t))._div_int(k + 2)
+        coeffs.append(ek)
+    return TruncatedSeries(ctx, ctx.zero(), tuple(coeffs), n_max * delta - offset)
+
+
+def _jet_ref(x, q, n_max=None):
+    ctx = q.ctx
+    s = analytic._QSplit(q)
+    x = analytic._integral(ctx, x, "series1")
+    s.check("series1")
+    delta = Fraction(s.y.val, ctx.e) - Fraction(1, ctx.p - 1)
+    if n_max is None:
+        n_max = analytic._n_for_tail(delta, Fraction(ctx.K, ctx.e))
+    inv_y, big_l = s.inv_y, s.log_q
+    qx = exp(x * big_l)
+    coeffs = [(qx - s.one) * inv_y - x]
+    term = qx * big_l * inv_y
+    coeffs.append(term - s.one)
+    for n in range(2, n_max + 1):
+        term = (term * big_l)._div_int(n)
+        coeffs.append(term)
+    return TruncatedSeries(ctx, x, tuple(coeffs), n_max * delta)
+
+
+def _built(build, *args):
+    try:
+        s = build(*args)
+    except Exception as exc:  # the error type and message must match too
+        return type(exc), str(exc)
+    return s.center, s.coeffs, s.tail_bound
+
+
+@st.composite
+def _series_build_arguments(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 5))
+    f = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(2 * e, 6 * e + 12))
+    c = ctx_new(p, e, K, f)
+    n_max = draw(st.none() | st.integers(1, 40))
+
+    def number(lo, hi, top):
+        """val in [lo, hi], prec up to top."""
+        val = draw(st.integers(lo, hi))
+        prec = draw(st.integers(val + 1, max(val + 1, top)))
+        n = prec - val
+        return _read(c, val, [draw(st.integers(1, p ** f - 1))] + draw(
+            st.lists(st.integers(0, p ** f - 1), min_size=n - 1, max_size=n - 1)), prec)
+
+    # an integer j = k + 1 <= n_max + 1 makes x - j a zero-flagged factor
+    j = draw(st.integers(0, 2 + (40 if n_max is None else n_max)))
+    kind = draw(st.sampled_from(("integer", "near", "low", "any")))
+    if kind == "integer":
+        x = c.from_int(j)
+    elif kind == "near":  # x = j mod pi^k: a factor of positive valuation k
+        k = draw(st.integers(1, 2 * e + 1))
+        x = c.from_int(j) + number(k, k, K + e)
+    elif kind == "low":  # known below K
+        x = number(0, 2, K - 1)
+    else:  # carried above K, or of negative valuation
+        x = number(-1, 2, K + e)
+    lo = e // (p - 1) + 1  # least t with t/e in S
+    t = draw(st.sampled_from((lo - 1, lo, lo, lo + 1)) | st.integers(lo, lo + 3 * e))
+    m0 = Fraction(t, draw(st.sampled_from((e, e, e, 2 * e))))  # t/2e: e m0 may not be integral
+    q = c.one() + number(t, t, K + e) if t > 0 else c.one()
+    return x, m0, q, n_max
+
+
+@given(_series_build_arguments())
+@settings(max_examples=300, deadline=None)
+def test_series_builds_match_reference(case):
+    x, m0, q, n_max = case
+    assert (_built(analytic._series2_monomials, x, m0, n_max)
+            == _built(_series2_monomials_ref, x, m0, n_max))
+    assert _built(series1, x, q, n_max) == _built(_jet_ref, x, q, n_max)
+
+
+def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
+    # each monomial step is one vector product and one reduction; the
+    # PadicNumber chain paid a -, a *, a scale_pi and a _div_int.  The one
+    # + and the one _div_int left are the x = 1 domain check and the
+    # constant term 1/2
+    c = ctx_new(5, 3, 90)
+    x = c.from_int(5) + sample(c, Random(16), valuation=4)  # v(x - 5) = 4
+    counts = dict.fromkeys(("vec_mul", "mul", "add", "div_int"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
+    monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
+    monkeypatch.setattr(PadicNumber, "__add__", counted("add", PadicNumber.__add__))
+    monkeypatch.setattr(PadicNumber, "_div_int", counted("div_int", PadicNumber._div_int))
+    for n in (1, 30):
+        counts.update(dict.fromkeys(counts, 0))
+        mono = analytic._series2_monomials(x, Fraction(1, 3), n)
+        assert len(mono) == n + 1
+        assert counts == {"vec_mul": n, "mul": 0, "add": 1, "div_int": 1}

@@ -298,3 +298,35 @@ def test_one_log_per_q_per_call(monkeypatch):
     x = fixed_points_for_q(q)[0].x
     assert count(local_Q, x, q, x + sample(c, Random(5), valuation=3)) == 1
     assert count(cocycle_check, 2, 5, q) == 1
+
+
+def test_lifts_take_over_the_seed_evaluations(monkeypatch):
+    # _roots_from_seed evaluates g and g' at the seed at hint 8e before it
+    # starts a lift, and the lift's first step asks for the same two values
+    # whenever min(target, 8e) = 8e; it takes them over instead
+    c = ctx_new(5, 10, 200)
+    q = c.one() + sample(c, Random(12), valuation=3)
+    calls = {"evaluate": 0, "lifts": 0}
+    evaluate, newton = TruncatedSeries.evaluate, solver._newton_loop
+
+    def counted_evaluate(series, point, prec_hint=None):
+        calls["evaluate"] += 1
+        return evaluate(series, point, prec_hint)
+
+    def counted_newton(feval, fpeval, seed, target, *known):
+        calls["lifts"] += 1
+        return newton(feval, fpeval, seed, target, *known)
+
+    def solve(newton_loop):
+        monkeypatch.setattr(solver, "_newton_loop", newton_loop)
+        calls.update(evaluate=0, lifts=0)
+        return [r.to_json() for r in fixed_points_for_q(q)], dict(calls)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", counted_evaluate)
+    records, taken = solve(counted_newton)
+    # the same solve with every lift evaluating its seed afresh
+    fresh_records, fresh = solve(lambda feval, fpeval, seed, target, *known:
+                                 counted_newton(feval, fpeval, seed, target))
+    assert records == fresh_records and len(records) == 3
+    assert taken["lifts"] == fresh["lifts"] > 0
+    assert fresh["evaluate"] - taken["evaluate"] == 2 * taken["lifts"]
