@@ -422,7 +422,11 @@ class _QSplit:
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
     """q^x = exp(x log q) for x in the ring of integers and q in 1+S."""
-    return exp(_integral(q.ctx, x, "q_pow") * _QSplit(q).log_q)
+    x = _integral(q.ctx, x, "q_pow")
+    s = _QSplit(q)
+    if not in_S(s.y):  # q = 1 is in 1+S and gives 1
+        raise DomainError("q_pow needs v(q-1) > 1/(p-1)")
+    return exp(x * s.log_q)
 
 
 def q_bracket(x, q: PadicNumber) -> PadicNumber:

@@ -85,11 +85,13 @@ def _vline(label: str, d: PadicNumber) -> str:
 
 
 def _header(args) -> str:
-    return f"# p={args.p} e={args.e} K={args.K} seed={args.seed}"
+    c = args.ctx
+    return f"# p={c.p} e={c.e} K={c.K} seed={args.seed}"
 
 
 def _params(args) -> dict:
-    return {"p": args.p, "e": args.e, "K": args.K, "seed": args.seed}
+    c = args.ctx
+    return {"p": c.p, "e": c.e, "K": c.K, "seed": args.seed}
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -117,9 +119,8 @@ def _record_lines(out) -> list:
 
 
 def _cmd_eval(args) -> int:
-    ctx = ctx_new(args.p, args.e, args.K)
-    x = _parse_number(ctx, args.x, "--x")
-    q = _parse_number(ctx, args.q, "--q")
+    x = _parse_number(args.ctx, args.x, "--x")
+    q = _parse_number(args.ctx, args.q, "--q")
     b = q_bracket(x, q)
     d = b - x
     payload = {
@@ -143,8 +144,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fiber(args, key: str, solve) -> int:
     """fixed-points (key "q") and solve-q (key "x"): one fiber solve."""
-    ctx = ctx_new(args.p, args.e, args.K)
-    v = _parse_number(ctx, getattr(args, key), f"--{key}")
+    v = _parse_number(args.ctx, getattr(args, key), f"--{key}")
     out = solve(v)
     payload = {
         "command": args.command,
@@ -160,7 +160,7 @@ def _cmd_fiber(args, key: str, solve) -> int:
 
 
 def _cmd_polygon(args) -> int:
-    ctx = ctx_new(args.p, args.e, args.K)
+    ctx = args.ctx
     if args.series == "series1":
         if args.q is None:
             raise _TokenError("--series series1 needs --q")
@@ -207,6 +207,9 @@ def _cmd_polygon(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite is None:
+        if (args.p, args.e, args.prec) != (None, None, None):
+            raise _TokenError("--p/--e/--prec need --suite; "
+                              "a full run keeps every suite at its defaults")
         reports = run_all(seed=args.seed)
     else:
         reports = [run_suite(args.suite, seed=args.seed, p=args.p, e=args.e,
@@ -302,18 +305,9 @@ def _absorb_number_values(argv: list) -> list:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_absorb_number_values(argv))
-    if args.command != "verify":
-        if args.p < 2:
-            print(f"error: --p: not a valid characteristic: {args.p}", file=sys.stderr)
-            return 2
-        if args.e < 1:
-            print(f"error: --e: must be positive: {args.e}", file=sys.stderr)
-            return 2
-        args.K = args.prec if args.prec is not None else 60 * args.e
-        if args.K < 2 * args.e:
-            print(f"error: --prec: too small to carry a unit: {args.K}", file=sys.stderr)
-            return 2
     try:
+        if args.command != "verify":
+            args.ctx = ctx_new(args.p, args.e, args.prec)
         return args.fn(args)
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -269,10 +269,11 @@ class PrimeContext:
 
         At f = 1 this is the integer r; at f > 1 it is sum r[j] zeta^j.
         """
+        coords = (r,) if self.f == 1 else r
+        if len(coords) != self.f or any(c < 0 or c >= self.p for c in coords):
+            raise ValueError(f"residue must be {self.f} coordinates in 0..{self.p - 1}")
         if self.f == 1:
             return self.from_int(r)
-        if len(r) != self.f or any(c < 0 or c >= self.p for c in r):
-            raise ValueError(f"residue must be {self.f} coordinates in 0..{self.p - 1}")
         if not any(r):
             return self.zero()
         vec = [0] * self._dim

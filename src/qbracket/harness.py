@@ -34,6 +34,7 @@ wall-clock and is the one field excluded from reproducibility claims.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass
@@ -154,15 +155,20 @@ def _scaled(K: int, e: int, k_scale) -> int:
     return max(4 * e, int(K * k_scale))
 
 
+def _legs(default: list, p, e, K) -> list:
+    """prop1 and cocycle: any override names one leg (p or 5, e or 1, K or 60e)."""
+    if (p, e, K) == (None, None, None):
+        return default
+    return [(p or 5, e or 1, K or 60 * (e or 1))]
+
+
 # -- suites ------------------------------------------------------------
 
 
 def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    legs = [(3, 1, 60), (5, 1, 60), (7, 1, 60)]
-    if p is not None or e is not None or K is not None:
-        if p == 2:
-            raise DomainError("isometry suite needs p odd (q - 1 in S with unit digits)")
-        legs = [(p or 5, e or 1, K or 60 * (e or 1))]
+    legs = _legs([(3, 1, 60), (5, 1, 60), (7, 1, 60)], p, e, K)
+    if p == 2:
+        raise DomainError("isometry suite needs p odd (q - 1 in S with unit digits)")
     params = {"legs": [list(l) for l in legs], "pairs": 200}
     for (lp, le, lK) in legs:
         ctx = ctx_new(lp, le, _scaled(lK, le, k_scale))
@@ -183,9 +189,7 @@ def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop2(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 3) or e not in (None, 1):
-        raise DomainError("manifold suite is pinned to its default configurations")
+def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=None):
     K3 = _scaled(K or 60, 1, k_scale)
     c3 = ctx_new(3, 1, K3)
     params = {"p": 3, "e": 1, "K": K3, "heavy_leg": [5, 10, _scaled(200, 10, k_scale)]}
@@ -227,7 +231,7 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
+def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
     configs = [
         (2, 1, 40, Fraction(2), 2),
         (3, 1, 60, Fraction(1), 3),
@@ -254,9 +258,7 @@ def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop4(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 3, 5):
-        raise DomainError("record identity suite runs at p in {3, 5}")
+def _suite_prop4(R: _Recorder, rng: Random, k_scale):
     params = {"legs": [[3, 1, 60], [5, 3, 90], [3, 4, 120]], "membership_samples": 100}
     records = []
     c3 = ctx_new(3, 1, _scaled(60, 1, k_scale))
@@ -306,9 +308,7 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop5(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 5):
-        raise DomainError("residue-set suite is a p = 5 configuration")
+def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=None):
     KA = _scaled(K or 200, 10, k_scale)
     KB = _scaled(90, 3, k_scale)
     params = {"interior_leg": [5, 10, KA, "3/10"], "boundary_leg": [5, 3, KB, "1/3"]}
@@ -345,9 +345,7 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop6(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 5) or e not in (None, 3):
-        raise DomainError("parameter-fiber suite is pinned to p = 5, e = 3")
+def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=None):
     K6 = _scaled(K or 90, 3, k_scale)
     ctx = ctx_new(5, 3, K6)
     params = {"p": 5, "e": 3, "K": K6, "x": 5, "law_samples": 50}
@@ -388,9 +386,7 @@ def _suite_prop6(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop7(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 3):
-        raise DomainError("contraction-order suite is pinned to p = 3")
+def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=None):
     K7 = _scaled(K or 60, 1, k_scale)
     ctx = ctx_new(3, 1, K7)
     params = {"p": 3, "e": 1, "K": K7, "gaps": [2, 3, 5], "samples_per_gap": 50}
@@ -421,9 +417,7 @@ def _suite_prop7(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop8(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 3):
-        raise DomainError("scaling-law suite is pinned to p = 3")
+def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=None):
     K8 = _scaled(K or 60, 1, k_scale)
     ctx = ctx_new(3, 1, K8)
     params = {"p": 3, "e": 1, "K": K8, "forward": 30, "inverse": 20}
@@ -456,9 +450,7 @@ def _suite_prop8(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_prop9(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 3):
-        raise DomainError("integer-landscape suite is pinned to p = 3")
+def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=None):
     K9 = _scaled(K or 60, 1, k_scale)
     ctx = ctx_new(3, 1, K9)
     params = {"p": 3, "e": 1, "K": K9, "ball_samples": 25, "inverse_samples": 10}
@@ -519,9 +511,7 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    if p not in (None, 3, 5):
-        raise DomainError("image-description suite runs at p in {3, 5}")
+def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
     K3 = _scaled(60, 1, k_scale)
     c3 = ctx_new(3, 1, K3)
     c53 = ctx_new(5, 3, _scaled(90, 3, k_scale))
@@ -571,7 +561,7 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=Non
     return params
 
 
-def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
+def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None):
     legs = [5, 7] if p is None else [p]
     if any(lp in (2, 3) for lp in legs):
         raise DomainError("derivative remark concerns p >= 5")
@@ -599,9 +589,7 @@ def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None, e=None,
 
 
 def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
-    legs = [(3, 1, 60), (5, 1, 60), (5, 3, 90)]
-    if p is not None:
-        legs = [(p, e or 1, K or 60 * (e or 1))]
+    legs = _legs([(3, 1, 60), (5, 1, 60), (5, 3, 90)], p, e, K)
     params = {"legs": [list(l) for l in legs], "triples": 100}
     for (lp, le, lK) in legs:
         ctx = ctx_new(lp, le, _scaled(lK, le, k_scale))
@@ -621,7 +609,7 @@ def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     return params
 
 
-def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
+def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None):
     legs = [2, 3, 5, 7] if p is None else [p]
     params = {"p": legs, "n_max": 300}
     for lp in legs:
@@ -679,18 +667,25 @@ def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,
               k_scale=Fraction(1)) -> SuiteReport:
     """Run one suite and return its report.
 
-    p/e/K narrow or override the suite's default configurations where that
-    makes sense; a suite that is pinned to specific parameters raises
-    DomainError for incompatible overrides.  k_scale shrinks or grows every
+    A suite applies the p/e/K overrides it takes as keyword parameters,
+    and its report's params show them; any other override raises
+    DomainError before the suite runs.  k_scale shrinks or grows every
     leg's working precision (the reports must stay green at k_scale = 1/2,
     which is the designed headroom).
     """
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; ids are {', '.join(SUITE_IDS)}")
+    suite = _SUITES[suite_id]
+    takes = [n for n in ("p", "e", "K") if n in inspect.signature(suite).parameters]
+    overrides = {n: v for n, v in (("p", p), ("e", e), ("K", K)) if v is not None}
+    for name in overrides:
+        if name not in takes:
+            raise DomainError(f"suite {suite_id} applies no {name} override "
+                              f"(it takes {', '.join(takes) or 'none'})")
     rng = Random(f"{seed}/{suite_id}")
     R = _Recorder()
     t0 = time.perf_counter()
-    params = _SUITES[suite_id](R, rng, k_scale, p=p, e=e, K=K)
+    params = suite(R, rng, k_scale, **overrides)
     elapsed = int((time.perf_counter() - t0) * 1000)
     if k_scale != 1:
         params = dict(params, k_scale=_show(Fraction(k_scale)))

@@ -114,6 +114,11 @@ class SolveOutcome(Sequence):
                 f"predicted={self.predicted}, m0={self.m0})")
 
 
+# The Newton ladder's least hint is _HINT_FLOOR e pi-units; _roots_from_seed
+# evaluates its seeds there, so the first step can reuse them.
+_HINT_FLOOR = 8
+
+
 def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
                  known: tuple | None = None) -> PadicNumber:
     """Newton iteration with laddered evaluation hints.
@@ -132,10 +137,9 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     x = seed
     est = 1        # lower bound on v(f(x)) guaranteed by the last step
     s = 0          # v(f'), measured at the first nonzero evaluation
-    stepped = False
     updates = 0
     for _ in range(2 * budget + 6):
-        hint = min(target, max(8 * ctx.e, 2 * est - s + 2 * ctx.e))
+        hint = min(target, max(_HINT_FLOOR * ctx.e, 2 * est - s + 2 * ctx.e))
         if known is not None and known[0] == hint:
             _, fx, fpx = known
         else:
@@ -143,7 +147,7 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
         known = None
         low = fx.prec if fx.is_zero else fx.val
         if low >= target:
-            if not stepped:
+            if not updates:
                 return x
             # the iterate was re-embedded exactly; cap at what the
             # function value actually certifies
@@ -159,13 +163,12 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
                 fpx = fpeval(x, None)
         if fpx.is_zero:
             raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
-        if not stepped:
+        if not updates:
             s = fpx.val
             if fx.val <= 2 * s:
                 raise LiftFailure("Newton criterion v(f) > 2 v(f') fails at the seed")
         x = (x - fx * fpx.inv())._lift_exact(ctx.K)
         est = min(2 * fx.val - s, hint)
-        stepped = True
         updates += 1
         if updates > budget:
             break
@@ -224,20 +227,21 @@ def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
     stack = [(seed, 0)]
     nodes = 0
     lifts = None
+    floor = _HINT_FLOOR * ctx.e
     while stack:
         pt, depth = stack.pop()
         nodes += 1
         if nodes > 8 * ctx.p ** ctx.f:
             break
-        fx = g.evaluate(pt, 8 * ctx.e)
-        fpx = gp.evaluate(pt, 8 * ctx.e)
+        fx = g.evaluate(pt, floor)
+        fpx = gp.evaluate(pt, floor)
         if fpx.is_zero:
             fpx = gp.evaluate(pt, None)
         low = fx.prec if fx.is_zero else fx.val
         if not fpx.is_zero and low > 2 * fpx.val:
             try:
                 found.append(_newton_loop(g.evaluate, gp.evaluate, pt, target,
-                                          (8 * ctx.e, fx, fpx)))
+                                          (floor, fx, fpx)))
             except LiftFailure:
                 pass
             continue

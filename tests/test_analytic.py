@@ -112,6 +112,13 @@ def test_q_pow_matches_repeated_multiplication():
         acc = acc * q
 
 
+def test_q_pow_names_itself_outside_S():
+    c = ctx_new(3, 1, 40)
+    with pytest.raises(DomainError, match=r"^q_pow needs v\(q-1\) > 1/\(p-1\)$"):
+        q_pow(2, c.from_int(2))
+    assert q_pow(c.from_int(5), c.one()) == c.one()
+
+
 def test_bracket_at_q_one_is_identity():
     c = ctx_new(3, 1, 40)
     x = c.from_int(17)

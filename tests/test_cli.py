@@ -68,7 +68,11 @@ def test_exit_2_on_bad_literals(capsys):
         ("eval", "--p", "3", "--x", "abc", "--q", "4"),        # not a literal
         ("eval", "--p", "4", "--x", "1", "--q", "5"),          # composite p
         ("eval", "--p", "3", "--prec", "1", "--x", "1", "--q", "4"),
+        ("eval", "--p", "1", "--x", "1", "--q", "4"),          # p below 2
+        ("eval", "--p", "3", "--e", "0", "--x", "1", "--q", "4"),
         ("polygon", "--p", "3", "--series", "series1"),        # series1 without --q
+        ("verify", "--p", "13"),                               # override without --suite
+        ("verify", "--p", "13", "--e", "4", "--prec", "9"),
     ):
         code, _, err = _run(capsys, *argv)
         assert code == 2, argv
@@ -137,6 +141,12 @@ def test_verify_forwards_overrides(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["suites"][0]["params"]["legs"] == [[13, 1, 40]]
+
+
+def test_verify_refuses_an_override_the_suite_does_not_apply(capsys):
+    code, out, err = _run(capsys, "verify", "--suite", "prop3", "--e", "5")
+    assert code == 3 and out == ""
+    assert err == "precondition violated: suite prop3 applies no e override (it takes p)\n"
 
 
 @pytest.mark.parametrize("argv, code, err", [

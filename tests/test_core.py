@@ -387,6 +387,16 @@ def test_residue_field_and_sample_at_f2():
     assert ctx_new(3, 2, 20).residue_field() == (0, 1, 2)
 
 
+def test_from_residue_checks_its_argument_in_every_degree():
+    c = ctx_new(5, 2, 20)
+    assert [c.from_residue(r) for r in c.residue_field()] == \
+        [c.from_int(r) for r in range(5)]
+    c2 = ctx_new(5, 2, 20, f=2)
+    for ctx, bad in ((c, 7), (c, -1), (c, 5), (c2, (5, 0)), (c2, (1,))):
+        with pytest.raises(ValueError, match="residue must be"):
+            ctx.from_residue(bad)
+
+
 def test_render_parse_json_at_f2_carry_f():
     c = ctx_new(5, 3, 45, f=2)
     rng = Random(43)

@@ -1,11 +1,19 @@
 """Re-verification suites: schema, determinism, and parameter hooks."""
 
+import functools
 import json
 from fractions import Fraction
 
 import pytest
 
-from qbracket import SUITE_IDS, DomainError, reports_to_json, run_suite
+from qbracket import SUITE_IDS, DomainError, harness, reports_to_json, run_suite
+
+# the overrides each suite applies; every other one is refused
+APPLIES = {
+    "prop1": "peK", "prop2": "K", "prop3": "p", "prop4": "", "prop5": "K",
+    "prop6": "K", "prop7": "K", "prop8": "K", "prop9": "K", "remark_phi1": "",
+    "remark_derivative": "p", "cocycle": "peK", "legendre": "p",
+}
 
 
 def _stripped(report):
@@ -29,6 +37,34 @@ def test_unknown_suite_rejected():
 def test_pinned_suite_rejects_overrides():
     with pytest.raises(DomainError):
         run_suite("prop6", p=3)
+
+
+@pytest.mark.parametrize("name", ["p", "e", "K"])
+@pytest.mark.parametrize("sid", SUITE_IDS)
+def test_every_override_is_applied_or_refused(monkeypatch, sid, name):
+    seen = []
+    real = harness._SUITES[sid]
+
+    @functools.wraps(real)
+    def spy(R, rng, k_scale, **overrides):
+        seen.append(overrides)
+        return {}
+
+    monkeypatch.setitem(harness._SUITES, sid, spy)
+    value = {"p": 5, "e": 2, "K": 50}[name]
+    if name in APPLIES[sid]:
+        run_suite(sid, **{name: value})
+        assert seen == [{name: value}]
+    else:
+        with pytest.raises(DomainError, match=f"applies no {name} override"):
+            run_suite(sid, **{name: value})
+        assert seen == [], "the suite ran before the override was refused"
+
+
+def test_cocycle_overrides_name_one_leg_without_p():
+    rep = run_suite("cocycle", seed=0, e=2, K=40)
+    assert rep.passed
+    assert rep.to_json()["params"]["legs"] == [[5, 2, 40]]
 
 
 def test_report_schema():
