@@ -90,6 +90,8 @@ def in_S(y: PadicNumber) -> bool:
 def digit_sum(n: int, p: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     s = 0
     while n:
         n, r = divmod(n, p)
@@ -326,15 +328,17 @@ def _minus_integers(x: PadicNumber, start: int, stop: int):
 
     For v(x) >= 0, x - j is known modulo pi^P, P = min(prec(x), K), as
     x - from_int(j) is.  It is x's integral vector with j taken from
-    entry 0; its valuation is 0 unless that entry is divisible by p, and
-    only then is it measured.
+    entry 0 modulo p^ceil(P/e), which keeps the entry >= 0 as the packed
+    ``_vec_mul`` needs; its valuation is 0 unless that entry is divisible
+    by p, and only then is it measured.
     """
     ctx = x.ctx
     p, prec = ctx.p, min(x.prec, ctx.K)
     vec = ctx._vec_shift(x._unit, x.val)
+    mod = ctx._ppow(_ceil_div(prec, ctx.e))
     for j in range(start, stop):
         a = list(vec)
-        a[0] -= j
+        a[0] = (a[0] - j) % mod
         if a[0] % p:
             yield 0, a, prec
             continue

@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+# smallest e at which PrimeContext._vec_mul packs its operands; see the
+# notes on the coefficient-vector kernels
+_PACKED_MIN_E = 5
+
+
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     v = 0
@@ -356,6 +361,24 @@ class PrimeContext:
     # reduced: entry j*e + i canonical in [0, p^ceil((rel-i)/e)).
     # Reduction, valuation and shifts treat every block alike; only the
     # product and the residue-field inverse depend on f.
+    #
+    # The product returns unreduced integers, the same whichever kernel
+    # forms them: a table walk at f > 1, one multiply at e = 1, a
+    # schoolbook double loop for 2 <= e < _PACKED_MIN_E, and Kronecker
+    # substitution from there on.  The packed kernel writes each operand
+    # as one integer with its entries in slots of w bits and takes one
+    # big-integer product.  Slot k of it sums the at most e terms a_i b_j
+    # with i + j = k; slots e to 2e - 2 multiply pi^e = p, so the top e
+    # slots are folded onto the bottom e times p, and entry i is slot i.
+    # w = bits(max a) + bits(max b) + bits(e) + bits(p) holds a folded
+    # slot, below (1 + p) e max(a) max(b), so no slot ever carries into
+    # the next.  This needs every entry of both operands >= 0 (a negative
+    # entry borrows from the slot above), which reduced vectors are; a
+    # caller that forms an entry by subtraction reduces it first.  On
+    # operands captured from q_bracket and fixed_points_for_q the packed
+    # product ran 0.6x as fast as the loop at e = 2, 0.8x at e = 3,
+    # 1.0-1.2x at e = 4, 1.3-1.4x at e = 5 and 2.1-2.5x at e = 10; the
+    # loop skips zero entries, which small-e operands often have.
 
     def _vec_reduce(self, vec: Sequence[int], rel: int) -> tuple:
         mods = self._mods.get(rel)
@@ -399,6 +422,20 @@ class PrimeContext:
         if e == 1:
             return [a[0] * b[0]]
         p = self.p
+        if e >= _PACKED_MIN_E:
+            ma, mb = max(a), max(b)
+            if not ma or not mb:
+                return [0] * e
+            w = ma.bit_length() + mb.bit_length() + e.bit_length() + p.bit_length()
+            x = y = 0
+            for ai in reversed(a):
+                x = x << w | ai
+            for bj in reversed(b):
+                y = y << w | bj
+            z, ew = x * y, e * w
+            z = (z & ((1 << ew) - 1)) + p * (z >> ew)
+            mask = (1 << w) - 1
+            return [z >> s & mask for s in range(0, ew, w)]
         c = [0] * e
         for i, ai in enumerate(a):
             if not ai:
@@ -476,7 +513,7 @@ class PrimeContext:
             uw = self._vec_mul(uk, self._vec_reduce(w, k))
             corr = [-x for x in uw]
             corr[0] += 2
-            w = self._vec_reduce(self._vec_mul(w, corr), k)
+            w = self._vec_reduce(self._vec_mul(w, self._vec_reduce(corr, k)), k)
         return self._vec_reduce(w, rel)
 
 

@@ -43,7 +43,7 @@ from random import Random
 
 from .analytic import a_poly, cocycle_check, digit_sum, factorial_valuation, \
     q_bracket, q_pow, series1, series2
-from .core import PadicNumber, PrimeContext, ctx_new, equals_to_precision, sample
+from .core import PadicNumber, PrimeContext, _is_prime, ctx_new, equals_to_precision, sample
 from .errors import DomainError
 from .polygon import unit_disk_zero_count
 from .solver import fixed_points_for_q, local_Q, m0_for_x, multiplicity_from_c1, \
@@ -610,6 +610,9 @@ def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
 
 
 def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None):
+    # the one suite that builds no context, so it checks p as ctx_new does
+    if p is not None and not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     legs = [2, 3, 5, 7] if p is None else [p]
     params = {"p": legs, "n_max": 300}
     for lp in legs:

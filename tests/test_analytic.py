@@ -167,6 +167,11 @@ def test_digit_sum():
     assert digit_sum(0, 7) == 0
     with pytest.raises(ValueError):
         digit_sum(-1, 3)
+    # base-1 digits never end and base 0 divides by zero; both are refused
+    with pytest.raises(ValueError, match="p must be at least 2, got 1"):
+        digit_sum(5, 1)
+    with pytest.raises(ValueError, match="p must be at least 2, got 0"):
+        factorial_valuation(5, 0)
 
 
 @given(n=st.integers(0, 10 ** 9), p=st.sampled_from((2, 3, 5, 7, 11)))
@@ -490,6 +495,33 @@ def test_kernel_product_counts(monkeypatch):
     calls.clear()
     log1p(z)
     assert len(calls) <= 60
+
+
+def test_vector_products_take_nonnegative_operands(monkeypatch):
+    # the packed product at e >= 5 reads an operand as one integer of
+    # w-bit slots, which a negative entry would corrupt; inv's Newton
+    # correction 2 - u w and the series2 factors x - j are reduced first
+    negative, stages = [], {}
+    vec_mul = PrimeContext._vec_mul
+
+    def spy(ctx, a, b):
+        if min(a) < 0 or min(b) < 0:
+            negative.append(stage)
+        stages[stage] = stages.get(stage, 0) + 1
+        return vec_mul(ctx, a, b)
+
+    monkeypatch.setattr(PrimeContext, "_vec_mul", spy)
+    c = ctx_new(5, 10, 200)
+    rng = Random(12)
+    z = sample(c, rng, valuation=3)
+    x = c.one() + c.pi_pow(1)  # entry 0 of x is 1, so x - 2 < 0 there
+    for stage, call in (("fixed_points_for_q", lambda: fixed_points_for_q(c.one() + z)),
+                        ("exp", lambda: exp(z)), ("log1p", lambda: log1p(z)),
+                        ("inv", lambda: sample(c, rng).inv()),
+                        ("series2", lambda: series2(x, 0, Fraction(3, 10)))):
+        call()
+        assert stages.get(stage), stage
+    assert negative == []
 
 
 # -- TruncatedSeries.evaluate against the PadicNumber Horner loop --------

@@ -1,7 +1,11 @@
 """Exit codes and output contracts of the qbracket command."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,21 @@ def test_verify_refuses_an_override_the_suite_does_not_apply(capsys):
     code, out, err = _run(capsys, "verify", "--suite", "prop3", "--e", "5")
     assert code == 3 and out == ""
     assert err == "precondition violated: suite prop3 applies no e override (it takes p)\n"
+
+
+@pytest.mark.parametrize("suite, p", [("legendre", "0"), ("legendre", "4"), ("prop1", "4")])
+def test_verify_refuses_a_non_prime_p(capsys, suite, p):
+    code, out, err = _run(capsys, "verify", "--suite", suite, "--p", p)
+    assert (code, out, err) == (2, "", f"error: p must be prime, got {p}\n")
+
+
+def test_verify_refuses_p_1_without_hanging():
+    # digit_sum at p = 1 used to loop forever; a child process with a
+    # timeout turns a returning hang into a failure instead of a stall
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "qbracket", "verify", "--suite", "legendre",
+                           "--p", "1"], capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: p must be prime, got 1\n")
 
 
 @pytest.mark.parametrize("argv, code, err", [

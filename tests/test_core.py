@@ -707,3 +707,78 @@ def test_from_int_builds_no_fraction(monkeypatch):
     assert c.from_int(12345) == _from_rational_ref(c, 12345)
     assert c.one() == _one_ref(c)
     assert calls == []
+
+
+# -- the vector product --------------------------------------------------
+#
+# _vec_mul packs its operands into one big-integer product from
+# _core._PACKED_MIN_E on.  The function below is the kernel it replaced,
+# a schoolbook double loop at f = 1 and the table walk at f > 1; every
+# product must be the same list of unreduced integers.  Operands are
+# drawn reduced, wide (entries up to 2^400), all-ones in k bits (the
+# largest slot sums), zero, with one nonzero entry, or tiny, and the two
+# operands of a product are drawn independently, so their bit lengths
+# can differ by hundreds.
+
+def _vec_mul_ref(c, a, b):
+    table = c._table
+    if table is not None:
+        out = [0] * c._dim
+        for k1, x in enumerate(a):
+            if not x:
+                continue
+            row = table[k1]
+            for k2, y in enumerate(b):
+                if not y:
+                    continue
+                xy = x * y
+                for k, m in row[k2]:
+                    out[k] += m * xy
+        return out
+    e, p = c.e, c.p
+    out = [0] * e
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            k = i + j
+            if k < e:
+                out[k] += ai * bj
+            else:
+                out[k - e] += p * ai * bj
+    return out
+
+
+def _vec_operand(draw, c):
+    n = c._dim
+    kind = draw(st.sampled_from(("reduced", "wide", "full", "zero", "single", "tiny")))
+    if kind == "reduced":
+        rel = draw(st.integers(1, c.K))
+        mods = [c.p ** max(_core._ceil_div(rel - k % c.e, c.e), 0) for k in range(n)]
+        return [draw(st.integers(0, m - 1)) for m in mods]
+    if kind == "wide":
+        return draw(st.lists(st.integers(0, 2 ** 400), min_size=n, max_size=n))
+    if kind == "full":
+        return [2 ** draw(st.integers(1, 400)) - 1] * n
+    vec = [0] * n
+    if kind == "single":
+        vec[draw(st.integers(0, n - 1))] = draw(st.integers(1, 2 ** 400))
+    elif kind == "tiny":
+        vec = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return vec
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_vec_mul_matches_schoolbook(data):
+    draw = data.draw
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.sampled_from((1, 1, 1, 2)))
+    e = draw(st.integers(1, 12 if f == 1 else 6))
+    c = ctx_new(p, e, 4 * e + 8, f)
+    a, b = _vec_operand(draw, c), _vec_operand(draw, c)
+    if draw(st.booleans()):
+        a = tuple(a)  # reduced vectors are tuples, products are lists
+    assert c._vec_mul(a, b) == _vec_mul_ref(c, a, b)

@@ -107,6 +107,13 @@ def test_prime_override_reaches_the_suite():
     assert rep.to_json()["params"]["legs"][0][0] == 13
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_legendre_refuses_a_non_prime_override(p):
+    # legendre builds no context, so it checks p itself, with ctx_new's text
+    with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+        run_suite("legendre", p=p)
+
+
 def test_render_lines_up_with_verdicts():
     rep = run_suite("legendre", seed=0)
     text = rep.render()
