@@ -24,7 +24,7 @@ from .analytic import q_bracket, series1, series2
 from .core import PadicNumber, PrimeContext, ctx_new
 from .errors import DomainError, PadicError
 from .harness import SUITE_IDS, run_all, run_suite
-from .polygon import polygon_build, unit_disk_zero_count
+from .polygon import _frac_str, polygon_build, unit_disk_zero_count
 from .solver import fixed_points_for_q, m0_for_x, q_for_x
 
 __all__ = ["main"]
@@ -74,10 +74,6 @@ def _numj(v: PadicNumber) -> dict:
     return d
 
 
-def _fracs(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _vline(label: str, d: PadicNumber) -> str:
     if d.is_zero:
         return f"{label} >= {d.prec}  (zero at working precision)"
@@ -106,7 +102,7 @@ def _record_json(rec) -> dict:
 
 
 def _record_lines(out) -> list:
-    lines = [f"m0 = {_fracs(out.m0)}  predicted = {out.predicted}  "
+    lines = [f"m0 = {_frac_str(out.m0)}  predicted = {out.predicted}  "
              f"found = {len(out)}  deficit = {out.deficit}"]
     for i, rec in enumerate(out, start=1):
         lines.append(f"record {i}:")
@@ -150,7 +146,7 @@ def _cmd_fiber(args, key: str, solve) -> int:
         "command": args.command,
         "params": _params(args),
         key: _numj(v),
-        "m0": _fracs(out.m0),
+        "m0": _frac_str(out.m0),
         "predicted": out.predicted,
         "deficit": out.deficit,
         "records": [_record_json(r) for r in out],
@@ -178,7 +174,7 @@ def _cmd_polygon(args) -> int:
         x = _parse_number(ctx, args.x, "--x")
         m0 = _parse_fraction(args.m0, "--m0") if args.m0 is not None else m0_for_x(x)
         s = series2(x, 0, m0)
-        inputs = {"x": _numj(x), "m0": _fracs(m0)}
+        inputs = {"x": _numj(x), "m0": _frac_str(m0)}
     pts_in = s.valuation_points()
     while pts_in and pts_in[-1][1] is None:
         pts_in.pop()
@@ -192,8 +188,8 @@ def _cmd_polygon(args) -> int:
         "polygon": poly.to_json(),
         "zero_count": count,
     }
-    pts = " ".join(f"({n},{'inf' if v is None else _fracs(v)})" for n, v in poly.points)
-    segs = " ".join(f"({'-inf' if sl is None else _fracs(sl)},{ln})"
+    pts = " ".join(f"({n},{'inf' if v is None else _frac_str(v)})" for n, v in poly.points)
+    segs = " ".join(f"({'-inf' if sl is None else _frac_str(sl)},{ln})"
                     for sl, ln in poly.segments)
     _emit(args, payload, [
         _header(args),

@@ -277,12 +277,10 @@ class PrimeContext:
         coords = (r,) if self.f == 1 else r
         if len(coords) != self.f or any(c < 0 or c >= self.p for c in coords):
             raise ValueError(f"residue must be {self.f} coordinates in 0..{self.p - 1}")
-        if self.f == 1:
-            return self.from_int(r)
-        if not any(r):
+        if not any(coords):
             return self.zero()
         vec = [0] * self._dim
-        for j, c in enumerate(r):
+        for j, c in enumerate(coords):
             vec[j * self.e] = c
         return PadicNumber(self, 0, self._vec_reduce(vec, self.K), self.K, False)
 

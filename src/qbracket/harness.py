@@ -27,6 +27,11 @@ the tool's interface (``verify --suite <id>``):
     cocycle            the twisted addition law [x + x']_q = [x]_q + q^x [x']_q
     legendre           v(n!) = (n - s_p(n))/(p - 1) against direct stripping
 
+Every context a suite works in comes from one builder, ``_ctx``, which
+scales the leg's precision by ``k_scale`` and hands p, e and K to
+``ctx_new`` unchanged, so an override is refused exactly when ctx_new
+refuses it.  A report's params are read off the contexts that ran.
+
 Reports are deterministic for a fixed seed: every sample comes from a
 Random keyed by ``f"{seed}/{suite_id}"`` and nothing else.  elapsed_ms is
 wall-clock and is the one field excluded from reproducibility claims.
@@ -45,7 +50,7 @@ from .analytic import a_poly, cocycle_check, digit_sum, factorial_valuation, \
     q_bracket, q_pow, series1, series2
 from .core import PadicNumber, PrimeContext, _is_prime, ctx_new, equals_to_precision, sample
 from .errors import DomainError
-from .polygon import unit_disk_zero_count
+from .polygon import _frac_str, unit_disk_zero_count
 from .solver import fixed_points_for_q, local_Q, m0_for_x, multiplicity_from_c1, \
     multiplicity_of, phi1_contains, phi2_contains, q_for_x
 
@@ -126,7 +131,7 @@ class _Recorder:
 
 def _show(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return _frac_str(v)
     if isinstance(v, (set, frozenset)):
         return sorted(v)
     if isinstance(v, tuple):
@@ -151,15 +156,39 @@ def _q_in_S(ctx: PrimeContext, rng: Random, t: int | None = None) -> PadicNumber
     return ctx.one() + sample(ctx, rng, valuation=t)
 
 
-def _scaled(K: int, e: int, k_scale) -> int:
-    return max(4 * e, int(K * k_scale))
+def _ctx(p: int, e: int, K: int, k_scale) -> PrimeContext:
+    """The context of one leg, at precision K * k_scale."""
+    return ctx_new(p, e, int(K * k_scale))
+
+
+def _leg(c: PrimeContext) -> list:
+    """A context as a report lists it: [p, e, K]."""
+    return [c.p, c.e, c.K]
+
+
+def _pek(c: PrimeContext, **more) -> dict:
+    """The params of a one-context suite: its p, e, K and the extra keys."""
+    return {"p": c.p, "e": c.e, "K": c.K, **more}
 
 
 def _legs(default: list, p, e, K) -> list:
-    """prop1 and cocycle: any override names one leg (p or 5, e or 1, K or 60e)."""
+    """prop1 and cocycle: any override names one leg (p 5, e 1, K 60e unless given)."""
     if (p, e, K) == (None, None, None):
         return default
-    return [(p or 5, e or 1, K or 60 * (e or 1))]
+    p = 5 if p is None else p
+    e = 1 if e is None else e
+    return [(p, e, 60 * e if K is None else K)]
+
+
+def _inverse_hits(rng: Random, q: PadicNumber, x: PadicNumber, n: int) -> int:
+    """Of n draws q' = q + pi^t u (t in 2..5), how many give one fixed point
+    x' with v(x' - x) = t - 1, the p = 3 ball mapping at m0 = 1."""
+    hits = 0
+    for _ in range(n):
+        t = rng.randrange(2, 6)
+        out = fixed_points_for_q(q + sample(q.ctx, rng, valuation=t))
+        hits += len(out) == 1 and (out[0].x - x).val == t - 1
+    return hits
 
 
 # -- suites ------------------------------------------------------------
@@ -169,9 +198,8 @@ def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     legs = _legs([(3, 1, 60), (5, 1, 60), (7, 1, 60)], p, e, K)
     if p == 2:
         raise DomainError("isometry suite needs p odd (q - 1 in S with unit digits)")
-    params = {"legs": [list(l) for l in legs], "pairs": 200}
-    for (lp, le, lK) in legs:
-        ctx = ctx_new(lp, le, _scaled(lK, le, k_scale))
+    ctxs = [_ctx(*leg, k_scale) for leg in legs]
+    for ctx in ctxs:
         iso = norm = 0
         for _ in range(200):
             q = _q_in_S(ctx, rng)
@@ -184,15 +212,14 @@ def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
                 iso += 1
             if _vof(q_bracket(x, q)) == _vof(x):
                 norm += 1
-        R.tally(f"isometry_p{lp}", "prop1", iso, 200)
-        R.tally(f"norm_preserved_p{lp}", "prop1", norm, 200)
-    return params
+        R.tally(f"isometry_p{ctx.p}", "prop1", iso, 200)
+        R.tally(f"norm_preserved_p{ctx.p}", "prop1", norm, 200)
+    return {"legs": [_leg(c) for c in ctxs], "pairs": 200}
 
 
-def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=None):
-    K3 = _scaled(K or 60, 1, k_scale)
-    c3 = ctx_new(3, 1, K3)
-    params = {"p": 3, "e": 1, "K": K3, "heavy_leg": [5, 10, _scaled(200, 10, k_scale)]}
+def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
+    c3 = _ctx(3, 1, K, k_scale)
+    c5 = _ctx(5, 10, 200, k_scale)
 
     def dgdy(r) -> PadicNumber:
         """The implicit derivative [x-1]_q / ((q-1)(x-1)) at a record."""
@@ -205,7 +232,7 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=None):
     R.check("implicit_derivative_val", "prop2", -1, _vof(dgdy(rec)))
 
     back = q_for_x(rec.x)
-    ok_rt = len(back) >= 1 and equals_to_precision(back[0].q, rec.q, K3 - 8)
+    ok_rt = len(back) >= 1 and equals_to_precision(back[0].q, rec.q, c3.K - 8)
     R.check("round_trip_q", "prop2", True, ok_rt)
 
     q2 = local_Q(rec.x, rec.q, rec.x)
@@ -223,12 +250,11 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=None):
             good += 1
     R.tally("g_tends_to_half", "prop2", good, 20)
 
-    c5 = ctx_new(5, 10, params["heavy_leg"][2])
     out5 = fixed_points_for_q(_q_in_S(c5, rng, t=3))
     R.check("heavy_leg_lift_exists", "prop2", out5.predicted, len(out5))
     R.check("heavy_leg_derivative_val", "prop2", [-3] * len(out5),
             [_vof(dgdy(r)) for r in out5])
-    return params
+    return _pek(c3, heavy_leg=_leg(c5))
 
 
 def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
@@ -243,29 +269,23 @@ def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
         configs = [c for c in configs if c[0] == p]
         if not configs:
             raise DomainError(f"no zero-count configuration for p = {p}")
-    params = {"configs": [[c[0], c[1], _scaled(c[2], c[1], k_scale), _show(c[3])]
-                          for c in configs]}
-    for (cp, ce, cK, m0, want_n) in configs:
-        ctx = ctx_new(cp, ce, _scaled(cK, ce, k_scale))
-        q = _q_in_S(ctx, rng, t=int(m0 * ce))
+    legs = [(_ctx(cp, ce, cK, k_scale), m0, want_n) for (cp, ce, cK, m0, want_n) in configs]
+    for (ctx, m0, want_n) in legs:
+        q = _q_in_S(ctx, rng, t=int(m0 * ctx.e))
         n = unit_disk_zero_count(series1(0, q))
-        R.check(f"weierstrass_degree_p{cp}_m0_{m0.numerator}_{m0.denominator}",
+        R.check(f"weierstrass_degree_p{ctx.p}_m0_{m0.numerator}_{m0.denominator}",
                 "prop3", want_n, n)
     grid = [Fraction(a, b) for a in range(1, 7) for b in range(1, 7)]
     agree = sum(1 for m in grid
                 if phi2_contains(m, 5) == (Fraction(1, 4) < m <= Fraction(1, 3)))
     R.tally("phi2_range_p5", "prop3", agree, len(grid))
-    return params
+    return {"configs": [_leg(c) + [_show(m0)] for (c, m0, _) in legs]}
 
 
 def _suite_prop4(R: _Recorder, rng: Random, k_scale):
-    params = {"legs": [[3, 1, 60], [5, 3, 90], [3, 4, 120]], "membership_samples": 100}
-    records = []
-    c3 = ctx_new(3, 1, _scaled(60, 1, k_scale))
-    records += list(fixed_points_for_q(c3.from_int(4)))
-    c53 = ctx_new(5, 3, _scaled(90, 3, k_scale))
+    c3, c53, c34 = (_ctx(*leg, k_scale) for leg in ((3, 1, 60), (5, 3, 90), (3, 4, 120)))
+    records = list(fixed_points_for_q(c3.from_int(4)))
     records += list(q_for_x(c53.from_int(5)))
-    c34 = ctx_new(3, 4, _scaled(120, 4, k_scale))
     records += list(fixed_points_for_q(_q_in_S(c34, rng, t=3)))
 
     expect = []
@@ -305,15 +325,13 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale):
         if inside == found:
             agree2 += 1
     R.tally("phi2_matches_records_p3", "prop4", agree2, len(grid))
-    return params
+    return {"legs": [_leg(c) for c in (c3, c53, c34)], "membership_samples": 100}
 
 
-def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=None):
-    KA = _scaled(K or 200, 10, k_scale)
-    KB = _scaled(90, 3, k_scale)
-    params = {"interior_leg": [5, 10, KA, "3/10"], "boundary_leg": [5, 3, KB, "1/3"]}
-
-    ca = ctx_new(5, 10, KA)
+def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
+    ca = _ctx(5, 10, K, k_scale)
+    cb = _ctx(5, 3, 90, k_scale)
+    KA, KB = ca.K, cb.K
     good = 0
     fails = []
     first = None
@@ -333,7 +351,6 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=None):
     rt = bool(out0) and any(equals_to_precision(b.q, q0, KA - 40) for b in q_for_x(out0[0].x))
     R.check("round_trip_interior", "prop5", True, rt)
 
-    cb = ctx_new(5, 3, KB)
     good_b = 0
     for _ in range(5):
         out = fixed_points_for_q(_q_in_S(cb, rng, t=1))
@@ -342,13 +359,12 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=None):
               and all(r.certified_to >= KB - 12 for r in out))
         good_b += ok
     R.tally("boundary_residues_01", "prop5", good_b, 5)
-    return params
+    return {"interior_leg": _leg(ca) + ["3/10"], "boundary_leg": _leg(cb) + ["1/3"]}
 
 
-def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=None):
-    K6 = _scaled(K or 90, 3, k_scale)
-    ctx = ctx_new(5, 3, K6)
-    params = {"p": 5, "e": 3, "K": K6, "x": 5, "law_samples": 50}
+def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=90):
+    ctx = _ctx(5, 3, K, k_scale)
+    K6 = ctx.K
     x = ctx.from_int(5)
     m0 = m0_for_x(x)
     R.check("slope_for_x5", "prop6", Fraction(1, 3), m0)
@@ -383,13 +399,11 @@ def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=None):
         if not lhs.is_zero and not rhs.is_zero and lhs.val == rhs.val:
             good += 1
     R.tally("uniqueness_law", "prop6", good, 50)
-    return params
+    return _pek(ctx, x=5, law_samples=50)
 
 
-def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=None):
-    K7 = _scaled(K or 60, 1, k_scale)
-    ctx = ctx_new(3, 1, K7)
-    params = {"p": 3, "e": 1, "K": K7, "gaps": [2, 3, 5], "samples_per_gap": 50}
+def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=60):
+    ctx = _ctx(3, 1, K, k_scale)
     q = ctx.from_int(4)
     rec = fixed_points_for_q(q)[0]
     R.check("multiplicity_one", "prop7", 1, multiplicity_of(rec.x, q))
@@ -414,13 +428,11 @@ def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=None):
             multiplicity_from_c1(ctx.zero(30)))
     R.check("classifier_simple", "prop7", 1,
             multiplicity_from_c1(sample(ctx, rng, valuation=2)))
-    return params
+    return _pek(ctx, gaps=[2, 3, 5], samples_per_gap=50)
 
 
-def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=None):
-    K8 = _scaled(K or 60, 1, k_scale)
-    ctx = ctx_new(3, 1, K8)
-    params = {"p": 3, "e": 1, "K": K8, "forward": 30, "inverse": 20}
+def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=60):
+    ctx = _ctx(3, 1, K, k_scale)
     q = ctx.from_int(4)
     rec = fixed_points_for_q(q)[0]
     two_m0_minus_1 = 1  # m0 = 1 here
@@ -433,27 +445,18 @@ def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=None):
         if (qp - q).val == gap + two_m0_minus_1:
             good += 1
     R.tally("forward_scaling", "prop8", good, 30)
-
-    good = 0
-    for _ in range(20):
-        tv = rng.randrange(2, 6)
-        qp = q + sample(ctx, rng, valuation=tv)
-        out = fixed_points_for_q(qp)
-        if len(out) == 1 and (out[0].x - rec.x).val == tv - two_m0_minus_1:
-            good += 1
-    R.tally("inverse_ball_mapping", "prop8", good, 20)
+    R.tally("inverse_ball_mapping", "prop8", _inverse_hits(rng, q, rec.x, 20), 20)
 
     mults = [multiplicity_of(rec.x, q)]
     R.check("double_point_identity", "prop8", "vacuous (all sampled points simple)",
             "vacuous (all sampled points simple)" if all(m == 1 for m in mults)
             else f"multiplicity 2 seen: {mults}")
-    return params
+    return _pek(ctx, forward=30, inverse=20)
 
 
-def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=None):
-    K9 = _scaled(K or 60, 1, k_scale)
-    ctx = ctx_new(3, 1, K9)
-    params = {"p": 3, "e": 1, "K": K9, "ball_samples": 25, "inverse_samples": 10}
+def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
+    ctx = _ctx(3, 1, K, k_scale)
+    K9 = ctx.K
     q4 = ctx.from_int(4)
     out = fixed_points_for_q(q4)
     rec = out[0]
@@ -466,7 +469,7 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=None):
 
     empty = 0
     for lp in (5, 7):
-        cl = ctx_new(lp, 1, 40)
+        cl = _ctx(lp, 1, 40, k_scale)
         for _ in range(5):
             ql = _q_in_S(cl, rng, t=rng.choice((1, 2)))
             empty += len(fixed_points_for_q(ql)) == 0
@@ -498,25 +501,15 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=None):
                 iso += 1
     R.tally("unit_part_isometries", "prop9", iso, 20)
 
-    x7 = fixed_points_for_q(ctx.from_int(7))[0].x
-    inv = 0
-    for center, xc in ((q4, rec.x), (ctx.from_int(7), x7)):
-        for _ in range(10):
-            tv = rng.randrange(2, 6)
-            qp = center + sample(ctx, rng, valuation=tv)
-            got = fixed_points_for_q(qp)
-            if len(got) == 1 and (got[0].x - xc).val == tv - 1:
-                inv += 1
+    q7 = ctx.from_int(7)
+    x7 = fixed_points_for_q(q7)[0].x
+    inv = _inverse_hits(rng, q4, rec.x, 10) + _inverse_hits(rng, q7, x7, 10)
     R.tally("inverse_spot_checks", "prop9", inv, 20)
-    return params
+    return _pek(ctx, ball_samples=25, inverse_samples=10)
 
 
 def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
-    K3 = _scaled(60, 1, k_scale)
-    c3 = ctx_new(3, 1, K3)
-    c53 = ctx_new(5, 3, _scaled(90, 3, k_scale))
-    params = {"legs": [[3, 1, K3], [5, 3, _scaled(90, 3, k_scale)],
-                       [3, 4, _scaled(120, 4, k_scale)]]}
+    c3, c53, c34 = (_ctx(*leg, k_scale) for leg in ((3, 1, 60), (5, 3, 90), (3, 4, 120)))
 
     member = 0
     for n in (3, 4, 6, 7, 9, 10):
@@ -532,7 +525,6 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
         member5 += phi1_contains(x) and m0_for_x(x) == Fraction(1, 3)
     R.tally("integer_balls_members_p5", "remark_phi1", member5, 4)
 
-    c34 = ctx_new(3, 4, _scaled(120, 4, k_scale))
     ann = []
     for (gap, want) in ((1, True), (2, False), (3, False), (4, False)):
         x = c34.from_int(2) + sample(c34, rng, valuation=gap)
@@ -558,16 +550,16 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
                 diff = q_bracket(x, q) - x
                 good += (not phi1_contains(x)) and not diff.is_zero
     R.tally("integers_never_fixed", "remark_phi1", good, total)
-    return params
+    return {"legs": [_leg(c) for c in (c3, c53, c34)]}
 
 
 def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None):
     legs = [5, 7] if p is None else [p]
     if any(lp in (2, 3) for lp in legs):
         raise DomainError("derivative remark concerns p >= 5")
-    params = {"p": legs, "e": 1, "K": _scaled(40, 1, k_scale)}
-    for lp in legs:
-        ctx = ctx_new(lp, 1, params["K"])
+    ctxs = [_ctx(lp, 1, 40, k_scale) for lp in legs]
+    for ctx in ctxs:
+        lp = ctx.p
         n = lp - 2
         match = 0
         units = 0
@@ -581,32 +573,31 @@ def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None):
             units += (not da.is_zero) and da.val == 0
         R.tally(f"derivative_congruence_p{lp}", "remark_derivative", match, len(pts))
         R.tally(f"derivative_unit_p{lp}", "remark_derivative", units, len(pts))
-    c53 = ctx_new(5, 3, _scaled(90, 3, k_scale))
+    c53 = _ctx(5, 3, 90, k_scale)
     recs = q_for_x(c53.from_int(5))
     R.check("records_all_simple", "remark_derivative", True,
             all(r.multiplicity == 1 for r in recs))
-    return params
+    return {"p": [c.p for c in ctxs], "e": ctxs[0].e, "K": ctxs[0].K}
 
 
 def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
     legs = _legs([(3, 1, 60), (5, 1, 60), (5, 3, 90)], p, e, K)
-    params = {"legs": [list(l) for l in legs], "triples": 100}
-    for (lp, le, lK) in legs:
-        ctx = ctx_new(lp, le, _scaled(lK, le, k_scale))
+    ctxs = [_ctx(*leg, k_scale) for leg in legs]
+    for ctx in ctxs:
         good = 0
         for _ in range(100):
             q = _q_in_S(ctx, rng)
             x, xp = _mixed(ctx, rng), _mixed(ctx, rng)
             good += cocycle_check(x, xp, q)
-        R.tally(f"cocycle_p{lp}_e{le}", "cocycle", good, 100)
+        R.tally(f"cocycle_p{ctx.p}_e{ctx.e}", "cocycle", good, 100)
         hom = 0
         for _ in range(50):
             q = _q_in_S(ctx, rng)
             x, xp = _mixed(ctx, rng), _mixed(ctx, rng)
             d = q_pow(x + xp, q) - q_pow(x, q) * q_pow(xp, q)
             hom += d.is_zero
-        R.tally(f"power_homomorphism_p{lp}_e{le}", "cocycle", hom, 50)
-    return params
+        R.tally(f"power_homomorphism_p{ctx.p}_e{ctx.e}", "cocycle", hom, 50)
+    return {"legs": [_leg(c) for c in ctxs], "triples": 100}
 
 
 def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None):
@@ -670,11 +661,13 @@ def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,
               k_scale=Fraction(1)) -> SuiteReport:
     """Run one suite and return its report.
 
-    A suite applies the p/e/K overrides it takes as keyword parameters,
-    and its report's params show them; any other override raises
-    DomainError before the suite runs.  k_scale shrinks or grows every
-    leg's working precision (the reports must stay green at k_scale = 1/2,
-    which is the designed headroom).
+    A suite applies the p/e/K overrides it takes as keyword parameters;
+    any other override raises DomainError before the suite runs.  An
+    applied override reaches ctx_new unchanged, so a value ctx_new
+    refuses (a zero, a non-prime p, K below 2e) raises its ValueError.
+    k_scale scales every leg's working precision, an overridden K
+    included (the reports must stay green at k_scale = 1/2, which is the
+    designed headroom), and the params report the precisions that ran.
     """
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; ids are {', '.join(SUITE_IDS)}")

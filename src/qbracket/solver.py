@@ -30,7 +30,7 @@ from fractions import Fraction
 from .analytic import TruncatedSeries, _QSplit, a_poly, series2
 from .core import PadicNumber, equals_to_precision
 from .errors import CertificationFailure, DomainError, LiftFailure
-from .polygon import unit_disk_zero_count
+from .polygon import _frac_str, unit_disk_zero_count
 
 __all__ = [
     "FixedPointRecord",
@@ -70,7 +70,7 @@ class FixedPointRecord:
             "x": self.x.to_json(),
             "q": self.q.to_json(),
             "u": self.u.to_json(),
-            "m0": f"{self.m0.numerator}/{self.m0.denominator}",
+            "m0": _frac_str(self.m0),
             "residue_x": self.residue_x,
             "residue_u": self.residue_u,
             "multiplicity": self.multiplicity,
@@ -329,7 +329,7 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     s = _QSplit(q)
     s.check("fixed_points_for_q", "q = 1 fixes everything; the fiber is not discrete")
     _, m0, u = s.parts()
-    if ctx.p == 2 or m0 > Fraction(1, ctx.p - 2):
+    if not phi2_contains(m0, ctx.p):
         return SolveOutcome((), 0, m0)
     s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
     predicted = unit_disk_zero_count(s1) - 2

@@ -153,10 +153,20 @@ def test_verify_refuses_an_override_the_suite_does_not_apply(capsys):
     assert err == "precondition violated: suite prop3 applies no e override (it takes p)\n"
 
 
-@pytest.mark.parametrize("suite, p", [("legendre", "0"), ("legendre", "4"), ("prop1", "4")])
+@pytest.mark.parametrize("suite, p", [("legendre", "0"), ("legendre", "4"), ("prop1", "4"),
+                                      ("prop1", "0"), ("cocycle", "0")])
 def test_verify_refuses_a_non_prime_p(capsys, suite, p):
     code, out, err = _run(capsys, "verify", "--suite", suite, "--p", p)
     assert (code, out, err) == (2, "", f"error: p must be prime, got {p}\n")
+
+
+@pytest.mark.parametrize("suite, flag, err", [
+    ("cocycle", "--e", "ramification index must be >= 1, got 0"),
+    ("prop7", "--prec", "precision K=0 too small, need at least 2*e=2"),
+])
+def test_verify_refuses_a_zero_e_or_prec(capsys, suite, flag, err):
+    code, out, got = _run(capsys, "verify", "--suite", suite, flag, "0")
+    assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
 def test_verify_refuses_p_1_without_hanging():

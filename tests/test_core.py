@@ -389,8 +389,9 @@ def test_residue_field_and_sample_at_f2():
 
 def test_from_residue_checks_its_argument_in_every_degree():
     c = ctx_new(5, 2, 20)
-    assert [c.from_residue(r) for r in c.residue_field()] == \
-        [c.from_int(r) for r in range(5)]
+    for ctx in (ctx_new(5, 1, 20), c, ctx_new(5, 10, 200)):
+        assert [ctx.from_residue(r) for r in ctx.residue_field()] == \
+            [ctx.from_int(r) for r in range(5)]
     c2 = ctx_new(5, 2, 20, f=2)
     for ctx, bad in ((c, 7), (c, -1), (c, 5), (c2, (5, 0)), (c2, (1,))):
         with pytest.raises(ValueError, match="residue must be"):

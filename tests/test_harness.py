@@ -61,6 +61,16 @@ def test_every_override_is_applied_or_refused(monkeypatch, sid, name):
         assert seen == [], "the suite ran before the override was refused"
 
 
+@pytest.mark.parametrize("sid, name, err", [
+    ("prop1", "p", "p must be prime, got 0"),
+    ("cocycle", "e", "ramification index must be >= 1, got 0"),
+] + [(sid, "K", r"precision K=0 too small, need at least 2\*e=\d+")
+     for sid in SUITE_IDS if "K" in APPLIES[sid]])
+def test_zero_override_reaches_ctx_new(sid, name, err):
+    with pytest.raises(ValueError, match=f"^{err}$"):
+        run_suite(sid, **{name: 0})
+
+
 def test_cocycle_overrides_name_one_leg_without_p():
     rep = run_suite("cocycle", seed=0, e=2, K=40)
     assert rep.passed
@@ -95,10 +105,30 @@ def test_seed_changes_params_not_verdict():
     assert _stripped(a) != _stripped(b)
 
 
-def test_half_precision_still_passes():
-    rep = run_suite("cocycle", seed=0, k_scale=Fraction(1, 2))
-    assert rep.passed
-    assert rep.to_json()["params"]["k_scale"] == "1/2"
+def _reported_ks(params):
+    """Every K a report's params name, as a bare K or as a leg's third entry."""
+    ks = [params["K"]] if "K" in params else []
+    ks += [params[k][2] for k in ("heavy_leg", "interior_leg", "boundary_leg") if k in params]
+    return ks + [leg[2] for k in ("legs", "configs") for leg in params.get(k, ())]
+
+
+@pytest.mark.parametrize("sid", SUITE_IDS)
+def test_half_precision_still_passes(monkeypatch, sid):
+    ran = []
+    real = harness.ctx_new
+
+    def spy(p, e=1, K=None, f=1):
+        ran.append(K)
+        return real(p, e, K, f)
+
+    monkeypatch.setattr(harness, "ctx_new", spy)
+    rep = run_suite(sid, seed=0, k_scale=Fraction(1, 2))
+    assert rep.passed, rep.render()
+    params = rep.to_json()["params"]
+    assert params["k_scale"] == "1/2"
+    reported = _reported_ks(params)
+    assert bool(reported) == (sid != "legendre")
+    assert set(reported) <= set(ran), (reported, ran)
 
 
 def test_prime_override_reaches_the_suite():
