@@ -33,23 +33,33 @@ c_(n-1) log q / n, the series2 monomials with a_k = x - (k+1) and t =
 m0 e), taken by one kernel on raw unit vectors: the valuation, relative
 precision and zero flag of the PadicNumber chain are additive, so each
 step is one vector product and one reduction, with no normalization,
-and gives the chain's coefficients digit for digit.  A series'
-evaluation is one Horner pass on raw coefficient vectors over a common
-base valuation, normalized once; the precision the PadicNumber loop
-would carry, P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n)), is kept
-as an integer beside it (Caruso, Roe and Vaccon, "Tracking p-adic
-precision", 2014), so value, digits and precision are the loop's.
+and gives the chain's coefficients digit for digit.
+
+A series is stored raw, not as PadicNumbers: one base valuation, each
+coefficient's vector already shifted onto it, and its valuation and
+precision as ints (Caruso, "Computations with p-adic numbers", 2017).
+The builders hand their raw coefficients over, and the derivative,
+scaling, deflation and recentring work on that form by the rules of
+PadicNumber arithmetic, so every coefficient is digit for digit the one
+the PadicNumber operations give; ``coeffs`` builds those PadicNumbers
+only when read.  A series' evaluation is one Horner pass on the stored
+vectors with no shift per step, normalized once; the precision the
+PadicNumber loop would carry, P <- min(P + v(dz), prec(dz) + v(acc),
+prec(c_n)), is kept as an integer beside it (Caruso, Roe and Vaccon,
+"Tracking p-adic precision", 2014), so value, digits and precision are
+the loop's.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw
+from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
 from .errors import CertificationFailure, ContextMismatch, DomainError
 
 __all__ = [
@@ -295,7 +305,9 @@ def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
     A zero-flagged value's precision stands in for its valuation, and
     once r_k is zero-flagged it stays so, its precision following the
     same recurrence: these are the chain's own rules, so every value,
-    digit, precision and zero flag is the chain's.
+    digit, precision and zero flag is the chain's.  Each r_k comes out
+    raw, as ``_raw_of`` gives a PadicNumber: (v, reduced unit, prec), or
+    (None, None, prec) when zero-flagged.
     """
     ctx = start.ctx
     p, e = ctx.p, ctx.e
@@ -311,7 +323,7 @@ def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
         v += av + t - e * s
         if zero or au is None:
             zero = True
-            out.append(ctx.zero(v))
+            out.append((None, None, v))
             continue
         rel = min(rel, arel)
         prod = ctx._vec_mul(vec, au)
@@ -319,8 +331,14 @@ def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
             c = pow(d, -1, ctx._ppow(_ceil_div(rel, e)))
             prod = [c * a for a in prod]
         vec = ctx._vec_reduce(prod, rel)
-        out.append(PadicNumber(ctx, v, vec, v + rel, False))
+        out.append((v, vec, v + rel))
     return out
+
+
+def _raw_of(c: PadicNumber) -> tuple:
+    """A coefficient as the series stores it before the shift to a base:
+    (val, unit, prec), or (None, None, prec) when zero-flagged."""
+    return (None, None, c.prec) if c.is_zero else (c.val, c._unit, c.prec)
 
 
 def _minus_integers(x: PadicNumber, start: int, stop: int):
@@ -415,13 +433,12 @@ class _QSplit:
             n_max = _n_for_tail(delta, tail_target)
         inv_y, big_l = self.inv_y, self.log_q
         qx = exp(x * big_l)
-        coeffs = [(qx - self.one) * inv_y - x]
         term = qx * big_l * inv_y
-        coeffs.append(term - self.one)
+        raw = [_raw_of((qx - self.one) * inv_y - x), _raw_of(term - self.one)]
         # L is nonzero: log keeps v(y), and v(y) < prec(y)
         raw_l = (big_l.val, big_l._unit, big_l.prec - big_l.val)
-        coeffs += _running_product(term, itertools.repeat(raw_l), 0, range(2, n_max + 1))
-        return TruncatedSeries(ctx, x, tuple(coeffs), n_max * delta)
+        raw += _running_product(term, itertools.repeat(raw_l), 0, range(2, n_max + 1))
+        return TruncatedSeries._on_base(ctx, x, n_max * delta, *_to_base(ctx, raw))
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -471,19 +488,69 @@ class TruncatedSeries:
     or None for an exact polynomial) is a lower bound on the valuation
     of every omitted term at any point of the closed unit disk around
     the center, so evaluations are trustworthy exactly up to it.
+
+    The coefficients are stored raw, on one base valuation b, as
+    FLINT's padic_poly_t stores a polynomial (see Caruso, "Computations
+    with p-adic numbers", 2017).  Coefficient n is kept as its valuation
+    (None when zero-flagged), its precision, and the integral vector
+    pi^(v - b) unit reduced modulo pi^(prec - b) (None when
+    zero-flagged).  That vector is the unit's own, shifted: shifting it
+    back and reducing gives the PadicNumber digit for digit, which is
+    what ``coeffs`` builds on each read.  b is the least valuation, a
+    zero-flagged coefficient's precision standing in for one, except
+    where a cap has since lowered such a precision; no nonzero
+    coefficient sits below it.  The suffix minima of the valuations are
+    kept beside them, so a hint cuts the trailing coefficients by one
+    bisection.
     """
 
-    __slots__ = ("ctx", "center", "coeffs", "tail_bound")
+    __slots__ = ("ctx", "center", "tail_bound", "_base", "_vals", "_vecs", "_precs",
+                 "_lows", "_wall")
 
-    def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs: tuple,
+    def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs,
                  tail_bound: Fraction | None):
+        self._store(ctx, center, tail_bound, *_to_base(ctx, map(_raw_of, coeffs)))
+
+    @classmethod
+    def _on_base(cls, ctx: PrimeContext, center: PadicNumber, tail_bound: Fraction | None,
+                 base: int, coeffs) -> "TruncatedSeries":
+        """A series from (val, vector, prec) triples whose vectors sit on ``base``."""
+        s = cls.__new__(cls)
+        s._store(ctx, center, tail_bound, base, coeffs)
+        return s
+
+    def _store(self, ctx, center, tail_bound, base, coeffs) -> None:
+        coeffs = list(coeffs)
         self.ctx = ctx
         self.center = center
-        self.coeffs = tuple(coeffs)
         self.tail_bound = tail_bound
+        self._vals = tuple(v for v, _, _ in coeffs)
+        self._precs = tuple(p for _, _, p in coeffs)
+        lows, low = [], None
+        for v, _, p in reversed(coeffs):
+            b = p if v is None else v
+            low = b if low is None or b < low else low
+            lows.append(low)
+        lows.reverse()
+        vecs = tuple(w for _, w, _ in coeffs)
+        if lows and lows[0] > base:  # an operation raised the least valuation
+            vecs = tuple(None if w is None else tuple(ctx._vec_shift(w, base - lows[0]))
+                         for w in vecs)
+            base = lows[0]
+        self._base, self._vecs, self._lows = base, vecs, tuple(lows)
+        self._wall = max(self._precs, default=None)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as PadicNumbers, built from the raw form on each read."""
+        ctx, base = self.ctx, self._base
+        return tuple(
+            ctx.zero(p) if v is None else
+            PadicNumber(ctx, v, ctx._vec_reduce(ctx._vec_shift(w, base - v), p - v), p, False)
+            for v, w, p in self._stored())
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self._precs)
 
     def _cap_pi(self) -> int | None:
         if self.tail_bound is None:
@@ -497,23 +564,24 @@ class TruncatedSeries:
         trailing coefficients whose suffix already sits above the hint
         are skipped.  The result is never claimed beyond the tail bound.
 
-        One Horner pass on raw integral vectors, normalized once.  The
-        kept coefficients are put on one base b, their least valuation,
-        dz = point - center becomes the vector D = pi^v(dz) unit (D = 0
-        at v(dz) = prec(dz) when dz is zero-flagged), and each step is
-        acc <- acc D + c_n modulo pi^(W-b).  Beside it runs the precision
-        the PadicNumber loop acc <- acc*dz + c_n would carry,
+        One Horner pass on the stored vectors, normalized once.  They sit
+        on the series' base b, so no step shifts; dz = point - center
+        becomes the vector D = pi^v(dz) unit (D = 0 at v(dz) = prec(dz)
+        when dz is zero-flagged), and each step is acc <- acc D + c_n
+        modulo pi^(W-b).  Beside it runs the precision the PadicNumber
+        loop acc <- acc*dz + c_n would carry,
         P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n), W), with v(acc)
         measured only when prec(dz) + b is below the other terms, since
         v(acc) >= b.  That loop returns the stored representatives'
         polynomial modulo pi^P, and so does the pass, so value, digits,
-        precision and zero flag are the loop's.  W is the target, which
-        capped the loop's result; clamping P at it changes no result,
-        because every term grows with P when v(dz) >= 0, and when dz is
-        zero-flagged at negative precision P falls below the target after
-        the first step, the top coefficient being kept only for v < W.
-        An exact polynomial without a hint takes W = max prec(c_n), which
-        P never exceeds.
+        precision and zero flag are the loop's; neither depends on which
+        b the pass runs on, as long as no kept nonzero coefficient sits
+        below it.  W is the target, which capped the loop's result;
+        clamping P at it changes no result, because every term grows with
+        P when v(dz) >= 0, and when dz is zero-flagged at negative
+        precision P falls below the target after the first step, the top
+        coefficient being kept only for v < W.  An exact polynomial
+        without a hint takes W = max prec(c_n), which P never exceeds.
         """
         ctx = self.ctx
         dz = point - self.center
@@ -522,55 +590,68 @@ class TruncatedSeries:
         target = self._cap_pi()
         if prec_hint is not None:
             target = prec_hint if target is None else min(target, prec_hint)
-        kept = self.coeffs
-        if target is not None:
-            cut = 0
-            low = None
-            for i in range(len(kept) - 1, -1, -1):
-                c = kept[i]
-                b = c.prec if c.is_zero else c.val
-                low = b if low is None else min(low, b)
-                if low < target:
-                    cut = i + 1
-                    break
-            kept = kept[:cut]
-        if not kept:
+        if target is None:
+            n, wall = len(self), self._wall
+        else:
+            n, wall = bisect.bisect_left(self._lows, target), target
+        if not n:
             return ctx.zero(target)
-        base = min(c.prec if c.is_zero else c.val for c in kept)
+        base, vecs, precs = self._base, self._vecs, self._precs
         dz_prec = dz.prec
         if dz.is_zero:
             dz_val, big_d = dz_prec, [0] * ctx._dim
         else:
             dz_val, big_d = dz.val, ctx._vec_shift(dz._unit, dz.val)
-        wall = max(c.prec for c in kept) if target is None else target
         rel = wall - base
-        top = kept[-1]
-        acc = [0] * ctx._dim if top.is_zero else ctx._vec_shift(top._unit, top.val - base)
-        prec = min(top.prec, wall)
-        for c in reversed(kept[:-1]):
-            nxt = min(prec + dz_val, c.prec, wall)
+        acc = vecs[n - 1] or [0] * ctx._dim
+        prec = min(precs[n - 1], wall)
+        for i in range(n - 2, -1, -1):
+            nxt = min(prec + dz_val, precs[i], wall)
             if dz_prec + base < nxt:
                 v = ctx._vec_val(ctx._vec_reduce(acc, prec - base), prec - base)
                 if v is not None:
                     nxt = min(nxt, dz_prec + base + v)
             acc = ctx._vec_mul(acc, big_d)
-            if not c.is_zero:
-                acc = [a + x for a, x in zip(acc, ctx._vec_shift(c._unit, c.val - base))]
+            w = vecs[i]
+            if w is not None:
+                acc = [a + x for a, x in zip(acc, w)]
             acc = ctx._vec_reduce(acc, rel)
             prec = nxt
         return _from_raw(ctx, base, acc, prec)
 
+    def _stored(self):
+        """The (val, vector on the base, prec) triple of every coefficient."""
+        return zip(self._vals, self._vecs, self._precs)
+
     def derivative(self) -> "TruncatedSeries":
-        # v(n*c_n) >= v(c_n), so the omitted-term bound carries over
-        coeffs = tuple(c._mul_int(n) for n, c in enumerate(self.coeffs) if n > 0)
-        return TruncatedSeries(self.ctx, self.center, coeffs, self.tail_bound)
+        # v(n*c_n) >= v(c_n), so the omitted-term bound carries over; n*c_n
+        # is the vector times n, known e v_p(n) pi-units further
+        ctx, base = self.ctx, self._base
+        out = []
+        for n, (v, w, p) in enumerate(self._stored()):
+            if n:
+                up = ctx.e * _vp(n, ctx.p)
+                out.append((None, None, p + up) if v is None else
+                           (v + up, ctx._vec_reduce([n * a for a in w], p + up - base), p + up))
+        return TruncatedSeries._on_base(ctx, self.center, self.tail_bound, base, out)
 
     def scale(self, c: PadicNumber) -> "TruncatedSeries":
         if c.is_zero:
             raise DomainError("scaling by a value with no exact valuation")
-        shift = Fraction(c.val, self.ctx.e)
+        ctx = self.ctx
+        shift = Fraction(c.val, ctx.e)
         tail = None if self.tail_bound is None else self.tail_bound + shift
-        return TruncatedSeries(self.ctx, self.center, tuple(c * ci for ci in self.coeffs), tail)
+        # c * c_n: valuations add, the relative precision is the lesser
+        cv, cu, crel = c.val, c._unit, c.prec - c.val
+        base = self._base + cv
+        out = []
+        for v, w, p in self._stored():
+            if v is None:
+                out.append((None, None, p + cv))
+            else:
+                prec = v + cv + min(crel, p - v)
+                out.append((v + cv, ctx._vec_reduce(ctx._vec_mul(cu, w), prec - base), prec))
+        return TruncatedSeries._on_base(ctx, self.center, tail, base, out)
 
     def drop_center_root(self) -> "TruncatedSeries":
         """Divide by (X - center) when the center is an exact root.
@@ -578,10 +659,11 @@ class TruncatedSeries:
         Index shift only; the caller asserts the analytic fact, the
         constant coefficient merely confirms it numerically.
         """
-        if not self.coeffs[0].is_zero:
+        if self._vals[0] is not None:
             raise CertificationFailure(
                 "constant coefficient is not zero at precision; center is not a confirmed root")
-        return TruncatedSeries(self.ctx, self.center, self.coeffs[1:], self.tail_bound)
+        return TruncatedSeries._on_base(self.ctx, self.center, self.tail_bound, self._base,
+                                        list(self._stored())[1:])
 
     def divide_by_root(self, root: PadicNumber) -> "TruncatedSeries":
         """Divide by (X - root) for an exact root inside the unit disk.
@@ -594,24 +676,82 @@ class TruncatedSeries:
         rho = root - self.center
         if not rho.is_zero and rho.val < 0:
             raise DomainError("root outside the closed unit disk around the center")
-        cs = self.coeffs
+        cs = list(self._stored())
         if len(cs) < 2:
             raise DomainError("series too short to divide")
+        ctx, base, fac = self.ctx, self._base, _factor(rho)
         out = [cs[-1]]
         for i in range(len(cs) - 2, 0, -1):
-            out.append(cs[i] + rho * out[-1])
+            out.append(_mul_add(ctx, base, cs[i], fac, out[-1]))
         out.reverse()
-        rem = cs[0] + rho * out[0]
-        if not rem.is_zero:
+        if _mul_add(ctx, base, cs[0], fac, out[0])[0] is not None:
             raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
-        return TruncatedSeries(self.ctx, self.center, tuple(out), self.tail_bound)
+        return TruncatedSeries._on_base(ctx, self.center, self.tail_bound, base, out)
 
     def valuation_points(self) -> list:
         """(index, valuation) pairs for polygon building; None marks zero-flagged."""
-        out = []
-        for n, c in enumerate(self.coeffs):
-            out.append((n, None if c.is_zero else Fraction(c.val, self.ctx.e)))
-        return out
+        e = self.ctx.e
+        return [(n, None if v is None else Fraction(v, e)) for n, v in enumerate(self._vals)]
+
+
+def _to_base(ctx: PrimeContext, raw) -> tuple:
+    """(b, triples on b) from (val, unit, prec) triples: each unit shifted up
+    to the least valuation b, a zero-flagged precision standing in for one.
+    The list is rewritten in place, so each unit is freed once shifted."""
+    raw = list(raw)
+    base = min((p if v is None else v for v, _, p in raw), default=0)
+    for i, (v, u, p) in enumerate(raw):
+        if u is not None:
+            raw[i] = v, tuple(ctx._vec_shift(u, v - base)), p
+    return base, raw
+
+
+def _factor(r: PadicNumber) -> tuple:
+    """r of valuation >= 0 as ``_mul_add`` takes it: (val, the vector pi^val
+    unit, relative precision, prec), val None when r is zero-flagged."""
+    if r.is_zero:
+        return None, None, None, r.prec
+    return r.val, r.ctx._vec_shift(r._unit, r.val), r.prec - r.val, r.prec
+
+
+def _capped(ctx: PrimeContext, base: int, c: tuple, prec: int) -> tuple:
+    """PadicNumber._cap_prec on a coefficient stored on ``base``."""
+    v, w, p = c
+    if prec >= p:
+        return c
+    if v is None or v >= prec:
+        return None, None, prec
+    return v, ctx._vec_reduce(w, prec - base), prec
+
+
+def _mul_add(ctx: PrimeContext, base: int, c: tuple, r: tuple, d: tuple) -> tuple:
+    """c + r*d for coefficients c, d stored on ``base`` and r from ``_factor``.
+
+    The rules of PadicNumber * and + on the raw form: a product's
+    valuations add and its relative precision is the lesser, a product
+    with a zero-flagged side is zero-flagged at its precision plus the
+    other side's valuation, and a sum is known to the lesser precision,
+    its valuation measured on the reduced vector.  A vector on b is
+    pi^(v - b) unit, so reducing the sum or the product there gives the
+    shifted canonical unit, and every value, digit and precision is the
+    PadicNumber one.
+    """
+    cv, cw, cp = c
+    dv, dw, dp = d
+    rv, rw, rrel, rp = r
+    if rv is None or dv is None:
+        prod = (None, None, (rp if rv is None else rv) + (dp if dv is None else dv))
+    else:
+        pp = rv + dv + min(rrel, dp - dv)
+        prod = (rv + dv, ctx._vec_reduce(ctx._vec_mul(rw, dw), pp - base), pp)
+    prec = min(cp, prod[2])
+    if cv is None:
+        return _capped(ctx, base, prod, prec)
+    if prod[0] is None:
+        return _capped(ctx, base, c, prec)
+    w = ctx._vec_reduce([a + b for a, b in zip(cw, prod[1])], prec - base)
+    v = ctx._vec_val(w, prec - base)
+    return (None, None, prec) if v is None else (base + v, w, prec)
 
 
 def _n_for_tail(delta: Fraction, target: Fraction, offset: Fraction = Fraction(0)) -> int:
@@ -664,9 +804,9 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
         n_max = _n_for_tail(delta, Fraction(ctx.K, ctx.e), offset)
     tail = n_max * delta - offset
     ek = ctx.one()._div_int(2)
-    coeffs = [ek] + _running_product(ek, _minus_integers(x, 2, n_max + 2), t,
-                                     range(3, n_max + 3))
-    return TruncatedSeries(ctx, ctx.zero(), tuple(coeffs), tail)
+    raw = [_raw_of(ek)] + _running_product(ek, _minus_integers(x, 2, n_max + 2), t,
+                                           range(3, n_max + 3))
+    return TruncatedSeries._on_base(ctx, ctx.zero(), tail, *_to_base(ctx, raw))
 
 
 def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
@@ -677,14 +817,16 @@ def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
     if not u.is_zero and u.val != 0:
         raise DomainError("u must be a unit or zero")
     mono = _series2_monomials(x, m0, n_max)
-    if u.is_zero:
-        return TruncatedSeries(ctx, u, mono.coeffs, mono.tail_bound)
-    work = list(mono.coeffs)
-    # repeated synthetic division by (U - u); pass j leaves d_j in place
-    for j in range(len(work)):
-        for i in range(len(work) - 2, j - 1, -1):
-            work[i] = work[i] + u * work[i + 1]
-    # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
-    # each of valuation above the tail bound, so d_n is known only to it
-    cap = mono._cap_pi()
-    return TruncatedSeries(ctx, u, tuple(d._cap_prec(cap) for d in work), mono.tail_bound)
+    base = mono._base
+    work = list(mono._stored())
+    if not u.is_zero:
+        # repeated synthetic division by (U - u); pass j leaves d_j in place
+        fac = _factor(u)
+        for j in range(len(work)):
+            for i in range(len(work) - 2, j - 1, -1):
+                work[i] = _mul_add(ctx, base, work[i], fac, work[i + 1])
+        # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
+        # each of valuation above the tail bound, so d_n is known only to it
+        cap = mono._cap_pi()
+        work = [_capped(ctx, base, d, cap) for d in work]
+    return TruncatedSeries._on_base(ctx, u, mono.tail_bound, base, work)

@@ -30,7 +30,10 @@ the tool's interface (``verify --suite <id>``):
 Every context a suite works in comes from one builder, ``_ctx``, which
 scales the leg's precision by ``k_scale`` and hands p, e and K to
 ``ctx_new`` unchanged, so an override is refused exactly when ctx_new
-refuses it.  A report's params are read off the contexts that ran.
+refuses it.  A report's params are read off the contexts that ran.  A
+suite that checks agreement at K minus a margin (prop2, prop5, prop9)
+refuses a K below twice that margin, where the check would prove little
+or nothing.
 
 Reports are deterministic for a fixed seed: every sample comes from a
 Random keyed by ``f"{seed}/{suite_id}"`` and nothing else.  elapsed_ms is
@@ -161,6 +164,23 @@ def _ctx(p: int, e: int, K: int, k_scale) -> PrimeContext:
     return ctx_new(p, e, int(K * k_scale))
 
 
+class _ThinPrecision(DomainError, ValueError):
+    """A K too small for a suite's agreement checks: a refused override
+    for run_suite's callers, and a bad --prec value (exit 2) for the CLI."""
+
+
+def _agree_at(c: PrimeContext, margin: int) -> int:
+    """K - margin, the precision a suite checks an agreement at.
+
+    Below K = 2 margin such a check proves little or nothing (at K - 8 =
+    0 any two units agree), so that K is refused, not reported as a proof.
+    """
+    if c.K < 2 * margin:
+        raise _ThinPrecision(f"K={c.K} is too small for the agreement check at K - {margin}; "
+                             f"need K >= {2 * margin}")
+    return c.K - margin
+
+
 def _leg(c: PrimeContext) -> list:
     """A context as a report lists it: [p, e, K]."""
     return [c.p, c.e, c.K]
@@ -219,6 +239,7 @@ def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
 
 def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
     c3 = _ctx(3, 1, K, k_scale)
+    round_trip_at = _agree_at(c3, 8)
     c5 = _ctx(5, 10, 200, k_scale)
 
     def dgdy(r) -> PadicNumber:
@@ -232,7 +253,7 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
     R.check("implicit_derivative_val", "prop2", -1, _vof(dgdy(rec)))
 
     back = q_for_x(rec.x)
-    ok_rt = len(back) >= 1 and equals_to_precision(back[0].q, rec.q, c3.K - 8)
+    ok_rt = len(back) >= 1 and equals_to_precision(back[0].q, rec.q, round_trip_at)
     R.check("round_trip_q", "prop2", True, ok_rt)
 
     q2 = local_Q(rec.x, rec.q, rec.x)
@@ -330,8 +351,9 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale):
 
 def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
     ca = _ctx(5, 10, K, k_scale)
+    interior_at = _agree_at(ca, 40)
     cb = _ctx(5, 3, 90, k_scale)
-    KA, KB = ca.K, cb.K
+    KB = cb.K
     good = 0
     fails = []
     first = None
@@ -341,14 +363,14 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
         if first is None:
             first = (q, out)
         res = sorted(r.residue_x for r in out)
-        certified = all(r.certified_to >= KA - 40 for r in out)
+        certified = all(r.certified_to >= interior_at for r in out)
         if res == [2, 3, 4] and out.deficit == 0 and certified:
             good += 1
         else:
             fails.append(res)
     R.tally("interior_residues_234", "prop5", good, 10, detail=str(fails))
     q0, out0 = first
-    rt = bool(out0) and any(equals_to_precision(b.q, q0, KA - 40) for b in q_for_x(out0[0].x))
+    rt = bool(out0) and any(equals_to_precision(b.q, q0, interior_at) for b in q_for_x(out0[0].x))
     R.check("round_trip_interior", "prop5", True, rt)
 
     good_b = 0
@@ -456,15 +478,15 @@ def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=60):
 
 def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
     ctx = _ctx(3, 1, K, k_scale)
-    K9 = ctx.K
+    witness_at, certified_at = _agree_at(ctx, 10), _agree_at(ctx, 4)
     q4 = ctx.from_int(4)
     out = fixed_points_for_q(q4)
     rec = out[0]
     target = ctx.from_rational(Fraction(-1, 2))
     d = rec.x - target
     R.check("witness_is_minus_half", "prop9", True,
-            d.is_zero or d.val >= K9 - 10)
-    R.check("witness_certified", "prop9", True, rec.certified_to >= K9 - 4)
+            d.is_zero or d.val >= witness_at)
+    R.check("witness_certified", "prop9", True, rec.certified_to >= certified_at)
     R.check("witness_residues", "prop9", [1, 1], [rec.residue_x, rec.residue_u])
 
     empty = 0
@@ -664,7 +686,9 @@ def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,
     A suite applies the p/e/K overrides it takes as keyword parameters;
     any other override raises DomainError before the suite runs.  An
     applied override reaches ctx_new unchanged, so a value ctx_new
-    refuses (a zero, a non-prime p, K below 2e) raises its ValueError.
+    refuses (a zero, a non-prime p, K below 2e) raises its ValueError,
+    and a K below twice a suite's agreement margin raises a DomainError
+    that is also a ValueError.
     k_scale scales every leg's working precision, an overridden K
     included (the reports must stay green at k_scale = 1/2, which is the
     designed headroom), and the params report the precisions that ran.

@@ -115,27 +115,21 @@ def unit_disk_zero_count(series: TruncatedSeries) -> int:
     Certified only when the tail bound strictly dominates the minimum
     and every zero-flagged coefficient is known past it.
     """
-    e = series.ctx.e
-    vmin = None
-    for c in series.coeffs:
-        if c.is_zero:
-            continue
-        v = Fraction(c.val, e)
-        if vmin is None or v < vmin:
-            vmin = v
+    points = series.valuation_points()
+    vmin = min((v for _, v in points if v is not None), default=None)
     if vmin is None:
         raise CertificationFailure("every coefficient is zero-flagged; no minimum to certify")
     if series.tail_bound is not None and series.tail_bound <= vmin:
         raise CertificationFailure(
             f"tail bound {series.tail_bound} does not dominate the minimal valuation {vmin}")
     n_big = None
-    for n, c in enumerate(series.coeffs):
-        if c.is_zero:
-            if Fraction(c.prec, e) <= vmin:
+    for n, v in points:
+        if v is None:
+            bound = Fraction(series._precs[n], series.ctx.e)
+            if bound <= vmin:
                 raise CertificationFailure(
-                    f"coefficient {n} is zero-flagged at bound {Fraction(c.prec, e)}, "
+                    f"coefficient {n} is zero-flagged at bound {bound}, "
                     f"not past the minimal valuation {vmin}")
-            continue
-        if Fraction(c.val, e) == vmin:
+        elif v == vmin:
             n_big = n
     return n_big

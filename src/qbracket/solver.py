@@ -15,9 +15,14 @@ each record has its own q) and reads m0, u, the deflated series and
 every certification of that fiber from it, so log q is computed once.
 
 Newton iteration runs on a precision ladder: each step evaluates the
-series only a little past the accuracy the iterate already has, which
-keeps the Horner sums short early on.  The ladder is transparent to
-correctness because evaluations are honest at every hint.
+series only a little past the accuracy the iterate already has, 2e
+pi-units above the doubled bound of the last step, and the derivative
+only to the digits the Newton quotient keeps, which keeps the Horner
+sums short.  Only the seed evaluations, which decide the Newton
+criterion and the subdivision, are taken at a fixed floor of 8e.  The
+ladder is transparent to correctness because evaluations are honest at
+every hint: a lift that converges returns the same root, with the same
+digits and precision, whatever hints it climbed through.
 """
 
 from __future__ import annotations
@@ -114,8 +119,9 @@ class SolveOutcome(Sequence):
                 f"predicted={self.predicted}, m0={self.m0})")
 
 
-# The Newton ladder's least hint is _HINT_FLOOR e pi-units; _roots_from_seed
-# evaluates its seeds there, so the first step can reuse them.
+# _roots_from_seed evaluates each seed at _HINT_FLOOR e pi-units: those values
+# decide the Newton criterion and the subdivision, so they need more digits
+# than the first step of a lift, which takes them over at whatever hint.
 _HINT_FLOOR = 8
 
 
@@ -125,11 +131,19 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
 
     ``feval(point, hint)`` must be honest: the result carries only
     digits that are actually correct.  Stops once v(f(x)) >= target.
-    The derivative is evaluated at the same hint as f so the step never
-    truncates the iterate harder than the ladder intends, and again
-    without a hint when it is zero-flagged there.  ``known`` = (hint,
-    f(seed), f'(seed)) hands over evaluations the caller already made at
-    the seed; the first step uses them when its hint is that hint.
+    Each step evaluates f at min(target, 2 est - s + 2e), est the bound
+    on v(f(x)) the last step guarantees and s = v(f'(seed)), which keeps
+    the Horner sums short early on.  ``known`` = (hint, f(seed),
+    f'(seed)) hands over evaluations the caller already made at the
+    seed; the first step takes them, whatever their hint.
+
+    Until s is measured, f' is evaluated at f's hint, and again without
+    a hint when it is zero-flagged there.  After that the quotient
+    f(x)/f'(x) keeps only the hint - v(f(x)) relative digits of f(x), so
+    f' is evaluated at hint - v(f(x)) + s, which gives the quotient the
+    same digits and precision as f' at the full hint; when that value is
+    zero-flagged, has v != s or comes back short of the asked precision,
+    f' is evaluated at the full hint as before.
     Raises LiftFailure once more than ceil(log2 K) + 2 steps were needed.
     """
     ctx = seed.ctx
@@ -139,12 +153,12 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     s = 0          # v(f'), measured at the first nonzero evaluation
     updates = 0
     for _ in range(2 * budget + 6):
-        hint = min(target, max(_HINT_FLOOR * ctx.e, 2 * est - s + 2 * ctx.e))
-        if known is not None and known[0] == hint:
-            _, fx, fpx = known
+        if known is not None:
+            hint, fx, fpx = known
+            known = None
         else:
+            hint = min(target, 2 * est - s + 2 * ctx.e)
             fx, fpx = feval(x, hint), None
-        known = None
         low = fx.prec if fx.is_zero else fx.val
         if low >= target:
             if not updates:
@@ -157,6 +171,11 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
                 raise LiftFailure("evaluation caps out below the target precision")
             est = max(est, fx.prec)
             continue
+        if fpx is None and updates:
+            short = hint - fx.val + s
+            fpx = fpeval(x, short)
+            if fpx.is_zero or fpx.val != s or fpx.prec < short:
+                fpx = None
         if fpx is None:
             fpx = fpeval(x, hint)
             if fpx.is_zero:
@@ -382,7 +401,7 @@ def q_for_x(x: PadicNumber) -> SolveOutcome:
     ctx = x.ctx
     m0 = m0_for_x(x)
     h = series2(x, 0, m0)
-    if h.coeffs[0].is_zero or h.coeffs[0].val != 0:
+    if h._vals[0] != 0:  # None when zero-flagged
         raise CertificationFailure("leading parameter coefficient is not a unit")
     t = int(m0 * ctx.e)
     one = ctx.one()

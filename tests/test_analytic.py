@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qbracket import analytic
 from qbracket import (
+    CertificationFailure,
     DomainError,
     PadicNumber,
     PrimeContext,
@@ -818,3 +819,134 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
         mono = analytic._series2_monomials(x, Fraction(1, 3), n)
         assert len(mono) == n + 1
         assert counts == {"vec_mul": n, "mul": 0, "add": 1, "div_int": 1}
+
+
+# -- the raw series operations against their PadicNumber bodies ----------
+#
+# The functions below are the pre-change bodies of derivative, scale,
+# drop_center_root, divide_by_root and the series2 recentring, on the
+# PadicNumber coefficients.  The raw form must give the same
+# coefficients, bit for bit, the same tail bound, or the same error.
+
+def _derivative_ref(s):
+    coeffs = tuple(c._mul_int(n) for n, c in enumerate(s.coeffs) if n > 0)
+    return s.center, coeffs, s.tail_bound
+
+
+def _scale_ref(s, c):
+    if c.is_zero:
+        raise DomainError("scaling by a value with no exact valuation")
+    shift = Fraction(c.val, s.ctx.e)
+    tail = None if s.tail_bound is None else s.tail_bound + shift
+    return s.center, tuple(c * ci for ci in s.coeffs), tail
+
+
+def _drop_center_root_ref(s):
+    if not s.coeffs[0].is_zero:
+        raise CertificationFailure(
+            "constant coefficient is not zero at precision; center is not a confirmed root")
+    return s.center, s.coeffs[1:], s.tail_bound
+
+
+def _divide_by_root_ref(s, root):
+    rho = root - s.center
+    if not rho.is_zero and rho.val < 0:
+        raise DomainError("root outside the closed unit disk around the center")
+    cs = s.coeffs
+    if len(cs) < 2:
+        raise DomainError("series too short to divide")
+    out = [cs[-1]]
+    for i in range(len(cs) - 2, 0, -1):
+        out.append(cs[i] + rho * out[-1])
+    out.reverse()
+    rem = cs[0] + rho * out[0]
+    if not rem.is_zero:
+        raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
+    return s.center, tuple(out), s.tail_bound
+
+
+def _series2_ref(x, u, m0, n_max=None):
+    ctx = x.ctx
+    m0 = Fraction(m0)
+    if not u.is_zero and u.val != 0:
+        raise DomainError("u must be a unit or zero")
+    mono = analytic._series2_monomials(x, m0, n_max)
+    if u.is_zero:
+        return TruncatedSeries(ctx, u, mono.coeffs, mono.tail_bound)
+    work = list(mono.coeffs)
+    for j in range(len(work)):
+        for i in range(len(work) - 2, j - 1, -1):
+            work[i] = work[i] + u * work[i + 1]
+    cap = mono._cap_pi()
+    return TruncatedSeries(ctx, u, tuple(d._cap_prec(cap) for d in work), mono.tail_bound)
+
+
+def _as_built(fn):
+    """A series as (center, coeffs, tail bound), or the error it raised."""
+    try:
+        s = fn()
+    except Exception as exc:  # the error type and message must match too
+        return type(exc), str(exc)
+    return (s.center, s.coeffs, s.tail_bound) if isinstance(s, TruncatedSeries) else s
+
+
+@st.composite
+def _raw_series_arguments(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 5))
+    f = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(2 * e, 6 * e + 12))
+    c = ctx_new(p, e, K, f)
+
+    def number(lo, hi, zeros=True):
+        """val in [lo, hi], prec up to K + e; now and then zero-flagged."""
+        if zeros and draw(st.integers(0, 4)) == 0:
+            return c.zero(draw(st.integers(max(lo, 0), K + e)))
+        val = draw(st.integers(lo, hi))
+        prec = draw(st.integers(val + 1, max(val + 1, K + e)))
+        n = prec - val
+        return _read(c, val, [draw(st.integers(1, p ** f - 1))] + draw(
+            st.lists(st.integers(0, p ** f - 1), min_size=n - 1, max_size=n - 1)), prec)
+
+    center = number(0, 2)
+    coeffs = [number(0, K) for _ in range(draw(st.integers(1, 10)))]
+    rho = number(0, 2 * e)
+    if draw(st.booleans()):  # center + rho a root: the coefficients of (X - rho) Q
+        coeffs = ([-(rho * coeffs[0])] + [a - rho * b for a, b in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    if draw(st.booleans()):  # the center a root at some precision
+        coeffs[0] = c.zero(draw(st.integers(0, K + e)))
+    tail = draw(st.none() | st.integers(1, 3 * K).map(lambda t: Fraction(t, e)))
+    s = TruncatedSeries(c, center, tuple(coeffs), tail)
+    assert s.coeffs == tuple(coeffs)
+    if draw(st.booleans()):  # negative valuations, and a lower tail bound
+        s = s.scale(number(1, 2 * e, zeros=False).inv())
+    return s, number(-e, 2 * e), center + rho
+
+
+@given(_raw_series_arguments())
+@settings(max_examples=300, deadline=None)
+def test_raw_series_operations_match_reference(case):
+    s, c, root = case
+    e = s.ctx.e
+    assert s.valuation_points() == [(n, None if d.is_zero else Fraction(d.val, e))
+                                    for n, d in enumerate(s.coeffs)]
+    assert _as_built(s.derivative) == _as_built(lambda: _derivative_ref(s))
+    assert _as_built(lambda: s.scale(c)) == _as_built(lambda: _scale_ref(s, c))
+    assert _as_built(s.drop_center_root) == _as_built(lambda: _drop_center_root_ref(s))
+    assert (_as_built(lambda: s.divide_by_root(root))
+            == _as_built(lambda: _divide_by_root_ref(s, root)))
+
+
+@given(_series_build_arguments(), st.sampled_from(("zero", "unit", "low", "deep")),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_series2_recentring_matches_reference(case, kind, seed):
+    x, m0, _, n_max = case
+    n_max = min(n_max or 30, 30)  # the recentring is quadratic in n_max
+    c = x.ctx
+    rng = Random(seed)
+    u = {"zero": lambda: c.zero(), "unit": lambda: sample(c, rng),
+         "low": lambda: sample(c, rng)._cap_prec(max(1, c.K // 2)),
+         "deep": lambda: sample(c, rng, valuation=1)}[kind]()
+    assert (_built(series2, x, u, m0, n_max) == _built(_series2_ref, x, u, m0, n_max))

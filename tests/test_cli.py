@@ -169,6 +169,16 @@ def test_verify_refuses_a_zero_e_or_prec(capsys, suite, flag, err):
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("suite, prec, margin", [("prop2", "8", 8), ("prop5", "60", 40),
+                                                 ("prop9", "12", 10)])
+def test_verify_refuses_a_prec_below_the_agreement_margin(capsys, suite, prec, margin):
+    # verify --suite prop2 --prec 8 used to PASS, its round trip compared at K - 8 = 0
+    code, out, err = _run(capsys, "verify", "--suite", suite, "--prec", prec)
+    assert (code, out) == (2, "")
+    assert err == (f"error: K={prec} is too small for the agreement check at K - {margin}; "
+                   f"need K >= {2 * margin}\n")
+
+
 def test_verify_refuses_p_1_without_hanging():
     # digit_sum at p = 1 used to loop forever; a child process with a
     # timeout turns a returning hang into a failure instead of a stall

@@ -149,3 +149,23 @@ def test_render_lines_up_with_verdicts():
     text = rep.render()
     assert text.count("ok ") == len(rep.assertions)
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("sid, K, margin", [("prop2", 8, 8), ("prop5", 60, 40),
+                                            ("prop9", 12, 10), ("prop9", 19, 10)])
+def test_thin_k_override_is_refused(monkeypatch, sid, K, margin):
+    # an agreement check at K - margin proves little or nothing below K = 2
+    # margin (prop2's round trip at K - 8 = 0 passes for any two units), so
+    # such a K is refused before the suite solves anything
+    monkeypatch.setattr(harness, "fixed_points_for_q", None)
+    with pytest.raises(DomainError, match=f"^K={K} is too small for the agreement check "
+                                          f"at K - {margin}; need K >= {2 * margin}$"):
+        run_suite(sid, K=K)
+
+
+def test_thin_k_counts_after_k_scale():
+    # the rule reads the K that runs: prop2 needs 16, so K = 30 at k_scale
+    # 1/2 (15) is refused and K = 32 (16) runs
+    with pytest.raises(DomainError, match="^K=15 is too small"):
+        run_suite("prop2", K=30, k_scale=Fraction(1, 2))
+    assert run_suite("prop2", K=32, k_scale=Fraction(1, 2)).passed

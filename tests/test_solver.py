@@ -5,10 +5,13 @@ Hensel oracle; the -1/2 witness facts repeat what direct bracket
 evaluation certifies.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbracket.analytic as analytic
 import qbracket.solver as solver
@@ -16,6 +19,7 @@ from qbracket import (
     DomainError,
     FixedPointRecord,
     LiftFailure,
+    PrimeContext,
     TruncatedSeries,
     cocycle_check,
     ctx_new,
@@ -302,8 +306,8 @@ def test_one_log_per_q_per_call(monkeypatch):
 
 def test_lifts_take_over_the_seed_evaluations(monkeypatch):
     # _roots_from_seed evaluates g and g' at the seed at hint 8e before it
-    # starts a lift, and the lift's first step asks for the same two values
-    # whenever min(target, 8e) = 8e; it takes them over instead
+    # starts a lift; the lift's first step takes those two values over,
+    # where a fresh lift evaluates both at its own first hint
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     calls = {"evaluate": 0, "lifts": 0}
@@ -330,3 +334,179 @@ def test_lifts_take_over_the_seed_evaluations(monkeypatch):
     assert records == fresh_records and len(records) == 3
     assert taken["lifts"] == fresh["lifts"] > 0
     assert fresh["evaluate"] - taken["evaluate"] == 2 * taken["lifts"]
+
+
+# -- the Newton ladder against the loop it replaced ------------------------
+#
+# _newton_loop_ref is the pre-change body of ``_newton_loop``: every step
+# evaluated at least at the 8e floor, and f' at f's hint.  The ladder
+# must return the same roots, bit for bit, with the same precisions.
+
+_HINT_FLOOR = 8
+
+
+def _newton_loop_ref(feval, fpeval, seed, target, known=None):
+    ctx = seed.ctx
+    budget = math.ceil(math.log2(max(ctx.K, 2))) + 2
+    x = seed
+    est = 1        # lower bound on v(f(x)) guaranteed by the last step
+    s = 0          # v(f'), measured at the first nonzero evaluation
+    updates = 0
+    for _ in range(2 * budget + 6):
+        hint = min(target, max(_HINT_FLOOR * ctx.e, 2 * est - s + 2 * ctx.e))
+        if known is not None and known[0] == hint:
+            _, fx, fpx = known
+        else:
+            fx, fpx = feval(x, hint), None
+        known = None
+        low = fx.prec if fx.is_zero else fx.val
+        if low >= target:
+            if not updates:
+                return x
+            # the iterate was re-embedded exactly; cap at what the
+            # function value actually certifies
+            return x._cap_prec(low - s)
+        if fx.is_zero:
+            if fx.prec < hint:
+                raise LiftFailure("evaluation caps out below the target precision")
+            est = max(est, fx.prec)
+            continue
+        if fpx is None:
+            fpx = fpeval(x, hint)
+            if fpx.is_zero:
+                fpx = fpeval(x, None)
+        if fpx.is_zero:
+            raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
+        if not updates:
+            s = fpx.val
+            if fx.val <= 2 * s:
+                raise LiftFailure("Newton criterion v(f) > 2 v(f') fails at the seed")
+        x = (x - fx * fpx.inv())._lift_exact(ctx.K)
+        est = min(2 * fx.val - s, hint)
+        updates += 1
+        if updates > budget:
+            break
+    raise LiftFailure("no convergence within the iteration budget "
+                      "(is the target precision attainable?)")
+
+
+def _both(fn, *args):
+    """fn(*args) under the ladder and under the reference loop; a result
+    is its JSON form (value, digits, precision), an error its type and text."""
+    def run():
+        try:
+            out = fn(*args)
+        except Exception as exc:  # the error type and message must match too
+            return type(exc), str(exc)
+        if isinstance(out, solver.SolveOutcome):
+            return out.predicted, [r.to_json() for r in out]
+        return out.to_json()
+
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_loop", _newton_loop_ref)
+        want = run()
+    return got, want
+
+
+# (p, e, K, t): q = 1 + pi^t u with m0 = t/e admissible, so the fiber is
+# not empty; e = 10 is the heavy leg
+_LADDER_LEGS = [(3, 1, 60, 1), (3, 4, 120, 3), (5, 3, 90, 1), (7, 5, 60, 1),
+                (5, 10, 200, 3)]
+
+
+@given(st.sampled_from(_LADDER_LEGS), st.integers(0, 10 ** 6), st.integers(1, 6))
+@settings(max_examples=12, deadline=None)
+def test_ladder_matches_reference_on_the_fibers(leg, seed, gap):
+    p, e, K, t = leg
+    c = ctx_new(p, e, K)
+    rng = Random(seed)
+    q = c.one() + sample(c, rng, valuation=t)
+    got, want = _both(fixed_points_for_q, q)
+    assert got == want
+    out = fixed_points_for_q(q)
+    if not out:
+        return
+    x = out[0].x
+    got, want = _both(q_for_x, x)
+    assert got == want
+    got, want = _both(local_Q, x, q, x + sample(c, rng, valuation=gap * e))
+    assert got == want
+
+
+@given(st.sampled_from((3, 5, 7)), st.sampled_from((1, 3, 4, 5, 10)),
+       st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_ladder_matches_reference_on_hensel_lift(p, e, seed, near, off):
+    # f = (X - r)(X - r2) with v(r - r2) = near, seeded near + off pi-units from r
+    c = ctx_new(p, e, 30 * e)
+    rng = Random(seed)
+    r = sample(c, rng)
+    r2 = r + sample(c, rng, valuation=near)
+    f = TruncatedSeries(c, c.zero(), (r * r2, -(r + r2), c.one()), None)
+    got, want = _both(hensel_lift, f, r + sample(c, rng, valuation=near + off))
+    assert got == want
+
+
+def test_heavy_solve_vector_products(monkeypatch):
+    # the ladder without the 8e floor and with g' at hint - v(g) + s: the
+    # loop it replaced took 12,435 vector products on this solve
+    count = [0]
+    vec_mul = PrimeContext._vec_mul
+
+    def counted(ctx, a, b):
+        count[0] += 1
+        return vec_mul(ctx, a, b)
+
+    c = ctx_new(5, 10, 200)
+    q = c.one() + sample(c, Random(12), valuation=3)
+    monkeypatch.setattr(PrimeContext, "_vec_mul", counted)
+    assert len(fixed_points_for_q(q)) == 3
+    assert count[0] <= 8754
+
+
+def test_solver_reads_coefficients_only_to_certify(monkeypatch):
+    # the series are stored raw; PadicNumber coefficients are built only for
+    # the two jet coefficients that each record's certification reads
+    reads = []
+    coeffs = TruncatedSeries.coeffs
+    monkeypatch.setattr(TruncatedSeries, "coeffs",
+                        property(lambda s: reads.append(len(s)) or coeffs.fget(s)))
+    c = ctx_new(5, 10, 200)
+    out = fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))
+    assert len(out) == 3 and reads == [2] * 3
+
+
+def test_short_derivative_gives_the_quotient_of_the_full_one(monkeypatch):
+    # once v(f') is known, f' is evaluated at hint - v(f(x)) + v(f'); the
+    # Newton quotient f(x)/f'(x) must come out as with f' at f's hint
+    checked = [0]
+    newton = solver._newton_loop
+
+    def spying(feval, fpeval, seed, target, known=None):
+        last = {}
+
+        def f_spy(x, hint):
+            last["fx"], last["hint"] = feval(x, hint), hint
+            return last["fx"]
+
+        def fp_spy(x, hint):
+            out = fpeval(x, hint)
+            fx = last.get("fx")
+            if hint is not None and fx is not None and hint < last["hint"] \
+                    and not out.is_zero and out.prec >= hint:
+                full = fpeval(x, last["hint"])
+                if out.val == full.val:
+                    assert fx * out.inv() == fx * full.inv()
+                    checked[0] += 1
+            return out
+
+        return newton(f_spy, fp_spy, seed, target, known)
+
+    monkeypatch.setattr(solver, "_newton_loop", spying)
+    c = ctx_new(5, 10, 200)
+    out = fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))
+    c3 = ctx_new(5, 3, 90)
+    fiber = q_for_x(c3.from_int(5) + sample(c3, Random(13), valuation=4))
+    assert len(out) == 3 and len(fiber) >= 1
+    assert checked[0] >= 20
