@@ -43,11 +43,15 @@ scaling, deflation and recentring work on that form by the rules of
 PadicNumber arithmetic, so every coefficient is digit for digit the one
 the PadicNumber operations give; ``coeffs`` builds those PadicNumbers
 only when read.  A series' evaluation is one Horner pass on the stored
-vectors with no shift per step, normalized once; the precision the
-PadicNumber loop would carry, P <- min(P + v(dz), prec(dz) + v(acc),
-prec(c_n)), is kept as an integer beside it (Caruso, Roe and Vaccon,
-"Tracking p-adic precision", 2014), so value, digits and precision are
-the loop's.
+vectors with no shift per step, normalized once; each step is one call
+of a kernel that core sets up once per pass for the fixed multiplier dz
+(an entrywise multiply when dz is an integer, else dz packed once for
+Kronecker substitution at f = 1).  The precision the PadicNumber loop
+would carry, P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n)), is kept
+as an integer beside it (Caruso, Roe and Vaccon, "Tracking p-adic
+precision", 2014), so value, digits and precision are the loop's.  At a
+unit dz the recurrence often fixes the precision before any step, and
+the solver reads the precision of its probe point that way.
 """
 
 from __future__ import annotations
@@ -568,8 +572,10 @@ class TruncatedSeries:
         on the series' base b, so no step shifts; dz = point - center
         becomes the vector D = pi^v(dz) unit (D = 0 at v(dz) = prec(dz)
         when dz is zero-flagged), and each step is acc <- acc D + c_n
-        modulo pi^(W-b).  Beside it runs the precision the PadicNumber
-        loop acc <- acc*dz + c_n would carry,
+        modulo pi^(W-b), one step of ``PrimeContext._horner_step``, which
+        reduces D once per pass and packs it once at f = 1, or multiplies
+        entrywise when D is an integer.  Beside it runs the precision the
+        PadicNumber loop acc <- acc*dz + c_n would carry,
         P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n), W), with v(acc)
         measured only when prec(dz) + b is below the other terms, since
         v(acc) >= b.  That loop returns the stored representatives'
@@ -584,16 +590,8 @@ class TruncatedSeries:
         without a hint takes W = max prec(c_n), which P never exceeds.
         """
         ctx = self.ctx
-        dz = point - self.center
-        if not dz.is_zero and dz.val < 0:
-            raise DomainError("evaluation point outside the closed unit disk around the center")
-        target = self._cap_pi()
-        if prec_hint is not None:
-            target = prec_hint if target is None else min(target, prec_hint)
-        if target is None:
-            n, wall = len(self), self._wall
-        else:
-            n, wall = bisect.bisect_left(self._lows, target), target
+        dz = self._offset(point)
+        target, n, wall = self._kept(prec_hint)
         if not n:
             return ctx.zero(target)
         base, vecs, precs = self._base, self._vecs, self._precs
@@ -603,7 +601,8 @@ class TruncatedSeries:
         else:
             dz_val, big_d = dz.val, ctx._vec_shift(dz._unit, dz.val)
         rel = wall - base
-        acc = vecs[n - 1] or [0] * ctx._dim
+        step = ctx._horner_step(big_d, rel)
+        acc = ctx._vec_reduce(vecs[n - 1] or [0] * ctx._dim, rel)
         prec = min(precs[n - 1], wall)
         for i in range(n - 2, -1, -1):
             nxt = min(prec + dz_val, precs[i], wall)
@@ -611,13 +610,43 @@ class TruncatedSeries:
                 v = ctx._vec_val(ctx._vec_reduce(acc, prec - base), prec - base)
                 if v is not None:
                     nxt = min(nxt, dz_prec + base + v)
-            acc = ctx._vec_mul(acc, big_d)
-            w = vecs[i]
-            if w is not None:
-                acc = [a + x for a, x in zip(acc, w)]
-            acc = ctx._vec_reduce(acc, rel)
+            acc = step(acc, vecs[i])
             prec = nxt
         return _from_raw(ctx, base, acc, prec)
+
+    def _offset(self, point: PadicNumber) -> PadicNumber:
+        """point - center, which must lie in the closed unit disk."""
+        dz = point - self.center
+        if not dz.is_zero and dz.val < 0:
+            raise DomainError("evaluation point outside the closed unit disk around the center")
+        return dz
+
+    def _kept(self, prec_hint: int | None) -> tuple:
+        """(target, n, W) of an evaluation: the precision the result is
+        capped at (None for an exact polynomial without a hint), how many
+        leading coefficients the Horner pass keeps, and its modulus pi^W."""
+        target = self._cap_pi()
+        if prec_hint is not None:
+            target = prec_hint if target is None else min(target, prec_hint)
+        if target is None:
+            return None, len(self), self._wall
+        return target, bisect.bisect_left(self._lows, target), target
+
+    def _prec_at(self, point: PadicNumber) -> int:
+        """``evaluate(point).prec``, derived without the pass where it can be.
+
+        At a unit offset, v(dz) = 0, the precision recurrence gives
+        P = min(prec(c_n) for the kept n, W) together with the terms
+        prec(dz) + v(acc) >= prec(dz) + b; when that minimum is at most
+        prec(dz) + b it is the result, and otherwise the pass is run.
+        """
+        dz = self._offset(point)
+        _, n, wall = self._kept(None)
+        if n and not dz.is_zero and dz.val == 0:
+            low = min(min(self._precs[:n]), wall)
+            if low <= dz.prec + self._base:
+                return low
+        return self.evaluate(point).prec
 
     def _stored(self):
         """The (val, vector on the base, prec) triple of every coefficient."""
@@ -708,10 +737,13 @@ def _to_base(ctx: PrimeContext, raw) -> tuple:
 
 def _factor(r: PadicNumber) -> tuple:
     """r of valuation >= 0 as ``_mul_add`` takes it: (val, the vector pi^val
-    unit, relative precision, prec), val None when r is zero-flagged."""
+    unit, relative precision, prec, scalar), val None when r is zero-flagged
+    and scalar the vector's entry 0 when it is the only nonzero one, so r
+    is an integer, else None."""
     if r.is_zero:
-        return None, None, None, r.prec
-    return r.val, r.ctx._vec_shift(r._unit, r.val), r.prec - r.val, r.prec
+        return None, None, None, r.prec, None
+    w = r.ctx._vec_shift(r._unit, r.val)
+    return r.val, w, r.prec - r.val, r.prec, None if any(w[1:]) else w[0]
 
 
 def _capped(ctx: PrimeContext, base: int, c: tuple, prec: int) -> tuple:
@@ -738,12 +770,13 @@ def _mul_add(ctx: PrimeContext, base: int, c: tuple, r: tuple, d: tuple) -> tupl
     """
     cv, cw, cp = c
     dv, dw, dp = d
-    rv, rw, rrel, rp = r
+    rv, rw, rrel, rp, r0 = r
     if rv is None or dv is None:
         prod = (None, None, (rp if rv is None else rv) + (dp if dv is None else dv))
     else:
         pp = rv + dv + min(rrel, dp - dv)
-        prod = (rv + dv, ctx._vec_reduce(ctx._vec_mul(rw, dw), pp - base), pp)
+        rd = ctx._vec_mul(rw, dw) if r0 is None else [r0 * x for x in dw]
+        prod = (rv + dv, ctx._vec_reduce(rd, pp - base), pp)
     prec = min(cp, prod[2])
     if cv is None:
         return _capped(ctx, base, prod, prec)

@@ -377,15 +377,33 @@ class PrimeContext:
     # product ran 0.6x as fast as the loop at e = 2, 0.8x at e = 3,
     # 1.0-1.2x at e = 4, 1.3-1.4x at e = 5 and 2.1-2.5x at e = 10; the
     # loop skips zero entries, which small-e operands often have.
+    #
+    # A Horner pass multiplies by one d at every step, so _horner_step
+    # reduces d modulo pi^rel once and returns the step
+    # acc -> reduce(acc d + c, rel), the same vector _vec_reduce gives on
+    # _vec_mul(acc, d) + c.  When the reduced d has only entry 0 nonzero,
+    # an integer, the step multiplies entrywise, at every f.  Otherwise,
+    # at f = 1 and every e, d is packed once; each step packs acc, takes
+    # one big-integer product, folds the top e slots times p, and unpacks,
+    # adds c and reduces in one comprehension.  Both operands are reduced,
+    # so every entry is below M = p^ceil(rel/e) and the slot width
+    # w = 2 bits(M) + bits(e) + bits(p) is the bound above.  At f > 1 the
+    # step keeps the table walk of _vec_mul.  On evaluate's calls captured
+    # from fixed_points_for_q, the pass with these steps ran 1.3x as fast
+    # as with _vec_mul at e = 1, 1.8x at e = 3 and 4, and 1.6x at e = 10.
 
-    def _vec_reduce(self, vec: Sequence[int], rel: int) -> tuple:
+    def _moduli(self, rel: int) -> list:
+        """The per-entry moduli of a vector reduced modulo pi^rel."""
         mods = self._mods.get(rel)
         if mods is None:
             e = self.e
             # p^0 = 1 clears the entries that carry no digit
             mods = [self._ppow(max(_ceil_div(rel - i, e), 0)) for i in range(e)] * self.f
             self._mods[rel] = mods
-        return tuple(map(operator.mod, vec, mods))
+        return mods
+
+    def _vec_reduce(self, vec: Sequence[int], rel: int) -> tuple:
+        return tuple(map(operator.mod, vec, self._mods.get(rel) or self._moduli(rel)))
 
     def _vec_val(self, vec: Sequence[int], rel: int) -> int | None:
         """min(e*vp(a_k) + k % e) over nonzero entries, or None if that is >= rel."""
@@ -447,6 +465,50 @@ class PrimeContext:
                 else:
                     c[k - e] += p * ai * bj
         return c
+
+    def _horner_step(self, d: Sequence[int], rel: int):
+        """The step acc -> reduce(acc*d + c, rel) of a Horner pass by a fixed d.
+
+        ``step(acc, c)`` takes acc reduced modulo pi^rel, as every step
+        returns it, and c an integral vector or None for zero.
+        """
+        mods = self._moduli(rel)
+        d = self._vec_reduce(d, rel)
+        if not any(d[1:]):
+            d0 = d[0]
+
+            def step(acc, c):
+                if c is None:
+                    return [a * d0 % m for a, m in zip(acc, mods)]
+                return [(a * d0 + x) % m for a, x, m in zip(acc, c, mods)]
+            return step
+        if self._table is not None:
+            mul, reduce = self._vec_mul, self._vec_reduce
+
+            def step(acc, c):
+                prod = mul(acc, d)
+                if c is not None:
+                    prod = [a + x for a, x in zip(prod, c)]
+                return reduce(prod, rel)
+            return step
+        e, p = self.e, self.p
+        w = 2 * self._ppow(_ceil_div(rel, e)).bit_length() + e.bit_length() + p.bit_length()
+        ew = e * w
+        low, mask, slots = (1 << ew) - 1, (1 << w) - 1, range(0, ew, w)
+        packed = 0
+        for dj in reversed(d):
+            packed = packed << w | dj
+
+        def step(acc, c):
+            x = 0
+            for a in reversed(acc):
+                x = x << w | a
+            z = x * packed
+            z = (z & low) + p * (z >> ew)
+            if c is None:
+                return [(z >> s & mask) % m for s, m in zip(slots, mods)]
+            return [((z >> s & mask) + y) % m for s, y, m in zip(slots, c, mods)]
+        return step
 
     def _vec_shift(self, vec: Sequence[int], t: int) -> list:
         """Multiply by pi^t.  Downward shifts must stay integral."""

@@ -322,8 +322,9 @@ def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
     """
     ctx = series.ctx
     deriv = series.derivative()
-    # the attainable evaluation precision, probed rather than derived
-    target = series.evaluate(ctx.from_int(probe)).prec
+    # the attainable evaluation precision: that of the series at the unit
+    # probe, which the precision recurrence mostly gives without a pass
+    target = series._prec_at(ctx.from_int(probe))
     roots = []
     for r in seeds:
         for root in _roots_from_seed(series, deriv, ctx.from_residue(r), target):

@@ -622,9 +622,8 @@ def test_evaluate_at_a_zero_point_of_negative_precision():
                 assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
 
 
-def test_evaluate_matches_reference_on_solver_calls(monkeypatch):
-    # every (series, point, hint) the solver asks for on a heavy fixed-point
-    # solve and a parameter fiber, replayed through both bodies
+def _recorded_evaluations(monkeypatch, run) -> list:
+    """Every (series, point, hint) that ``run()`` asks ``evaluate`` for."""
     calls = []
     evaluate = TruncatedSeries.evaluate
 
@@ -633,28 +632,73 @@ def test_evaluate_matches_reference_on_solver_calls(monkeypatch):
         return evaluate(series, point, prec_hint)
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", record)
-    c = ctx_new(5, 10, 200)
-    out = fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))
-    assert len(out) == 3
-    c3 = ctx_new(5, 3, 90)
-    fiber = q_for_x(c3.from_int(5) + sample(c3, Random(13), valuation=4))
-    assert len(fiber) >= 1
+    run()
     monkeypatch.undo()
+    return calls
+
+
+def test_evaluate_matches_reference_on_solver_calls(monkeypatch):
+    # every (series, point, hint) the solver asks for on a heavy fixed-point
+    # solve and a parameter fiber, replayed through both bodies
+    def run():
+        c = ctx_new(5, 10, 200)
+        out = fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))
+        assert len(out) == 3
+        c3 = ctx_new(5, 3, 90)
+        fiber = q_for_x(c3.from_int(5) + sample(c3, Random(13), valuation=4))
+        assert len(fiber) >= 1
+
+    calls = _recorded_evaluations(monkeypatch, run)
     assert len({id(s) for s, _, _ in calls}) >= 4 and len(calls) >= 50
+    for s, point, hint in calls:
+        assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
+
+
+def _jet_evaluations():
+    # p = 2 has no fixed points to solve for: the series1 jet at 0 and its
+    # derivative, at integer, unit and deep points, with and without hints
+    c = ctx_new(2, 3, 60)
+    rng = Random(16)
+    s = series1(c.from_int(0), c.one() + sample(c, rng, valuation=4))
+    points = [c.from_int(k) for k in (1, 3, 6)] + [sample(c, rng) for _ in range(3)]
+    points += [sample(c, rng, valuation=v) for v in (1, 4)]
+    for series in (s, s.derivative()):
+        for point in points:
+            for hint in (None, 9, 30):
+                series.evaluate(point, hint)
+
+
+def _solve_p7e5(f, rng):
+    c = ctx_new(7, 5, 60, f)
+    z = c.uniformizer() if rng is None else sample(c, rng, valuation=1)
+    assert len(fixed_points_for_q(c.one() + z)) >= 1
+
+
+@pytest.mark.parametrize("run", [
+    _jet_evaluations,
+    lambda: _solve_p7e5(1, Random(1)),
+    lambda: _solve_p7e5(2, None),
+], ids=["p2e3-jet", "p7e5-solve", "p7e5f2-solve"])
+def test_evaluate_matches_reference_on_more_contexts(monkeypatch, run):
+    # p = 2 at e = 3, p = 7 at e = 5, and residue degree 2, where the steps
+    # pack, multiply by an integer or walk the product table
+    calls = _recorded_evaluations(monkeypatch, run)
+    assert len(calls) >= 20
     for s, point, hint in calls:
         assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
 
 
 @pytest.mark.parametrize("hint,n", [(None, 12), (6, 6)])
 def test_evaluate_operation_counts(monkeypatch, hint, n):
-    # one vector product per Horner step and one normalization; the
-    # PadicNumber loop paid a full * and + per step
+    # one step of the fixed-multiplier kernel per Horner step, which packs
+    # dz once and calls no generic vector product, and one normalization;
+    # the PadicNumber loop paid a full * and + per step
     c = ctx_new(5, 3, 90)
     rng = Random(14)
     coeffs = tuple(sample(c, rng, valuation=k) for k in range(12))
     s = TruncatedSeries(c, c.one(), coeffs, None)
     point = c.one() + sample(c, rng, valuation=1)
-    counts = {"vec_mul": 0, "from_raw": 0, "mul": 0}
+    counts = {"step": 0, "vec_mul": 0, "from_raw": 0, "mul": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -662,11 +706,14 @@ def test_evaluate_operation_counts(monkeypatch, hint, n):
             return fn(*args)
         return wrapper
 
+    horner_step = PrimeContext._horner_step
+    monkeypatch.setattr(PrimeContext, "_horner_step",
+                        lambda ctx, d, rel: counted("step", horner_step(ctx, d, rel)))
     monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
     monkeypatch.setattr(analytic, "_from_raw", counted("from_raw", analytic._from_raw))
     monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
     s.evaluate(point, hint)
-    assert counts == {"vec_mul": n - 1, "from_raw": 1, "mul": 0}
+    assert counts == {"step": n - 1, "vec_mul": 0, "from_raw": 1, "mul": 0}
 
 
 def test_series2_recentred_coefficients_stay_below_the_tail():

@@ -783,3 +783,83 @@ def test_vec_mul_matches_schoolbook(data):
     if draw(st.booleans()):
         a = tuple(a)  # reduced vectors are tuples, products are lists
     assert c._vec_mul(a, b) == _vec_mul_ref(c, a, b)
+
+
+# -- the fixed-multiplier Horner step ------------------------------------
+#
+# _horner_step(d, rel) returns acc -> reduce(acc*d + c, rel) for a d fixed
+# over a pass: entrywise when the reduced d is an integer, one packed
+# product by d packed once at f = 1, the table walk at f > 1.  Each step
+# must equal the reduced schoolbook product plus c.  acc is drawn reduced
+# modulo pi^rel, as the steps return it, with every entry at its modulus
+# minus 1 now and then (the widest slot sums); d is drawn wide, full,
+# integer or zero, and c wide or None.
+
+def _step_operand(draw, c, rel, kind):
+    mods = c._moduli(rel)
+    if kind == "top":
+        return [m - 1 for m in mods]
+    if kind == "zero":
+        return [0] * c._dim
+    if kind == "integer":
+        return [draw(st.integers(0, 2 ** 400))] + [0] * (c._dim - 1)
+    if kind == "wide":
+        return draw(st.lists(st.integers(0, 2 ** 400), min_size=c._dim, max_size=c._dim))
+    return [draw(st.integers(0, m - 1)) for m in mods]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_horner_step_matches_reduced_schoolbook(data):
+    draw = data.draw
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 12))
+    f = draw(st.sampled_from((1, 2)))
+    c = ctx_new(p, e, 4 * e + 8, f)
+    rel = draw(st.integers(-e, c.K + 2 * e))
+    d = _step_operand(draw, c, rel, draw(st.sampled_from(
+        ("reduced", "top", "wide", "integer", "zero"))))
+    step = c._horner_step(tuple(d) if draw(st.booleans()) else d, rel)
+    acc = _step_operand(draw, c, rel, draw(st.sampled_from(("reduced", "top", "zero"))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("reduced", "top", "wide", "none")))
+        add = None if kind == "none" else _step_operand(draw, c, rel, kind)
+        want = _vec_mul_ref(c, acc, d)
+        if add is not None:
+            want = [a + x for a, x in zip(want, add)]
+        got = step(acc, add)
+        assert list(got) == list(c._vec_reduce(want, rel))
+        acc = got
+
+
+def test_horner_step_at_the_widest_slot_sums():
+    # every entry of acc, d and c at its modulus minus 1, for every p, e and
+    # f drawn above and a spread of moduli, with c present and absent
+    for p in (2, 3, 5, 7):
+        for e in range(1, 13):
+            for f in (1, 2):
+                c = ctx_new(p, e, 4 * e + 8, f)
+                for rel in (1, 2, e, e + 1, 3 * e - 1, c.K):
+                    top = [m - 1 for m in c._moduli(rel)]
+                    step = c._horner_step(top, rel)
+                    prod = _vec_mul_ref(c, top, top)
+                    assert list(step(top, None)) == list(c._vec_reduce(prod, rel))
+                    assert list(step(top, top)) == list(
+                        c._vec_reduce([a + x for a, x in zip(prod, top)], rel))
+
+
+def test_horner_step_takes_no_vector_product_at_f1(monkeypatch):
+    # d is packed once per pass, or read as an integer; only f > 1 keeps the
+    # table walk of _vec_mul
+    calls = []
+    vec_mul = PrimeContext._vec_mul
+    monkeypatch.setattr(PrimeContext, "_vec_mul",
+                        lambda ctx, a, b: calls.append(ctx.f) or vec_mul(ctx, a, b))
+    for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2)):
+        c = ctx_new(p, e, 30 * e, f)
+        rel = c.K - 1
+        for d in ([2] + [0] * (c._dim - 1), [1] * c._dim):
+            step = c._horner_step(d, rel)
+            acc = c._vec_reduce([3] * c._dim, rel)
+            step(step(acc, None), acc)
+    assert calls == [2, 2]

@@ -5,8 +5,10 @@ Hensel oracle; the -1/2 witness facts repeat what direct bracket
 evaluation certifies.
 """
 
+import importlib
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -449,20 +451,99 @@ def test_ladder_matches_reference_on_hensel_lift(p, e, seed, near, off):
 
 
 def test_heavy_solve_vector_products(monkeypatch):
-    # the ladder without the 8e floor and with g' at hint - v(g) + s: the
-    # loop it replaced took 12,435 vector products on this solve
+    # vector products plus Horner steps, each step one product by the pass's
+    # fixed multiplier: 8,754 products before the probe's precision was
+    # derived, less the probe's 403; the ladder without the 8e floor and
+    # with g' at hint - v(g) + s replaced a loop of 12,435 products
     count = [0]
-    vec_mul = PrimeContext._vec_mul
+    vec_mul, horner_step = PrimeContext._vec_mul, PrimeContext._horner_step
 
-    def counted(ctx, a, b):
-        count[0] += 1
-        return vec_mul(ctx, a, b)
+    def counted(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+        return wrapper
 
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
-    monkeypatch.setattr(PrimeContext, "_vec_mul", counted)
+    monkeypatch.setattr(PrimeContext, "_vec_mul", counted(vec_mul))
+    monkeypatch.setattr(PrimeContext, "_horner_step",
+                        lambda ctx, d, rel: counted(horner_step(ctx, d, rel)))
     assert len(fixed_points_for_q(q)) == 3
-    assert count[0] <= 8754
+    assert count[0] <= 8351
+
+
+def _bench_legs(monkeypatch, workload: str) -> list:
+    """The input of every op in the seed-0 round of a benchmark workload:
+    q for fixed-points, x for param-fiber."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [op.spec[0] for op in workloads.build(workload, 0).round_ops]
+
+
+def test_probe_precision_is_derived_on_the_bench_legs(monkeypatch):
+    # the unit probe's precision comes from the precision recurrence with no
+    # Horner pass on all seven fixed-points and param-fiber legs, and is the
+    # one the pass gives
+    probes, passes = [], [0]
+    prec_at, evaluate = TruncatedSeries._prec_at, TruncatedSeries.evaluate
+
+    def spy_prec_at(series, point):
+        probes.append((series, point, prec_at(series, point)))
+        return probes[-1][2]
+
+    def spy_evaluate(series, point, prec_hint=None):
+        passes[0] += prec_hint is None
+        return evaluate(series, point, prec_hint)
+
+    qs, xs = _bench_legs(monkeypatch, "fixed-points"), _bench_legs(monkeypatch, "param-fiber")
+    assert len({q.ctx for q in qs}) == 4 and len({x.ctx for x in xs}) == 3
+    monkeypatch.setattr(TruncatedSeries, "_prec_at", spy_prec_at)
+    monkeypatch.setattr(TruncatedSeries, "evaluate", spy_evaluate)
+    for q in qs:
+        fixed_points_for_q(q)
+    for x in xs:
+        q_for_x(x)
+    monkeypatch.undo()
+    assert len(probes) == len(qs) + len(xs) and passes == [0]
+    for series, point, prec in probes:
+        assert prec == series.evaluate(point).prec
+
+
+def test_probe_precision_falls_back_to_the_pass(monkeypatch):
+    # a probe known to fewer digits than the coefficients, or off the unit
+    # circle, needs the v(acc) terms of the recurrence, so the pass is run
+    c = ctx_new(5, 3, 60)
+    rng = Random(17)
+    s = TruncatedSeries(c, c.zero(), tuple(sample(c, rng, valuation=k) for k in range(6)),
+                        Fraction(15))
+    passes = []
+    evaluate = TruncatedSeries.evaluate
+    monkeypatch.setattr(TruncatedSeries, "evaluate",
+                        lambda series, point, prec_hint=None:
+                        passes.append(prec_hint) or evaluate(series, point, prec_hint))
+    short, deep = c.from_int(6)._cap_prec(5), c.from_int(5)
+    for point in (short, deep, c.from_int(6)):
+        assert s._prec_at(point) == evaluate(s, point).prec
+    assert passes == [None, None]
+    assert s._prec_at(short) < s._prec_at(c.from_int(6))
+
+
+def test_fixed_points_make_no_unhinted_evaluation(monkeypatch):
+    # the probe was the one evaluation without a hint on the fixed-points legs
+    unhinted = []
+    evaluate = TruncatedSeries.evaluate
+
+    def spy(series, point, prec_hint=None):
+        if prec_hint is None:
+            unhinted.append(point)
+        return evaluate(series, point, prec_hint)
+
+    qs = _bench_legs(monkeypatch, "fixed-points")
+    monkeypatch.setattr(TruncatedSeries, "evaluate", spy)
+    for q in qs:
+        fixed_points_for_q(q)
+    assert unhinted == []
 
 
 def test_solver_reads_coefficients_only_to_certify(monkeypatch):
