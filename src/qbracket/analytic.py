@@ -39,19 +39,20 @@ A series is stored raw, not as PadicNumbers: one base valuation, each
 coefficient's vector already shifted onto it, and its valuation and
 precision as ints (Caruso, "Computations with p-adic numbers", 2017).
 The builders hand their raw coefficients over, and the derivative,
-scaling, deflation and recentring work on that form by the rules of
-PadicNumber arithmetic, so every coefficient is digit for digit the one
-the PadicNumber operations give; ``coeffs`` builds those PadicNumbers
-only when read.  A series' evaluation is one Horner pass on the stored
-vectors with no shift per step, normalized once; each step is one call
-of a kernel that core sets up once per pass for the fixed multiplier dz
-(an entrywise multiply when dz is an integer, else dz packed once for
-Kronecker substitution at f = 1).  The precision the PadicNumber loop
-would carry, P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n)), is kept
-as an integer beside it (Caruso, Roe and Vaccon, "Tracking p-adic
-precision", 2014), so value, digits and precision are the loop's.  At a
-unit dz the recurrence often fixes the precision before any step, and
-the solver reads the precision of its probe point that way.
+deflation and recentring work on that form by the rules of PadicNumber
+arithmetic, so every coefficient is digit for digit the one the
+PadicNumber operations give; ``coeffs`` builds those PadicNumbers only
+when read.  A series' evaluation is one Horner pass on the stored
+vectors with no shift per step, normalized once.  The precision the
+PadicNumber loop would carry, P <- min(P + v(dz), prec(dz) + v(acc),
+prec(c_n)), is kept as an integer beside it (Caruso, Roe and Vaccon,
+"Tracking p-adic precision", 2014), so value, digits and precision are
+the loop's.  Where the v(acc) terms cannot bind, that recurrence fixes
+the precision before any step: the solver reads the precision of its
+probe point that way, and a long pass at f = 1 and e > 1 then sums blocks of
+coefficients on Kronecker-packed integers, packed once per series, with
+one reduction per block; any other pass takes one step per coefficient
+of a kernel that core sets up once per pass for the fixed multiplier dz.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
+from .core import _BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _pack, _vp
 from .errors import CertificationFailure, ContextMismatch, DomainError
 
 __all__ = [
@@ -419,13 +421,17 @@ class _QSplit:
         self.check("q_bracket")
         return (exp(x * self.log_q) - self.one) * self.inv_y
 
-    def jet(self, x, n_max: int | None = None,
-            tail_target: Fraction | None = None) -> "TruncatedSeries":
-        """The series1 coefficients around x; see ``series1``.
+    def jet(self, x, n_max: int | None = None, tail_target: Fraction | None = None,
+            over_y: bool = False) -> "TruncatedSeries":
+        """The series1 coefficients around x (see ``series1``), each times
+        y^-1 when ``over_y``, the tail bound then lowered by v(y).
 
         c_0 and c_1 are PadicNumber arithmetic; c_n = c_(n-1) L / n for
         n >= 2 is ``_running_product`` with the one factor L = log q, t = 0
-        and d_n = n, one vector product per coefficient.
+        and d_n = n, one vector product per coefficient.  Over y, c_0, c_1
+        and the product's start are multiplied by y^-1 first: valuations
+        add along the product and its relative precision is the least, so
+        every c_n y^-1 comes out as the PadicNumber product gives it.
         """
         ctx = self.q.ctx
         x = _integral(ctx, x, "series1")
@@ -436,13 +442,18 @@ class _QSplit:
                 tail_target = Fraction(ctx.K, ctx.e)
             n_max = _n_for_tail(delta, tail_target)
         inv_y, big_l = self.inv_y, self.log_q
+        tail = n_max * delta
         qx = exp(x * big_l)
         term = qx * big_l * inv_y
-        raw = [_raw_of((qx - self.one) * inv_y - x), _raw_of(term - self.one)]
+        c0, c1 = (qx - self.one) * inv_y - x, term - self.one
+        if over_y:
+            c0, c1, term = c0 * inv_y, c1 * inv_y, term * inv_y
+            tail += Fraction(inv_y.val, ctx.e)
         # L is nonzero: log keeps v(y), and v(y) < prec(y)
         raw_l = (big_l.val, big_l._unit, big_l.prec - big_l.val)
+        raw = [_raw_of(c0), _raw_of(c1)]
         raw += _running_product(term, itertools.repeat(raw_l), 0, range(2, n_max + 1))
-        return TruncatedSeries._on_base(ctx, x, n_max * delta, *_to_base(ctx, raw))
+        return TruncatedSeries._on_base(ctx, x, tail, *_to_base(ctx, raw))
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -509,7 +520,7 @@ class TruncatedSeries:
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_base", "_vals", "_vecs", "_precs",
-                 "_lows", "_wall")
+                 "_lows", "_wall", "_packed")
 
     def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs,
                  tail_bound: Fraction | None):
@@ -543,6 +554,7 @@ class TruncatedSeries:
             base = lows[0]
         self._base, self._vecs, self._lows = base, vecs, tuple(lows)
         self._wall = max(self._precs, default=None)
+        self._packed = None
 
     @property
     def coeffs(self) -> tuple:
@@ -568,26 +580,35 @@ class TruncatedSeries:
         trailing coefficients whose suffix already sits above the hint
         are skipped.  The result is never claimed beyond the tail bound.
 
-        One Horner pass on the stored vectors, normalized once.  They sit
-        on the series' base b, so no step shifts; dz = point - center
-        becomes the vector D = pi^v(dz) unit (D = 0 at v(dz) = prec(dz)
-        when dz is zero-flagged), and each step is acc <- acc D + c_n
-        modulo pi^(W-b), one step of ``PrimeContext._horner_step``, which
-        reduces D once per pass and packs it once at f = 1, or multiplies
-        entrywise when D is an integer.  Beside it runs the precision the
+        The stored vectors sit on the series' base b, so the pass shifts
+        nothing; dz = point - center becomes the vector D = pi^v(dz) unit
+        (D = 0 at v(dz) = prec(dz) when dz is zero-flagged), and the
+        result is normalized once.  The precision is the one the
         PadicNumber loop acc <- acc*dz + c_n would carry,
-        P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n), W), with v(acc)
-        measured only when prec(dz) + b is below the other terms, since
-        v(acc) >= b.  That loop returns the stored representatives'
-        polynomial modulo pi^P, and so does the pass, so value, digits,
-        precision and zero flag are the loop's; neither depends on which
-        b the pass runs on, as long as no kept nonzero coefficient sits
-        below it.  W is the target, which capped the loop's result;
-        clamping P at it changes no result, because every term grows with
-        P when v(dz) >= 0, and when dz is zero-flagged at negative
-        precision P falls below the target after the first step, the top
+        P <- min(P + v(dz), prec(dz) + v(acc), prec(c_n), W), where W is
+        the target, which capped the loop's result.  That loop returns
+        the stored representatives' polynomial modulo pi^P, and so does
+        the pass, so value, digits, precision and zero flag are the
+        loop's; neither depends on which b the pass runs on, as long as
+        no kept nonzero coefficient sits below it.  Clamping P at W
+        changes no result, because every term grows with P when
+        v(dz) >= 0, and when dz is zero-flagged at negative precision P
+        falls below the target after the first step, the top
         coefficient being kept only for v < W.  An exact polynomial
         without a hint takes W = max prec(c_n), which P never exceeds.
+
+        Since v(acc) >= b, the recurrence gives
+        P = min(W, min prec(c_i) + i v(dz)) whenever v(dz) >= 0 and that
+        is at most prec(dz) + b (``_decided``, which ``_prec_at`` shares).
+        There, at f = 1, e > 1 and over more than 2 _BLOCK coefficients, the
+        pass is ``PrimeContext._block_pass``, one reduction per _BLOCK
+        coefficients, on the coefficients this series packs once, modulo
+        pi^(min(W, top) - b): top = min(tail cap, max prec(c_n)) is the
+        modulus they are packed at, whose slots a wider pass would overrun,
+        and P never exceeds it.  Otherwise each step is acc <- acc D + c_n
+        modulo pi^(W-b), one step of ``PrimeContext._horner_step``, which
+        reduces D once per pass, and the recurrence runs beside it, with
+        v(acc) measured only when prec(dz) + b is below the other terms.
         """
         ctx = self.ctx
         dz = self._offset(point)
@@ -600,6 +621,12 @@ class TruncatedSeries:
             dz_val, big_d = dz_prec, [0] * ctx._dim
         else:
             dz_val, big_d = dz.val, ctx._vec_shift(dz._unit, dz.val)
+        blocks = ctx.f == 1 and ctx.e > 1 and n > 2 * _BLOCK
+        prec = self._decided(dz, n, wall) if blocks else None
+        if prec is not None:
+            top, w, packed = self._packing(n)
+            acc = ctx._block_pass(packed, n, big_d, min(wall, top) - base, w)
+            return _from_raw(ctx, base, acc, prec)
         rel = wall - base
         step = ctx._horner_step(big_d, rel)
         acc = ctx._vec_reduce(vecs[n - 1] or [0] * ctx._dim, rel)
@@ -632,21 +659,47 @@ class TruncatedSeries:
             return None, len(self), self._wall
         return target, bisect.bisect_left(self._lows, target), target
 
-    def _prec_at(self, point: PadicNumber) -> int:
-        """``evaluate(point).prec``, derived without the pass where it can be.
+    def _decided(self, dz: PadicNumber, n: int, wall: int) -> int | None:
+        """The precision of a pass over n coefficients to modulus pi^W when the
+        v(acc) terms of the recurrence cannot bind, else None.
 
-        At a unit offset, v(dz) = 0, the precision recurrence gives
-        P = min(prec(c_n) for the kept n, W) together with the terms
-        prec(dz) + v(acc) >= prec(dz) + b; when that minimum is at most
-        prec(dz) + b it is the result, and otherwise the pass is run.
+        Without them the recurrence gives P = min(W, min prec(c_i) + i v(dz))
+        for v(dz) >= 0; each of them is prec(dz) + v(acc) >= prec(dz) + b,
+        carried up by the later steps, so when P <= prec(dz) + b none binds.
         """
-        dz = self._offset(point)
+        v = dz.prec if dz.is_zero else dz.val
+        if v < 0:
+            return None
+        precs = self._precs[:n]
+        low = min(min(map(operator.add, precs, range(0, n * v, v))) if v else min(precs), wall)
+        return low if low <= dz.prec + self._base else None
+
+    def _prec_at(self, point: PadicNumber) -> int:
+        """``evaluate(point).prec``, without the pass where ``_decided`` gives it."""
         _, n, wall = self._kept(None)
-        if n and not dz.is_zero and dz.val == 0:
-            low = min(min(self._precs[:n]), wall)
-            if low <= dz.prec + self._base:
-                return low
+        if n:
+            prec = self._decided(self._offset(point), n, wall)
+            if prec is not None:
+                return prec
         return self.evaluate(point).prec
+
+    def _packing(self, n: int) -> tuple:
+        """(top, w, coefficients packed for ``PrimeContext._block_pass``), the
+        first n of them at least: top = min(tail cap, max prec(c_n)), each
+        vector reduced modulo pi^(top - b) in slots of w =
+        ``_block_width(top - b)`` bits, 0 for a zero-flagged coefficient.
+        Each coefficient is packed once, when a pass first needs it."""
+        ctx = self.ctx
+        if self._packed is None:
+            cap = self._cap_pi()
+            top = self._wall if cap is None else min(cap, self._wall)
+            self._packed = top, ctx._block_width(top - self._base), []
+        top, w, packed = self._packed
+        if len(packed) < n:
+            rel = top - self._base
+            packed += [0 if v is None else _pack(ctx._vec_reduce(v, rel), w)
+                       for v in self._vecs[len(packed):n]]
+        return self._packed
 
     def _stored(self):
         """The (val, vector on the base, prec) triple of every coefficient."""
@@ -663,24 +716,6 @@ class TruncatedSeries:
                 out.append((None, None, p + up) if v is None else
                            (v + up, ctx._vec_reduce([n * a for a in w], p + up - base), p + up))
         return TruncatedSeries._on_base(ctx, self.center, self.tail_bound, base, out)
-
-    def scale(self, c: PadicNumber) -> "TruncatedSeries":
-        if c.is_zero:
-            raise DomainError("scaling by a value with no exact valuation")
-        ctx = self.ctx
-        shift = Fraction(c.val, ctx.e)
-        tail = None if self.tail_bound is None else self.tail_bound + shift
-        # c * c_n: valuations add, the relative precision is the lesser
-        cv, cu, crel = c.val, c._unit, c.prec - c.val
-        base = self._base + cv
-        out = []
-        for v, w, p in self._stored():
-            if v is None:
-                out.append((None, None, p + cv))
-            else:
-                prec = v + cv + min(crel, p - v)
-                out.append((v + cv, ctx._vec_reduce(ctx._vec_mul(cu, w), prec - base), prec))
-        return TruncatedSeries._on_base(ctx, self.center, tail, base, out)
 
     def drop_center_root(self) -> "TruncatedSeries":
         """Divide by (X - center) when the center is an exact root.
@@ -766,13 +801,17 @@ def _mul_add(ctx: PrimeContext, base: int, c: tuple, r: tuple, d: tuple) -> tupl
     its valuation measured on the reduced vector.  A vector on b is
     pi^(v - b) unit, so reducing the sum or the product there gives the
     shifted canonical unit, and every value, digit and precision is the
-    PadicNumber one.
+    PadicNumber one.  When r is 1 to at least d's relative precision, the
+    product is d itself: its precision is d's, and d's vector is already
+    reduced there.
     """
     cv, cw, cp = c
     dv, dw, dp = d
     rv, rw, rrel, rp, r0 = r
     if rv is None or dv is None:
         prod = (None, None, (rp if rv is None else rv) + (dp if dv is None else dv))
+    elif r0 == 1 and rrel >= dp - dv:  # r = 1 to at least d's relative precision
+        prod = d
     else:
         pp = rv + dv + min(rrel, dp - dv)
         rd = ctx._vec_mul(rw, dw) if r0 is None else [r0 * x for x in dw]

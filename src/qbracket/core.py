@@ -27,6 +27,7 @@ one raises, forcing callers to branch explicitly.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -45,9 +46,11 @@ __all__ = [
 ]
 
 
-# smallest e at which PrimeContext._vec_mul packs its operands; see the
-# notes on the coefficient-vector kernels
+# smallest e at which PrimeContext._vec_mul packs its operands, and the
+# number of coefficients PrimeContext._block_pass sums per reduction; see
+# the notes on the coefficient-vector kernels
 _PACKED_MIN_E = 5
+_BLOCK = 8
 
 
 def _vp(n: int, p: int) -> int:
@@ -391,6 +394,28 @@ class PrimeContext:
     # step keeps the table walk of _vec_mul.  On evaluate's calls captured
     # from fixed_points_for_q, the pass with these steps ran 1.3x as fast
     # as with _vec_mul at e = 1, 1.8x at e = 3 and 4, and 1.6x at e = 10.
+    #
+    # _block_pass reduces once per B = _BLOCK coefficients (rectangular
+    # splitting, Paterson and Stockmeyer 1973): from the top block down,
+    # acc <- acc d^B + sum_{j<B} c_(i+j) d^j modulo pi^rel, with d^2 ... d^B
+    # from B - 1 steps.  Every operand is packed, so a block is at most
+    # B + 1 big-integer products summed as integers, then one fold, one
+    # unpacking and one reduction.  The coefficients are packed once, in
+    # slots of the width w set for the modulus pi^top they are reduced at;
+    # acc and the powers are reduced modulo pi^rel with rel <= top.  So every
+    # entry is below M = p^ceil(top/e), a slot of one product sums at most e
+    # terms below M^2 before the fold and (p + 1) e of them after it, and a
+    # slot of the block's sum stays below (B + 1) e (p + 1) M^2:
+    # w = 2 bits(M) + bits((B + 1) e (p + 1)) keeps it from carrying.  The
+    # B - 1 power steps cost what B - 1 Horner steps do, so only a pass over
+    # more than 2B coefficients takes blocks (TruncatedSeries.evaluate
+    # says when).  On the evaluations of one round of the fixed-points
+    # benchmark, each series packed afresh, the passes took 0.68x the time
+    # of Horner steps at (p, e, K) = (3, 4, 120), 0.57x at (5, 3, 90) and
+    # 0.54x at (5, 10, 200); B = 4 took 1.07-1.17x the time of B = 8, and
+    # B = 16 0.98-1.17x, over those and param-fiber's.  At e = 1 a step is
+    # one integer product, and the whole ops of the (3, 1, 60) legs ran
+    # 0.97-1.03x as long with blocks as with steps, so e = 1 keeps the steps.
 
     def _moduli(self, rel: int) -> list:
         """The per-entry moduli of a vector reduced modulo pi^rel."""
@@ -406,18 +431,30 @@ class PrimeContext:
         return tuple(map(operator.mod, vec, self._mods.get(rel) or self._moduli(rel)))
 
     def _vec_val(self, vec: Sequence[int], rel: int) -> int | None:
-        """min(e*vp(a_k) + k % e) over nonzero entries, or None if that is >= rel."""
-        e, p = self.e, self.p
-        best = None
-        for k, a in enumerate(vec):
-            if a == 0:
-                continue
-            t = e * _vp(a, p) + k % e
-            if best is None or t < best:
-                best = t
-        if best is None or best >= rel:
+        """min(e*vp(a_k) + k % e) over nonzero entries, or None if that is >= rel.
+
+        The least vp(a_k) is s = vp(gcd of the entries), and e*s + i < e*(s + 1)
+        for every i < e, so the minimum is e*s plus the least k % e over
+        the entries that p^(s+1) does not divide.  The vectors of a
+        fixed-points and a param-fiber round often share a high power of p;
+        on them this took 0.26-0.64x the time of one vp per entry at e >= 3,
+        and 0.9x at e = 1.
+        """
+        g = math.gcd(*vec)
+        if not g:
             return None
-        return best
+        e, s = self.e, _vp(g, self.p)
+        if self._dim == 1:  # e = f = 1: s is the valuation
+            return s if s < rel else None
+        top = self._ppow(s + 1)
+        if self.f > 1:
+            i = min(k % e for k, a in enumerate(vec) if a % top)
+        else:  # one block: the first such entry has the least k % e
+            for i, a in enumerate(vec):
+                if a % top:
+                    break
+        v = e * s + i
+        return v if v < rel else None
 
     def _vec_mul(self, a: Sequence[int], b: Sequence[int]) -> list:
         table = self._table
@@ -443,12 +480,7 @@ class PrimeContext:
             if not ma or not mb:
                 return [0] * e
             w = ma.bit_length() + mb.bit_length() + e.bit_length() + p.bit_length()
-            x = y = 0
-            for ai in reversed(a):
-                x = x << w | ai
-            for bj in reversed(b):
-                y = y << w | bj
-            z, ew = x * y, e * w
+            z, ew = _pack(a, w) * _pack(b, w), e * w
             z = (z & ((1 << ew) - 1)) + p * (z >> ew)
             mask = (1 << w) - 1
             return [z >> s & mask for s in range(0, ew, w)]
@@ -495,20 +527,49 @@ class PrimeContext:
         w = 2 * self._ppow(_ceil_div(rel, e)).bit_length() + e.bit_length() + p.bit_length()
         ew = e * w
         low, mask, slots = (1 << ew) - 1, (1 << w) - 1, range(0, ew, w)
-        packed = 0
-        for dj in reversed(d):
-            packed = packed << w | dj
+        packed = _pack(d, w)
 
         def step(acc, c):
-            x = 0
-            for a in reversed(acc):
-                x = x << w | a
-            z = x * packed
+            z = _pack(acc, w) * packed
             z = (z & low) + p * (z >> ew)
             if c is None:
                 return [(z >> s & mask) % m for s, m in zip(slots, mods)]
             return [((z >> s & mask) + y) % m for s, y, m in zip(slots, c, mods)]
         return step
+
+    def _block_width(self, rel: int) -> int:
+        """The slot width of ``_block_pass`` for operands reduced modulo pi^rel."""
+        m = self._ppow(max(_ceil_div(rel, self.e), 0))
+        return 2 * m.bit_length() + ((_BLOCK + 1) * self.e * (self.p + 1)).bit_length()
+
+    def _block_pass(self, coeffs: Sequence[int], n: int, d: Sequence[int], rel: int,
+                    w: int) -> list:
+        """sum_{i<n} c_i d^i reduced modulo pi^rel, at f = 1, _BLOCK terms a reduction.
+
+        ``coeffs[i]`` is c_i packed in slots of w = ``_block_width(top)``
+        bits, its entries reduced modulo pi^top for some top >= rel, and 0
+        when c_i is zero; d is integral.
+        """
+        e, p = self.e, self.p
+        mods = self._moduli(rel)
+        ew = e * w
+        low, mask, slots = (1 << ew) - 1, (1 << w) - 1, range(0, ew, w)
+        step = self._horner_step(d, rel)
+        power = self._vec_reduce(d, rel)
+        pows = [1, _pack(power, w)]  # d^0, d^1, ..., d^_BLOCK as far as n needs
+        for _ in range(min(_BLOCK, n - 1) - 1):
+            power = step(power, None)
+            pows.append(_pack(power, w))
+        join = pows.pop() if n > _BLOCK else None
+        acc, hi = None, n
+        for i in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            z = sum(map(operator.mul, coeffs[i:hi], pows))
+            if acc is not None:
+                z += _pack(acc, w) * join
+            z = (z & low) + p * (z >> ew)
+            acc = [(z >> s & mask) % m for s, m in zip(slots, mods)]
+            hi = i
+        return acc
 
     def _vec_shift(self, vec: Sequence[int], t: int) -> list:
         """Multiply by pi^t.  Downward shifts must stay integral."""
@@ -575,6 +636,15 @@ class PrimeContext:
             corr[0] += 2
             w = self._vec_reduce(self._vec_mul(w, self._vec_reduce(corr, k)), k)
         return self._vec_reduce(w, rel)
+
+
+def _pack(vec: Sequence[int], w: int) -> int:
+    """The entries of a vector of nonnegative integers in slots of w bits,
+    entry 0 lowest."""
+    x = 0
+    for a in reversed(vec):
+        x = x << w | a
+    return x
 
 
 def ctx_new(p: int, e: int = 1, K: int | None = None, f: int = 1) -> PrimeContext:

@@ -351,9 +351,11 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     _, m0, u = s.parts()
     if not phi2_contains(m0, ctx.p):
         return SolveOutcome((), 0, m0)
-    s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
+    # s1 / (q - 1): the constant factor moves every valuation, zero-flag
+    # bound and the tail bound alike, so the count is that of s1
+    s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1, over_y=True)
     predicted = unit_disk_zero_count(s1) - 2
-    g = s1.drop_center_root().divide_by_root(s.one).scale(s.inv_y)
+    g = s1.drop_center_root().divide_by_root(s.one)
     field = ctx.residue_field()
     return _solve_fiber(g, predicted, m0, field[2:] + field[:2], ctx.p + 1,
                         lambda x: (x, s, u))

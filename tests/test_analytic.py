@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbracket import analytic
+from qbracket import analytic, core
 from qbracket import (
     CertificationFailure,
     DomainError,
@@ -581,7 +581,7 @@ def _evaluate_arguments(draw):
     tail = draw(st.none() | st.integers(1, 3 * K).map(lambda t: Fraction(t, e)))
     s = TruncatedSeries(c, center, tuple(coeffs), tail)
     if draw(st.booleans()):  # negative valuations, and a lower tail bound
-        s = s.scale(number(1, 2 * e, zeros=False).inv())
+        s = TruncatedSeries(c, *_scale_ref(s, number(1, 2 * e, zeros=False).inv()))
     kind = draw(st.sampled_from(("center", "unit", "deep", "low", "outside", "void")))
     if kind == "center":  # dz zero-flagged
         point = center
@@ -688,17 +688,26 @@ def test_evaluate_matches_reference_on_more_contexts(monkeypatch, run):
         assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
 
 
-@pytest.mark.parametrize("hint,n", [(None, 12), (6, 6)])
-def test_evaluate_operation_counts(monkeypatch, hint, n):
-    # one step of the fixed-multiplier kernel per Horner step, which packs
-    # dz once and calls no generic vector product, and one normalization;
-    # the PadicNumber loop paid a full * and + per step
+@pytest.mark.parametrize("hint,n,steps,block,join", [
+    (None, 12, 11, 0, 0),   # at most 2B coefficients: Horner steps
+    (6, 6, 5, 0, 0),
+    (None, 30, 7, 30, 3),   # d^2 ... d^8 by steps, then four blocks
+    (20, 20, 7, 20, 2),     # a hint that cuts the third block
+    ("short", 30, 29, 0, 0),  # dz known to 5 digits: the recurrence is undecided
+], ids=["None-12", "6-6", "None-30", "20-20", "short-30"])
+def test_evaluate_operation_counts(monkeypatch, vector_products, hint, n, steps, block, join):
+    # the PadicNumber loop paid a full * and + per step; a step of the
+    # fixed-multiplier kernel packs dz once and calls no generic vector
+    # product, and the block pass adds per coefficient one product of
+    # packed integers, with one reduction per block; one normalization
     c = ctx_new(5, 3, 90)
     rng = Random(14)
-    coeffs = tuple(sample(c, rng, valuation=k) for k in range(12))
+    coeffs = tuple(sample(c, rng, valuation=k) for k in range(n if hint is None else 30))
     s = TruncatedSeries(c, c.one(), coeffs, None)
     point = c.one() + sample(c, rng, valuation=1)
-    counts = {"step": 0, "vec_mul": 0, "from_raw": 0, "mul": 0}
+    if hint == "short":
+        point, hint = point._cap_prec(5), None
+    counts = dict.fromkeys(("from_raw", "mul"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -706,14 +715,84 @@ def test_evaluate_operation_counts(monkeypatch, hint, n):
             return fn(*args)
         return wrapper
 
-    horner_step = PrimeContext._horner_step
-    monkeypatch.setattr(PrimeContext, "_horner_step",
-                        lambda ctx, d, rel: counted("step", horner_step(ctx, d, rel)))
-    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
     monkeypatch.setattr(analytic, "_from_raw", counted("from_raw", analytic._from_raw))
     monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
-    s.evaluate(point, hint)
-    assert counts == {"step": n - 1, "vec_mul": 0, "from_raw": 1, "mul": 0}
+    got = s.evaluate(point, hint)
+    assert vector_products == {"vec_mul": 0, "step": steps, "block": block, "join": join}
+    assert counts == {"from_raw": 1, "mul": 0}
+    monkeypatch.undo()
+    assert got == _evaluate_ref(s, point, hint)
+
+
+# -- the block pass against the Horner reference -------------------------
+
+
+@st.composite
+def _block_arguments(draw):
+    """A series over up to 3B + 6 coefficients at f = 1, digits from a drawn
+    seed, and a point and hint; most draws leave the recurrence decided."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(2, 12))  # e = 1 takes Horner steps
+    K = draw(st.integers(2 * e, 4 * e + 8))
+    c = ctx_new(p, e, K)
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+
+    def number(lo, hi, top, zeros=True):
+        """val in [lo, hi], prec up to top; now and then zero-flagged."""
+        if zeros and draw(st.integers(0, 5)) == 0:
+            return c.zero(draw(st.integers(max(lo, 0), top)))
+        val = draw(st.integers(lo, hi))
+        prec = draw(st.integers(val + 1, max(val + 1, top)))
+        return _read(c, val, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(prec - val)],
+                     prec)
+
+    block = core._BLOCK  # a pass over more than 2B coefficients takes blocks
+    n = draw(st.integers(2 * block + 1, 3 * block + 6) if draw(st.integers(0, 3))
+             else st.integers(1, 2 * block))
+    coeffs = [number(0, K, K + e) for _ in range(n)]
+    tail = draw(st.none() | st.integers(1, 3 * K).map(lambda t: Fraction(t, e)))
+    s = TruncatedSeries(c, number(0, 2, 3 * K, zeros=False), tuple(coeffs), tail)
+    kind = draw(st.sampled_from(("integer", "unit", "deep", "center", "low")))
+    if kind == "integer":
+        point = s.center + c.from_int(draw(st.integers(0, 3 * p)))
+    elif kind == "center":  # dz zero-flagged
+        point = s.center
+    else:
+        point = s.center + number(*{"unit": (0, 0), "deep": (1, 2 * e), "low": (0, 1)}[kind],
+                                  3 * K, zeros=False)
+        if kind == "low":  # known to fewer digits: the recurrence may be undecided
+            point = point._cap_prec(draw(st.integers(1, K)))
+    hint = draw(st.none() | st.integers(1, K + 2 * e))  # cuts anywhere, mid-block too
+    return s, point, hint
+
+
+@given(_block_arguments())
+@settings(max_examples=200, deadline=None)
+def test_block_pass_matches_horner_reference(case):
+    s, point, hint = case
+    got = _outcome(lambda pt: s.evaluate(pt, hint), point)
+    assert got == _outcome(lambda pt: _evaluate_ref(s, pt, hint), point)
+
+
+def test_block_pass_clamps_an_exact_polynomial_to_its_packing(monkeypatch):
+    # an exact polynomial packs its coefficients modulo pi^(max prec); a
+    # hint above that must not widen the pass's modulus past it, or the
+    # entries outgrow the slots they were packed for
+    ran = []
+    block_pass = PrimeContext._block_pass
+    monkeypatch.setattr(PrimeContext, "_block_pass",
+                        lambda ctx, *args: ran.append(args[3]) or block_pass(ctx, *args))
+    for p, e in ((2, 2), (3, 4), (5, 10), (7, 12)):
+        K = 6 * e
+        c = ctx_new(p, e, K)
+        top = [p - 1] * K  # every entry at its modulus - 1
+        s = TruncatedSeries(c, c.zero(4 * K), (c.from_digits(0, top, K),) * (3 * core._BLOCK + 3),
+                            None)
+        point = c.from_digits(0, [p - 1] * 4 * K, 4 * K)
+        for hint in (None, K, 2 * K, 3 * K):
+            ran.clear()
+            assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
+            assert ran == [K]
 
 
 def test_series2_recentred_coefficients_stay_below_the_tail():
@@ -870,10 +949,12 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
 
 # -- the raw series operations against their PadicNumber bodies ----------
 #
-# The functions below are the pre-change bodies of derivative, scale,
+# The functions below are the pre-change bodies of derivative,
 # drop_center_root, divide_by_root and the series2 recentring, on the
 # PadicNumber coefficients.  The raw form must give the same
 # coefficients, bit for bit, the same tail bound, or the same error.
+# _scale_ref, the body of the scaling the fused series1 build replaced,
+# builds the series of negative valuation the strategies draw.
 
 def _derivative_ref(s):
     coeffs = tuple(c._mul_int(n) for n, c in enumerate(s.coeffs) if n > 0)
@@ -967,19 +1048,18 @@ def _raw_series_arguments(draw):
     s = TruncatedSeries(c, center, tuple(coeffs), tail)
     assert s.coeffs == tuple(coeffs)
     if draw(st.booleans()):  # negative valuations, and a lower tail bound
-        s = s.scale(number(1, 2 * e, zeros=False).inv())
-    return s, number(-e, 2 * e), center + rho
+        s = TruncatedSeries(c, *_scale_ref(s, number(1, 2 * e, zeros=False).inv()))
+    return s, center + rho
 
 
 @given(_raw_series_arguments())
 @settings(max_examples=300, deadline=None)
 def test_raw_series_operations_match_reference(case):
-    s, c, root = case
+    s, root = case
     e = s.ctx.e
     assert s.valuation_points() == [(n, None if d.is_zero else Fraction(d.val, e))
                                     for n, d in enumerate(s.coeffs)]
     assert _as_built(s.derivative) == _as_built(lambda: _derivative_ref(s))
-    assert _as_built(lambda: s.scale(c)) == _as_built(lambda: _scale_ref(s, c))
     assert _as_built(s.drop_center_root) == _as_built(lambda: _drop_center_root_ref(s))
     assert (_as_built(lambda: s.divide_by_root(root))
             == _as_built(lambda: _divide_by_root_ref(s, root)))

@@ -863,3 +863,77 @@ def test_horner_step_takes_no_vector_product_at_f1(monkeypatch):
             acc = c._vec_reduce([3] * c._dim, rel)
             step(step(acc, None), acc)
     assert calls == [2, 2]
+
+
+# _block_pass(coeffs, n, d, rel, w) sums c_i d^i for i < n modulo pi^rel,
+# _BLOCK coefficients per reduction, on coefficients packed once in slots
+# of w = _block_width(top) bits; the reference is the Horner loop on the
+# schoolbook product above.  Every entry of every coefficient and of d at
+# its modulus minus 1 drives the slot sums to their widest.
+
+def _block_pass_ref(c, coeffs, d, rel):
+    acc = [0] * c._dim
+    for x in reversed(coeffs):
+        acc = c._vec_reduce([a + b for a, b in zip(_vec_mul_ref(c, acc, d), x)], rel)
+    return list(acc)
+
+
+def test_block_pass_at_the_widest_slot_sums():
+    block = _core._BLOCK
+    for p in (2, 3, 5, 7):
+        for e in range(1, 13):
+            c = ctx_new(p, e, 4 * e + 8)
+            for top in (1, e + 1, 3 * e - 1, c.K):
+                w = c._block_width(top)
+                x = [m - 1 for m in c._moduli(top)]
+                packed = [_core._pack(x, w)] * (3 * block + 5)
+                for rel in {top, max(top - e - 1, 1)}:  # the pass at and below the packing
+                    d = [m - 1 for m in c._moduli(rel)]
+                    for n in (1, block + 1, 3 * block + 5):
+                        assert c._block_pass(packed, n, d, rel, w) == _block_pass_ref(
+                            c, [x] * n, d, rel), (p, e, top, rel, n)
+
+
+# _vec_val finds the least p-power by one gcd and the least index among
+# the entries it leaves by one scan; the per-entry loop it replaced is the
+# reference.
+
+def _vec_val_ref(c, vec, rel):
+    e, p = c.e, c.p
+    best = None
+    for k, a in enumerate(vec):
+        if a == 0:
+            continue
+        t = e * _core._vp(a, p) + k % e
+        if best is None or t < best:
+            best = t
+    if best is None or best >= rel:
+        return None
+    return best
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_vec_val_matches_per_entry_loop(data):
+    draw = data.draw
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 12))
+    f = draw(st.sampled_from((1, 2)))
+    c = ctx_new(p, e, 4 * e + 8, f)
+    kind = draw(st.sampled_from(("zero", "divisible", "sparse", "signed")))
+    if kind == "zero":
+        vec = [0] * c._dim
+    else:
+        lo = -p ** 12 if kind == "signed" else 0
+        vec = draw(st.lists(st.integers(lo, p ** 12), min_size=c._dim, max_size=c._dim))
+        if kind == "sparse":  # zeros, the rest divisible by various powers
+            vec = [a * p ** draw(st.integers(0, 4)) if draw(st.booleans()) else 0 for a in vec]
+        elif kind == "divisible":  # every entry divisible by one p^k
+            k = draw(st.integers(1, 6))
+            vec = [a * p ** k for a in vec]
+    least = _vec_val_ref(c, vec, 10 ** 9)
+    rels = [1, c.K, draw(st.integers(-e, 20 * e))]
+    if least is not None:  # the least value just inside rel, at it and past it
+        rels += [least + 1, least, least - 1]
+    for rel in rels:
+        assert c._vec_val(vec, rel) == _vec_val_ref(c, vec, rel), rel

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import qbracket.analytic as analytic
 import qbracket.solver as solver
 from qbracket import (
+    CertificationFailure,
     DomainError,
     FixedPointRecord,
     LiftFailure,
@@ -37,6 +38,7 @@ from qbracket import (
     q_bracket,
     q_for_x,
     sample,
+    unit_disk_zero_count,
 )
 
 
@@ -450,35 +452,60 @@ def test_ladder_matches_reference_on_hensel_lift(p, e, seed, near, off):
     assert got == want
 
 
-def test_heavy_solve_vector_products(monkeypatch):
-    # vector products plus Horner steps, each step one product by the pass's
-    # fixed multiplier: 8,754 products before the probe's precision was
-    # derived, less the probe's 403; the ladder without the 8e floor and
-    # with g' at hint - v(g) + s replaced a loop of 12,435 products
-    count = [0]
-    vec_mul, horner_step = PrimeContext._vec_mul, PrimeContext._horner_step
-
-    def counted(fn):
-        def wrapper(*args):
-            count[0] += 1
-            return fn(*args)
-        return wrapper
-
+def test_heavy_solve_vector_products(vector_products):
+    # 12,435 products before the Newton ladder, 8,754 after it, 8,351 once
+    # the probe's precision was derived; 7,926 (1,306 _vec_mul and 6,620
+    # steps) once every Horner step took the fixed-multiplier kernel, each
+    # step being a product and a reduction.  Now g and g' are evaluated by
+    # blocks: 6,669 coefficient products, each one product of packed
+    # integers with no reduction, 815 joins and 343 steps for the powers of
+    # dz, one reduction per block (864); and g is built over y with no
+    # scaling pass, 423 _vec_mul calls fewer.  8,710 products in all, 2,090
+    # of them reduced, where there were 7,926 and 7,926
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
-    monkeypatch.setattr(PrimeContext, "_vec_mul", counted(vec_mul))
-    monkeypatch.setattr(PrimeContext, "_horner_step",
-                        lambda ctx, d, rel: counted(horner_step(ctx, d, rel)))
     assert len(fixed_points_for_q(q)) == 3
-    assert count[0] <= 8351
+    assert vector_products == {"vec_mul": 883, "step": 343, "block": 6669, "join": 815}
 
 
-def _bench_legs(monkeypatch, workload: str) -> list:
-    """The input of every op in the seed-0 round of a benchmark workload:
-    q for fixed-points, x for param-fiber."""
+def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
+    # every evaluation of g and g' on the heavy solve is one the shared
+    # precision rule decides, over more than 2B coefficients, so each runs
+    # the block pass; at e = 1, at f = 2, and where the rule is undecided
+    # (dz known to 5 digits), a series like it runs Horner steps
+    ran, paths = [], []
+    evaluate, block_pass = TruncatedSeries.evaluate, PrimeContext._block_pass
+
+    def spy(series, point, prec_hint=None):
+        ran.clear()
+        out = evaluate(series, point, prec_hint)
+        paths.append((len(series), bool(ran)))
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", spy)
+    monkeypatch.setattr(PrimeContext, "_block_pass",
+                        lambda ctx, *args: ran.append(1) or block_pass(ctx, *args))
+    c = ctx_new(5, 10, 200)
+    assert len(fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))) == 3
+    assert {n for n, _ in paths} == {425, 424} and all(used for _, used in paths)
+    assert len(paths) == 49
+    for e, f, short in ((3, 1, False), (1, 1, False), (3, 2, False), (3, 1, True)):
+        c = ctx_new(5, e, 30 * e, f)
+        rng = Random(18)
+        s = TruncatedSeries(c, c.zero(), tuple(sample(c, rng, valuation=k) for k in range(30)),
+                            None)
+        point = sample(c, rng)
+        paths.clear()
+        s.evaluate(point._cap_prec(5) if short else point)
+        assert paths == [(30, e > 1 and f == 1 and not short)]
+
+
+def _bench_legs(monkeypatch, workload: str, seed: int = 0) -> list:
+    """The input of every op in one round of a benchmark workload: q for
+    fixed-points, x for param-fiber."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     workloads = importlib.import_module("workloads")
-    return [op.spec[0] for op in workloads.build(workload, 0).round_ops]
+    return [op.spec[0] for op in workloads.build(workload, seed).round_ops]
 
 
 def test_probe_precision_is_derived_on_the_bench_legs(monkeypatch):
@@ -511,8 +538,10 @@ def test_probe_precision_is_derived_on_the_bench_legs(monkeypatch):
 
 
 def test_probe_precision_falls_back_to_the_pass(monkeypatch):
-    # a probe known to fewer digits than the coefficients, or off the unit
-    # circle, needs the v(acc) terms of the recurrence, so the pass is run
+    # a probe known to fewer digits than the coefficients, or zero-flagged
+    # at a negative precision, leaves the v(acc) terms of the recurrence
+    # free to bind, so the pass is run; at an integer off the unit circle
+    # the shared rule decides it, and the pass gives the same precision
     c = ctx_new(5, 3, 60)
     rng = Random(17)
     s = TruncatedSeries(c, c.zero(), tuple(sample(c, rng, valuation=k) for k in range(6)),
@@ -522,8 +551,8 @@ def test_probe_precision_falls_back_to_the_pass(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "evaluate",
                         lambda series, point, prec_hint=None:
                         passes.append(prec_hint) or evaluate(series, point, prec_hint))
-    short, deep = c.from_int(6)._cap_prec(5), c.from_int(5)
-    for point in (short, deep, c.from_int(6)):
+    short, void, deep = c.from_int(6)._cap_prec(5), c.zero(-1), c.from_int(5)
+    for point in (short, void, deep, c.from_int(6)):
         assert s._prec_at(point) == evaluate(s, point).prec
     assert passes == [None, None]
     assert s._prec_at(short) < s._prec_at(c.from_int(6))
@@ -591,3 +620,104 @@ def test_short_derivative_gives_the_quotient_of_the_full_one(monkeypatch):
     fiber = q_for_x(c3.from_int(5) + sample(c3, Random(13), valuation=4))
     assert len(out) == 3 and len(fiber) >= 1
     assert checked[0] >= 20
+
+
+# -- the deflated series built over y, against the chain it replaced -----
+#
+# fixed_points_for_q built s1 = series1 at 0, counted its zeros, dropped
+# the root at 0, divided by X - 1 and scaled by y^-1 = (q - 1)^-1; the
+# scaling below is the raw TruncatedSeries.scale that did the last step.
+# The jet built over y must give s1 y^-1, and the chain on it g, with the
+# same base, valuations, vectors and precisions, and the same zero count.
+
+def _scale_raw_ref(s, c):
+    ctx = s.ctx
+    tail = None if s.tail_bound is None else s.tail_bound + Fraction(c.val, ctx.e)
+    cv, cu, crel = c.val, c._unit, c.prec - c.val
+    base = s._base + cv
+    out = []
+    for v, w, p in s._stored():
+        if v is None:
+            out.append((None, None, p + cv))
+        else:
+            prec = v + cv + min(crel, p - v)
+            out.append((v + cv, ctx._vec_reduce(ctx._vec_mul(cu, w), prec - base), prec))
+    return TruncatedSeries._on_base(ctx, s.center, tail, base, out)
+
+
+def _raw(s):
+    """A series as stored: center, tail bound, base and every triple."""
+    return (s.center, s.tail_bound, s._base,
+            [(v, None if w is None else tuple(w), p) for v, w, p in s._stored()])
+
+
+def _built_over_y(q):
+    """s1 y^-1 and g built both ways, each with its zero count, or the error."""
+    ctx = q.ctx
+    s = analytic._QSplit(q)
+    _, m0, _ = s.parts()
+    target = Fraction(ctx.K, ctx.e) + m0 + 1
+    out = []
+    for s1 in (s.jet(ctx.from_int(0), tail_target=target, over_y=True),
+               _scale_raw_ref(s.jet(ctx.from_int(0), tail_target=target), s.inv_y)):
+        try:
+            count = unit_disk_zero_count(s1)
+        except CertificationFailure as exc:
+            count = str(exc)
+        out.append((_raw(s1), count))
+    new = out[0][0]
+    try:
+        g_new = _raw(s.jet(ctx.from_int(0), tail_target=target, over_y=True)
+                     .drop_center_root().divide_by_root(s.one))
+    except CertificationFailure as exc:
+        g_new = str(exc)
+    try:
+        g_old = _raw(_scale_raw_ref(s.jet(ctx.from_int(0), tail_target=target)
+                                    .drop_center_root().divide_by_root(s.one), s.inv_y))
+    except CertificationFailure as exc:
+        g_old = str(exc)
+    return new, out[0][1], out[1][0], out[1][1], g_new, g_old
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_g_over_y_matches_the_scaled_chain_on_the_bench_legs(monkeypatch, seed):
+    # the series fixed_points_for_q solves, and its predicted count, are
+    # those of the old chain on every q of a fixed-points round
+    seen = []
+    solve_fiber = solver._solve_fiber
+    monkeypatch.setattr(solver, "_solve_fiber",
+                        lambda series, predicted, *args:
+                        seen.append((series, predicted)) or solve_fiber(series, predicted, *args))
+    qs = _bench_legs(monkeypatch, "fixed-points", seed)
+    for q in qs:
+        seen.clear()
+        fixed_points_for_q(q)
+        ctx = q.ctx
+        s = analytic._QSplit(q)
+        _, m0, _ = s.parts()
+        s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
+        g_old = _scale_raw_ref(s1.drop_center_root().divide_by_root(s.one), s.inv_y)
+        [(g, predicted)] = seen
+        assert _raw(g) == _raw(g_old)
+        assert predicted == unit_disk_zero_count(s1) - 2
+
+
+@st.composite
+def _q_over_y_arguments(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    e = draw(st.integers(1, 6))
+    c = ctx_new(p, e, draw(st.integers(2 * e, 12 * e + 12)))
+    lo = e // (p - 1) + 1  # least t with t/e in S
+    t = draw(st.integers(lo, min(lo + 2 * e, c.K - 1)))
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    prec = draw(st.integers(t + 1, c.K + e))  # q known below K, or above it
+    digits = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(prec - t - 1)]
+    return c.one()._lift_exact(prec) + c.from_digits(t, digits, prec)
+
+
+@given(_q_over_y_arguments())
+@settings(max_examples=40, deadline=None)
+def test_g_over_y_matches_the_scaled_chain(q):
+    new, new_count, old, old_count, g_new, g_old = _built_over_y(q)
+    assert new == old and new_count == old_count
+    assert g_new == g_old
