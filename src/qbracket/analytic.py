@@ -723,6 +723,8 @@ class TruncatedSeries:
         Index shift only; the caller asserts the analytic fact, the
         constant coefficient merely confirms it numerically.
         """
+        if not self._vals:
+            raise DomainError("series too short to divide")
         if self._vals[0] is not None:
             raise CertificationFailure(
                 "constant coefficient is not zero at precision; center is not a confirmed root")

@@ -19,7 +19,8 @@ series only a little past the accuracy the iterate already has, 2e
 pi-units above the doubled bound of the last step, and the derivative
 only to the digits the Newton quotient keeps, which keeps the Horner
 sums short.  Only the seed evaluations, which decide the Newton
-criterion and the subdivision, are taken at a fixed floor of 8e.  The
+criterion and the subdivision, are taken at a fixed floor of 8e, and the
+screen that picks the seeds evaluates each residue to one digit.  The
 ladder is transparent to correctness because evaluations are honest at
 every hint: a lift that converges returns the same root, with the same
 digits and precision, whatever hints it climbed through.
@@ -230,7 +231,7 @@ def hensel_lift(f, seed: PadicNumber, *, target: int | None = None) -> PadicNumb
 
 
 def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
-                     target: int) -> list:
+                     target: int, lifts: list) -> list:
     """All roots reachable from one residue seed, refining when needed.
 
     When the Newton criterion fails at a seed but the value still
@@ -245,7 +246,6 @@ def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
     found = []
     stack = [(seed, 0)]
     nodes = 0
-    lifts = None
     floor = _HINT_FLOOR * ctx.e
     while stack:
         pt, depth = stack.pop()
@@ -265,8 +265,6 @@ def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
                 pass
             continue
         if depth < 2 * ctx.e and low > depth:
-            if lifts is None:
-                lifts = [ctx.from_residue(r) for r in ctx.residue_field()]
             for d in lifts:
                 child = pt if d.is_zero else pt + d.scale_pi(depth + 1)
                 stack.append((child, depth + 1))
@@ -312,22 +310,29 @@ def _record_key(rec: FixedPointRecord):
             rec.x.digits())
 
 
-def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
-                 probe: int, point) -> SolveOutcome:
+def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, point) -> SolveOutcome:
     """Lift the roots of a fiber's series from residue seeds, then certify them.
 
-    Seeds are tried in the given order until ``predicted`` distinct
-    roots are found; ``point(root)`` is the (x, split of q, u) a root
-    stands for.  Records come out sorted by residues, then digits.
+    Residue r is no seed when the series at r, to v_min + 1 pi-units, is
+    nonzero of valuation v_min, the least coefficient valuation (a
+    zero-flagged coefficient's precision standing in for it): the
+    residual polynomial is nonzero at r, so every value on r's disk has
+    valuation v_min.  Seeds are tried in residue order until
+    ``predicted`` distinct roots are found; ``point(root)`` is the (x,
+    split of q, u) a root stands for.  Records come out sorted by
+    residues, then digits.
     """
     ctx = series.ctx
     deriv = series.derivative()
-    # the attainable evaluation precision: that of the series at the unit
-    # probe, which the precision recurrence mostly gives without a pass
-    target = series._prec_at(ctx.from_int(probe))
+    target = series._prec_at(ctx.one())  # the attainable evaluation precision
+    lifts = [ctx.from_residue(r) for r in ctx.residue_field()]
+    v_min = min(series._lows)
     roots = []
-    for r in seeds:
-        for root in _roots_from_seed(series, deriv, ctx.from_residue(r), target):
+    for seed in lifts:
+        screen = series.evaluate(seed, v_min + 1)
+        if not screen.is_zero and screen.val == v_min:
+            continue
+        for root in _roots_from_seed(series, deriv, seed, target, lifts):
             if not any(equals_to_precision(root, old, min(root.prec, old.prec) - 2 * ctx.e)
                        for old in roots):
                 roots.append(root)
@@ -340,10 +345,8 @@ def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, seeds,
 def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     """All nontrivial fixed points of [X]_q in the working field.
 
-    Lifts the deflated series from every residue seed (the residues
-    other than 0 and 1 first, then 0 and 1, which only carry roots at
-    m0 = 1/(p-2)); stops early once the polygon's count is reached.
-    Seeds range over the whole residue field F_{p^f} of the context.
+    Lifts the deflated series from every residue where its reduction may
+    vanish, until the polygon's count is reached.
     """
     ctx = q.ctx
     s = _QSplit(q)
@@ -356,9 +359,7 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1, over_y=True)
     predicted = unit_disk_zero_count(s1) - 2
     g = s1.drop_center_root().divide_by_root(s.one)
-    field = ctx.residue_field()
-    return _solve_fiber(g, predicted, m0, field[2:] + field[:2], ctx.p + 1,
-                        lambda x: (x, s, u))
+    return _solve_fiber(g, predicted, m0, lambda x: (x, s, u))
 
 
 def _phi1_val(x: PadicNumber) -> int | None:
@@ -397,9 +398,8 @@ def m0_for_x(x: PadicNumber) -> Fraction:
 def q_for_x(x: PadicNumber) -> SolveOutcome:
     """All q with x a nontrivial fixed point of [X]_q, via h(x, U) in U.
 
-    Seeds are the nonzero residues of the context's residue field, so a
-    context with residue degree f also finds the roots whose residues lie
-    in F_{p^f}.
+    A context with residue degree f also finds the roots whose residues
+    lie in F_{p^f}.
     """
     ctx = x.ctx
     m0 = m0_for_x(x)
@@ -408,7 +408,7 @@ def q_for_x(x: PadicNumber) -> SolveOutcome:
         raise CertificationFailure("leading parameter coefficient is not a unit")
     t = int(m0 * ctx.e)
     one = ctx.one()
-    return _solve_fiber(h, unit_disk_zero_count(h), m0, ctx.residue_field()[1:], 1,
+    return _solve_fiber(h, unit_disk_zero_count(h), m0,
                         lambda u: (x, _QSplit(one + u.scale_pi(t)), u))
 
 

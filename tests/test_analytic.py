@@ -1065,6 +1065,16 @@ def test_raw_series_operations_match_reference(case):
             == _as_built(lambda: _divide_by_root_ref(s, root)))
 
 
+def test_drop_center_root_refuses_a_series_with_no_coefficients():
+    # a series with no constant coefficient has no root at its center to
+    # drop; it is refused as divide_by_root refuses one too short to divide
+    c = ctx_new(5, 1, 20)
+    empty = TruncatedSeries(c, c.zero(), (), None)
+    for drop in (empty.drop_center_root, lambda: empty.divide_by_root(c.one())):
+        with pytest.raises(DomainError, match="series too short to divide"):
+            drop()
+
+
 @given(_series_build_arguments(), st.sampled_from(("zero", "unit", "low", "deep")),
        st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)

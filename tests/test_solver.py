@@ -100,7 +100,8 @@ def test_roots_from_seed_subdivides_a_shared_residue_disk():
     g = _poly(c, [66, -17, 1])  # (X - 6)(X - 11)
     with pytest.raises(LiftFailure):
         hensel_lift(g, c.from_int(1))
-    roots = solver._roots_from_seed(g, g.derivative(), c.from_int(1), c.K - 2)
+    lifts = [c.from_residue(r) for r in c.residue_field()]
+    roots = solver._roots_from_seed(g, g.derivative(), c.from_int(1), c.K - 2, lifts)
     assert len(roots) == 2
     for want in (6, 11):
         assert sum(equals_to_precision(r, c.from_int(want), c.K - 2) for r in roots) == 1
@@ -158,9 +159,10 @@ def test_parameter_fiber_for_x5_reports_deficit():
 
 
 def test_parameter_fiber_for_x5_over_the_quadratic_extension():
-    # with residue degree 2 the seeds cover F_25 and all three roots are
-    # found; the residue-2 root is the one the base field finds, the other
-    # two reduce to the roots of U^2 + 2U + 4, irreducible over F_5
+    # with residue degree 2 the seeds are the three residues in F_25 where
+    # the reduction of h vanishes, and all three roots are found; the
+    # residue-2 root is the one the base field finds, the other two reduce
+    # to the roots of U^2 + 2U + 4, irreducible over F_5
     base = q_for_x(ctx_new(5, 3, 90).from_int(5))[0]
     c = ctx_new(5, 3, 90, f=2)
     x = c.from_int(5)
@@ -180,7 +182,7 @@ def test_parameter_fiber_for_x5_over_the_quadratic_extension():
 
 def test_fixed_point_fiber_unchanged_by_residue_degree():
     # the q = 4 witness at p = 3 has one nontrivial fixed point, -1/2; a
-    # context with f = 2 seeds all of F_9 and finds the same point only
+    # context with f = 2 screens all of F_9 and finds the same point only
     c = ctx_new(3, 1, 60, f=2)
     out = fixed_points_for_q(c.from_int(4))
     assert out.predicted == 1 and len(out) == 1
@@ -461,25 +463,29 @@ def test_heavy_solve_vector_products(vector_products):
     # integers with no reduction, 815 joins and 343 steps for the powers of
     # dz, one reduction per block (864); and g is built over y with no
     # scaling pass, 423 _vec_mul calls fewer.  8,710 products in all, 2,090
-    # of them reduced, where there were 7,926 and 7,926
+    # of them reduced, where there were 7,926 and 7,926.  The seeds are
+    # now screened: each of the five residues costs one evaluation of g to
+    # v_min + 1 = 0 pi-units over its first four coefficients, three steps
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 883, "step": 343, "block": 6669, "join": 815}
+    assert vector_products == {"vec_mul": 883, "step": 358, "block": 6669, "join": 815}
 
 
 def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
-    # every evaluation of g and g' on the heavy solve is one the shared
-    # precision rule decides, over more than 2B coefficients, so each runs
-    # the block pass; at e = 1, at f = 2, and where the rule is undecided
-    # (dz known to 5 digits), a series like it runs Horner steps
+    # every evaluation of g and g' on the heavy solve past one digit is one
+    # the shared precision rule decides, over more than 2B coefficients, so
+    # each runs the block pass; the five seed screens of g, to v_min + 1 = 0
+    # pi-units, keep four coefficients and take Horner steps; at e = 1, at
+    # f = 2, and where the rule is undecided (dz known to 5 digits), a
+    # series like g runs Horner steps
     ran, paths = [], []
     evaluate, block_pass = TruncatedSeries.evaluate, PrimeContext._block_pass
 
     def spy(series, point, prec_hint=None):
         ran.clear()
         out = evaluate(series, point, prec_hint)
-        paths.append((len(series), bool(ran)))
+        paths.append((len(series), prec_hint, bool(ran)))
         return out
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", spy)
@@ -487,8 +493,8 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
                         lambda ctx, *args: ran.append(1) or block_pass(ctx, *args))
     c = ctx_new(5, 10, 200)
     assert len(fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))) == 3
-    assert {n for n, _ in paths} == {425, 424} and all(used for _, used in paths)
-    assert len(paths) == 49
+    assert {n for n, _, _ in paths} == {425, 424} and len(paths) == 54
+    assert [(n, hint) for n, hint, used in paths if not used] == [(425, 0)] * 5
     for e, f, short in ((3, 1, False), (1, 1, False), (3, 2, False), (3, 1, True)):
         c = ctx_new(5, e, 30 * e, f)
         rng = Random(18)
@@ -497,7 +503,7 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
         point = sample(c, rng)
         paths.clear()
         s.evaluate(point._cap_prec(5) if short else point)
-        assert paths == [(30, e > 1 and f == 1 and not short)]
+        assert paths == [(30, None, e > 1 and f == 1 and not short)]
 
 
 def _bench_legs(monkeypatch, workload: str, seed: int = 0) -> list:
@@ -721,3 +727,107 @@ def test_g_over_y_matches_the_scaled_chain(q):
     new, new_count, old, old_count, g_new, g_old = _built_over_y(q)
     assert new == old and new_count == old_count
     assert g_new == g_old
+
+
+# -- the seed screen against the seed lists it replaced -------------------
+#
+# _solve_fiber_ref is the pre-change seed loop.  Its callers handed it
+# every residue: fixed_points_for_q those other than 0 and 1 first, then 0
+# and 1, with the probe p + 1, and q_for_x the nonzero ones with the probe
+# 1.  The screened seeds must give the same records, predicted count and m0.
+
+def _solve_fiber_ref(series, predicted, m0, point, seeds, probe):
+    ctx = series.ctx
+    deriv = series.derivative()
+    target = series._prec_at(ctx.from_int(probe))
+    lifts = [ctx.from_residue(r) for r in ctx.residue_field()]
+    roots = []
+    for r in seeds:
+        for root in solver._roots_from_seed(series, deriv, ctx.from_residue(r), target, lifts):
+            if not any(equals_to_precision(root, old, min(root.prec, old.prec) - 2 * ctx.e)
+                       for old in roots):
+                roots.append(root)
+        if len(roots) == predicted:
+            break
+    records = sorted((solver._certify(*point(root), m0) for root in roots),
+                     key=solver._record_key)
+    return solver.SolveOutcome(tuple(records), predicted, m0)
+
+
+def _both_seedings(fn, arg):
+    """fn(arg) with screened seeds and with the caller's old seed list, and
+    the series solved; an outcome is (predicted, m0, records as JSON), an
+    error its type and text."""
+    ctx = arg.ctx
+    field = ctx.residue_field()
+    seeds, probe = ((field[2:] + field[:2], ctx.p + 1) if fn is fixed_points_for_q
+                    else (field[1:], 1))
+    solved = []
+
+    def run():
+        try:
+            out = fn(arg)
+        except Exception as exc:  # the error type and message must match too
+            return type(exc), str(exc)
+        return out.predicted, out.m0, [r.to_json() for r in out]
+
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_solve_fiber", lambda series, predicted, m0, point: (
+            solved.append(series)
+            or _solve_fiber_ref(series, predicted, m0, point, seeds, probe)))
+        want = run()
+    return got, want, solved
+
+
+# (p, e, K, t, f): q = 1 + pi^t u.  In the first five m0 = t/e is 1/(p-2),
+# the boundary, and g has v_min = 0; in the last four m0 lies inside the
+# range and g has v_min = -1, so the Newton criterion v(g) > 2 v(g') could
+# hold at a seed whose disk has no root.  At f = 3 the seed lists search
+# 27 to 343 disks
+_SCREEN_LEGS = [(3, 1, 60, 1, 2), (5, 3, 45, 1, 1), (5, 3, 30, 1, 3), (7, 5, 30, 1, 2),
+                (7, 5, 10, 1, 3), (3, 4, 120, 3, 3), (5, 10, 200, 3, 1), (5, 7, 42, 2, 2),
+                (7, 11, 33, 2, 1)]
+
+
+@pytest.mark.parametrize("leg", _SCREEN_LEGS)
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=2, deadline=None)
+def test_screened_seeds_match_the_seed_lists(leg, seed):
+    p, e, K, t, f = leg
+    c = ctx_new(p, e, K, f)
+    rng = Random(seed)
+    q = c.one() + sample(c, rng, valuation=t)
+    got, want, [g] = _both_seedings(fixed_points_for_q, q)
+    assert got == want
+    assert min(g._lows) == (0 if Fraction(t, e) == Fraction(1, p - 2) else -1)
+    # x on the fiber, and x near p as on the param-fiber legs
+    near_p = c.from_int(p) + sample(c, rng, valuation=e + 1)
+    for x in [r.x for r in fixed_points_for_q(q)] + [near_p]:
+        if phi1_contains(x):
+            got, want, _ = _both_seedings(q_for_x, x)
+            assert got == want
+
+
+def test_seed_screen_costs_one_digit_per_disk_without_a_root(monkeypatch):
+    # 1 + pi at (7, 5, 60, f=2): 2 of the 5 roots lie in the working field;
+    # each of the other 47 residue disks costs one evaluation of g to
+    # v_min + 1 pi-units and none at the 8e floor, where the seed lists
+    # evaluated g and g' there at 8e
+    c = ctx_new(7, 5, 60, f=2)
+    calls, solved = [], []
+    evaluate, solve_fiber = TruncatedSeries.evaluate, solver._solve_fiber
+
+    def spy(series, point, prec_hint=None):
+        calls.append((series, point.residue(), prec_hint))
+        return evaluate(series, point, prec_hint)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", spy)
+    monkeypatch.setattr(solver, "_solve_fiber", lambda series, *args:
+                        solved.append(series) or solve_fiber(series, *args))
+    out = fixed_points_for_q(c.one() + c.one().scale_pi(1))
+    [g] = solved
+    rooted = {r.residue_x for r in out}
+    assert out.predicted == 5 and len(rooted) == 2
+    empty = [(series is g, hint) for series, residue, hint in calls if residue not in rooted]
+    assert empty == [(True, min(g._lows) + 1)] * 47
