@@ -8,11 +8,12 @@ exp preserve valuations and are mutually inverse, which is also why the
 term recurrence of the series1 jets never loses relative precision (each
 division by n is covered by the extra factor (log q)^(n-1)).
 
-exp and log1p sum their series on raw coefficient vectors modulo
-pi^target and normalize once.  exp uses rectangular splitting
-(Paterson-Stockmeyer): about 2 sqrt(N) vector products for N terms.
-log1p first raises 1+y to a p-power, which moves y deeper into S so the
-series needs fewer terms, then divides the log by that power.  Both
+exp and log1p sum their series by one kernel modulo pi^target and
+normalize once: rectangular splitting (Paterson-Stockmeyer) on
+Kronecker-packed integers, which for N terms takes about 2 sqrt(N)
+products of packed vectors and, per term, one scalar times a packed
+power.  log1p first raises 1+y to a p-power, which moves y deeper into S
+so the series needs fewer terms, then divides the log by that power.  Both
 return, digit for digit, the truncated series of the stored
 representative, so the claimed precisions are those the proved cutoffs
 give, as before: no digit and no precision changes with the method.
@@ -65,7 +66,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import _BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _pack, _vp
+from .core import (_BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _pack,
+                   _unpacker, _vp)
 from .errors import CertificationFailure, ContextMismatch, DomainError
 
 __all__ = [
@@ -172,9 +174,19 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> int:
 
     Integer cost rule, in vector products: a p-th power by square and
     multiply takes bit_length(p) + popcount(p) - 2, the series on N
-    terms takes about 2 sqrt(N), and each term adds a scalar multiply-add
-    and a modular inverse, counted as 1/4 of a product.  The smallest k
-    of least cost wins.
+    terms takes about 2 sqrt(N), and each term adds a modular inverse and
+    a scalar times a packed power, counted as 1/4 of a product.  The
+    smallest k of least cost wins.  Which k wins changes no digit, since
+    log1p's identity log(1+Y) = p^k log(1+y) holds for every k.
+
+    The weight was measured again on the packed power sum, over the log1p
+    calls of the four bracket-grid cells at seeds 0 and 1, every k from 0
+    up, median of 7 runs.  The k of this rule took 1.10x the time of the
+    fastest k at (p, e, K) = (3, 1, 60), 1.00x at (5, 3, 180), 1.07x at
+    (3, 1, 480) and 1.06x at (5, 10, 600).  A weight of 1/2 took 1.07x,
+    1.02x, 1.03x and 1.13x there, and 1/8 took 1.10x, 1.01x, 1.15x and
+    1.00x: over the cells' mix 1.05x for 1/4, 1.07x for 1/2 and 1.06x for
+    1/8, so the weight stays 1/4.
     """
     power = p.bit_length() + bin(p).count("1") - 2
     best_k = best = None
@@ -210,13 +222,13 @@ def exp(z: PadicNumber) -> PadicNumber:
     v(z^n/n!) > n*(t - e/(p-1)) for t = v(z), so the first N with
     N*(t - e/(p-1)) >= target is a sound cutoff.  With z = pi^t u the
     sum is sum_{n<N} pi^(s_n) u^n / m_n, where s_n = n t - e v_p(n!) and
-    m_n is n! stripped of p.  It is taken on raw coefficient vectors by
-    rectangular splitting (``_power_sum``, Paterson and Stockmeyer
-    1973): about 2 sqrt(N) vector products instead of N, with the m_n^-1
-    from one modular inverse and a running product taken in the order of
-    the Horner pass.  The result is the value the term-by-term series
-    gives for the stored representative, modulo pi^target, and is
-    claimed to the same precision.
+    m_n is n! stripped of p.  It is taken by rectangular splitting on
+    packed integers (``_power_sum``, Paterson and Stockmeyer 1973): about
+    2 sqrt(N) vector products instead of N, and per term one scalar times
+    a packed power, with the m_n^-1 from one modular inverse and a running
+    product taken in the order of the Horner pass.  The result is the
+    value the term-by-term series gives for the stored representative,
+    modulo pi^target, and is claimed to the same precision.
     """
     ctx = z.ctx
     if not in_S(z):
@@ -260,40 +272,59 @@ def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
 
 
 def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int) -> list:
-    """sum_{n < n_stop} c_n pi^(s_n) u^n modulo pi^rel, on raw vectors.
+    """sum_{n < n_stop} c_n pi^(s_n) u^n modulo pi^rel, on Kronecker-packed integers.
 
     ``terms`` yields the integer pairs (s_n, c_n) for n = n_stop - 1 down
-    to 0, with s_n >= 0.  Rectangular splitting: u^0 ... u^b, b =
-    isqrt(n_stop), are formed once; block i, the terms ib <= n < (i+1)b,
-    is a sum of scaled powers with no product; the blocks are joined by
-    Horner in u^b from the top.  That is b - 1 + (n_stop - 1) // b
-    products, with b + 1 powers held.  pi^s = p^(s // e) pi^(s % e), so a
-    block keeps one partial sum per residue s % e, folds p^(s // e) into
-    the scalar, and shifts each partial sum once.
+    to 0, with s_n >= 0 and 0 <= c_n < M = p^ceil(rel/e).  Rectangular
+    splitting (Paterson and Stockmeyer 1973): u^0 ... u^b, b =
+    isqrt(n_stop), come from b - 1 steps of the fixed-multiplier kernel
+    and are packed once (``_packed_powers``); block i, the terms
+    ib <= n < (i+1)b, is a sum of scaled packed powers; the blocks are
+    joined by Horner in u^b from the top.  pi^s = p^(s // e) pi^(s % e),
+    so a block keeps one partial sum per residue s % e, each term adding
+    (c_n p^(s // e) mod M) packed(u^j) to it, one big-integer product, and
+    shifts each partial sum once.  At f = 1 the shift by pi^r is a shift
+    by r slots, the join acc u^b is one product of packed integers, and
+    the block is folded by pi^e = p, unpacked and reduced once; at f > 1
+    the partial sums are unpacked and the shifts and the join are vector
+    operations.  That is b - 1 steps and (n_stop - 1) // b joins; core's
+    kernel note gives the slot width.
     """
-    e = ctx.e
+    e, p, dim = ctx.e, ctx.p, ctx._dim
+    m = _ceil_div(rel, e)
+    big_m = ctx._ppow(m)
     b = math.isqrt(n_stop)  # n_stop >= 2 for both series
-    powers = [ctx._vec_reduce([1] + [0] * (ctx._dim - 1), rel), ctx._vec_reduce(u, rel)]
-    while len(powers) <= b:
-        powers.append(ctx._vec_reduce(ctx._vec_mul(powers[-1], powers[1]), rel))
-    acc = None
-    for i in range((n_stop - 1) // b, -1, -1):
-        parts = [None] * e
-        for j in range(min(b, n_stop - i * b) - 1, -1, -1):
-            s, c = next(terms)
-            if c and s < rel:
-                q, r = divmod(s, e)
-                c *= ctx._ppow(q)
-                part = parts[r]
-                parts[r] = ([c * x for x in powers[j]] if part is None
-                            else [a + c * x for a, x in zip(part, powers[j])])
-        block = [0] * ctx._dim
-        for r, part in enumerate(parts):
-            if part is not None:
-                block = [a + x for a, x in zip(block, ctx._vec_shift(part, r))]
-        if acc is not None:
-            block = [a + x for a, x in zip(block, ctx._vec_mul(acc, powers[b]))]
-        acc = ctx._vec_reduce(block, rel)
+    x = b + 1 if e == 1 else p * (b + e - 1) + 1
+    w = (x * (big_m - 1) ** 2).bit_length()
+    pows = ctx._packed_powers(u, rel, b, w)
+    join = pows.pop()
+    packed = ctx.f == 1
+    unpack = _unpacker(p, e, w, ctx._moduli(rel)) if packed else _unpacker(p, dim, w)
+    ppow = ctx._ppow
+    parts, acc = [0] * e, None
+    j = (n_stop - 1) % b  # the place of term n_stop - 1 in the top block
+    for s, c in terms:
+        if c and s < rel:
+            q, r = divmod(s, e)
+            # c p^q mod M, reduced by the smaller modulus p^(m - q)
+            parts[r] += pows[j] * (c % ppow(m - q) * ppow(q) if q else c)
+        if j:
+            j -= 1
+            continue
+        if packed:
+            z = sum(part << r * w for r, part in enumerate(parts))
+            if acc is not None:
+                z += join * _pack(acc, w)
+            acc = unpack(z)
+        else:
+            block = [0] * dim
+            for r, part in enumerate(parts):
+                if part:
+                    block = list(map(operator.add, block, ctx._vec_shift(unpack(part), r)))
+            if acc is not None:
+                block = list(map(operator.add, block, ctx._vec_mul(acc, unpack(join))))
+            acc = ctx._vec_reduce(block, rel)
+        parts, j = [0] * e, b - 1
     return acc
 
 

@@ -470,48 +470,67 @@ def test_kernels_match_term_by_term_reference(z):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_kernels_match_reference_at_5_10_600(seed):
-    c = ctx_new(5, 10, 600)
+@pytest.mark.parametrize("p,e,K,f", [(3, 1, 480, 1), (5, 3, 180, 1), (5, 10, 600, 1),
+                                     (7, 2, 40, 3)],
+                         ids=["p3e1K480", "p5e3K180", "p5e10K600", "p7e2K40f3"])
+def test_kernels_match_reference_at_bench_contexts(p, e, K, f, seed):
+    # bracket-grid's cells at e = 1 with a large modulus, at e = 3 and at
+    # e = 10, and the term loop at f = 3, where the blocks are combined on
+    # unpacked vectors
+    c = ctx_new(p, e, K, f)
     rng = Random(seed)
-    for t in (3, rng.randrange(4, 30)):
+    lo = e // (p - 1) + 1  # the least valuation in S
+    for t in (lo, rng.randrange(lo + 1, lo + 27)):
         z = sample(c, rng, valuation=t)
-        low = z._cap_prec(rng.randrange(t + 1, 600))
+        low = z._cap_prec(rng.randrange(t + 1, K))
         for v in (z, low):
             assert exp(v) == _exp_ref(v)
             assert log1p(v) == _log1p_ref(v)
 
 
-def test_kernel_product_counts(monkeypatch):
-    # rectangular splitting keeps exp near 2 sqrt(N) vector products, and
-    # argument reduction keeps log1p far below its N; the term-by-term
-    # loops took one product per term (about 1200 and 210 here)
-    calls = []
-    vec_mul = PrimeContext._vec_mul
-    monkeypatch.setattr(PrimeContext, "_vec_mul",
-                        lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
+def test_kernel_product_counts(vector_products):
+    # rectangular splitting keeps exp near 2 sqrt(N) vector products: for
+    # N = 1200 and b = isqrt(N) = 34, b - 1 steps form u^2 ... u^b and
+    # (N - 1) // b products of packed integers join the blocks.  Each term
+    # past the first of its block (which multiplies u^0 = 1) whose scalar
+    # survives modulo pi^600, 1,116 of them, is one scalar times a packed
+    # power.  Argument reduction keeps log1p far below its N: three 5th
+    # powers of three products each, then a power sum of 20 terms.  The
+    # term-by-term loops took one vector product per term (about 1200 and
+    # 210 here)
     c = ctx_new(5, 10, 600)
     z = sample(c, Random(11), valuation=3)  # N = 600/(3 - 10/4) = 1200 terms
+    counts = vector_products
     exp(z)
-    assert len(calls) <= 3 * math.isqrt(1200) + 10
-    calls.clear()
+    assert counts["vec_mul"] + counts["step"] + counts["power_join"] <= 3 * math.isqrt(1200) + 10
+    assert counts == {"vec_mul": 0, "step": 33, "block": 0, "join": 0,
+                      "power_term": 1116, "power_join": 35}
+    counts.update(dict.fromkeys(counts, 0))
     log1p(z)
-    assert len(calls) <= 60
+    assert counts["vec_mul"] + counts["step"] + counts["power_join"] <= 60
+    assert counts == {"vec_mul": 9, "step": 3, "block": 0, "join": 0,
+                      "power_term": 15, "power_join": 4}
 
 
 def test_vector_products_take_nonnegative_operands(monkeypatch):
-    # the packed product at e >= 5 reads an operand as one integer of
-    # w-bit slots, which a negative entry would corrupt; inv's Newton
-    # correction 2 - u w and the series2 factors x - j are reduced first
+    # the packed kernels read an operand as one integer of w-bit slots,
+    # which a negative entry would corrupt: _vec_mul's operands at e >= 5,
+    # and every vector a Horner step, a block pass or a power sum of exp
+    # and log1p packs; inv's Newton correction 2 - u w and the series2
+    # factors x - j are reduced first
     negative, stages = [], {}
-    vec_mul = PrimeContext._vec_mul
 
-    def spy(ctx, a, b):
-        if min(a) < 0 or min(b) < 0:
+    def seen(*vecs):
+        if min(map(min, vecs)) < 0:
             negative.append(stage)
         stages[stage] = stages.get(stage, 0) + 1
-        return vec_mul(ctx, a, b)
 
-    monkeypatch.setattr(PrimeContext, "_vec_mul", spy)
+    vec_mul = PrimeContext._vec_mul
+    monkeypatch.setattr(PrimeContext, "_vec_mul",
+                        lambda ctx, a, b: seen(a, b) or vec_mul(ctx, a, b))
+    for module in (core, analytic):
+        monkeypatch.setattr(module, "_pack",
+                            lambda vec, w, pack=module._pack: seen(vec) or pack(vec, w))
     c = ctx_new(5, 10, 200)
     rng = Random(12)
     z = sample(c, rng, valuation=3)
@@ -523,6 +542,38 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
         call()
         assert stages.get(stage), stage
     assert negative == []
+
+
+# _power_sum(u, terms, n_stop, rel) against the sum taken term by term on
+# unpacked integers: u^n by _vec_mul, pi^(s_n) by _vec_shift, one
+# reduction at the end.
+
+def _power_sum_ref(c, u, terms, rel):
+    acc, power = [0] * c._dim, c._vec_reduce([1] + [0] * (c._dim - 1), rel)
+    for n, (s, cn) in enumerate(reversed(terms)):
+        if n:
+            power = c._vec_reduce(c._vec_mul(power, u), rel)
+        acc = [a + x for a, x in zip(acc, c._vec_shift([cn * y for y in power], s))]
+    return list(c._vec_reduce(acc, rel))
+
+
+def test_power_sum_at_the_widest_slot_sums():
+    # every entry of u and every c_n at M - 1, M = p^ceil(rel/e), with s_n
+    # in class 0, in the class e - 1 whose shift wraps the most slots, or
+    # running through the classes and powers of p: on some of these a
+    # block's folded slot needs every bit of the width of core's kernel
+    # note, so a slot one bit narrower carries into the next
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3, 5, 10):
+            c = ctx_new(p, e, 12 * e)
+            for rel in (c.K, e):
+                big_m = p ** -(-rel // e)
+                u = [big_m - 1] * e
+                for n_stop in (2, 3, 5, 9, 25, 37, 49):
+                    for s_of in (lambda n: 0, lambda n: e - 1, lambda n: n % e, lambda n: n):
+                        terms = [(s_of(n), big_m - 1) for n in range(n_stop - 1, -1, -1)]
+                        got = analytic._power_sum(c, u, iter(terms), n_stop, rel)
+                        assert got == _power_sum_ref(c, u, terms, rel), (p, e, rel, n_stop)
 
 
 # -- TruncatedSeries.evaluate against the PadicNumber Horner loop --------
@@ -718,7 +769,8 @@ def test_evaluate_operation_counts(monkeypatch, vector_products, hint, n, steps,
     monkeypatch.setattr(analytic, "_from_raw", counted("from_raw", analytic._from_raw))
     monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
     got = s.evaluate(point, hint)
-    assert vector_products == {"vec_mul": 0, "step": steps, "block": block, "join": join}
+    assert vector_products == {"vec_mul": 0, "step": steps, "block": block, "join": join,
+                               "power_term": 0, "power_join": 0}
     assert counts == {"from_raw": 1, "mul": 0}
     monkeypatch.undo()
     assert got == _evaluate_ref(s, point, hint)

@@ -466,10 +466,17 @@ def test_heavy_solve_vector_products(vector_products):
     # of them reduced, where there were 7,926 and 7,926.  The seeds are
     # now screened: each of the five residues costs one evaluation of g to
     # v_min + 1 = 0 pi-units over its first four coefficients, three steps
+    # each (15).  exp and log1p now sum their series on packed integers:
+    # the powers u^2 ... u^b of their power sums, 59 _vec_mul calls, are 59
+    # steps (step 358 -> 417), and their 60 joins, _vec_mul calls too, are
+    # products of packed integers (vec_mul 883 -> 764).  Each of their
+    # 1,014 terms is one scalar times a packed power, where it was a scalar
+    # times every entry of a vector and was not counted
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 883, "step": 358, "block": 6669, "join": 815}
+    assert vector_products == {"vec_mul": 764, "step": 417, "block": 6669, "join": 815,
+                               "power_term": 1014, "power_join": 60}
 
 
 def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
