@@ -50,10 +50,11 @@ prec(c_n)), is kept as an integer beside it (Caruso, Roe and Vaccon,
 "Tracking p-adic precision", 2014), so value, digits and precision are
 the loop's.  Where the v(acc) terms cannot bind, that recurrence fixes
 the precision before any step: the solver reads the precision of its
-probe point that way, and a long pass at f = 1 and e > 1 then sums blocks of
+probe point that way, and a long pass at e > 1 then sums blocks of
 coefficients on Kronecker-packed integers, packed once per series, with
-one reduction per block; any other pass takes one step per coefficient
-of a kernel that core sets up once per pass for the fixed multiplier dz.
+one reduction per block, at every residue degree f; any other pass takes
+one step per coefficient of a kernel that core sets up once per pass for
+the fixed multiplier dz.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import (_BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _pack,
-                   _unpacker, _vp)
+from .core import _BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
 from .errors import CertificationFailure, ContextMismatch, DomainError
 
 __all__ = [
@@ -283,23 +283,21 @@ def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int
     joined by Horner in u^b from the top.  pi^s = p^(s // e) pi^(s % e),
     so a block keeps one partial sum per residue s % e, each term adding
     (c_n p^(s // e) mod M) packed(u^j) to it, one big-integer product, and
-    shifts each partial sum once.  At f = 1 the shift by pi^r is a shift
-    by r slots, the join acc u^b is one product of packed integers, and
-    the block is folded by pi^e = p, unpacked and reduced once; at f > 1
-    the partial sums are unpacked and the shifts and the join are vector
-    operations.  That is b - 1 steps and (n_stop - 1) // b joins; core's
-    kernel note gives the slot width.
+    shifts each partial sum once.  At every f the shift by pi^r is a
+    shift by r slots, which stays within each row of the packed format,
+    the join acc u^b is one product of packed integers, and the block is
+    folded, unpacked and reduced once.  That is b - 1 steps and
+    (n_stop - 1) // b joins; core's kernel note gives the slot width.
     """
-    e, p, dim = ctx.e, ctx.p, ctx._dim
+    e, p = ctx.e, ctx.p
     m = _ceil_div(rel, e)
     big_m = ctx._ppow(m)
     b = math.isqrt(n_stop)  # n_stop >= 2 for both series
-    x = b + 1 if e == 1 else p * (b + e - 1) + 1
+    x = (b if e == 1 else p * b) + ctx._row_weight()
     w = (x * (big_m - 1) ** 2).bit_length()
+    pack, unpack = ctx._packer(w, rel)
     pows = ctx._packed_powers(u, rel, b, w)
     join = pows.pop()
-    packed = ctx.f == 1
-    unpack = _unpacker(p, e, w, ctx._moduli(rel)) if packed else _unpacker(p, dim, w)
     ppow = ctx._ppow
     parts, acc = [0] * e, None
     j = (n_stop - 1) % b  # the place of term n_stop - 1 in the top block
@@ -311,19 +309,10 @@ def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int
         if j:
             j -= 1
             continue
-        if packed:
-            z = sum(part << r * w for r, part in enumerate(parts))
-            if acc is not None:
-                z += join * _pack(acc, w)
-            acc = unpack(z)
-        else:
-            block = [0] * dim
-            for r, part in enumerate(parts):
-                if part:
-                    block = list(map(operator.add, block, ctx._vec_shift(unpack(part), r)))
-            if acc is not None:
-                block = list(map(operator.add, block, ctx._vec_mul(acc, unpack(join))))
-            acc = ctx._vec_reduce(block, rel)
+        z = sum(part << r * w for r, part in enumerate(parts))
+        if acc is not None:
+            z += join * pack(acc, w)
+        acc = unpack(z)
         parts, j = [0] * e, b - 1
     return acc
 
@@ -631,7 +620,7 @@ class TruncatedSeries:
         Since v(acc) >= b, the recurrence gives
         P = min(W, min prec(c_i) + i v(dz)) whenever v(dz) >= 0 and that
         is at most prec(dz) + b (``_decided``, which ``_prec_at`` shares).
-        There, at f = 1, e > 1 and over more than 2 _BLOCK coefficients, the
+        There, at e > 1, any f, and over more than 2 _BLOCK coefficients, the
         pass is ``PrimeContext._block_pass``, one reduction per _BLOCK
         coefficients, on the coefficients this series packs once, modulo
         pi^(min(W, top) - b): top = min(tail cap, max prec(c_n)) is the
@@ -652,7 +641,7 @@ class TruncatedSeries:
             dz_val, big_d = dz_prec, [0] * ctx._dim
         else:
             dz_val, big_d = dz.val, ctx._vec_shift(dz._unit, dz.val)
-        blocks = ctx.f == 1 and ctx.e > 1 and n > 2 * _BLOCK
+        blocks = ctx.e > 1 and n > 2 * _BLOCK
         prec = self._decided(dz, n, wall) if blocks else None
         if prec is not None:
             top, w, packed = self._packing(n)
@@ -728,7 +717,8 @@ class TruncatedSeries:
         top, w, packed = self._packed
         if len(packed) < n:
             rel = top - self._base
-            packed += [0 if v is None else _pack(ctx._vec_reduce(v, rel), w)
+            pack = ctx._packer(w, rel)[0]
+            packed += [0 if v is None else pack(ctx._vec_reduce(v, rel), w)
                        for v in self._vecs[len(packed):n]]
         return self._packed
 

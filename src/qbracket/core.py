@@ -15,9 +15,9 @@ carry in base-pi digit arithmetic jumps e positions, and reduce zeta^f by
 the defining polynomial.  At f = 1 there is no zeta and the field is the
 totally ramified Q_p(pi).  The layout of unramified and totally ramified
 parts follows Caruso, "Computations with p-adic numbers" (2017), sec. 2.
-One context class serves every f: reduction, valuation and shifts act on
-the f blocks of e entries alike, and only the product and the inverse in
-the residue field depend on f.
+One context class serves every f: reduction, valuation, shifts and
+products act on the f blocks of e entries alike, and only the fold by the
+defining polynomial and the inverse in the residue field depend on f.
 
 Precision is absolute and counted in pi-units: a number with ``prec`` K is
 known modulo pi^K.  A value whose digits all vanish below its precision is
@@ -140,35 +140,6 @@ def _irreducible_modulus(p: int, f: int) -> tuple:
     raise AssertionError("every degree has an irreducible polynomial over F_p")
 
 
-def _product_table(p: int, e: int, modulus: Sequence[int]) -> list:
-    """Products of basis elements at f > 1, for PrimeContext._vec_mul.
-
-    Basis element k = j*e + i is zeta^j pi^i.  table[k1][k2] lists the
-    pairs (k, m) with element k1 times element k2 = sum m * element k:
-    pi^e is folded to p, and zeta^d for d >= f is expanded by the
-    defining polynomial, zeta^f = -sum modulus[j] zeta^j.
-    """
-    f = len(modulus) - 1
-    powers = [[int(j == d) for j in range(f)] for d in range(f)]
-    for _ in range(f - 1):
-        top = powers[-1]
-        nxt = [0] + top[:-1]
-        for j in range(f):
-            nxt[j] -= top[-1] * modulus[j]
-        powers.append(nxt)
-    table = []
-    for k1 in range(e * f):
-        j1, i1 = divmod(k1, e)
-        row = []
-        for k2 in range(e * f):
-            j2, i2 = divmod(k2, e)
-            carry, i = divmod(i1 + i2, e)
-            row.append([(j * e + i, z * p ** carry)
-                        for j, z in enumerate(powers[j1 + j2]) if z])
-        table.append(row)
-    return table
-
-
 class PrimeContext:
     """Fixed arena for arithmetic: prime p, ramification e, precision K,
     residue degree f.
@@ -181,7 +152,7 @@ class PrimeContext:
     parameters agree.
     """
 
-    __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_table")
+    __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_packers")
 
     def __init__(self, p: int, e: int, K: int | None = None, f: int = 1):
         if not _is_prime(p):
@@ -202,8 +173,7 @@ class PrimeContext:
         self._dim = e * f
         self._pp: dict[int, int] = {}
         self._mods: dict[int, list] = {}  # rel -> per-entry moduli of _vec_reduce
-        # products of basis elements, needed only when zeta is present
-        self._table = _product_table(p, e, self.modulus) if f > 1 else None
+        self._packers: dict[tuple, tuple] = {}  # (w, rel) -> _packer's pair
 
     def _ppow(self, m: int) -> int:
         pw = self._pp.get(m)
@@ -360,40 +330,48 @@ class PrimeContext:
     # zeta^j pi^i; at f = 1 there is one block.  It is meaningful modulo
     # pi^rel for whatever rel the caller tracks.  Vectors are kept
     # reduced: entry j*e + i canonical in [0, p^ceil((rel-i)/e)).
-    # Reduction, valuation and shifts treat every block alike; only the
-    # product and the residue-field inverse depend on f.
+    # Reduction, valuation and shifts treat every block alike.
     #
     # The product returns unreduced integers, the same whichever kernel
-    # forms them: a table walk at f > 1, one multiply at e = 1, a
-    # schoolbook double loop for 2 <= e < _PACKED_MIN_E, and Kronecker
-    # substitution from there on.  The packed kernel writes each operand
-    # as one integer with its entries in slots of w bits and takes one
-    # big-integer product.  Slot k of it sums the at most e terms a_i b_j
-    # with i + j = k; slots e to 2e - 2 multiply pi^e = p, so the top e
-    # slots are folded onto the bottom e times p, and entry i is slot i.
-    # w = bits(max a) + bits(max b) + bits(e) + bits(p) holds a folded
-    # slot, below (1 + p) e max(a) max(b), so no slot ever carries into
-    # the next.  This needs every entry of both operands >= 0 (a negative
-    # entry borrows from the slot above), which reduced vectors are; a
-    # caller that forms an entry by subtraction reduces it first.  On
-    # operands captured from q_bracket and fixed_points_for_q the packed
-    # product ran 0.6x as fast as the loop at e = 2, 0.8x at e = 3,
-    # 1.0-1.2x at e = 4, 1.3-1.4x at e = 5 and 2.1-2.5x at e = 10; the
-    # loop skips zero entries, which small-e operands often have.
+    # forms them: at f = 1 one multiply at e = 1, a schoolbook double loop
+    # for 2 <= e < _PACKED_MIN_E, and Kronecker substitution from there
+    # on, which is the only kernel at f > 1 (Harvey, J. Symb. Comput.
+    # 2009).  It writes each operand as one integer, entry j*e + i in slot
+    # j(2e - 1) + i of w bits (_packer), and takes one big-integer product,
+    # whose row d, slots d(2e - 1) to d(2e - 1) + 2e - 2, sums block j1
+    # times block j2 over the at most f pairs with j1 + j2 = d.  Slots
+    # e + i of a row multiply pi^e = p, so one mask over the 2f - 1 rows
+    # folds them onto slots i times p.  Slot i then sums i + 1 +
+    # p (e - 1 - i) products per pair of blocks, so at most
+    # X = f (1 + p (e - 1)) in all (_row_weight), and w = bits(X max(a)
+    # max(b)) keeps every slot from carrying into the next.  This needs
+    # every entry of both operands >= 0 (a negative entry borrows from the
+    # slot above), which reduced vectors are; a caller that forms an entry
+    # by subtraction reduces it first.  At f > 1 the unpacked rows f ...
+    # 2f - 2 are then folded from the top down by zeta^f = -sum m_j zeta^j,
+    # m the defining polynomial, which leaves signed entries for the
+    # reduction.  On operands captured from q_bracket and
+    # fixed_points_for_q the packed product ran 0.6x as fast as the loop at
+    # e = 2, 0.8x at e = 3, 1.0-1.2x at e = 4, 1.3-1.4x at e = 5 and
+    # 2.1-2.5x at e = 10; the loop skips zero entries, which small-e
+    # operands often have.  At f > 1 it ran 0.45x as fast as the table
+    # walk it replaced at (p, e, K, f) = (3, 1, 60, 2), 0.6x at
+    # (5, 2, 60, 2), 0.9x at (5, 3, 90, 2), 1.3x at (3, 4, 120, 2), 2.3x
+    # at (7, 5, 60, 2), 2.8x at (7, 5, 60, 3) and 4.4x at (7, 5, 60, 6).
     #
     # A Horner pass multiplies by one d at every step, so _horner_step
     # reduces d modulo pi^rel once and returns the step
     # acc -> reduce(acc d + c, rel), the same vector _vec_reduce gives on
     # _vec_mul(acc, d) + c.  When the reduced d has only entry 0 nonzero,
-    # an integer, the step multiplies entrywise, at every f.  Otherwise,
-    # at f = 1 and every e, d is packed once; each step packs acc, takes
-    # one big-integer product, folds the top e slots times p, and unpacks,
-    # adds c and reduces in one comprehension.  Both operands are reduced,
-    # so every entry is below M = p^ceil(rel/e) and the slot width
-    # w = 2 bits(M) + bits(e) + bits(p) is the bound above.  At f > 1 the
-    # step keeps the table walk of _vec_mul.  On evaluate's calls captured
-    # from fixed_points_for_q, the pass with these steps ran 1.3x as fast
-    # as with _vec_mul at e = 1, 1.8x at e = 3 and 4, and 1.6x at e = 10.
+    # an integer, the step multiplies entrywise.  Otherwise d is packed
+    # once; each step packs acc, takes one big-integer product, and folds,
+    # unpacks, adds c and reduces.  Every entry is below M = p^ceil(rel/e),
+    # so w = bits(X (M - 1)^2), which entries all at M - 1 fill when e
+    # divides rel.  On evaluate's calls captured from fixed_points_for_q,
+    # the pass with these steps ran 1.3x as fast as with _vec_mul at e = 1,
+    # 1.8x at e = 3 and 4, and 1.6x at e = 10; at f > 1, at the seven
+    # contexts above, 0.6x, 1.0x, 1.2x, 1.7x, 2.5x, 3.4x and 4.5x as fast
+    # as steps by the table walk.
     #
     # _block_pass reduces once per B = _BLOCK coefficients (rectangular
     # splitting, Paterson and Stockmeyer 1973): from the top block down,
@@ -403,10 +381,8 @@ class PrimeContext:
     # unpacking and one reduction.  The coefficients are packed once, in
     # slots of the width w set for the modulus pi^top they are reduced at;
     # acc and the powers are reduced modulo pi^rel with rel <= top.  So every
-    # entry is below M = p^ceil(top/e), a slot of one product sums at most e
-    # terms below M^2 before the fold and (p + 1) e of them after it, and a
-    # slot of the block's sum stays below (B + 1) e (p + 1) M^2:
-    # w = 2 bits(M) + bits((B + 1) e (p + 1)) keeps it from carrying.  The
+    # entry is below M = p^ceil(top/e), and a slot sums c_i itself and B
+    # products of X products each: w = bits((B X + 1) (M - 1)^2).  The
     # B - 1 power steps cost what B - 1 Horner steps do, so only a pass over
     # more than 2B coefficients takes blocks (TruncatedSeries.evaluate
     # says when).  On the evaluations of one round of the fixed-points
@@ -422,28 +398,26 @@ class PrimeContext:
     # come from b - 1 Horner steps and are packed once.  Term n adds
     # (c_n p^(s_n // e) mod M) times packed u^j, one big-integer product,
     # to the partial sum of its class r = s_n mod e; a block shifts each
-    # partial sum up by r slots, adds the join acc u^b as one product of
-    # packed integers, and is folded, unpacked and reduced once.  Every
-    # scalar and entry is below M = p^ceil(rel/e).  Before the fold a slot
-    # sums at most b terms and e products of the join.  After it, a term
-    # reaches slot k as it is, or times p when its shift wrapped, and the
-    # join adds k + 1 products plus p (e - 1 - k) folded ones, so slot 0 is
-    # the widest, below X (M - 1)^2 with X = p (b + e - 1) + 1; at e = 1
-    # nothing wraps or folds and X = b + 1.  So w = bits(X (M - 1)^2), and
-    # with every scalar and entry of u at M - 1 a block fills all w bits
-    # of a slot for some p, e and rel, so the bound has no bit to spare.
-    # At f > 1 a partial sum, below b (M - 1)^2 a slot, is unpacked, and
-    # the shifts and the join are vector operations.  Over the exp and
-    # log1p calls of two bracket-grid rounds, this kernel ran exp 1.18x as
-    # fast as the per-entry term loop it replaced at (p, e, K) = (3, 1, 60),
-    # 1.56x at (5, 3, 180), 1.21x at (3, 1, 480) and 1.70x at (5, 10, 600),
-    # and log1p 1.09x, 1.21x, 1.10x and 1.18x.
+    # partial sum up by r slots, within its rows, adds the join acc u^b as
+    # one product of packed integers, and is folded, unpacked and reduced
+    # once.  Every scalar and entry is below M = p^ceil(rel/e).  After the
+    # fold a term reaches slot k of a row as it is, or times p when its
+    # shift wrapped, and the join adds X products in row f - 1, so slot 0
+    # of that row is the widest, below X' (M - 1)^2 with X' = p b + X; at
+    # e = 1 nothing wraps or folds and X' = b + f.  So w = bits(X' (M - 1)^2),
+    # and with every scalar and entry of u at M - 1 a block fills all w
+    # bits of a slot for some p, e, f and rel: the bound has no bit to
+    # spare.  Over the exp and log1p calls of two bracket-grid rounds, this
+    # kernel ran exp 1.18x as fast as the per-entry term loop it replaced
+    # at (p, e, K) = (3, 1, 60), 1.56x at (5, 3, 180), 1.21x at (3, 1, 480)
+    # and 1.70x at (5, 10, 600), and log1p 1.09x, 1.21x, 1.10x and 1.18x.
     #
-    # Every packed kernel, _vec_mul's included, folds and unpacks through
-    # _unpacker.  Its closure adds one call to a Horner step: 1.00-1.06x
-    # the time of the step written out at (3, 4, 120), (5, 3, 90) and
-    # (5, 10, 200), under 0.13 us a step: at most 1.2 ms over the 9,049
-    # steps of a fixed-points round, which takes 0.39 s of CPU time.
+    # Every packed kernel folds and unpacks through _unpacker, whose
+    # closure _packer keeps per width and modulus.  The closure adds one
+    # call to a Horner step: 1.00-1.06x the time of the step written out at
+    # (3, 4, 120), (5, 3, 90) and (5, 10, 200), under 0.13 us a step: at
+    # most 1.2 ms over the 9,049 steps of a fixed-points round, which takes
+    # 0.39 s of CPU time.
 
     def _moduli(self, rel: int) -> list:
         """The per-entry moduli of a vector reduced modulo pi^rel."""
@@ -484,44 +458,50 @@ class PrimeContext:
         v = e * s + i
         return v if v < rel else None
 
+    def _row_weight(self) -> int:
+        """X = f (1 + p (e - 1)), the most products of two entries that a slot
+        of a folded product of packed vectors sums (see the kernel note)."""
+        return self.f * (1 + self.p * (self.e - 1))
+
+    def _packer(self, w: int, rel: int | None = None) -> tuple:
+        """(pack, unpack) of the packed format in slots of w bits, kept per (w, rel).
+
+        ``pack(vec, w)`` puts block j from slot j(2e - 1) on, as ``_pack``
+        does when f = 1 or e = 1; ``unpack`` is ``_unpacker``'s, reducing
+        modulo pi^rel unless rel is None.
+        """
+        pair = self._packers.get((w, rel))
+        if pair is None:
+            e, mods = self.e, None if rel is None else self._moduli(rel)
+            unpack = _unpacker(self.p, e, w, mods, self.modulus)
+            pack = _pack if self.f == 1 or e == 1 else lambda vec, w: _pack_rows(vec, w, e)
+            pair = self._packers[w, rel] = pack, unpack
+        return pair
+
     def _vec_mul(self, a: Sequence[int], b: Sequence[int]) -> list:
-        table = self._table
-        if table is not None:
-            c = [0] * self._dim
-            for k1, x in enumerate(a):
-                if not x:
+        e, p = self.e, self.p
+        if self.f == 1 and e < _PACKED_MIN_E:
+            if e == 1:
+                return [a[0] * b[0]]
+            c = [0] * e
+            for i, ai in enumerate(a):
+                if not ai:
                     continue
-                row = table[k1]
-                for k2, y in enumerate(b):
-                    if not y:
+                for j, bj in enumerate(b):
+                    if not bj:
                         continue
-                    xy = x * y
-                    for k, m in row[k2]:
-                        c[k] += m * xy
+                    k = i + j
+                    if k < e:
+                        c[k] += ai * bj
+                    else:
+                        c[k - e] += p * ai * bj
             return c
-        e = self.e
-        if e == 1:
-            return [a[0] * b[0]]
-        p = self.p
-        if e >= _PACKED_MIN_E:
-            ma, mb = max(a), max(b)
-            if not ma or not mb:
-                return [0] * e
-            w = ma.bit_length() + mb.bit_length() + e.bit_length() + p.bit_length()
-            return _unpacker(p, e, w)(_pack(a, w) * _pack(b, w))
-        c = [0] * e
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k < e:
-                    c[k] += ai * bj
-                else:
-                    c[k - e] += p * ai * bj
-        return c
+        ma, mb = max(a), max(b)
+        if not ma or not mb:
+            return [0] * self._dim
+        w = (self._row_weight() * ma * mb).bit_length()
+        pack, unpack = self._packer(w)
+        return unpack(pack(a, w) * pack(b, w))
 
     def _horner_step(self, d: Sequence[int], rel: int):
         """The step acc -> reduce(acc*d + c, rel) of a Horner pass by a fixed d.
@@ -539,55 +519,48 @@ class PrimeContext:
                     return [a * d0 % m for a, m in zip(acc, mods)]
                 return [(a * d0 + x) % m for a, x, m in zip(acc, c, mods)]
             return step
-        if self._table is not None:
-            mul, reduce = self._vec_mul, self._vec_reduce
-
-            def step(acc, c):
-                prod = mul(acc, d)
-                if c is not None:
-                    prod = [a + x for a, x in zip(prod, c)]
-                return reduce(prod, rel)
-            return step
-        e, p = self.e, self.p
-        w = 2 * self._ppow(_ceil_div(rel, e)).bit_length() + e.bit_length() + p.bit_length()
-        unpack, packed = _unpacker(p, e, w, mods), _pack(d, w)
+        top = self._ppow(_ceil_div(rel, self.e)) - 1
+        w = (self._row_weight() * top * top).bit_length()
+        pack, unpack = self._packer(w, rel)
+        packed = pack(d, w)
 
         def step(acc, c):
-            return unpack(_pack(acc, w) * packed, c)
+            return unpack(pack(acc, w) * packed, c)
         return step
 
     def _packed_powers(self, d: Sequence[int], rel: int, n: int, w: int) -> list:
         """d^0, d^1, ..., d^max(n, 1) reduced modulo pi^rel, each packed in
         slots of w bits; d^2 ... d^n take n - 1 steps of ``_horner_step``."""
+        pack = self._packer(w, rel)[0]
         step = self._horner_step(d, rel)
         power = self._vec_reduce(d, rel)
-        pows = [1, _pack(power, w)]
+        pows = [1, pack(power, w)]
         for _ in range(n - 1):
             power = step(power, None)
-            pows.append(_pack(power, w))
+            pows.append(pack(power, w))
         return pows
 
     def _block_width(self, rel: int) -> int:
         """The slot width of ``_block_pass`` for operands reduced modulo pi^rel."""
-        m = self._ppow(max(_ceil_div(rel, self.e), 0))
-        return 2 * m.bit_length() + ((_BLOCK + 1) * self.e * (self.p + 1)).bit_length()
+        top = self._ppow(max(_ceil_div(rel, self.e), 0)) - 1
+        return ((_BLOCK * self._row_weight() + 1) * top * top).bit_length()
 
     def _block_pass(self, coeffs: Sequence[int], n: int, d: Sequence[int], rel: int,
                     w: int) -> list:
-        """sum_{i<n} c_i d^i reduced modulo pi^rel, at f = 1, _BLOCK terms a reduction.
+        """sum_{i<n} c_i d^i reduced modulo pi^rel, _BLOCK terms a reduction.
 
         ``coeffs[i]`` is c_i packed in slots of w = ``_block_width(top)``
         bits, its entries reduced modulo pi^top for some top >= rel, and 0
         when c_i is zero; d is integral.
         """
-        unpack = _unpacker(self.p, self.e, w, self._moduli(rel))
+        pack, unpack = self._packer(w, rel)
         pows = self._packed_powers(d, rel, min(_BLOCK, n - 1), w)
         join = pows.pop() if n > _BLOCK else None
         acc, hi = None, n
         for i in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
             z = sum(map(operator.mul, coeffs[i:hi], pows))
             if acc is not None:
-                z += _pack(acc, w) * join
+                z += pack(acc, w) * join
             acc = unpack(z)
             hi = i
         return acc
@@ -668,28 +641,57 @@ def _pack(vec: Sequence[int], w: int) -> int:
     return x
 
 
-def _unpacker(p: int, n: int, w: int, mods: Sequence[int] | None = None):
+def _pack_rows(vec: Sequence[int], w: int, e: int) -> int:
+    """``_pack`` with block j of e entries from slot j(2e - 1) on."""
+    return sum(_pack(vec[j:j + e], w) << j // e * (2 * e - 1) * w for j in range(0, len(vec), e))
+
+
+def _unpacker(p: int, e: int, w: int, mods: Sequence[int] | None = None,
+              modulus: Sequence[int] = (0, 1)):
     """The fold and unpacking of a product of vectors packed in slots of w bits.
 
-    ``unpack(z)`` folds the slots from n up onto slots 0 ... n - 1 times p,
-    as pi^e = p asks when n = e, and returns slots 0 ... n - 1; with
-    ``mods`` it reduces entry i modulo mods[i], and ``unpack(z, c)`` adds
-    the vector c first (None for zero).  Every slot, folded or not, must
-    hold its sum without a carry, which the caller's w guarantees.
+    ``unpack(z)`` folds the slots from e up onto slots 0 ... e - 1 times p,
+    as pi^e = p asks, and returns slots 0 ... e - 1; with ``mods`` it
+    reduces entry i modulo mods[i], and ``unpack(z, c)`` adds the vector c
+    first (None for zero).  Every slot, folded or not, must hold its sum
+    without a carry, which the caller's w guarantees.  At f > 1, f + 1 the
+    length of ``modulus``, it does so in each of 2f - 1 rows of 2e - 1
+    slots and then folds rows f ... 2f - 2 by zeta^f = -sum modulus[j] zeta^j.
     """
-    nw = n * w
-    low, mask, slots = (1 << nw) - 1, (1 << w) - 1, range(0, nw, w)
-    if mods is None:
-        def unpack(z):
-            z = (z & low) + p * (z >> nw)
-            return [z >> s & mask for s in slots]
+    f, ew = len(modulus) - 1, e * w
+    mask = (1 << w) - 1
+    if f == 1:
+        low, slots = (1 << ew) - 1, range(0, ew, w)
+        if mods is None:
+            def unpack(z):
+                z = (z & low) + p * (z >> ew)
+                return [z >> s & mask for s in slots]
+            return unpack
+
+        def unpack(z, c=None):
+            z = (z & low) + p * (z >> ew)
+            if c is None:
+                return [(z >> s & mask) % m for s, m in zip(slots, mods)]
+            return [((z >> s & mask) + y) % m for s, y, m in zip(slots, c, mods)]
         return unpack
+    stride, dim = (2 * e - 1) * w, e * f
+    low = sum(((1 << ew) - 1) << j * stride for j in range(2 * f - 1))
+    slots = [j * stride + i for j in range(2 * f - 1) for i in range(0, ew, w)]
+    # entry k of row d >= f adds -modulus[j] times itself to row d - f + j
+    taps = [((j - f) * e, m) for j, m in enumerate(modulus[:f]) if m]
 
     def unpack(z, c=None):
-        z = (z & low) + p * (z >> nw)
+        lo = z & low
+        z = lo + p * ((z - lo) >> ew)
+        out = [z >> s & mask for s in slots]
+        for k in range(len(out) - 1, dim - 1, -1):  # from the top row down
+            for off, m in taps:
+                out[k + off] -= m * out[k]
+        if mods is None:
+            return out[:dim]
         if c is None:
-            return [(z >> s & mask) % m for s, m in zip(slots, mods)]
-        return [((z >> s & mask) + y) % m for s, y, m in zip(slots, c, mods)]
+            return [x % m for x, m in zip(out, mods)]
+        return [(x + y) % m for x, y, m in zip(out, c, mods)]
     return unpack
 
 

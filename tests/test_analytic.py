@@ -36,6 +36,7 @@ from qbracket import (
     series1,
     series2,
 )
+from test_core import _vec_mul_ref
 
 
 def test_in_S_boundary():
@@ -475,8 +476,8 @@ def test_kernels_match_term_by_term_reference(z):
                          ids=["p3e1K480", "p5e3K180", "p5e10K600", "p7e2K40f3"])
 def test_kernels_match_reference_at_bench_contexts(p, e, K, f, seed):
     # bracket-grid's cells at e = 1 with a large modulus, at e = 3 and at
-    # e = 10, and the term loop at f = 3, where the blocks are combined on
-    # unpacked vectors
+    # e = 10, and the term loop at f = 3, where each block's partial sums
+    # are shifted within the rows of the packed format
     c = ctx_new(p, e, K, f)
     rng = Random(seed)
     lo = e // (p - 1) + 1  # the least valuation in S
@@ -514,10 +515,10 @@ def test_kernel_product_counts(vector_products):
 
 def test_vector_products_take_nonnegative_operands(monkeypatch):
     # the packed kernels read an operand as one integer of w-bit slots,
-    # which a negative entry would corrupt: _vec_mul's operands at e >= 5,
-    # and every vector a Horner step, a block pass or a power sum of exp
-    # and log1p packs; inv's Newton correction 2 - u w and the series2
-    # factors x - j are reduced first
+    # which a negative entry would corrupt: _vec_mul's operands at f > 1 and
+    # at e >= 5, and every vector a Horner step, a block pass or a power sum
+    # of exp and log1p packs; inv's Newton correction 2 - u w and the
+    # series2 factors x - j are reduced first
     negative, stages = [], {}
 
     def seen(*vecs):
@@ -525,34 +526,41 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
             negative.append(stage)
         stages[stage] = stages.get(stage, 0) + 1
 
-    vec_mul = PrimeContext._vec_mul
+    vec_mul, packer = PrimeContext._vec_mul, PrimeContext._packer
+
+    def checked(ctx, *args):
+        pack, unpack = packer(ctx, *args)
+        return lambda vec, w: seen(vec) or pack(vec, w), unpack
+
     monkeypatch.setattr(PrimeContext, "_vec_mul",
                         lambda ctx, a, b: seen(a, b) or vec_mul(ctx, a, b))
-    for module in (core, analytic):
-        monkeypatch.setattr(module, "_pack",
-                            lambda vec, w, pack=module._pack: seen(vec) or pack(vec, w))
+    monkeypatch.setattr(PrimeContext, "_packer", checked)
     c = ctx_new(5, 10, 200)
     rng = Random(12)
     z = sample(c, rng, valuation=3)
     x = c.one() + c.pi_pow(1)  # entry 0 of x is 1, so x - 2 < 0 there
+    c2, c7 = ctx_new(5, 3, 90, 2), ctx_new(7, 5, 60, 2)
     for stage, call in (("fixed_points_for_q", lambda: fixed_points_for_q(c.one() + z)),
                         ("exp", lambda: exp(z)), ("log1p", lambda: log1p(z)),
                         ("inv", lambda: sample(c, rng).inv()),
-                        ("series2", lambda: series2(x, 0, Fraction(3, 10)))):
+                        ("series2", lambda: series2(x, 0, Fraction(3, 10))),
+                        ("q_for_x f=2", lambda: q_for_x(c2.from_int(5))),
+                        ("fixed_points_for_q f=2",
+                         lambda: fixed_points_for_q(c7.one() + c7.uniformizer()))):
         call()
         assert stages.get(stage), stage
     assert negative == []
 
 
 # _power_sum(u, terms, n_stop, rel) against the sum taken term by term on
-# unpacked integers: u^n by _vec_mul, pi^(s_n) by _vec_shift, one
-# reduction at the end.
+# unpacked integers: u^n by the schoolbook product or table walk of
+# tests/test_core.py, pi^(s_n) by _vec_shift, one reduction at the end.
 
 def _power_sum_ref(c, u, terms, rel):
     acc, power = [0] * c._dim, c._vec_reduce([1] + [0] * (c._dim - 1), rel)
     for n, (s, cn) in enumerate(reversed(terms)):
         if n:
-            power = c._vec_reduce(c._vec_mul(power, u), rel)
+            power = c._vec_reduce(_vec_mul_ref(c, power, u), rel)
         acc = [a + x for a, x in zip(acc, c._vec_shift([cn * y for y in power], s))]
     return list(c._vec_reduce(acc, rel))
 
@@ -562,13 +570,15 @@ def test_power_sum_at_the_widest_slot_sums():
     # in class 0, in the class e - 1 whose shift wraps the most slots, or
     # running through the classes and powers of p: on some of these a
     # block's folded slot needs every bit of the width of core's kernel
-    # note, so a slot one bit narrower carries into the next
+    # note, so a slot one bit narrower carries into the next; at f > 1 the
+    # widest row is row f - 1, where the join sums f products
     for p in (2, 3, 5, 7):
-        for e in (1, 2, 3, 5, 10):
-            c = ctx_new(p, e, 12 * e)
+        for e, f in [(e, 1) for e in (1, 2, 3, 5, 10)] + [(1, 2), (2, 2), (3, 2), (5, 2),
+                                                         (1, 3), (2, 3), (3, 3)]:
+            c = ctx_new(p, e, 12 * e, f)
             for rel in (c.K, e):
                 big_m = p ** -(-rel // e)
-                u = [big_m - 1] * e
+                u = [big_m - 1] * c._dim
                 for n_stop in (2, 3, 5, 9, 25, 37, 49):
                     for s_of in (lambda n: 0, lambda n: e - 1, lambda n: n % e, lambda n: n):
                         terms = [(s_of(n), big_m - 1) for n in range(n_stop - 1, -1, -1)]
@@ -732,26 +742,28 @@ def _solve_p7e5(f, rng):
 ], ids=["p2e3-jet", "p7e5-solve", "p7e5f2-solve"])
 def test_evaluate_matches_reference_on_more_contexts(monkeypatch, run):
     # p = 2 at e = 3, p = 7 at e = 5, and residue degree 2, where the steps
-    # pack, multiply by an integer or walk the product table
+    # and blocks pack rows of e slots, or the steps multiply by an integer
     calls = _recorded_evaluations(monkeypatch, run)
     assert len(calls) >= 20
     for s, point, hint in calls:
         assert s.evaluate(point, hint) == _evaluate_ref(s, point, hint)
 
 
-@pytest.mark.parametrize("hint,n,steps,block,join", [
-    (None, 12, 11, 0, 0),   # at most 2B coefficients: Horner steps
-    (6, 6, 5, 0, 0),
-    (None, 30, 7, 30, 3),   # d^2 ... d^8 by steps, then four blocks
-    (20, 20, 7, 20, 2),     # a hint that cuts the third block
-    ("short", 30, 29, 0, 0),  # dz known to 5 digits: the recurrence is undecided
-], ids=["None-12", "6-6", "None-30", "20-20", "short-30"])
-def test_evaluate_operation_counts(monkeypatch, vector_products, hint, n, steps, block, join):
+@pytest.mark.parametrize("hint,n,steps,block,join,f", [
+    (None, 12, 11, 0, 0, 1),   # at most 2B coefficients: Horner steps
+    (6, 6, 5, 0, 0, 1),
+    (None, 30, 7, 30, 3, 1),   # d^2 ... d^8 by steps, then four blocks
+    (20, 20, 7, 20, 2, 1),     # a hint that cuts the third block
+    ("short", 30, 29, 0, 0, 1),  # dz known to 5 digits: the recurrence is undecided
+    (None, 30, 7, 30, 3, 2),   # residue degree 2 takes the same blocks
+], ids=["None-12", "6-6", "None-30", "20-20", "short-30", "None-30-f2"])
+def test_evaluate_operation_counts(monkeypatch, vector_products, hint, n, steps, block, join,
+                                   f):
     # the PadicNumber loop paid a full * and + per step; a step of the
     # fixed-multiplier kernel packs dz once and calls no generic vector
     # product, and the block pass adds per coefficient one product of
     # packed integers, with one reduction per block; one normalization
-    c = ctx_new(5, 3, 90)
+    c = ctx_new(5, 3, 90, f)
     rng = Random(14)
     coeffs = tuple(sample(c, rng, valuation=k) for k in range(n if hint is None else 30))
     s = TruncatedSeries(c, c.one(), coeffs, None)
@@ -781,13 +793,15 @@ def test_evaluate_operation_counts(monkeypatch, vector_products, hint, n, steps,
 
 @st.composite
 def _block_arguments(draw):
-    """A series over up to 3B + 6 coefficients at f = 1, digits from a drawn
-    seed, and a point and hint; most draws leave the recurrence decided."""
+    """A series over up to 3B + 6 coefficients at f = 1, 2 or 3, digits from a
+    drawn seed, and a point and hint; most draws leave the recurrence decided."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    e = draw(st.integers(2, 12))  # e = 1 takes Horner steps
+    f = draw(st.sampled_from((1, 1, 2, 3)))
+    e = draw(st.integers(2, 12 // f))  # e = 1 takes Horner steps
     K = draw(st.integers(2 * e, 4 * e + 8))
-    c = ctx_new(p, e, K)
+    c = ctx_new(p, e, K, f)
     rng = Random(draw(st.integers(0, 2 ** 32)))
+    size = p ** f
 
     def number(lo, hi, top, zeros=True):
         """val in [lo, hi], prec up to top; now and then zero-flagged."""
@@ -795,8 +809,8 @@ def _block_arguments(draw):
             return c.zero(draw(st.integers(max(lo, 0), top)))
         val = draw(st.integers(lo, hi))
         prec = draw(st.integers(val + 1, max(val + 1, top)))
-        return _read(c, val, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(prec - val)],
-                     prec)
+        return _read(c, val, [rng.randrange(1, size)] + [rng.randrange(size)
+                                                        for _ in range(prec - val)], prec)
 
     block = core._BLOCK  # a pass over more than 2B coefficients takes blocks
     n = draw(st.integers(2 * block + 1, 3 * block + 6) if draw(st.integers(0, 3))

@@ -712,18 +712,51 @@ def test_from_int_builds_no_fraction(monkeypatch):
 
 # -- the vector product --------------------------------------------------
 #
-# _vec_mul packs its operands into one big-integer product from
-# _core._PACKED_MIN_E on.  The function below is the kernel it replaced,
-# a schoolbook double loop at f = 1 and the table walk at f > 1; every
-# product must be the same list of unreduced integers.  Operands are
+# _vec_mul packs its operands into one big-integer product at f > 1 and
+# from _core._PACKED_MIN_E on.  The function below is the kernel it
+# replaced, a schoolbook double loop at f = 1 and at f > 1 a walk of the
+# products of basis elements, zeta^f expanded by the defining polynomial;
+# every product must be the same list of unreduced integers.  Operands are
 # drawn reduced, wide (entries up to 2^400), all-ones in k bits (the
 # largest slot sums), zero, with one nonzero entry, or tiny, and the two
 # operands of a product are drawn independently, so their bit lengths
 # can differ by hundreds.
 
+def _product_table(p, e, modulus):
+    """table[k1][k2] lists the pairs (k, m) with basis element k1 times
+    basis element k2 = sum m * element k, element j*e + i being zeta^j pi^i:
+    pi^e is folded to p, and zeta^d for d >= f is expanded by
+    zeta^f = -sum modulus[j] zeta^j."""
+    f = len(modulus) - 1
+    powers = [[int(j == d) for j in range(f)] for d in range(f)]
+    for _ in range(f - 1):
+        top = powers[-1]
+        nxt = [0] + top[:-1]
+        for j in range(f):
+            nxt[j] -= top[-1] * modulus[j]
+        powers.append(nxt)
+    table = []
+    for k1 in range(e * f):
+        j1, i1 = divmod(k1, e)
+        row = []
+        for k2 in range(e * f):
+            j2, i2 = divmod(k2, e)
+            carry, i = divmod(i1 + i2, e)
+            row.append([(j * e + i, z * p ** carry)
+                        for j, z in enumerate(powers[j1 + j2]) if z])
+        table.append(row)
+    return table
+
+
+_TABLES = {}
+
+
 def _vec_mul_ref(c, a, b):
-    table = c._table
-    if table is not None:
+    if c.f > 1:
+        key = (c.p, c.e, c.modulus)
+        if key not in _TABLES:
+            _TABLES[key] = _product_table(c.p, c.e, c.modulus)
+        table = _TABLES[key]
         out = [0] * c._dim
         for k1, x in enumerate(a):
             if not x:
@@ -752,6 +785,10 @@ def _vec_mul_ref(c, a, b):
     return out
 
 
+# the largest e drawn at each residue degree f, so that e f stays at most 12
+_E_MAX = {1: 12, 2: 6, 3: 4, 6: 2}
+
+
 def _vec_operand(draw, c):
     n = c._dim
     kind = draw(st.sampled_from(("reduced", "wide", "full", "zero", "single", "tiny")))
@@ -776,8 +813,8 @@ def _vec_operand(draw, c):
 def test_vec_mul_matches_schoolbook(data):
     draw = data.draw
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    f = draw(st.sampled_from((1, 1, 1, 2)))
-    e = draw(st.integers(1, 12 if f == 1 else 6))
+    f = draw(st.sampled_from((1, 1, 1, 2, 3, 6)))
+    e = draw(st.integers(1, _E_MAX[f]))
     c = ctx_new(p, e, 4 * e + 8, f)
     a, b = _vec_operand(draw, c), _vec_operand(draw, c)
     if draw(st.booleans()):
@@ -788,9 +825,9 @@ def test_vec_mul_matches_schoolbook(data):
 # -- the fixed-multiplier Horner step ------------------------------------
 #
 # _horner_step(d, rel) returns acc -> reduce(acc*d + c, rel) for a d fixed
-# over a pass: entrywise when the reduced d is an integer, one packed
-# product by d packed once at f = 1, the table walk at f > 1.  Each step
-# must equal the reduced schoolbook product plus c.  acc is drawn reduced
+# over a pass: entrywise when the reduced d is an integer, else one packed
+# product by d packed once, at every f.  Each step must equal the reduced
+# schoolbook product plus c.  acc is drawn reduced
 # modulo pi^rel, as the steps return it, with every entry at its modulus
 # minus 1 now and then (the widest slot sums); d is drawn wide, full,
 # integer or zero, and c wide or None.
@@ -813,8 +850,8 @@ def _step_operand(draw, c, rel, kind):
 def test_horner_step_matches_reduced_schoolbook(data):
     draw = data.draw
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    e = draw(st.integers(1, 12))
-    f = draw(st.sampled_from((1, 2)))
+    f = draw(st.sampled_from((1, 2, 3, 6)))
+    e = draw(st.integers(1, _E_MAX[f]))
     c = ctx_new(p, e, 4 * e + 8, f)
     rel = draw(st.integers(-e, c.K + 2 * e))
     d = _step_operand(draw, c, rel, draw(st.sampled_from(
@@ -834,35 +871,36 @@ def test_horner_step_matches_reduced_schoolbook(data):
 
 def test_horner_step_at_the_widest_slot_sums():
     # every entry of acc, d and c at its modulus minus 1, for every p, e and
-    # f drawn above and a spread of moduli, with c present and absent
+    # f drawn above and a spread of moduli, with c present and absent; the
+    # product of those operands by _vec_mul, too
     for p in (2, 3, 5, 7):
-        for e in range(1, 13):
-            for f in (1, 2):
+        for f in (1, 2, 3, 6):
+            for e in range(1, _E_MAX[f] + 1):
                 c = ctx_new(p, e, 4 * e + 8, f)
                 for rel in (1, 2, e, e + 1, 3 * e - 1, c.K):
                     top = [m - 1 for m in c._moduli(rel)]
                     step = c._horner_step(top, rel)
                     prod = _vec_mul_ref(c, top, top)
+                    assert c._vec_mul(top, top) == prod
                     assert list(step(top, None)) == list(c._vec_reduce(prod, rel))
                     assert list(step(top, top)) == list(
                         c._vec_reduce([a + x for a, x in zip(prod, top)], rel))
 
 
-def test_horner_step_takes_no_vector_product_at_f1(monkeypatch):
-    # d is packed once per pass, or read as an integer; only f > 1 keeps the
-    # table walk of _vec_mul
+def test_horner_step_takes_no_vector_product(monkeypatch):
+    # d is packed once per pass, or read as an integer, at every f
     calls = []
     vec_mul = PrimeContext._vec_mul
     monkeypatch.setattr(PrimeContext, "_vec_mul",
                         lambda ctx, a, b: calls.append(ctx.f) or vec_mul(ctx, a, b))
-    for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2)):
+    for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3), (7, 5, 3)):
         c = ctx_new(p, e, 30 * e, f)
         rel = c.K - 1
         for d in ([2] + [0] * (c._dim - 1), [1] * c._dim):
             step = c._horner_step(d, rel)
             acc = c._vec_reduce([3] * c._dim, rel)
             step(step(acc, None), acc)
-    assert calls == [2, 2]
+    assert calls == []
 
 
 # _block_pass(coeffs, n, d, rel, w) sums c_i d^i for i < n modulo pi^rel,
@@ -881,12 +919,13 @@ def _block_pass_ref(c, coeffs, d, rel):
 def test_block_pass_at_the_widest_slot_sums():
     block = _core._BLOCK
     for p in (2, 3, 5, 7):
-        for e in range(1, 13):
-            c = ctx_new(p, e, 4 * e + 8)
-            for top in (1, e + 1, 3 * e - 1, c.K):
+        for e, f in [(e, 1) for e in range(1, 13)] + [(e, f) for f in (2, 3)
+                                                     for e in range(1, _E_MAX[f] + 1)]:
+            c = ctx_new(p, e, 4 * e + 8, f)
+            for top in (1, e + 1, 2 * e, 3 * e - 1, c.K):
                 w = c._block_width(top)
                 x = [m - 1 for m in c._moduli(top)]
-                packed = [_core._pack(x, w)] * (3 * block + 5)
+                packed = [c._packer(w)[0](x, w)] * (3 * block + 5)
                 for rel in {top, max(top - e - 1, 1)}:  # the pass at and below the packing
                     d = [m - 1 for m in c._moduli(rel)]
                     for n in (1, block + 1, 3 * block + 5):

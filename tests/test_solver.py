@@ -483,9 +483,9 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
     # every evaluation of g and g' on the heavy solve past one digit is one
     # the shared precision rule decides, over more than 2B coefficients, so
     # each runs the block pass; the five seed screens of g, to v_min + 1 = 0
-    # pi-units, keep four coefficients and take Horner steps; at e = 1, at
-    # f = 2, and where the rule is undecided (dz known to 5 digits), a
-    # series like g runs Horner steps
+    # pi-units, keep four coefficients and take Horner steps; a series like
+    # g runs blocks at f = 2 as at f = 1, and Horner steps at e = 1 and
+    # where the rule is undecided (dz known to 5 digits)
     ran, paths = [], []
     evaluate, block_pass = TruncatedSeries.evaluate, PrimeContext._block_pass
 
@@ -510,7 +510,7 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
         point = sample(c, rng)
         paths.clear()
         s.evaluate(point._cap_prec(5) if short else point)
-        assert paths == [(30, None, e > 1 and f == 1 and not short)]
+        assert paths == [(30, None, e > 1 and not short)]
 
 
 def _bench_legs(monkeypatch, workload: str, seed: int = 0) -> list:
