@@ -18,11 +18,16 @@ return, digit for digit, the truncated series of the stored
 representative, so the claimed precisions are those the proved cutoffs
 give, as before: no digit and no precision changes with the method.
 
-The parameter q enters only through q^x = exp(x log q) with q = 1 + y
-in 1+S.  How q splits is decided here, once per public call: a private
-split holds y = pi^t u, the q = 1 and 1+S checks, and log q and y^-1
-from their first use, so q_pow, q_bracket, the series1 jets and the
-solver's certifications share one log1p per q.
+The parameter q enters only through q^x with q = 1 + y in 1+S.  There
+q^x = exp(x log q) is also the limit of the integer powers q^n as n -> x,
+so q^x is taken as q^n exp((x - n) log q) for an integer n that agrees
+with x to as many digits as a cost rule finds worth its square and
+multiply, the split FLINT's padic_exp makes: the exp then starts deeper
+in S and sums far fewer terms, and at an integer x below p^k it is 1 and
+no log is taken.  How q splits is decided here, once per public call: a
+private split holds y = pi^t u, the q = 1 and 1+S checks, log q and y^-1
+from their first use, and q^x, so q_pow, q_bracket, the series1 jets and
+the solver's certifications share at most one log1p per q.
 
 TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
@@ -179,14 +184,24 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> int:
     smallest k of least cost wins.  Which k wins changes no digit, since
     log1p's identity log(1+Y) = p^k log(1+y) holds for every k.
 
-    The weight was measured again on the packed power sum, over the log1p
-    calls of the four bracket-grid cells at seeds 0 and 1, every k from 0
-    up, median of 7 runs.  The k of this rule took 1.10x the time of the
-    fastest k at (p, e, K) = (3, 1, 60), 1.00x at (5, 3, 180), 1.07x at
-    (3, 1, 480) and 1.06x at (5, 10, 600).  A weight of 1/2 took 1.07x,
-    1.02x, 1.03x and 1.13x there, and 1/8 took 1.10x, 1.01x, 1.15x and
-    1.00x: over the cells' mix 1.05x for 1/4, 1.07x for 1/2 and 1.06x for
-    1/8, so the weight stays 1/4.
+    The weight was timed on the log1p calls of the four bracket-grid cells
+    at seeds 0 and 1 (those of integer x need no log), each weight's k per
+    call, 41 interleaved repetitions, median of the per-repetition ratios
+    to the weight 1/4 used before, in two sessions:
+
+    =============  ===========  ===========  ===========  ===========
+    weight         (3, 1, 60)   (5, 3, 180)  (3, 1, 480)  (5, 10, 600)
+    =============  ===========  ===========  ===========  ===========
+    1/2            0.99, 0.99   1.01, 1.01   0.97, 0.96   1.05, 1.07
+    1/8            1.00, 1.00   1.00, 1.01   1.06, 1.08   0.95, 0.94
+    1/(e + 1)      0.99, 0.99   1.00, 1.00   0.97, 0.96   0.95, 0.94
+    =============  ===========  ===========  ===========  ===========
+
+    A product's cost grows with the e entries of a vector and a term's
+    hardly, and 1/(e + 1), which is 1/2 at e = 1, 1/4 at e = 3 and 1/11 at
+    e = 10, is the fastest or tied on every cell.  But at e = 3 it is the
+    same weight, so it wins on three cells and ties on the fourth, and the
+    weight stays 1/4 until a weight depending on e wins on every cell.
     """
     power = p.bit_length() + bin(p).count("1") - 2
     best_k = best = None
@@ -198,6 +213,46 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> int:
             best_k, best = k, cost
         k += 1
     return best_k
+
+
+def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int:
+    """The integer n of q^x = q^n exp((x - n) log q), ``_QSplit.power``.
+
+    x's integral vector has entry 0 = a0 >= 0 and its other entries of
+    valuation ``rest`` (x's precision when they vanish, so x is in Z_p);
+    v(q - 1) = t and the result is wanted modulo pi^target.  n is
+    a0 modulo p^k for some k >= 0, so x - n has valuation
+    min(rest, e v_p(a0 - n)), and exp's series at that valuation plus t
+    takes N terms, none once it reaches the target.  Integer cost rule
+    in vector products, as ``_log_reduction``'s: q^n by square and
+    multiply takes bit_length(n) + popcount(n) - 2, the series about
+    2 sqrt(N) plus N/4 for its terms.  The smallest k of least cost
+    wins.  k grows while that can still raise x - n's valuation and
+    while q^n's squarings alone, bit_length(n) - 1, which a larger k
+    never lowers, cost less than the best.  Which n wins changes no digit
+    (see ``_QSplit.power``).
+
+    On bracket-grid's ops at seeds 0 and 1, 21 interleaved repetitions,
+    pricing a product of q^n at 2 series products took 0.95-1.02x the
+    time of this rule per cell, and at 1/2 of one 1.01-1.21x, so the
+    rule prices both alike.
+    """
+    best_n = best = None
+    n, k = 0, 0
+    while best is None or 4 * (n.bit_length() - 1) < best:
+        d = a0 - n
+        v = min(rest, e * _vp(d, p)) if d else rest
+        cost = 4 * max(n.bit_length() + bin(n).count("1") - 2, 0)
+        if v + t < target:
+            terms = _ceil_div(target * (p - 1), (v + t) * (p - 1) - e)
+            cost += 8 * math.isqrt(terms) + terms
+        if best is None or cost < best:
+            best_n, best = n, cost
+        if v == rest or v + t >= target:
+            break
+        k += 1
+        n = a0 % p ** k
+    return best_n
 
 
 def _log_terms(p: int, e: int, t: int, n_stop: int, mod: int):
@@ -228,7 +283,9 @@ def exp(z: PadicNumber) -> PadicNumber:
     a packed power, with the m_n^-1 from one modular inverse and a running
     product taken in the order of the Horner pass.  The result is the
     value the term-by-term series gives for the stored representative,
-    modulo pi^target, and is claimed to the same precision.
+    modulo pi^target, and is claimed to the same precision.  q^x reaches
+    exp only for what is left of x log q once an integer power of q is
+    split off (``_QSplit.power``).
     """
     ctx = z.ctx
     if not in_S(z):
@@ -404,9 +461,10 @@ def _integral(ctx: PrimeContext, x, who: str) -> PadicNumber:
 class _QSplit:
     """q = 1 + y, split once per public call and shared by every use of q.
 
-    L = log1p(y) and y^-1 are computed on first use and kept, so q^x =
-    exp(x L), [x]_q and series1 jets at any number of points share one
-    log1p, and a path that needs neither never computes them.
+    L = log1p(y) and y^-1 are computed on first use and kept, so q^x,
+    [x]_q and series1 jets at any number of points share one log1p, and a
+    path that needs neither, such as q^x at an integer x, never computes
+    them.
     """
 
     def __init__(self, q: PadicNumber):
@@ -433,13 +491,44 @@ class _QSplit:
     def inv_y(self) -> PadicNumber:
         return self.y.inv()
 
+    def power(self, x: PadicNumber) -> PadicNumber:
+        """q^x for integral x, digit for digit ``exp(x * log_q)``.
+
+        With x = n + x', n >= 0 an integer, q^x = q^n exp(x' log q).  exp
+        and log are inverse isometries on S, so exp(L) = q modulo
+        pi^prec(y) for the stored L = log q, and exp(L)^n = q^n modulo
+        pi^(prec(y) + v(n)).  n is x's integral vector's entry 0 modulo
+        p^k, which is 0 or has v(n) >= v(x); so q^n exp(x' L), both
+        factors taken to P = min(prec x + v(y), prec y + v(x)) with q's
+        representative lifted to P, is exp(x L) modulo pi^P, the precision
+        that product claims.  ``_power_split`` picks k; where x' L sits at
+        or above pi^P, q^n is the whole result and no log is taken.
+        Zero-flagged x or y take exp(x L) itself.
+        """
+        y = self.y
+        if x.is_zero or y.is_zero:
+            return exp(x * self.log_q)
+        ctx, t = y.ctx, y.val
+        target = min(x.prec + t, y.prec + x.val)
+        vec = list(ctx._vec_reduce(ctx._vec_shift(x._unit, x.val), x.prec))
+        off = ctx._vec_val([0] + vec[1:], x.prec)
+        n = _power_split(ctx.p, ctx.e, t, target, vec[0], x.prec if off is None else off)
+        if not n:
+            return exp(x * self.log_q)
+        vec[0] -= n
+        rem = _from_raw(ctx, 0, vec, x.prec)  # x' = x - n, known as far as x
+        out = self.q._cap_prec(target)._lift_exact(target) ** n
+        if rem.is_zero or rem.val + t >= target:
+            return out
+        return out * exp((rem * self.log_q)._cap_prec(target))
+
     def bracket(self, x) -> PadicNumber:
         x = _integral(self.q.ctx, x, "q_bracket")
         if self.y.is_zero:
             # [x]_q - x is a multiple of q - 1 for integral x, so this cap is sound
             return x._cap_prec(min(x.prec, self.y.prec))
         self.check("q_bracket")
-        return (exp(x * self.log_q) - self.one) * self.inv_y
+        return (self.power(x) - self.one) * self.inv_y
 
     def jet(self, x, n_max: int | None = None, tail_target: Fraction | None = None,
             over_y: bool = False) -> "TruncatedSeries":
@@ -463,7 +552,7 @@ class _QSplit:
             n_max = _n_for_tail(delta, tail_target)
         inv_y, big_l = self.inv_y, self.log_q
         tail = n_max * delta
-        qx = exp(x * big_l)
+        qx = self.power(x)
         term = qx * big_l * inv_y
         c0, c1 = (qx - self.one) * inv_y - x, term - self.one
         if over_y:
@@ -477,12 +566,16 @@ class _QSplit:
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
-    """q^x = exp(x log q) for x in the ring of integers and q in 1+S."""
+    """q^x = exp(x log q) for x in the ring of integers and q in 1+S.
+
+    Taken as q^n exp((x - n) log q) for an integer n near x
+    (``_QSplit.power``), which is exp(x log q) digit for digit.
+    """
     x = _integral(q.ctx, x, "q_pow")
     s = _QSplit(q)
     if not in_S(s.y):  # q = 1 is in 1+S and gives 1
         raise DomainError("q_pow needs v(q-1) > 1/(p-1)")
-    return exp(x * s.log_q)
+    return s.power(x)
 
 
 def q_bracket(x, q: PadicNumber) -> PadicNumber:
@@ -508,7 +601,7 @@ def cocycle_check(x, xp, q: PadicNumber) -> bool:
     xp = _coerce(ctx, xp)
     s = _QSplit(q)
     lhs = s.bracket(x + xp)
-    rhs = s.bracket(x) + exp(x * s.log_q) * s.bracket(xp)
+    rhs = s.bracket(x) + s.power(x) * s.bracket(xp)
     return (lhs - rhs).is_zero
 
 

@@ -411,6 +411,13 @@ class PrimeContext:
     # kernel ran exp 1.18x as fast as the per-entry term loop it replaced
     # at (p, e, K) = (3, 1, 60), 1.56x at (5, 3, 180), 1.21x at (3, 1, 480)
     # and 1.70x at (5, 10, 600), and log1p 1.09x, 1.21x, 1.10x and 1.18x.
+    # The bracket path now hands exp shorter series rather than a faster
+    # kernel: q^x is q^n exp((x - n) log q) for an integer n near x
+    # (analytic._QSplit.power), so exp starts deeper in S, where N is
+    # smaller, and an integer x takes no series at all.  A seed-0
+    # bracket-grid round went from 60 exp calls on 13,281 terms to 42 on
+    # 3,846; at e = 1, where a term is one scalar product and packing
+    # saves nothing, from 4,812 terms to 688.
     #
     # Every packed kernel folds and unpacks through _unpacker, whose
     # closure _packer keeps per width and modulus.  The closure adds one

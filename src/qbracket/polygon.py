@@ -113,23 +113,24 @@ def unit_disk_zero_count(series: TruncatedSeries) -> int:
     """Weierstrass degree: rightmost coefficient index of minimal valuation.
 
     Certified only when the tail bound strictly dominates the minimum
-    and every zero-flagged coefficient is known past it.
+    and every zero-flagged coefficient is known past it.  The valuations
+    and precisions are compared as the series stores them, in pi-units.
     """
-    points = series.valuation_points()
-    vmin = min((v for _, v in points if v is not None), default=None)
+    vals, precs, e = series._vals, series._precs, series.ctx.e
+    vmin = min((v for v in vals if v is not None), default=None)
     if vmin is None:
         raise CertificationFailure("every coefficient is zero-flagged; no minimum to certify")
-    if series.tail_bound is not None and series.tail_bound <= vmin:
+    if series.tail_bound is not None and series.tail_bound * e <= vmin:
         raise CertificationFailure(
-            f"tail bound {series.tail_bound} does not dominate the minimal valuation {vmin}")
+            f"tail bound {series.tail_bound} does not dominate the minimal valuation "
+            f"{Fraction(vmin, e)}")
     n_big = None
-    for n, v in points:
+    for n, (v, prec) in enumerate(zip(vals, precs)):
         if v is None:
-            bound = Fraction(series._precs[n], series.ctx.e)
-            if bound <= vmin:
+            if prec <= vmin:
                 raise CertificationFailure(
-                    f"coefficient {n} is zero-flagged at bound {bound}, "
-                    f"not past the minimal valuation {vmin}")
+                    f"coefficient {n} is zero-flagged at bound {Fraction(prec, e)}, "
+                    f"not past the minimal valuation {Fraction(vmin, e)}")
         elif v == vmin:
             n_big = n
     return n_big

@@ -147,6 +147,79 @@ def test_cocycle_identity_sampled():
             assert cocycle_check(x, xp, q)
 
 
+def _power_inputs(c, rng):
+    """A q and an x for q^x at context c: every kind of q the split meets
+    (near and at the edge of S, capped, lifted above K, and q = 1 at
+    precision) against every kind of integral x."""
+    p, e, f, K = c.p, c.e, c.f, c.K
+    lo = e // (p - 1) + 1
+    kind = rng.randrange(6)
+    if kind == 5:
+        q = c.one() if rng.randrange(2) else c.one()._cap_prec(rng.randrange(1, K))
+    else:
+        q = c.one() + sample(c, rng, valuation=lo + rng.randrange(3))
+        if kind == 3:
+            q = q._cap_prec(rng.randrange(lo + 1, K))
+        elif kind == 4:
+            q = q._lift_exact(K + rng.randrange(1, 3 * e))
+    kind = rng.randrange(9)
+    if kind == 0:
+        x = c.from_int(rng.randrange(1, 300))
+    elif kind == 1:
+        x = c.from_int(rng.randrange(p ** 30))
+    elif kind == 2:
+        x = c.from_rational(rng.randrange(-60, 60), rng.randrange(1, 60 * p, p))
+    elif kind == 3:
+        x = sample(c, rng, residue=(rng.randrange(1, p),) + (0,) * (f - 1) if f > 1
+                   else rng.randrange(1, p))
+    elif kind == 4:
+        x = sample(c, rng)
+    elif kind == 5:
+        x = sample(c, rng, valuation=rng.randrange(1, 2 * e + 1))
+    elif kind == 6:
+        x = sample(c, rng, valuation=rng.randrange(e))._cap_prec(rng.randrange(e, K))
+    elif kind == 7:
+        x = c.from_int(rng.randrange(1, 10 ** 6))._lift_exact(K + rng.randrange(1, 4 * e))
+    else:
+        x = c.zero(rng.randrange(1, K + 1))
+    return q, x
+
+
+def test_q_power_split_matches_exp_of_x_log_q():
+    # q^x = q^n exp((x - n) log q) must equal exp(x log q) digit for digit,
+    # with the same precision and zero flag, and fail alike where it fails
+    rng = Random(19)
+    for p in (3, 5, 7):
+        for e in (1, 2, 3, 4, 5, 10):
+            for f in (1, 2, 3):
+                c = ctx_new(p, e, 8 * e + rng.randrange(e), f)
+                for _ in range(8):
+                    q, x = _power_inputs(c, rng)
+                    want = _outcome(lambda x: exp(x * analytic._QSplit(q).log_q), x)
+                    assert _outcome(analytic._QSplit(q).power, x) == want, (c, q, x)
+
+
+def test_q_power_of_an_integer_is_repeated_multiplication():
+    # independent oracle: q^m is m - 1 products of q's exact representative,
+    # at the precision x log q carries, min(prec x + v(y), prec y + v(x))
+    rng = Random(23)
+    for p, e, f in ((3, 1, 1), (5, 3, 1), (3, 2, 2), (7, 5, 1), (5, 10, 1), (3, 4, 3)):
+        c = ctx_new(p, e, 12 * e, f)
+        lo = e // (p - 1) + 1
+        for m in (1, 2, p, p + 1, p * p, rng.randrange(2, 200), rng.randrange(2, 200)):
+            q = c.one() + sample(c, rng, valuation=lo + rng.randrange(3))
+            if m % 2:
+                q = q._cap_prec(rng.randrange(c.K // 2, c.K))
+            y, x = q - c.one(), c.from_int(m)
+            prec = min(x.prec + y.val, y.prec + x.val)
+            rep = q._lift_exact(prec)
+            acc = rep
+            for _ in range(m - 1):
+                acc = acc * rep
+            got = analytic._QSplit(q).power(x)
+            assert got.prec == prec and got == acc._cap_prec(prec), (c, m, q)
+
+
 def test_a_poly_frozen_values():
     c = ctx_new(5, 1, 40)
     a5 = a_poly(3, c.from_int(5))

@@ -1,6 +1,7 @@
 """Lower hulls, slope runs, and certified disk zero counts."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -10,6 +11,7 @@ from qbracket import (
     ctx_new,
     polygon_build,
     root_valuations,
+    sample,
     unit_disk_zero_count,
 )
 
@@ -124,3 +126,43 @@ def test_zero_count_respects_ramification():
     assert unit_disk_zero_count(s) == 1
     ng = polygon_build(s.valuation_points())
     assert root_valuations(ng) == [(Fraction(1), 1)]
+
+
+def _zero_count_reference(series):
+    """The count on Fraction valuations in p-units, as valuation_points gives them."""
+    points = series.valuation_points()
+    vmin = min((v for _, v in points if v is not None), default=None)
+    if vmin is None:
+        return "every coefficient is zero-flagged; no minimum to certify"
+    if series.tail_bound is not None and series.tail_bound <= vmin:
+        return f"tail bound {series.tail_bound} does not dominate the minimal valuation {vmin}"
+    n_big = None
+    for n, v in points:
+        if v is None:
+            bound = Fraction(series._precs[n], series.ctx.e)
+            if bound <= vmin:
+                return (f"coefficient {n} is zero-flagged at bound {bound}, "
+                        f"not past the minimal valuation {vmin}")
+        elif v == vmin:
+            n_big = n
+    return n_big
+
+
+def test_zero_count_matches_fraction_reference():
+    # counts and refusal texts on pi-unit ints equal those on p-unit
+    # Fractions, tail bounds and zero-flag bounds at the minimum included
+    rng = Random(112)
+    for e in (1, 2, 3, 5):
+        c = ctx_new(5, e, 12 * e)
+        for _ in range(60):
+            coeffs = []
+            for _ in range(rng.randrange(1, 7)):
+                v = rng.randrange(3 * e)
+                coeffs.append(c.zero(v) if rng.randrange(4) == 0 else sample(c, rng, valuation=v))
+            tail = rng.choice((None, Fraction(rng.randrange(4 * e), e), Fraction(1, 3)))
+            s = TruncatedSeries(c, c.zero(), tuple(coeffs), tail)
+            try:
+                got = unit_disk_zero_count(s)
+            except CertificationFailure as exc:
+                got = str(exc)
+            assert got == _zero_count_reference(s), (e, coeffs, tail)
