@@ -44,22 +44,28 @@ and gives the chain's coefficients digit for digit.
 A series is stored raw, not as PadicNumbers: one base valuation, each
 coefficient's vector already shifted onto it, and its valuation and
 precision as ints (Caruso, "Computations with p-adic numbers", 2017).
-The builders hand their raw coefficients over, and the derivative,
-deflation and recentring work on that form by the rules of PadicNumber
-arithmetic, so every coefficient is digit for digit the one the
-PadicNumber operations give; ``coeffs`` builds those PadicNumbers only
-when read.  A series' evaluation is one Horner pass on the stored
-vectors with no shift per step, normalized once.  The precision the
-PadicNumber loop would carry, P <- min(P + v(dz), prec(dz) + v(acc),
-prec(c_n)), is kept as an integer beside it (Caruso, Roe and Vaccon,
-"Tracking p-adic precision", 2014), so value, digits and precision are
-the loop's.  Where the v(acc) terms cannot bind, that recurrence fixes
-the precision before any step: the solver reads the precision of its
-probe point that way, and a long pass at e > 1 then sums blocks of
-coefficients on Kronecker-packed integers, packed once per series, with
-one reduction per block, at every residue degree f; any other pass takes
-one step per coefficient of a kernel that core sets up once per pass for
-the fixed multiplier dz.
+The builders hand their raw coefficients over, and deflation and
+recentring work on that form by the rules of PadicNumber arithmetic, so
+every coefficient is digit for digit the one the PadicNumber operations
+give; ``coeffs`` builds those PadicNumbers only when read.  A derivative
+copies nothing: it is a view on its series' vectors whose valuations and
+precisions are the series' plus e v_p(n), and it forms the vector n w_n
+of a coefficient only when a pass first reads it, so a root lift never
+forms the coefficients its hints cut.  A series' evaluation is one
+Horner pass on the stored vectors with no shift per step, normalized
+once.  The precision the PadicNumber loop would carry, P <- min(P +
+v(dz), prec(dz) + v(acc), prec(c_n)), is kept as an integer beside it
+(Caruso, Roe and Vaccon, "Tracking p-adic precision", 2014), so value,
+digits and precision are the loop's.  That precision is computed apart
+from the digits.  Where the v(acc) terms cannot bind, the recurrence
+fixes it before any step; where they can, they bind only below the
+modulus, so the recurrence runs on partial sums kept modulo the few
+pi-units where they do.  The solver reads the precision of a probe point
+or a Newton target that way, with no evaluation.  A long pass at e > 1
+whose precision is fixed sums blocks of coefficients on Kronecker-packed
+integers, packed once per series, with one reduction per block, at every
+residue degree f; any other pass takes one step per coefficient of a
+kernel that core sets up once per pass for the fixed multiplier dz.
 """
 
 from __future__ import annotations
@@ -629,11 +635,12 @@ class TruncatedSeries:
     where a cap has since lowered such a precision; no nonzero
     coefficient sits below it.  The suffix minima of the valuations are
     kept beside them, so a hint cuts the trailing coefficients by one
-    bisection.
+    bisection.  A derivative keeps its source series instead of vectors
+    and forms each vector from the source's on first read (``_vectors``).
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_base", "_vals", "_vecs", "_precs",
-                 "_lows", "_wall", "_packed")
+                 "_lows", "_wall", "_packed", "_source")
 
     def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs,
                  tail_bound: Fraction | None):
@@ -649,23 +656,30 @@ class TruncatedSeries:
 
     def _store(self, ctx, center, tail_bound, base, coeffs) -> None:
         coeffs = list(coeffs)
+        self._frame(ctx, center, tail_bound, base, [v for v, _, _ in coeffs],
+                    [p for _, _, p in coeffs])
+        vecs = tuple(w for _, w, _ in coeffs)
+        if self._base > base:  # an operation raised the least valuation
+            vecs = tuple(None if w is None else tuple(ctx._vec_shift(w, base - self._base))
+                         for w in vecs)
+        self._vecs, self._source = vecs, None
+
+    def _frame(self, ctx, center, tail_bound, base, vals, precs) -> None:
+        """Everything but the vectors: the valuations and precisions, their
+        suffix minima, and the base, raised to the least valuation when
+        that lies above the vectors' ``base``."""
         self.ctx = ctx
         self.center = center
         self.tail_bound = tail_bound
-        self._vals = tuple(v for v, _, _ in coeffs)
-        self._precs = tuple(p for _, _, p in coeffs)
+        self._vals, self._precs = tuple(vals), tuple(precs)
         lows, low = [], None
-        for v, _, p in reversed(coeffs):
+        for v, p in zip(reversed(self._vals), reversed(self._precs)):
             b = p if v is None else v
             low = b if low is None or b < low else low
             lows.append(low)
         lows.reverse()
-        vecs = tuple(w for _, w, _ in coeffs)
-        if lows and lows[0] > base:  # an operation raised the least valuation
-            vecs = tuple(None if w is None else tuple(ctx._vec_shift(w, base - lows[0]))
-                         for w in vecs)
-            base = lows[0]
-        self._base, self._vecs, self._lows = base, vecs, tuple(lows)
+        self._base = lows[0] if lows and lows[0] > base else base
+        self._lows = tuple(lows)
         self._wall = max(self._precs, default=None)
         self._packed = None
 
@@ -728,31 +742,37 @@ class TruncatedSeries:
         target, n, wall = self._kept(prec_hint)
         if not n:
             return ctx.zero(target)
-        base, vecs, precs = self._base, self._vecs, self._precs
-        dz_prec = dz.prec
-        if dz.is_zero:
-            dz_val, big_d = dz_prec, [0] * ctx._dim
-        else:
-            dz_val, big_d = dz.val, ctx._vec_shift(dz._unit, dz.val)
+        base = self._base
         blocks = ctx.e > 1 and n > 2 * _BLOCK
         prec = self._decided(dz, n, wall) if blocks else None
         if prec is not None:
             top, w, packed = self._packing(n)
-            acc = ctx._block_pass(packed, n, big_d, min(wall, top) - base, w)
-            return _from_raw(ctx, base, acc, prec)
-        rel = wall - base
-        step = ctx._horner_step(big_d, rel)
+            acc = ctx._block_pass(packed, n, _dz_vector(dz), min(wall, top) - base, w)
+        else:
+            acc, prec = self._steps(dz, n, wall, wall - base)
+        return _from_raw(ctx, base, acc, prec)
+
+    def _steps(self, dz: PadicNumber, n: int, wall: int, rel: int) -> tuple:
+        """(acc, P) of the pass over n coefficients by Horner steps, acc
+        modulo pi^rel for rel <= W - b, and P by the precision recurrence
+        beside it, v(acc) measured modulo pi^min(rel, P - b)."""
+        ctx, base, precs = self.ctx, self._base, self._precs
+        vecs = self._vectors(n)
+        dz_prec = dz.prec
+        dz_val = dz_prec if dz.is_zero else dz.val
+        step = ctx._horner_step(_dz_vector(dz), rel)
         acc = ctx._vec_reduce(vecs[n - 1] or [0] * ctx._dim, rel)
         prec = min(precs[n - 1], wall)
         for i in range(n - 2, -1, -1):
             nxt = min(prec + dz_val, precs[i], wall)
             if dz_prec + base < nxt:
-                v = ctx._vec_val(ctx._vec_reduce(acc, prec - base), prec - base)
+                r = min(rel, prec - base)
+                v = ctx._vec_val(ctx._vec_reduce(acc, r), r)
                 if v is not None:
                     nxt = min(nxt, dz_prec + base + v)
             acc = step(acc, vecs[i])
             prec = nxt
-        return _from_raw(ctx, base, acc, prec)
+        return acc, prec
 
     def _offset(self, point: PadicNumber) -> PadicNumber:
         """point - center, which must lie in the closed unit disk."""
@@ -788,13 +808,24 @@ class TruncatedSeries:
         return low if low <= dz.prec + self._base else None
 
     def _prec_at(self, point: PadicNumber) -> int:
-        """``evaluate(point).prec``, without the pass where ``_decided`` gives it."""
-        _, n, wall = self._kept(None)
-        if n:
-            prec = self._decided(self._offset(point), n, wall)
-            if prec is not None:
-                return prec
-        return self.evaluate(point).prec
+        """``evaluate(point).prec``, by the precision recurrence alone.
+
+        Where ``_decided`` gives P, no pass is run.  Otherwise the
+        recurrence runs on Horner partial sums modulo pi^T, T = W -
+        prec(dz) - b, capped at W - b: a v(acc) term binds only where
+        prec(dz) + v(acc) lies below W, so only where v(acc) - b < T, and
+        reducing modulo pi^T commutes with each step acc <- acc dz + c, so
+        every binding v(acc) is the one the full pass measures.  At the
+        solver's probes T is a few pi-units, where the pass keeps W - b.
+        """
+        dz = self._offset(point)
+        target, n, wall = self._kept(None)
+        if not n:
+            return self.ctx.zero(target).prec
+        prec = self._decided(dz, n, wall)
+        if prec is None:
+            prec = self._steps(dz, n, wall, min(wall - dz.prec, wall) - self._base)[1]
+        return prec
 
     def _packing(self, n: int) -> tuple:
         """(top, w, coefficients packed for ``PrimeContext._block_pass``), the
@@ -812,24 +843,49 @@ class TruncatedSeries:
             rel = top - self._base
             pack = ctx._packer(w, rel)[0]
             packed += [0 if v is None else pack(ctx._vec_reduce(v, rel), w)
-                       for v in self._vecs[len(packed):n]]
+                       for v in self._vectors(n)[len(packed):n]]
         return self._packed
 
     def _stored(self):
         """The (val, vector on the base, prec) triple of every coefficient."""
-        return zip(self._vals, self._vecs, self._precs)
+        return zip(self._vals, self._vectors(len(self)), self._precs)
+
+    def _vectors(self, n: int) -> Sequence:
+        """The stored vectors, the first n at least formed: a derivative's
+        are formed from its source's on first read (see ``derivative``)."""
+        vecs, src = self._vecs, self._source
+        if src is not None and len(vecs) < n:
+            ctx, b = self.ctx, src._base
+            pvecs = src._vectors(n + 1)
+            for k in range(len(vecs), n):
+                w = pvecs[k + 1]
+                if w is not None:
+                    w = ctx._vec_reduce([(k + 1) * a for a in w], self._precs[k] - b)
+                    if self._base > b:
+                        w = tuple(ctx._vec_shift(w, b - self._base))
+                vecs.append(w)
+        return vecs
 
     def derivative(self) -> "TruncatedSeries":
-        # v(n*c_n) >= v(c_n), so the omitted-term bound carries over; n*c_n
-        # is the vector times n, known e v_p(n) pi-units further
-        ctx, base = self.ctx, self._base
-        out = []
-        for n, (v, w, p) in enumerate(self._stored()):
-            if n:
-                up = ctx.e * _vp(n, ctx.p)
-                out.append((None, None, p + up) if v is None else
-                           (v + up, ctx._vec_reduce([n * a for a in w], p + up - base), p + up))
-        return TruncatedSeries._on_base(ctx, self.center, self.tail_bound, base, out)
+        """The derivative, a view that shares this series' stored vectors.
+
+        Coefficient n - 1 is n c_n: its valuation and precision are
+        c_n's plus e v_p(n), and v(n c_n) >= v(c_n), so the tail bound
+        carries over.  Those ints and the base are set here; vector n - 1,
+        n w_n reduced modulo pi^(prec - b) and moved onto the view's base,
+        is formed when a pass first reads it (``_vectors``), and packed
+        when a block pass first needs it.  So a coefficient past the
+        largest hint is never formed, and every coefficient, read or
+        evaluated, is the one n c_n gives.
+        """
+        ctx = self.ctx
+        d = TruncatedSeries.__new__(TruncatedSeries)
+        ups = [ctx.e * _vp(n, ctx.p) for n in range(1, len(self))]
+        d._frame(ctx, self.center, self.tail_bound, self._base,
+                 [None if v is None else v + up for v, up in zip(self._vals[1:], ups)],
+                 [p + up for p, up in zip(self._precs[1:], ups)])
+        d._vecs, d._source = [], self
+        return d
 
     def drop_center_root(self) -> "TruncatedSeries":
         """Divide by (X - center) when the center is an exact root.
@@ -884,6 +940,14 @@ def _to_base(ctx: PrimeContext, raw) -> tuple:
         if u is not None:
             raw[i] = v, tuple(ctx._vec_shift(u, v - base)), p
     return base, raw
+
+
+def _dz_vector(dz: PadicNumber) -> list:
+    """dz of valuation >= 0 as the integral vector pi^v(dz) unit, 0 when
+    zero-flagged."""
+    if dz.is_zero:
+        return [0] * dz.ctx._dim
+    return dz.ctx._vec_shift(dz._unit, dz.val)
 
 
 def _factor(r: PadicNumber) -> tuple:

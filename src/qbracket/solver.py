@@ -24,6 +24,15 @@ screen that picks the seeds evaluates each residue to one digit.  The
 ladder is transparent to correctness because evaluations are honest at
 every hint: a lift that converges returns the same root, with the same
 digits and precision, whatever hints it climbed through.
+
+Nothing on the ladder is rebuilt that an earlier rung already holds.
+The derivative is a view on the series' vectors, which forms a
+coefficient when a hint first keeps it.  The target, the precision a
+full evaluation would carry, is read off the precision recurrence
+without one (``TruncatedSeries._prec_at``), for the fiber's probe and
+for ``local_Q``'s target alike.  And each step starts inverting f' from
+the inverse of the step before, whose digits agree with the new one to
+about the accuracy the iterate had then.
 """
 
 from __future__ import annotations
@@ -144,7 +153,11 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     f' is evaluated at hint - v(f(x)) + s, which gives the quotient the
     same digits and precision as f' at the full hint; when that value is
     zero-flagged, has v != s or comes back short of the asked precision,
-    f' is evaluated at the full hint as before.
+    f' is evaluated at the full hint as before.  f'(x)^-1 is doubled from
+    the last step's inverse (``PadicNumber._inv``): f' moved by about
+    f''(x) f(x)/f'(x) since, so the two agree to about as many digits as
+    the last step's iterate had, and the doubling takes up from there.
+    The inverse is unique, so this changes no digit.
     Raises LiftFailure once more than ceil(log2 K) + 2 steps were needed.
     """
     ctx = seed.ctx
@@ -152,6 +165,7 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     x = seed
     est = 1        # lower bound on v(f(x)) guaranteed by the last step
     s = 0          # v(f'), measured at the first nonzero evaluation
+    inv = None     # f'^-1 of the last step, where the next one's doubling starts
     updates = 0
     for _ in range(2 * budget + 6):
         if known is not None:
@@ -187,7 +201,8 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
             s = fpx.val
             if fx.val <= 2 * s:
                 raise LiftFailure("Newton criterion v(f) > 2 v(f') fails at the seed")
-        x = (x - fx * fpx.inv())._lift_exact(ctx.K)
+        inv = fpx._inv(inv)
+        x = (x - fx * inv)._lift_exact(ctx.K)
         est = min(2 * fx.val - s, hint)
         updates += 1
         if updates > budget:
@@ -437,7 +452,7 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
     t, m0, u = s.parts()
     h = series2(xp, 0, m0)
-    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h.evaluate(u).prec)
+    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h._prec_at(u))
     one = s.one
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q

@@ -693,9 +693,11 @@ def _evaluate_ref(series, point, prec_hint=None):
 
 
 @st.composite
-def _evaluate_arguments(draw):
+def _evaluate_arguments(draw, es=None, most=10):
+    """A series of 1 to ``most`` coefficients at e in ``es`` (1 to 5 by
+    default), a point of every kind and a hint."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    e = draw(st.integers(1, 5))
+    e = draw(st.integers(1, 5) if es is None else st.sampled_from(es))
     f = draw(st.sampled_from((1, 2)))
     K = draw(st.integers(2 * e, 6 * e + 12))
     c = ctx_new(p, e, K, f)
@@ -711,7 +713,7 @@ def _evaluate_arguments(draw):
             st.lists(st.integers(0, p ** f - 1), min_size=n - 1, max_size=n - 1)), prec)
 
     center = number(0, 2)
-    coeffs = [number(0, K) for _ in range(draw(st.integers(1, 10)))]
+    coeffs = [number(0, K) for _ in range(draw(st.integers(1, most)))]
     tail = draw(st.none() | st.integers(1, 3 * K).map(lambda t: Fraction(t, e)))
     s = TruncatedSeries(c, center, tuple(coeffs), tail)
     if draw(st.booleans()):  # negative valuations, and a lower tail bound
@@ -739,6 +741,25 @@ def test_evaluate_matches_horner_reference(case):
     s, point, hint = case
     got = _outcome(lambda pt: s.evaluate(pt, hint), point)
     assert got == _outcome(lambda pt: _evaluate_ref(s, pt, hint), point)
+
+
+# The probe precision is the precision recurrence alone: decided by the
+# shared rule, or run on Horner partial sums modulo pi^T.  It must be the
+# precision of the Horner reference and of evaluate, on the series and on
+# its derivative, at capped, zero-flagged and negative-precision probes.
+# Up to 24 coefficients at e up to 10, so that evaluate may take blocks.
+
+_WIDE_ES = (1, 2, 3, 4, 5, 10)
+
+
+@given(_evaluate_arguments(es=_WIDE_ES, most=24))
+@settings(max_examples=200, deadline=None)
+def test_probe_precision_matches_the_pass(case):
+    s, point, _ = case
+    for series in (s, s.derivative()):
+        want = _outcome(lambda pt: _evaluate_ref(series, pt).prec, point)
+        assert _outcome(series._prec_at, point) == want
+        assert _outcome(lambda pt: series.evaluate(pt).prec, point) == want
 
 
 def test_evaluate_at_a_zero_point_of_negative_precision():
@@ -1202,6 +1223,30 @@ def test_raw_series_operations_match_reference(case):
     assert _as_built(s.drop_center_root) == _as_built(lambda: _drop_center_root_ref(s))
     assert (_as_built(lambda: s.divide_by_root(root))
             == _as_built(lambda: _divide_by_root_ref(s, root)))
+
+
+@given(_evaluate_arguments(es=_WIDE_ES, most=24))
+@settings(max_examples=200, deadline=None)
+def test_derivative_view_matches_reference(case):
+    # the view forms a vector when a pass first reads it: evaluations at a
+    # hint before the vectors are all formed, of the view and of the view's
+    # own derivative, then without one, then every coefficient, against
+    # the Horner reference on the reference derivative's coefficients
+    s, point, hint = case
+    c = s.ctx
+    view = s.derivative()
+    second = view.derivative()
+    ref = TruncatedSeries(c, *_derivative_ref(s))
+    ref2 = TruncatedSeries(c, *_derivative_ref(ref))
+    for series, want, h in ((second, ref2, hint), (view, ref, hint), (view, ref, None)):
+        assert (_outcome(lambda pt: series.evaluate(pt, h), point)
+                == _outcome(lambda pt: _evaluate_ref(want, pt, h), point))
+    assert (view.center, view.coeffs, view.tail_bound) == _derivative_ref(s)
+    assert (second.center, second.coeffs, second.tail_bound) == _derivative_ref(ref)
+    assert view.valuation_points() == ref.valuation_points()
+    assert _as_built(view.drop_center_root) == _as_built(ref.drop_center_root)
+    assert (_as_built(lambda: view.divide_by_root(point))
+            == _as_built(lambda: _divide_by_root_ref(ref, point)))
 
 
 def test_drop_center_root_refuses_a_series_with_no_coefficients():

@@ -903,6 +903,60 @@ def test_horner_step_takes_no_vector_product(monkeypatch):
     assert calls == []
 
 
+# _vec_inv(u, rel, start) doubles from an approximate inverse, such as the
+# inverse of a nearby unit.  The inverse modulo pi^rel is unique, so it must
+# be the doubling from the residue inverse, the pre-change body, whatever
+# the start: the inverse right to k pi-units and off after them, for k
+# from 0 (wrong at the residue) past rel, reduced below or above rel, or
+# zero, or any vector.
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_vec_inv_from_a_start_matches_the_doubling(data):
+    draw = data.draw
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.sampled_from((1, 2, 3)))
+    e = draw(st.integers(1, _E_MAX[f]))
+    c = ctx_new(p, e, 4 * e + 8, f)
+    rel = draw(st.integers(1, c.K))
+    u = c._vec_reduce(sample(c, Random(draw(st.integers(0, 10 ** 6))))._unit, rel)
+    want = c._vec_inv(u, rel)
+    one = c._vec_reduce([1] + [0] * (c._dim - 1), rel)
+    assert c._vec_reduce(_vec_mul_ref(c, u, want), rel) == one
+    kind = draw(st.sampled_from(("near", "near", "zero", "any")))
+    srel = draw(st.integers(1, c.K + e))  # the start's modulus
+    if kind == "near":
+        k = draw(st.integers(0, rel + 2))
+        off = c._vec_shift(_step_operand(draw, c, srel, "reduced"), k)
+        start = [a + b for a, b in zip(c._vec_inv(u, max(rel, srel)), off)]
+    elif kind == "zero":
+        start = [0] * c._dim
+    else:
+        start = _step_operand(draw, c, srel, "reduced")
+    assert c._vec_inv(u, rel, c._vec_reduce(start, srel)) == want
+
+
+def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
+    # one product measures the start; a right one is the inverse, and one
+    # wrong at the residue costs that product on top of the doubling
+    calls = []
+    vec_mul = PrimeContext._vec_mul
+    monkeypatch.setattr(PrimeContext, "_vec_mul",
+                        lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
+    for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3)):
+        c = ctx_new(p, e, 30 * e, f)
+        u = sample(c, Random(20))._unit
+        rel = c.K - 1
+        inverse = c._vec_inv(u, rel)
+        calls.clear()
+        c._vec_inv(u, rel)
+        fresh = len(calls)
+        for start, products in ((inverse, 1), ([0] * c._dim, fresh + 1)):
+            calls.clear()
+            assert c._vec_inv(u, rel, start) == inverse
+            assert len(calls) == products
+
+
 # _block_pass(coeffs, n, d, rel, w) sums c_i d^i for i < n modulo pi^rel,
 # _BLOCK coefficients per reduction, on coefficients packed once in slots
 # of w = _block_width(top) bits; the reference is the Horner loop on the

@@ -480,11 +480,16 @@ def test_heavy_solve_vector_products(vector_products):
     # 3, on 134 terms, not 400.  q^n and the product by the exp take 2, 3
     # and 3 _vec_mul calls (vec_mul 764 -> 772); the exp series lose 678
     # terms (power_term 1014 -> 336), 21 joins (power_join 60 -> 39) and
-    # 27 power steps (step 417 -> 390)
+    # 27 power steps (step 417 -> 390).  Now each Newton step after a lift's
+    # first starts inverting f' from the last step's inverse: one product
+    # measures how far it is right, and the doubling goes on from there.
+    # The 20 inverses of those steps take 110 _vec_mul calls, not 236
+    # (vec_mul 772 -> 646); the four unseeded ones, y^-1 and each lift's
+    # first f'^-1, keep their 58
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 772, "step": 390, "block": 6669, "join": 815,
+    assert vector_products == {"vec_mul": 646, "step": 390, "block": 6669, "join": 815,
                                "power_term": 336, "power_join": 39}
 
 
@@ -522,12 +527,17 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
         assert paths == [(30, None, e > 1 and not short)]
 
 
+def _bench_ops(monkeypatch, workload: str, seed: int = 0) -> list:
+    """Every op of one round of a benchmark workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return workloads.build(workload, seed).round_ops
+
+
 def _bench_legs(monkeypatch, workload: str, seed: int = 0) -> list:
     """The input of every op in one round of a benchmark workload: q for
     fixed-points, x for param-fiber."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    return [op.spec[0] for op in workloads.build(workload, seed).round_ops]
+    return [op.spec[0] for op in _bench_ops(monkeypatch, workload, seed)]
 
 
 def test_probe_precision_is_derived_on_the_bench_legs(monkeypatch):
@@ -562,22 +572,29 @@ def test_probe_precision_is_derived_on_the_bench_legs(monkeypatch):
 def test_probe_precision_falls_back_to_the_pass(monkeypatch):
     # a probe known to fewer digits than the coefficients, or zero-flagged
     # at a negative precision, leaves the v(acc) terms of the recurrence
-    # free to bind, so the pass is run; at an integer off the unit circle
-    # the shared rule decides it, and the pass gives the same precision
+    # free to bind, so the recurrence runs on Horner partial sums, with no
+    # evaluate: modulo pi^T, T = W - prec(dz) - b = 45 - 5 - 0 for the
+    # short probe, and modulo pi^(W - b) = pi^45 for the zero-flagged one,
+    # where T is larger; at an integer off the unit circle the shared rule
+    # decides it, and every way gives the precision the pass gives
     c = ctx_new(5, 3, 60)
     rng = Random(17)
     s = TruncatedSeries(c, c.zero(), tuple(sample(c, rng, valuation=k) for k in range(6)),
                         Fraction(15))
-    passes = []
-    evaluate = TruncatedSeries.evaluate
+    passes, moduli = [], []
+    evaluate, steps = TruncatedSeries.evaluate, TruncatedSeries._steps
     monkeypatch.setattr(TruncatedSeries, "evaluate",
                         lambda series, point, prec_hint=None:
                         passes.append(prec_hint) or evaluate(series, point, prec_hint))
-    short, void, deep = c.from_int(6)._cap_prec(5), c.zero(-1), c.from_int(5)
-    for point in (short, void, deep, c.from_int(6)):
-        assert s._prec_at(point) == evaluate(s, point).prec
-    assert passes == [None, None]
-    assert s._prec_at(short) < s._prec_at(c.from_int(6))
+    monkeypatch.setattr(TruncatedSeries, "_steps",
+                        lambda series, dz, n, wall, rel:
+                        moduli.append(rel) or steps(series, dz, n, wall, rel))
+    points = (c.from_int(6)._cap_prec(5), c.zero(-1), c.from_int(5), c.from_int(6))
+    got = [s._prec_at(point) for point in points]
+    assert passes == [] and moduli == [40, 45]
+    monkeypatch.undo()
+    assert got == [s.evaluate(point).prec for point in points]
+    assert got[0] < got[3]
 
 
 def test_fixed_points_make_no_unhinted_evaluation(monkeypatch):
@@ -595,6 +612,56 @@ def test_fixed_points_make_no_unhinted_evaluation(monkeypatch):
     for q in qs:
         fixed_points_for_q(q)
     assert unhinted == []
+
+
+def test_local_Q_makes_no_unhinted_evaluation(monkeypatch):
+    # local_Q reads its Newton target off the precision recurrence, as
+    # q_for_x reads its probe, so no part of a param-fiber op, q_for_x then
+    # local_Q, evaluates without a hint
+    unhinted, targets = [], []
+    evaluate, prec_at = TruncatedSeries.evaluate, TruncatedSeries._prec_at
+
+    def spy(series, point, prec_hint=None):
+        if prec_hint is None:
+            unhinted.append(point)
+        return evaluate(series, point, prec_hint)
+
+    ops = _bench_ops(monkeypatch, "param-fiber")
+    monkeypatch.setattr(TruncatedSeries, "evaluate", spy)
+    monkeypatch.setattr(TruncatedSeries, "_prec_at",
+                        lambda series, point: targets.append(1) or prec_at(series, point))
+    for op in ops:
+        op.call()
+    assert unhinted == [] and len(targets) == 2 * len(ops)
+
+
+def test_solve_fiber_forms_no_derivative_vector_past_the_kept_ones(monkeypatch):
+    # the derivative is a view on the series' vectors, and its vector n is
+    # formed when a pass first keeps coefficient n: as many are formed as
+    # the largest hint keeps, and on these fibers that leaves most unformed
+    views, kept = [], {}
+    derivative, kept_at = TruncatedSeries.derivative, TruncatedSeries._kept
+
+    def spy_derivative(series):
+        views.append(derivative(series))
+        return views[-1]
+
+    def spy_kept(series, prec_hint):
+        out = kept_at(series, prec_hint)
+        kept[id(series)] = max(kept.get(id(series), 0), out[1])
+        return out
+
+    xs = _bench_legs(monkeypatch, "param-fiber")
+    c = ctx_new(5, 10, 200)
+    monkeypatch.setattr(TruncatedSeries, "derivative", spy_derivative)
+    monkeypatch.setattr(TruncatedSeries, "_kept", spy_kept)
+    for solve in [lambda x=x: q_for_x(x) for x in xs] + [
+            lambda: fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))]:
+        views.clear()
+        kept.clear()
+        assert solve()
+        (view,) = views
+        assert len(view._vecs) == kept[id(view)] < len(view) / 2
 
 
 def test_solver_reads_coefficients_only_to_certify(monkeypatch):
