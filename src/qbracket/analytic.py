@@ -44,10 +44,9 @@ and gives the chain's coefficients digit for digit.
 A series is stored raw, not as PadicNumbers: one base valuation, each
 coefficient's vector already shifted onto it, and its valuation and
 precision as ints (Caruso, "Computations with p-adic numbers", 2017).
-The builders hand their raw coefficients over, and deflation and
-recentring work on that form by the rules of PadicNumber arithmetic, so
-every coefficient is digit for digit the one the PadicNumber operations
-give; ``coeffs`` builds those PadicNumbers only when read.  A derivative
+The builders hand their raw coefficients over, and every operation on
+that form keeps each coefficient digit for digit the PadicNumber one;
+``coeffs`` builds those PadicNumbers only when read.  A derivative
 copies nothing: it is a view on its series' vectors whose valuations and
 precisions are the series' plus e v_p(n), and it forms the vector n w_n
 of a coefficient only when a pass first reads it, so a root lift never
@@ -66,6 +65,10 @@ whose precision is fixed sums blocks of coefficients on Kronecker-packed
 integers, packed once per series, with one reduction per block, at every
 residue degree f; any other pass takes one step per coefficient of a
 kernel that core sets up once per pass for the fixed multiplier dz.
+Deflation and recentring are passes on that kernel too: Horner's scheme at
+a root rho has the quotient by (X - rho) as its partial sums, each reduced
+to the precision the same recurrence gives, and the remainder as its last
+one, and series2 recentres at u by one such pass per coefficient.
 """
 
 from __future__ import annotations
@@ -904,25 +907,21 @@ class TruncatedSeries:
     def divide_by_root(self, root: PadicNumber) -> "TruncatedSeries":
         """Divide by (X - root) for an exact root inside the unit disk.
 
-        Synthetic division of the stored polynomial part.  Because the
-        root is exact, the true quotient coefficients are tail sums of
-        the original ones, so the same tail bound stays valid on the
-        whole disk (the apparent pole cancels analytically).
+        Synthetic division of the stored polynomial part, one Horner pass
+        at root - center (``_horner_division``).  Because the root is exact,
+        the true quotient coefficients are tail sums of the original ones,
+        so the same tail bound stays valid on the whole disk (the apparent
+        pole cancels analytically).
         """
         rho = root - self.center
         if not rho.is_zero and rho.val < 0:
             raise DomainError("root outside the closed unit disk around the center")
-        cs = list(self._stored())
-        if len(cs) < 2:
+        if len(self) < 2:
             raise DomainError("series too short to divide")
-        ctx, base, fac = self.ctx, self._base, _factor(rho)
-        out = [cs[-1]]
-        for i in range(len(cs) - 2, 0, -1):
-            out.append(_mul_add(ctx, base, cs[i], fac, out[-1]))
-        out.reverse()
-        if _mul_add(ctx, base, cs[0], fac, out[0])[0] is not None:
+        rem, *out = _horner_division(self._base, list(self._stored()), rho, self._wall)
+        if rem[0] is not None:
             raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
-        return TruncatedSeries._on_base(ctx, self.center, self.tail_bound, base, out)
+        return TruncatedSeries._on_base(self.ctx, self.center, self.tail_bound, self._base, out)
 
     def valuation_points(self) -> list:
         """(index, valuation) pairs for polygon building; None marks zero-flagged."""
@@ -950,60 +949,31 @@ def _dz_vector(dz: PadicNumber) -> list:
     return dz.ctx._vec_shift(dz._unit, dz.val)
 
 
-def _factor(r: PadicNumber) -> tuple:
-    """r of valuation >= 0 as ``_mul_add`` takes it: (val, the vector pi^val
-    unit, relative precision, prec, scalar), val None when r is zero-flagged
-    and scalar the vector's entry 0 when it is the only nonzero one, so r
-    is an integer, else None."""
-    if r.is_zero:
-        return None, None, None, r.prec, None
-    w = r.ctx._vec_shift(r._unit, r.val)
-    return r.val, w, r.prec - r.val, r.prec, None if any(w[1:]) else w[0]
-
-
-def _capped(ctx: PrimeContext, base: int, c: tuple, prec: int) -> tuple:
-    """PadicNumber._cap_prec on a coefficient stored on ``base``."""
-    v, w, p = c
-    if prec >= p:
-        return c
-    if v is None or v >= prec:
-        return None, None, prec
-    return v, ctx._vec_reduce(w, prec - base), prec
-
-
-def _mul_add(ctx: PrimeContext, base: int, c: tuple, r: tuple, d: tuple) -> tuple:
-    """c + r*d for coefficients c, d stored on ``base`` and r from ``_factor``.
-
-    The rules of PadicNumber * and + on the raw form: a product's
-    valuations add and its relative precision is the lesser, a product
-    with a zero-flagged side is zero-flagged at its precision plus the
-    other side's valuation, and a sum is known to the lesser precision,
-    its valuation measured on the reduced vector.  A vector on b is
-    pi^(v - b) unit, so reducing the sum or the product there gives the
-    shifted canonical unit, and every value, digit and precision is the
-    PadicNumber one.  When r is 1 to at least d's relative precision, the
-    product is d itself: its precision is d's, and d's vector is already
-    reduced there.
+def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int) -> list:
+    """Synthetic division by (X - rho) of (val, vector, prec) triples c_0 ...
+    c_(n-1) stored on ``base``, as one Horner pass at rho: the partial sums
+    s_i = c_i + rho s_(i+1) from s_n = 0, capped at pi^W, are the quotient
+    s_1 ... s_(n-1) and the remainder s_0.  Each is one step of
+    ``PrimeContext._horner_step`` on the last, or c_i when that is zero,
+    reduced to its own precision, where its valuation is measured.  That
+    precision is the PadicNumber loop's, P <- min(P + v(rho), prec(rho) +
+    v(s_(i+1)), prec(c_i), W), as in ``TruncatedSeries._steps``, and the
+    digits the reduction drops reach s_(i-1) only at or above P + v(rho),
+    so every value, digit, precision and zero flag is the loop's.
     """
-    cv, cw, cp = c
-    dv, dw, dp = d
-    rv, rw, rrel, rp, r0 = r
-    if rv is None or dv is None:
-        prod = (None, None, (rp if rv is None else rv) + (dp if dv is None else dv))
-    elif r0 == 1 and rrel >= dp - dv:  # r = 1 to at least d's relative precision
-        prod = d
-    else:
-        pp = rv + dv + min(rrel, dp - dv)
-        rd = ctx._vec_mul(rw, dw) if r0 is None else [r0 * x for x in dw]
-        prod = (rv + dv, ctx._vec_reduce(rd, pp - base), pp)
-    prec = min(cp, prod[2])
-    if cv is None:
-        return _capped(ctx, base, prod, prec)
-    if prod[0] is None:
-        return _capped(ctx, base, c, prec)
-    w = ctx._vec_reduce([a + b for a, b in zip(cw, prod[1])], prec - base)
-    v = ctx._vec_val(w, prec - base)
-    return (None, None, prec) if v is None else (base + v, w, prec)
+    ctx, rho_prec = rho.ctx, rho.prec
+    step = ctx._horner_step(_dz_vector(rho), wall - base)
+    rho_val = rho_prec if rho.is_zero else rho.val
+    out, acc, last, low = [], None, math.inf, math.inf  # s_n = 0 exactly
+    for _, w, prec in reversed(coeffs):
+        prec = min(prec, wall, last + rho_val, rho_prec + low)
+        if acc is not None:  # a zero-flagged s_(i+1) adds nothing
+            w = step(acc, w)
+        w = None if w is None else ctx._vec_reduce(w, prec - base)
+        v = None if w is None else ctx._vec_val(w, prec - base)
+        out.append((None, None, prec) if v is None else (base + v, w, prec))
+        acc, last, low = out[-1][1], prec, prec if v is None else base + v
+    return out[::-1]
 
 
 def _n_for_tail(delta: Fraction, target: Fraction, offset: Fraction = Fraction(0)) -> int:
@@ -1062,7 +1032,12 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
 
 
 def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
-    """Coefficients d_n(x, u) of h(x, U) recentered at U = u (unit or zero)."""
+    """Coefficients d_n(x, u) of h(x, U) recentered at U = u (unit or zero).
+
+    At a unit u this is repeated synthetic division by (U - u): pass j is
+    one Horner pass (``_horner_division``) on the quotient of pass j - 1
+    and leaves d_j as its remainder.
+    """
     ctx = x.ctx
     m0 = Fraction(m0)
     u = _coerce(ctx, u)
@@ -1072,13 +1047,9 @@ def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
     base = mono._base
     work = list(mono._stored())
     if not u.is_zero:
-        # repeated synthetic division by (U - u); pass j leaves d_j in place
-        fac = _factor(u)
-        for j in range(len(work)):
-            for i in range(len(work) - 2, j - 1, -1):
-                work[i] = _mul_add(ctx, base, work[i], fac, work[i + 1])
         # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
-        # each of valuation above the tail bound, so d_n is known only to it
-        cap = mono._cap_pi()
-        work = [_capped(ctx, base, d, cap) for d in work]
+        # each of valuation above the tail bound, so d_n is known only to it;
+        # capping every pass there caps each d_n alike, as prec(u) > v(u) = 0
+        for j in range(len(work)):
+            work[j:] = _horner_division(base, work[j:], u, mono._cap_pi())
     return TruncatedSeries._on_base(ctx, u, mono.tail_bound, base, work)

@@ -371,7 +371,9 @@ class PrimeContext:
     # the pass with these steps ran 1.3x as fast as with _vec_mul at e = 1,
     # 1.8x at e = 3 and 4, and 1.6x at e = 10; at f > 1, at the seven
     # contexts above, 0.6x, 1.0x, 1.2x, 1.7x, 2.5x, 3.4x and 4.5x as fast
-    # as steps by the table walk.
+    # as steps by the table walk.  A series' evaluation is such a pass, and
+    # so are its synthetic divisions, deflation by a root and series2's
+    # recentring, whose partial sums are the quotient.
     #
     # _block_pass reduces once per B = _BLOCK coefficients (rectangular
     # splitting, Paterson and Stockmeyer 1973): from the top block down,

@@ -1209,6 +1209,8 @@ def _raw_series_arguments(draw):
     assert s.coeffs == tuple(coeffs)
     if draw(st.booleans()):  # negative valuations, and a lower tail bound
         s = TruncatedSeries(c, *_scale_ref(s, number(1, 2 * e, zeros=False).inv()))
+    if draw(st.integers(0, 9)) == 0:  # zero-flagged below the integers, as evaluate takes
+        return s, c.zero(draw(st.integers(-3, -1)))
     return s, center + rho
 
 
@@ -1271,3 +1273,76 @@ def test_series2_recentring_matches_reference(case, kind, seed):
          "low": lambda: sample(c, rng)._cap_prec(max(1, c.K // 2)),
          "deep": lambda: sample(c, rng, valuation=1)}[kind]()
     assert (_built(series2, x, u, m0, n_max) == _built(_series2_ref, x, u, m0, n_max))
+
+
+# the fixed-points benchmark's legs, (p, e, K, v(q - 1)) in pi-units
+_FIXED_POINT_LEGS = ((3, 1, 60, 1), (3, 4, 120, 3), (5, 3, 90, 1), (5, 10, 200, 3))
+
+
+def test_deflation_at_bench_scale_matches_reference(monkeypatch):
+    # the strategies draw at most 10 coefficients; g's deflation by its
+    # root 1 divides a jet of 124 to 426 coefficients, each pass caught
+    # inside fixed_points_for_q and compared bit for bit
+    seen = []
+    divide = TruncatedSeries.divide_by_root
+
+    def caught(series, root):
+        seen.append((series, root))
+        return divide(series, root)
+
+    monkeypatch.setattr(TruncatedSeries, "divide_by_root", caught)
+    rng = Random(21)
+    for p, e, K, t in _FIXED_POINT_LEGS:
+        c = ctx_new(p, e, K)
+        fixed_points_for_q(c.one() + sample(c, rng, valuation=t))
+    assert [len(s) for s, _ in seen] == [124, 127, 376, 426]
+    for s, root in seen:
+        assert _as_built(lambda: divide(s, root)) == _as_built(lambda: _divide_by_root_ref(s, root))
+
+
+def test_series2_recentring_at_bench_scale_matches_reference():
+    # criterion 6's fiber: h(5, U) recentred at each of its three roots,
+    # 121 coefficients each, all but the first three zero-flagged (the
+    # factor x - 5 vanishes) and every pass capped at the tail
+    c = ctx_new(5, 3, 90, f=2)
+    x = c.from_int(5)
+    roots = [r.u for r in q_for_x(x).records]
+    assert len(roots) == 3
+    for u in roots:
+        assert (_built(series2, x, u, Fraction(1, 3), 120)
+                == _built(_series2_ref, x, u, Fraction(1, 3), 120))
+
+
+def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypatch):
+    # divide_by_root at a root that is no integer, so each step is a packed
+    # product, and the recentring of series2 at a unit, one pass per
+    # coefficient, build one step kernel a pass and call _vec_mul never
+    counts = dict.fromkeys(("vec_mul", "horner_step"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
+    monkeypatch.setattr(PrimeContext, "_horner_step",
+                        counted("horner_step", PrimeContext._horner_step))
+    c = ctx_new(5, 3, 60)
+    rng = Random(22)
+    root = sample(c, rng)
+    quotient = [sample(c, rng) for _ in range(12)]
+    s = TruncatedSeries(c, c.zero(), [-(root * quotient[0])] + [
+        a - root * b for a, b in zip(quotient, quotient[1:])] + [quotient[-1]], None)
+    want = _divide_by_root_ref(s, root)[1]
+    counts.update(dict.fromkeys(counts, 0))
+    assert s.divide_by_root(root).coeffs == want
+    assert counts == {"vec_mul": 0, "horner_step": 1}
+    x, m0 = sample(c, rng), Fraction(1, 3)
+    counts.update(dict.fromkeys(counts, 0))
+    h = series2(x, 0, m0)
+    at_zero = dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    series2(x, sample(c, rng), m0)
+    assert at_zero["horner_step"] == 0
+    assert counts == {"vec_mul": at_zero["vec_mul"], "horner_step": len(h)}

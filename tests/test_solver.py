@@ -485,11 +485,15 @@ def test_heavy_solve_vector_products(vector_products):
     # measures how far it is right, and the doubling goes on from there.
     # The 20 inverses of those steps take 110 _vec_mul calls, not 236
     # (vec_mul 772 -> 646); the four unseeded ones, y^-1 and each lift's
-    # first f'^-1, keep their 58
+    # first f'^-1, keep their 58.  Now g's synthetic division by (X - 1) is
+    # a Horner pass on the step kernel: one entrywise step, at multiplier 1,
+    # per coefficient below the top of the 426-term deflated jet (step
+    # 390 -> 815), where the raw multiply-add took the product by 1 as the
+    # other factor itself and counted nothing
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 646, "step": 390, "block": 6669, "join": 815,
+    assert vector_products == {"vec_mul": 646, "step": 815, "block": 6669, "join": 815,
                                "power_term": 336, "power_join": 39}
 
 
