@@ -44,9 +44,14 @@ and gives the chain's coefficients digit for digit.
 A series is stored raw, not as PadicNumbers: one base valuation, each
 coefficient's vector already shifted onto it, and its valuation and
 precision as ints (Caruso, "Computations with p-adic numbers", 2017).
-The builders hand their raw coefficients over, and every operation on
-that form keeps each coefficient digit for digit the PadicNumber one;
-``coeffs`` builds those PadicNumbers only when read.  A derivative
+Every raw coefficient in flight, a running product's factor or output or
+a stored one, has one form, (v, vector, prec), v and vector None when
+zero-flagged.  The builders hand their raw coefficients over, and every
+operation on that form keeps each coefficient digit for digit the
+PadicNumber one; ``coeffs`` builds those PadicNumbers only when read, by
+core's ``_from_raw``.  The base only bounds every kept valuation from
+below, so a series derived from another (its derivative, a deflation, a
+recentring) keeps its source's base and shifts no vector.  A derivative
 copies nothing: it is a view on its series' vectors whose valuations and
 precisions are the series' plus e v_p(n), and it forms the vector n w_n
 of a coefficient only when a pass first reads it, so a root lift never
@@ -387,19 +392,18 @@ def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
     """r_k = r_(k-1) a_k pi^t / d_k for k = 1, 2, ..., with r_0 = ``start``.
 
     ``dens`` yields the nonzero integers d_k and ends the product;
-    ``factors`` yields each a_k raw, as (v, unit, rel): its valuation and
-    its unit vector known modulo pi^rel, reduced or not, or (prec, None,
-    None) when a_k is zero-flagged.  The bookkeeping of the chain r * a, scale_pi(t),
-    _div_int(d) is additive, so each step is one vector product and one
-    reduction and builds its value directly: v_k = v_(k-1) + v(a_k) + t
-    - e v_p(d_k), rel_k = min(rel_(k-1), rel(a_k)), and the unit part of
-    d_k, inverted modulo p^ceil(rel_k/e), is folded into the reduction.
-    A zero-flagged value's precision stands in for its valuation, and
-    once r_k is zero-flagged it stays so, its precision following the
-    same recurrence: these are the chain's own rules, so every value,
-    digit, precision and zero flag is the chain's.  Each r_k comes out
-    raw, as ``_raw_of`` gives a PadicNumber: (v, reduced unit, prec), or
-    (None, None, prec) when zero-flagged.
+    ``factors`` yields each a_k raw, as ``_raw_of`` gives it: (v, unit,
+    prec), the unit known modulo pi^(prec - v), reduced or not, or (None,
+    None, prec) when a_k is zero-flagged.  The bookkeeping of the chain
+    r * a, scale_pi(t), _div_int(d) is additive, so each step is one
+    vector product and one reduction and builds its value directly:
+    v_k = v_(k-1) + v(a_k) + t - e v_p(d_k), rel_k = min(rel_(k-1),
+    prec(a_k) - v(a_k)), and the unit part of d_k, inverted modulo
+    p^ceil(rel_k/e), is folded into the reduction.  A zero-flagged value's
+    precision stands in for its valuation, and once r_k is zero-flagged it
+    stays so, its precision following the same recurrence: these are the
+    chain's own rules, so every value, digit, precision and zero flag is
+    the chain's.  Each r_k comes out in the same form, its unit reduced.
     """
     ctx = start.ctx
     p, e = ctx.p, ctx.e
@@ -407,17 +411,17 @@ def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
     v = start.prec if zero else start.val
     vec, rel = start._unit, start.prec - v
     out = []
-    for d, (av, au, arel) in zip(dens, factors):
+    for d, (av, au, aprec) in zip(dens, factors):
         s = 0
         while d % p == 0:
             d //= p
             s += 1
-        v += av + t - e * s
+        v += (aprec if au is None else av) + t - e * s
         if zero or au is None:
             zero = True
             out.append((None, None, v))
             continue
-        rel = min(rel, arel)
+        rel = min(rel, aprec - av)
         prod = ctx._vec_mul(vec, au)
         if d != 1:
             c = pow(d, -1, ctx._ppow(_ceil_div(rel, e)))
@@ -428,7 +432,7 @@ def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
 
 
 def _raw_of(c: PadicNumber) -> tuple:
-    """A coefficient as the series stores it before the shift to a base:
+    """A PadicNumber in the one raw form, before any shift to a base:
     (val, unit, prec), or (None, None, prec) when zero-flagged."""
     return (None, None, c.prec) if c.is_zero else (c.val, c._unit, c.prec)
 
@@ -437,14 +441,14 @@ def _minus_integers(x: PadicNumber, start: int, stop: int):
     """x - j for j = start, ..., stop - 1, raw, as ``_running_product`` takes them.
 
     For v(x) >= 0, x - j is known modulo pi^P, P = min(prec(x), K), as
-    x - from_int(j) is.  It is x's integral vector with j taken from
-    entry 0 modulo p^ceil(P/e), which keeps the entry >= 0 as the packed
-    ``_vec_mul`` needs; its valuation is 0 unless that entry is divisible
-    by p, and only then is it measured.
+    x - from_int(j) is.  It is x's integral vector (``_dz_vector``) with j
+    taken from entry 0 modulo p^ceil(P/e), which keeps the entry >= 0 as
+    the packed ``_vec_mul`` needs; its valuation is 0 unless that entry is
+    divisible by p, and only then is the value normalized (``_from_raw``).
     """
     ctx = x.ctx
     p, prec = ctx.p, min(x.prec, ctx.K)
-    vec = ctx._vec_shift(x._unit, x.val)
+    vec = _dz_vector(x)
     mod = ctx._ppow(_ceil_div(prec, ctx.e))
     for j in range(start, stop):
         a = list(vec)
@@ -452,12 +456,7 @@ def _minus_integers(x: PadicNumber, start: int, stop: int):
         if a[0] % p:
             yield 0, a, prec
             continue
-        a = ctx._vec_reduce(a, prec)
-        v = ctx._vec_val(a, prec)
-        if v is None:
-            yield prec, None, None
-        else:
-            yield v, ctx._vec_reduce(ctx._vec_shift(a, -v), prec - v), prec - v
+        yield _raw_of(_from_raw(ctx, 0, a, prec))
 
 
 def _integral(ctx: PrimeContext, x, who: str) -> PadicNumber:
@@ -519,7 +518,7 @@ class _QSplit:
             return exp(x * self.log_q)
         ctx, t = y.ctx, y.val
         target = min(x.prec + t, y.prec + x.val)
-        vec = list(ctx._vec_reduce(ctx._vec_shift(x._unit, x.val), x.prec))
+        vec = _dz_vector(x)
         off = ctx._vec_val([0] + vec[1:], x.prec)
         n = _power_split(ctx.p, ctx.e, t, target, vec[0], x.prec if off is None else off)
         if not n:
@@ -567,10 +566,8 @@ class _QSplit:
         if over_y:
             c0, c1, term = c0 * inv_y, c1 * inv_y, term * inv_y
             tail += Fraction(inv_y.val, ctx.e)
-        # L is nonzero: log keeps v(y), and v(y) < prec(y)
-        raw_l = (big_l.val, big_l._unit, big_l.prec - big_l.val)
         raw = [_raw_of(c0), _raw_of(c1)]
-        raw += _running_product(term, itertools.repeat(raw_l), 0, range(2, n_max + 1))
+        raw += _running_product(term, itertools.repeat(_raw_of(big_l)), 0, range(2, n_max + 1))
         return TruncatedSeries._on_base(ctx, x, tail, *_to_base(ctx, raw))
 
 
@@ -633,13 +630,16 @@ class TruncatedSeries:
     pi^(v - b) unit reduced modulo pi^(prec - b) (None when
     zero-flagged).  That vector is the unit's own, shifted: shifting it
     back and reducing gives the PadicNumber digit for digit, which is
-    what ``coeffs`` builds on each read.  b is the least valuation, a
-    zero-flagged coefficient's precision standing in for one, except
-    where a cap has since lowered such a precision; no nonzero
-    coefficient sits below it.  The suffix minima of the valuations are
-    kept beside them, so a hint cuts the trailing coefficients by one
-    bisection.  A derivative keeps its source series instead of vectors
-    and forms each vector from the source's on first read (``_vectors``).
+    what ``coeffs`` builds on each read.  b lies at or below every kept
+    valuation.  A series built from PadicNumbers or by a builder takes the
+    least valuation, a zero-flagged coefficient's precision standing in
+    for one; a series derived from another, its derivative, a deflation
+    or a recentring, keeps its source's b, so no vector is shifted when a
+    derived coefficient's valuation rises.  The suffix minima of the
+    valuations are kept beside them, so a hint cuts the trailing
+    coefficients by one bisection.  A derivative keeps its source series
+    instead of vectors and forms each vector from the source's on first
+    read (``_vectors``).
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_base", "_vals", "_vecs", "_precs",
@@ -661,16 +661,11 @@ class TruncatedSeries:
         coeffs = list(coeffs)
         self._frame(ctx, center, tail_bound, base, [v for v, _, _ in coeffs],
                     [p for _, _, p in coeffs])
-        vecs = tuple(w for _, w, _ in coeffs)
-        if self._base > base:  # an operation raised the least valuation
-            vecs = tuple(None if w is None else tuple(ctx._vec_shift(w, base - self._base))
-                         for w in vecs)
-        self._vecs, self._source = vecs, None
+        self._vecs, self._source = tuple(w for _, w, _ in coeffs), None
 
     def _frame(self, ctx, center, tail_bound, base, vals, precs) -> None:
         """Everything but the vectors: the valuations and precisions, their
-        suffix minima, and the base, raised to the least valuation when
-        that lies above the vectors' ``base``."""
+        suffix minima, and the vectors' ``base``, kept as given."""
         self.ctx = ctx
         self.center = center
         self.tail_bound = tail_bound
@@ -681,7 +676,7 @@ class TruncatedSeries:
             low = b if low is None or b < low else low
             lows.append(low)
         lows.reverse()
-        self._base = lows[0] if lows and lows[0] > base else base
+        self._base = base
         self._lows = tuple(lows)
         self._wall = max(self._precs, default=None)
         self._packed = None
@@ -690,10 +685,8 @@ class TruncatedSeries:
     def coeffs(self) -> tuple:
         """The coefficients as PadicNumbers, built from the raw form on each read."""
         ctx, base = self.ctx, self._base
-        return tuple(
-            ctx.zero(p) if v is None else
-            PadicNumber(ctx, v, ctx._vec_reduce(ctx._vec_shift(w, base - v), p - v), p, False)
-            for v, w, p in self._stored())
+        return tuple(ctx.zero(p) if w is None else _from_raw(ctx, base, w, p)
+                     for _, w, p in self._stored())
 
     def __len__(self) -> int:
         return len(self._precs)
@@ -858,15 +851,12 @@ class TruncatedSeries:
         are formed from its source's on first read (see ``derivative``)."""
         vecs, src = self._vecs, self._source
         if src is not None and len(vecs) < n:
-            ctx, b = self.ctx, src._base
+            ctx, b = self.ctx, self._base
             pvecs = src._vectors(n + 1)
             for k in range(len(vecs), n):
                 w = pvecs[k + 1]
-                if w is not None:
-                    w = ctx._vec_reduce([(k + 1) * a for a in w], self._precs[k] - b)
-                    if self._base > b:
-                        w = tuple(ctx._vec_shift(w, b - self._base))
-                vecs.append(w)
+                vecs.append(None if w is None else
+                            ctx._vec_reduce([(k + 1) * a for a in w], self._precs[k] - b))
         return vecs
 
     def derivative(self) -> "TruncatedSeries":
@@ -874,8 +864,8 @@ class TruncatedSeries:
 
         Coefficient n - 1 is n c_n: its valuation and precision are
         c_n's plus e v_p(n), and v(n c_n) >= v(c_n), so the tail bound
-        carries over.  Those ints and the base are set here; vector n - 1,
-        n w_n reduced modulo pi^(prec - b) and moved onto the view's base,
+        carries over.  Those ints are set here, and the view keeps this
+        series' base b; vector n - 1, n w_n reduced modulo pi^(prec - b),
         is formed when a pass first reads it (``_vectors``), and packed
         when a block pass first needs it.  So a coefficient past the
         largest hint is never formed, and every coefficient, read or

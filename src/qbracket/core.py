@@ -1067,7 +1067,8 @@ def sample(ctx: PrimeContext, rng: Random, *, valuation: int = 0,
     size = ctx.p ** ctx.f
     if residue is not None:
         if ctx.f > 1:
-            if residue not in ctx.residue_field():
+            if (not isinstance(residue, tuple) or len(residue) != ctx.f
+                    or not all(c in range(ctx.p) for c in residue)):
                 raise ValueError(f"residue must be {ctx.f} coordinates in 0..{ctx.p - 1}")
             residue = sum(c * ctx.p ** j for j, c in enumerate(residue))
         if residue == 0:

@@ -1225,6 +1225,18 @@ def test_raw_series_operations_match_reference(case):
     assert _as_built(s.drop_center_root) == _as_built(lambda: _drop_center_root_ref(s))
     assert (_as_built(lambda: s.divide_by_root(root))
             == _as_built(lambda: _divide_by_root_ref(s, root)))
+    for derived in (s.derivative, lambda: s.derivative().derivative(), s.drop_center_root,
+                    lambda: s.divide_by_root(root)):
+        assert _base_kept(s, derived)
+
+
+def _base_kept(s, derive) -> bool:
+    """Does the series ``derive`` builds, if it builds, keep s's base?"""
+    try:
+        out = derive()
+    except (DomainError, CertificationFailure):
+        return True
+    return out._base == s._base
 
 
 @given(_evaluate_arguments(es=_WIDE_ES, most=24))
@@ -1249,6 +1261,9 @@ def test_derivative_view_matches_reference(case):
     assert _as_built(view.drop_center_root) == _as_built(ref.drop_center_root)
     assert (_as_built(lambda: view.divide_by_root(point))
             == _as_built(lambda: _divide_by_root_ref(ref, point)))
+    assert view._base == second._base == s._base
+    for derived in (view.drop_center_root, lambda: view.divide_by_root(point)):
+        assert _base_kept(s, derived)
 
 
 def test_drop_center_root_refuses_a_series_with_no_coefficients():

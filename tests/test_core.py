@@ -372,7 +372,7 @@ def test_modulus_generates_a_field():
         assert all(any(mul(a, b)) for a in elems for b in elems)
 
 
-def test_residue_field_and_sample_at_f2():
+def test_residue_field_and_sample_at_f2(monkeypatch):
     c = ctx_new(3, 2, 20, f=2)
     field = c.residue_field()
     assert len(set(field)) == 9 and field[:3] == ((0, 0), (1, 0), (2, 0))
@@ -383,8 +383,20 @@ def test_residue_field_and_sample_at_f2():
     assert c.from_int(3).residue() == (0, 0)
     with pytest.raises(ValueError):
         sample(c, Random(1), residue=(0, 0))
+    for bad in ([1, 0], (1,), (1, 0, 0), (3, 0), (1, -1)):
+        with pytest.raises(ValueError, match="residue must be"):
+            sample(c, Random(1), residue=bad)
     # the base field keeps plain ints
     assert ctx_new(3, 2, 20).residue_field() == (0, 1, 2)
+    # the residue's coordinates are checked directly, so a draw does not
+    # build the p^f tuples of the whole field
+    want = sample(c, Random(7), residue=(2, 1))
+
+    def refuse(self):
+        raise AssertionError("residue_field built")
+
+    monkeypatch.setattr(type(c), "residue_field", refuse)
+    assert sample(c, Random(7), residue=(2, 1)) == want and want.residue() == (2, 1)
 
 
 def test_from_residue_checks_its_argument_in_every_degree():

@@ -1,14 +1,18 @@
-"""Whole outputs at residue degree f > 1 and of the local parameter chart,
-pinned by the SHA-256 of their JSON.
+"""Whole outputs at residue degree f > 1, of the local parameter chart and
+of the default reports, pinned by the SHA-256 of their JSON.
 
 No benchmark workload runs at f > 1, where the packed products fold their
 rows by the defining polynomial, nor local_Q at f > 1 or at e = 1 on a q
 capped below its fiber's precision.  Each test below builds its seeded
 grid, serializes every record (or the error it raised) and compares the
-digest with the pinned one; each takes about a second.
+digest with the pinned one; each takes about a second.  The last pins the
+seed-0 harness report, apart from its wall-clock elapsed_ms, and the
+README's five CLI commands, which are to stay byte-identical.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from random import Random
 
@@ -26,6 +30,8 @@ from qbracket import (
     sample,
     series1,
 )
+from qbracket import cli
+from qbracket.harness import reports_to_json, run_all
 
 
 def _digest(rows) -> str:
@@ -105,3 +111,28 @@ def test_brackets_powers_and_jets_at_residue_degree_above_one():
                         row.append(str(exc))
                 rows.append(row)
     assert _digest(rows) == "7c65b630a5bef85213de11fbae325b46386b5f64016ab8cdff0d9840ad7f95e3"
+
+
+# the README's example commands, each documented to exit 0
+README_COMMANDS = (
+    ["eval", "--p", "3", "--prec", "60", "--x", "-1/2", "--q", "4"],
+    ["fixed-points", "--p", "3", "--q", "4"],
+    ["solve-q", "--p", "5", "--e", "3", "--prec", "90", "--x", "5"],
+    ["polygon", "--p", "5", "--e", "3", "--prec", "90", "--series", "series2", "--x", "5"],
+    ["polygon", "--p", "3", "--prec", "60", "--series", "series1", "--q", "4"],
+)
+
+
+def test_default_reports_and_readme_commands():
+    # the seed-0 report of every suite, and each README command's exit code,
+    # stdout and stderr
+    reports = [{k: v for k, v in r.items() if k != "elapsed_ms"}
+               for r in json.loads(reports_to_json(run_all(seed=0)))]
+    assert _digest(reports) == "97c948e6f97c10f3777609612a1b65489e5f00914b78a9e18375dd3bc219b3af"
+    rows = []
+    for argv in README_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        rows.append([rc, out.getvalue(), err.getvalue()])
+    assert _digest(rows) == "fe4eb72f850d93c4afbc0b287e98b9cad3c38e770c5f6227e1133b60dd28a758"
