@@ -37,25 +37,27 @@ built here; root hunting on them lives in the solver module.  Both are
 running products r_k = r_(k-1) a_k pi^t / d_k (the series1 terms c_n =
 c_(n-1) log q / n, the series2 monomials with a_k = x - (k+1) and t =
 m0 e), taken by one kernel on raw unit vectors: the valuation, relative
-precision and zero flag of the PadicNumber chain are additive, so each
-step is one vector product and one reduction, with no normalization,
+precision and zero flag of the PadicNumber chain are additive, so they
+are ints fixed at the build, and each vector is one vector product and
+one reduction, with no normalization, formed when a pass first reads it
+(a lazy series, van der Hoeven, "Relax, but don't be too lazy", 2002),
 and gives the chain's coefficients digit for digit.
 
 A series is stored raw, not as PadicNumbers: one base valuation, each
 coefficient's vector already shifted onto it, and its valuation and
 precision as ints (Caruso, "Computations with p-adic numbers", 2017).
-Every raw coefficient in flight, a running product's factor or output or
-a stored one, has one form, (v, vector, prec), v and vector None when
+Every raw coefficient in flight, a running product's output or a stored
+one, has one form, (v, vector, prec), v and vector None when
 zero-flagged.  The builders hand their raw coefficients over, and every
 operation on that form keeps each coefficient digit for digit the
 PadicNumber one; ``coeffs`` builds those PadicNumbers only when read, by
 core's ``_from_raw``.  The base only bounds every kept valuation from
 below, so a series derived from another (its derivative, a deflation, a
-recentring) keeps its source's base and shifts no vector.  A derivative
-copies nothing: it is a view on its series' vectors whose valuations and
-precisions are the series' plus e v_p(n), and it forms the vector n w_n
-of a coefficient only when a pass first reads it, so a root lift never
-forms the coefficients its hints cut.  A series' evaluation is one
+recentring) keeps its source's base and shifts no vector.  A series'
+vectors come from one source, read as far as a pass reads: a running
+product resumed from the last vector formed, or a derivative, a view on
+its series' vectors that forms n w_n from w_n.  So a root lift never forms
+the coefficients its hints cut.  A series' evaluation is one
 Horner pass on the stored vectors with no shift per step, normalized
 once.  The precision the PadicNumber loop would carry, P <- min(P +
 v(dz), prec(dz) + v(acc), prec(c_n)), is kept as an integer beside it
@@ -84,7 +86,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .core import _BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
 from .errors import CertificationFailure, ContextMismatch, DomainError
@@ -388,47 +390,56 @@ def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int
     return acc
 
 
-def _running_product(start: PadicNumber, factors, t: int, dens) -> list:
-    """r_k = r_(k-1) a_k pi^t / d_k for k = 1, 2, ..., with r_0 = ``start``.
+def _running_product(start: PadicNumber, factors, units, t: int, dens) -> tuple:
+    """r_k = r_(k-1) a_k pi^t / d_k for k = 1, 2, ..., with r_0 = ``start``:
+    the (v_k, prec_k) of every r_k, and an iterator of the r_k raw.
 
     ``dens`` yields the nonzero integers d_k and ends the product;
-    ``factors`` yields each a_k raw, as ``_raw_of`` gives it: (v, unit,
-    prec), the unit known modulo pi^(prec - v), reduced or not, or (None,
-    None, prec) when a_k is zero-flagged.  The bookkeeping of the chain
-    r * a, scale_pi(t), _div_int(d) is additive, so each step is one
-    vector product and one reduction and builds its value directly:
+    ``factors`` yields each a_k's (v, prec), v None when a_k is
+    zero-flagged, and ``units`` the unit of each a_k that is not, known
+    modulo pi^(prec - v), reduced or not.  The bookkeeping of the chain
+    r * a, scale_pi(t), _div_int(d) is additive, so it runs here on ints:
     v_k = v_(k-1) + v(a_k) + t - e v_p(d_k), rel_k = min(rel_(k-1),
-    prec(a_k) - v(a_k)), and the unit part of d_k, inverted modulo
-    p^ceil(rel_k/e), is folded into the reduction.  A zero-flagged value's
-    precision stands in for its valuation, and once r_k is zero-flagged it
-    stays so, its precision following the same recurrence: these are the
-    chain's own rules, so every value, digit, precision and zero flag is
-    the chain's.  Each r_k comes out in the same form, its unit reduced.
+    prec(a_k) - v(a_k)), a zero-flagged value's precision standing in for
+    its valuation, and once r_k is zero-flagged it stays so.  The iterator
+    forms r_k when read, resuming from r_(k-1): one vector product and one
+    reduction, the unit part of d_k, inverted modulo p^ceil(rel_k/e),
+    folded in, and ``units`` read as far.  These are the chain's own
+    rules, so every value, digit, precision and zero flag is the chain's.
+    Each r_k comes out in the one raw form, its unit reduced.
     """
     ctx = start.ctx
     p, e = ctx.p, ctx.e
     zero = start.is_zero
     v = start.prec if zero else start.val
-    vec, rel = start._unit, start.prec - v
-    out = []
-    for d, (av, au, aprec) in zip(dens, factors):
+    rel = start.prec - v
+    ints, d_units = [], []
+    for d, (av, aprec) in zip(dens, factors):
         s = 0
         while d % p == 0:
             d //= p
             s += 1
-        v += (aprec if au is None else av) + t - e * s
-        if zero or au is None:
+        v += (aprec if av is None else av) + t - e * s
+        if zero or av is None:
             zero = True
-            out.append((None, None, v))
+            ints.append((None, v))
             continue
         rel = min(rel, aprec - av)
-        prod = ctx._vec_mul(vec, au)
-        if d != 1:
-            c = pow(d, -1, ctx._ppow(_ceil_div(rel, e)))
-            prod = [c * a for a in prod]
-        vec = ctx._vec_reduce(prod, rel)
-        out.append((v, vec, v + rel))
-    return out
+        ints.append((v, v + rel))
+        d_units.append(d)
+
+    def raw():
+        vec = start._unit
+        for (v, prec), d, unit in zip(ints, d_units, units):
+            rel = prec - v
+            prod = ctx._vec_mul(vec, unit)
+            if d != 1:
+                c = pow(d, -1, ctx._ppow(_ceil_div(rel, e)))
+                prod = [c * a for a in prod]
+            vec = ctx._vec_reduce(prod, rel)
+            yield v, vec, prec
+        yield from ((None, None, prec) for _, prec in ints[len(d_units):])
+    return ints, raw()
 
 
 def _raw_of(c: PadicNumber) -> tuple:
@@ -437,26 +448,34 @@ def _raw_of(c: PadicNumber) -> tuple:
     return (None, None, c.prec) if c.is_zero else (c.val, c._unit, c.prec)
 
 
-def _minus_integers(x: PadicNumber, start: int, stop: int):
-    """x - j for j = start, ..., stop - 1, raw, as ``_running_product`` takes them.
+def _minus_integers(x: PadicNumber, start: int, stop: int) -> tuple:
+    """x - j for j = start, ..., stop - 1 as ``_running_product`` takes them:
+    their (v, prec), and an iterator of their units.
 
     For v(x) >= 0, x - j is known modulo pi^P, P = min(prec(x), K), as
-    x - from_int(j) is.  It is x's integral vector (``_dz_vector``) with j
+    x - from_int(j) is.  Its integral vector is x's (``_dz_vector``) with j
     taken from entry 0 modulo p^ceil(P/e), which keeps the entry >= 0 as
-    the packed ``_vec_mul`` needs; its valuation is 0 unless that entry is
-    divisible by p, and only then is the value normalized (``_from_raw``).
+    the packed ``_vec_mul`` needs.  Its valuation, the lesser of e v_p of
+    that entry and that of x's other entries (as in ``_power_split``),
+    takes no vector, and only a unit of positive valuation is shifted.
     """
     ctx = x.ctx
-    p, prec = ctx.p, min(x.prec, ctx.K)
+    p, e, prec = ctx.p, ctx.e, min(x.prec, ctx.K)
     vec = _dz_vector(x)
-    mod = ctx._ppow(_ceil_div(prec, ctx.e))
+    mod = ctx._ppow(_ceil_div(prec, e))
+    rest = ctx._vec_val([0] + vec[1:], prec)
+    rest = prec if rest is None else rest
+    vals = []
     for j in range(start, stop):
-        a = list(vec)
-        a[0] = (a[0] - j) % mod
-        if a[0] % p:
-            yield 0, a, prec
-            continue
-        yield _raw_of(_from_raw(ctx, 0, a, prec))
+        a0 = (vec[0] - j) % mod
+        v = min(rest, e * _vp(a0, p)) if a0 else rest
+        vals.append(None if v >= prec else v)
+
+    def units():
+        for j, v in zip(range(start, stop), vals):
+            a = [(vec[0] - j) % mod] + vec[1:]
+            yield ctx._vec_shift(a, -v) if v else a
+    return [(v, prec) for v in vals], units()
 
 
 def _integral(ctx: PrimeContext, x, who: str) -> PadicNumber:
@@ -566,9 +585,9 @@ class _QSplit:
         if over_y:
             c0, c1, term = c0 * inv_y, c1 * inv_y, term * inv_y
             tail += Fraction(inv_y.val, ctx.e)
-        raw = [_raw_of(c0), _raw_of(c1)]
-        raw += _running_product(term, itertools.repeat(_raw_of(big_l)), 0, range(2, n_max + 1))
-        return TruncatedSeries._on_base(ctx, x, tail, *_to_base(ctx, raw))
+        lv, lu, lp = _raw_of(big_l)
+        return TruncatedSeries._built(ctx, x, tail, [_raw_of(c0), _raw_of(c1)], *_running_product(
+            term, itertools.repeat((lv, lp)), itertools.repeat(lu), 0, range(2, n_max + 1)))
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -637,9 +656,9 @@ class TruncatedSeries:
     or a recentring, keeps its source's b, so no vector is shifted when a
     derived coefficient's valuation rises.  The suffix minima of the
     valuations are kept beside them, so a hint cuts the trailing
-    coefficients by one bisection.  A derivative keeps its source series
-    instead of vectors and forms each vector from the source's on first
-    read (``_vectors``).
+    coefficients by one bisection.  Those ints are set at the build; the
+    vectors of a series1 jet, a series2 at 0 or a derivative are formed
+    from a source when a pass first reads them (``_vectors``).
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_base", "_vals", "_vecs", "_precs",
@@ -647,25 +666,39 @@ class TruncatedSeries:
 
     def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs,
                  tail_bound: Fraction | None):
-        self._store(ctx, center, tail_bound, *_to_base(ctx, map(_raw_of, coeffs)))
+        self._build(ctx, center, tail_bound, list(map(_raw_of, coeffs)), [], ())
+
+    @classmethod
+    def _built(cls, ctx: PrimeContext, center: PadicNumber, tail_bound: Fraction | None,
+               head: list, ints: list, raw) -> "TruncatedSeries":
+        """A series of the raw triples ``head``, then of a running product's
+        (val, prec) ``ints`` and ``raw`` triples, read when a pass needs them."""
+        s = cls.__new__(cls)
+        s._build(ctx, center, tail_bound, head, ints, raw)
+        return s
+
+    def _build(self, ctx, center, tail_bound, head, ints, raw) -> None:
+        ints = [(v, p) for v, _, p in head] + ints
+        self._frame(ctx, center, tail_bound, None, [v for v, _ in ints], [p for _, p in ints])
+        base = self._base
+        self._vecs = []
+        self._source = (None if u is None else tuple(ctx._vec_shift(u, v - base))
+                        for v, u, _ in itertools.chain(head, raw))
 
     @classmethod
     def _on_base(cls, ctx: PrimeContext, center: PadicNumber, tail_bound: Fraction | None,
                  base: int, coeffs) -> "TruncatedSeries":
         """A series from (val, vector, prec) triples whose vectors sit on ``base``."""
         s = cls.__new__(cls)
-        s._store(ctx, center, tail_bound, base, coeffs)
+        s._frame(ctx, center, tail_bound, base, [v for v, _, _ in coeffs],
+                 [p for _, _, p in coeffs])
+        s._vecs, s._source = [w for _, w, _ in coeffs], None
         return s
-
-    def _store(self, ctx, center, tail_bound, base, coeffs) -> None:
-        coeffs = list(coeffs)
-        self._frame(ctx, center, tail_bound, base, [v for v, _, _ in coeffs],
-                    [p for _, _, p in coeffs])
-        self._vecs, self._source = tuple(w for _, w, _ in coeffs), None
 
     def _frame(self, ctx, center, tail_bound, base, vals, precs) -> None:
         """Everything but the vectors: the valuations and precisions, their
-        suffix minima, and the vectors' ``base``, kept as given."""
+        suffix minima, and the vectors' ``base``, the least valuation when
+        None (a zero-flagged precision standing in for one), else as given."""
         self.ctx = ctx
         self.center = center
         self.tail_bound = tail_bound
@@ -676,7 +709,7 @@ class TruncatedSeries:
             low = b if low is None or b < low else low
             lows.append(low)
         lows.reverse()
-        self._base = base
+        self._base = (lows[0] if lows else 0) if base is None else base
         self._lows = tuple(lows)
         self._wall = max(self._precs, default=None)
         self._packed = None
@@ -847,27 +880,31 @@ class TruncatedSeries:
         return zip(self._vals, self._vectors(len(self)), self._precs)
 
     def _vectors(self, n: int) -> Sequence:
-        """The stored vectors, the first n at least formed: a derivative's
-        are formed from its source's on first read (see ``derivative``)."""
-        vecs, src = self._vecs, self._source
-        if src is not None and len(vecs) < n:
-            ctx, b = self.ctx, self._base
-            pvecs = src._vectors(n + 1)
-            for k in range(len(vecs), n):
-                w = pvecs[k + 1]
-                vecs.append(None if w is None else
-                            ctx._vec_reduce([(k + 1) * a for a in w], self._precs[k] - b))
+        """The stored vectors, the first n at least formed, the others read
+        from ``_source``: a running product's (``_built``) or a derivative's."""
+        vecs = self._vecs
+        if len(vecs) < n and self._source is not None:
+            vecs += itertools.islice(self._source, n - len(vecs))
         return vecs
 
+    def _derived(self, precs: Sequence) -> Iterator:
+        """The derivative's vectors, to the derivative's ``precs``: vector
+        n - 1 is n w_n reduced modulo pi^(prec - b), formed from this
+        series' vectors 0 ... n, each formed when read."""
+        ctx, base = self.ctx, self._base
+        for n, prec in enumerate(precs, 1):
+            w = self._vectors(n + 1)[n]
+            yield None if w is None else ctx._vec_reduce([n * a for a in w], prec - base)
+
     def derivative(self) -> "TruncatedSeries":
-        """The derivative, a view that shares this series' stored vectors.
+        """The derivative, a view on this series' vectors.
 
         Coefficient n - 1 is n c_n: its valuation and precision are
         c_n's plus e v_p(n), and v(n c_n) >= v(c_n), so the tail bound
         carries over.  Those ints are set here, and the view keeps this
         series' base b; vector n - 1, n w_n reduced modulo pi^(prec - b),
-        is formed when a pass first reads it (``_vectors``), and packed
-        when a block pass first needs it.  So a coefficient past the
+        is formed from w_n when a pass first reads it (``_derived``), and
+        packed when a block pass first needs it.  So a coefficient past the
         largest hint is never formed, and every coefficient, read or
         evaluated, is the one n c_n gives.
         """
@@ -877,7 +914,7 @@ class TruncatedSeries:
         d._frame(ctx, self.center, self.tail_bound, self._base,
                  [None if v is None else v + up for v, up in zip(self._vals[1:], ups)],
                  [p + up for p, up in zip(self._precs[1:], ups)])
-        d._vecs, d._source = [], self
+        d._vecs, d._source = [], self._derived(d._precs)
         return d
 
     def drop_center_root(self) -> "TruncatedSeries":
@@ -919,18 +956,6 @@ class TruncatedSeries:
         return [(n, None if v is None else Fraction(v, e)) for n, v in enumerate(self._vals)]
 
 
-def _to_base(ctx: PrimeContext, raw) -> tuple:
-    """(b, triples on b) from (val, unit, prec) triples: each unit shifted up
-    to the least valuation b, a zero-flagged precision standing in for one.
-    The list is rewritten in place, so each unit is freed once shifted."""
-    raw = list(raw)
-    base = min((p if v is None else v for v, _, p in raw), default=0)
-    for i, (v, u, p) in enumerate(raw):
-        if u is not None:
-            raw[i] = v, tuple(ctx._vec_shift(u, v - base)), p
-    return base, raw
-
-
 def _dz_vector(dz: PadicNumber) -> list:
     """dz of valuation >= 0 as the integral vector pi^v(dz) unit, 0 when
     zero-flagged."""
@@ -944,25 +969,34 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int) -> li
     c_(n-1) stored on ``base``, as one Horner pass at rho: the partial sums
     s_i = c_i + rho s_(i+1) from s_n = 0, capped at pi^W, are the quotient
     s_1 ... s_(n-1) and the remainder s_0.  Each is one step of
-    ``PrimeContext._horner_step`` on the last, or c_i when that is zero,
-    reduced to its own precision, where its valuation is measured.  That
-    precision is the PadicNumber loop's, P <- min(P + v(rho), prec(rho) +
-    v(s_(i+1)), prec(c_i), W), as in ``TruncatedSeries._steps``, and the
-    digits the reduction drops reach s_(i-1) only at or above P + v(rho),
-    so every value, digit, precision and zero flag is the loop's.
+    ``PrimeContext._horner_step`` on the last, or c_i when that or rho is
+    zero-flagged, reduced to its own precision.  That precision is the PadicNumber
+    loop's, P <- min(P + v(rho), prec(rho) + v(s_(i+1)), prec(c_i), W), as
+    in ``TruncatedSeries._steps``, and the digits the reduction drops reach
+    s_(i-1) only at or above P + v(rho), so every value, digit, precision
+    and zero flag is the loop's.  Valuations add along a product, so unless
+    v(c_i) = v(rho s_(i+1)) the sum has the lesser, or is zero-flagged when
+    that reaches P: only a tie below P is measured.
     """
     ctx, rho_prec = rho.ctx, rho.prec
     step = ctx._horner_step(_dz_vector(rho), wall - base)
     rho_val = rho_prec if rho.is_zero else rho.val
     out, acc, last, low = [], None, math.inf, math.inf  # s_n = 0 exactly
-    for _, w, prec in reversed(coeffs):
+    for v, w, prec in reversed(coeffs):
         prec = min(prec, wall, last + rho_val, rho_prec + low)
-        if acc is not None:  # a zero-flagged s_(i+1) adds nothing
-            w = step(acc, w)
-        w = None if w is None else ctx._vec_reduce(w, prec - base)
-        v = None if w is None else ctx._vec_val(w, prec - base)
-        out.append((None, None, prec) if v is None else (base + v, w, prec))
-        acc, last, low = out[-1][1], prec, prec if v is None else base + v
+        tie = False
+        if acc is not None and not rho.is_zero:  # else rho s_(i+1) adds nothing
+            w, up = step(acc, w), low + rho_val
+            tie, v = up == v, up if v is None or up < v else v
+        if v is not None and v < prec:
+            w = ctx._vec_reduce(w, prec - base)
+            if tie:
+                v = ctx._vec_val(w, prec - base)
+                v = None if v is None else base + v
+        if v is None or v >= prec:
+            v = w = None
+        out.append((v, w, prec))
+        acc, last, low = w, prec, prec if v is None else v
     return out[::-1]
 
 
@@ -990,8 +1024,9 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
     coefficient k-1 times (x - (k+1)) pi^t / (k+2), t = m0 e: one
     ``_running_product`` from 1/2, with the factors x - (k+1) formed on
     x's integral vector (``_minus_integers``), so a monomial costs one
-    vector product.  An integer x in 2..n_max+1 makes its factor, and
-    every later coefficient, zero-flagged, as the PadicNumber chain did.
+    vector product, paid when it is first read.  An integer x in
+    2..n_max+1 makes its factor, and every later coefficient,
+    zero-flagged, as the PadicNumber chain did.
     """
     ctx = x.ctx
     # representability first, so a caller learns the e that would work
@@ -1016,17 +1051,17 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
         n_max = _n_for_tail(delta, Fraction(ctx.K, ctx.e), offset)
     tail = n_max * delta - offset
     ek = ctx.one()._div_int(2)
-    raw = [_raw_of(ek)] + _running_product(ek, _minus_integers(x, 2, n_max + 2), t,
-                                           range(3, n_max + 3))
-    return TruncatedSeries._on_base(ctx, ctx.zero(), tail, *_to_base(ctx, raw))
+    return TruncatedSeries._built(ctx, ctx.zero(), tail, [_raw_of(ek)], *_running_product(
+        ek, *_minus_integers(x, 2, n_max + 2), t, range(3, n_max + 3)))
 
 
 def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
     """Coefficients d_n(x, u) of h(x, U) recentered at U = u (unit or zero).
 
-    At a unit u this is repeated synthetic division by (U - u): pass j is
-    one Horner pass (``_horner_division``) on the quotient of pass j - 1
-    and leaves d_j as its remainder.
+    At u = 0 it is the monomial series itself.  At a unit u it is repeated
+    synthetic division by (U - u): pass j is one Horner pass
+    (``_horner_division``) on the quotient of pass j - 1 and leaves d_j as
+    its remainder.
     """
     ctx = x.ctx
     m0 = Fraction(m0)
@@ -1034,12 +1069,14 @@ def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
     if not u.is_zero and u.val != 0:
         raise DomainError("u must be a unit or zero")
     mono = _series2_monomials(x, m0, n_max)
+    if u.is_zero:
+        mono.center = u
+        return mono
     base = mono._base
     work = list(mono._stored())
-    if not u.is_zero:
-        # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
-        # each of valuation above the tail bound, so d_n is known only to it;
-        # capping every pass there caps each d_n alike, as prec(u) > v(u) = 0
-        for j in range(len(work)):
-            work[j:] = _horner_division(base, work[j:], u, mono._cap_pi())
+    # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
+    # each of valuation above the tail bound, so d_n is known only to it;
+    # capping every pass there caps each d_n alike, as prec(u) > v(u) = 0
+    for j in range(len(work)):
+        work[j:] = _horner_division(base, work[j:], u, mono._cap_pi())
     return TruncatedSeries._on_base(ctx, u, mono.tail_bound, base, work)

@@ -35,6 +35,7 @@ from qbracket import (
     sample,
     series1,
     series2,
+    unit_disk_zero_count,
 )
 from test_core import _vec_mul_ref
 
@@ -591,7 +592,8 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
     # which a negative entry would corrupt: _vec_mul's operands at f > 1 and
     # at e >= 5, and every vector a Horner step, a block pass or a power sum
     # of exp and log1p packs; inv's Newton correction 2 - u w and the
-    # series2 factors x - j are reduced first
+    # series2 factors x - j are reduced first.  A series2 forms its vectors
+    # when read, so the stage reads its coefficients
     negative, stages = [], {}
 
     def seen(*vecs):
@@ -616,7 +618,7 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
     for stage, call in (("fixed_points_for_q", lambda: fixed_points_for_q(c.one() + z)),
                         ("exp", lambda: exp(z)), ("log1p", lambda: log1p(z)),
                         ("inv", lambda: sample(c, rng).inv()),
-                        ("series2", lambda: series2(x, 0, Fraction(3, 10))),
+                        ("series2", lambda: series2(x, 0, Fraction(3, 10)).coeffs),
                         ("q_for_x f=2", lambda: q_for_x(c2.from_int(5))),
                         ("fixed_points_for_q f=2",
                          lambda: fixed_points_for_q(c7.one() + c7.uniformizer()))):
@@ -1081,11 +1083,104 @@ def test_series_builds_match_reference(case):
     assert _built(series1, x, q, n_max) == _built(_jet_ref, x, q, n_max)
 
 
+# A series2 and a series1 jet form their vectors when a pass first reads
+# them, resuming the running product from the last vector formed, and a
+# derivative view reads its source's the same way.  Whatever the order of
+# the reads, every value, precision, coefficient and count must be the one
+# an eager build of the reference coefficients gives.
+
+@st.composite
+def _lazy_build_arguments(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.sampled_from(_WIDE_ES))
+    f = draw(st.integers(1, 3))
+    K = draw(st.integers(2 * e, 4 * e + 12))
+    c = ctx_new(p, e, K, f)
+    n_max = draw(st.integers(1, 30))
+
+    def number(lo, hi, top=K + e):
+        """val in [lo, hi], prec up to top."""
+        val = draw(st.integers(lo, hi))
+        prec = draw(st.integers(val + 1, max(val + 1, top)))
+        n = prec - val
+        return _read(c, val, [draw(st.integers(1, p ** f - 1))] + draw(
+            st.lists(st.integers(0, p ** f - 1), min_size=n - 1, max_size=n - 1)), prec)
+
+    # an integer x = j in 2..n_max+1 makes x - j, and the tail after it,
+    # zero-flagged
+    j = draw(st.integers(2, n_max + 1))
+    kind = draw(st.sampled_from(("integer", "near", "low", "any")))
+    if kind == "integer":
+        x = c.from_int(j)
+    elif kind == "near":  # a factor of positive valuation
+        x = c.from_int(j) + number(1, 2 * e + 1)
+    elif kind == "low":  # known below K
+        x = number(0, 2, K - 1)
+    else:
+        x = number(0, 2)
+    t = e // (p - 1) + draw(st.integers(1, 2 * e))  # t/e in S
+    q = c.one() + number(t, t)
+
+    def point(center):
+        kind = draw(st.sampled_from(("center", "unit", "deep", "low", "void")))
+        if kind == "center":
+            return center
+        if kind == "void":  # zero-flagged, at a precision down to negative
+            return c.zero(draw(st.integers(-2, 2)))
+        out = center + number(*{"unit": (0, 0), "deep": (1, 2 * e), "low": (0, 2)}[kind])
+        return out._cap_prec(draw(st.integers(1, K - 1))) if kind == "low" else out
+
+    # reads of the series (0), its derivative view (1) and the view's own
+    # derivative (2), an evaluation at a point and a hint or a probe
+    # precision, in the order drawn
+    hint = st.none() | st.integers(1, K + 2 * e)
+    reads = draw(st.lists(st.tuples(st.integers(0, 2), st.booleans(), hint),
+                          min_size=1, max_size=6))
+    return x, Fraction(t, e), q, n_max, [(k, ev, h, point) for k, ev, h in reads]
+
+
+@given(_lazy_build_arguments(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_lazy_series_match_an_eager_build(case, jet):
+    x, m0, q, n_max, reads = case
+    if jet:
+        lazy, ref = (lambda: series1(x, q, n_max)), (lambda: _jet_ref(x, q, n_max))
+    else:
+        lazy = lambda: series2(x, 0, m0, n_max)
+        ref = lambda: _series2_monomials_ref(x, m0, n_max)
+    built = _as_built(lazy)
+    if isinstance(built[0], type):  # an error, which must be the reference's
+        assert built == _as_built(ref)
+        return
+    s, eager = lazy(), ref()
+    eager.coeffs  # every vector of the reference formed before any read
+    view = s.derivative()
+    pairs = [(s, eager), (view, eager.derivative()),
+             (view.derivative(), eager.derivative().derivative())]
+    for k, ev, hint, point in reads:
+        got, want = pairs[k]
+        pt = point(eager.center)
+        if ev:
+            assert (_outcome(lambda z: got.evaluate(z, hint), pt)
+                    == _outcome(lambda z: want.evaluate(z, hint), pt))
+        else:
+            assert _outcome(got._prec_at, pt) == _outcome(want._prec_at, pt)
+    for got, want in pairs:
+        assert (got.center, got.tail_bound, got._base) == (want.center, want.tail_bound, want._base)
+        assert (got._vals, got._precs, got._lows) == (want._vals, want._precs, want._lows)
+        assert (_outcome(unit_disk_zero_count, got)
+                == _outcome(unit_disk_zero_count, want))
+        assert got.coeffs == want.coeffs
+    assert (view.center, view.coeffs, view.tail_bound) == _derivative_ref(eager)
+
+
 def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
     # each monomial step is one vector product and one reduction; the
     # PadicNumber chain paid a -, a *, a scale_pi and a _div_int.  The one
     # + and the one _div_int left are the x = 1 domain check and the
-    # constant term 1/2
+    # constant term 1/2.  The build forms only the valuations and
+    # precisions, so it takes no product; the n products come when the
+    # vectors are first read, here all of them through ``coeffs``
     c = ctx_new(5, 3, 90)
     x = c.from_int(5) + sample(c, Random(16), valuation=4)  # v(x - 5) = 4
     counts = dict.fromkeys(("vec_mul", "mul", "add", "div_int"), 0)
@@ -1104,6 +1199,8 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         mono = analytic._series2_monomials(x, Fraction(1, 3), n)
         assert len(mono) == n + 1
+        assert counts == {"vec_mul": 0, "mul": 0, "add": 1, "div_int": 1}
+        mono.coeffs
         assert counts == {"vec_mul": n, "mul": 0, "add": 1, "div_int": 1}
 
 
@@ -1315,6 +1412,37 @@ def test_deflation_at_bench_scale_matches_reference(monkeypatch):
         assert _as_built(lambda: divide(s, root)) == _as_built(lambda: _divide_by_root_ref(s, root))
 
 
+def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
+    # s_i = c_i + rho s_(i+1) has the lesser of v(c_i) and v(rho s_(i+1))
+    # when they differ, so the Horner division measures a valuation only at
+    # a tie or where a sum comes out zero-flagged: on g's deflation at
+    # (5, 3, 90), 58 of its 376 sums, where it measured every one
+    seen = []
+    divide = TruncatedSeries.divide_by_root
+    monkeypatch.setattr(TruncatedSeries, "divide_by_root",
+                        lambda series, root: seen.append((series, root)) or divide(series, root))
+    c = ctx_new(5, 3, 90)
+    fixed_points_for_q(c.one() + sample(c, Random(0), valuation=1))
+    ((s, root),) = seen
+    calls = [0]
+    vec_val = PrimeContext._vec_val
+    monkeypatch.setattr(PrimeContext, "_vec_val",
+                        lambda ctx, *args: calls.__setitem__(0, calls[0] + 1) or vec_val(ctx, *args))
+    quotient = divide(s, root)
+    monkeypatch.setattr(PrimeContext, "_vec_val", vec_val)
+    assert quotient.coeffs == _divide_by_root_ref(s, root)[1]
+    rho, cs = root - s.center, s.coeffs
+    sums = [cs[-1]]  # s_(n-1) ... s_0 by the PadicNumber loop
+    for ci in reversed(cs[:-1]):
+        sums.append(ci + rho * sums[-1])
+    sums.reverse()
+    ties = sum(not (a.is_zero or b.is_zero or rho.is_zero) and a.val == rho.val + b.val
+               for a, b in zip(cs, sums[1:]))
+    zero_flagged = sum(z.is_zero for z in sums)
+    assert calls[0] <= ties + zero_flagged
+    assert (len(s), calls[0], ties) == (376, 58, 58)
+
+
 def test_series2_recentring_at_bench_scale_matches_reference():
     # criterion 6's fiber: h(5, U) recentred at each of its three roots,
     # 121 coefficients each, all but the first three zero-flagged (the
@@ -1356,6 +1484,7 @@ def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypa
     x, m0 = sample(c, rng), Fraction(1, 3)
     counts.update(dict.fromkeys(counts, 0))
     h = series2(x, 0, m0)
+    h.coeffs  # the monomials' vectors, formed on this first read
     at_zero = dict(counts)
     counts.update(dict.fromkeys(counts, 0))
     series2(x, sample(c, rng), m0)

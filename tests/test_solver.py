@@ -668,6 +668,42 @@ def test_solve_fiber_forms_no_derivative_vector_past_the_kept_ones(monkeypatch):
         assert len(view._vecs) == kept[id(view)] < len(view) / 2
 
 
+def test_param_fiber_forms_no_series2_vector_past_the_kept_ones(monkeypatch):
+    # series2 forms vector k when a pass first reads it, and the derivative
+    # view's vector n reads the series' vector n + 1: so q_for_x and local_Q
+    # form as many vectors of h as the largest kept count of h and of its
+    # view asks for, which on these legs leaves the tail unformed
+    made, views, kept = [], {}, {}
+    build, derivative, kept_at = solver.series2, TruncatedSeries.derivative, TruncatedSeries._kept
+
+    def spy_series2(*args):
+        made.append(build(*args))
+        return made[-1]
+
+    def spy_derivative(series):
+        views[id(series)] = derivative(series)
+        return views[id(series)]
+
+    def spy_kept(series, prec_hint):
+        out = kept_at(series, prec_hint)
+        kept[id(series)] = max(kept.get(id(series), 0), out[1])
+        return out
+
+    ops = _bench_ops(monkeypatch, "param-fiber")
+    monkeypatch.setattr(solver, "series2", spy_series2)
+    monkeypatch.setattr(TruncatedSeries, "derivative", spy_derivative)
+    monkeypatch.setattr(TruncatedSeries, "_kept", spy_kept)
+    for op in ops:
+        made.clear()
+        views.clear()
+        kept.clear()
+        op.call()
+        assert len(made) == 2  # q_for_x's h, then local_Q's
+        for h in made:
+            view = views[id(h)]
+            assert len(h._vecs) == max(kept[id(h)], kept.get(id(view), 0) + 1) < len(h)
+
+
 def test_solver_reads_coefficients_only_to_certify(monkeypatch):
     # the series are stored raw; PadicNumber coefficients are built only for
     # the two jet coefficients that each record's certification reads
