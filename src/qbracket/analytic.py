@@ -8,9 +8,10 @@ exp preserve valuations and are mutually inverse, which is also why the
 term recurrence of the series1 jets never loses relative precision (each
 division by n is covered by the extra factor (log q)^(n-1)).
 
-exp and log1p sum their series by one kernel modulo pi^target and
-normalize once: rectangular splitting (Paterson-Stockmeyer) on
-Kronecker-packed integers, which for N terms takes about 2 sqrt(N)
+exp and log1p sum their series modulo pi^target by core's power sum
+(``PrimeContext._power_sum``) and normalize once: rectangular splitting
+(Paterson-Stockmeyer) on Kronecker-packed integers, the one pass that a
+series' block evaluation also runs, which for N terms takes about 2 sqrt(N)
 products of packed vectors and, per term, one scalar times a packed
 power.  log1p first raises 1+y to a p-power, which moves y deeper into S
 so the series needs fewer terms, then divides the log by that power.  Both
@@ -70,8 +71,9 @@ pi-units where they do.  The solver reads the precision of a probe point
 or a Newton target that way, with no evaluation.  A long pass at e > 1
 whose precision is fixed sums blocks of coefficients on Kronecker-packed
 integers, packed once per series, with one reduction per block, at every
-residue degree f; any other pass takes one step per coefficient of a
-kernel that core sets up once per pass for the fixed multiplier dz.
+residue degree f (core's ``_block_pass``); any other pass takes one step
+per coefficient of a kernel that core sets up once per pass for the
+fixed multiplier dz.
 Deflation and recentring are passes on that kernel too: Horner's scheme at
 a root rho has the quotient by (X - rho) as its partial sums, each reduced
 to the precision the same recurrence gives, and the remainder as its last
@@ -155,7 +157,8 @@ def log1p(y: PadicNumber) -> PadicNumber:
     Argument reduction: Y = (1+y)^(p^k) - 1 has valuation t + k*e and
     log(1+Y) = p^k log(1+y).  So y is lifted to its exact representative
     at target + k*e, raised by k p-th powers, the series for Y is summed
-    to target + k*e, and the sum is divided by p^k.  That takes fewer
+    to target + k*e by ``PrimeContext._power_sum``, and the sum is divided
+    by p^k.  That takes fewer
     terms, about (target + k*e)/(t + k*e); ``_log_reduction`` picks k.
     The result is the value the unreduced series gives for the stored
     representative, modulo pi^target, and is claimed to the same
@@ -179,7 +182,7 @@ def log1p(y: PadicNumber) -> PadicNumber:
     t, rel = y.val, y.prec
     n_stop = _log_cutoff(p, e, t, rel)
     terms = _log_terms(p, e, t, n_stop, ctx._ppow(_ceil_div(rel, e)))
-    return _from_raw(ctx, -k * e, _power_sum(ctx, y._unit, terms, n_stop, rel), target)
+    return _from_raw(ctx, -k * e, ctx._power_sum(y._unit, terms, n_stop, rel), target)
 
 
 def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
@@ -195,7 +198,8 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> int:
 
     Integer cost rule, in vector products: a p-th power by square and
     multiply takes bit_length(p) + popcount(p) - 2, the series on N
-    terms takes about 2 sqrt(N), and each term adds a modular inverse and
+    terms takes about 2 sqrt(N) (``PrimeContext._power_sum``), and each
+    term adds a modular inverse and
     a scalar times a packed power, counted as 1/4 of a product.  The
     smallest k of least cost wins.  Which k wins changes no digit, since
     log1p's identity log(1+Y) = p^k log(1+y) holds for every k.
@@ -294,14 +298,14 @@ def exp(z: PadicNumber) -> PadicNumber:
     N*(t - e/(p-1)) >= target is a sound cutoff.  With z = pi^t u the
     sum is sum_{n<N} pi^(s_n) u^n / m_n, where s_n = n t - e v_p(n!) and
     m_n is n! stripped of p.  It is taken by rectangular splitting on
-    packed integers (``_power_sum``, Paterson and Stockmeyer 1973): about
-    2 sqrt(N) vector products instead of N, and per term one scalar times
-    a packed power, with the m_n^-1 from one modular inverse and a running
-    product taken in the order of the Horner pass.  The result is the
-    value the term-by-term series gives for the stored representative,
-    modulo pi^target, and is claimed to the same precision.  q^x reaches
-    exp only for what is left of x log q once an integer power of q is
-    split off (``_QSplit.power``).
+    packed integers (``PrimeContext._power_sum``, Paterson and Stockmeyer
+    1973): about 2 sqrt(N) vector products instead of N, and per term one
+    scalar times a packed power, with the m_n^-1 from one modular inverse
+    and a running product taken in the order of the Horner pass.  The
+    result is the value the term-by-term series gives for the stored
+    representative, modulo pi^target, and is claimed to the same
+    precision.  q^x reaches exp only for what is left of x log q once an
+    integer power of q is split off (``_QSplit.power``).
     """
     ctx = z.ctx
     if not in_S(z):
@@ -314,7 +318,7 @@ def exp(z: PadicNumber) -> PadicNumber:
     delta = Fraction(t) - Fraction(ctx.e, ctx.p - 1)
     n_stop = _ceil_frac(Fraction(target) / delta)
     terms = _exp_terms(ctx.p, ctx.e, t, n_stop, ctx._ppow(_ceil_div(target, ctx.e)))
-    return _from_raw(ctx, 0, _power_sum(ctx, z._unit, terms, n_stop, target), target)
+    return _from_raw(ctx, 0, ctx._power_sum(z._unit, terms, n_stop, target), target)
 
 
 def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
@@ -342,52 +346,6 @@ def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
             fact_v -= 1
         inv = inv * k % mod
         n -= 1
-
-
-def _power_sum(ctx: PrimeContext, u: Sequence[int], terms, n_stop: int, rel: int) -> list:
-    """sum_{n < n_stop} c_n pi^(s_n) u^n modulo pi^rel, on Kronecker-packed integers.
-
-    ``terms`` yields the integer pairs (s_n, c_n) for n = n_stop - 1 down
-    to 0, with s_n >= 0 and 0 <= c_n < M = p^ceil(rel/e).  Rectangular
-    splitting (Paterson and Stockmeyer 1973): u^0 ... u^b, b =
-    isqrt(n_stop), come from b - 1 steps of the fixed-multiplier kernel
-    and are packed once (``_packed_powers``); block i, the terms
-    ib <= n < (i+1)b, is a sum of scaled packed powers; the blocks are
-    joined by Horner in u^b from the top.  pi^s = p^(s // e) pi^(s % e),
-    so a block keeps one partial sum per residue s % e, each term adding
-    (c_n p^(s // e) mod M) packed(u^j) to it, one big-integer product, and
-    shifts each partial sum once.  At every f the shift by pi^r is a
-    shift by r slots, which stays within each row of the packed format,
-    the join acc u^b is one product of packed integers, and the block is
-    folded, unpacked and reduced once.  That is b - 1 steps and
-    (n_stop - 1) // b joins; core's kernel note gives the slot width.
-    """
-    e, p = ctx.e, ctx.p
-    m = _ceil_div(rel, e)
-    big_m = ctx._ppow(m)
-    b = math.isqrt(n_stop)  # n_stop >= 2 for both series
-    x = (b if e == 1 else p * b) + ctx._row_weight()
-    w = (x * (big_m - 1) ** 2).bit_length()
-    pack, unpack = ctx._packer(w, rel)
-    pows = ctx._packed_powers(u, rel, b, w)
-    join = pows.pop()
-    ppow = ctx._ppow
-    parts, acc = [0] * e, None
-    j = (n_stop - 1) % b  # the place of term n_stop - 1 in the top block
-    for s, c in terms:
-        if c and s < rel:
-            q, r = divmod(s, e)
-            # c p^q mod M, reduced by the smaller modulus p^(m - q)
-            parts[r] += pows[j] * (c % ppow(m - q) * ppow(q) if q else c)
-        if j:
-            j -= 1
-            continue
-        z = sum(part << r * w for r, part in enumerate(parts))
-        if acc is not None:
-            z += join * pack(acc, w)
-        acc = unpack(z)
-        parts, j = [0] * e, b - 1
-    return acc
 
 
 def _running_product(start: PadicNumber, factors, units, t: int, dens) -> tuple:
@@ -440,6 +398,18 @@ def _running_product(start: PadicNumber, factors, units, t: int, dens) -> tuple:
             yield v, vec, prec
         yield from ((None, None, prec) for _, prec in ints[len(d_units):])
     return ints, raw()
+
+
+def _on_least(ctx: PrimeContext, head: list, ints=(), raw=()) -> tuple:
+    """(base, valuations, vectors, precisions) of a series of the raw triples
+    ``head``, then of a running product's (val, prec) ``ints`` and ``raw``
+    triples: the base is the least valuation, a zero-flagged coefficient's
+    precision standing in for one, and each unit is shifted onto it when read."""
+    ints = [(v, p) for v, _, p in head] + list(ints)
+    base = min((p if v is None else v for v, p in ints), default=0)
+    vecs = (None if u is None else tuple(ctx._vec_shift(u, v - base))
+            for v, u, _ in itertools.chain(head, raw))
+    return base, [v for v, _ in ints], vecs, [p for _, p in ints]
 
 
 def _raw_of(c: PadicNumber) -> tuple:
@@ -586,8 +556,9 @@ class _QSplit:
             c0, c1, term = c0 * inv_y, c1 * inv_y, term * inv_y
             tail += Fraction(inv_y.val, ctx.e)
         lv, lu, lp = _raw_of(big_l)
-        return TruncatedSeries._built(ctx, x, tail, [_raw_of(c0), _raw_of(c1)], *_running_product(
-            term, itertools.repeat((lv, lp)), itertools.repeat(lu), 0, range(2, n_max + 1)))
+        return TruncatedSeries._make(ctx, x, tail, *_on_least(
+            ctx, [_raw_of(c0), _raw_of(c1)], *_running_product(
+                term, itertools.repeat((lv, lp)), itertools.repeat(lu), 0, range(2, n_max + 1))))
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -656,52 +627,38 @@ class TruncatedSeries:
     or a recentring, keeps its source's b, so no vector is shifted when a
     derived coefficient's valuation rises.  The suffix minima of the
     valuations are kept beside them, so a hint cuts the trailing
-    coefficients by one bisection.  Those ints are set at the build; the
-    vectors of a series1 jet, a series2 at 0 or a derivative are formed
-    from a source when a pass first reads them (``_vectors``).
+    coefficients by one bisection.  Every series comes from one
+    constructor (``_frame``) given the base, the valuations, any iterable
+    of vectors on the base and the precisions; the ints and the tail cap
+    floor(tail_bound e) in pi-units are fixed there, and the iterable is
+    read only as far as a pass reads (``_vectors``), so the vectors of a
+    series1 jet, a series2 at 0 or a derivative are formed when first read.
     """
 
-    __slots__ = ("ctx", "center", "tail_bound", "_base", "_vals", "_vecs", "_precs",
+    __slots__ = ("ctx", "center", "tail_bound", "_cap", "_base", "_vals", "_vecs", "_precs",
                  "_lows", "_wall", "_packed", "_source")
 
     def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs,
                  tail_bound: Fraction | None):
-        self._build(ctx, center, tail_bound, list(map(_raw_of, coeffs)), [], ())
+        self._frame(ctx, center, tail_bound, *_on_least(ctx, list(map(_raw_of, coeffs))))
 
     @classmethod
-    def _built(cls, ctx: PrimeContext, center: PadicNumber, tail_bound: Fraction | None,
-               head: list, ints: list, raw) -> "TruncatedSeries":
-        """A series of the raw triples ``head``, then of a running product's
-        (val, prec) ``ints`` and ``raw`` triples, read when a pass needs them."""
+    def _make(cls, ctx: PrimeContext, center: PadicNumber, tail_bound: Fraction | None,
+              base: int, vals, vectors, precs) -> "TruncatedSeries":
+        """A series of the raw form's parts, built by ``_frame``."""
         s = cls.__new__(cls)
-        s._build(ctx, center, tail_bound, head, ints, raw)
+        s._frame(ctx, center, tail_bound, base, vals, vectors, precs)
         return s
 
-    def _build(self, ctx, center, tail_bound, head, ints, raw) -> None:
-        ints = [(v, p) for v, _, p in head] + ints
-        self._frame(ctx, center, tail_bound, None, [v for v, _ in ints], [p for _, p in ints])
-        base = self._base
-        self._vecs = []
-        self._source = (None if u is None else tuple(ctx._vec_shift(u, v - base))
-                        for v, u, _ in itertools.chain(head, raw))
-
-    @classmethod
-    def _on_base(cls, ctx: PrimeContext, center: PadicNumber, tail_bound: Fraction | None,
-                 base: int, coeffs) -> "TruncatedSeries":
-        """A series from (val, vector, prec) triples whose vectors sit on ``base``."""
-        s = cls.__new__(cls)
-        s._frame(ctx, center, tail_bound, base, [v for v, _, _ in coeffs],
-                 [p for _, _, p in coeffs])
-        s._vecs, s._source = [w for _, w, _ in coeffs], None
-        return s
-
-    def _frame(self, ctx, center, tail_bound, base, vals, precs) -> None:
-        """Everything but the vectors: the valuations and precisions, their
-        suffix minima, and the vectors' ``base``, the least valuation when
-        None (a zero-flagged precision standing in for one), else as given."""
+    def _frame(self, ctx, center, tail_bound, base, vals, vectors, precs) -> None:
+        """Every field, fixed here: the base, the valuations and precisions
+        with their suffix minima, the tail cap floor(tail_bound e) in
+        pi-units (None for an exact polynomial), and ``vectors``, read only
+        as far as a pass reads (``_vectors``)."""
         self.ctx = ctx
         self.center = center
         self.tail_bound = tail_bound
+        self._cap = None if tail_bound is None else math.floor(tail_bound * ctx.e)
         self._vals, self._precs = tuple(vals), tuple(precs)
         lows, low = [], None
         for v, p in zip(reversed(self._vals), reversed(self._precs)):
@@ -709,10 +666,11 @@ class TruncatedSeries:
             low = b if low is None or b < low else low
             lows.append(low)
         lows.reverse()
-        self._base = (lows[0] if lows else 0) if base is None else base
+        self._base = base
         self._lows = tuple(lows)
         self._wall = max(self._precs, default=None)
         self._packed = None
+        self._vecs, self._source = [], iter(vectors)
 
     @property
     def coeffs(self) -> tuple:
@@ -723,11 +681,6 @@ class TruncatedSeries:
 
     def __len__(self) -> int:
         return len(self._precs)
-
-    def _cap_pi(self) -> int | None:
-        if self.tail_bound is None:
-            return None
-        return math.floor(self.tail_bound * self.ctx.e)
 
     def evaluate(self, point: PadicNumber, prec_hint: int | None = None) -> PadicNumber:
         """Horner evaluation at a point with v(point - center) >= 0.
@@ -814,7 +767,7 @@ class TruncatedSeries:
         """(target, n, W) of an evaluation: the precision the result is
         capped at (None for an exact polynomial without a hint), how many
         leading coefficients the Horner pass keeps, and its modulus pi^W."""
-        target = self._cap_pi()
+        target = self._cap
         if prec_hint is not None:
             target = prec_hint if target is None else min(target, prec_hint)
         if target is None:
@@ -864,8 +817,7 @@ class TruncatedSeries:
         Each coefficient is packed once, when a pass first needs it."""
         ctx = self.ctx
         if self._packed is None:
-            cap = self._cap_pi()
-            top = self._wall if cap is None else min(cap, self._wall)
+            top = self._wall if self._cap is None else min(self._cap, self._wall)
             self._packed = top, ctx._block_width(top - self._base), []
         top, w, packed = self._packed
         if len(packed) < n:
@@ -880,10 +832,9 @@ class TruncatedSeries:
         return zip(self._vals, self._vectors(len(self)), self._precs)
 
     def _vectors(self, n: int) -> Sequence:
-        """The stored vectors, the first n at least formed, the others read
-        from ``_source``: a running product's (``_built``) or a derivative's."""
+        """The stored vectors, the first n at least read from ``_source``."""
         vecs = self._vecs
-        if len(vecs) < n and self._source is not None:
+        if len(vecs) < n:
             vecs += itertools.islice(self._source, n - len(vecs))
         return vecs
 
@@ -909,13 +860,12 @@ class TruncatedSeries:
         evaluated, is the one n c_n gives.
         """
         ctx = self.ctx
-        d = TruncatedSeries.__new__(TruncatedSeries)
         ups = [ctx.e * _vp(n, ctx.p) for n in range(1, len(self))]
-        d._frame(ctx, self.center, self.tail_bound, self._base,
-                 [None if v is None else v + up for v, up in zip(self._vals[1:], ups)],
-                 [p + up for p, up in zip(self._precs[1:], ups)])
-        d._vecs, d._source = [], self._derived(d._precs)
-        return d
+        precs = [p + up for p, up in zip(self._precs[1:], ups)]
+        return TruncatedSeries._make(
+            ctx, self.center, self.tail_bound, self._base,
+            [None if v is None else v + up for v, up in zip(self._vals[1:], ups)],
+            self._derived(precs), precs)
 
     def drop_center_root(self) -> "TruncatedSeries":
         """Divide by (X - center) when the center is an exact root.
@@ -928,8 +878,8 @@ class TruncatedSeries:
         if self._vals[0] is not None:
             raise CertificationFailure(
                 "constant coefficient is not zero at precision; center is not a confirmed root")
-        return TruncatedSeries._on_base(self.ctx, self.center, self.tail_bound, self._base,
-                                        list(self._stored())[1:])
+        return TruncatedSeries._make(self.ctx, self.center, self.tail_bound, self._base,
+                                     self._vals[1:], self._vectors(len(self))[1:], self._precs[1:])
 
     def divide_by_root(self, root: PadicNumber) -> "TruncatedSeries":
         """Divide by (X - root) for an exact root inside the unit disk.
@@ -948,7 +898,7 @@ class TruncatedSeries:
         rem, *out = _horner_division(self._base, list(self._stored()), rho, self._wall)
         if rem[0] is not None:
             raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
-        return TruncatedSeries._on_base(self.ctx, self.center, self.tail_bound, self._base, out)
+        return TruncatedSeries._make(self.ctx, self.center, self.tail_bound, self._base, *zip(*out))
 
     def valuation_points(self) -> list:
         """(index, valuation) pairs for polygon building; None marks zero-flagged."""
@@ -1051,8 +1001,9 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
         n_max = _n_for_tail(delta, Fraction(ctx.K, ctx.e), offset)
     tail = n_max * delta - offset
     ek = ctx.one()._div_int(2)
-    return TruncatedSeries._built(ctx, ctx.zero(), tail, [_raw_of(ek)], *_running_product(
-        ek, *_minus_integers(x, 2, n_max + 2), t, range(3, n_max + 3)))
+    return TruncatedSeries._make(ctx, ctx.zero(), tail, *_on_least(
+        ctx, [_raw_of(ek)], *_running_product(
+            ek, *_minus_integers(x, 2, n_max + 2), t, range(3, n_max + 3))))
 
 
 def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
@@ -1078,5 +1029,5 @@ def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
     # each of valuation above the tail bound, so d_n is known only to it;
     # capping every pass there caps each d_n alike, as prec(u) > v(u) = 0
     for j in range(len(work)):
-        work[j:] = _horner_division(base, work[j:], u, mono._cap_pi())
-    return TruncatedSeries._on_base(ctx, u, mono.tail_bound, base, work)
+        work[j:] = _horner_division(base, work[j:], u, mono._cap)
+    return TruncatedSeries._make(ctx, u, mono.tail_bound, base, *zip(*work))

@@ -380,10 +380,11 @@ class PrimeContext:
     # acc <- acc d^B + sum_{j<B} c_(i+j) d^j modulo pi^rel, with d^2 ... d^B
     # from B - 1 steps.  Every operand is packed, so a block is at most
     # B + 1 big-integer products summed as integers, then one fold, one
-    # unpacking and one reduction.  The coefficients are packed once, in
-    # slots of the width w set for the modulus pi^top they are reduced at;
-    # acc and the powers are reduced modulo pi^rel with rel <= top.  So every
-    # entry is below M = p^ceil(top/e), and a slot sums c_i itself and B
+    # unpacking and one reduction, in _split_pass, the join loop that
+    # _power_sum runs too.  The coefficients are packed once, in slots of
+    # the width w set for the modulus pi^top they are reduced at; acc and
+    # the powers are reduced modulo pi^rel with rel <= top.  So every entry
+    # is below M = p^ceil(top/e), and a slot sums c_i itself and B
     # products of X products each: w = bits((B X + 1) (M - 1)^2).  The
     # B - 1 power steps cost what B - 1 Horner steps do, so only a pass over
     # more than 2B coefficients takes blocks (TruncatedSeries.evaluate
@@ -395,31 +396,25 @@ class PrimeContext:
     # one integer product, and the whole ops of the (3, 1, 60) legs ran
     # 0.97-1.03x as long with blocks as with steps, so e = 1 keeps the steps.
     #
-    # analytic._power_sum, the series of exp and log1p, splits the same
-    # way at every e, b = isqrt(N) of its N terms to a block.  u^0 ... u^b
-    # come from b - 1 Horner steps and are packed once.  Term n adds
+    # _power_sum, the series of exp and log1p, splits the same way at every
+    # e, b = isqrt(N) of its N terms to a block.  Term n adds
     # (c_n p^(s_n // e) mod M) times packed u^j, one big-integer product,
-    # to the partial sum of its class r = s_n mod e; a block shifts each
-    # partial sum up by r slots, within its rows, adds the join acc u^b as
-    # one product of packed integers, and is folded, unpacked and reduced
-    # once.  Every scalar and entry is below M = p^ceil(rel/e).  After the
-    # fold a term reaches slot k of a row as it is, or times p when its
-    # shift wrapped, and the join adds X products in row f - 1, so slot 0
-    # of that row is the widest, below X' (M - 1)^2 with X' = p b + X; at
-    # e = 1 nothing wraps or folds and X' = b + f.  So w = bits(X' (M - 1)^2),
-    # and with every scalar and entry of u at M - 1 a block fills all w
-    # bits of a slot for some p, e, f and rel: the bound has no bit to
-    # spare.  Over the exp and log1p calls of two bracket-grid rounds, this
-    # kernel ran exp 1.18x as fast as the per-entry term loop it replaced
-    # at (p, e, K) = (3, 1, 60), 1.56x at (5, 3, 180), 1.21x at (3, 1, 480)
-    # and 1.70x at (5, 10, 600), and log1p 1.09x, 1.21x, 1.10x and 1.18x.
-    # The bracket path now hands exp shorter series rather than a faster
-    # kernel: q^x is q^n exp((x - n) log q) for an integer n near x
+    # to the partial sum of its class r = s_n mod e, and a block shifts each
+    # partial sum up by r slots, within its rows, before the join.  Every
+    # scalar and entry is below M = p^ceil(rel/e).  After the fold a term
+    # reaches slot k of a row as it is, or times p when its shift wrapped,
+    # and the join adds X products in row f - 1, so slot 0 of that row is
+    # the widest, below X' (M - 1)^2 with X' = p b + X; at e = 1 nothing
+    # wraps or folds and X' = b + f.  So w = bits(X' (M - 1)^2), and with
+    # every scalar and entry of u at M - 1 a block fills all w bits of a
+    # slot for some p, e, f and rel: the bound has no bit to spare.  Over
+    # the exp and log1p calls of two bracket-grid rounds, this kernel ran
+    # exp 1.18x as fast as a per-entry term loop at (p, e, K) = (3, 1, 60),
+    # 1.56x at (5, 3, 180), 1.21x at (3, 1, 480) and 1.70x at (5, 10, 600),
+    # and log1p 1.09x, 1.21x, 1.10x and 1.18x.  The bracket path hands exp
+    # short series: q^x is q^n exp((x - n) log q) for an integer n near x
     # (analytic._QSplit.power), so exp starts deeper in S, where N is
-    # smaller, and an integer x takes no series at all.  A seed-0
-    # bracket-grid round went from 60 exp calls on 13,281 terms to 42 on
-    # 3,846; at e = 1, where a term is one scalar product and packing
-    # saves nothing, from 4,812 terms to 688.
+    # smaller, and an integer x takes no series at all.
     #
     # _vec_inv doubles u^-1 by w <- w (2 - u w), two products a step, from
     # the residue inverse or from a start, the inverse of a nearby unit,
@@ -537,8 +532,7 @@ class PrimeContext:
                     return [a * d0 % m for a, m in zip(acc, mods)]
                 return [(a * d0 + x) % m for a, x, m in zip(acc, c, mods)]
             return step
-        top = self._ppow(_ceil_div(rel, self.e)) - 1
-        w = (self._row_weight() * top * top).bit_length()
+        w = self._block_width(rel, self._row_weight())
         pack, unpack = self._packer(w, rel)
         packed = pack(d, w)
 
@@ -558,10 +552,29 @@ class PrimeContext:
             pows.append(pack(power, w))
         return pows
 
-    def _block_width(self, rel: int) -> int:
-        """The slot width of ``_block_pass`` for operands reduced modulo pi^rel."""
+    def _block_width(self, rel: int, sums: int | None = None) -> int:
+        """bits(sums (M - 1)^2), M = p^ceil(rel/e): the slot width of a pass
+        on operands reduced modulo pi^rel whose slots sum at most ``sums``
+        products, _BLOCK X + 1 by default, as ``_block_pass`` does."""
+        if sums is None:
+            sums = _BLOCK * self._row_weight() + 1
         top = self._ppow(max(_ceil_div(rel, self.e), 0)) - 1
-        return ((_BLOCK * self._row_weight() + 1) * top * top).bit_length()
+        return (sums * top * top).bit_length()
+
+    def _split_pass(self, d: Sequence[int], rel: int, b: int, w: int, blocks) -> list:
+        """The packed block sums that ``blocks(pows)`` yields, top block first,
+        joined by Horner in d^b modulo pi^rel: pows is d^0 ... d^(b-1) reduced
+        modulo pi^rel in slots of w bits (``_packed_powers``), and each block
+        after the top one adds acc d^b, one product of packed integers,
+        before its one fold, unpacking and reduction."""
+        pack, unpack = self._packer(w, rel)
+        pows = self._packed_powers(d, rel, b, w)
+        join, acc = pows.pop(), None
+        for z in blocks(pows):
+            if acc is not None:
+                z += join * pack(acc, w)
+            acc = unpack(z)
+        return acc
 
     def _block_pass(self, coeffs: Sequence[int], n: int, d: Sequence[int], rel: int,
                     w: int) -> list:
@@ -569,19 +582,43 @@ class PrimeContext:
 
         ``coeffs[i]`` is c_i packed in slots of w = ``_block_width(top)``
         bits, its entries reduced modulo pi^top for some top >= rel, and 0
-        when c_i is zero; d is integral.
+        when c_i is zero; d is integral.  The top block holds c_i ... c_(n-1)
+        for i = _BLOCK floor((n - 1) / _BLOCK).
         """
-        pack, unpack = self._packer(w, rel)
-        pows = self._packed_powers(d, rel, min(_BLOCK, n - 1), w)
-        join = pows.pop() if n > _BLOCK else None
-        acc, hi = None, n
-        for i in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
-            z = sum(map(operator.mul, coeffs[i:hi], pows))
-            if acc is not None:
-                z += pack(acc, w) * join
-            acc = unpack(z)
-            hi = i
-        return acc
+        top = (n - 1) // _BLOCK * _BLOCK
+        return self._split_pass(d, rel, _BLOCK, w, lambda pows: (
+            sum(map(operator.mul, coeffs[i:min(i + _BLOCK, n)], pows))
+            for i in range(top, -1, -_BLOCK)))
+
+    def _power_sum(self, u: Sequence[int], terms, n_stop: int, rel: int) -> list:
+        """sum_{n < n_stop} c_n pi^(s_n) u^n modulo pi^rel, the series of exp and log1p.
+
+        ``terms`` yields the integer pairs (s_n, c_n) for n = n_stop - 1 down
+        to 0, with s_n >= 0 and 0 <= c_n < M = p^ceil(rel/e).  It is
+        ``_split_pass`` at b = isqrt(n_stop): block i holds the terms
+        ib <= n < (i+1)b.  pi^s = p^(s // e) pi^(s % e), so a block keeps one
+        partial sum per class s % e, each term adding (c_n p^(s // e) mod M)
+        times packed u^j, and shifts each partial sum once, by s % e slots,
+        which stays within each row of the packed format.
+        """
+        e, ppow = self.e, self._ppow
+        m = _ceil_div(rel, e)
+        b = math.isqrt(n_stop)  # n_stop >= 2 for both series
+        w = self._block_width(rel, (b if e == 1 else self.p * b) + self._row_weight())
+
+        def blocks(pows):
+            parts, j = [0] * e, (n_stop - 1) % b  # the place of term n_stop - 1 in its block
+            for s, c in terms:
+                if c and s < rel:
+                    q, r = divmod(s, e)
+                    # c p^q mod M, reduced by the smaller modulus p^(m - q)
+                    parts[r] += pows[j] * (c % ppow(m - q) * ppow(q) if q else c)
+                if j:
+                    j -= 1
+                    continue
+                yield sum(part << r * w for r, part in enumerate(parts))
+                parts, j = [0] * e, b - 1
+        return self._split_pass(u, rel, b, w, blocks)
 
     def _vec_shift(self, vec: Sequence[int], t: int) -> list:
         """Multiply by pi^t.  Downward shifts must stay integral."""

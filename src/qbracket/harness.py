@@ -118,17 +118,20 @@ class SuiteReport:
 
 
 class _Recorder:
-    def __init__(self):
+    """The assertions of one suite, each anchored at the suite's id."""
+
+    def __init__(self, anchor: str):
+        self.anchor = anchor
         self.items = []
 
-    def check(self, name: str, anchor: str, expected, observed) -> bool:
+    def check(self, name: str, expected, observed) -> bool:
         ok = expected == observed
-        self.items.append(Assertion(name, anchor, _show(expected), _show(observed), ok))
+        self.items.append(Assertion(name, self.anchor, _show(expected), _show(observed), ok))
         return ok
 
-    def tally(self, name: str, anchor: str, good: int, total: int, detail: str = ""):
+    def tally(self, name: str, good: int, total: int, detail: str = ""):
         observed = f"{good}/{total}" + (f" ({detail})" if detail and good != total else "")
-        self.items.append(Assertion(name, anchor, f"{total}/{total}", observed,
+        self.items.append(Assertion(name, self.anchor, f"{total}/{total}", observed,
                                     good == total))
 
 
@@ -232,8 +235,8 @@ def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
                 iso += 1
             if _vof(q_bracket(x, q)) == _vof(x):
                 norm += 1
-        R.tally(f"isometry_p{ctx.p}", "prop1", iso, 200)
-        R.tally(f"norm_preserved_p{ctx.p}", "prop1", norm, 200)
+        R.tally(f"isometry_p{ctx.p}", iso, 200)
+        R.tally(f"norm_preserved_p{ctx.p}", norm, 200)
     return {"legs": [_leg(c) for c in ctxs], "pairs": 200}
 
 
@@ -248,16 +251,16 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
         return q_bracket(r.x - one, r.q) * ((r.q - one) * (r.x - one)).inv()
 
     out = fixed_points_for_q(c3.from_int(4))
-    R.check("lift_exists", "prop2", out.predicted, len(out))
+    R.check("lift_exists", out.predicted, len(out))
     rec = out[0]
-    R.check("implicit_derivative_val", "prop2", -1, _vof(dgdy(rec)))
+    R.check("implicit_derivative_val", -1, _vof(dgdy(rec)))
 
     back = q_for_x(rec.x)
     ok_rt = len(back) >= 1 and equals_to_precision(back[0].q, rec.q, round_trip_at)
-    R.check("round_trip_q", "prop2", True, ok_rt)
+    R.check("round_trip_q", True, ok_rt)
 
     q2 = local_Q(rec.x, rec.q, rec.x)
-    R.check("Q_fixes_center", "prop2", True, (q2 - rec.q).is_zero)
+    R.check("Q_fixes_center", True, (q2 - rec.q).is_zero)
 
     good = 0
     for _ in range(20):
@@ -269,11 +272,11 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
         d = g - c3.from_rational(Fraction(1, 2))
         if d.is_zero or d.val >= 1:
             good += 1
-    R.tally("g_tends_to_half", "prop2", good, 20)
+    R.tally("g_tends_to_half", good, 20)
 
     out5 = fixed_points_for_q(_q_in_S(c5, rng, t=3))
-    R.check("heavy_leg_lift_exists", "prop2", out5.predicted, len(out5))
-    R.check("heavy_leg_derivative_val", "prop2", [-3] * len(out5),
+    R.check("heavy_leg_lift_exists", out5.predicted, len(out5))
+    R.check("heavy_leg_derivative_val", [-3] * len(out5),
             [_vof(dgdy(r)) for r in out5])
     return _pek(c3, heavy_leg=_leg(c5))
 
@@ -294,12 +297,11 @@ def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
     for (ctx, m0, want_n) in legs:
         q = _q_in_S(ctx, rng, t=int(m0 * ctx.e))
         n = unit_disk_zero_count(series1(0, q))
-        R.check(f"weierstrass_degree_p{ctx.p}_m0_{m0.numerator}_{m0.denominator}",
-                "prop3", want_n, n)
+        R.check(f"weierstrass_degree_p{ctx.p}_m0_{m0.numerator}_{m0.denominator}", want_n, n)
     grid = [Fraction(a, b) for a in range(1, 7) for b in range(1, 7)]
     agree = sum(1 for m in grid
                 if phi2_contains(m, 5) == (Fraction(1, 4) < m <= Fraction(1, 3)))
-    R.tally("phi2_range_p5", "prop3", agree, len(grid))
+    R.tally("phi2_range_p5", agree, len(grid))
     return {"configs": [_leg(c) + [_show(m0)] for (c, m0, _) in legs]}
 
 
@@ -315,8 +317,8 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale):
         a = a_poly(r.x.ctx.p - 2, r.x)
         expect.append(_show(1 - (r.x.ctx.p - 2) * r.m0))
         got.append("inf" if a.is_zero else _show(Fraction(a.val, r.x.ctx.e)))
-    R.check("a_valuation_identity", "prop4", expect, got)
-    R.check("records_collected", "prop4", True, len(records) >= 3)
+    R.check("a_valuation_identity", expect, got)
+    R.check("records_collected", True, len(records) >= 3)
 
     agree = 0
     for _ in range(100):
@@ -330,7 +332,7 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale):
             found = False
         if member == found:
             agree += 1
-    R.tally("phi1_matches_records_p3", "prop4", agree, 100)
+    R.tally("phi1_matches_records_p3", agree, 100)
 
     agree2 = 0
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
@@ -345,7 +347,7 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale):
             found = False
         if inside == found:
             agree2 += 1
-    R.tally("phi2_matches_records_p3", "prop4", agree2, len(grid))
+    R.tally("phi2_matches_records_p3", agree2, len(grid))
     return {"legs": [_leg(c) for c in (c3, c53, c34)], "membership_samples": 100}
 
 
@@ -368,10 +370,10 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
             good += 1
         else:
             fails.append(res)
-    R.tally("interior_residues_234", "prop5", good, 10, detail=str(fails))
+    R.tally("interior_residues_234", good, 10, detail=str(fails))
     q0, out0 = first
     rt = bool(out0) and any(equals_to_precision(b.q, q0, interior_at) for b in q_for_x(out0[0].x))
-    R.check("round_trip_interior", "prop5", True, rt)
+    R.check("round_trip_interior", True, rt)
 
     good_b = 0
     for _ in range(5):
@@ -380,7 +382,7 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
               and all(r.residue_x in (0, 1) for r in out)
               and all(r.certified_to >= KB - 12 for r in out))
         good_b += ok
-    R.tally("boundary_residues_01", "prop5", good_b, 5)
+    R.tally("boundary_residues_01", good_b, 5)
     return {"interior_leg": _leg(ca) + ["3/10"], "boundary_leg": _leg(cb) + ["1/3"]}
 
 
@@ -389,10 +391,10 @@ def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=90):
     K6 = ctx.K
     x = ctx.from_int(5)
     m0 = m0_for_x(x)
-    R.check("slope_for_x5", "prop6", Fraction(1, 3), m0)
+    R.check("slope_for_x5", Fraction(1, 3), m0)
 
     h = series2(x, 0, m0)
-    R.check("predicted_unit_roots", "prop6", 3, unit_disk_zero_count(h))
+    R.check("predicted_unit_roots", 3, unit_disk_zero_count(h))
 
     # in-field roots are exactly the simple residue roots of the reduction
     red = {i: c.residue() for i, c in enumerate(h.coeffs[:4])
@@ -400,16 +402,16 @@ def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=90):
     residue_roots = [r for r in range(5)
                      if sum(cv * r ** i for i, cv in red.items()) % 5 == 0]
     recs = q_for_x(x)
-    R.check("in_field_matches_reduction", "prop6",
+    R.check("in_field_matches_reduction",
             sorted(residue_roots), sorted(r.residue_u for r in recs))
-    R.check("residues_pairwise_distinct", "prop6", True,
+    R.check("residues_pairwise_distinct", True,
             len({r.residue_u for r in recs}) == len(recs))
-    R.check("all_certified", "prop6", True,
+    R.check("all_certified", True,
             all(r.certified_to >= K6 - 12 for r in recs))
 
     rec = recs[0]
     back = fixed_points_for_q(rec.q)
-    R.check("round_trip_x", "prop6", True,
+    R.check("round_trip_x", True,
             any(equals_to_precision(b.x, x, K6 - 24) for b in back))
 
     good = 0
@@ -420,7 +422,7 @@ def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=90):
         rhs = (q_bracket(xp, rec.q) - xp) * (xp * (xp - ctx.one())).inv()
         if not lhs.is_zero and not rhs.is_zero and lhs.val == rhs.val:
             good += 1
-    R.tally("uniqueness_law", "prop6", good, 50)
+    R.tally("uniqueness_law", good, 50)
     return _pek(ctx, x=5, law_samples=50)
 
 
@@ -428,12 +430,12 @@ def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=60):
     ctx = _ctx(3, 1, K, k_scale)
     q = ctx.from_int(4)
     rec = fixed_points_for_q(q)[0]
-    R.check("multiplicity_one", "prop7", 1, multiplicity_of(rec.x, q))
+    R.check("multiplicity_one", 1, multiplicity_of(rec.x, q))
 
     # first-order series coefficient at the record drives the scaling
     c1 = series1(rec.x, q, n_max=1).coeffs[1]
     b1 = c1 * (rec.x * (rec.x - ctx.one())).inv()
-    R.check("linear_coefficient_val", "prop7", 1, _vof(b1))
+    R.check("linear_coefficient_val", 1, _vof(b1))
     b1v = None if b1.is_zero else b1.val
 
     for gap in (2, 3, 5):
@@ -444,11 +446,11 @@ def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=60):
             diff = qp - q
             if b1v is not None and not diff.is_zero and diff.val == gap + b1v:
                 good += 1
-        R.tally(f"order_one_scaling_gap{gap}", "prop7", good, 50)
+        R.tally(f"order_one_scaling_gap{gap}", good, 50)
 
-    R.check("classifier_synthetic_double", "prop7", 2,
+    R.check("classifier_synthetic_double", 2,
             multiplicity_from_c1(ctx.zero(30)))
-    R.check("classifier_simple", "prop7", 1,
+    R.check("classifier_simple", 1,
             multiplicity_from_c1(sample(ctx, rng, valuation=2)))
     return _pek(ctx, gaps=[2, 3, 5], samples_per_gap=50)
 
@@ -466,11 +468,11 @@ def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=60):
         qp = local_Q(rec.x, q, xp)
         if (qp - q).val == gap + two_m0_minus_1:
             good += 1
-    R.tally("forward_scaling", "prop8", good, 30)
-    R.tally("inverse_ball_mapping", "prop8", _inverse_hits(rng, q, rec.x, 20), 20)
+    R.tally("forward_scaling", good, 30)
+    R.tally("inverse_ball_mapping", _inverse_hits(rng, q, rec.x, 20), 20)
 
     mults = [multiplicity_of(rec.x, q)]
-    R.check("double_point_identity", "prop8", "vacuous (all sampled points simple)",
+    R.check("double_point_identity", "vacuous (all sampled points simple)",
             "vacuous (all sampled points simple)" if all(m == 1 for m in mults)
             else f"multiplicity 2 seen: {mults}")
     return _pek(ctx, forward=30, inverse=20)
@@ -484,10 +486,10 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
     rec = out[0]
     target = ctx.from_rational(Fraction(-1, 2))
     d = rec.x - target
-    R.check("witness_is_minus_half", "prop9", True,
+    R.check("witness_is_minus_half", True,
             d.is_zero or d.val >= witness_at)
-    R.check("witness_certified", "prop9", True, rec.certified_to >= certified_at)
-    R.check("witness_residues", "prop9", [1, 1], [rec.residue_x, rec.residue_u])
+    R.check("witness_certified", True, rec.certified_to >= certified_at)
+    R.check("witness_residues", [1, 1], [rec.residue_x, rec.residue_u])
 
     empty = 0
     for lp in (5, 7):
@@ -495,7 +497,7 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
         for _ in range(5):
             ql = _q_in_S(cl, rng, t=rng.choice((1, 2)))
             empty += len(fixed_points_for_q(ql)) == 0
-    R.tally("no_integer_pairs_p5_p7", "prop9", empty, 10)
+    R.tally("no_integer_pairs_p5_p7", empty, 10)
 
     ball1 = []
     ball0 = []
@@ -509,8 +511,8 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
         r0 = q_for_x(x0)[0]
         ball0.append((x0, r0.u))
         good0 += (r0.q - ctx.from_int(7)).val >= 2 and r0.residue_u == 2
-    R.tally("ball_1_maps_to_B(4,1/3)", "prop9", good1, 25)
-    R.tally("ball_0_maps_to_B(7,1/3)", "prop9", good0, 25)
+    R.tally("ball_1_maps_to_B(4,1/3)", good1, 25)
+    R.tally("ball_0_maps_to_B(7,1/3)", good0, 25)
 
     iso = 0
     for pool in (ball1, ball0):
@@ -521,12 +523,12 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
                 iso += 1
             elif not dx.is_zero and not du.is_zero and dx.val == du.val:
                 iso += 1
-    R.tally("unit_part_isometries", "prop9", iso, 20)
+    R.tally("unit_part_isometries", iso, 20)
 
     q7 = ctx.from_int(7)
     x7 = fixed_points_for_q(q7)[0].x
     inv = _inverse_hits(rng, q4, rec.x, 10) + _inverse_hits(rng, q7, x7, 10)
-    R.tally("inverse_spot_checks", "prop9", inv, 20)
+    R.tally("inverse_spot_checks", inv, 20)
     return _pek(ctx, ball_samples=25, inverse_samples=10)
 
 
@@ -539,13 +541,13 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
         ok = phi1_contains(x) and m0_for_x(x) == Fraction(1, 1)
         ok = ok and len(q_for_x(x)) >= 1
         member += ok
-    R.tally("integer_balls_members_p3", "remark_phi1", member, 6)
+    R.tally("integer_balls_members_p3", member, 6)
 
     member5 = 0
     for n in (5, 6, 10, 11):
         x = c53.from_int(n)
         member5 += phi1_contains(x) and m0_for_x(x) == Fraction(1, 3)
-    R.tally("integer_balls_members_p5", "remark_phi1", member5, 4)
+    R.tally("integer_balls_members_p5", member5, 4)
 
     ann = []
     for (gap, want) in ((1, True), (2, False), (3, False), (4, False)):
@@ -556,7 +558,7 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
             m0 = m0_for_x(x)
             extra = m0 == Fraction(3, 4) and len(q_for_x(x)) >= 1
         ann.append(got == want and extra)
-    R.check("annulus_around_2", "remark_phi1", [True] * 4, ann)
+    R.check("annulus_around_2", [True] * 4, ann)
 
     # rational integers with residue outside {0, 1} never sit on a record
     good = 0
@@ -571,7 +573,7 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
                 total += 1
                 diff = q_bracket(x, q) - x
                 good += (not phi1_contains(x)) and not diff.is_zero
-    R.tally("integers_never_fixed", "remark_phi1", good, total)
+    R.tally("integers_never_fixed", good, total)
     return {"legs": [_leg(c) for c in (c3, c53, c34)]}
 
 
@@ -593,11 +595,11 @@ def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None):
             got = 0 if (da.is_zero or da.val > 0) else da.residue()
             match += got == base
             units += (not da.is_zero) and da.val == 0
-        R.tally(f"derivative_congruence_p{lp}", "remark_derivative", match, len(pts))
-        R.tally(f"derivative_unit_p{lp}", "remark_derivative", units, len(pts))
+        R.tally(f"derivative_congruence_p{lp}", match, len(pts))
+        R.tally(f"derivative_unit_p{lp}", units, len(pts))
     c53 = _ctx(5, 3, 90, k_scale)
     recs = q_for_x(c53.from_int(5))
-    R.check("records_all_simple", "remark_derivative", True,
+    R.check("records_all_simple", True,
             all(r.multiplicity == 1 for r in recs))
     return {"p": [c.p for c in ctxs], "e": ctxs[0].e, "K": ctxs[0].K}
 
@@ -611,14 +613,14 @@ def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
             q = _q_in_S(ctx, rng)
             x, xp = _mixed(ctx, rng), _mixed(ctx, rng)
             good += cocycle_check(x, xp, q)
-        R.tally(f"cocycle_p{ctx.p}_e{ctx.e}", "cocycle", good, 100)
+        R.tally(f"cocycle_p{ctx.p}_e{ctx.e}", good, 100)
         hom = 0
         for _ in range(50):
             q = _q_in_S(ctx, rng)
             x, xp = _mixed(ctx, rng), _mixed(ctx, rng)
             d = q_pow(x + xp, q) - q_pow(x, q) * q_pow(xp, q)
             hom += d.is_zero
-        R.tally(f"power_homomorphism_p{ctx.p}_e{ctx.e}", "cocycle", hom, 50)
+        R.tally(f"power_homomorphism_p{ctx.p}_e{ctx.e}", hom, 50)
     return {"legs": [_leg(c) for c in ctxs], "triples": 100}
 
 
@@ -641,7 +643,7 @@ def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None):
             formula = Fraction(n - digit_sum(n, lp), lp - 1)
             lib = factorial_valuation(n, lp)
             good += formula == lib == Fraction(direct)
-        R.tally(f"factorial_valuation_p{lp}", "legendre", good, 300)
+        R.tally(f"factorial_valuation_p{lp}", good, 300)
     return params
 
 
@@ -703,7 +705,7 @@ def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,
             raise DomainError(f"suite {suite_id} applies no {name} override "
                               f"(it takes {', '.join(takes) or 'none'})")
     rng = Random(f"{seed}/{suite_id}")
-    R = _Recorder()
+    R = _Recorder(suite_id)
     t0 = time.perf_counter()
     params = suite(R, rng, k_scale, **overrides)
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -223,7 +223,7 @@ def hensel_lift(f, seed: PadicNumber, *, target: int | None = None) -> PadicNumb
     if isinstance(f, TruncatedSeries):
         fd = f.derivative()
         feval, fpeval = f.evaluate, fd.evaluate
-        cap = f._cap_pi()
+        cap = f._cap
     elif isinstance(f, tuple) and len(f) == 2:
         raw_f, raw_fp = f
         feval = lambda pt, hint: raw_f(pt)

@@ -2,18 +2,18 @@
 
 import pytest
 
-from qbracket import PrimeContext, core
+from qbracket import PrimeContext
 
 
 @pytest.fixture
 def vector_products(monkeypatch) -> dict:
     """Counts of every vector product from here on: _vec_mul calls, Horner
     kernel steps (each one product by the pass's fixed multiplier), in
-    each block pass every coefficient times a power of dz, counted as it is
-    taken, and each accumulator times dz^B that joins two blocks, and in
-    each power sum of exp and log1p every scalar times a packed power of u
-    and each packed accumulator times u^b that joins two blocks, both
-    counted as they are taken."""
+    each block pass every coefficient times a power of dz and each
+    accumulator times dz^B that joins two blocks, and in each power sum of
+    exp and log1p every scalar times a packed power of u and each packed
+    accumulator times u^b that joins two blocks, all counted as they are
+    taken."""
     counts = dict.fromkeys(("vec_mul", "step", "block", "join", "power_term", "power_join"), 0)
     vec_mul, horner_step = PrimeContext._vec_mul, PrimeContext._horner_step
     block_pass, packed_powers = PrimeContext._block_pass, PrimeContext._packed_powers
@@ -34,20 +34,24 @@ def vector_products(monkeypatch) -> dict:
             counts["power_term"] += 1
             return int(self) * other
 
-    class Join(int):  # d^n, which a power sum pops to join its blocks
+    class Join(int):  # d^n, which a split pass pops to join its blocks
         def __mul__(self, other):
             counts["power_join"] += 1
             return int(self) * other
 
     def counted_powers(ctx, d, rel, n, w):
-        # int * Power and int * Join take int's product: the block pass
-        # multiplies by powers from the right and is counted on its own
+        # int * Power takes int's product: the block pass multiplies by
+        # powers from the right and is counted on its own
         one, *pows, top = packed_powers(ctx, d, rel, n, w)
         return [one] + [Power(x) for x in pows] + [Join(top)]
 
     def counted_pass(ctx, coeffs, n, d, rel, w):
-        counts["join"] += (n - 1) // core._BLOCK
-        return block_pass(ctx, [Counted(x) for x in coeffs], n, d, rel, w)
+        # the joins a block pass takes are counted as taken, then moved
+        before = counts["power_join"]
+        out = block_pass(ctx, [Counted(x) for x in coeffs], n, d, rel, w)
+        counts["join"] += counts["power_join"] - before
+        counts["power_join"] = before
+        return out
 
     monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", vec_mul))
     monkeypatch.setattr(PrimeContext, "_horner_step",

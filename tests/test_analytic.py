@@ -657,7 +657,7 @@ def test_power_sum_at_the_widest_slot_sums():
                 for n_stop in (2, 3, 5, 9, 25, 37, 49):
                     for s_of in (lambda n: 0, lambda n: e - 1, lambda n: n % e, lambda n: n):
                         terms = [(s_of(n), big_m - 1) for n in range(n_stop - 1, -1, -1)]
-                        got = analytic._power_sum(c, u, iter(terms), n_stop, rel)
+                        got = c._power_sum(u, iter(terms), n_stop, rel)
                         assert got == _power_sum_ref(c, u, terms, rel), (p, e, rel, n_stop)
 
 
@@ -671,7 +671,7 @@ def _evaluate_ref(series, point, prec_hint=None):
     dz = point - series.center
     if not dz.is_zero and dz.val < 0:
         raise DomainError("evaluation point outside the closed unit disk around the center")
-    target = series._cap_pi()
+    target = series._cap
     if prec_hint is not None:
         target = prec_hint if target is None else min(target, prec_hint)
     kept = series.coeffs
@@ -731,7 +731,7 @@ def _evaluate_arguments(draw, es=None, most=10):
         point = center + number(*{"unit": (0, 0), "deep": (1, 2 * e), "low": (0, 2)}[kind])
         if kind == "low":  # a point known below K
             point = point._cap_prec(draw(st.integers(1, K - 1)))
-    cap = s._cap_pi()
+    cap = s._cap
     ref = K if cap is None else cap
     hint = draw(st.none() | st.integers(ref - 3 * e, ref - 1) | st.integers(ref + 1, ref + 3 * e))
     return s, point, hint
@@ -970,7 +970,7 @@ def test_series2_recentred_coefficients_stay_below_the_tail():
             continue  # x = 1 at K is out of domain
         low = series2(_read(lo, 0, x), _read(lo, 0, u), m0)
         high = series2(_read(hi, 0, x), _read(hi, 0, u), m0)
-        cap = low._cap_pi()
+        cap = low._cap
         for n, d in enumerate(low.coeffs):
             assert d.prec <= cap, n
             assert _agrees_below(d, high.coeffs[n]), n
@@ -1262,7 +1262,7 @@ def _series2_ref(x, u, m0, n_max=None):
     for j in range(len(work)):
         for i in range(len(work) - 2, j - 1, -1):
             work[i] = work[i] + u * work[i + 1]
-    cap = mono._cap_pi()
+    cap = mono._cap
     return TruncatedSeries(ctx, u, tuple(d._cap_prec(cap) for d in work), mono.tail_bound)
 
 

@@ -5,15 +5,19 @@ No benchmark workload runs at f > 1, where the packed products fold their
 rows by the defining polynomial, nor local_Q at f > 1 or at e = 1 on a q
 capped below its fiber's precision.  Each test below builds its seeded
 grid, serializes every record (or the error it raised) and compares the
-digest with the pinned one; each takes about a second.  The last pins the
+digest with the pinned one; each takes about a second.  The next pins the
 seed-0 harness report, apart from its wall-clock elapsed_ms, and the
-README's five CLI commands, which are to stay byte-identical.
+README's five CLI commands, which are to stay byte-identical.  The last
+pins the benchmark's outputs at seeds 0, 1 and 2, from the same table that
+CI's benchmark smoke run reads.
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -136,3 +140,36 @@ def test_default_reports_and_readme_commands():
             rc = cli.main(argv)
         rows.append([rc, out.getvalue(), err.getvalue()])
     assert _digest(rows) == "fe4eb72f850d93c4afbc0b287e98b9cad3c38e770c5f6227e1133b60dd28a758"
+
+
+# The SHA-256 of each benchmark workload's outputs, as perfbench/run.py
+# reports it, at seeds 0, 1 and 2.  CI's benchmark smoke run checks run.py
+# against this table.
+BENCHMARK_DIGESTS = {
+    ("bracket-grid", 0): "e17b068115da3381e5d7745fe8f17d6c5fc5a558d4110b21f7b5552c6604f080",
+    ("bracket-grid", 1): "b3dc18b73b9a1347c2c679f14e99c45d29dec33e0c0c45caa9e8f55a8c156396",
+    ("bracket-grid", 2): "73e76816b187f9d4cc79e5a9da8a36a4fd359e750a2fd24e493e99cbb63cc2d6",
+    ("fixed-points", 0): "8566410c78906b1c8d6510968f5547dab9d4e6e941bba98e486e38723f98053d",
+    ("fixed-points", 1): "70a032697dda8877a060733c83666764c1a6b2582c84dabbecb9fff6a9dbc3c7",
+    ("fixed-points", 2): "d20c7defc8e2ddab0a6174ca64690cafed4c907b75500bdeace5c43afd516d06",
+    ("param-fiber", 0): "3e5ce4e8f430323b33fb4f015a354faaf2e2a4775eea089688523c050cb455db",
+    ("param-fiber", 1): "fef68b2f4f49937c18ece41f47f4680bbfa1cd02c972e4253e29446bfa6f6dbe",
+    ("param-fiber", 2): "62bfd47c58161ea42ec5b2bb06a29c0619597ebd2fd989c707fca585b132f9d0",
+    ("verify", 0): "771ce928d051984a00d10e11d907e7a65bd22b950c738b68be883495c25a858a",
+    ("verify", 1): "d8c9e697ed11cdb888bc18a58f0f9508b03c2bad490913f50f7fed243d29348e",
+    ("verify", 2): "e30bad38bd30c6a959c365a290e5c3c54ea92e0511ca26270d1621c58607b4f2",
+}
+
+
+@pytest.mark.parametrize("workload, seed", list(BENCHMARK_DIGESTS))
+def test_benchmark_digests(monkeypatch, workload, seed):
+    # run.py's digest: the first rendered result of each distinct op, over
+    # the round and pass ops, joined by newlines in key order
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    plan = importlib.import_module("workloads").build(workload, seed)
+    first = {}
+    for op in plan.round_ops + plan.pass_ops:
+        if op.key not in first:
+            first[op.key] = op.render(op.call())
+    blob = "\n".join(first[k] for k in sorted(first))
+    assert hashlib.sha256(blob.encode()).hexdigest() == BENCHMARK_DIGESTS[workload, seed]

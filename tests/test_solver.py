@@ -771,7 +771,7 @@ def _scale_raw_ref(s, c):
         else:
             prec = v + cv + min(crel, p - v)
             out.append((v + cv, ctx._vec_reduce(ctx._vec_mul(cu, w), prec - base), prec))
-    return TruncatedSeries._on_base(ctx, s.center, tail, base, out)
+    return TruncatedSeries._make(ctx, s.center, tail, base, *zip(*out))
 
 
 def _raw(s):
