@@ -20,110 +20,17 @@ Layers, lowest first:
 - ``cli``:      the ``qbracket`` command
 """
 
-from .errors import (
-    CertificationFailure,
-    ContextMismatch,
-    DomainError,
-    LiftFailure,
-    PadicError,
-    PrecisionExhausted,
-)
-from .core import (
-    PadicNumber,
-    PrimeContext,
-    ZeroAtPrecision,
-    ctx_new,
-    equals_to_precision,
-    sample,
-)
-from .analytic import (
-    TruncatedSeries,
-    a_poly,
-    cocycle_check,
-    digit_sum,
-    exp,
-    factorial_valuation,
-    in_S,
-    log1p,
-    q_bracket,
-    q_pow,
-    series1,
-    series2,
-)
-from .polygon import (
-    NewtonPolygon,
-    polygon_build,
-    root_valuations,
-    unit_disk_zero_count,
-)
-from .solver import (
-    FixedPointRecord,
-    SolveOutcome,
-    fixed_points_for_q,
-    hensel_lift,
-    local_Q,
-    m0_for_x,
-    multiplicity_from_c1,
-    multiplicity_of,
-    phi1_contains,
-    phi2_contains,
-    q_for_x,
-)
-from .harness import (
-    SUITE_IDS,
-    Assertion,
-    SuiteReport,
-    reports_to_json,
-    run_all,
-    run_suite,
-)
+# republishing the layers' public interfaces is the use of wildcard
+# imports that PEP 8 allows; each layer's __all__ is the one list of its names
+from .errors import *
+from .core import *
+from .analytic import *
+from .polygon import *
+from .solver import *
+from .harness import *
+from . import analytic, core, errors, harness, polygon, solver
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assertion",
-    "CertificationFailure",
-    "ContextMismatch",
-    "DomainError",
-    "FixedPointRecord",
-    "LiftFailure",
-    "NewtonPolygon",
-    "PadicError",
-    "PadicNumber",
-    "PrecisionExhausted",
-    "PrimeContext",
-    "SUITE_IDS",
-    "SolveOutcome",
-    "SuiteReport",
-    "TruncatedSeries",
-    "ZeroAtPrecision",
-    "a_poly",
-    "cocycle_check",
-    "ctx_new",
-    "digit_sum",
-    "equals_to_precision",
-    "exp",
-    "factorial_valuation",
-    "fixed_points_for_q",
-    "hensel_lift",
-    "in_S",
-    "local_Q",
-    "log1p",
-    "m0_for_x",
-    "multiplicity_from_c1",
-    "multiplicity_of",
-    "phi1_contains",
-    "phi2_contains",
-    "polygon_build",
-    "q_bracket",
-    "q_for_x",
-    "q_pow",
-    "reports_to_json",
-    "root_valuations",
-    "run_all",
-    "run_suite",
-    "sample",
-    "series1",
-    "series2",
-    "unit_disk_zero_count",
-]
+__all__ = sorted(errors.__all__ + core.__all__ + analytic.__all__
+                 + polygon.__all__ + solver.__all__ + harness.__all__)

@@ -190,7 +190,7 @@ def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
     j = 1
     while p ** j * t - e * j < target or p ** j * t * (p - 1) <= e:
         j += 1
-    return min(p ** j, _ceil_frac(Fraction(target + e * (j - 1), t)))
+    return min(p ** j, _ceil_div(target + e * (j - 1), t))
 
 
 def _log_reduction(p: int, e: int, t: int, target: int) -> int:
@@ -264,7 +264,7 @@ def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int
         v = min(rest, e * _vp(d, p)) if d else rest
         cost = 4 * max(n.bit_length() + bin(n).count("1") - 2, 0)
         if v + t < target:
-            terms = _ceil_div(target * (p - 1), (v + t) * (p - 1) - e)
+            terms = _exp_cutoff(p, e, v + t, target)
             cost += 8 * math.isqrt(terms) + terms
         if best is None or cost < best:
             best_n, best = n, cost
@@ -315,10 +315,15 @@ def exp(z: PadicNumber) -> PadicNumber:
             raise DomainError("zero at too little precision to certify membership in S")
         return ctx.one(z.prec)
     t, target = z.val, z.prec
-    delta = Fraction(t) - Fraction(ctx.e, ctx.p - 1)
-    n_stop = _ceil_frac(Fraction(target) / delta)
+    n_stop = _exp_cutoff(ctx.p, ctx.e, t, target)
     terms = _exp_terms(ctx.p, ctx.e, t, n_stop, ctx._ppow(_ceil_div(target, ctx.e)))
     return _from_raw(ctx, 0, ctx._power_sum(z._unit, terms, n_stop, target), target)
+
+
+def _exp_cutoff(p: int, e: int, t: int, target: int) -> int:
+    """The first N with N (t - e/(p - 1)) >= target: ``exp``'s term count
+    at valuation t, and the count ``_power_split`` prices."""
+    return _ceil_div(target * (p - 1), t * (p - 1) - e)
 
 
 def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
@@ -599,10 +604,6 @@ def cocycle_check(x, xp, q: PadicNumber) -> bool:
     lhs = s.bracket(x + xp)
     rhs = s.bracket(x) + s.power(x) * s.bracket(xp)
     return (lhs - rhs).is_zero
-
-
-def _ceil_frac(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
 
 
 class TruncatedSeries:
@@ -952,7 +953,7 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int) -> li
 
 def _n_for_tail(delta: Fraction, target: Fraction, offset: Fraction = Fraction(0)) -> int:
     """Smallest N with N*delta - offset >= target (delta > 0)."""
-    return max(1, _ceil_frac((target + offset) / delta))
+    return max(1, math.ceil((target + offset) / delta))
 
 
 def series1(x, q: PadicNumber, n_max: int | None = None) -> TruncatedSeries:

@@ -80,21 +80,18 @@ def _vline(label: str, d: PadicNumber) -> str:
     return f"{label} = {d.val}"
 
 
-def _header(args) -> str:
-    c = args.ctx
-    return f"# p={c.p} e={c.e} K={c.K} seed={args.seed}"
-
-
 def _params(args) -> dict:
     c = args.ctx
     return {"p": c.p, "e": c.e, "K": c.K, "seed": args.seed}
 
 
 def _emit(args, payload: dict, text_lines) -> None:
+    """The payload as JSON, or the text lines under a header of its params."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print("\n".join(text_lines))
+        header = "# " + " ".join(f"{k}={v}" for k, v in payload["params"].items())
+        print("\n".join([header, *text_lines]))
 
 
 def _record_json(rec) -> dict:
@@ -129,7 +126,6 @@ def _cmd_eval(args) -> int:
         "gap_val_floor": d.prec if d.is_zero else d.val,
     }
     _emit(args, payload, [
-        _header(args),
         f"x = {x.render()}",
         f"q = {q.render()}",
         f"[x]_q = {b.render()}",
@@ -151,7 +147,7 @@ def _cmd_fiber(args, key: str, solve) -> int:
         "deficit": out.deficit,
         "records": [_record_json(r) for r in out],
     }
-    _emit(args, payload, [_header(args)] + _record_lines(out))
+    _emit(args, payload, _record_lines(out))
     return 0
 
 
@@ -192,7 +188,6 @@ def _cmd_polygon(args) -> int:
     segs = " ".join(f"({'-inf' if sl is None else _frac_str(sl)},{ln})"
                     for sl, ln in poly.segments)
     _emit(args, payload, [
-        _header(args),
         f"series = {args.series}",
         f"points: {pts}",
         f"segments: {segs}",
@@ -211,21 +206,15 @@ def _cmd_verify(args) -> int:
         reports = [run_suite(args.suite, seed=args.seed, p=args.p, e=args.e,
                              K=args.prec)]
     ok = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "params": {"seed": args.seed,
-                       "suite": args.suite if args.suite else "all"},
-            "pass": ok,
-            "suites": [r.to_json() for r in reports],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"# seed={args.seed} suite={args.suite if args.suite else 'all'}")
-        for r in reports:
-            print(r.render())
-        print(f"verify: {'PASS' if ok else 'FAIL'} "
-              f"({sum(r.passed for r in reports)}/{len(reports)} suites)")
+    payload = {
+        "command": "verify",
+        "params": {"seed": args.seed, "suite": args.suite if args.suite else "all"},
+        "pass": ok,
+        "suites": [r.to_json() for r in reports],
+    }
+    _emit(args, payload, [r.render() for r in reports] + [
+        f"verify: {'PASS' if ok else 'FAIL'} "
+        f"({sum(r.passed for r in reports)}/{len(reports)} suites)"])
     return 0 if ok else 1
 
 

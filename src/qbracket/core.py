@@ -977,12 +977,6 @@ class PadicNumber:
         val = self._val + shift
         return PadicNumber(ctx, val, vec, val + rel, False)
 
-    def _mul_int(self, n: int) -> "PadicNumber":
-        """Exact multiplication by a nonzero integer; relative precision kept."""
-        if n == 0:
-            raise ValueError("scalar zero would erase the valuation bookkeeping")
-        return self._scale(n, 1)
-
     def _div_int(self, n: int) -> "PadicNumber":
         """Exact division by a nonzero integer (infinite-precision scalar)."""
         if n == 0:
@@ -1073,7 +1067,9 @@ def _from_raw(ctx: PrimeContext, base_val: int, raw: Sequence[int], prec: int) -
     if v is None:
         return ctx.zero(prec)
     val = base_val + v
-    unit = ctx._vec_reduce(ctx._vec_shift(vec, -v), prec - val)
+    # already reduced modulo pi^(rel - v): entry i moves to (i - v) mod e
+    # and sheds exactly the power of p its bound p^ceil((rel - i)/e) loses
+    unit = tuple(ctx._vec_shift(vec, -v))
     return PadicNumber(ctx, val, unit, prec, False)
 
 

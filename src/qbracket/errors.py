@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CertificationFailure",
+    "ContextMismatch",
+    "DomainError",
+    "LiftFailure",
+    "PadicError",
+    "PrecisionExhausted",
+]
+
 
 class PadicError(Exception):
     """Base class for everything raised by this package on purpose."""

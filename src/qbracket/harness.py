@@ -60,13 +60,6 @@ from .solver import fixed_points_for_q, local_Q, m0_for_x, multiplicity_from_c1,
 __all__ = ["SUITE_IDS", "Assertion", "SuiteReport", "run_suite", "run_all",
            "reports_to_json"]
 
-SUITE_IDS = (
-    "prop1", "prop2", "prop3", "prop4", "prop5", "prop6", "prop7",
-    "prop8", "prop9", "remark_phi1", "remark_derivative", "cocycle",
-    "legendre",
-)
-
-
 @dataclass(frozen=True)
 class Assertion:
     name: str
@@ -678,6 +671,8 @@ _SUITES = {
     "cocycle": _suite_cocycle,
     "legendre": _suite_legendre,
 }
+
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,

@@ -341,7 +341,7 @@ def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, point) -
     deriv = series.derivative()
     target = series._prec_at(ctx.one())  # the attainable evaluation precision
     lifts = [ctx.from_residue(r) for r in ctx.residue_field()]
-    v_min = min(series._lows)
+    v_min = series._lows[0]  # suffix minima: the first is the least
     roots = []
     for seed in lifts:
         screen = series.evaluate(seed, v_min + 1)

@@ -470,6 +470,17 @@ def _ceil_frac(r):
     return -((-r.numerator) // r.denominator)
 
 
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 10), st.integers(0, 40),
+       st.integers(1, 2000))
+@settings(max_examples=300, deadline=None)
+def test_exp_cutoff_is_the_fraction_ceiling(p, e, dt, target):
+    # exp sums and _power_split prices the first N with
+    # N (t - e/(p - 1)) >= target, for every t with t (p - 1) > e
+    t = e // (p - 1) + 1 + dt
+    delta = Fraction(t) - Fraction(e, p - 1)
+    assert analytic._exp_cutoff(p, e, t, target) == _ceil_frac(Fraction(target) / delta)
+
+
 def _log1p_ref(y):
     ctx = y.ctx
     if not in_S(y):
@@ -1214,7 +1225,7 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
 # builds the series of negative valuation the strategies draw.
 
 def _derivative_ref(s):
-    coeffs = tuple(c._mul_int(n) for n, c in enumerate(s.coeffs) if n > 0)
+    coeffs = tuple(c._scale(n, 1) for n, c in enumerate(s.coeffs) if n > 0)
     return s.center, coeffs, s.tail_bound
 
 

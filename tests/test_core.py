@@ -558,10 +558,32 @@ def test_vec_shift_matches_per_entry_loop(data):
         assert got == (a + b, a - b, a * b)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_down_shift_by_the_valuation_stays_reduced(data):
+    # _from_raw takes the down-shifted vector as its unit without reducing
+    # it again: entry i of a vector reduced modulo pi^rel moves to
+    # (i - v) mod e and sheds exactly the power of p its bound loses
+    draw = data.draw
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 10))
+    f = draw(st.integers(1, 3))
+    K = draw(st.integers(2 * e, 4 * e + 8))
+    c = ctx_new(p, e, K, f)
+    rel = draw(st.integers(1, K))
+    raw = draw(st.lists(st.integers(0, p ** K), min_size=e * f, max_size=e * f))
+    vec = c._vec_reduce(c._vec_shift(raw, draw(st.integers(0, rel))), rel)
+    v = c._vec_val(vec, rel)
+    if v is None:
+        return
+    down = tuple(c._vec_shift(vec, -v))
+    assert down == c._vec_reduce(down, rel - v)
+
+
 # -- exact scalars -------------------------------------------------------
 #
-# from_rational, from_int, one, pi_pow, _mul_int and _div_int share one
-# scaling body.  The functions below are the separate bodies it replaced;
+# from_rational, from_int, one, pi_pow and _div_int share one scaling
+# body.  The functions below are the separate bodies it replaced;
 # every entry point must give the same value, or the same error, as its
 # reference over contexts, scalars and values drawn at the edges:
 # zero-flagged values (also at negative precision), values carried above
@@ -603,24 +625,6 @@ def _pi_pow_ref(c, t):
     vec = [0] * c._dim
     vec[0] = 1
     return _core.PadicNumber(c, t, c._vec_reduce(vec, c.K), c.K + t, False)
-
-
-def _mul_int_ref(x, n):
-    if n == 0:
-        raise ValueError("scalar zero would erase the valuation bookkeeping")
-    if n < 0:
-        return _mul_int_ref(-x, -n)
-    if n == 1:
-        return x
-    c = x.ctx
-    k = _core._vp(n, c.p)
-    m = n // c.p ** k
-    if x.is_zero:
-        return c.zero(x.prec + k * c.e)
-    rel = x.prec - x.val
-    vec = x._unit if m == 1 else c._vec_reduce([a * m for a in x._unit], rel)
-    val = x.val + k * c.e
-    return _core.PadicNumber(c, val, vec, val + rel, False)
 
 
 def _div_int_ref(x, n):
@@ -690,7 +694,6 @@ def test_scalar_entry_points_match_separate_bodies(data):
     c = ctx_new(p, e, draw(st.integers(2 * e, 6 * e + 10)), f)
     x = _value(draw, c)
     n = _scalar(draw, c)
-    assert _outcome(x._mul_int, n) == _outcome(_mul_int_ref, x, n)
     assert _outcome(x._div_int, n) == _outcome(_div_int_ref, x, n)
     assert _outcome(c.from_int, n) == _outcome(_from_rational_ref, c, n)
     num, den = n, _scalar(draw, c)

@@ -27,6 +27,8 @@ def test_suite_ids_are_stable():
         "prop1", "prop2", "prop3", "prop4", "prop5", "prop6", "prop7",
         "prop8", "prop9", "remark_phi1", "remark_derivative", "cocycle",
         "legendre")
+    assert tuple(harness._SUITES) == SUITE_IDS
+    assert all(fn.__name__ == f"_suite_{sid}" for sid, fn in harness._SUITES.items())
 
 
 def test_unknown_suite_rejected():
