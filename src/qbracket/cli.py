@@ -82,7 +82,7 @@ def _vline(label: str, d: PadicNumber) -> str:
 
 def _params(args) -> dict:
     c = args.ctx
-    return {"p": c.p, "e": c.e, "K": c.K, "seed": args.seed}
+    return {"p": c.p, "e": c.e, "K": c.K}
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -218,15 +218,11 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp, with_p=True) -> None:
-    if with_p:
-        sp.add_argument("--p", type=int, required=True, help="residue characteristic")
-        sp.add_argument("--e", type=int, default=1, help="ramification index (default 1)")
-        sp.add_argument("--prec", type=int, default=None,
-                        help="working precision K in pi-units (default 60*e)")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    sp.add_argument("--format", choices=("text", "json"), default="text",
-                    help="output mode (default text)")
+def _add_common(sp) -> None:
+    sp.add_argument("--p", type=int, required=True, help="residue characteristic")
+    sp.add_argument("--e", type=int, default=1, help="ramification index (default 1)")
+    sp.add_argument("--prec", type=int, default=None,
+                    help="working precision K in pi-units (default 60*e)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,13 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_polygon)
 
     sp = sub.add_parser("verify", help="run re-verification suites")
-    _add_common(sp, with_p=False)
+    sp.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     sp.add_argument("--suite", choices=SUITE_IDS, default=None,
                     help="one suite id (default: all)")
     sp.add_argument("--p", type=int, default=None, help="override a suite's p")
     sp.add_argument("--e", type=int, default=None, help="override a suite's e")
     sp.add_argument("--prec", type=int, default=None, help="override a suite's K")
     sp.set_defaults(fn=_cmd_verify)
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output mode (default text)")
     return ap
 
 

@@ -27,13 +27,14 @@ the tool's interface (``verify --suite <id>``):
     cocycle            the twisted addition law [x + x']_q = [x]_q + q^x [x']_q
     legendre           v(n!) = (n - s_p(n))/(p - 1) against direct stripping
 
-Every context a suite works in comes from one builder, ``_ctx``, which
-scales the leg's precision by ``k_scale`` and hands p, e and K to
-``ctx_new`` unchanged, so an override is refused exactly when ctx_new
-refuses it.  A report's params are read off the contexts that ran.  A
-suite that checks agreement at K minus a margin (prop2, prop5, prop9)
-refuses a K below twice that margin, where the check would prove little
-or nothing.
+Every context a suite works in comes from one builder, its recorder's
+``ctx``, which scales the leg's precision by ``k_scale`` and hands p, e
+and K to ``ctx_new`` unchanged, so an override is refused exactly when
+ctx_new refuses it.  The recorder lists each context it built, and
+every report's params carry that list as ``legs``, so a report names
+every context that ran.  A suite that checks agreement at K minus a
+margin (prop2, prop5, prop9) refuses a K below twice that margin, where
+the check would prove little or nothing.
 
 Reports are deterministic for a fixed seed: every sample comes from a
 Random keyed by ``f"{seed}/{suite_id}"`` and nothing else.  elapsed_ms is
@@ -111,11 +112,20 @@ class SuiteReport:
 
 
 class _Recorder:
-    """The assertions of one suite, each anchored at the suite's id."""
+    """The assertions of one suite, each anchored at the suite's id, and
+    the contexts it built, as [p, e, K] in build order."""
 
-    def __init__(self, anchor: str):
+    def __init__(self, anchor: str, k_scale):
         self.anchor = anchor
+        self.k_scale = k_scale
         self.items = []
+        self.legs = []
+
+    def ctx(self, p: int, e: int, K: int) -> PrimeContext:
+        """The context of one leg, at precision K * k_scale."""
+        c = ctx_new(p, e, int(K * self.k_scale))
+        self.legs.append([c.p, c.e, c.K])
+        return c
 
     def check(self, name: str, expected, observed) -> bool:
         ok = expected == observed
@@ -155,11 +165,6 @@ def _q_in_S(ctx: PrimeContext, rng: Random, t: int | None = None) -> PadicNumber
     return ctx.one() + sample(ctx, rng, valuation=t)
 
 
-def _ctx(p: int, e: int, K: int, k_scale) -> PrimeContext:
-    """The context of one leg, at precision K * k_scale."""
-    return ctx_new(p, e, int(K * k_scale))
-
-
 class _ThinPrecision(DomainError, ValueError):
     """A K too small for a suite's agreement checks: a refused override
     for run_suite's callers, and a bad --prec value (exit 2) for the CLI."""
@@ -175,16 +180,6 @@ def _agree_at(c: PrimeContext, margin: int) -> int:
         raise _ThinPrecision(f"K={c.K} is too small for the agreement check at K - {margin}; "
                              f"need K >= {2 * margin}")
     return c.K - margin
-
-
-def _leg(c: PrimeContext) -> list:
-    """A context as a report lists it: [p, e, K]."""
-    return [c.p, c.e, c.K]
-
-
-def _pek(c: PrimeContext, **more) -> dict:
-    """The params of a one-context suite: its p, e, K and the extra keys."""
-    return {"p": c.p, "e": c.e, "K": c.K, **more}
 
 
 def _legs(default: list, p, e, K) -> list:
@@ -210,12 +205,11 @@ def _inverse_hits(rng: Random, q: PadicNumber, x: PadicNumber, n: int) -> int:
 # -- suites ------------------------------------------------------------
 
 
-def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
+def _suite_prop1(R: _Recorder, rng: Random, p=None, e=None, K=None):
     legs = _legs([(3, 1, 60), (5, 1, 60), (7, 1, 60)], p, e, K)
     if p == 2:
         raise DomainError("isometry suite needs p odd (q - 1 in S with unit digits)")
-    ctxs = [_ctx(*leg, k_scale) for leg in legs]
-    for ctx in ctxs:
+    for ctx in [R.ctx(*leg) for leg in legs]:
         iso = norm = 0
         for _ in range(200):
             q = _q_in_S(ctx, rng)
@@ -226,17 +220,17 @@ def _suite_prop1(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
             d_in, d_out = xp - x, bxp - bx
             if not d_out.is_zero and d_out.val == d_in.val:
                 iso += 1
-            if _vof(q_bracket(x, q)) == _vof(x):
+            if _vof(bx) == _vof(x):
                 norm += 1
         R.tally(f"isometry_p{ctx.p}", iso, 200)
         R.tally(f"norm_preserved_p{ctx.p}", norm, 200)
-    return {"legs": [_leg(c) for c in ctxs], "pairs": 200}
+    return {"pairs": 200}
 
 
-def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
-    c3 = _ctx(3, 1, K, k_scale)
+def _suite_prop2(R: _Recorder, rng: Random, K=60):
+    c3 = R.ctx(3, 1, K)
     round_trip_at = _agree_at(c3, 8)
-    c5 = _ctx(5, 10, 200, k_scale)
+    c5 = R.ctx(5, 10, 200)
 
     def dgdy(r) -> PadicNumber:
         """The implicit derivative [x-1]_q / ((q-1)(x-1)) at a record."""
@@ -271,10 +265,10 @@ def _suite_prop2(R: _Recorder, rng: Random, k_scale, K=60):
     R.check("heavy_leg_lift_exists", out5.predicted, len(out5))
     R.check("heavy_leg_derivative_val", [-3] * len(out5),
             [_vof(dgdy(r)) for r in out5])
-    return _pek(c3, heavy_leg=_leg(c5))
+    return {}
 
 
-def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
+def _suite_prop3(R: _Recorder, rng: Random, p=None):
     configs = [
         (2, 1, 40, Fraction(2), 2),
         (3, 1, 60, Fraction(1), 3),
@@ -286,8 +280,8 @@ def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
         configs = [c for c in configs if c[0] == p]
         if not configs:
             raise DomainError(f"no zero-count configuration for p = {p}")
-    legs = [(_ctx(cp, ce, cK, k_scale), m0, want_n) for (cp, ce, cK, m0, want_n) in configs]
-    for (ctx, m0, want_n) in legs:
+    for (cp, ce, cK, m0, want_n) in configs:
+        ctx = R.ctx(cp, ce, cK)
         q = _q_in_S(ctx, rng, t=int(m0 * ctx.e))
         n = unit_disk_zero_count(series1(0, q))
         R.check(f"weierstrass_degree_p{ctx.p}_m0_{m0.numerator}_{m0.denominator}", want_n, n)
@@ -295,11 +289,11 @@ def _suite_prop3(R: _Recorder, rng: Random, k_scale, p=None):
     agree = sum(1 for m in grid
                 if phi2_contains(m, 5) == (Fraction(1, 4) < m <= Fraction(1, 3)))
     R.tally("phi2_range_p5", agree, len(grid))
-    return {"configs": [_leg(c) + [_show(m0)] for (c, m0, _) in legs]}
+    return {"m0": [_show(c[3]) for c in configs]}
 
 
-def _suite_prop4(R: _Recorder, rng: Random, k_scale):
-    c3, c53, c34 = (_ctx(*leg, k_scale) for leg in ((3, 1, 60), (5, 3, 90), (3, 4, 120)))
+def _suite_prop4(R: _Recorder, rng: Random):
+    c3, c53, c34 = R.ctx(3, 1, 60), R.ctx(5, 3, 90), R.ctx(3, 4, 120)
     records = list(fixed_points_for_q(c3.from_int(4)))
     records += list(q_for_x(c53.from_int(5)))
     records += list(fixed_points_for_q(_q_in_S(c34, rng, t=3)))
@@ -341,13 +335,13 @@ def _suite_prop4(R: _Recorder, rng: Random, k_scale):
         if inside == found:
             agree2 += 1
     R.tally("phi2_matches_records_p3", agree2, len(grid))
-    return {"legs": [_leg(c) for c in (c3, c53, c34)], "membership_samples": 100}
+    return {"membership_samples": 100}
 
 
-def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
-    ca = _ctx(5, 10, K, k_scale)
+def _suite_prop5(R: _Recorder, rng: Random, K=200):
+    ca = R.ctx(5, 10, K)
     interior_at = _agree_at(ca, 40)
-    cb = _ctx(5, 3, 90, k_scale)
+    cb = R.ctx(5, 3, 90)
     KB = cb.K
     good = 0
     fails = []
@@ -376,11 +370,11 @@ def _suite_prop5(R: _Recorder, rng: Random, k_scale, K=200):
               and all(r.certified_to >= KB - 12 for r in out))
         good_b += ok
     R.tally("boundary_residues_01", good_b, 5)
-    return {"interior_leg": _leg(ca) + ["3/10"], "boundary_leg": _leg(cb) + ["1/3"]}
+    return {"m0": ["3/10", "1/3"]}
 
 
-def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=90):
-    ctx = _ctx(5, 3, K, k_scale)
+def _suite_prop6(R: _Recorder, rng: Random, K=90):
+    ctx = R.ctx(5, 3, K)
     K6 = ctx.K
     x = ctx.from_int(5)
     m0 = m0_for_x(x)
@@ -416,11 +410,11 @@ def _suite_prop6(R: _Recorder, rng: Random, k_scale, K=90):
         if not lhs.is_zero and not rhs.is_zero and lhs.val == rhs.val:
             good += 1
     R.tally("uniqueness_law", good, 50)
-    return _pek(ctx, x=5, law_samples=50)
+    return {"x": 5, "law_samples": 50}
 
 
-def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=60):
-    ctx = _ctx(3, 1, K, k_scale)
+def _suite_prop7(R: _Recorder, rng: Random, K=60):
+    ctx = R.ctx(3, 1, K)
     q = ctx.from_int(4)
     rec = fixed_points_for_q(q)[0]
     R.check("multiplicity_one", 1, multiplicity_of(rec.x, q))
@@ -445,11 +439,11 @@ def _suite_prop7(R: _Recorder, rng: Random, k_scale, K=60):
             multiplicity_from_c1(ctx.zero(30)))
     R.check("classifier_simple", 1,
             multiplicity_from_c1(sample(ctx, rng, valuation=2)))
-    return _pek(ctx, gaps=[2, 3, 5], samples_per_gap=50)
+    return {"gaps": [2, 3, 5], "samples_per_gap": 50}
 
 
-def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=60):
-    ctx = _ctx(3, 1, K, k_scale)
+def _suite_prop8(R: _Recorder, rng: Random, K=60):
+    ctx = R.ctx(3, 1, K)
     q = ctx.from_int(4)
     rec = fixed_points_for_q(q)[0]
     two_m0_minus_1 = 1  # m0 = 1 here
@@ -468,11 +462,11 @@ def _suite_prop8(R: _Recorder, rng: Random, k_scale, K=60):
     R.check("double_point_identity", "vacuous (all sampled points simple)",
             "vacuous (all sampled points simple)" if all(m == 1 for m in mults)
             else f"multiplicity 2 seen: {mults}")
-    return _pek(ctx, forward=30, inverse=20)
+    return {"forward": 30, "inverse": 20}
 
 
-def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
-    ctx = _ctx(3, 1, K, k_scale)
+def _suite_prop9(R: _Recorder, rng: Random, K=60):
+    ctx = R.ctx(3, 1, K)
     witness_at, certified_at = _agree_at(ctx, 10), _agree_at(ctx, 4)
     q4 = ctx.from_int(4)
     out = fixed_points_for_q(q4)
@@ -486,7 +480,7 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
 
     empty = 0
     for lp in (5, 7):
-        cl = _ctx(lp, 1, 40, k_scale)
+        cl = R.ctx(lp, 1, 40)
         for _ in range(5):
             ql = _q_in_S(cl, rng, t=rng.choice((1, 2)))
             empty += len(fixed_points_for_q(ql)) == 0
@@ -522,11 +516,11 @@ def _suite_prop9(R: _Recorder, rng: Random, k_scale, K=60):
     x7 = fixed_points_for_q(q7)[0].x
     inv = _inverse_hits(rng, q4, rec.x, 10) + _inverse_hits(rng, q7, x7, 10)
     R.tally("inverse_spot_checks", inv, 20)
-    return _pek(ctx, ball_samples=25, inverse_samples=10)
+    return {"ball_samples": 25, "inverse_samples": 10}
 
 
-def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
-    c3, c53, c34 = (_ctx(*leg, k_scale) for leg in ((3, 1, 60), (5, 3, 90), (3, 4, 120)))
+def _suite_remark_phi1(R: _Recorder, rng: Random):
+    c3, c53, c34 = R.ctx(3, 1, 60), R.ctx(5, 3, 90), R.ctx(3, 4, 120)
 
     member = 0
     for n in (3, 4, 6, 7, 9, 10):
@@ -567,16 +561,15 @@ def _suite_remark_phi1(R: _Recorder, rng: Random, k_scale):
                 diff = q_bracket(x, q) - x
                 good += (not phi1_contains(x)) and not diff.is_zero
     R.tally("integers_never_fixed", good, total)
-    return {"legs": [_leg(c) for c in (c3, c53, c34)]}
+    return {}
 
 
-def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None):
+def _suite_remark_derivative(R: _Recorder, rng: Random, p=None):
     legs = [5, 7] if p is None else [p]
     if any(lp in (2, 3) for lp in legs):
         raise DomainError("derivative remark concerns p >= 5")
-    ctxs = [_ctx(lp, 1, 40, k_scale) for lp in legs]
-    for ctx in ctxs:
-        lp = ctx.p
+    for lp in legs:
+        ctx = R.ctx(lp, 1, 40)
         n = lp - 2
         match = 0
         units = 0
@@ -590,17 +583,16 @@ def _suite_remark_derivative(R: _Recorder, rng: Random, k_scale, p=None):
             units += (not da.is_zero) and da.val == 0
         R.tally(f"derivative_congruence_p{lp}", match, len(pts))
         R.tally(f"derivative_unit_p{lp}", units, len(pts))
-    c53 = _ctx(5, 3, 90, k_scale)
+    c53 = R.ctx(5, 3, 90)
     recs = q_for_x(c53.from_int(5))
     R.check("records_all_simple", True,
             all(r.multiplicity == 1 for r in recs))
-    return {"p": [c.p for c in ctxs], "e": ctxs[0].e, "K": ctxs[0].K}
+    return {}
 
 
-def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
+def _suite_cocycle(R: _Recorder, rng: Random, p=None, e=None, K=None):
     legs = _legs([(3, 1, 60), (5, 1, 60), (5, 3, 90)], p, e, K)
-    ctxs = [_ctx(*leg, k_scale) for leg in legs]
-    for ctx in ctxs:
+    for ctx in [R.ctx(*leg) for leg in legs]:
         good = 0
         for _ in range(100):
             q = _q_in_S(ctx, rng)
@@ -614,21 +606,18 @@ def _suite_cocycle(R: _Recorder, rng: Random, k_scale, p=None, e=None, K=None):
             d = q_pow(x + xp, q) - q_pow(x, q) * q_pow(xp, q)
             hom += d.is_zero
         R.tally(f"power_homomorphism_p{ctx.p}_e{ctx.e}", hom, 50)
-    return {"legs": [_leg(c) for c in ctxs], "triples": 100}
+    return {"triples": 100}
 
 
-def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None):
+def _suite_legendre(R: _Recorder, rng: Random, p=None):
     # the one suite that builds no context, so it checks p as ctx_new does
     if p is not None and not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     legs = [2, 3, 5, 7] if p is None else [p]
-    params = {"p": legs, "n_max": 300}
     for lp in legs:
         good = 0
-        fact = 1
         direct = 0
         for n in range(1, 301):
-            fact *= n
             m = n
             while m % lp == 0:
                 direct += 1
@@ -637,7 +626,7 @@ def _suite_legendre(R: _Recorder, rng: Random, k_scale, p=None):
             lib = factorial_valuation(n, lp)
             good += formula == lib == Fraction(direct)
         R.tally(f"factorial_valuation_p{lp}", good, 300)
-    return params
+    return {"p": legs, "n_max": 300}
 
 
 # -- shared helpers ----------------------------------------------------
@@ -688,7 +677,9 @@ def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,
     that is also a ValueError.
     k_scale scales every leg's working precision, an overridden K
     included (the reports must stay green at k_scale = 1/2, which is the
-    designed headroom), and the params report the precisions that ran.
+    designed headroom).  The params a suite returns gain ``legs``, every
+    context the suite built as [p, e, K] in build order, so they give
+    the precisions that ran.
     """
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; ids are {', '.join(SUITE_IDS)}")
@@ -700,18 +691,20 @@ def run_suite(suite_id: str, *, seed: int = 0, p: int | None = None,
             raise DomainError(f"suite {suite_id} applies no {name} override "
                               f"(it takes {', '.join(takes) or 'none'})")
     rng = Random(f"{seed}/{suite_id}")
-    R = _Recorder(suite_id)
+    R = _Recorder(suite_id, k_scale)
     t0 = time.perf_counter()
-    params = suite(R, rng, k_scale, **overrides)
+    params = suite(R, rng, **overrides)
     elapsed = int((time.perf_counter() - t0) * 1000)
+    if R.legs:
+        params = dict(params, legs=R.legs)
     if k_scale != 1:
         params = dict(params, k_scale=_show(Fraction(k_scale)))
     return SuiteReport(suite_id, params, seed, tuple(R.items), elapsed)
 
 
-def run_all(*, seed: int = 0, k_scale=Fraction(1)) -> list:
+def run_all(*, seed: int = 0) -> list:
     """Every suite at its defaults, ordered by suite id."""
-    return [run_suite(sid, seed=seed, k_scale=k_scale) for sid in SUITE_IDS]
+    return [run_suite(sid, seed=seed) for sid in SUITE_IDS]
 
 
 def reports_to_json(reports) -> str:

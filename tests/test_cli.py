@@ -23,7 +23,7 @@ def test_eval_witness_text(capsys):
     code, out, err = _run(capsys, "eval", "--p", "3", "--prec", "60",
                           "--x", "-1/2", "--q", "4")
     assert code == 0 and err == ""
-    assert out.startswith("# p=3 e=1 K=60 seed=0\n")
+    assert out.startswith("# p=3 e=1 K=60\n")
     m = re.search(r"v\(\[x\]_q - x\) >= (\d+)", out)
     assert m and int(m.group(1)) >= 56
 
@@ -137,6 +137,27 @@ def test_verify_single_suite_json(capsys):
     assert payload["pass"] is True
     assert payload["suites"][0]["suite"] == "legendre"
     assert payload["suites"][0]["seed"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--p", "3", "--prec", "60", "--x", "-1/2", "--q", "4"),
+    ("fixed-points", "--p", "3", "--q", "4"),
+    ("solve-q", "--p", "5", "--e", "3", "--prec", "90", "--x", "5"),
+    ("polygon", "--p", "3", "--prec", "60", "--series", "series1", "--q", "4"),
+])
+def test_only_verify_takes_a_seed(capsys, argv):
+    # the other commands draw nothing at random, so they refuse a seed
+    # rather than echo one
+    with pytest.raises(SystemExit) as ex:
+        main([argv[0], "--help"])
+    assert ex.value.code == 0 and "--seed" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as ex:
+        main([*argv, "--seed", "0"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as ex:
+        main(["verify", "--help"])
+    assert ex.value.code == 0 and "--seed" in capsys.readouterr().out
 
 
 def test_verify_forwards_overrides(capsys):

