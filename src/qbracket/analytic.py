@@ -58,26 +58,28 @@ recentring) keeps its source's base and shifts no vector.  A series'
 vectors come from one source, read as far as a pass reads: a running
 product resumed from the last vector formed, or a derivative, a view on
 its series' vectors that forms n w_n from w_n.  So a root lift never forms
-the coefficients its hints cut.  A series' evaluation is one
-Horner pass on the stored vectors with no shift per step, normalized
-once.  The precision the PadicNumber loop would carry, P <- min(P +
-v(dz), prec(dz) + v(acc), prec(c_n)), is kept as an integer beside it
-(Caruso, Roe and Vaccon, "Tracking p-adic precision", 2014), so value,
-digits and precision are the loop's.  That precision is computed apart
-from the digits.  Where the v(acc) terms cannot bind, the recurrence
-fixes it before any step; where they can, they bind only below the
-modulus, so the recurrence runs on partial sums kept modulo the few
-pi-units where they do.  The solver reads the precision of a probe point
-or a Newton target that way, with no evaluation.  A long pass at e > 1
-whose precision is fixed sums blocks of coefficients on Kronecker-packed
-integers, packed once per series, with one reduction per block, at every
-residue degree f (core's ``_block_pass``); any other pass takes one step
-per coefficient of a kernel that core sets up once per pass for the
-fixed multiplier dz.
-Deflation and recentring are passes on that kernel too: Horner's scheme at
-a root rho has the quotient by (X - rho) as its partial sums, each reduced
-to the precision the same recurrence gives, and the remainder as its last
-one, and series2 recentres at u by one such pass per coefficient.
+the coefficients its hints cut.
+
+A series' evaluation takes its precision first and its digits second.
+The precision is the one the PadicNumber loop would carry, P <- min(P +
+v(dz), prec(dz) + v(acc), prec(c_n)) (Caruso, Roe and Vaccon, "Tracking
+p-adic precision", 2014), and that recurrence is written once, in the
+Horner pass of synthetic division (``_horner_division``), whose
+remainder at dz is the value and whose partial sums, each reduced to
+the precision the recurrence gives, are the quotient by (X - dz).
+Where the v(acc) terms cannot bind, the recurrence has a closed form
+fixed before any step (``TruncatedSeries._decided``), and the pass sums
+only the digits, on the stored vectors with no shift per step, and
+normalizes once: a long pass at e > 1 sums blocks of coefficients on
+Kronecker-packed integers, packed once per series, with one reduction
+per block, at every residue degree f (core's ``_block_pass``); any
+other pass takes one step per coefficient of a kernel that core sets up
+once per pass for the fixed multiplier dz.  Where they can bind, the
+evaluation is that division's remainder.  The solver reads the precision
+of a probe point or a Newton target with no evaluation: the closed
+form, or the division's pass run modulo the few pi-units where a
+v(acc) term can bind.  Deflation at a root and series2's recentring at
+u, one pass per coefficient, are that division too.
 """
 
 from __future__ import annotations
@@ -532,8 +534,7 @@ class _QSplit:
         self.check("q_bracket")
         return (self.power(x) - self.one) * self.inv_y
 
-    def jet(self, x, n_max: int | None = None, tail_target: Fraction | None = None,
-            over_y: bool = False) -> "TruncatedSeries":
+    def jet(self, x, n_max: int | None = None, over_y: bool = False) -> "TruncatedSeries":
         """The series1 coefficients around x (see ``series1``), each times
         y^-1 when ``over_y``, the tail bound then lowered by v(y).
 
@@ -549,9 +550,7 @@ class _QSplit:
         self.check("series1")
         delta = Fraction(self.y.val, ctx.e) - Fraction(1, ctx.p - 1)
         if n_max is None:
-            if tail_target is None:
-                tail_target = Fraction(ctx.K, ctx.e)
-            n_max = _n_for_tail(delta, tail_target)
+            n_max = _n_for_tail(delta, Fraction(ctx.K, ctx.e))
         inv_y, big_l = self.inv_y, self.log_q
         tail = n_max * delta
         qx = self.power(x)
@@ -707,18 +706,18 @@ class TruncatedSeries:
         coefficient being kept only for v < W.  An exact polynomial
         without a hint takes W = max prec(c_n), which P never exceeds.
 
-        Since v(acc) >= b, the recurrence gives
-        P = min(W, min prec(c_i) + i v(dz)) whenever v(dz) >= 0 and that
-        is at most prec(dz) + b (``_decided``, which ``_prec_at`` shares).
-        There, at e > 1, any f, and over more than 2 _BLOCK coefficients, the
-        pass is ``PrimeContext._block_pass``, one reduction per _BLOCK
+        Precision first, digits second.  Where the v(acc) terms can bind,
+        ``_decided`` gives None and the value is the remainder of
+        ``_horner_division`` at dz, the pass that carries the recurrence.
+        Otherwise P is fixed before any step and only the digits are
+        summed: at e > 1, any f, and over more than 2 _BLOCK coefficients
+        by ``PrimeContext._block_pass``, one reduction per _BLOCK
         coefficients, on the coefficients this series packs once, modulo
         pi^(min(W, top) - b): top = min(tail cap, max prec(c_n)) is the
         modulus they are packed at, whose slots a wider pass would overrun,
         and P never exceeds it.  Otherwise each step is acc <- acc D + c_n
         modulo pi^(W-b), one step of ``PrimeContext._horner_step``, which
-        reduces D once per pass, and the recurrence runs beside it, with
-        v(acc) measured only when prec(dz) + b is below the other terms.
+        reduces D once per pass.
         """
         ctx = self.ctx
         dz = self._offset(point)
@@ -726,36 +725,21 @@ class TruncatedSeries:
         if not n:
             return ctx.zero(target)
         base = self._base
-        blocks = ctx.e > 1 and n > 2 * _BLOCK
-        prec = self._decided(dz, n, wall) if blocks else None
-        if prec is not None:
+        prec = self._decided(dz, n, wall)
+        if prec is None:
+            v, acc, prec = _horner_division(base, list(self._stored(n)), dz, wall)[0]
+            if v is None:
+                return ctx.zero(prec)
+        elif ctx.e > 1 and n > 2 * _BLOCK:
             top, w, packed = self._packing(n)
             acc = ctx._block_pass(packed, n, _dz_vector(dz), min(wall, top) - base, w)
         else:
-            acc, prec = self._steps(dz, n, wall, wall - base)
+            vecs = self._vectors(n)
+            step = ctx._horner_step(_dz_vector(dz), wall - base)
+            acc = ctx._vec_reduce(vecs[n - 1] or [0] * ctx._dim, wall - base)
+            for i in range(n - 2, -1, -1):
+                acc = step(acc, vecs[i])
         return _from_raw(ctx, base, acc, prec)
-
-    def _steps(self, dz: PadicNumber, n: int, wall: int, rel: int) -> tuple:
-        """(acc, P) of the pass over n coefficients by Horner steps, acc
-        modulo pi^rel for rel <= W - b, and P by the precision recurrence
-        beside it, v(acc) measured modulo pi^min(rel, P - b)."""
-        ctx, base, precs = self.ctx, self._base, self._precs
-        vecs = self._vectors(n)
-        dz_prec = dz.prec
-        dz_val = dz_prec if dz.is_zero else dz.val
-        step = ctx._horner_step(_dz_vector(dz), rel)
-        acc = ctx._vec_reduce(vecs[n - 1] or [0] * ctx._dim, rel)
-        prec = min(precs[n - 1], wall)
-        for i in range(n - 2, -1, -1):
-            nxt = min(prec + dz_val, precs[i], wall)
-            if dz_prec + base < nxt:
-                r = min(rel, prec - base)
-                v = ctx._vec_val(ctx._vec_reduce(acc, r), r)
-                if v is not None:
-                    nxt = min(nxt, dz_prec + base + v)
-            acc = step(acc, vecs[i])
-            prec = nxt
-        return acc, prec
 
     def _offset(self, point: PadicNumber) -> PadicNumber:
         """point - center, which must lie in the closed unit disk."""
@@ -791,15 +775,16 @@ class TruncatedSeries:
         return low if low <= dz.prec + self._base else None
 
     def _prec_at(self, point: PadicNumber) -> int:
-        """``evaluate(point).prec``, by the precision recurrence alone.
+        """``evaluate(point).prec``, with no call to ``evaluate``.
 
-        Where ``_decided`` gives P, no pass is run.  Otherwise the
-        recurrence runs on Horner partial sums modulo pi^T, T = W -
-        prec(dz) - b, capped at W - b: a v(acc) term binds only where
-        prec(dz) + v(acc) lies below W, so only where v(acc) - b < T, and
-        reducing modulo pi^T commutes with each step acc <- acc dz + c, so
-        every binding v(acc) is the one the full pass measures.  At the
-        solver's probes T is a few pi-units, where the pass keeps W - b.
+        Where ``_decided`` gives P, no pass is run.  Otherwise it is the
+        precision of ``_horner_division``'s remainder at dz, the pass run
+        modulo pi^T, T = W - prec(dz) - b, capped at W - b: a v(acc) term
+        binds only where prec(dz) + v(acc) lies below W, so only where
+        v(acc) - b < T, and reducing modulo pi^T commutes with each step
+        acc <- acc dz + c, so every binding v(acc) is the one the full pass
+        measures.  At the solver's probes T is a few pi-units, where the
+        pass keeps W - b.
         """
         dz = self._offset(point)
         target, n, wall = self._kept(None)
@@ -807,7 +792,9 @@ class TruncatedSeries:
             return self.ctx.zero(target).prec
         prec = self._decided(dz, n, wall)
         if prec is None:
-            prec = self._steps(dz, n, wall, min(wall - dz.prec, wall) - self._base)[1]
+            base = self._base
+            prec = _horner_division(base, list(self._stored(n)), dz, wall,
+                                    min(wall - dz.prec, wall) - base)[0][2]
         return prec
 
     def _packing(self, n: int) -> tuple:
@@ -828,9 +815,12 @@ class TruncatedSeries:
                        for v in self._vectors(n)[len(packed):n]]
         return self._packed
 
-    def _stored(self):
-        """The (val, vector on the base, prec) triple of every coefficient."""
-        return zip(self._vals, self._vectors(len(self)), self._precs)
+    def _stored(self, n: int | None = None):
+        """The (val, vector on the base, prec) triples of the first n
+        coefficients, of every one when n is None."""
+        if n is None:
+            n = len(self)
+        return zip(self._vals[:n], self._vectors(n), self._precs)
 
     def _vectors(self, n: int) -> Sequence:
         """The stored vectors, the first n at least read from ``_source``."""
@@ -915,22 +905,34 @@ def _dz_vector(dz: PadicNumber) -> list:
     return dz.ctx._vec_shift(dz._unit, dz.val)
 
 
-def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int) -> list:
+def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int,
+                     rel: int | None = None) -> list:
     """Synthetic division by (X - rho) of (val, vector, prec) triples c_0 ...
     c_(n-1) stored on ``base``, as one Horner pass at rho: the partial sums
     s_i = c_i + rho s_(i+1) from s_n = 0, capped at pi^W, are the quotient
-    s_1 ... s_(n-1) and the remainder s_0.  Each is one step of
-    ``PrimeContext._horner_step`` on the last, or c_i when that or rho is
-    zero-flagged, reduced to its own precision.  That precision is the PadicNumber
-    loop's, P <- min(P + v(rho), prec(rho) + v(s_(i+1)), prec(c_i), W), as
-    in ``TruncatedSeries._steps``, and the digits the reduction drops reach
-    s_(i-1) only at or above P + v(rho), so every value, digit, precision
-    and zero flag is the loop's.  Valuations add along a product, so unless
+    s_1 ... s_(n-1) and the remainder s_0, the value at rho.  Each is one
+    step of ``PrimeContext._horner_step`` on the last, or c_i when that or
+    rho is zero-flagged, reduced to its own precision.  That precision is
+    the PadicNumber loop's, P <- min(P + v(rho), prec(rho) + v(s_(i+1)),
+    prec(c_i), W), and the digits the reduction drops reach s_(i-1) only at
+    or above P + v(rho), so every value, digit, precision and zero flag is
+    the loop's.  This is the one pass that carries the loop's precision,
+    for evaluation and its precision (``TruncatedSeries.evaluate`` and
+    ``_prec_at``), deflation and series2's recentring; ``_decided`` is its
+    closed form.  Valuations add along a product, so unless
     v(c_i) = v(rho s_(i+1)) the sum has the lesser, or is zero-flagged when
     that reaches P: only a tie below P is measured.
+
+    The pass runs modulo pi^rel, rel = W - b by default: each sum is
+    reduced, and each tie measured, modulo pi^min(P - b, rel).  A smaller
+    rel keeps every digit and valuation below pi^(b + rel), so the
+    precisions stay exact wherever a valuation at or above b + rel never
+    binds, as in ``TruncatedSeries._prec_at``.
     """
     ctx, rho_prec = rho.ctx, rho.prec
-    step = ctx._horner_step(_dz_vector(rho), wall - base)
+    if rel is None:
+        rel = wall - base
+    step = ctx._horner_step(_dz_vector(rho), rel)
     rho_val = rho_prec if rho.is_zero else rho.val
     out, acc, last, low = [], None, math.inf, math.inf  # s_n = 0 exactly
     for v, w, prec in reversed(coeffs):
@@ -940,9 +942,10 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int) -> li
             w, up = step(acc, w), low + rho_val
             tie, v = up == v, up if v is None or up < v else v
         if v is not None and v < prec:
-            w = ctx._vec_reduce(w, prec - base)
+            r = min(prec - base, rel)
+            w = ctx._vec_reduce(w, r)
             if tie:
-                v = ctx._vec_val(w, prec - base)
+                v = ctx._vec_val(w, r)
                 v = None if v is None else base + v
         if v is None or v >= prec:
             v = w = None

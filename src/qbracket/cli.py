@@ -29,7 +29,7 @@ from .solver import fixed_points_for_q, m0_for_x, q_for_x
 
 __all__ = ["main"]
 
-_FRACTION = re.compile(r"^(-?\d+)/([1-9]\d*)$")
+_RATIONAL = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 class _TokenError(ValueError):
@@ -38,16 +38,11 @@ class _TokenError(ValueError):
 
 def _parse_number(ctx: PrimeContext, token: str, flag: str) -> PadicNumber:
     t = token.strip()
-    if re.fullmatch(r"-?\d+", t):
-        return ctx.from_int(int(t))
-    m = _FRACTION.match(t)
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
-        if math.gcd(a, b) != 1:
-            raise _TokenError(f"{flag}: fraction not in lowest terms: {token!r}")
-        if b % ctx.p == 0:
+    if _RATIONAL.fullmatch(t):
+        r = _parse_fraction(token, flag)
+        if r.denominator % ctx.p == 0:
             raise _TokenError(f"{flag}: denominator divisible by p={ctx.p}: {token!r}")
-        return ctx.from_rational(Fraction(a, b))
+        return ctx.from_rational(r.numerator, r.denominator)
     if t.startswith(("p^", "pi^")):
         try:
             return ctx.parse(t)
@@ -59,13 +54,14 @@ def _parse_number(ctx: PrimeContext, token: str, flag: str) -> PadicNumber:
 
 
 def _parse_fraction(token: str, flag: str) -> Fraction:
-    t = token.strip()
-    if re.fullmatch(r"-?\d+", t):
-        return Fraction(int(t))
-    m = _FRACTION.match(t)
-    if m:
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    raise _TokenError(f"{flag}: not a rational literal: {token!r}")
+    """An integer or a fraction a/b in lowest terms."""
+    m = _RATIONAL.fullmatch(token.strip())
+    if not m:
+        raise _TokenError(f"{flag}: not a rational literal: {token!r}")
+    a, b = int(m[1]), int(m[2] or 1)
+    if math.gcd(a, b) != 1:
+        raise _TokenError(f"{flag}: fraction not in lowest terms: {token!r}")
+    return Fraction(a, b)
 
 
 def _numj(v: PadicNumber) -> dict:
@@ -268,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         help="output mode (default text)")
+        sp.set_defaults(parser=sp)
     return ap
 
 
@@ -288,7 +285,9 @@ def _absorb_number_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_absorb_number_values(argv))
+    args, extra = build_parser().parse_known_args(_absorb_number_values(argv))
+    if extra:  # the subcommand's usage names its own flags
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command != "verify":
             args.ctx = ctx_new(args.p, args.e, args.prec)

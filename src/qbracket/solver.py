@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import TruncatedSeries, _QSplit, a_poly, series2
+from .analytic import TruncatedSeries, _QSplit, _n_for_tail, a_poly, series2
 from .core import PadicNumber, equals_to_precision
 from .errors import CertificationFailure, DomainError, LiftFailure
 from .polygon import _frac_str, unit_disk_zero_count
@@ -371,7 +371,8 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
         return SolveOutcome((), 0, m0)
     # s1 / (q - 1): the constant factor moves every valuation, zero-flag
     # bound and the tail bound alike, so the count is that of s1
-    s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1, over_y=True)
+    n_max = _n_for_tail(m0 - Fraction(1, ctx.p - 1), Fraction(ctx.K, ctx.e) + m0 + 1)
+    s1 = s.jet(ctx.from_int(0), n_max, over_y=True)
     predicted = unit_disk_zero_count(s1) - 2
     g = s1.drop_center_root().divide_by_root(s.one)
     return _solve_fiber(g, predicted, m0, lambda x: (x, s, u))

@@ -75,6 +75,8 @@ def test_exit_2_on_bad_literals(capsys):
         ("eval", "--p", "1", "--x", "1", "--q", "4"),          # p below 2
         ("eval", "--p", "3", "--e", "0", "--x", "1", "--q", "4"),
         ("polygon", "--p", "3", "--series", "series1"),        # series1 without --q
+        ("polygon", "--p", "5", "--e", "3", "--prec", "90", "--series", "series2",
+         "--x", "5", "--m0", "2/6"),                           # --m0 not reduced
         ("verify", "--p", "13"),                               # override without --suite
         ("verify", "--p", "13", "--e", "4", "--prec", "9"),
     ):
@@ -154,7 +156,9 @@ def test_only_verify_takes_a_seed(capsys, argv):
     with pytest.raises(SystemExit) as ex:
         main([*argv, "--seed", "0"])
     assert ex.value.code == 2
-    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    err = capsys.readouterr().err  # the subcommand's usage, which names its flags
+    assert err.startswith(f"usage: qbracket {argv[0]} [-h] --p P")
+    assert f"qbracket {argv[0]}: error: unrecognized arguments: --seed 0" in err
     with pytest.raises(SystemExit) as ex:
         main(["verify", "--help"])
     assert ex.value.code == 0 and "--seed" in capsys.readouterr().out

@@ -576,8 +576,8 @@ def test_probe_precision_is_derived_on_the_bench_legs(monkeypatch):
 def test_probe_precision_falls_back_to_the_pass(monkeypatch):
     # a probe known to fewer digits than the coefficients, or zero-flagged
     # at a negative precision, leaves the v(acc) terms of the recurrence
-    # free to bind, so the recurrence runs on Horner partial sums, with no
-    # evaluate: modulo pi^T, T = W - prec(dz) - b = 45 - 5 - 0 for the
+    # free to bind, so the precision is that of _horner_division's pass,
+    # with no evaluate: modulo pi^T, T = W - prec(dz) - b = 45 - 5 - 0 for the
     # short probe, and modulo pi^(W - b) = pi^45 for the zero-flagged one,
     # where T is larger; at an integer off the unit circle the shared rule
     # decides it, and every way gives the precision the pass gives
@@ -586,13 +586,13 @@ def test_probe_precision_falls_back_to_the_pass(monkeypatch):
     s = TruncatedSeries(c, c.zero(), tuple(sample(c, rng, valuation=k) for k in range(6)),
                         Fraction(15))
     passes, moduli = [], []
-    evaluate, steps = TruncatedSeries.evaluate, TruncatedSeries._steps
+    evaluate, division = TruncatedSeries.evaluate, analytic._horner_division
     monkeypatch.setattr(TruncatedSeries, "evaluate",
                         lambda series, point, prec_hint=None:
                         passes.append(prec_hint) or evaluate(series, point, prec_hint))
-    monkeypatch.setattr(TruncatedSeries, "_steps",
-                        lambda series, dz, n, wall, rel:
-                        moduli.append(rel) or steps(series, dz, n, wall, rel))
+    monkeypatch.setattr(analytic, "_horner_division",
+                        lambda base, coeffs, rho, wall, rel=None:
+                        moduli.append(rel) or division(base, coeffs, rho, wall, rel))
     points = (c.from_int(6)._cap_prec(5), c.zero(-1), c.from_int(5), c.from_int(6))
     got = [s._prec_at(point) for point in points]
     assert passes == [] and moduli == [40, 45]
@@ -785,10 +785,10 @@ def _built_over_y(q):
     ctx = q.ctx
     s = analytic._QSplit(q)
     _, m0, _ = s.parts()
-    target = Fraction(ctx.K, ctx.e) + m0 + 1
+    n_max = analytic._n_for_tail(m0 - Fraction(1, ctx.p - 1), Fraction(ctx.K, ctx.e) + m0 + 1)
     out = []
-    for s1 in (s.jet(ctx.from_int(0), tail_target=target, over_y=True),
-               _scale_raw_ref(s.jet(ctx.from_int(0), tail_target=target), s.inv_y)):
+    for s1 in (s.jet(ctx.from_int(0), n_max, over_y=True),
+               _scale_raw_ref(s.jet(ctx.from_int(0), n_max), s.inv_y)):
         try:
             count = unit_disk_zero_count(s1)
         except CertificationFailure as exc:
@@ -796,12 +796,12 @@ def _built_over_y(q):
         out.append((_raw(s1), count))
     new = out[0][0]
     try:
-        g_new = _raw(s.jet(ctx.from_int(0), tail_target=target, over_y=True)
+        g_new = _raw(s.jet(ctx.from_int(0), n_max, over_y=True)
                      .drop_center_root().divide_by_root(s.one))
     except CertificationFailure as exc:
         g_new = str(exc)
     try:
-        g_old = _raw(_scale_raw_ref(s.jet(ctx.from_int(0), tail_target=target)
+        g_old = _raw(_scale_raw_ref(s.jet(ctx.from_int(0), n_max)
                                     .drop_center_root().divide_by_root(s.one), s.inv_y))
     except CertificationFailure as exc:
         g_old = str(exc)
@@ -824,7 +824,8 @@ def test_g_over_y_matches_the_scaled_chain_on_the_bench_legs(monkeypatch, seed):
         ctx = q.ctx
         s = analytic._QSplit(q)
         _, m0, _ = s.parts()
-        s1 = s.jet(ctx.from_int(0), tail_target=Fraction(ctx.K, ctx.e) + m0 + 1)
+        delta = m0 - Fraction(1, ctx.p - 1)
+        s1 = s.jet(ctx.from_int(0), analytic._n_for_tail(delta, Fraction(ctx.K, ctx.e) + m0 + 1))
         g_old = _scale_raw_ref(s1.drop_center_root().divide_by_root(s.one), s.inv_y)
         [(g, predicted)] = seen
         assert _raw(g) == _raw(g_old)
