@@ -797,6 +797,33 @@ class TruncatedSeries:
                                     min(wall - dz.prec, wall) - base)[0][2]
         return prec
 
+    def _closes(self, old: PadicNumber, new: PadicNumber, fx: PadicNumber,
+                fpx: PadicNumber, target: int) -> bool:
+        """Is ``evaluate(new, target)`` ``zero(target)``?  Proved from a Newton
+        step old -> new and its values, with no pass; False refuses, not denies.
+
+        ``fx`` and ``fpx`` are honest values of this series and of its
+        derivative at old.  On the stored polynomial F, integral vectors on
+        the base b, F(a + h) = F(a) + h F'(a) + h^2 R with v(R) >= b for
+        integral a and h, the step h being new - old between the
+        representatives of the offsets.  So F(new) vanishes modulo pi^target
+        when 2 v(h) + b >= target and fx + h fpx is zero at precision
+        >= target, and the evaluation carries exactly the target when
+        ``_decided`` gives it, as the pass would run at new.  That sum's
+        precision is at most min(prec(fx), v(h) + prec(fpx)), which is
+        tested first, so a refusal there forms no product.
+        """
+        dz = self._offset(new)
+        h = dz - self._offset(old)
+        v = h.prec if h.is_zero else h.val
+        if v < 0 or 2 * v + self._base < target or min(fx.prec, v + fpx.prec) < target:
+            return False
+        _, n, wall = self._kept(target)
+        if not n or self._decided(dz, n, wall) != target:
+            return False
+        rest = fx + h * fpx
+        return rest.is_zero and rest.prec >= target
+
     def _packing(self, n: int) -> tuple:
         """(top, w, coefficients packed for ``PrimeContext._block_pass``), the
         first n of them at least: top = min(tail cap, max prec(c_n)), each

@@ -33,6 +33,15 @@ without one (``TruncatedSeries._prec_at``), for the fiber's probe and
 for ``local_Q``'s target alike.  And each step starts inverting f' from
 the inverse of the step before, whose digits agree with the new one to
 about the accuracy the iterate had then.
+
+Nor does a lift on a series evaluate it once more only to confirm that
+its last step reached the target.  When the step was taken at the
+target, f(x + h) = f(x) + h f'(x) + h^2 R with v(R) at least the series'
+base, so the values of that step, f(x) to the target, f'(x) and the
+exact h, prove the check with one product
+(``TruncatedSeries._closes``); where they cannot, or the evaluation's
+precision is not decided before its pass, the lift evaluates as before.
+Either way it returns the same root with the same precision.
 """
 
 from __future__ import annotations
@@ -136,7 +145,7 @@ _HINT_FLOOR = 8
 
 
 def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
-                 known: tuple | None = None) -> PadicNumber:
+                 known: tuple | None = None, closes=None) -> PadicNumber:
     """Newton iteration with laddered evaluation hints.
 
     ``feval(point, hint)`` must be honest: the result carries only
@@ -158,6 +167,15 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     f''(x) f(x)/f'(x) since, so the two agree to about as many digits as
     the last step's iterate had, and the doubling takes up from there.
     The inverse is unique, so this changes no digit.
+
+    A lift ends on an evaluation at the target that is zero there, or,
+    given ``closes(old, new, f(old), f'(old), target)``, on the update
+    that makes it provable: one taken at the target whose next hint is
+    the target too, where ``closes`` proves from the step's own values
+    that the evaluation at new would be zero at exactly the target
+    (``TruncatedSeries._closes``).  The loop returns then what that
+    evaluation would have let it return, new capped at target - s.  When
+    ``closes`` refuses, or is None, f is evaluated at new as before.
     Raises LiftFailure once more than ceil(log2 K) + 2 steps were needed.
     """
     ctx = seed.ctx
@@ -202,11 +220,14 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
             if fx.val <= 2 * s:
                 raise LiftFailure("Newton criterion v(f) > 2 v(f') fails at the seed")
         inv = fpx._inv(inv)
-        x = (x - fx * inv)._lift_exact(ctx.K)
+        old, x = x, (x - fx * inv)._lift_exact(ctx.K)
         est = min(2 * fx.val - s, hint)
         updates += 1
         if updates > budget:
             break
+        if (closes is not None and hint == target <= 2 * est - s + 2 * ctx.e
+                and closes(old, x, fx, fpx, target)):
+            return x._cap_prec(target - s)
     raise LiftFailure("no convergence within the iteration budget "
                       "(is the target precision attainable?)")
 
@@ -217,18 +238,21 @@ def hensel_lift(f, seed: PadicNumber, *, target: int | None = None) -> PadicNumb
     ``f`` is a TruncatedSeries, or a pair (f, fprime) of callables on
     PadicNumbers.  The default target is K - 2e pi-units, lowered to the
     series tail bound when that is smaller.  The returned root satisfies
-    v(root - seed) > v(f'(seed)).
+    v(root - seed) > v(f'(seed)).  A series lift ends on its last Newton
+    step when that step's values prove v(f(root)) >= target
+    (``TruncatedSeries._closes``), else on an evaluation of f at the
+    target; a pair of callables always ends on that evaluation.
     """
     ctx = seed.ctx
     if isinstance(f, TruncatedSeries):
         fd = f.derivative()
-        feval, fpeval = f.evaluate, fd.evaluate
+        feval, fpeval, closes = f.evaluate, fd.evaluate, f._closes
         cap = f._cap
     elif isinstance(f, tuple) and len(f) == 2:
         raw_f, raw_fp = f
         feval = lambda pt, hint: raw_f(pt)
         fpeval = lambda pt, hint: raw_fp(pt)
-        cap = None
+        cap = closes = None
     else:
         raise TypeError("f must be a TruncatedSeries or a (f, fprime) pair of callables")
     if target is None:
@@ -238,7 +262,7 @@ def hensel_lift(f, seed: PadicNumber, *, target: int | None = None) -> PadicNumb
     fp0 = fpeval(seed, None)
     if fp0.is_zero:
         raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
-    root = _newton_loop(feval, fpeval, seed, target)
+    root = _newton_loop(feval, fpeval, seed, target, closes=closes)
     moved = root - seed
     if not moved.is_zero and moved.val <= fp0.val:
         raise LiftFailure("lift left the contraction ball of the seed")
@@ -275,7 +299,7 @@ def _roots_from_seed(g: TruncatedSeries, gp: TruncatedSeries, seed: PadicNumber,
         if not fpx.is_zero and low > 2 * fpx.val:
             try:
                 found.append(_newton_loop(g.evaluate, gp.evaluate, pt, target,
-                                          (floor, fx, fpx)))
+                                          (floor, fx, fpx), closes=g._closes))
             except LiftFailure:
                 pass
             continue
@@ -453,7 +477,7 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
     t, m0, u = s.parts()
     h = series2(xp, 0, m0)
-    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h._prec_at(u))
+    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h._prec_at(u), closes=h._closes)
     one = s.one
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q

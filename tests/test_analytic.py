@@ -791,15 +791,23 @@ def test_evaluate_at_a_zero_point_of_negative_precision():
 
 
 def _recorded_evaluations(monkeypatch, run) -> list:
-    """Every (series, point, hint) that ``run()`` asks ``evaluate`` for."""
+    """Every (series, point, hint) that ``run()`` asks ``evaluate`` for, and
+    every one whose zero a lift's closing check proves in its place."""
     calls = []
-    evaluate = TruncatedSeries.evaluate
+    evaluate, closes = TruncatedSeries.evaluate, TruncatedSeries._closes
 
     def record(series, point, prec_hint=None):
         calls.append((series, point, prec_hint))
         return evaluate(series, point, prec_hint)
 
+    def record_closing(series, old, new, fx, fpx, target):
+        ok = closes(series, old, new, fx, fpx, target)
+        if ok:
+            calls.append((series, new, target))
+        return ok
+
     monkeypatch.setattr(TruncatedSeries, "evaluate", record)
+    monkeypatch.setattr(TruncatedSeries, "_closes", record_closing)
     run()
     monkeypatch.undo()
     return calls

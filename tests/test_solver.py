@@ -326,9 +326,9 @@ def test_lifts_take_over_the_seed_evaluations(monkeypatch):
         calls["evaluate"] += 1
         return evaluate(series, point, prec_hint)
 
-    def counted_newton(feval, fpeval, seed, target, *known):
+    def counted_newton(feval, fpeval, seed, target, known=None, closes=None):
         calls["lifts"] += 1
-        return newton(feval, fpeval, seed, target, *known)
+        return newton(feval, fpeval, seed, target, known, closes)
 
     def solve(newton_loop):
         monkeypatch.setattr(solver, "_newton_loop", newton_loop)
@@ -338,8 +338,8 @@ def test_lifts_take_over_the_seed_evaluations(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "evaluate", counted_evaluate)
     records, taken = solve(counted_newton)
     # the same solve with every lift evaluating its seed afresh
-    fresh_records, fresh = solve(lambda feval, fpeval, seed, target, *known:
-                                 counted_newton(feval, fpeval, seed, target))
+    fresh_records, fresh = solve(lambda feval, fpeval, seed, target, known=None, closes=None:
+                                 counted_newton(feval, fpeval, seed, target, None, closes))
     assert records == fresh_records and len(records) == 3
     assert taken["lifts"] == fresh["lifts"] > 0
     assert fresh["evaluate"] - taken["evaluate"] == 2 * taken["lifts"]
@@ -354,7 +354,7 @@ def test_lifts_take_over_the_seed_evaluations(monkeypatch):
 _HINT_FLOOR = 8
 
 
-def _newton_loop_ref(feval, fpeval, seed, target, known=None):
+def _newton_loop_ref(feval, fpeval, seed, target, known=None, closes=None):
     ctx = seed.ctx
     budget = math.ceil(math.log2(max(ctx.K, 2))) + 2
     x = seed
@@ -457,6 +457,95 @@ def test_ladder_matches_reference_on_hensel_lift(p, e, seed, near, off):
     assert got == want
 
 
+# -- the closing check of a lift -------------------------------------------
+#
+# An update taken at the target, whose next hint is the target too, is
+# proved to close the lift from its own values (``TruncatedSeries._closes``)
+# where the loop evaluated f at the target once more.  An acceptance must
+# stand for that evaluation: zero at exactly the target.  A refusal falls
+# back to it.
+
+def _closing_calls(monkeypatch) -> list:
+    """The answers of every closing check from here on, each acceptance
+    checked against the evaluation it stands for."""
+    calls = []
+    closes = TruncatedSeries._closes
+
+    def spy(series, old, new, fx, fpx, target):
+        ok = closes(series, old, new, fx, fpx, target)
+        if ok:
+            out = series.evaluate(new, target)
+            assert out.is_zero and out.prec == target
+        calls.append(ok)
+        return ok
+
+    monkeypatch.setattr(TruncatedSeries, "_closes", spy)
+    return calls
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 10), st.integers(1, 2),
+       st.integers(0, 10 ** 6), st.integers(-1, 2), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_closing_check_is_sound(p, e, f, seed, shift, slip):
+    # Newton steps on pi^shift (Y - a)(Y - a2)(Y - a3), Y = X - center, the
+    # center known to a random precision; a slipped step is off by a random
+    # amount, so f(x) + h f'(x) need not vanish where the check reads it
+    c = ctx_new(p, e, 12 * e, f)
+    rng = Random(seed)
+    center = sample(c, rng)._cap_prec(rng.randrange(4 * e, 12 * e + 1))
+    a = sample(c, rng)
+    a2 = a + sample(c, rng, valuation=rng.randrange(2 * e))
+    a3 = sample(c, rng)
+    coeffs = (-(a * a2 * a3), a * a2 + a * a3 + a2 * a3, -(a + a2 + a3), c.one())
+    s = TruncatedSeries(c, center, tuple(k.scale_pi(shift) for k in coeffs), None)
+    d = s.derivative()
+    target = rng.randrange(2 * e, 11 * e)
+    x = center + a + sample(c, rng, valuation=rng.randrange(1, 4 * e))
+    for _ in range(8):
+        fx = s.evaluate(x, target)
+        fpx = d.evaluate(x, rng.choice((target, None)))
+        if fx.is_zero or fpx.is_zero:
+            break
+        new = (x - fx * fpx.inv())._lift_exact(c.K)
+        if slip:
+            new += sample(c, rng, valuation=rng.randrange(c.K))
+        dz = new - center
+        if not dz.is_zero and dz.val < 0:  # a step from outside Newton's ball may leave the disk
+            break
+        if s._closes(x, new, fx, fpx, target):
+            out = s.evaluate(new, target)
+            assert out.is_zero and out.prec == target
+        x = new
+
+
+def test_refused_closing_check_falls_back_to_the_evaluation(monkeypatch):
+    calls = _closing_calls(monkeypatch)
+    c = ctx_new(5, 1, 40)
+    # v(f) climbs 1, 2, 4, 8 to the target 10: the step from 4 has
+    # 2 v(h) + b = 8 < 10, so the evaluation at the target runs, and the
+    # step from 8 closes the lift
+    f = TruncatedSeries(c, c.zero(), (c.from_int(2), c.from_int(-3), c.one()), None)
+    got, want = _both(lambda: hensel_lift(f, c.from_int(7), target=10))
+    assert got == want and calls == [False, True]
+    # the center is known to 11 digits, so at the target 12 the evaluation's
+    # precision is not decided before its pass: the step from v(h) = 9 meets
+    # every other condition and is refused all the same
+    calls.clear()
+    a, a2 = c.from_int(5), c.from_int(10)
+    f = TruncatedSeries(c, c.zero(11), (a * a2, -(a + a2), c.one()), None)
+    got, want = _both(lambda: hensel_lift(f, a + c.from_int(125), target=12))
+    assert got == want and calls == [False, False]
+
+
+def test_every_ladder_fiber_closes_a_lift_by_its_check(monkeypatch):
+    calls = _closing_calls(monkeypatch)
+    for p, e, K, t in _LADDER_LEGS:
+        c = ctx_new(p, e, K)
+        calls.clear()
+        assert fixed_points_for_q(c.one() + sample(c, Random(1), valuation=t))
+        assert True in calls, (p, e, K)
+
+
 def test_heavy_solve_vector_products(vector_products):
     # 12,435 products before the Newton ladder, 8,754 after it, 8,351 once
     # the probe's precision was derived; 7,926 (1,306 _vec_mul and 6,620
@@ -489,11 +578,15 @@ def test_heavy_solve_vector_products(vector_products):
     # a Horner pass on the step kernel: one entrywise step, at multiplier 1,
     # per coefficient below the top of the 426-term deflated jet (step
     # 390 -> 815), where the raw multiply-add took the product by 1 as the
-    # other factor itself and counted nothing
+    # other factor itself and counted nothing.  Now each of the three lifts
+    # proves its closing check from its last step's values, one product
+    # (vec_mul 646 -> 649) where a block pass of g at the target ran over 379
+    # coefficients: 379 coefficient products, 47 joins and 7 power steps
+    # each (block 6669 -> 5532, join 815 -> 674, step 815 -> 794)
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 646, "step": 815, "block": 6669, "join": 815,
+    assert vector_products == {"vec_mul": 649, "step": 794, "block": 5532, "join": 674,
                                "power_term": 336, "power_join": 39}
 
 
@@ -518,7 +611,7 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
                         lambda ctx, *args: ran.append(1) or block_pass(ctx, *args))
     c = ctx_new(5, 10, 200)
     assert len(fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))) == 3
-    assert {n for n, _, _ in paths} == {425, 424} and len(paths) == 54
+    assert {n for n, _, _ in paths} == {425, 424} and len(paths) == 51
     assert [(n, hint) for n, hint, used in paths if not used] == [(425, 0)] * 5
     for e, f, short in ((3, 1, False), (1, 1, False), (3, 2, False), (3, 1, True)):
         c = ctx_new(5, e, 30 * e, f)
@@ -722,7 +815,7 @@ def test_short_derivative_gives_the_quotient_of_the_full_one(monkeypatch):
     checked = [0]
     newton = solver._newton_loop
 
-    def spying(feval, fpeval, seed, target, known=None):
+    def spying(feval, fpeval, seed, target, known=None, closes=None):
         last = {}
 
         def f_spy(x, hint):
@@ -740,7 +833,7 @@ def test_short_derivative_gives_the_quotient_of_the_full_one(monkeypatch):
                     checked[0] += 1
             return out
 
-        return newton(f_spy, fp_spy, seed, target, known)
+        return newton(f_spy, fp_spy, seed, target, known, closes)
 
     monkeypatch.setattr(solver, "_newton_loop", spying)
     c = ctx_new(5, 10, 200)
