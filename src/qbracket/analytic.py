@@ -252,7 +252,9 @@ def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int
     wins.  k grows while that can still raise x - n's valuation and
     while q^n's squarings alone, bit_length(n) - 1, which a larger k
     never lowers, cost less than the best.  Which n wins changes no digit
-    (see ``_QSplit.power``).
+    (see ``_QSplit.power``).  The k are walked along a0's base-p digits,
+    one division by p per digit: a zero digit gives the same n, so the
+    same cost, and is passed over.
 
     On bracket-grid's ops at seeds 0 and 1, 21 interleaved repetitions,
     pricing a product of q^n at 2 series products took 0.95-1.02x the
@@ -260,10 +262,16 @@ def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int
     rule prices both alike.
     """
     best_n = best = None
-    n, k = 0, 0
+    n, high, pk, k = 0, a0, 1, 0  # a0 = n + high p^k, n = a0 mod p^k
     while best is None or 4 * (n.bit_length() - 1) < best:
-        d = a0 - n
-        v = min(rest, e * _vp(d, p)) if d else rest
+        if high:
+            while high % p == 0:  # a zero digit leaves n, so v, as they are
+                high //= p
+                pk *= p
+                k += 1
+            v = min(rest, e * k)  # v_p(a0 - n) = k, high being prime to p
+        else:
+            v = rest
         cost = 4 * max(n.bit_length() + bin(n).count("1") - 2, 0)
         if v + t < target:
             terms = _exp_cutoff(p, e, v + t, target)
@@ -272,8 +280,10 @@ def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int
             best_n, best = n, cost
         if v == rest or v + t >= target:
             break
+        high, digit = divmod(high, p)
+        n += digit * pk
+        pk *= p
         k += 1
-        n = a0 % p ** k
     return best_n
 
 
@@ -803,12 +813,14 @@ class TruncatedSeries:
         step old -> new and its values, with no pass; False refuses, not denies.
 
         ``fx`` and ``fpx`` are honest values of this series and of its
-        derivative at old.  On the stored polynomial F, integral vectors on
-        the base b, F(a + h) = F(a) + h F'(a) + h^2 R with v(R) >= b for
-        integral a and h, the step h being new - old between the
-        representatives of the offsets.  So F(new) vanishes modulo pi^target
-        when 2 v(h) + b >= target and fx + h fpx is zero at precision
-        >= target, and the evaluation carries exactly the target when
+        derivative at old.  On the stored polynomial F, F(a + h) = F(a) +
+        h F'(a) + h^2 R for integral a and h, the step h being new - old
+        between the representatives of the offsets, and R is an integral
+        combination of c_2, c_3, ... only, so v(R) >= L = ``_lows[2]``, their
+        least valuation (a zero-flagged c_n stored as 0 and counted at its
+        precision); R = 0 when there is no c_2.  So F(new) vanishes modulo
+        pi^target when 2 v(h) + L >= target and fx + h fpx is zero at
+        precision >= target, and the evaluation carries exactly the target when
         ``_decided`` gives it, as the pass would run at new.  That sum's
         precision is at most min(prec(fx), v(h) + prec(fpx)), which is
         tested first, so a refusal there forms no product.
@@ -816,7 +828,8 @@ class TruncatedSeries:
         dz = self._offset(new)
         h = dz - self._offset(old)
         v = h.prec if h.is_zero else h.val
-        if v < 0 or 2 * v + self._base < target or min(fx.prec, v + fpx.prec) < target:
+        if (v < 0 or len(self) > 2 and 2 * v + self._lows[2] < target
+                or min(fx.prec, v + fpx.prec) < target):
             return False
         _, n, wall = self._kept(target)
         if not n or self._decided(dz, n, wall) != target:

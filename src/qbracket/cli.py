@@ -9,11 +9,18 @@ Exit codes: 0 success (including an empty record list), 1 a verify run
 with failing assertions, 2 malformed flags or number literals, 3 a
 mathematical precondition violation (the offending condition is named
 on stderr).
+
+``main`` parses with one parser tree per process (``build_parser`` is
+cached; argparse keeps no state between parses).  A one-shot
+``qbracket`` process builds it once either way, so the cache pays only
+for callers that run ``main`` many times in one process, such as the
+benchmark, the tests and scripts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -221,7 +228,10 @@ def _add_common(sp) -> None:
                     help="working precision K in pi-units (default 60*e)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process and reused by every ``main``
+    call; the ``_cmd_*`` handlers are bound by ``set_defaults`` then."""
     ap = argparse.ArgumentParser(
         prog="qbracket",
         description="q-bracket fixed points on the p-adic unit disk")

@@ -261,7 +261,9 @@ class PrimeContext:
         """Number pi^val * sum digits[k] pi^k from base-p digits, low order first.
 
         At f > 1 each digit is a tuple of f coordinates in 0..p-1, the
-        digit sum_j d[j] zeta^j.
+        digit sum_j d[j] zeta^j.  Digit k lands in entry k mod e as the
+        coefficient of p^(k // e), so entry r is the Horner sum of the
+        digits r, r + e, ..., read from the top: one pass per entry.
         """
         if prec is None:
             prec = val + len(digits)
@@ -280,13 +282,14 @@ class PrimeContext:
             raise ValueError("digit out of range")
         if rel > 0 and not any(col[0] for col in columns):
             raise ValueError("leading digit must be nonzero (valuation is exact)")
+        p, e = self.p, self.e
         vec = []
         for col in columns:
-            block = [0] * self.e
-            for k, d in enumerate(col):
-                f, r = divmod(k, self.e)
-                block[r] += d * self._ppow(f)
-            vec += block
+            for r in range(e):
+                a = 0
+                for d in reversed(col[r::e]):
+                    a = a * p + d
+                vec.append(a)
         return PadicNumber(self, val, self._vec_reduce(vec, rel), prec, False)
 
     # -- parsing ------------------------------------------------------
@@ -843,17 +846,23 @@ class PadicNumber:
         """Base-p digits of the unit part, low order first, prec - val many.
 
         At f > 1 each digit is a tuple of f coordinates (see ``from_digits``).
+        Digit k is the p^(k // e) digit of entry k mod e, so each entry is
+        peeled by ``divmod(a, p)`` into the digits r, r + e, ... in turn,
+        in time linear in the digits rather than one division by p^(k // e)
+        per digit.
         """
         if self._is_zero:
             return ()
         ctx = self.ctx
+        p, e = ctx.p, ctx.e
         rel = self._prec - self._val
         columns = []
-        for b in range(0, ctx._dim, ctx.e):
-            out = []
-            for k in range(rel):
-                f, r = divmod(k, ctx.e)
-                out.append((self._unit[b + r] // ctx._ppow(f)) % ctx.p)
+        for b in range(0, ctx._dim, e):
+            out = [0] * rel
+            for r in range(min(e, rel)):
+                a = self._unit[b + r]
+                for k in range(r, rel, e):
+                    a, out[k] = divmod(a, p)
             columns.append(tuple(out))
         return columns[0] if ctx.f == 1 else tuple(zip(*columns))
 

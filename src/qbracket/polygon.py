@@ -6,10 +6,20 @@ roots of valuation s, and the Weierstrass degree N (rightmost index of
 minimal valuation) counts all roots in the closed unit disk.  Counting
 is refused rather than guessed when either the tail bound or the
 precision of a zero-flagged coefficient fails to dominate the minimum.
+
+The hull is Andrew's monotone chain (Andrew, "Another efficient
+algorithm for convex hulls in two dimensions", 1979), run on integers:
+each finite valuation is scaled by the lcm of their denominators (a
+divisor of e for a series' points), which keeps the sign of every cross
+product.  The points, hull vertices and slopes it returns are the
+original Fractions.  A vertex whose cross product is zero is dropped, so
+the hull holds no three collinear vertices and each segment is one
+slope run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -49,47 +59,36 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _cross(o, a, b) -> Fraction:
+def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def polygon_build(points: Sequence) -> NewtonPolygon:
     """Lower convex hull of (index, valuation) pairs; None means infinity."""
-    norm = []
-    for n, v in points:
-        if v is None:
-            norm.append((int(n), None))
-        else:
-            norm.append((int(n), Fraction(v)))
-    norm.sort(key=lambda t: t[0])
+    norm = sorted(((int(n), None if v is None else Fraction(v)) for n, v in points),
+                  key=lambda t: t[0])
     if len(set(n for n, _ in norm)) != len(norm):
         raise ValueError("duplicate indices")
     finite = [(n, v) for n, v in norm if v is not None]
     if not finite:
         raise ValueError("all valuations are infinite; no polygon")
 
+    scale = math.lcm(*(v.denominator for _, v in finite))
     hull: list = []
+    ints: list = []  # hull's points, valuations times scale
     for pt in finite:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
+        n, v = pt
+        q = (n, v.numerator * (scale // v.denominator))
+        while len(ints) >= 2 and _cross(ints[-2], ints[-1], q) <= 0:
+            ints.pop()
             hull.pop()
+        ints.append(q)
         hull.append(pt)
 
-    segments = []
     lead = finite[0][0] - norm[0][0]
-    if lead > 0:
-        segments.append((None, lead))
-    run_slope = None
-    run_len = 0
-    for (n0, v0), (n1, v1) in zip(hull, hull[1:]):
-        slope = Fraction(v1 - v0, n1 - n0)
-        if run_len and slope == run_slope:
-            run_len += n1 - n0
-        else:
-            if run_len:
-                segments.append((run_slope, run_len))
-            run_slope, run_len = slope, n1 - n0
-    if run_len:
-        segments.append((run_slope, run_len))
+    segments = [(None, lead)] if lead else []
+    segments += [(Fraction(v1 - v0, n1 - n0), n1 - n0)
+                 for (n0, v0), (n1, v1) in zip(hull, hull[1:])]
     return NewtonPolygon(tuple(norm), tuple(hull), tuple(segments))
 
 

@@ -200,6 +200,37 @@ def test_q_power_split_matches_exp_of_x_log_q():
                     assert _outcome(analytic._QSplit(q).power, x) == want, (c, q, x)
 
 
+def _power_split_reference(p, e, t, target, a0, rest):
+    """_power_split as one loop over k: n = a0 mod p^k, v_p(a0 - n) by division."""
+    best_n = best = None
+    n, k = 0, 0
+    while best is None or 4 * (n.bit_length() - 1) < best:
+        d = a0 - n
+        v = min(rest, e * core._vp(d, p)) if d else rest
+        cost = 4 * max(n.bit_length() + bin(n).count("1") - 2, 0)
+        if v + t < target:
+            terms = analytic._exp_cutoff(p, e, v + t, target)
+            cost += 8 * math.isqrt(terms) + terms
+        if best is None or cost < best:
+            best_n, best = n, cost
+        if v == rest or v + t >= target:
+            break
+        k += 1
+        n = a0 % p ** k
+    return best_n
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 10), st.integers(0, 6),
+       st.integers(1, 600), st.lists(st.integers(0, 9), max_size=60), st.integers(1, 700))
+@settings(max_examples=300, deadline=None)
+def test_power_split_walk_matches_the_division_loop(p, e, dt, span, digits, rest):
+    # a0's digits lean to zero, so runs of zero digits are passed over
+    t = e // (p - 1) + 1 + dt
+    a0 = sum(max(d - 4, 0) % p * p ** k for k, d in enumerate(digits))
+    want = _power_split_reference(p, e, t, t + span, a0, rest)
+    assert analytic._power_split(p, e, t, t + span, a0, rest) == want
+
+
 def test_q_power_of_an_integer_is_repeated_multiplication():
     # independent oracle: q^m is m - 1 products of q's exact representative,
     # at the precision x log q carries, min(prec x + v(y), prec y + v(x))

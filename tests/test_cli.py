@@ -1,5 +1,6 @@
 """Exit codes and output contracts of the qbracket command."""
 
+import importlib
 import json
 import os
 import re
@@ -230,3 +231,50 @@ def test_q_domain_exit_codes_and_messages(capsys, argv, code, err):
     got, _, stderr = _run(capsys, *argv)
     assert got == code
     assert stderr == ("" if err is None else f"precondition violated: {err}\n")
+
+
+# main([...]) for each argv in a fresh process, twice over, as JSON rows of
+# (argv, exit code, stdout, stderr); a usage error's SystemExit gives its code
+_REUSE_SCRIPT = """
+import contextlib, io, json, sys
+from qbracket.cli import main
+rows = []
+for argv in json.loads(sys.argv[1]) * 2:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+    rows.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(rows))
+"""
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once per process; the seed error path runs first,
+    # then each README command in text and json, and every later call in that
+    # process prints what its first call printed, as do this process's calls
+    root = Path(__file__).resolve().parent.parent
+    with pytest.MonkeyPatch.context() as mp:  # the benchmark's copy of the README commands
+        mp.syspath_prepend(str(root / "perfbench"))
+        readme = importlib.import_module("workloads").README_COMMANDS
+    calls = [["eval", "--p", "3", "--prec", "60", "--x", "-1/2", "--q", "4", "--seed", "1"]]
+    calls += [argv + fmt for _, argv in readme for fmt in ([], ["--format", "json"])]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", _REUSE_SCRIPT, json.dumps(calls)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    assert rows[len(calls):] == rows[:len(calls)]
+    _, code, out, err = rows[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: qbracket eval [-h] --p P")
+    assert err.endswith("qbracket eval: error: unrecognized arguments: --seed 1\n")
+    assert all(code == 0 and out and err == "" for _, code, out, err in rows[1:len(calls)])
+    for argv, code, out, err in rows[:len(calls)]:
+        try:
+            got = main(argv)
+        except SystemExit as ex:
+            got = ex.code
+        assert [got, *capsys.readouterr()] == [code, out, err], argv

@@ -171,6 +171,47 @@ def test_from_digits_guards():
         c.from_digits(0, [1, 1], prec=5)  # digit count mismatch
 
 
+def _digits_reference(x):
+    """Digit k as (entry k mod e // p^(k // e)) mod p, one division per digit."""
+    c = x.ctx
+    cols = [tuple((x._unit[b + k % c.e] // c.p ** (k // c.e)) % c.p
+                  for k in range(x.prec - x.val)) for b in range(0, c._dim, c.e)]
+    return cols[0] if c.f == 1 else tuple(zip(*cols))
+
+
+def _vector_reference(c, digits):
+    """from_digits' unit vector, summing digit k * p^(k // e) into entry k mod e."""
+    cols = [digits] if c.f == 1 else list(zip(*digits))
+    vec = []
+    for col in cols:
+        block = [0] * c.e
+        for k, d in enumerate(col):
+            block[k % c.e] += d * c.p ** (k // c.e)
+        vec += block
+    return tuple(vec)
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 10), st.integers(1, 2),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_digits_match_the_per_digit_formula_and_round_trip(p, e, f, seed):
+    c = ctx_new(p, e, 4 * e, f)
+    rng = Random(seed)
+    for rel in (1, rng.randrange(1, e + 1), rng.randrange(1, 4 * e + 1)):  # rel < e included
+        val = rng.randrange(-e, 2 * e)
+        size = p ** f
+        drawn = [rng.randrange(1, size)] + [rng.randrange(size) for _ in range(rel - 1)]
+        digits = drawn if f == 1 else [tuple((d // p ** j) % p for j in range(f)) for d in drawn]
+        x = c.from_digits(val, digits, val + rel)
+        assert x._unit == _vector_reference(c, digits)
+        assert x.digits() == tuple(digits) == _digits_reference(x)
+        assert (x.val, x.prec) == (val, val + rel)
+        y = sample(c, rng, valuation=rng.randrange(2 * e))._cap_prec(val + rel + 2 * e)
+        if not y.is_zero:
+            assert y.digits() == _digits_reference(y)
+            assert c.from_digits(y.val, y.digits(), y.prec) == y
+
+
 def test_json_round_trip():
     c = ctx_new(3, 1, 40)
     x = c.from_rational(Fraction(7, 5))

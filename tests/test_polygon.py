@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbracket import (
     CertificationFailure,
@@ -71,6 +73,84 @@ def test_to_json_shape():
         "points": [[0, "inf"], [1, "1/2"], [2, "0/1"]],
         "segments": [["-inf", 1], ["-1/2", 1]],
     }
+
+
+def _polygon_reference(points):
+    """Andrew's monotone chain on Fractions, with collinear runs merged."""
+    norm = sorted(((int(n), None if v is None else Fraction(v)) for n, v in points),
+                  key=lambda t: t[0])
+    finite = [(n, v) for n, v in norm if v is not None]
+    hull = []
+    for pt in finite:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                  - (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])) <= 0:
+            hull.pop()
+        hull.append(pt)
+    segments = []
+    lead = finite[0][0] - norm[0][0]
+    if lead > 0:
+        segments.append((None, lead))
+    run_slope, run_len = None, 0
+    for (n0, v0), (n1, v1) in zip(hull, hull[1:]):
+        slope = Fraction(v1 - v0, n1 - n0)
+        if run_len and slope == run_slope:
+            run_len += n1 - n0
+        else:
+            if run_len:
+                segments.append((run_slope, run_len))
+            run_slope, run_len = slope, n1 - n0
+    if run_len:
+        segments.append((run_slope, run_len))
+    return tuple(norm), tuple(hull), tuple(segments)
+
+
+_VALUATIONS = st.one_of(st.integers(-6, 30),
+                        st.fractions(min_value=-6, max_value=30, max_denominator=12))
+
+
+@st.composite
+def _hull_inputs(draw):
+    """(index, valuation) pairs in any order: gaps between indices, a
+    leading None run, interior Nones, and collinear runs."""
+    lead = draw(st.integers(0, 3))
+    vals = draw(st.lists(_VALUATIONS, min_size=1, max_size=40))
+    steps = draw(st.lists(st.integers(1, 3), min_size=len(vals), max_size=len(vals)))
+    idx = [lead + draw(st.integers(0, 4))]
+    for step in steps[1:]:
+        idx.append(idx[-1] + step)
+    for _ in range(draw(st.integers(0, 3))):  # a collinear run through point i
+        i = draw(st.integers(0, len(vals) - 1))
+        slope = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+        for j in range(i + 1, min(len(vals), i + draw(st.integers(2, 10)))):
+            vals[j] = vals[i] + slope * (idx[j] - idx[i])
+    for j in draw(st.sets(st.integers(1, len(vals) - 1), max_size=5)) if len(vals) > 1 else ():
+        vals[j] = None
+    points = [(idx[0] - lead + k, None) for k in range(lead)] + list(zip(idx, vals))
+    return draw(st.permutations(points))
+
+
+@given(_hull_inputs())
+@settings(max_examples=150, deadline=None)
+def test_integer_hull_matches_the_fraction_hull(points):
+    ng = polygon_build(points)
+    assert (ng.points, ng.hull, ng.segments) == _polygon_reference(points)
+    assert all(type(v) is Fraction for _, v in ng.hull)
+    assert all(s is None or type(s) is Fraction for s, _ in ng.segments)
+
+
+def test_integer_hull_on_series_points_matches_the_fraction_hull():
+    rng = Random(29)
+    for e in (1, 2, 3, 10):
+        c = ctx_new(5, e, 12 * e)
+        for _ in range(10):
+            coeffs = [c.zero(rng.randrange(1, 3 * e)) if rng.randrange(5) == 0
+                      else sample(c, rng, valuation=rng.randrange(3 * e))
+                      for _ in range(rng.randrange(1, 30))]
+            pts = TruncatedSeries(c, c.zero(), tuple(coeffs), None).valuation_points()
+            if all(v is None for _, v in pts):
+                continue
+            ng = polygon_build(pts)
+            assert (ng.points, ng.hull, ng.segments) == _polygon_reference(pts)
 
 
 def _poly(ctx, ints):

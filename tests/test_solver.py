@@ -484,12 +484,16 @@ def _closing_calls(monkeypatch) -> list:
 
 
 @given(st.sampled_from((3, 5, 7)), st.integers(1, 10), st.integers(1, 2),
-       st.integers(0, 10 ** 6), st.integers(-1, 2), st.booleans())
-@settings(max_examples=30, deadline=None)
-def test_closing_check_is_sound(p, e, f, seed, shift, slip):
+       st.integers(0, 10 ** 6), st.integers(-1, 2), st.booleans(),
+       st.sampled_from(("cubic", "raised", "linear")))
+@settings(max_examples=45, deadline=None)
+def test_closing_check_is_sound(p, e, f, seed, shift, slip, shape):
     # Newton steps on pi^shift (Y - a)(Y - a2)(Y - a3), Y = X - center, the
     # center known to a random precision; a slipped step is off by a random
-    # amount, so f(x) + h f'(x) need not vanish where the check reads it
+    # amount, so f(x) + h f'(x) need not vanish where the check reads it.
+    # "raised" adds a unit u (Y - a) and lifts the cubic by pi^s, so c_2 and
+    # c_3 sit above the base and the check bounds h^2 R by their valuation;
+    # "linear" keeps c_0 and c_1 of that, a series with no R at all
     c = ctx_new(p, e, 12 * e, f)
     rng = Random(seed)
     center = sample(c, rng)._cap_prec(rng.randrange(4 * e, 12 * e + 1))
@@ -497,6 +501,10 @@ def test_closing_check_is_sound(p, e, f, seed, shift, slip):
     a2 = a + sample(c, rng, valuation=rng.randrange(2 * e))
     a3 = sample(c, rng)
     coeffs = (-(a * a2 * a3), a * a2 + a * a3 + a2 * a3, -(a + a2 + a3), c.one())
+    if shape != "cubic":
+        u, lift = sample(c, rng), c.pi_pow(rng.randrange(1, 4 * e))
+        coeffs = (-(a * u) + lift * coeffs[0], u + lift * coeffs[1],
+                  lift * coeffs[2], lift)[:2 if shape == "linear" else 4]
     s = TruncatedSeries(c, center, tuple(k.scale_pi(shift) for k in coeffs), None)
     d = s.derivative()
     target = rng.randrange(2 * e, 11 * e)
@@ -516,6 +524,22 @@ def test_closing_check_is_sound(p, e, f, seed, shift, slip):
             out = s.evaluate(new, target)
             assert out.is_zero and out.prec == target
         x = new
+
+
+def test_closing_check_bounds_the_remainder_from_c2():
+    # the step 0 -> h = 25 on F = -25 + Y + 625 Y^2 has fx + h fpx = 0
+    # exactly and F(h) = 625 h^2 = 5^8: the base is 0, but h^2 R = h^2 c_2
+    # has 2 v(h) + v(c_2) = 8, so the check accepts at the target 8 and
+    # refuses at 9; without c_2 the step is exact at any target
+    c = ctx_new(5, 1, 40)
+    old, new = c.zero(), c.from_int(25)
+    for coeffs, closes, fails in (((-25, 1, 625), [8], [9]), ((-25, 1), [9, 30], [])):
+        s = TruncatedSeries(c, c.zero(), tuple(map(c.from_int, coeffs)), None)
+        for target in closes + fails:
+            fx, fpx = s.evaluate(old, target), s.derivative().evaluate(old, target)
+            assert s._closes(old, new, fx, fpx, target) == (target in closes), (coeffs, target)
+            out = s.evaluate(new, target)
+            assert out.is_zero == (target in closes) and out.prec == target
 
 
 def test_refused_closing_check_falls_back_to_the_evaluation(monkeypatch):
