@@ -10,11 +10,11 @@ with failing assertions, 2 malformed flags or number literals, 3 a
 mathematical precondition violation (the offending condition is named
 on stderr).
 
-``main`` parses with one parser tree per process (``build_parser`` is
-cached; argparse keeps no state between parses).  A one-shot
-``qbracket`` process builds it once either way, so the cache pays only
-for callers that run ``main`` many times in one process, such as the
-benchmark, the tests and scripts.
+``main`` parses with one parser tree per process (``_parser`` caches
+``build_parser``; argparse keeps no state between parses).  A one-shot
+``qbracket`` process builds the tree once either way, so this saves time
+only where ``main`` runs many times in one process, as in the benchmark
+and the tests; ``build_parser`` itself still returns a fresh tree.
 """
 
 from __future__ import annotations
@@ -228,10 +228,7 @@ def _add_common(sp) -> None:
                     help="working precision K in pi-units (default 60*e)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser tree, built once per process and reused by every ``main``
-    call; the ``_cmd_*`` handlers are bound by ``set_defaults`` then."""
     ap = argparse.ArgumentParser(
         prog="qbracket",
         description="q-bracket fixed points on the p-adic unit disk")
@@ -278,6 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main's tree, built at the first call; set_defaults binds the _cmd_*
+# handlers then, so a later rebinding of those names does not reach main
+_parser = functools.cache(build_parser)
+
+
 def _absorb_number_values(argv: list) -> list:
     """Glue --x/--q/--m0 to their values so negatives don't look like flags."""
     out = []
@@ -295,7 +297,7 @@ def _absorb_number_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = build_parser().parse_known_args(_absorb_number_values(argv))
+    args, extra = _parser().parse_known_args(_absorb_number_values(argv))
     if extra:  # the subcommand's usage names its own flags
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -74,16 +74,13 @@ def polygon_build(points: Sequence) -> NewtonPolygon:
         raise ValueError("all valuations are infinite; no polygon")
 
     scale = math.lcm(*(v.denominator for _, v in finite))
-    hull: list = []
-    ints: list = []  # hull's points, valuations times scale
-    for pt in finite:
-        n, v = pt
-        q = (n, v.numerator * (scale // v.denominator))
-        while len(ints) >= 2 and _cross(ints[-2], ints[-1], q) <= 0:
-            ints.pop()
-            hull.pop()
-        ints.append(q)
-        hull.append(pt)
+    chain: list = []  # (n, v * scale, v); _cross reads the first two
+    for n, v in finite:
+        q = (n, v.numerator * (scale // v.denominator), v)
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) <= 0:
+            chain.pop()
+        chain.append(q)
+    hull = [(n, v) for n, _, v in chain]
 
     lead = finite[0][0] - norm[0][0]
     segments = [(None, lead)] if lead else []

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qbracket import ctx_new
-from qbracket.cli import main
+from qbracket.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -252,9 +252,11 @@ print(json.dumps(rows))
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
-    # the parser is built once per process; the seed error path runs first,
-    # then each README command in text and json, and every later call in that
-    # process prints what its first call printed, as do this process's calls
+    # main builds its parser once per process; the seed error path runs
+    # first, then each README command in text and json, and every later call
+    # in that process prints what its first call printed, as do this
+    # process's calls; build_parser itself still gives a fresh tree
+    assert build_parser() is not build_parser()
     root = Path(__file__).resolve().parent.parent
     with pytest.MonkeyPatch.context() as mp:  # the benchmark's copy of the README commands
         mp.syspath_prepend(str(root / "perfbench"))

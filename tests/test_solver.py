@@ -486,7 +486,7 @@ def _closing_calls(monkeypatch) -> list:
 @given(st.sampled_from((3, 5, 7)), st.integers(1, 10), st.integers(1, 2),
        st.integers(0, 10 ** 6), st.integers(-1, 2), st.booleans(),
        st.sampled_from(("cubic", "raised", "linear")))
-@settings(max_examples=45, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_closing_check_is_sound(p, e, f, seed, shift, slip, shape):
     # Newton steps on pi^shift (Y - a)(Y - a2)(Y - a3), Y = X - center, the
     # center known to a random precision; a slipped step is off by a random
