@@ -25,10 +25,15 @@ so q^x is taken as q^n exp((x - n) log q) for an integer n that agrees
 with x to as many digits as a cost rule finds worth its square and
 multiply, the split FLINT's padic_exp makes: the exp then starts deeper
 in S and sums far fewer terms, and at an integer x below p^k it is 1 and
-no log is taken.  How q splits is decided here, once per public call: a
-private split holds y = pi^t u, the q = 1 and 1+S checks, log q and y^-1
-from their first use, and q^x, so q_pow, q_bracket, the series1 jets and
-the solver's certifications share at most one log1p per q.
+no log is taken.  In Z_p, at e = f = 1, the ring is Z/p^K and q^n is one
+C-level pow modulo p^K, cheap enough that a split whose log q is not yet
+taken gives n all of x's digits while p^K has up to about 240 bits, and
+needs no log and no exp; the rule there prices the pow by its measured
+cost and the exp with the log it would take (``_zp_power_split``).  How
+q splits is decided here, once per public call: a private split holds
+y = pi^t u, the q = 1 and 1+S checks, log q and y^-1 from their first
+use, and q^x, so q_pow, q_bracket, the series1 jets and the solver's
+certifications share at most one log1p per q.
 
 TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
@@ -89,7 +94,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .core import _BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
@@ -174,7 +179,7 @@ def log1p(y: PadicNumber) -> PadicNumber:
             raise DomainError("zero at too little precision to certify membership in S")
         return ctx.zero(y.prec)
     p, e, target = ctx.p, ctx.e, y.prec
-    k = _log_reduction(p, e, y.val, target)
+    k = _log_reduction(p, e, y.val, target)[0]
     if k:
         one = ctx.one(target + k * e)
         big = one + y._lift_exact(target + k * e)
@@ -195,8 +200,10 @@ def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
     return min(p ** j, _ceil_div(target + e * (j - 1), t))
 
 
-def _log_reduction(p: int, e: int, t: int, target: int) -> int:
-    """The number k of p-th powers taken before the log series.
+@lru_cache(maxsize=1024)
+def _log_reduction(p: int, e: int, t: int, target: int) -> tuple:
+    """(k, cost): the number k of p-th powers taken before the log series,
+    and the log's price in quarter products, which ``_zp_power_split`` reads.
 
     Integer cost rule, in vector products: a p-th power by square and
     multiply takes bit_length(p) + popcount(p) - 2, the series on N
@@ -204,7 +211,8 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> int:
     term adds a modular inverse and
     a scalar times a packed power, counted as 1/4 of a product.  The
     smallest k of least cost wins.  Which k wins changes no digit, since
-    log1p's identity log(1+Y) = p^k log(1+y) holds for every k.
+    log1p's identity log(1+Y) = p^k log(1+y) holds for every k.  The
+    result depends on the four ints alone and is kept per call shape.
 
     The weight was timed on the log1p calls of the four bracket-grid cells
     at seeds 0 and 1 (those of integer x need no log), each weight's k per
@@ -234,11 +242,13 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> int:
         if best is None or cost < best:
             best_k, best = k, cost
         k += 1
-    return best_k
+    return best_k, best
 
 
 def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int:
-    """The integer n of q^x = q^n exp((x - n) log q), ``_QSplit.power``.
+    """The integer n of q^x = q^n exp((x - n) log q), ``_QSplit.power``,
+    where q^n is a Python square and multiply: at e > 1 or f > 1.  At
+    e = f = 1 q^n is one C-level pow, which ``_zp_power_split`` prices.
 
     x's integral vector has entry 0 = a0 >= 0 and its other entries of
     valuation ``rest`` (x's precision when they vanish, so x is in Z_p);
@@ -285,6 +295,110 @@ def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int
         pk *= p
         k += 1
     return best_n
+
+
+# the work around a q^x exp factor besides its series, in quarter products:
+# x' log q, the product q^n exp(x' log q), and exp's set-up (see _zp_power_split)
+_ZP_EXP_FIXED = 16
+
+
+def _zp_power_split(p: int, t: int, target: int, a0: int, rest: int, log_price: int) -> int:
+    """``_power_split`` at e = f = 1, where q^n is one C-level ``pow``.
+
+    Z_p modulo p^target is Z/p^target, and q^n is ``pow(q, n, p^target)``
+    (``PadicNumber.__pow__``), with no Python product per bit of n.  The
+    candidates are n = a0 mod p^k for v_p(a0) <= k <= stop = min(rest,
+    target - t); at k = stop, x - n sits at or above pi^(target - t), so
+    there is no exp and no log.  Prices are in quarter products of the
+    series, as ``_power_split``'s:
+
+    - q^n costs bits(n) isqrt(L) / 24 for L = bits(p^target);
+    - an exp factor costs its series, 8 isqrt(N) + N, plus
+      ``_ZP_EXP_FIXED``, plus ``log_price``, the log's price by
+      ``_log_reduction``, when the split has not taken log q yet (0 once
+      it has).
+
+    The price of a k below stop is taken at bits(p^k - 1), the most an n
+    below p^k has, so the least-price k below stop depends on the ints of
+    the call alone and is kept per call shape (``_zp_partial``); a0's
+    digits only set the price of the n at stop.  The smallest k of least
+    price wins.  Which n wins changes no digit (``_QSplit.power``).
+
+    The per-bit price was measured on a (p, K) grid: pow(a, n, p^K) per
+    bit of n, n of K digits, over exp's time per quarter product, exp(z)
+    over 8 isqrt(N) + N at v(z) = 2, 3, 5; best of 7 loops each, median
+    of 3 sweeps; isqrt(L)/24 beside each:
+
+    ====  ==========  ==========  ==========  ==========  ==========  ==========
+    p     K=30        60          120         240         480         960
+    ====  ==========  ==========  ==========  ==========  ==========  ==========
+    3     0.23, 0.25  0.32, 0.38  0.41, 0.54  0.74, 0.79  1.07, 1.13  1.56, 1.63
+    5     0.29, 0.33  0.35, 0.46  0.56, 0.67  1.02, 0.96  1.46, 1.38  1.87, 1.96
+    7     0.26, 0.38  0.39, 0.54  0.71, 0.75  1.21, 1.04  1.52, 1.50  1.81, 2.13
+    11    0.33, 0.42  0.40, 0.58  0.78, 0.83  1.36, 1.17  1.70, 1.67  2.21, 2.38
+    ====  ==========  ==========  ==========  ==========  ==========  ==========
+
+    A bit of n is a modular squaring: about 1/4 of a quarter product, the
+    price of a series term, while Python's per-step work dominates a
+    series product, and more as the modulus' quadratic arithmetic takes
+    over.  The work around an exp factor measured 10-25
+    quarter products at K <= 120, and a fresh log 45-275 against its
+    rule's 52-347.  So a fresh split takes all of a unit x while p^K has
+    up to about 240 bits (K <= 150 at p = 3, 90 at p = 5 and 7, 60 at
+    p = 11), and a part beyond, or once it holds log q.  Other
+    rules were timed on q_bracket ops of the bracket-grid kinds (t and x's
+    kind cycling, 24 a cell), 21 interleaved repetitions, median time per
+    cell against this rule's.  "linear" prices a bit at min(L + 256,
+    2048)/1024, "1/4" and "1" at a constant, "F=8" and "F=32" take that
+    ``_ZP_EXP_FIXED``, "no log" never prices the log, and "chain" is
+    ``_power_split``, which prices q^n as a square and multiply:
+
+    ========  ======  =====  =====  =====  =====  ======  =====
+    (p, K)    linear  1/4    1      F=8    F=32   no log  chain
+    ========  ======  =====  =====  =====  =====  ======  =====
+    (3, 60)   1.00    0.97   0.98   0.98   0.98   1.00    2.57
+    (3, 120)  0.98    0.97   1.37   0.98   0.98   1.37    1.59
+    (3, 240)  1.05    1.42   1.02   1.02   1.01   0.98    1.15
+    (3, 480)  1.01    3.14   1.03   1.02   1.02   1.02    1.12
+    (5, 60)   1.01    0.98   1.72   0.99   0.99   1.76    1.94
+    (5, 120)  0.99    0.99   1.01   1.01   1.00   0.99    1.14
+    (5, 240)  0.99    2.22   1.00   0.98   0.99   1.01    1.08
+    (5, 480)  1.02    1.13   1.05   1.00   1.00   1.02    1.09
+    (7, 60)   1.00    0.99   1.59   1.00   1.00   1.52    1.65
+    (7, 120)  1.02    1.17   0.99   1.00   0.99   0.99    1.12
+    (7, 240)  1.01    2.55   1.00   0.99   1.01   1.01    1.13
+    (7, 480)  1.00    1.13   0.98   0.96   0.96   0.95    1.08
+    ========  ======  =====  =====  =====  =====  ======  =====
+
+    No other rule is faster than this one by more than 5 % on any cell,
+    and each constant and "no log" is 1.37-3.14x slower on some cell;
+    a fixed price of 8 or 32 moves no cell by more than 4 %.
+    """
+    stop = min(rest, target - t)
+    v0 = _vp(a0, p)
+    k, partial, per_bit = _zp_partial(p, t, target, stop, v0)
+    full = a0 % p ** stop
+    if partial + _ZP_EXP_FIXED + log_price <= full.bit_length() * per_bit // 24:
+        return a0 % p ** k
+    return full
+
+
+@lru_cache(maxsize=1024)
+def _zp_partial(p: int, t: int, target: int, stop: int, v0: int) -> tuple:
+    """(k, price, per_bit) of ``_zp_power_split``'s least-price k in
+    v0 <= k < stop, per_bit = isqrt(bits(p^target)) its price of 24 bits
+    of q^n's exponent; at k = v0, n = 0 and q^n is free."""
+    per_bit = math.isqrt((p ** target).bit_length())
+    best_k = best = None
+    for k in range(v0, stop):
+        cost = (p ** k - 1).bit_length() * per_bit // 24 if k > v0 else 0
+        if best is not None and cost >= best:  # q^n's price only grows with k
+            break
+        terms = _exp_cutoff(p, 1, k + t, target)
+        cost += 8 * math.isqrt(terms) + terms
+        if best is None or cost < best:
+            best_k, best = k, cost
+    return best_k, best, per_bit
 
 
 def _log_terms(p: int, e: int, t: int, n_stop: int, mod: int):
@@ -515,8 +629,10 @@ class _QSplit:
         p^k, which is 0 or has v(n) >= v(x); so q^n exp(x' L), both
         factors taken to P = min(prec x + v(y), prec y + v(x)) with q's
         representative lifted to P, is exp(x L) modulo pi^P, the precision
-        that product claims.  ``_power_split`` picks k; where x' L sits at
-        or above pi^P, q^n is the whole result and no log is taken.
+        that product claims.  ``_power_split`` picks k, and at e = f = 1
+        ``_zp_power_split``, which adds the log's price to an exp factor
+        while this split has not taken log q; where x' L sits at or above
+        pi^P, q^n is the whole result and no log is taken.
         Zero-flagged x or y take exp(x L) itself.
         """
         y = self.y
@@ -525,8 +641,12 @@ class _QSplit:
         ctx, t = y.ctx, y.val
         target = min(x.prec + t, y.prec + x.val)
         vec = _dz_vector(x)
-        off = ctx._vec_val([0] + vec[1:], x.prec)
-        n = _power_split(ctx.p, ctx.e, t, target, vec[0], x.prec if off is None else off)
+        if ctx._dim == 1:
+            log = 0 if "log_q" in self.__dict__ else _log_reduction(ctx.p, 1, t, y.prec)[1]
+            n = _zp_power_split(ctx.p, t, target, vec[0], x.prec, log)
+        else:
+            off = ctx._vec_val([0] + vec[1:], x.prec)
+            n = _power_split(ctx.p, ctx.e, t, target, vec[0], x.prec if off is None else off)
         if not n:
             return exp(x * self.log_q)
         vec[0] -= n

@@ -31,7 +31,7 @@ from .analytic import q_bracket, series1, series2
 from .core import PadicNumber, PrimeContext, ctx_new
 from .errors import DomainError, PadicError
 from .harness import SUITE_IDS, run_all, run_suite
-from .polygon import _frac_str, polygon_build, unit_disk_zero_count
+from .polygon import _frac_str, _series_polygon, unit_disk_zero_count
 from .solver import fixed_points_for_q, m0_for_x, q_for_x
 
 __all__ = ["main"]
@@ -71,9 +71,12 @@ def _parse_fraction(token: str, flag: str) -> Fraction:
     return Fraction(a, b)
 
 
-def _numj(v: PadicNumber) -> dict:
-    d = v.to_json()
-    d["repr"] = v.render()
+def _numj(v: PadicNumber, d: dict | None = None) -> dict:
+    """v's JSON, ``d`` when the caller has it from ``v.to_json()``, with
+    "repr" rendered from its digits, so each number's digits are formed
+    once; the text lines read "repr" from the payload."""
+    d = v.to_json() if d is None else d
+    d["repr"] = v._render(d["digits"])
     return d
 
 
@@ -98,19 +101,25 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _record_json(rec) -> dict:
-    return dict(rec.to_json(), x=_numj(rec.x), q=_numj(rec.q), u=_numj(rec.u))
+    d = rec.to_json()
+    for key in ("x", "q", "u"):
+        _numj(getattr(rec, key), d[key])
+    return d
 
 
-def _record_lines(out) -> list:
-    lines = [f"m0 = {_frac_str(out.m0)}  predicted = {out.predicted}  "
-             f"found = {len(out)}  deficit = {out.deficit}"]
-    for i, rec in enumerate(out, start=1):
+def _record_lines(payload: dict) -> list:
+    """The text of a fiber's outcome, read from its JSON payload."""
+    records = payload["records"]
+    lines = [f"m0 = {payload['m0']}  predicted = {payload['predicted']}  "
+             f"found = {len(records)}  deficit = {payload['deficit']}"]
+    for i, rec in enumerate(records, start=1):
         lines.append(f"record {i}:")
-        lines.append(f"  x = {rec.x.render()}")
-        lines.append(f"  q = {rec.q.render()}")
-        lines.append(f"  u = {rec.u.render()}")
-        lines.append(f"  residue_x = {rec.residue_x}  residue_u = {rec.residue_u}  "
-                     f"multiplicity = {rec.multiplicity}  certified_to = {rec.certified_to}")
+        lines.append(f"  x = {rec['x']['repr']}")
+        lines.append(f"  q = {rec['q']['repr']}")
+        lines.append(f"  u = {rec['u']['repr']}")
+        lines.append(f"  residue_x = {rec['residue_x']}  residue_u = {rec['residue_u']}  "
+                     f"multiplicity = {rec['multiplicity']}  "
+                     f"certified_to = {rec['certified_to']}")
     return lines
 
 
@@ -129,9 +138,9 @@ def _cmd_eval(args) -> int:
         "gap_val_floor": d.prec if d.is_zero else d.val,
     }
     _emit(args, payload, [
-        f"x = {x.render()}",
-        f"q = {q.render()}",
-        f"[x]_q = {b.render()}",
+        f"x = {payload['x']['repr']}",
+        f"q = {payload['q']['repr']}",
+        f"[x]_q = {payload['bracket']['repr']}",
         _vline("v([x]_q - x)", d),
     ])
     return 0
@@ -150,7 +159,7 @@ def _cmd_fiber(args, key: str, solve) -> int:
         "deficit": out.deficit,
         "records": [_record_json(r) for r in out],
     }
-    _emit(args, payload, _record_lines(out))
+    _emit(args, payload, _record_lines(payload))
     return 0
 
 
@@ -174,22 +183,18 @@ def _cmd_polygon(args) -> int:
         m0 = _parse_fraction(args.m0, "--m0") if args.m0 is not None else m0_for_x(x)
         s = series2(x, 0, m0)
         inputs = {"x": _numj(x), "m0": _frac_str(m0)}
-    pts_in = s.valuation_points()
-    while pts_in and pts_in[-1][1] is None:
-        pts_in.pop()
-    poly = polygon_build(pts_in)
+    poly = _series_polygon(s).to_json()
     count = unit_disk_zero_count(s)
     payload = {
         "command": "polygon",
         "params": _params(args),
         "series": args.series,
         **inputs,
-        "polygon": poly.to_json(),
+        "polygon": poly,
         "zero_count": count,
     }
-    pts = " ".join(f"({n},{'inf' if v is None else _frac_str(v)})" for n, v in poly.points)
-    segs = " ".join(f"({'-inf' if sl is None else _frac_str(sl)},{ln})"
-                    for sl, ln in poly.segments)
+    pts = " ".join(f"({n},{v})" for n, v in poly["points"])
+    segs = " ".join(f"({sl},{ln})" for sl, ln in poly["segments"])
     _emit(args, payload, [
         f"series = {args.series}",
         f"points: {pts}",

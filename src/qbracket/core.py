@@ -426,7 +426,10 @@ class PrimeContext:
     # step's, which agrees with it to about the last iterate's accuracy.
     # On the heavy fixed-points solve at (5, 10, 200) the 20 inverses after
     # each lift's first took 110 products where they took 236 from the
-    # residue, and a start right to rel takes one.
+    # residue, and a start right to rel takes one.  At e = f = 1 a vector
+    # is one integer and the inverse is one C-level pow(u, -1, p^rel), no
+    # product at all; integer powers there are one pow(u, n, p^rel)
+    # (PadicNumber.__pow__).
     #
     # Every packed kernel folds and unpacks through _unpacker, whose
     # closure _packer keeps per width and modulus.  The closure adds one
@@ -684,8 +687,12 @@ class PrimeContext:
         ``start``, an inverse of a nearby unit: one product measures its
         k = v(u start - 1), and the first step reuses that d; a start
         wrong modulo pi falls back to the residue inverse.  The inverse
-        modulo pi^rel is unique, so the start changes no digit.
+        modulo pi^rel is unique, so the start changes no digit, and at
+        e = f = 1, where the vector is one integer modulo p^rel, it is one
+        C-level ``pow`` with exponent -1 and the start is not read.
         """
+        if self._dim == 1:
+            return (pow(u[0], -1, self._ppow(rel)),)
         w = d = None
         if start is not None:
             w = self._vec_reduce(start, rel)
@@ -930,14 +937,26 @@ class PadicNumber:
         return self * other.inv()
 
     def __pow__(self, n: int) -> "PadicNumber":
+        """Square and multiply, started from the base (one() carries precision
+        K and would cap a value carried above K).
+
+        Each product adds the valuations and keeps the relative precision,
+        so a nonzero base pi^v u at relative precision rel gives valuation
+        n v, precision n v + rel and unit u^n modulo pi^rel.  At e = f = 1
+        that unit is one integer, so it is one C-level ``pow`` modulo
+        p^rel: the chain's value, digit for digit.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
         if n == 0:
             return self.ctx.one()
-        # start from the base: one() carries precision K and would cap a
-        # value carried above K
+        ctx = self.ctx
+        if ctx._dim == 1 and not self._is_zero:
+            rel, val = self._prec - self._val, n * self._val
+            unit = (pow(self._unit[0], n, ctx._ppow(rel)),)
+            return PadicNumber(ctx, val, unit, val + rel, False)
         result = None
         base = self
         while True:
@@ -1020,15 +1039,21 @@ class PadicNumber:
         At f > 1 a digit is written as its coordinates joined by commas,
         and ``; f=F`` closes the bracket.
         """
+        return self._render(self.digits())
+
+    def _render(self, digits: Sequence) -> str:
+        """``render`` of this number's digits, as ``digits()`` or ``to_json``
+        gives them: a caller that has them formed renders without forming
+        them again."""
         ctx = self.ctx
         token = "p" if ctx.e == 1 else "pi"
         tail = f"; prec={self._prec}" + ("" if ctx.f == 1 else f"; f={ctx.f}")
         if self._is_zero:
             return f"{token}^inf*({tail})"
         if ctx.f == 1:
-            body = " ".join(str(d) for d in self.digits())
+            body = " ".join(map(str, digits))
         else:
-            body = " ".join(",".join(map(str, d)) for d in self.digits())
+            body = " ".join(",".join(map(str, d)) for d in digits)
         return f"{token}^{self._val}*({body}{tail})"
 
     __str__ = render
@@ -1105,6 +1130,12 @@ def sample(ctx: PrimeContext, rng: Random, *, valuation: int = 0,
     Digits above the leading one are uniform over the residue field; at
     f > 1 ``residue`` is a tuple as ``residue()`` returns it.
     Reproducible: the same rng state always yields the same element.
+
+    Each digit above the leading one is drawn inline as ``random.Random``'s
+    ``randrange(size)`` draws it (``_randbelow_with_getrandbits``):
+    getrandbits(k), k the bit length of size, again while the draw is size
+    or more.  So the stream, and every element drawn from it, is
+    ``randrange``'s, without its per-call argument handling.
     """
     size = ctx.p ** ctx.f
     if residue is not None:
@@ -1121,8 +1152,13 @@ def sample(ctx: PrimeContext, rng: Random, *, valuation: int = 0,
     rel = ctx.K - valuation
     if rel < 1:
         raise ValueError("valuation leaves no digits below precision")
-    first = residue if residue is not None else rng.randrange(1, size)
-    digits = [first] + [rng.randrange(size) for _ in range(rel - 1)]
+    digits = [residue if residue is not None else rng.randrange(1, size)]
+    getrandbits, k = rng.getrandbits, size.bit_length()
+    for _ in range(rel - 1):
+        d = getrandbits(k)
+        while d >= size:
+            d = getrandbits(k)
+        digits.append(d)
     if ctx.f > 1:
         digits = [_coords(d, ctx.p, ctx.f) for d in digits]
     return ctx.from_digits(valuation, digits, ctx.K)

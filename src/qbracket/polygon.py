@@ -11,16 +11,18 @@ The hull is Andrew's monotone chain (Andrew, "Another efficient
 algorithm for convex hulls in two dimensions", 1979), run on integers:
 each finite valuation is scaled by the lcm of their denominators (a
 divisor of e for a series' points), which keeps the sign of every cross
-product.  The points, hull vertices and slopes it returns are the
-original Fractions.  A vertex whose cross product is zero is dropped, so
-the hull holds no three collinear vertices and each segment is one
-slope run.
+product.  A series' polygon starts from its valuations in pi-units,
+integers over e, so no Fraction is formed per coefficient.  The hull
+vertices and slopes it returns are Fractions equal to the input's, and
+the points are formed as Fractions when read.  A vertex whose cross
+product is zero is dropped, so the hull holds no three collinear
+vertices and each segment is one slope run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,21 +44,37 @@ class NewtonPolygon:
     ``points`` is the normalized input; ``hull`` the vertices over the
     finite points; ``segments`` the (slope, length) runs left to right
     with collinear points merged, preceded by a slope-None run when the
-    polygon starts with zero coefficients.
+    polygon starts with zero coefficients.  The points are kept as
+    integers over one denominator, the least that makes every finite
+    valuation an integer, so two polygons of the same points compare
+    equal; ``points`` forms their Fractions when read, and ``to_json``
+    writes them from the integers.
     """
 
-    points: tuple
     hull: tuple
     segments: tuple
+    _ints: tuple = field(repr=False)
+    _den: int = field(repr=False)
+
+    @property
+    def points(self) -> tuple:
+        den = self._den
+        return tuple((n, None if v is None else Fraction(v, den)) for n, v in self._ints)
 
     def to_json(self) -> dict:
-        pts = [[n, "inf" if v is None else _frac_str(v)] for n, v in self.points]
+        pts = [[n, "inf" if v is None else _ratio_str(v, self._den)] for n, v in self._ints]
         segs = [["-inf" if s is None else _frac_str(s), ln] for s, ln in self.segments]
         return {"points": pts, "segments": segs}
 
 
 def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
+
+
+def _ratio_str(a: int, b: int) -> str:
+    """``_frac_str`` of a/b for b > 0, with no Fraction formed."""
+    g = math.gcd(a, b)
+    return f"{a // g}/{b // g}"
 
 
 def _cross(o, a, b) -> int:
@@ -69,24 +87,44 @@ def polygon_build(points: Sequence) -> NewtonPolygon:
                   key=lambda t: t[0])
     if len(set(n for n, _ in norm)) != len(norm):
         raise ValueError("duplicate indices")
-    finite = [(n, v) for n, v in norm if v is not None]
+    den = math.lcm(*(v.denominator for _, v in norm if v is not None))
+    return _hull(tuple((n, None if v is None else v.numerator * (den // v.denominator))
+                       for n, v in norm), den)
+
+
+def _series_polygon(series: TruncatedSeries) -> NewtonPolygon:
+    """``polygon_build`` of the series' points up to its last coefficient
+    that is not zero-flagged, built from its valuations in pi-units: each
+    finite valuation is v/e, so the points are the ints v over e, both
+    divided by their gcd, and no Fraction is formed per coefficient."""
+    vals = series._vals
+    stop = len(vals)
+    while stop and vals[stop - 1] is None:
+        stop -= 1
+    g = math.gcd(series.ctx.e, *(v for v in vals[:stop] if v is not None))
+    return _hull(tuple((n, None if v is None else v // g) for n, v in enumerate(vals[:stop])),
+                 series.ctx.e // g)
+
+
+def _hull(ints: tuple, den: int) -> NewtonPolygon:
+    """The polygon of (index, integer valuation times den) pairs sorted by
+    index: Andrew's monotone chain on the integers, whose cross products
+    have the signs of the Fractions'; only the hull vertices and the
+    slopes become Fractions."""
+    finite = [(n, v) for n, v in ints if v is not None]
     if not finite:
         raise ValueError("all valuations are infinite; no polygon")
-
-    scale = math.lcm(*(v.denominator for _, v in finite))
-    chain: list = []  # (n, v * scale, v); _cross reads the first two
-    for n, v in finite:
-        q = (n, v.numerator * (scale // v.denominator), v)
+    chain: list = []
+    for q in finite:
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) <= 0:
             chain.pop()
         chain.append(q)
-    hull = [(n, v) for n, _, v in chain]
-
-    lead = finite[0][0] - norm[0][0]
+    lead = finite[0][0] - ints[0][0]
     segments = [(None, lead)] if lead else []
-    segments += [(Fraction(v1 - v0, n1 - n0), n1 - n0)
-                 for (n0, v0), (n1, v1) in zip(hull, hull[1:])]
-    return NewtonPolygon(tuple(norm), tuple(hull), tuple(segments))
+    segments += [(Fraction(v1 - v0, (n1 - n0) * den), n1 - n0)
+                 for (n0, v0), (n1, v1) in zip(chain, chain[1:])]
+    return NewtonPolygon(tuple((n, Fraction(v, den)) for n, v in chain), tuple(segments),
+                         ints, den)
 
 
 def root_valuations(polygon: NewtonPolygon) -> list:

@@ -231,6 +231,109 @@ def test_power_split_walk_matches_the_division_loop(p, e, dt, span, digits, rest
     assert analytic._power_split(p, e, t, t + span, a0, rest) == want
 
 
+def _zp_prices_reference(p, t, target, a0, rest, log_price):
+    """(n, price) of every candidate of _zp_power_split, k = v_p(a0) up to
+    stop, each priced as its docstring states, with no cache and no early
+    stop."""
+    stop, v0 = min(rest, target - t), core._vp(a0, p)
+    per_bit = math.isqrt((p ** target).bit_length())
+    out = []
+    for k in range(v0, stop + 1):
+        n = a0 % p ** k
+        if k == stop:
+            cost = n.bit_length() * per_bit // 24
+        else:
+            terms = analytic._exp_cutoff(p, 1, k + t, target)
+            cost = 8 * math.isqrt(terms) + terms + analytic._ZP_EXP_FIXED + log_price
+            if k > v0:
+                cost += (p ** k - 1).bit_length() * per_bit // 24
+        out.append((n, cost))
+    return out
+
+
+def _zp_power_split_reference(p, t, target, a0, rest, log_price):
+    """The smallest k of least price."""
+    prices = _zp_prices_reference(p, t, target, a0, rest, log_price)
+    return min(prices, key=lambda nc: nc[1])[0]
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(0, 5), st.integers(2, 300),
+       st.integers(0, 10 ** 6), st.integers(0, 4), st.integers(0, 400))
+@settings(max_examples=300, deadline=None)
+def test_zp_power_split_matches_the_reference(p, dt, K, seed, v, log_price):
+    # x a unit or of valuation v, at precision K, and q - 1 nonzero of
+    # valuation t at precision K: the call shapes of _QSplit.power, whose
+    # target is min(K + t, K + v)
+    t = 1 // (p - 1) + 1 + dt
+    K, v = max(K, t + 1), min(v, K - 1)
+    a0 = Random(seed).randrange(1, p ** (K - v)) * p ** v
+    if a0 % p ** (v + 1) == 0:
+        a0 += p ** v
+    target = min(K + t, K + v)
+    want = _zp_power_split_reference(p, t, target, a0, K, log_price)
+    assert analytic._zp_power_split(p, t, target, a0, K, log_price) == want
+
+
+def test_log_reduction_gives_the_least_cost_and_its_k():
+    # the walk's stop (4 k power >= best) loses no cheaper k: against every
+    # k up to 40, the smallest k of least cost and that cost, which
+    # _zp_power_split reads as the log's price
+    for p in (2, 3, 5, 7, 11):
+        power = p.bit_length() + bin(p).count("1") - 2
+        for e in (1, 3, 10):
+            for t in {e // (p - 1) + 1, e // (p - 1) + 4, 3 * e}:
+                for target in (t + 1, 60 * e, 200 * e):
+                    costs = []
+                    for k in range(40):
+                        n = analytic._log_cutoff(p, e, t + k * e, target + k * e)
+                        costs.append(4 * (k * power + 2 * math.isqrt(n)) + n)
+                    best = min(costs)
+                    assert analytic._log_reduction(p, e, t, target) == (costs.index(best), best)
+
+
+def test_zp_power_split_gives_a_tie_to_the_part():
+    # with the log priced so that the best part and all of x cost the same,
+    # the part wins, as the smaller k; one more unit of log price and the
+    # whole x wins
+    a0 = Random(32).randrange(3 ** 239) * 3 + 1
+    prices = _zp_prices_reference(3, 1, 240, a0, 240, 0)
+    part, whole = min(prices[:-1], key=lambda nc: nc[1]), prices[-1]
+    log = whole[1] - part[1]
+    assert log > 0
+    assert analytic._zp_power_split(3, 1, 240, a0, 240, log) == part[0]
+    assert analytic._zp_power_split(3, 1, 240, a0, 240, log + 1) == whole[0]
+
+
+def test_zp_power_split_takes_the_whole_x_or_a_part_as_priced(monkeypatch):
+    # log q is priced until the split holds it: at (3, 1, 60) q^x takes all
+    # of x either way, at (3, 1, 120) all of x fresh (no log, no exp) and a
+    # part once log q is held (one exp), at (3, 1, 480) a part either way;
+    # every split gives exp(x log q) digit for digit
+    calls = []
+    for name in ("log1p", "exp"):
+        fn = getattr(analytic, name)
+        monkeypatch.setattr(analytic, name,
+                            lambda z, fn=fn, name=name: calls.append(name) or fn(z))
+    rng = Random(30)
+    for K, fresh_full, held_full in ((60, True, True), (120, True, False),
+                                     (480, False, False)):
+        c = ctx_new(3, 1, K)
+        q = c.one() + sample(c, rng, valuation=1)
+        x = sample(c, rng)
+        a0, log = analytic._dz_vector(x)[0], analytic._log_reduction(3, 1, 1, K)[1]
+        for log_price, full in ((log, fresh_full), (0, held_full)):
+            n = analytic._zp_power_split(3, 1, K, a0, K, log_price)
+            assert 0 < n and (n == a0 % 3 ** (K - 1)) == full, (K, log_price)
+        calls.clear()
+        fresh = analytic._QSplit(q).power(x)
+        assert calls == ([] if fresh_full else ["log1p", "exp"])
+        s = analytic._QSplit(q)
+        want = exp(x * s.log_q)
+        calls.clear()
+        assert s.power(x) == fresh == want
+        assert calls == ([] if held_full else ["exp"])
+
+
 def test_q_power_of_an_integer_is_repeated_multiplication():
     # independent oracle: q^m is m - 1 products of q's exact representative,
     # at the precision x log q carries, min(prec x + v(y), prec y + v(x))

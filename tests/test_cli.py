@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qbracket import ctx_new
+from qbracket import PadicNumber, ctx_new
 from qbracket.cli import build_parser, main
 
 
@@ -49,6 +49,23 @@ def test_eval_accepts_rendered_literals(capsys):
                            "--x", x_repr, "--q", "4")
     assert code == 0 and err == ""
     assert re.search(r"v\(\[x\]_q - x\) >= \d+", out2)
+
+
+def test_each_number_forms_its_digits_once(capsys, monkeypatch):
+    # a number's text line reads the "repr" that its JSON entry rendered from
+    # the digits to_json formed, so each number's digits are formed once, in
+    # either format: x, q and [x]_q for eval, x and q for a series1 polygon
+    calls = []
+    digits = PadicNumber.digits
+    monkeypatch.setattr(PadicNumber, "digits", lambda self: calls.append(self) or digits(self))
+    for argv, numbers in ((["eval", "--p", "3", "--prec", "60", "--x", "-1/2", "--q", "4"], 3),
+                          (["polygon", "--p", "3", "--prec", "60", "--series", "series1",
+                            "--q", "4", "--x", "2"], 2)):
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert main(argv + ["--format", fmt]) == 0
+            assert len(calls) == numbers, (argv, fmt)
+    capsys.readouterr()
 
 
 def test_fixed_points_empty_at_p2(capsys):

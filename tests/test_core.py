@@ -994,7 +994,8 @@ def test_vec_inv_from_a_start_matches_the_doubling(data):
 
 def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
     # one product measures the start; a right one is the inverse, and one
-    # wrong at the residue costs that product on top of the doubling
+    # wrong at the residue costs that product on top of the doubling; at
+    # e = f = 1 the inverse is one pow and takes no product, start or not
     calls = []
     vec_mul = PrimeContext._vec_mul
     monkeypatch.setattr(PrimeContext, "_vec_mul",
@@ -1007,10 +1008,88 @@ def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
         calls.clear()
         c._vec_inv(u, rel)
         fresh = len(calls)
-        for start, products in ((inverse, 1), ([0] * c._dim, fresh + 1)):
+        right = 0 if c._dim == 1 else 1  # the product that measures a start
+        assert fresh or not right
+        for start, products in ((inverse, right), ([0] * c._dim, fresh + right)):
             calls.clear()
             assert c._vec_inv(u, rel, start) == inverse
             assert len(calls) == products
+
+
+# At e = f = 1 a unit is one integer modulo p^rel, so PadicNumber.__pow__
+# and _vec_inv each take one C-level pow.  The references are the bodies
+# they bypass there: square and multiply on PadicNumber products, and the
+# Newton doubling w <- w (2 - u w) from the residue inverse.
+
+def _pow_chain(x, n):
+    result, base = None, x
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+def _inv_doubling(p, u, rel):
+    w, k = pow(u % p, -1, p), 1
+    while k < rel:
+        k = min(2 * k, rel)
+        w = w * (2 - u * w) % p ** k
+    return w % p ** rel
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(2, 24), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dim1_pow_and_inverse_match_the_chain_and_the_doubling(p, K, data):
+    draw = data.draw
+    c = ctx_new(p, 1, K)
+    v = draw(st.integers(-3, K - 1))
+    x = sample(c, Random(draw(st.integers(0, 10 ** 6))), valuation=max(v, 0)).scale_pi(min(v, 0))
+    kind = draw(st.sampled_from(("as drawn", "capped", "lifted")))
+    if kind == "capped":
+        x = x._cap_prec(draw(st.integers(x.val + 1, x.prec)))
+    elif kind == "lifted":
+        x = x._lift_exact(x.prec + draw(st.integers(1, K)))
+    n = draw(st.integers(1, p ** K))
+    assert x ** n == _pow_chain(x, n)
+    rel = x.prec - x.val
+    inv = _inv_doubling(p, x._unit[0], rel)
+    start = draw(st.one_of(st.none(), st.just(inv), st.integers(0, p ** (rel + 1))))
+    assert c._vec_inv(x._unit, rel, None if start is None else [start]) == (inv,)
+    ref = _core.PadicNumber(c, -x.val, (inv,), rel - x.val, False)
+    assert x.inv() == ref
+    assert x ** -n == _pow_chain(ref, n)
+
+
+def _sample_by_randrange(ctx, rng, valuation=0, residue=None):
+    """``sample`` as it drew before its digits were drawn inline."""
+    size = ctx.p ** ctx.f
+    if residue is not None and ctx.f > 1:
+        residue = sum(c * ctx.p ** j for j, c in enumerate(residue))
+    first = residue if residue is not None else rng.randrange(1, size)
+    digits = [first] + [rng.randrange(size) for _ in range(ctx.K - valuation - 1)]
+    if ctx.f > 1:
+        digits = [_core._coords(d, ctx.p, ctx.f) for d in digits]
+    return ctx.from_digits(valuation, digits, ctx.K)
+
+
+def test_sample_draws_the_randrange_stream():
+    # the same elements from the same stream, and the stream left where
+    # randrange leaves it, with and without a given residue
+    for p in (2, 3, 5, 7, 11):
+        for f in (1, 2, 3):
+            for e in (1, 3):
+                c = ctx_new(p, e, 12 * e, f)
+                residue = (1,) + (0,) * (f - 1) if f > 1 else p - 1
+                for seed in range(3):
+                    a, b = Random(seed), Random(seed)
+                    for v in (0, 1, 5, c.K - 1):
+                        assert sample(c, a, valuation=v) == _sample_by_randrange(c, b, v)
+                        assert (sample(c, a, valuation=v, residue=residue)
+                                == _sample_by_randrange(c, b, v, residue))
+                    assert a.getstate() == b.getstate()
 
 
 # _block_pass(coeffs, n, d, rel, w) sums c_i d^i for i < n modulo pi^rel,

@@ -16,6 +16,8 @@ from qbracket import (
     sample,
     unit_disk_zero_count,
 )
+from qbracket import polygon
+from qbracket.polygon import _series_polygon
 
 
 def test_hull_and_segments_by_hand():
@@ -138,7 +140,20 @@ def test_integer_hull_matches_the_fraction_hull(points):
     assert all(s is None or type(s) is Fraction for s, _ in ng.segments)
 
 
-def test_integer_hull_on_series_points_matches_the_fraction_hull():
+def _to_json_reference(points, segments):
+    """NewtonPolygon.to_json as it was written from Fractions."""
+    def text(v):
+        return f"{v.numerator}/{v.denominator}"
+    return {"points": [[n, "inf" if v is None else text(v)] for n, v in points],
+            "segments": [["-inf" if s is None else text(s), ln] for s, ln in segments]}
+
+
+def test_integer_hull_on_series_points_matches_the_fraction_hull(monkeypatch):
+    # polygon_build on a series' Fraction points, and _series_polygon on its
+    # pi-unit ints, which drops trailing zero-flagged points as the CLI shows
+    # the polygon and forms a Fraction only per hull vertex and finite slope
+    made = []
+    monkeypatch.setattr(polygon, "Fraction", lambda *a: made.append(a) or Fraction(*a))
     rng = Random(29)
     for e in (1, 2, 3, 10):
         c = ctx_new(5, e, 12 * e)
@@ -146,11 +161,28 @@ def test_integer_hull_on_series_points_matches_the_fraction_hull():
             coeffs = [c.zero(rng.randrange(1, 3 * e)) if rng.randrange(5) == 0
                       else sample(c, rng, valuation=rng.randrange(3 * e))
                       for _ in range(rng.randrange(1, 30))]
-            pts = TruncatedSeries(c, c.zero(), tuple(coeffs), None).valuation_points()
+            s = TruncatedSeries(c, c.zero(), tuple(coeffs), None)
+            pts = s.valuation_points()
             if all(v is None for _, v in pts):
+                with pytest.raises(ValueError, match="all valuations are infinite"):
+                    _series_polygon(s)
                 continue
             ng = polygon_build(pts)
             assert (ng.points, ng.hull, ng.segments) == _polygon_reference(pts)
+            while pts[-1][1] is None:
+                pts.pop()
+            made.clear()
+            sp = _series_polygon(s)
+            assert len(made) == len(sp.hull) + sum(sl is not None for sl, _ in sp.segments)
+            want = _polygon_reference(pts)
+            assert (sp.points, sp.hull, sp.segments) == want
+            assert sp == polygon_build(pts)
+            assert sp.to_json() == _to_json_reference(want[0], want[2])
+    # valuations all even at e = 2: the points are integers over 1, as
+    # polygon_build keeps them, so the two polygons compare equal
+    c = ctx_new(5, 2, 24)
+    s = _poly(c, [25, 5, 1, 0])
+    assert _series_polygon(s) == polygon_build(s.valuation_points()[:3])
 
 
 def _poly(ctx, ints):

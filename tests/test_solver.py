@@ -294,7 +294,11 @@ def test_one_log_per_q_per_call(monkeypatch):
     # certification, local_Q's certification and law, and the three brackets
     # and the power of the cocycle identity all share at most one log q.  q^x
     # is q^n exp((x - n) log q), and at an integer x below p^k the exp
-    # factor is 1, so the cocycle identity at integers takes no log at all
+    # factor is 1, so the cocycle identity at integers takes no log at all.
+    # At e = f = 1 and K = 60, q^n is one pow and a fresh split prices the
+    # log, so n takes all of x and the identity at x = -1/2 takes none
+    # either; at e = 3 the split prices a Python square and multiply and
+    # takes the one log
     calls = []
     log1p = analytic.log1p
     monkeypatch.setattr(analytic, "log1p", lambda y: calls.append(y) or log1p(y))
@@ -310,7 +314,9 @@ def test_one_log_per_q_per_call(monkeypatch):
     x = fixed_points_for_q(q)[0].x
     assert count(local_Q, x, q, x + sample(c, Random(5), valuation=3)) == 1
     assert count(cocycle_check, 2, 5, q) == 0
-    assert count(cocycle_check, Fraction(-1, 2), 5, q) == 1
+    assert count(cocycle_check, Fraction(-1, 2), 5, q) == 0
+    c3 = ctx_new(5, 3, 90)
+    assert count(cocycle_check, Fraction(-1, 2), 5, c3.from_int(6)) == 1
 
 
 def test_lifts_take_over_the_seed_evaluations(monkeypatch):
