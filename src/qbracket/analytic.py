@@ -49,6 +49,24 @@ one reduction, with no normalization, formed when a pass first reads it
 (a lazy series, van der Hoeven, "Relax, but don't be too lazy", 2002),
 and gives the chain's coefficients digit for digit.
 
+The solver solves neither.  exp and log are inverse isometries between S
+and 1+S, so [X]_q = X, for q = 1 + y, is X log(1 + y) = log(1 + yX) on
+the unit disk, and Psi = (X log(1 + y) - log(1 + yX))/(y^2 X (X - 1)) =
+sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n has the zeros of the deflated
+quotient ([X]_q - X)/(y X (X - 1)), with their multiplicities, and its
+valuation at every point (``_log_form_terms``).  Term n gains v(y) over
+term n - 1, where the series1 and series2 terms gain v(y) - e/(p - 1),
+so on the heavy fixed-points leg, (5, 10, 200) with v(y) = 3/10, the 77
+coefficients of F below do what 426 of series1 did.  In X, F = (X - 1)
+Psi has the units u^(n-2) of y = pi^t u, one vector product each, formed
+when read, and its constant is log1p's series over y^2
+(``_QSplit.log_form``); in U, with y = pi^t U, the coefficients hold
+[n-1]_x, one Horner step each (``_log_form_in_u``).  At an integer x = j
+the parameter fiber is a polynomial of degree j - 2, which series2's
+monomials are there, and the solver keeps it (``_parameter_series``).
+series1 and series2 stay what they were, for their callers and the CLI's
+polygon.
+
 A series is stored raw, not as PadicNumbers: one base valuation, each
 coefficient's vector already shifted onto it, and its valuation and
 precision as ints (Caruso, "Computations with p-adic numbers", 2017).
@@ -61,9 +79,9 @@ core's ``_from_raw``.  The base only bounds every kept valuation from
 below, so a series derived from another (its derivative, a deflation, a
 recentring) keeps its source's base and shifts no vector.  A series'
 vectors come from one source, read as far as a pass reads: a running
-product resumed from the last vector formed, or a derivative, a view on
-its series' vectors that forms n w_n from w_n.  So a root lift never forms
-the coefficients its hints cut.
+product or a log form's powers, resumed from the last vector formed, or
+a derivative, a view on its series' vectors that forms n w_n from
+w_n.  So a root lift never forms the coefficients its hints cut.
 
 A series' evaluation takes its precision first and its digits second.
 The precision is the one the PadicNumber loop would carry, P <- min(P +
@@ -417,6 +435,40 @@ def _log_terms(p: int, e: int, t: int, n_stop: int, mod: int):
     yield 0, 0
 
 
+def _log_form_terms(ctx: PrimeContext, t: int) -> tuple:
+    """(N, valuations, units) of the terms n = 2 ... N - 1 of
+    Psi = sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n, for v(y) = t.
+
+    Psi = Phi/(y^2 X (X - 1)) for Phi(X, y) = X log(1 + y) - log(1 + yX)
+    = sum_n T_n (X - X^n), T_n = (-1)^(n+1) y^n/n log1p's terms, and
+    X - X^n = -X (X - 1) [n-1]_X gives term n.  Both series the solver
+    solves on are Psi: in X at fixed y (``_QSplit.log_form``), and in U at
+    fixed x with y = pi^t U (``_log_form_in_u``), where coefficient 0,
+    [1]_x/2 = 1/2, is a unit.  The scalar part (-1)^n/n of term n has
+    valuation (n - 2) t - e v_p(n), its term n t - e v_p(n) in log1p's
+    series less 2t, so ``_log_cutoff`` at K + 4t is a blockwise cutoff N
+    with every omitted term at or above K + 2t, for every integral
+    [n-1]_X and every y = pi^t U with U integral.
+
+    ``units(vec, n, rel)`` is (-1)^n vec / m_n modulo pi^rel, m_n the
+    part of n prime to p: the chain's ``_scale((-1)^n, n)``.
+    """
+    p, e = ctx.p, ctx.e
+    n_stop = _log_form_cutoff(ctx, t)
+    vals = [(n - 2) * t - e * _vp(n, p) for n in range(2, n_stop)]
+
+    def units(vec, n: int, rel: int) -> tuple:
+        m = n // p ** _vp(n, p)
+        c = pow(-m if n % 2 else m, -1, ctx._ppow(_ceil_div(rel, e)))
+        return ctx._vec_reduce([c * a for a in vec], rel)
+    return n_stop, vals, units
+
+
+def _log_form_cutoff(ctx: PrimeContext, t: int) -> int:
+    """N of ``_log_form_terms``: log1p's blockwise cutoff at K + 4t."""
+    return _log_cutoff(ctx.p, ctx.e, t, ctx.K + 4 * t)
+
+
 def exp(z: PadicNumber) -> PadicNumber:
     """exp(z) for z in S; v(exp(z) - 1) = v(z).
 
@@ -664,16 +716,12 @@ class _QSplit:
         self.check("q_bracket")
         return (self.power(x) - self.one) * self.inv_y
 
-    def jet(self, x, n_max: int | None = None, over_y: bool = False) -> "TruncatedSeries":
-        """The series1 coefficients around x (see ``series1``), each times
-        y^-1 when ``over_y``, the tail bound then lowered by v(y).
+    def jet(self, x, n_max: int | None = None) -> "TruncatedSeries":
+        """The series1 coefficients around x (see ``series1``).
 
         c_0 and c_1 are PadicNumber arithmetic; c_n = c_(n-1) L / n for
         n >= 2 is ``_running_product`` with the one factor L = log q, t = 0
-        and d_n = n, one vector product per coefficient.  Over y, c_0, c_1
-        and the product's start are multiplied by y^-1 first: valuations
-        add along the product and its relative precision is the least, so
-        every c_n y^-1 comes out as the PadicNumber product gives it.
+        and d_n = n, one vector product per coefficient.
         """
         ctx = self.q.ctx
         x = _integral(ctx, x, "series1")
@@ -686,13 +734,42 @@ class _QSplit:
         qx = self.power(x)
         term = qx * big_l * inv_y
         c0, c1 = (qx - self.one) * inv_y - x, term - self.one
-        if over_y:
-            c0, c1, term = c0 * inv_y, c1 * inv_y, term * inv_y
-            tail += Fraction(inv_y.val, ctx.e)
         lv, lu, lp = _raw_of(big_l)
         return TruncatedSeries._make(ctx, x, tail, *_on_least(
             ctx, [_raw_of(c0), _raw_of(c1)], *_running_product(
                 term, itertools.repeat((lv, lp)), itertools.repeat(lu), 0, range(2, n_max + 1))))
+
+    def log_form(self) -> "TruncatedSeries":
+        """F = Phi(X, y)/(y^2 X) = (X - 1) Psi(X) around X = 0 (see
+        ``_log_form_terms``), the series ``fixed_points_for_q`` counts the
+        fiber on and deflates by its root 1.
+
+        Coefficient k >= 1 is term n = k + 1, its unit u^(n-2) one vector
+        product on the last, formed when a pass first reads it.  The
+        constant is (log(1 + y) - y)/y^2, log1p's terms n >= 2 over y^2, so
+        F(1) = 0 to the last digit: core's power sum adds them on the base
+        -2t modulo the least precision of the other coefficients, the one
+        their PadicNumber sum carries.  (log1p(y) - y)/y^2 would be known to
+        K - 2t at most: the subtraction cancels 2t leading digits.
+        """
+        ctx, y = self.q.ctx, self.y
+        p, e, t = ctx.p, ctx.e, y.val
+        rel = y.prec - t
+        n_stop, vals, units = _log_form_terms(ctx, t)
+        prec0 = min(vals) + rel
+        terms = itertools.islice(
+            _log_terms(p, e, t, n_stop, ctx._ppow(_ceil_div(prec0 + 2 * t, e))), n_stop - 2)
+        c0 = _from_raw(ctx, -2 * t, ctx._power_sum(y._unit, terms, n_stop - 2, prec0 + 2 * t),
+                       prec0)
+
+        def raw():
+            power = ctx._vec_reduce(ctx.one()._unit, rel)
+            for n, v in enumerate(vals, 2):
+                if n > 2:
+                    power = ctx._vec_reduce(ctx._vec_mul(power, y._unit), rel)
+                yield v, units(power, n, rel), v + rel
+        return TruncatedSeries._make(ctx, ctx.zero(), Fraction(ctx.K + 2 * t, e), *_on_least(
+            ctx, [_raw_of(c0)], [(v, v + rel) for v in vals], raw()))
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -762,7 +839,8 @@ class TruncatedSeries:
     of vectors on the base and the precisions; the ints and the tail cap
     floor(tail_bound e) in pi-units are fixed there, and the iterable is
     read only as far as a pass reads (``_vectors``), so the vectors of a
-    series1 jet, a series2 at 0 or a derivative are formed when first read.
+    series1 jet, a series2 at 0, a log form or a derivative are formed
+    when first read.
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_cap", "_base", "_vals", "_vecs", "_precs",
@@ -1129,19 +1207,8 @@ def series1(x, q: PadicNumber, n_max: int | None = None) -> TruncatedSeries:
     return _QSplit(q).jet(x, n_max)
 
 
-def _series2_monomials(x: PadicNumber, m0: Fraction,
-                       n_max: int | None = None) -> TruncatedSeries:
-    """h(x, U) = sum_k A_k(x) p^(k m0) U^k / (k+2)! around U = 0.
-
-    Coefficient k has valuation >= k(m0 - 1/(p-1)) - 1/(p-1) for x in
-    the ring of integers, giving the default cutoff.  Coefficient k is
-    coefficient k-1 times (x - (k+1)) pi^t / (k+2), t = m0 e: one
-    ``_running_product`` from 1/2, with the factors x - (k+1) formed on
-    x's integral vector (``_minus_integers``), so a monomial costs one
-    vector product, paid when it is first read.  An integer x in
-    2..n_max+1 makes its factor, and every later coefficient,
-    zero-flagged, as the PadicNumber chain did.
-    """
+def _parameter_t(x: PadicNumber, m0: Fraction) -> int:
+    """t = m0 e, once x and m0 pass the parameter series' domain checks."""
     ctx = x.ctx
     # representability first, so a caller learns the e that would work
     # even when m0 is also out of range
@@ -1154,11 +1221,86 @@ def _series2_monomials(x: PadicNumber, m0: Fraction,
             required_e=required)
     if m0 * (ctx.p - 1) <= 1:
         raise DomainError("series2 needs m0 > 1/(p-1)")
-    t = int(t)
     if x.is_zero or (x - ctx.one()).is_zero:
         raise DomainError("x in {0, 1} puts the defining quotient out of domain")
     if x.val < 0:
         raise DomainError("series2 needs v(x) >= 0")
+    return int(t)
+
+
+def _log_form_in_u(ctx: PrimeContext, t: int, prec: int, vec: list) -> TruncatedSeries:
+    """Psi(x, pi^t U) around U = 0 (see ``_log_form_terms``), for x of
+    integral vector ``vec`` known to ``prec`` = min(prec(x), K), and t = m0 e:
+    the series ``q_for_x`` and ``local_Q`` solve the parameter direction on.
+    ``_parameter_series`` checks x and m0 and passes these.
+
+    Coefficient n - 2 is (-1)^n pi^((n-2)t) [n-1]_x / n.  [n-1]_x = x
+    [n-2]_x + 1 is one Horner step on x's integral vector modulo pi^prec,
+    which every [n-1]_x is known to; its valuation is measured, a
+    zero-flagged one standing at prec, so the steps run at the build.  Each
+    coefficient's unit, scaled by (-1)^n/m_n, is formed when a pass first
+    reads it.
+    """
+    n_stop, vals, units = _log_form_terms(ctx, t)
+    one = ctx._vec_reduce(ctx.one()._unit, prec)
+    step = ctx._horner_step(vec, prec)
+    ints, sums, acc = [], [], None
+    for v in vals:
+        acc = one if acc is None else step(acc, one)
+        w = ctx._vec_val(acc, prec)
+        ints.append((None if w is None else v + w, v + prec))
+        sums.append((acc, w))
+
+    def raw():
+        for n, (v, top), (acc, w) in zip(itertools.count(2), ints, sums):
+            yield (None, None, top) if w is None else (
+                v, units(ctx._vec_shift(acc, -w), n, prec - w), top)
+    return TruncatedSeries._make(ctx, ctx.zero(), Fraction(ctx.K + 2 * t, ctx.e),
+                                 *_on_least(ctx, [], ints, raw()))
+
+
+def _parameter_series(x: PadicNumber, m0: Fraction) -> TruncatedSeries:
+    """The series ``q_for_x`` and ``local_Q`` solve the parameter direction
+    on: Psi(x, pi^t U) (``_log_form_in_u``), of N - 2 coefficients, or
+    series2's monomials h(x, U) where x is an integer j, 2 <= j < N.  The
+    domain checks, and their errors, are series2's (``_parameter_t``).
+
+    x - j is zero-flagged there, as ``_minus_integers`` forms it, so h is
+    the polynomial ([j]_q - j)/((q - 1) j (j - 1)) of degree j - 2, exact
+    at x's precision, and its zero-flagged tail sits above every hint:
+    at x = 5, (5, 3, 90), a lift keeps 4 of h's coefficients and up to 90
+    of Psi's, and the README's solve-q took 1.5x the time on Psi.  Both
+    series give the same records, digit for digit.  The bound j < N was
+    measured at j = 5 only: near N the polynomial is about as long as Psi,
+    and which of the two is faster there is reasoned, not timed.
+    """
+    ctx = x.ctx
+    t = _parameter_t(x, m0)
+    prec = min(x.prec, ctx.K)
+    vec = _dz_vector(x)
+    j = vec[0] % ctx._ppow(_ceil_div(prec, ctx.e))
+    if 2 <= j < _log_form_cutoff(ctx, t) and ctx._vec_val([0] + vec[1:], prec) is None:
+        return _series2_monomials(x, m0, t=t)
+    return _log_form_in_u(ctx, t, prec, vec)
+
+
+def _series2_monomials(x: PadicNumber, m0: Fraction, n_max: int | None = None,
+                       t: int | None = None) -> TruncatedSeries:
+    """h(x, U) = sum_k A_k(x) p^(k m0) U^k / (k+2)! around U = 0.
+
+    Coefficient k has valuation >= k(m0 - 1/(p-1)) - 1/(p-1) for x in
+    the ring of integers, giving the default cutoff.  Coefficient k is
+    coefficient k-1 times (x - (k+1)) pi^t / (k+2), t = m0 e: one
+    ``_running_product`` from 1/2, with the factors x - (k+1) formed on
+    x's integral vector (``_minus_integers``), so a monomial costs one
+    vector product, paid when it is first read.  An integer x in
+    2..n_max+1 makes its factor, and every later coefficient,
+    zero-flagged, as the PadicNumber chain did.  A caller that has checked
+    x and m0 already (``_parameter_t``) passes t = m0 e.
+    """
+    ctx = x.ctx
+    if t is None:
+        t = _parameter_t(x, m0)
     delta = m0 - Fraction(1, ctx.p - 1)
     offset = Fraction(1, ctx.p - 1)
     if n_max is None:

@@ -1,9 +1,17 @@
 """Fixed points of the q-bracket: lifting, certification, local structure.
 
-Roots are always hunted on the deflated quotient
-g(X) = ([X]_q - X)/((q-1) X (X-1)), so the trivial fixed points 0 and 1
-and the global factor q-1 are out of the way before any Newton step;
-likewise the parameter direction works on h(x, U) with q = 1 + pi^t U.
+Roots are hunted on the log form of [X]_q = X.  With y = q - 1 and
+Phi(X, y) = X log(1 + y) - log(1 + yX), q^X - 1 - yX = (1 + yX)(exp(Phi) - 1)
+for y in S and X in the unit disk, and (exp(Phi) - 1)/Phi is a unit there,
+so [X]_q - X and Phi have the same zeros with the same multiplicities.
+The solver works on Psi = Phi/(y^2 X (X - 1)), with the trivial fixed
+points 0 and 1 and the factor y^2 out of the way before any Newton step:
+it has the valuation of the deflated quotient ([X]_q - X)/(y X (X - 1))
+at every point, but its terms gain v(y) each, where that quotient's gain
+v(y) - e/(p - 1).  The fiber of q is counted on F = (X - 1) Psi(X) and
+lifted on Psi in X (``_QSplit.log_form``); the parameter direction
+lifts Psi(x, pi^t U) in U, with q = 1 + pi^t U, or at an integer x the
+polynomial that series2 is there (``_parameter_series``).
 Every returned record is re-certified by one direct evaluation at x,
 independent of the series the root was found on: the first two Taylor
 coefficients of [X]_q - X at x give both the certification gap
@@ -11,8 +19,8 @@ coefficients of [X]_q - X at x give both the certification gap
 
 The solver never takes q apart itself.  It asks the analytic layer for
 one split of q per fiber (per record in the parameter direction, where
-each record has its own q) and reads m0, u, the deflated series and
-every certification of that fiber from it, so log q is computed once.
+each record has its own q) and reads m0, u, the series F and every
+certification of that fiber from it, so log q is computed once.
 
 Newton iteration runs on a precision ladder: each step evaluates the
 series only a little past the accuracy the iterate already has, 2e
@@ -36,9 +44,9 @@ about the accuracy the iterate had then.
 
 Nor does a lift on a series evaluate it once more only to confirm that
 its last step reached the target.  When the step was taken at the
-target, f(x + h) = f(x) + h f'(x) + h^2 R with v(R) at least the series'
-base, so the values of that step, f(x) to the target, f'(x) and the
-exact h, prove the check with one product
+target, f(x + h) = f(x) + h f'(x) + h^2 R with v(R) at least the least
+valuation from c_2 on (``_lows[2]``), so the values of that step, f(x)
+to the target, f'(x) and the exact h, prove the check with one product
 (``TruncatedSeries._closes``); where they cannot, or the evaluation's
 precision is not decided before its pass, the lift evaluates as before.
 Either way it returns the same root with the same precision.
@@ -51,7 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import TruncatedSeries, _QSplit, _n_for_tail, a_poly, series2
+from .analytic import TruncatedSeries, _parameter_series, _QSplit, a_poly
 from .core import PadicNumber, equals_to_precision
 from .errors import CertificationFailure, DomainError, LiftFailure
 from .polygon import _frac_str, unit_disk_zero_count
@@ -384,8 +392,10 @@ def _solve_fiber(series: TruncatedSeries, predicted: int, m0: Fraction, point) -
 def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     """All nontrivial fixed points of [X]_q in the working field.
 
-    Lifts the deflated series from every residue where its reduction may
-    vanish, until the polygon's count is reached.
+    Counts the fiber on F = (X - 1) Psi(X), whose zeros in the unit disk
+    are those of [X]_q - X but 0, and lifts Psi, F deflated by its root 1,
+    from every residue where its reduction may vanish, until the count
+    is reached.
     """
     ctx = q.ctx
     s = _QSplit(q)
@@ -393,13 +403,9 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     _, m0, u = s.parts()
     if not phi2_contains(m0, ctx.p):
         return SolveOutcome((), 0, m0)
-    # s1 / (q - 1): the constant factor moves every valuation, zero-flag
-    # bound and the tail bound alike, so the count is that of s1
-    n_max = _n_for_tail(m0 - Fraction(1, ctx.p - 1), Fraction(ctx.K, ctx.e) + m0 + 1)
-    s1 = s.jet(ctx.from_int(0), n_max, over_y=True)
-    predicted = unit_disk_zero_count(s1) - 2
-    g = s1.drop_center_root().divide_by_root(s.one)
-    return _solve_fiber(g, predicted, m0, lambda x: (x, s, u))
+    f = s.log_form()
+    return _solve_fiber(f.divide_by_root(s.one), unit_disk_zero_count(f) - 1, m0,
+                        lambda x: (x, s, u))
 
 
 def _phi1_val(x: PadicNumber) -> int | None:
@@ -436,16 +442,14 @@ def m0_for_x(x: PadicNumber) -> Fraction:
 
 
 def q_for_x(x: PadicNumber) -> SolveOutcome:
-    """All q with x a nontrivial fixed point of [X]_q, via h(x, U) in U.
+    """All q with x a nontrivial fixed point of [X]_q, via Psi(x, pi^t U) in U.
 
     A context with residue degree f also finds the roots whose residues
     lie in F_{p^f}.
     """
     ctx = x.ctx
     m0 = m0_for_x(x)
-    h = series2(x, 0, m0)
-    if h._vals[0] != 0:  # None when zero-flagged
-        raise CertificationFailure("leading parameter coefficient is not a unit")
+    h = _parameter_series(x, m0)
     t = int(m0 * ctx.e)
     one = ctx.one()
     return _solve_fiber(h, unit_disk_zero_count(h), m0,
@@ -476,7 +480,7 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
         if gap.val <= big_a.val:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
     t, m0, u = s.parts()
-    h = series2(xp, 0, m0)
+    h = _parameter_series(xp, m0)
     u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h._prec_at(u), closes=h._closes)
     one = s.one
     q2 = one + u2.scale_pi(t)

@@ -1549,9 +1549,11 @@ _FIXED_POINT_LEGS = ((3, 1, 60, 1), (3, 4, 120, 3), (5, 3, 90, 1), (5, 10, 200, 
 
 
 def test_deflation_at_bench_scale_matches_reference(monkeypatch):
-    # the strategies draw at most 10 coefficients; g's deflation by its
-    # root 1 divides a jet of 124 to 426 coefficients, each pass caught
-    # inside fixed_points_for_q and compared bit for bit
+    # the strategies draw at most 10 coefficients; the deflation of
+    # F = (X - 1) Psi by its root 1 divides 66 to 99 coefficients (g's jet
+    # had 124 to 426: F's terms gain v(q - 1) a term where the jet's gained
+    # v(q - 1) - e/(p - 1)), each pass caught inside fixed_points_for_q and
+    # compared bit for bit
     seen = []
     divide = TruncatedSeries.divide_by_root
 
@@ -1564,7 +1566,7 @@ def test_deflation_at_bench_scale_matches_reference(monkeypatch):
     for p, e, K, t in _FIXED_POINT_LEGS:
         c = ctx_new(p, e, K)
         fixed_points_for_q(c.one() + sample(c, rng, valuation=t))
-    assert [len(s) for s, _ in seen] == [124, 127, 376, 426]
+    assert [len(s) for s, _ in seen] == [66, 47, 99, 77]
     for s, root in seen:
         assert _as_built(lambda: divide(s, root)) == _as_built(lambda: _divide_by_root_ref(s, root))
 
@@ -1572,8 +1574,9 @@ def test_deflation_at_bench_scale_matches_reference(monkeypatch):
 def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
     # s_i = c_i + rho s_(i+1) has the lesser of v(c_i) and v(rho s_(i+1))
     # when they differ, so the Horner division measures a valuation only at
-    # a tie or where a sum comes out zero-flagged: on g's deflation at
-    # (5, 3, 90), 58 of its 376 sums, where it measured every one
+    # a tie or where a sum comes out zero-flagged: on F's deflation at
+    # (5, 3, 90), 17 of its 99 sums (58 of 376 on g's jet), where it
+    # measured every one
     seen = []
     divide = TruncatedSeries.divide_by_root
     monkeypatch.setattr(TruncatedSeries, "divide_by_root",
@@ -1597,7 +1600,147 @@ def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
                for a, b in zip(cs, sums[1:]))
     zero_flagged = sum(z.is_zero for z in sums)
     assert calls[0] <= ties + zero_flagged
-    assert (len(s), calls[0], ties) == (376, 58, 58)
+    assert (len(s), calls[0], ties) == (99, 17, 17)
+
+
+# -- the log form against PadicNumber references and against exp ---------
+#
+# fixed_points_for_q solves on F = Phi/(y^2 X) = (X - 1) Psi(X), q = 1 + y,
+# and q_for_x and local_Q on Psi(x, pi^t U), Phi = X log(1 + y) -
+# log(1 + yX) and Psi = sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n.  The raw
+# builders must give, digit for digit, the coefficients the PadicNumber
+# chains below give, read in any order; and Psi must meet the bracket
+# through q^X - 1 - yX = (1 + yX)(exp(Phi) - 1) at every claimed digit.
+
+def _log_form_ref(q):
+    """F from PadicNumbers: F_k = (-1)^(k+1) y^(k-1)/(k+1), u^(k-1) at y's
+    relative precision, and F_0 = -(F_1 + F_2 + ...)."""
+    ctx = q.ctx
+    y = q - ctx.one()
+    t = y.val
+    u = y.scale_pi(-t)
+    power, coeffs = ctx.one(y.prec - t), []
+    for n in range(2, analytic._log_cutoff(ctx.p, ctx.e, t, ctx.K + 4 * t)):
+        if n > 2:
+            power = power * u
+        coeffs.append(power.scale_pi((n - 2) * t)._scale((-1) ** n, n))
+    c0 = -coeffs[0]
+    for c in coeffs[1:]:
+        c0 = c0 - c
+    return TruncatedSeries(ctx, ctx.zero(), [c0] + coeffs, Fraction(ctx.K + 2 * t, ctx.e))
+
+
+def _log_form_in_u_ref(x, m0):
+    """Psi(x, pi^t U) from PadicNumbers: [n-1]_x = x [n-2]_x + 1 at
+    min(prec(x), K), times (-1)^n pi^((n-2)t)/n."""
+    ctx = x.ctx
+    _series2_monomials_ref(x, m0, 1)  # series2's domain checks and errors
+    t = int(m0 * ctx.e)
+    one = ctx.one(min(x.prec, ctx.K))
+    acc, coeffs = ctx.zero(one.prec), []
+    for n in range(2, analytic._log_cutoff(ctx.p, ctx.e, t, ctx.K + 4 * t)):
+        acc = acc * x + one
+        coeffs.append(acc.scale_pi((n - 2) * t)._scale((-1) ** n, n))
+    return TruncatedSeries(ctx, ctx.zero(), coeffs, Fraction(ctx.K + 2 * t, ctx.e))
+
+
+def _log_form_in_u(x, m0):
+    """analytic._log_form_in_u on the checked arguments that
+    _parameter_series passes it."""
+    t = analytic._parameter_t(x, m0)
+    return analytic._log_form_in_u(x.ctx, t, min(x.prec, x.ctx.K), analytic._dz_vector(x))
+
+
+def _read_then_built(build, point, hint):
+    """A series as (evaluation at point to hint, center, coeffs, tail
+    bound, base), the evaluation taken before any coefficient is read, or
+    the error the build raised."""
+    try:
+        s = build()
+    except Exception as exc:  # the error type and message must match too
+        return type(exc), str(exc)
+    return (_outcome(lambda z: s.evaluate(z, hint), point), s.center, s.coeffs, s.tail_bound,
+            s._base)
+
+
+@given(_series_build_arguments(), st.integers(0, 10 ** 6), st.none() | st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_log_form_builds_match_reference(case, seed, hint):
+    x, m0, q, _ = case
+    c = x.ctx
+    point = sample(c, Random(seed), valuation=min(seed % 3, c.K - 1))
+    assert (_read_then_built(lambda: _log_form_in_u(x, m0), point, hint)
+            == _read_then_built(lambda: _log_form_in_u_ref(x, m0), point, hint))
+    y = q - c.one()
+    if not y.is_zero and in_S(y):
+        assert (_read_then_built(analytic._QSplit(q).log_form, point, hint)
+                == _read_then_built(lambda: _log_form_ref(q), point, hint))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("e", [1, 3, 10])
+def test_log_form_cutoff_leaves_every_term_above_the_tail(p, e):
+    # term n of Psi has valuation >= (n - 2) t - e v_p(n): from the cutoff
+    # on, every term sits at or above K + 2t, here checked term by term
+    # over the next p^2 N terms
+    for t in range(e // (p - 1) + 1, 3 * e + 2):
+        for K in (2 * e, 7 * e + 3, 60 * e):
+            c = ctx_new(p, e, K)
+            n_stop = analytic._log_form_cutoff(c, t)
+            assert all((n - 2) * t - e * core._vp(n, p) >= K + 2 * t
+                       for n in range(n_stop, p * p * n_stop))
+
+
+def test_parameter_series_at_an_integer_is_its_polynomial():
+    # at an integer x = j that series2's monomials reach before Psi ends,
+    # known to K or below it, or at x = j + pi^4 u known to 4 digits, the
+    # parameter direction solves on series2's polynomial; near j, or at a j
+    # past Psi's length, on Psi
+    c = ctx_new(5, 3, 90)
+    m0 = Fraction(1, 3)
+    u = sample(c, Random(33), valuation=4)
+    n = len(_log_form_in_u(c.from_int(7), m0))
+    for x, polynomial in ((c.from_int(5), True), (c.from_int(5)._cap_prec(40), True),
+                          (c.from_int(n + 1), True), (c.from_int(n + 2), False),
+                          (c.from_int(5) + u, False), ((c.from_int(5) + u)._cap_prec(4), True)):
+        want = analytic._series2_monomials if polynomial else _log_form_in_u
+        assert (_built(analytic._parameter_series, x, m0)
+                == _built(want, x, m0)), (x, polynomial)
+
+
+@st.composite
+def _exp_oracle_arguments(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    e = draw(st.integers(1, 5))
+    c = ctx_new(p, e, draw(st.integers(2 * e, 8 * e + 12)), draw(st.sampled_from((1, 2))))
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    t = draw(st.integers(e // (p - 1) + 1, min(2 * e, c.K - 1)))
+    q = c.one() + sample(c, rng, valuation=t)
+    if draw(st.booleans()):  # known below K
+        q = q._cap_prec(draw(st.integers(t + 1, c.K)))
+    points = [c.zero(), c.one(), c.from_int(draw(st.integers(2, 3 * p)))] + [
+        sample(c, rng, valuation=min(v, c.K - 1))
+        for v in draw(st.lists(st.integers(0, 3), max_size=4))]
+    return q, points
+
+
+@given(_exp_oracle_arguments())
+@settings(max_examples=100, deadline=None)
+def test_log_form_meets_the_bracket_through_exp(case):
+    # [x]_q - x = (1 + yx)(exp(y^2 x (x - 1) Psi(x)) - 1)/y, both sides to
+    # the lesser of their claimed precisions, Psi evaluated on F deflated;
+    # Psi's least valuation is at least -e, so both keep all but t + e of
+    # the digits q has
+    q, points = case
+    c = q.ctx
+    s = analytic._QSplit(q)
+    y, one = s.y, c.one()
+    psi = s.log_form().divide_by_root(one)
+    for x in points:
+        lhs = q_bracket(x, q) - x
+        rhs = (one + y * x) * (exp(y * y * x * (x - one) * psi.evaluate(x)) - one) * s.inv_y
+        assert (lhs - rhs).is_zero, x
+        assert min(lhs.prec, rhs.prec) >= y.prec - y.val - c.e, x
 
 
 def test_series2_recentring_at_bench_scale_matches_reference():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbracket.analytic as analytic
+import qbracket.core as core
 import qbracket.solver as solver
 from qbracket import (
     CertificationFailure,
@@ -38,8 +39,11 @@ from qbracket import (
     q_bracket,
     q_for_x,
     sample,
+    series1,
+    series2,
     unit_disk_zero_count,
 )
+from test_analytic import _log_form_ref
 
 
 def _poly(ctx, ints):
@@ -612,28 +616,40 @@ def test_heavy_solve_vector_products(vector_products):
     # proves its closing check from its last step's values, one product
     # (vec_mul 646 -> 649) where a block pass of g at the target ran over 379
     # coefficients: 379 coefficient products, 47 joins and 7 power steps
-    # each (block 6669 -> 5532, join 815 -> 674, step 815 -> 794)
+    # each (block 6669 -> 5532, join 815 -> 674, step 815 -> 794).  Now the
+    # fiber is solved on Psi, F = (X - 1) Psi of 77 coefficients deflated by
+    # X - 1, where g was the 426-term jet over y deflated.  F's units u^(n-2)
+    # take 75 _vec_mul calls where the jet's running product took 425, and
+    # the jet's four products by log q and y^-1 are gone (vec_mul 649 ->
+    # 295); the deflation takes 76 steps, not 425.  F's constant is one power
+    # sum over 76 terms: 58 scalars times packed powers and 9 joins
+    # (power_term 336 -> 394, power_join 39 -> 48).  Psi and Psi' keep at
+    # most 76 coefficients, so only the 27 evaluations whose hint keeps more
+    # than 2B run blocks (block 5532 -> 896, join 674 -> 96), with 126 fewer
+    # power steps, and the other 19 past the screens take 171 Horner steps
+    # (step 794 -> 490)
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 649, "step": 794, "block": 5532, "join": 674,
-                               "power_term": 336, "power_join": 39}
+    assert vector_products == {"vec_mul": 295, "step": 490, "block": 896, "join": 96,
+                               "power_term": 394, "power_join": 48}
 
 
 def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
-    # every evaluation of g and g' on the heavy solve past one digit is one
-    # the shared precision rule decides, over more than 2B coefficients, so
-    # each runs the block pass; the five seed screens of g, to v_min + 1 = 0
-    # pi-units, keep four coefficients and take Horner steps; a series like
-    # g runs blocks at f = 2 as at f = 1, and Horner steps at e = 1 and
-    # where the rule is undecided (dz known to 5 digits)
+    # every evaluation of Psi and Psi' on the heavy solve is one the shared
+    # precision rule decides, so it runs the block pass exactly when its
+    # hint keeps more than 2B coefficients: 27 of the 51, where each of g's
+    # 51 but the five seed screens ran blocks over its 425 coefficients.
+    # The five screens, to v_min + 1 = 0 pi-units, keep four coefficients.
+    # A series like Psi runs blocks at f = 2 as at f = 1, and Horner steps
+    # at e = 1 and where the rule is undecided (dz known to 5 digits)
     ran, paths = [], []
     evaluate, block_pass = TruncatedSeries.evaluate, PrimeContext._block_pass
 
     def spy(series, point, prec_hint=None):
         ran.clear()
         out = evaluate(series, point, prec_hint)
-        paths.append((len(series), prec_hint, bool(ran)))
+        paths.append((len(series), prec_hint, series._kept(prec_hint)[1], bool(ran)))
         return out
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", spy)
@@ -641,8 +657,10 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
                         lambda ctx, *args: ran.append(1) or block_pass(ctx, *args))
     c = ctx_new(5, 10, 200)
     assert len(fixed_points_for_q(c.one() + sample(c, Random(12), valuation=3))) == 3
-    assert {n for n, _, _ in paths} == {425, 424} and len(paths) == 51
-    assert [(n, hint) for n, hint, used in paths if not used] == [(425, 0)] * 5
+    assert {n for n, *_ in paths} == {76, 75} and len(paths) == 51
+    assert all(used == (kept > 2 * core._BLOCK) for _, _, kept, used in paths)
+    assert sum(used for *_, used in paths) == 27
+    assert [(hint, kept) for _, hint, kept, _ in paths if hint == 0] == [(0, 4)] * 5
     for e, f, short in ((3, 1, False), (1, 1, False), (3, 2, False), (3, 1, True)):
         c = ctx_new(5, e, 30 * e, f)
         rng = Random(18)
@@ -651,7 +669,7 @@ def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
         point = sample(c, rng)
         paths.clear()
         s.evaluate(point._cap_prec(5) if short else point)
-        assert paths == [(30, None, e > 1 and not short)]
+        assert paths == [(30, None, 30, e > 1 and not short)]
 
 
 def _bench_ops(monkeypatch, workload: str, seed: int = 0) -> list:
@@ -792,12 +810,18 @@ def test_solve_fiber_forms_no_derivative_vector_past_the_kept_ones(monkeypatch):
 
 
 def test_param_fiber_forms_no_series2_vector_past_the_kept_ones(monkeypatch):
-    # series2 forms vector k when a pass first reads it, and the derivative
-    # view's vector n reads the series' vector n + 1: so q_for_x and local_Q
-    # form as many vectors of h as the largest kept count of h and of its
-    # view asks for, which on these legs leaves the tail unformed
+    # the parameter series, Psi in U on these legs, forms
+    # vector k when a pass first reads it, and the derivative view's vector
+    # n reads the series' vector n + 1: so q_for_x and local_Q form as many
+    # vectors of h as the largest kept count of h and of its view asks for,
+    # which on these legs leaves the tail unformed.  Every evaluation there
+    # has a hint; a count kept without one is a precision read off the
+    # recurrence (``_prec_at``), which reads its kept vectors only when the
+    # precision is not decided before the pass
     made, views, kept = [], {}, {}
-    build, derivative, kept_at = solver.series2, TruncatedSeries.derivative, TruncatedSeries._kept
+    build, derivative, kept_at = (solver._parameter_series, TruncatedSeries.derivative,
+                                  TruncatedSeries._kept)
+    prec_at = TruncatedSeries._prec_at
 
     def spy_series2(*args):
         made.append(build(*args))
@@ -809,13 +833,21 @@ def test_param_fiber_forms_no_series2_vector_past_the_kept_ones(monkeypatch):
 
     def spy_kept(series, prec_hint):
         out = kept_at(series, prec_hint)
-        kept[id(series)] = max(kept.get(id(series), 0), out[1])
+        if prec_hint is not None:
+            kept[id(series)] = max(kept.get(id(series), 0), out[1])
         return out
 
+    def spy_prec_at(series, point):
+        _, n, wall = kept_at(series, None)
+        if series._decided(series._offset(point), n, wall) is None:
+            kept[id(series)] = max(kept.get(id(series), 0), n)
+        return prec_at(series, point)
+
     ops = _bench_ops(monkeypatch, "param-fiber")
-    monkeypatch.setattr(solver, "series2", spy_series2)
+    monkeypatch.setattr(solver, "_parameter_series", spy_series2)
     monkeypatch.setattr(TruncatedSeries, "derivative", spy_derivative)
     monkeypatch.setattr(TruncatedSeries, "_kept", spy_kept)
+    monkeypatch.setattr(TruncatedSeries, "_prec_at", spy_prec_at)
     for op in ops:
         made.clear()
         views.clear()
@@ -874,13 +906,14 @@ def test_short_derivative_gives_the_quotient_of_the_full_one(monkeypatch):
     assert checked[0] >= 20
 
 
-# -- the deflated series built over y, against the chain it replaced -----
+# -- the fibers solved on the log form, against the chain they replaced ---
 #
-# fixed_points_for_q built s1 = series1 at 0, counted its zeros, dropped
-# the root at 0, divided by X - 1 and scaled by y^-1 = (q - 1)^-1; the
-# scaling below is the raw TruncatedSeries.scale that did the last step.
-# The jet built over y must give s1 y^-1, and the chain on it g, with the
-# same base, valuations, vectors and precisions, and the same zero count.
+# fixed_points_for_q built g over y: s1 = series1 at 0 scaled by
+# y^-1 = (q - 1)^-1 (the raw scaling below), counted its zeros less 2,
+# dropped the root at 0 and divided by X - 1; q_for_x and local_Q solved
+# series2's monomials h(x, U).  Every fiber solved on Psi must have that
+# chain's outcome, record for record: the same roots with the same digits
+# and precisions, certified_to, predicted count and m0, or the same error.
 
 def _scale_raw_ref(s, c):
     ctx = s.ctx
@@ -897,83 +930,148 @@ def _scale_raw_ref(s, c):
     return TruncatedSeries._make(ctx, s.center, tail, base, *zip(*out))
 
 
-def _raw(s):
-    """A series as stored: center, tail bound, base and every triple."""
-    return (s.center, s.tail_bound, s._base,
-            [(v, None if w is None else tuple(w), p) for v, w, p in s._stored()])
-
-
-def _built_over_y(q):
-    """s1 y^-1 and g built both ways, each with its zero count, or the error."""
+def _fixed_points_ref(q):
+    """fixed_points_for_q on the scaled chain's g."""
     ctx = q.ctx
     s = analytic._QSplit(q)
-    _, m0, _ = s.parts()
+    s.check("fixed_points_for_q", "q = 1 fixes everything; the fiber is not discrete")
+    _, m0, u = s.parts()
+    if not phi2_contains(m0, ctx.p):
+        return solver.SolveOutcome((), 0, m0)
     n_max = analytic._n_for_tail(m0 - Fraction(1, ctx.p - 1), Fraction(ctx.K, ctx.e) + m0 + 1)
-    out = []
-    for s1 in (s.jet(ctx.from_int(0), n_max, over_y=True),
-               _scale_raw_ref(s.jet(ctx.from_int(0), n_max), s.inv_y)):
-        try:
-            count = unit_disk_zero_count(s1)
-        except CertificationFailure as exc:
-            count = str(exc)
-        out.append((_raw(s1), count))
-    new = out[0][0]
+    s1 = _scale_raw_ref(series1(ctx.zero(), q, n_max), s.inv_y)
+    g = s1.drop_center_root().divide_by_root(s.one)
+    return solver._solve_fiber(g, unit_disk_zero_count(s1) - 2, m0, lambda x: (x, s, u))
+
+
+def _outcome_of(fn, *args):
+    """fn(*args) as JSON: a SolveOutcome as (predicted, m0, records), a
+    number as its JSON form, an error as its type and text."""
     try:
-        g_new = _raw(s.jet(ctx.from_int(0), n_max, over_y=True)
-                     .drop_center_root().divide_by_root(s.one))
-    except CertificationFailure as exc:
-        g_new = str(exc)
+        out = fn(*args)
+    except Exception as exc:  # the error type and message must match too
+        return type(exc), str(exc)
+    if isinstance(out, solver.SolveOutcome):
+        return out.predicted, out.m0, [r.to_json() for r in out]
+    return out.to_json()
+
+
+def _parameter_fiber(x, xp):
+    """q_for_x(x), then local_Q(x, q, xp) at its first record's q, if any."""
     try:
-        g_old = _raw(_scale_raw_ref(s.jet(ctx.from_int(0), n_max)
-                                    .drop_center_root().divide_by_root(s.one), s.inv_y))
-    except CertificationFailure as exc:
-        g_old = str(exc)
-    return new, out[0][1], out[1][0], out[1][1], g_new, g_old
+        out = q_for_x(x)
+    except Exception as exc:  # the error type and message must match too
+        return (type(exc), str(exc)), None
+    return (_outcome_of(lambda: out),
+            _outcome_of(local_Q, x, out[0].q, xp) if len(out) else None)
+
+
+def _parameter_fiber_ref(x, xp):
+    """``_parameter_fiber`` with q_for_x and local_Q solving on series2."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_parameter_series", lambda x, m0: series2(x, 0, m0))
+        return _parameter_fiber(x, xp)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_g_over_y_matches_the_scaled_chain_on_the_bench_legs(monkeypatch, seed):
-    # the series fixed_points_for_q solves, and its predicted count, are
-    # those of the old chain on every q of a fixed-points round
-    seen = []
-    solve_fiber = solver._solve_fiber
-    monkeypatch.setattr(solver, "_solve_fiber",
-                        lambda series, predicted, *args:
-                        seen.append((series, predicted)) or solve_fiber(series, predicted, *args))
-    qs = _bench_legs(monkeypatch, "fixed-points", seed)
-    for q in qs:
-        seen.clear()
-        fixed_points_for_q(q)
-        ctx = q.ctx
-        s = analytic._QSplit(q)
-        _, m0, _ = s.parts()
-        delta = m0 - Fraction(1, ctx.p - 1)
-        s1 = s.jet(ctx.from_int(0), analytic._n_for_tail(delta, Fraction(ctx.K, ctx.e) + m0 + 1))
-        g_old = _scale_raw_ref(s1.drop_center_root().divide_by_root(s.one), s.inv_y)
-        [(g, predicted)] = seen
-        assert _raw(g) == _raw(g_old)
-        assert predicted == unit_disk_zero_count(s1) - 2
+    # every fixed-points op of a round, and every param-fiber op, q_for_x
+    # then local_Q, has the outcome of the chain it replaced
+    for q in _bench_legs(monkeypatch, "fixed-points", seed):
+        assert _outcome_of(fixed_points_for_q, q) == _outcome_of(_fixed_points_ref, q)
+    for op in _bench_ops(monkeypatch, "param-fiber", seed):
+        x, xp = op.spec[:2]
+        got = _parameter_fiber(x, xp)
+        assert got[1] is not None and got == _parameter_fiber_ref(x, xp)
+
+
+# (p, e, t) with 1/(p - 1) < t/e <= 1/(p - 2), e <= 5: m0 = t/e admissible
+_ADMISSIBLE = [(p, e, t) for p in (3, 5, 7) for e in range(1, 6) for t in range(1, e + 1)
+               if phi2_contains(Fraction(t, e), p)]
 
 
 @st.composite
-def _q_over_y_arguments(draw):
-    p = draw(st.sampled_from((3, 5, 7)))
-    e = draw(st.integers(1, 6))
-    c = ctx_new(p, e, draw(st.integers(2 * e, 12 * e + 12)))
-    lo = e // (p - 1) + 1  # least t with t/e in S
-    t = draw(st.integers(lo, min(lo + 2 * e, c.K - 1)))
+def _fiber_context(draw):
+    """(ctx, t): p in {3, 5, 7}, e <= 5, f <= 2, t/e admissible or, one draw
+    in four, any t with t/e in S."""
+    p, e, t = draw(st.sampled_from(_ADMISSIBLE))
+    if draw(st.integers(0, 3)) == 0:
+        p = draw(st.sampled_from((3, 5, 7)))
+        t = draw(st.integers(e // (p - 1) + 1, 2 * e))
+    c = ctx_new(p, e, draw(st.integers(max(2 * e, t + 1), 6 * e + 12)),
+                draw(st.sampled_from((1, 2))))
+    return c, t
+
+
+@st.composite
+def _q_fiber_arguments(draw):
+    c, t = draw(_fiber_context())
     rng = Random(draw(st.integers(0, 2 ** 32)))
-    prec = draw(st.integers(t + 1, c.K + e))  # q known below K, or above it
-    digits = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(prec - t - 1)]
+    prec = draw(st.integers(t + 1, c.K + c.e))  # q known below K, or above it
+    size = c.p ** c.f
+    digits = [rng.randrange(1, size)] + [rng.randrange(size) for _ in range(prec - t - 1)]
+    if c.f > 1:
+        digits = [tuple((d // c.p ** j) % c.p for j in range(c.f)) for d in digits]
     return c.one()._lift_exact(prec) + c.from_digits(t, digits, prec)
 
 
-@given(_q_over_y_arguments())
+# the refusals _certify can give a lifted root of F's fiber
+_ROOT_REFUSALS = ("trivial root escaped deflation",
+                  "direct evaluation certifies only v >= ")
+
+
+@given(_q_fiber_arguments())
 @settings(max_examples=40, deadline=None)
 def test_g_over_y_matches_the_scaled_chain(q):
-    new, new_count, old, old_count, g_new, g_old = _built_over_y(q)
-    assert new == old and new_count == old_count
-    assert g_new == g_old
+    got, want = _outcome_of(fixed_points_for_q, q), _outcome_of(_fixed_points_ref, q)
+    if got == want:
+        return
+    # only where the chain's count refused may the outcomes differ: c_1 =
+    # log(q)/y - 1 cancels t digits and y^-1 takes t more, so a fiber known
+    # to a few digits leaves s1 y^-1 a low coefficient zero-flagged at or
+    # below the least valuation.  F keeps those 2t digits and its count goes
+    # through; the solve must then refuse a lifted root as _certify does, or
+    # return as many records as the PadicNumber-built F counts, each a fixed
+    # point by a direct evaluation of the bracket.  Only where q - 1 is known
+    # to one digit may records be missing: every lift from such a fiber can
+    # fail, and a failed lift is a deficit (SolveOutcome)
+    assert want[0] is CertificationFailure and "zero-flagged at bound" in want[1]
+    if isinstance(got[0], type):
+        assert got[0] is CertificationFailure and got[1].startswith(_ROOT_REFUSALS), got
+        return
+    ctx = q.ctx
+    out = fixed_points_for_q(q)
+    y = q - ctx.one()
+    assert out.predicted == unit_disk_zero_count(_log_form_ref(q)) - 1
+    assert len(out) == out.predicted or (len(out) < out.predicted and y.prec - y.val == 1)
+    for r in out:
+        gap = q_bracket(r.x, q) - r.x
+        assert r.certified_to >= ctx.K - 4 * ctx.e
+        assert (gap.prec if gap.is_zero else gap.val) >= r.certified_to
+
+
+@st.composite
+def _x_fiber_arguments(draw):
+    """(x, x'): x = r + pi^k u near an integer r in 0 ... p + 1, or r itself,
+    so A_(p-2)(x) has valuation k or 0 and x mostly lies in phi1, known to
+    K or below it, and x' = x + pi^g w."""
+    c, _ = draw(_fiber_context())
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    r, k, g = (draw(st.integers(0, c.p + 1)), draw(st.integers(0, 2 * c.e)),
+               draw(st.integers(1, 2 * c.e + 1)))
+    x = c.from_int(r) + sample(c, rng, valuation=min(k, c.K - 1))
+    if draw(st.integers(0, 3)) == 0:  # the integer r itself
+        x = c.from_int(r)
+    if draw(st.booleans()):  # known below K
+        x = x._cap_prec(draw(st.integers(min(k, c.K - 1) + 1, c.K)))
+    return x, x + sample(c, rng, valuation=min(g, c.K - 1))
+
+
+@given(_x_fiber_arguments())
+@settings(max_examples=40, deadline=None)
+def test_parameter_fibers_match_series2(case):
+    x, xp = case
+    assert _parameter_fiber(x, xp) == _parameter_fiber_ref(x, xp)
 
 
 # -- the seed screen against the seed lists it replaced -------------------
