@@ -115,7 +115,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .core import _BLOCK, PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
+from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
 from .errors import CertificationFailure, ContextMismatch, DomainError
 
 __all__ = [
@@ -265,8 +265,9 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> tuple:
 
 def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int:
     """The integer n of q^x = q^n exp((x - n) log q), ``_QSplit.power``,
-    where q^n is a Python square and multiply: at e > 1 or f > 1.  At
-    e = f = 1 q^n is one C-level pow, which ``_zp_power_split`` prices.
+    where q^n is a Python square and multiply: in the schoolbook and
+    packed kernel sets.  In the Z_p set q^n is one C-level pow, which
+    ``_zp_power_split`` prices.
 
     x's integral vector has entry 0 = a0 >= 0 and its other entries of
     valuation ``rest`` (x's precision when they vanish, so x is in Z_p);
@@ -321,7 +322,8 @@ _ZP_EXP_FIXED = 16
 
 
 def _zp_power_split(p: int, t: int, target: int, a0: int, rest: int, log_price: int) -> int:
-    """``_power_split`` at e = f = 1, where q^n is one C-level ``pow``.
+    """``_power_split`` in the Z_p kernel set, at e = f = 1, where q^n is one
+    C-level ``pow``.
 
     Z_p modulo p^target is Z/p^target, and q^n is ``pow(q, n, p^target)``
     (``PadicNumber.__pow__``), with no Python product per bit of n.  The
@@ -681,10 +683,10 @@ class _QSplit:
         p^k, which is 0 or has v(n) >= v(x); so q^n exp(x' L), both
         factors taken to P = min(prec x + v(y), prec y + v(x)) with q's
         representative lifted to P, is exp(x L) modulo pi^P, the precision
-        that product claims.  ``_power_split`` picks k, and at e = f = 1
-        ``_zp_power_split``, which adds the log's price to an exp factor
-        while this split has not taken log q; where x' L sits at or above
-        pi^P, q^n is the whole result and no log is taken.
+        that product claims.  ``_power_split`` picks k, and in the Z_p
+        kernel set ``_zp_power_split``, which adds the log's price to an
+        exp factor while this split has not taken log q; where x' L sits at
+        or above pi^P, q^n is the whole result and no log is taken.
         Zero-flagged x or y take exp(x L) itself.
         """
         y = self.y
@@ -693,7 +695,7 @@ class _QSplit:
         ctx, t = y.ctx, y.val
         target = min(x.prec + t, y.prec + x.val)
         vec = _dz_vector(x)
-        if ctx._dim == 1:
+        if ctx._kernels == "zp":
             log = 0 if "log_q" in self.__dict__ else _log_reduction(ctx.p, 1, t, y.prec)[1]
             n = _zp_power_split(ctx.p, t, target, vec[0], x.prec, log)
         else:
@@ -918,14 +920,14 @@ class TruncatedSeries:
         ``_decided`` gives None and the value is the remainder of
         ``_horner_division`` at dz, the pass that carries the recurrence.
         Otherwise P is fixed before any step and only the digits are
-        summed: at e > 1, any f, and over more than 2 _BLOCK coefficients
-        by ``PrimeContext._block_pass``, one reduction per _BLOCK
-        coefficients, on the coefficients this series packs once, modulo
-        pi^(min(W, top) - b): top = min(tail cap, max prec(c_n)) is the
-        modulus they are packed at, whose slots a wider pass would overrun,
-        and P never exceeds it.  Otherwise each step is acc <- acc D + c_n
-        modulo pi^(W-b), one step of ``PrimeContext._horner_step``, which
-        reduces D once per pass.
+        summed: over more than the context's ``_block_over`` coefficients,
+        2 B at e > 1 and never at e = 1, by ``PrimeContext._block_pass``,
+        one reduction per B = ``core._BLOCK`` coefficients, on the
+        coefficients this series packs once, modulo pi^(min(W, top) - b):
+        top = min(tail cap, max prec(c_n)) is the modulus they are packed
+        at, whose slots a wider pass would overrun, and P never exceeds it.
+        Otherwise each step is acc <- acc D + c_n modulo pi^(W-b), one step
+        of ``PrimeContext._horner_step``, which reduces D once per pass.
         """
         ctx = self.ctx
         dz = self._offset(point)
@@ -938,7 +940,7 @@ class TruncatedSeries:
             v, acc, prec = _horner_division(base, list(self._stored(n)), dz, wall)[0]
             if v is None:
                 return ctx.zero(prec)
-        elif ctx.e > 1 and n > 2 * _BLOCK:
+        elif n > ctx._block_over:
             top, w, packed = self._packing(n)
             acc = ctx._block_pass(packed, n, _dz_vector(dz), min(wall, top) - base, w)
         else:

@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 
-# smallest e at which PrimeContext._vec_mul packs its operands, and the
-# number of coefficients PrimeContext._block_pass sums per reduction; see
-# the notes on the coefficient-vector kernels
+# smallest e at which a context of residue degree 1 takes the packed
+# kernel set, and the number of coefficients PrimeContext._block_pass sums
+# per reduction; see the notes on the coefficient-vector kernels
 _PACKED_MIN_E = 5
 _BLOCK = 8
 
@@ -150,9 +150,17 @@ class PrimeContext:
     coefficients first, irreducible mod p).  Contexts are compared by
     identity; mixing numbers from two contexts is an error even if the
     parameters agree.
+
+    A context binds one kernel set of ``_KERNELS`` when it is built, as its
+    ``_vec_mul``, ``_vec_val``, ``_vec_inv`` and ``_unit_pow``: the Z_p set
+    at e = f = 1, the schoolbook set at f = 1 and 2 <= e <
+    ``_PACKED_MIN_E``, and the packed set otherwise (see the notes on the
+    coefficient-vector kernels).  ``_kernels`` names the set.  A pickled
+    context is rebuilt from (p, e, K, f), so its caches are not kept.
     """
 
-    __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_packers")
+    __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_packers", "_kernels",
+                 "_row_weight", "_block_over", "_vec_mul", "_vec_val", "_vec_inv", "_unit_pow")
 
     def __init__(self, p: int, e: int, K: int | None = None, f: int = 1):
         if not _is_prime(p):
@@ -174,6 +182,18 @@ class PrimeContext:
         self._pp: dict[int, int] = {}
         self._mods: dict[int, list] = {}  # rel -> per-entry moduli of _vec_reduce
         self._packers: dict[tuple, tuple] = {}  # (w, rel) -> _packer's pair
+        # X, the most products of two entries that a slot of a folded product
+        # of packed vectors sums, and the number of coefficients past which
+        # TruncatedSeries.evaluate sums by blocks, never at e = 1
+        self._row_weight = f * (1 + p * (e - 1))
+        self._block_over = 2 * _BLOCK if e > 1 else math.inf
+        self._kernels = ("zp" if e * f == 1 else "packed" if f > 1 or e >= _PACKED_MIN_E
+                         else "schoolbook")
+        for name, kernel in self._KERNELS[self._kernels].items():
+            setattr(self, name, kernel.__get__(self))
+
+    def __reduce__(self):
+        return PrimeContext, (self.p, self.e, self.K, self.f)
 
     def _ppow(self, m: int) -> int:
         pw = self._pp.get(m)
@@ -335,32 +355,41 @@ class PrimeContext:
     # reduced: entry j*e + i canonical in [0, p^ceil((rel-i)/e)).
     # Reduction, valuation and shifts treat every block alike.
     #
-    # The product returns unreduced integers, the same whichever kernel
-    # forms them: at f = 1 one multiply at e = 1, a schoolbook double loop
-    # for 2 <= e < _PACKED_MIN_E, and Kronecker substitution from there
-    # on, which is the only kernel at f > 1 (Harvey, J. Symb. Comput.
-    # 2009).  It writes each operand as one integer, entry j*e + i in slot
-    # j(2e - 1) + i of w bits (_packer), and takes one big-integer product,
-    # whose row d, slots d(2e - 1) to d(2e - 1) + 2e - 2, sums block j1
-    # times block j2 over the at most f pairs with j1 + j2 = d.  Slots
-    # e + i of a row multiply pi^e = p, so one mask over the 2f - 1 rows
-    # folds them onto slots i times p.  Slot i then sums i + 1 +
-    # p (e - 1 - i) products per pair of blocks, so at most
-    # X = f (1 + p (e - 1)) in all (_row_weight), and w = bits(X max(a)
-    # max(b)) keeps every slot from carrying into the next.  This needs
-    # every entry of both operands >= 0 (a negative entry borrows from the
-    # slot above), which reduced vectors are; a caller that forms an entry
-    # by subtraction reduces it first.  At f > 1 the unpacked rows f ...
-    # 2f - 2 are then folded from the top down by zeta^f = -sum m_j zeta^j,
-    # m the defining polynomial, which leaves signed entries for the
-    # reduction.  On operands captured from q_bracket and
-    # fixed_points_for_q the packed product ran 0.6x as fast as the loop at
-    # e = 2, 0.8x at e = 3, 1.0-1.2x at e = 4, 1.3-1.4x at e = 5 and
+    # The product, the valuation, the inverse and the unit power are the
+    # context's kernel set, chosen once, when the context is built, from
+    # _KERNELS (at the end of the class), and bound onto it.  The Z_p set,
+    # at e = f = 1, works on plain integers, as FLINT's padic module
+    # treats Z_p at fixed precision apart from its extensions: a vector is
+    # one integer modulo p^rel, the product one multiply, the valuation v_p
+    # of that entry, and the inverse and the powers one C-level pow each.
+    # The schoolbook set, at f = 1 and 2 <= e < _PACKED_MIN_E, takes the
+    # product as a double loop, and the packed set, everywhere else, by
+    # Kronecker substitution (Harvey, J. Symb. Comput. 2009); the two share
+    # the valuation, the Newton doubling of the inverse, and square and
+    # multiply for powers.  A kernel call tests no e or f.  Each product
+    # returns unreduced integers, the same whichever kernel forms them.
+    # Kronecker substitution writes each operand as one integer,
+    # entry j*e + i in slot j(2e - 1) + i of w bits (_packer), and takes one
+    # big-integer product, whose row d, slots d(2e - 1) to
+    # d(2e - 1) + 2e - 2, sums block j1 times block j2 over the at most f
+    # pairs with j1 + j2 = d.  Slots e + i of a row multiply pi^e = p, so
+    # one mask over the 2f - 1 rows folds them onto slots i times p.  Slot i
+    # then sums i + 1 + p (e - 1 - i) products per pair of blocks, so at
+    # most X = f (1 + p (e - 1)) in all (_row_weight), and
+    # w = bits(X max(a) max(b)) keeps every slot from carrying into the
+    # next.  This needs every entry of both operands >= 0 (a negative entry
+    # borrows from the slot above), which reduced vectors are; a caller that
+    # forms an entry by subtraction reduces it first.  At f > 1 the unpacked
+    # rows f ... 2f - 2 are then folded from the top down by
+    # zeta^f = -sum m_j zeta^j, m the defining polynomial, which leaves
+    # signed entries for the reduction.  On operands captured from q_bracket
+    # and fixed_points_for_q the packed product ran 0.6x as fast as the loop
+    # at e = 2, 0.8x at e = 3, 1.0-1.2x at e = 4, 1.3-1.4x at e = 5 and
     # 2.1-2.5x at e = 10; the loop skips zero entries, which small-e
-    # operands often have.  At f > 1 it ran 0.45x as fast as the table
-    # walk it replaced at (p, e, K, f) = (3, 1, 60, 2), 0.6x at
-    # (5, 2, 60, 2), 0.9x at (5, 3, 90, 2), 1.3x at (3, 4, 120, 2), 2.3x
-    # at (7, 5, 60, 2), 2.8x at (7, 5, 60, 3) and 4.4x at (7, 5, 60, 6).
+    # operands often have.  At f > 1 it ran 0.45x as fast as the table walk
+    # it replaced at (p, e, K, f) = (3, 1, 60, 2), 0.6x at (5, 2, 60, 2),
+    # 0.9x at (5, 3, 90, 2), 1.3x at (3, 4, 120, 2), 2.3x at (7, 5, 60, 2),
+    # 2.8x at (7, 5, 60, 3) and 4.4x at (7, 5, 60, 6).
     #
     # A Horner pass multiplies by one d at every step, so _horner_step
     # reduces d modulo pi^rel once and returns the step
@@ -397,7 +426,8 @@ class PrimeContext:
     # 0.54x at (5, 10, 200); B = 4 took 1.07-1.17x the time of B = 8, and
     # B = 16 0.98-1.17x, over those and param-fiber's.  At e = 1 a step is
     # one integer product, and the whole ops of the (3, 1, 60) legs ran
-    # 0.97-1.03x as long with blocks as with steps, so e = 1 keeps the steps.
+    # 0.97-1.03x as long with blocks as with steps, so e = 1 keeps the steps
+    # (the context's _block_over is infinite there).
     #
     # _power_sum, the series of exp and log1p, splits the same way at every
     # e, b = isqrt(N) of its N terms to a block.  Term n adds
@@ -426,10 +456,9 @@ class PrimeContext:
     # step's, which agrees with it to about the last iterate's accuracy.
     # On the heavy fixed-points solve at (5, 10, 200) the 20 inverses after
     # each lift's first took 110 products where they took 236 from the
-    # residue, and a start right to rel takes one.  At e = f = 1 a vector
-    # is one integer and the inverse is one C-level pow(u, -1, p^rel), no
-    # product at all; integer powers there are one pow(u, n, p^rel)
-    # (PadicNumber.__pow__).
+    # residue, and a start right to rel takes one.  The Z_p set takes the
+    # inverse as one C-level pow(u, -1, p^rel), no product at all, and a
+    # unit power as one pow(u, n, p^rel) (PadicNumber.__pow__).
     #
     # Every packed kernel folds and unpacks through _unpacker, whose
     # closure _packer keeps per width and modulus.  The closure adds one
@@ -451,22 +480,20 @@ class PrimeContext:
     def _vec_reduce(self, vec: Sequence[int], rel: int) -> tuple:
         return tuple(map(operator.mod, vec, self._mods.get(rel) or self._moduli(rel)))
 
-    def _vec_val(self, vec: Sequence[int], rel: int) -> int | None:
-        """min(e*vp(a_k) + k % e) over nonzero entries, or None if that is >= rel.
+    def _val_vector(self, vec: Sequence[int], rel: int) -> int | None:
+        """``_vec_val``: min(e*vp(a_k) + k % e) over nonzero entries, or None
+        if that is >= rel.
 
         The least vp(a_k) is s = vp(gcd of the entries), and e*s + i < e*(s + 1)
         for every i < e, so the minimum is e*s plus the least k % e over
         the entries that p^(s+1) does not divide.  The vectors of a
         fixed-points and a param-fiber round often share a high power of p;
-        on them this took 0.26-0.64x the time of one vp per entry at e >= 3,
-        and 0.9x at e = 1.
+        on them this took 0.26-0.64x the time of one vp per entry at e >= 3.
         """
         g = math.gcd(*vec)
         if not g:
             return None
         e, s = self.e, _vp(g, self.p)
-        if self._dim == 1:  # e = f = 1: s is the valuation
-            return s if s < rel else None
         top = self._ppow(s + 1)
         if self.f > 1:
             i = min(k % e for k, a in enumerate(vec) if a % top)
@@ -476,11 +503,6 @@ class PrimeContext:
                     break
         v = e * s + i
         return v if v < rel else None
-
-    def _row_weight(self) -> int:
-        """X = f (1 + p (e - 1)), the most products of two entries that a slot
-        of a folded product of packed vectors sums (see the kernel note)."""
-        return self.f * (1 + self.p * (self.e - 1))
 
     def _packer(self, w: int, rel: int | None = None) -> tuple:
         """(pack, unpack) of the packed format in slots of w bits, kept per (w, rel).
@@ -497,30 +519,57 @@ class PrimeContext:
             pair = self._packers[w, rel] = pack, unpack
         return pair
 
-    def _vec_mul(self, a: Sequence[int], b: Sequence[int]) -> list:
+    def _mul_schoolbook(self, a: Sequence[int], b: Sequence[int]) -> list:
+        """``_vec_mul`` at f = 1 by the double loop, which skips zero entries."""
         e, p = self.e, self.p
-        if self.f == 1 and e < _PACKED_MIN_E:
-            if e == 1:
-                return [a[0] * b[0]]
-            c = [0] * e
-            for i, ai in enumerate(a):
-                if not ai:
+        c = [0] * e
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                if not bj:
                     continue
-                for j, bj in enumerate(b):
-                    if not bj:
-                        continue
-                    k = i + j
-                    if k < e:
-                        c[k] += ai * bj
-                    else:
-                        c[k - e] += p * ai * bj
-            return c
+                k = i + j
+                if k < e:
+                    c[k] += ai * bj
+                else:
+                    c[k - e] += p * ai * bj
+        return c
+
+    def _mul_packed(self, a: Sequence[int], b: Sequence[int]) -> list:
+        """``_vec_mul`` by Kronecker substitution, at every e and f."""
         ma, mb = max(a), max(b)
         if not ma or not mb:
             return [0] * self._dim
-        w = (self._row_weight() * ma * mb).bit_length()
+        w = (self._row_weight * ma * mb).bit_length()
         pack, unpack = self._packer(w)
         return unpack(pack(a, w) * pack(b, w))
+
+    def _pow_chain(self, u: Sequence[int], n: int, rel: int) -> Sequence[int]:
+        """``_unit_pow``: u^n modulo pi^rel for n >= 1, u reduced modulo
+        pi^rel, by square and multiply, reducing after each product as
+        ``PadicNumber.__mul__`` does."""
+        out = u
+        for bit in bin(n)[3:]:
+            out = self._vec_reduce(self._vec_mul(out, out), rel)
+            if bit == "1":
+                out = self._vec_reduce(self._vec_mul(out, u), rel)
+        return out
+
+    # the Z_p set: a vector is one integer modulo p^rel
+
+    def _mul_zp(self, a: Sequence[int], b: Sequence[int]) -> list:
+        return [a[0] * b[0]]
+
+    def _val_zp(self, vec: Sequence[int], rel: int) -> int | None:
+        s = _vp(vec[0], self.p) if vec[0] else rel
+        return s if s < rel else None
+
+    def _inv_zp(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
+        return (pow(u[0], -1, self._ppow(rel)),)
+
+    def _pow_zp(self, u: Sequence[int], n: int, rel: int) -> tuple:
+        return (pow(u[0], n, self._ppow(rel)),)
 
     def _horner_step(self, d: Sequence[int], rel: int):
         """The step acc -> reduce(acc*d + c, rel) of a Horner pass by a fixed d.
@@ -538,7 +587,7 @@ class PrimeContext:
                     return [a * d0 % m for a, m in zip(acc, mods)]
                 return [(a * d0 + x) % m for a, x, m in zip(acc, c, mods)]
             return step
-        w = self._block_width(rel, self._row_weight())
+        w = self._block_width(rel, self._row_weight)
         pack, unpack = self._packer(w, rel)
         packed = pack(d, w)
 
@@ -563,7 +612,7 @@ class PrimeContext:
         on operands reduced modulo pi^rel whose slots sum at most ``sums``
         products, _BLOCK X + 1 by default, as ``_block_pass`` does."""
         if sums is None:
-            sums = _BLOCK * self._row_weight() + 1
+            sums = _BLOCK * self._row_weight + 1
         top = self._ppow(max(_ceil_div(rel, self.e), 0)) - 1
         return (sums * top * top).bit_length()
 
@@ -610,7 +659,7 @@ class PrimeContext:
         e, ppow = self.e, self._ppow
         m = _ceil_div(rel, e)
         b = math.isqrt(n_stop)  # n_stop >= 2 for both series
-        w = self._block_width(rel, (b if e == 1 else self.p * b) + self._row_weight())
+        w = self._block_width(rel, (b if e == 1 else self.p * b) + self._row_weight)
 
         def blocks(pows):
             parts, j = [0] * e, (n_stop - 1) % b  # the place of term n_stop - 1 in its block
@@ -663,36 +712,27 @@ class PrimeContext:
         """A vector w with u*w = 1 modulo pi, for a unit vector u.
 
         At f = 1 this inverts u_0 mod p; at f > 1 it is u^(p^f - 2) in
-        F_{p^f}, by square and multiply modulo pi.
+        F_{p^f}, the unit power modulo pi.
         """
+        if self.f > 1:
+            return self._unit_pow(self._vec_reduce(u, 1), self.p ** self.f - 2, 1)
         w = [0] * self._dim
-        if self.f == 1:
-            w[0] = pow(u[0] % self.p, -1, self.p)
-            return w
-        w[0] = 1
-        base = self._vec_reduce(u, 1)
-        n = self.p ** self.f - 2
-        while n:
-            if n & 1:
-                w = self._vec_reduce(self._vec_mul(w, base), 1)
-            base = self._vec_reduce(self._vec_mul(base, base), 1)
-            n >>= 1
+        w[0] = pow(u[0] % self.p, -1, self.p)
         return w
 
-    def _vec_inv(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
-        """Inverse of a unit vector modulo pi^rel, by Newton doubling.
+    def _inv_doubling(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
+        """``_vec_inv``: the inverse of a unit vector modulo pi^rel, by Newton
+        doubling.
 
         A step w <- w (1 - d), d = u w - 1, takes v(d) = k to 2k.  The
         doubling starts at k = 1 from the residue inverse, or from
         ``start``, an inverse of a nearby unit: one product measures its
         k = v(u start - 1), and the first step reuses that d; a start
         wrong modulo pi falls back to the residue inverse.  The inverse
-        modulo pi^rel is unique, so the start changes no digit, and at
-        e = f = 1, where the vector is one integer modulo p^rel, it is one
-        C-level ``pow`` with exponent -1 and the start is not read.
+        modulo pi^rel is unique, so the start changes no digit; the Z_p
+        set's inverse, one C-level ``pow`` with exponent -1, does not read
+        it.
         """
-        if self._dim == 1:
-            return (pow(u[0], -1, self._ppow(rel)),)
         w = d = None
         if start is not None:
             w = self._vec_reduce(start, rel)
@@ -715,6 +755,16 @@ class PrimeContext:
             w = self._vec_reduce(self._vec_mul(w, self._vec_reduce(corr, k)), k)
             d = None
         return self._vec_reduce(w, rel)
+
+    # The kernel sets, by name: __init__ binds one onto the context as its
+    # _vec_mul, _vec_val, _vec_inv and _unit_pow (see the kernel note)
+    _KERNELS = {
+        "zp": dict(_vec_mul=_mul_zp, _vec_val=_val_zp, _vec_inv=_inv_zp, _unit_pow=_pow_zp),
+        "schoolbook": dict(_vec_mul=_mul_schoolbook, _vec_val=_val_vector,
+                           _vec_inv=_inv_doubling, _unit_pow=_pow_chain),
+        "packed": dict(_vec_mul=_mul_packed, _vec_val=_val_vector, _vec_inv=_inv_doubling,
+                       _unit_pow=_pow_chain),
+    }
 
 
 def _pack(vec: Sequence[int], w: int) -> int:
@@ -937,14 +987,16 @@ class PadicNumber:
         return self * other.inv()
 
     def __pow__(self, n: int) -> "PadicNumber":
-        """Square and multiply, started from the base (one() carries precision
-        K and would cap a value carried above K).
+        """The value of square and multiply on PadicNumber products, started
+        from the base (one() carries precision K and would cap a value
+        carried above K).
 
         Each product adds the valuations and keeps the relative precision,
         so a nonzero base pi^v u at relative precision rel gives valuation
-        n v, precision n v + rel and unit u^n modulo pi^rel.  At e = f = 1
-        that unit is one integer, so it is one C-level ``pow`` modulo
-        p^rel: the chain's value, digit for digit.
+        n v, precision n v + rel and unit u^n modulo pi^rel, which the
+        context's unit power forms: square and multiply on vectors, or, in
+        the Z_p kernel set, one C-level ``pow`` modulo p^rel.  A
+        zero-flagged base gives zero at n times its precision.
         """
         if not isinstance(n, int):
             return NotImplemented
@@ -952,20 +1004,10 @@ class PadicNumber:
             return self.inv() ** (-n)
         if n == 0:
             return self.ctx.one()
-        ctx = self.ctx
-        if ctx._dim == 1 and not self._is_zero:
-            rel, val = self._prec - self._val, n * self._val
-            unit = (pow(self._unit[0], n, ctx._ppow(rel)),)
-            return PadicNumber(ctx, val, unit, val + rel, False)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        if self._is_zero:
+            return self.ctx.zero(n * self._prec)
+        rel, val = self._prec - self._val, n * self._val
+        return PadicNumber(self.ctx, val, self.ctx._unit_pow(self._unit, n, rel), val + rel, False)
 
     def scale_pi(self, t: int) -> "PadicNumber":
         """Exact multiplication by pi^t: shifts valuation and precision."""

@@ -1,8 +1,27 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 import pytest
 
 from qbracket import PrimeContext
+
+
+def patch_kernel(monkeypatch, name: str, wrap) -> None:
+    """Replace kernel ``name`` (``_vec_mul``, ``_vec_val``, ``_vec_inv`` or
+    ``_unit_pow``) by ``wrap(kernel)`` in every kernel set of
+    ``PrimeContext._KERNELS``.  A context binds its set when it is built,
+    so the wrapped kernel reaches only the contexts built after the patch."""
+    for kernels in PrimeContext._KERNELS.values():
+        monkeypatch.setitem(kernels, name, wrap(kernels[name]))
+
+
+def sees_one_product(ctx, count) -> bool:
+    """Whether a counter of ``_vec_mul`` calls reaches ctx's kernel set:
+    ``count()`` reads the counter, which one product by ctx's own
+    ``_vec_mul`` must move by one.  A test that asserts a kernel is not
+    called checks this first, so a patch that missed cannot pass."""
+    before = count()
+    ctx._vec_mul([1] * ctx._dim, [1] * ctx._dim)
+    return count() == before + 1
 
 
 @pytest.fixture
@@ -13,9 +32,10 @@ def vector_products(monkeypatch) -> dict:
     accumulator times dz^B that joins two blocks, and in each power sum of
     exp and log1p every scalar times a packed power of u and each packed
     accumulator times u^b that joins two blocks, all counted as they are
-    taken."""
+    taken.  Only the contexts built after the fixture count their
+    _vec_mul calls (``patch_kernel``)."""
     counts = dict.fromkeys(("vec_mul", "step", "block", "join", "power_term", "power_join"), 0)
-    vec_mul, horner_step = PrimeContext._vec_mul, PrimeContext._horner_step
+    horner_step = PrimeContext._horner_step
     block_pass, packed_powers = PrimeContext._block_pass, PrimeContext._packed_powers
 
     def counted(name, fn):
@@ -53,7 +73,7 @@ def vector_products(monkeypatch) -> dict:
         counts["power_join"] = before
         return out
 
-    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", vec_mul))
+    patch_kernel(monkeypatch, "_vec_mul", lambda vec_mul: counted("vec_mul", vec_mul))
     monkeypatch.setattr(PrimeContext, "_horner_step",
                         lambda ctx, d, rel: counted("step", horner_step(ctx, d, rel)))
     monkeypatch.setattr(PrimeContext, "_block_pass", counted_pass)

@@ -37,6 +37,7 @@ from qbracket import (
     series2,
     unit_disk_zero_count,
 )
+from conftest import patch_kernel, sees_one_product
 from test_core import _vec_mul_ref
 
 
@@ -719,8 +720,10 @@ def test_kernel_product_counts(vector_products):
     # term-by-term loops took one vector product per term (about 1200 and
     # 210 here)
     c = ctx_new(5, 10, 600)
-    z = sample(c, Random(11), valuation=3)  # N = 600/(3 - 10/4) = 1200 terms
     counts = vector_products
+    assert sees_one_product(c, lambda: counts["vec_mul"])
+    counts["vec_mul"] = 0
+    z = sample(c, Random(11), valuation=3)  # N = 600/(3 - 10/4) = 1200 terms
     exp(z)
     assert counts["vec_mul"] + counts["step"] + counts["power_join"] <= 3 * math.isqrt(1200) + 10
     assert counts == {"vec_mul": 0, "step": 33, "block": 0, "join": 0,
@@ -739,27 +742,30 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
     # of exp and log1p packs; inv's Newton correction 2 - u w and the
     # series2 factors x - j are reduced first.  A series2 forms its vectors
     # when read, so the stage reads its coefficients
-    negative, stages = [], {}
+    negative, stages, products = [], {}, []
 
     def seen(*vecs):
         if min(map(min, vecs)) < 0:
             negative.append(stage)
         stages[stage] = stages.get(stage, 0) + 1
 
-    vec_mul, packer = PrimeContext._vec_mul, PrimeContext._packer
+    packer = PrimeContext._packer
 
     def checked(ctx, *args):
         pack, unpack = packer(ctx, *args)
         return lambda vec, w: seen(vec) or pack(vec, w), unpack
 
-    monkeypatch.setattr(PrimeContext, "_vec_mul",
-                        lambda ctx, a, b: seen(a, b) or vec_mul(ctx, a, b))
+    patch_kernel(monkeypatch, "_vec_mul", lambda vec_mul: lambda ctx, a, b: (
+        products.append(ctx) or seen(a, b) or vec_mul(ctx, a, b)))
     monkeypatch.setattr(PrimeContext, "_packer", checked)
     c = ctx_new(5, 10, 200)
+    c2, c7 = ctx_new(5, 3, 90, 2), ctx_new(7, 5, 60, 2)
+    stage = "reach"
+    for ctx in (c, c2, c7):
+        assert sees_one_product(ctx, lambda: len(products))
     rng = Random(12)
     z = sample(c, rng, valuation=3)
     x = c.one() + c.pi_pow(1)  # entry 0 of x is 1, so x - 2 < 0 there
-    c2, c7 = ctx_new(5, 3, 90, 2), ctx_new(7, 5, 60, 2)
     for stage, call in (("fixed_points_for_q", lambda: fixed_points_for_q(c.one() + z)),
                         ("exp", lambda: exp(z)), ("log1p", lambda: log1p(z)),
                         ("inv", lambda: sample(c, rng).inv()),
@@ -1013,6 +1019,8 @@ def test_evaluate_operation_counts(monkeypatch, vector_products, hint, n, steps,
     # product, and the block pass adds per coefficient one product of
     # packed integers, with one reduction per block; one normalization
     c = ctx_new(5, 3, 90, f)
+    assert sees_one_product(c, lambda: vector_products["vec_mul"])
+    vector_products["vec_mul"] = 0
     rng = Random(14)
     coeffs = tuple(sample(c, rng, valuation=k) for k in range(n if hint is None else 30))
     s = TruncatedSeries(c, c.one(), coeffs, None)
@@ -1338,8 +1346,6 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
     # constant term 1/2.  The build forms only the valuations and
     # precisions, so it takes no product; the n products come when the
     # vectors are first read, here all of them through ``coeffs``
-    c = ctx_new(5, 3, 90)
-    x = c.from_int(5) + sample(c, Random(16), valuation=4)  # v(x - 5) = 4
     counts = dict.fromkeys(("vec_mul", "mul", "add", "div_int"), 0)
 
     def counted(name, fn):
@@ -1348,7 +1354,10 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
+    patch_kernel(monkeypatch, "_vec_mul", lambda vec_mul: counted("vec_mul", vec_mul))
+    c = ctx_new(5, 3, 90)
+    assert sees_one_product(c, lambda: counts["vec_mul"])
+    x = c.from_int(5) + sample(c, Random(16), valuation=4)  # v(x - 5) = 4
     monkeypatch.setattr(PadicNumber, "__mul__", counted("mul", PadicNumber.__mul__))
     monkeypatch.setattr(PadicNumber, "__add__", counted("add", PadicNumber.__add__))
     monkeypatch.setattr(PadicNumber, "_div_int", counted("div_int", PadicNumber._div_int))
@@ -1577,19 +1586,18 @@ def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
     # a tie or where a sum comes out zero-flagged: on F's deflation at
     # (5, 3, 90), 17 of its 99 sums (58 of 376 on g's jet), where it
     # measured every one
-    seen = []
+    seen, calls = [], [0]
     divide = TruncatedSeries.divide_by_root
     monkeypatch.setattr(TruncatedSeries, "divide_by_root",
                         lambda series, root: seen.append((series, root)) or divide(series, root))
+    patch_kernel(monkeypatch, "_vec_val", lambda vec_val: lambda ctx, *args: (
+        calls.__setitem__(0, calls[0] + 1) or vec_val(ctx, *args)))
     c = ctx_new(5, 3, 90)
     fixed_points_for_q(c.one() + sample(c, Random(0), valuation=1))
     ((s, root),) = seen
-    calls = [0]
-    vec_val = PrimeContext._vec_val
-    monkeypatch.setattr(PrimeContext, "_vec_val",
-                        lambda ctx, *args: calls.__setitem__(0, calls[0] + 1) or vec_val(ctx, *args))
+    calls[0] = 0
     quotient = divide(s, root)
-    monkeypatch.setattr(PrimeContext, "_vec_val", vec_val)
+    measured = calls[0]
     assert quotient.coeffs == _divide_by_root_ref(s, root)[1]
     rho, cs = root - s.center, s.coeffs
     sums = [cs[-1]]  # s_(n-1) ... s_0 by the PadicNumber loop
@@ -1599,8 +1607,8 @@ def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
     ties = sum(not (a.is_zero or b.is_zero or rho.is_zero) and a.val == rho.val + b.val
                for a, b in zip(cs, sums[1:]))
     zero_flagged = sum(z.is_zero for z in sums)
-    assert calls[0] <= ties + zero_flagged
-    assert (len(s), calls[0], ties) == (99, 17, 17)
+    assert measured <= ties + zero_flagged
+    assert (len(s), measured, ties) == (99, 17, 17)
 
 
 # -- the log form against PadicNumber references and against exp ---------
@@ -1768,10 +1776,11 @@ def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypa
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(PrimeContext, "_vec_mul", counted("vec_mul", PrimeContext._vec_mul))
+    patch_kernel(monkeypatch, "_vec_mul", lambda vec_mul: counted("vec_mul", vec_mul))
     monkeypatch.setattr(PrimeContext, "_horner_step",
                         counted("horner_step", PrimeContext._horner_step))
     c = ctx_new(5, 3, 60)
+    assert sees_one_product(c, lambda: counts["vec_mul"])
     rng = Random(22)
     root = sample(c, rng)
     quotient = [sample(c, rng) for _ in range(12)]

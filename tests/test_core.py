@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 from fractions import Fraction
 from random import Random
@@ -18,8 +19,11 @@ from qbracket import (
     ZeroAtPrecision,
     ctx_new,
     equals_to_precision,
+    fixed_points_for_q,
+    q_for_x,
     sample,
 )
+from conftest import patch_kernel, sees_one_product
 
 
 def test_context_validation():
@@ -391,6 +395,39 @@ def test_deepcopy_keeps_context_parameters():
         for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y.ctx) is type(x.ctx) and y.ctx.f == f
             assert y.render() == x.render() and (y * y).render() == (x * x).render()
+    # records solved in contexts whose caches hold the packed passes'
+    # closures: a context pickles as (p, e, K, f), once per pickle, so the
+    # numbers of a record share one rebuilt context with empty caches
+    heavy = ctx_new(5, 10, 200)
+    for records in (fixed_points_for_q(ctx_new(3, 1, 60).from_int(4)),
+                    fixed_points_for_q(heavy.one() + sample(heavy, Random(12), valuation=3)),
+                    q_for_x(ctx_new(5, 3, 90, f=2).from_int(5)).records):
+        assert records
+        back = pickle.loads(pickle.dumps(list(records)))
+        ctx, was = back[0].x.ctx, records[0].x.ctx
+        assert (ctx.p, ctx.e, ctx.K, ctx.f, ctx._kernels) == (was.p, was.e, was.K, was.f,
+                                                              was._kernels)
+        assert not (ctx._pp or ctx._mods or ctx._packers)
+        for rec, got in zip(records, back):
+            assert got.x.ctx is ctx and got.q.ctx is ctx and got.u.ctx is ctx
+            assert [got.x.render(), got.q.render(), got.u.render()] == [
+                rec.x.render(), rec.q.render(), rec.u.render()]
+            assert (got.x - got.q).render() == (rec.x - rec.q).render()
+
+
+@pytest.mark.parametrize("e,f,kernels", [
+    (1, 1, "zp"), (2, 1, "schoolbook"), (4, 1, "schoolbook"), (5, 1, "packed"),
+    (1, 2, "packed"), (2, 2, "packed"), (3, 3, "packed")])
+def test_kernel_set_is_chosen_by_e_and_f(e, f, kernels):
+    # Z_p at e = f = 1, the schoolbook product at f = 1 below e = 5, packed
+    # products elsewhere; evaluate takes blocks only at e > 1.  A pickled
+    # context binds the same set again
+    c = ctx_new(3, e, None, f)
+    for y in (c, pickle.loads(pickle.dumps(c))):
+        assert y._kernels == kernels
+        for name, kernel in PrimeContext._KERNELS[kernels].items():
+            assert getattr(y, name).__func__ is kernel
+        assert y._block_over == (math.inf if e == 1 else 2 * _core._BLOCK)
 
 
 def test_modulus_generates_a_field():
@@ -946,11 +983,12 @@ def test_horner_step_at_the_widest_slot_sums():
 def test_horner_step_takes_no_vector_product(monkeypatch):
     # d is packed once per pass, or read as an integer, at every f
     calls = []
-    vec_mul = PrimeContext._vec_mul
-    monkeypatch.setattr(PrimeContext, "_vec_mul",
-                        lambda ctx, a, b: calls.append(ctx.f) or vec_mul(ctx, a, b))
+    patch_kernel(monkeypatch, "_vec_mul",
+                 lambda vec_mul: lambda ctx, a, b: calls.append(ctx.f) or vec_mul(ctx, a, b))
     for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3), (7, 5, 3)):
         c = ctx_new(p, e, 30 * e, f)
+        assert sees_one_product(c, lambda: len(calls))
+        calls.clear()
         rel = c.K - 1
         for d in ([2] + [0] * (c._dim - 1), [1] * c._dim):
             step = c._horner_step(d, rel)
@@ -997,18 +1035,18 @@ def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
     # wrong at the residue costs that product on top of the doubling; at
     # e = f = 1 the inverse is one pow and takes no product, start or not
     calls = []
-    vec_mul = PrimeContext._vec_mul
-    monkeypatch.setattr(PrimeContext, "_vec_mul",
-                        lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
+    patch_kernel(monkeypatch, "_vec_mul",
+                 lambda vec_mul: lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
     for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3)):
         c = ctx_new(p, e, 30 * e, f)
+        assert sees_one_product(c, lambda: len(calls))
         u = sample(c, Random(20))._unit
         rel = c.K - 1
         inverse = c._vec_inv(u, rel)
         calls.clear()
         c._vec_inv(u, rel)
         fresh = len(calls)
-        right = 0 if c._dim == 1 else 1  # the product that measures a start
+        right = 0 if c._kernels == "zp" else 1  # the product that measures a start
         assert fresh or not right
         for start, products in ((inverse, right), ([0] * c._dim, fresh + right)):
             calls.clear()
@@ -1016,10 +1054,12 @@ def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
             assert len(calls) == products
 
 
-# At e = f = 1 a unit is one integer modulo p^rel, so PadicNumber.__pow__
-# and _vec_inv each take one C-level pow.  The references are the bodies
-# they bypass there: square and multiply on PadicNumber products, and the
-# Newton doubling w <- w (2 - u w) from the residue inverse.
+# PadicNumber.__pow__ takes the unit power of the context's kernel set:
+# square and multiply on vectors, or one C-level pow in the Z_p set, at
+# e = f = 1, where a unit is one integer modulo p^rel and _vec_inv is one
+# pow too.  The references are square and multiply on PadicNumber
+# products, and the Newton doubling w <- w (2 - u w) from the residue
+# inverse.
 
 def _pow_chain(x, n):
     result, base = None, x
@@ -1043,17 +1083,25 @@ def _inv_doubling(p, u, rel):
 @given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(2, 24), st.data())
 @settings(max_examples=200, deadline=None)
 def test_dim1_pow_and_inverse_match_the_chain_and_the_doubling(p, K, data):
+    # the powers in every kernel set, e <= 6 and f <= 3, half the draws at
+    # e = f = 1 and n at most 2^9 elsewhere; the inverse in the Z_p set
     draw = data.draw
-    c = ctx_new(p, 1, K)
-    v = draw(st.integers(-3, K - 1))
+    e, f = (1, 1) if draw(st.booleans()) else (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    c = ctx_new(p, e, e * K, f)
+    v = draw(st.integers(-3, c.K - 1))
     x = sample(c, Random(draw(st.integers(0, 10 ** 6))), valuation=max(v, 0)).scale_pi(min(v, 0))
     kind = draw(st.sampled_from(("as drawn", "capped", "lifted")))
     if kind == "capped":
         x = x._cap_prec(draw(st.integers(x.val + 1, x.prec)))
     elif kind == "lifted":
-        x = x._lift_exact(x.prec + draw(st.integers(1, K)))
-    n = draw(st.integers(1, p ** K))
+        x = x._lift_exact(x.prec + draw(st.integers(1, c.K)))
+    n = draw(st.integers(1, p ** K if e * f == 1 else 2 ** 9))
     assert x ** n == _pow_chain(x, n)
+    zero = c.zero(draw(st.integers(-3, c.K)))
+    assert zero ** n == _pow_chain(zero, n)
+    if e * f > 1:
+        assert x ** -n == _pow_chain(x.inv(), n)
+        return
     rel = x.prec - x.val
     inv = _inv_doubling(p, x._unit[0], rel)
     start = draw(st.one_of(st.none(), st.just(inv), st.integers(0, p ** (rel + 1))))
