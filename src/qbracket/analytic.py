@@ -22,18 +22,20 @@ give, as before: no digit and no precision changes with the method.
 The parameter q enters only through q^x with q = 1 + y in 1+S.  There
 q^x = exp(x log q) is also the limit of the integer powers q^n as n -> x,
 so q^x is taken as q^n exp((x - n) log q) for an integer n that agrees
-with x to as many digits as a cost rule finds worth its square and
-multiply, the split FLINT's padic_exp makes: the exp then starts deeper
-in S and sums far fewer terms, and at an integer x below p^k it is 1 and
-no log is taken.  In Z_p, at e = f = 1, the ring is Z/p^K and q^n is one
+with x to as many digits as a cost rule finds worth the power, the split
+FLINT's padic_exp makes: the exp then starts deeper in S and sums far
+fewer terms, and at an integer x below p^k it is 1 and no log is taken.
+One rule picks n in every kernel set (``_power_split``).  It prices q^n
+as the context's kernel set takes it, and an exp factor with the log it
+would take.  In the schoolbook and packed sets q^n is a square and
+multiply.  In Z_p, at e = f = 1, the ring is Z/p^K and q^n is one
 C-level pow modulo p^K, cheap enough that a split whose log q is not yet
 taken gives n all of x's digits while p^K has up to about 240 bits, and
-needs no log and no exp; the rule there prices the pow by its measured
-cost and the exp with the log it would take (``_zp_power_split``).  How
-q splits is decided here, once per public call: a private split holds
-y = pi^t u, the q = 1 and 1+S checks, log q and y^-1 from their first
-use, and q^x, so q_pow, q_bracket, the series1 jets and the solver's
-certifications share at most one log1p per q.
+needs no log and no exp.  How q splits is decided here, once per
+public call: a private split holds y = pi^t u, the q = 1 and 1+S checks,
+log q and y^-1 from their first use, and q^x, so q_pow, q_bracket, the
+series1 jets and the solver's certifications share at most one log1p
+per q.
 
 TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
@@ -221,7 +223,7 @@ def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
 @lru_cache(maxsize=1024)
 def _log_reduction(p: int, e: int, t: int, target: int) -> tuple:
     """(k, cost): the number k of p-th powers taken before the log series,
-    and the log's price in quarter products, which ``_zp_power_split`` reads.
+    and the log's price in quarter products, which ``_power_split`` reads.
 
     Integer cost rule, in vector products: a p-th power by square and
     multiply takes bit_length(p) + popcount(p) - 2, the series on N
@@ -250,6 +252,12 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> tuple:
     e = 10, is the fastest or tied on every cell.  But at e = 3 it is the
     same weight, so it wins on three cells and ties on the fourth, and the
     weight stays 1/4 until a weight depending on e wins on every cell.
+
+    A p-th power is priced by square and multiply in every kernel set, also
+    in Z_p, where ``__pow__`` takes one pow (``PrimeContext._pow_price``).
+    This cost is the log's price that ``_power_split``'s Z_p prices were
+    measured against: with the powers priced as one pow, the split read
+    1.34x slower on q_bracket ops at (3, 1, 120).
     """
     power = p.bit_length() + bin(p).count("1") - 2
     best_k = best = None
@@ -263,89 +271,44 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> tuple:
     return best_k, best
 
 
-def _power_split(p: int, e: int, t: int, target: int, a0: int, rest: int) -> int:
-    """The integer n of q^x = q^n exp((x - n) log q), ``_QSplit.power``,
-    where q^n is a Python square and multiply: in the schoolbook and
-    packed kernel sets.  In the Z_p set q^n is one C-level pow, which
-    ``_zp_power_split`` prices.
+# the work around a q^x exp factor besides its series, in quarter products:
+# x' log q, the product q^n exp(x' log q), and exp's set-up (see _power_split)
+_EXP_FIXED = 16
+
+
+def _power_split(ctx: PrimeContext, t: int, target: int, a0: int, rest: int,
+                 log_price: int) -> int:
+    """The integer n of q^x = q^n exp((x - n) log q), ``_QSplit.power``.
 
     x's integral vector has entry 0 = a0 >= 0 and its other entries of
     valuation ``rest`` (x's precision when they vanish, so x is in Z_p);
-    v(q - 1) = t and the result is wanted modulo pi^target.  n is
-    a0 modulo p^k for some k >= 0, so x - n has valuation
-    min(rest, e v_p(a0 - n)), and exp's series at that valuation plus t
-    takes N terms, none once it reaches the target.  Integer cost rule
-    in vector products, as ``_log_reduction``'s: q^n by square and
-    multiply takes bit_length(n) + popcount(n) - 2, the series about
-    2 sqrt(N) plus N/4 for its terms.  The smallest k of least cost
-    wins.  k grows while that can still raise x - n's valuation and
-    while q^n's squarings alone, bit_length(n) - 1, which a larger k
-    never lowers, cost less than the best.  Which n wins changes no digit
-    (see ``_QSplit.power``).  The k are walked along a0's base-p digits,
-    one division by p per digit: a zero digit gives the same n, so the
-    same cost, and is passed over.
+    v(q - 1) = t and the result is wanted modulo pi^target.  The
+    candidates are n = a0 mod p^k for v_p(a0) <= k <= stop = ceil(min(rest,
+    target - t)/e), and x - n has valuation at least min(rest, e k).  At
+    k = stop it has valuation rest or sits at or above pi^(target - t), so
+    there is no exp and no log unless rest + t < target.  Prices are in
+    quarter products of exp's series:
 
-    On bracket-grid's ops at seeds 0 and 1, 21 interleaved repetitions,
-    pricing a product of q^n at 2 series products took 0.95-1.02x the
-    time of this rule per cell, and at 1/2 of one 1.01-1.21x, so the
-    rule prices both alike.
-    """
-    best_n = best = None
-    n, high, pk, k = 0, a0, 1, 0  # a0 = n + high p^k, n = a0 mod p^k
-    while best is None or 4 * (n.bit_length() - 1) < best:
-        if high:
-            while high % p == 0:  # a zero digit leaves n, so v, as they are
-                high //= p
-                pk *= p
-                k += 1
-            v = min(rest, e * k)  # v_p(a0 - n) = k, high being prime to p
-        else:
-            v = rest
-        cost = 4 * max(n.bit_length() + bin(n).count("1") - 2, 0)
-        if v + t < target:
-            terms = _exp_cutoff(p, e, v + t, target)
-            cost += 8 * math.isqrt(terms) + terms
-        if best is None or cost < best:
-            best_n, best = n, cost
-        if v == rest or v + t >= target:
-            break
-        high, digit = divmod(high, p)
-        n += digit * pk
-        pk *= p
-        k += 1
-    return best_n
+    - q^n costs the kernel set's ``_pow_price`` (core): in the Z_p set,
+      at e = f = 1, where q^n is one C-level ``pow`` modulo p^target
+      (``PadicNumber.__pow__``), bits(n) isqrt(L) / 24 for L =
+      bits(p^target); in the schoolbook and packed sets, where it is a
+      Python square and multiply, 4 (bits(n) + popcount(n) - 2);
+    - an exp factor at valuation v costs its series, 8 isqrt(N) + N for N
+      terms (``_exp_price``), plus ``_EXP_FIXED``, plus ``log_price``, the
+      log's price by ``_log_reduction``, while the split has not taken
+      log q (0 once it has).
 
+    A k below stop is priced at n = p^k - 1, the largest n below p^k, and
+    at v = e k + t, the least valuation its exp factor can have, so the
+    least-price k below stop depends on the ints of the call and the price
+    alone and is kept per call shape (``_split_part``); a0's digits only
+    set the price of the n at stop.  The smallest k of least price wins,
+    so a tie goes to the part, and a0 = 0 takes n = 0.  Which n wins
+    changes no digit (``_QSplit.power``).
 
-# the work around a q^x exp factor besides its series, in quarter products:
-# x' log q, the product q^n exp(x' log q), and exp's set-up (see _zp_power_split)
-_ZP_EXP_FIXED = 16
-
-
-def _zp_power_split(p: int, t: int, target: int, a0: int, rest: int, log_price: int) -> int:
-    """``_power_split`` in the Z_p kernel set, at e = f = 1, where q^n is one
-    C-level ``pow``.
-
-    Z_p modulo p^target is Z/p^target, and q^n is ``pow(q, n, p^target)``
-    (``PadicNumber.__pow__``), with no Python product per bit of n.  The
-    candidates are n = a0 mod p^k for v_p(a0) <= k <= stop = min(rest,
-    target - t); at k = stop, x - n sits at or above pi^(target - t), so
-    there is no exp and no log.  Prices are in quarter products of the
-    series, as ``_power_split``'s:
-
-    - q^n costs bits(n) isqrt(L) / 24 for L = bits(p^target);
-    - an exp factor costs its series, 8 isqrt(N) + N, plus
-      ``_ZP_EXP_FIXED``, plus ``log_price``, the log's price by
-      ``_log_reduction``, when the split has not taken log q yet (0 once
-      it has).
-
-    The price of a k below stop is taken at bits(p^k - 1), the most an n
-    below p^k has, so the least-price k below stop depends on the ints of
-    the call alone and is kept per call shape (``_zp_partial``); a0's
-    digits only set the price of the n at stop.  The smallest k of least
-    price wins.  Which n wins changes no digit (``_QSplit.power``).
-
-    The per-bit price was measured on a (p, K) grid: pow(a, n, p^K) per
-    bit of n, n of K digits, over exp's time per quarter product, exp(z)
+    The Z_p price of a bit was measured on a (p, K) grid: pow(a, n, p^K)
+    per bit of n, n of K digits, over exp's time per quarter product, exp(z)
     over 8 isqrt(N) + N at v(z) = 2, 3, 5; best of 7 loops each, median
     of 3 sweeps; isqrt(L)/24 beside each:
 
@@ -363,15 +326,16 @@ def _zp_power_split(p: int, t: int, target: int, a0: int, rest: int, log_price: 
     series product, and more as the modulus' quadratic arithmetic takes
     over.  The work around an exp factor measured 10-25
     quarter products at K <= 120, and a fresh log 45-275 against its
-    rule's 52-347.  So a fresh split takes all of a unit x while p^K has
-    up to about 240 bits (K <= 150 at p = 3, 90 at p = 5 and 7, 60 at
-    p = 11), and a part beyond, or once it holds log q.  Other
-    rules were timed on q_bracket ops of the bracket-grid kinds (t and x's
-    kind cycling, 24 a cell), 21 interleaved repetitions, median time per
-    cell against this rule's.  "linear" prices a bit at min(L + 256,
+    rule's 52-347.  So in Z_p a fresh split takes all of a unit x while
+    p^K has up to about 240 bits (K <= 150 at p = 3, 90 at p = 5 and 7,
+    60 at p = 11), and a part beyond, or once it holds log q.  Other
+    Z_p rules were timed on q_bracket ops of the bracket-grid kinds (t and
+    x's kind cycling, 24 a cell), 21 interleaved repetitions, median time
+    per cell against this rule's.  "linear" prices a bit at min(L + 256,
     2048)/1024, "1/4" and "1" at a constant, "F=8" and "F=32" take that
-    ``_ZP_EXP_FIXED``, "no log" never prices the log, and "chain" is
-    ``_power_split``, which prices q^n as a square and multiply:
+    ``_EXP_FIXED``, "no log" never prices the log, and "chain" prices q^n
+    as a square and multiply, with no fixed work and no log, walking n
+    along a0's digits:
 
     ========  ======  =====  =====  =====  =====  ======  =====
     (p, K)    linear  1/4    1      F=8    F=32   no log  chain
@@ -393,32 +357,44 @@ def _zp_power_split(p: int, t: int, target: int, a0: int, rest: int, log_price: 
     No other rule is faster than this one by more than 5 % on any cell,
     and each constant and "no log" is 1.37-3.14x slower on some cell;
     a fixed price of 8 or 32 moves no cell by more than 4 %.
+
+    The chain price was set with that walk, in the schoolbook and packed
+    sets: on bracket-grid's ops at seeds 0 and 1, 21 interleaved
+    repetitions, pricing a product of q^n at 2 series products took
+    0.95-1.02x the time of this price per cell, and at 1/2 of one
+    1.01-1.21x, so the price counts both alike.  On the q^x calls of the
+    four benchmark workloads at seeds 0-2, this rule picks the walk's n
+    on all but 3 of the 3,706 at e > 1.
     """
-    stop = min(rest, target - t)
-    v0 = _vp(a0, p)
-    k, partial, per_bit = _zp_partial(p, t, target, stop, v0)
-    full = a0 % p ** stop
-    if partial + _ZP_EXP_FIXED + log_price <= full.bit_length() * per_bit // 24:
-        return a0 % p ** k
-    return full
+    p, e, price = ctx.p, ctx.e, ctx._pow_price
+    stop = -(-min(rest, target - t) // e)
+    v0 = _vp(a0, p) if a0 else stop
+    if v0 >= stop:
+        return 0
+    k, part = _split_part(p, e, t, target, stop, v0, price)
+    n = a0 % ctx._ppow(stop)
+    whole = price(p, n, target)
+    if rest + t < target:
+        whole += _exp_price(p, e, rest + t, target) + _EXP_FIXED + log_price
+    return a0 % ctx._ppow(k) if part + _EXP_FIXED + log_price <= whole else n
 
 
 @lru_cache(maxsize=1024)
-def _zp_partial(p: int, t: int, target: int, stop: int, v0: int) -> tuple:
-    """(k, price, per_bit) of ``_zp_power_split``'s least-price k in
-    v0 <= k < stop, per_bit = isqrt(bits(p^target)) its price of 24 bits
-    of q^n's exponent; at k = v0, n = 0 and q^n is free."""
-    per_bit = math.isqrt((p ** target).bit_length())
-    best_k = best = None
-    for k in range(v0, stop):
-        cost = (p ** k - 1).bit_length() * per_bit // 24 if k > v0 else 0
-        if best is not None and cost >= best:  # q^n's price only grows with k
+def _split_part(p: int, e: int, t: int, target: int, stop: int, v0: int, pow_price) -> tuple:
+    """(k, price) of ``_power_split``'s least-price k in v0 <= k < stop,
+    the price without the exp factor's fixed work and log; at k = v0,
+    n = 0 and q^n is free."""
+    best_k, best = v0, _exp_price(p, e, e * v0 + t, target)
+    for k in range(v0 + 1, stop):
+        n = p ** k - 1
+        # both prices grow with bits(n) and, at a bit count, are least at a
+        # power of 2: no later candidate's q^n costs less than this one's
+        if pow_price(p, 1 << n.bit_length() - 1, target) >= best:
             break
-        terms = _exp_cutoff(p, 1, k + t, target)
-        cost += 8 * math.isqrt(terms) + terms
-        if best is None or cost < best:
-            best_k, best = k, cost
-    return best_k, best, per_bit
+        price = pow_price(p, n, target) + _exp_price(p, e, e * k + t, target)
+        if price < best:
+            best_k, best = k, price
+    return best_k, best
 
 
 def _log_terms(p: int, e: int, t: int, n_stop: int, mod: int):
@@ -502,8 +478,16 @@ def exp(z: PadicNumber) -> PadicNumber:
 
 def _exp_cutoff(p: int, e: int, t: int, target: int) -> int:
     """The first N with N (t - e/(p - 1)) >= target: ``exp``'s term count
-    at valuation t, and the count ``_power_split`` prices."""
+    at valuation t."""
     return _ceil_div(target * (p - 1), t * (p - 1) - e)
+
+
+def _exp_price(p: int, e: int, t: int, target: int) -> int:
+    """The price ``_power_split`` gives exp's series at valuation t, in
+    quarter products: about 2 sqrt(N) products and N terms of 1/4 each
+    for N = ``_exp_cutoff`` (``PrimeContext._power_sum``)."""
+    terms = _exp_cutoff(p, e, t, target)
+    return 8 * math.isqrt(terms) + terms
 
 
 def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
@@ -611,7 +595,7 @@ def _minus_integers(x: PadicNumber, start: int, stop: int) -> tuple:
     x - from_int(j) is.  Its integral vector is x's (``_dz_vector``) with j
     taken from entry 0 modulo p^ceil(P/e), which keeps the entry >= 0 as
     the packed ``_vec_mul`` needs.  Its valuation, the lesser of e v_p of
-    that entry and that of x's other entries (as in ``_power_split``),
+    that entry and that of x's other entries (as in ``_QSplit.power``),
     takes no vector, and only a unit of positive valuation is shifted.
     """
     ctx = x.ctx
@@ -683,11 +667,11 @@ class _QSplit:
         p^k, which is 0 or has v(n) >= v(x); so q^n exp(x' L), both
         factors taken to P = min(prec x + v(y), prec y + v(x)) with q's
         representative lifted to P, is exp(x L) modulo pi^P, the precision
-        that product claims.  ``_power_split`` picks k, and in the Z_p
-        kernel set ``_zp_power_split``, which adds the log's price to an
-        exp factor while this split has not taken log q; where x' L sits at
-        or above pi^P, q^n is the whole result and no log is taken.
-        Zero-flagged x or y take exp(x L) itself.
+        that product claims.  ``_power_split`` picks k, pricing q^n by the
+        context's kernel set and adding the log's price to an exp factor
+        while this split has not taken log q; where x' L sits at or above
+        pi^P, q^n is the whole result and no log is taken.  Zero-flagged x
+        or y take exp(x L) itself.
         """
         y = self.y
         if x.is_zero or y.is_zero:
@@ -695,15 +679,13 @@ class _QSplit:
         ctx, t = y.ctx, y.val
         target = min(x.prec + t, y.prec + x.val)
         vec = _dz_vector(x)
-        if ctx._kernels == "zp":
-            log = 0 if "log_q" in self.__dict__ else _log_reduction(ctx.p, 1, t, y.prec)[1]
-            n = _zp_power_split(ctx.p, t, target, vec[0], x.prec, log)
-        else:
-            off = ctx._vec_val([0] + vec[1:], x.prec)
-            n = _power_split(ctx.p, ctx.e, t, target, vec[0], x.prec if off is None else off)
+        a0, vec[0] = vec[0], 0
+        rest = ctx._vec_val(vec, x.prec)
+        log = 0 if "log_q" in self.__dict__ else _log_reduction(ctx.p, ctx.e, t, y.prec)[1]
+        n = _power_split(ctx, t, target, a0, x.prec if rest is None else rest, log)
         if not n:
             return exp(x * self.log_q)
-        vec[0] -= n
+        vec[0] = a0 - n
         rem = _from_raw(ctx, 0, vec, x.prec)  # x' = x - n, known as far as x
         out = self.q._cap_prec(target)._lift_exact(target) ** n
         if rem.is_zero or rem.val + t >= target:

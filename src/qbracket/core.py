@@ -31,6 +31,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
@@ -60,6 +61,13 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+@lru_cache(maxsize=1024)
+def _zp_bit_price(p: int, target: int) -> int:
+    """isqrt(bits(p^target)): ``PrimeContext._price_zp``'s price of 24 bits
+    of the exponent."""
+    return math.isqrt((p ** target).bit_length())
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -152,7 +160,8 @@ class PrimeContext:
     parameters agree.
 
     A context binds one kernel set of ``_KERNELS`` when it is built, as its
-    ``_vec_mul``, ``_vec_val``, ``_vec_inv`` and ``_unit_pow``: the Z_p set
+    ``_vec_mul``, ``_vec_val``, ``_vec_inv``, ``_unit_pow`` and the price
+    of a unit power, ``_pow_price``: the Z_p set
     at e = f = 1, the schoolbook set at f = 1 and 2 <= e <
     ``_PACKED_MIN_E``, and the packed set otherwise (see the notes on the
     coefficient-vector kernels).  ``_kernels`` names the set.  A pickled
@@ -160,7 +169,8 @@ class PrimeContext:
     """
 
     __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_packers", "_kernels",
-                 "_row_weight", "_block_over", "_vec_mul", "_vec_val", "_vec_inv", "_unit_pow")
+                 "_row_weight", "_block_over", "_vec_mul", "_vec_val", "_vec_inv", "_unit_pow",
+                 "_pow_price")
 
     def __init__(self, p: int, e: int, K: int | None = None, f: int = 1):
         if not _is_prime(p):
@@ -366,8 +376,12 @@ class PrimeContext:
     # product as a double loop, and the packed set, everywhere else, by
     # Kronecker substitution (Harvey, J. Symb. Comput. 2009); the two share
     # the valuation, the Newton doubling of the inverse, and square and
-    # multiply for powers.  A kernel call tests no e or f.  Each product
-    # returns unreduced integers, the same whichever kernel forms them.
+    # multiply for powers.  Each set also prices its power, _pow_price(p, n,
+    # target), a plain function, so a cache keyed on it holds no context: by
+    # the bits of n and of p^target for Z_p's pow, by the squares and
+    # multiplies of the chain in the other two (analytic's split of q^x
+    # reads it).  A kernel call tests no e or f.  Each product returns
+    # unreduced integers, the same whichever kernel forms them.
     # Kronecker substitution writes each operand as one integer,
     # entry j*e + i in slot j(2e - 1) + i of w bits (_packer), and takes one
     # big-integer product, whose row d, slots d(2e - 1) to
@@ -571,6 +585,20 @@ class PrimeContext:
     def _pow_zp(self, u: Sequence[int], n: int, rel: int) -> tuple:
         return (pow(u[0], n, self._ppow(rel)),)
 
+    # _pow_price: _unit_pow to exponent n at rel = target, in the quarter
+    # products of a series that analytic._power_split weighs it in (measured
+    # there)
+
+    @staticmethod
+    def _price_chain(p: int, n: int, target: int) -> int:
+        """Square and multiply: bits(n) + popcount(n) - 2 products."""
+        return 4 * max(n.bit_length() + n.bit_count() - 2, 0)
+
+    @staticmethod
+    def _price_zp(p: int, n: int, target: int) -> int:
+        """One pow modulo p^target: bits(n) isqrt(bits(p^target)) / 24."""
+        return n.bit_length() * _zp_bit_price(p, target) // 24
+
     def _horner_step(self, d: Sequence[int], rel: int):
         """The step acc -> reduce(acc*d + c, rel) of a Horner pass by a fixed d.
 
@@ -757,13 +785,16 @@ class PrimeContext:
         return self._vec_reduce(w, rel)
 
     # The kernel sets, by name: __init__ binds one onto the context as its
-    # _vec_mul, _vec_val, _vec_inv and _unit_pow (see the kernel note)
+    # _vec_mul, _vec_val, _vec_inv and _unit_pow, and sets its _pow_price,
+    # a static method, as the plain function (see the kernel note)
     _KERNELS = {
-        "zp": dict(_vec_mul=_mul_zp, _vec_val=_val_zp, _vec_inv=_inv_zp, _unit_pow=_pow_zp),
+        "zp": dict(_vec_mul=_mul_zp, _vec_val=_val_zp, _vec_inv=_inv_zp, _unit_pow=_pow_zp,
+                   _pow_price=_price_zp),
         "schoolbook": dict(_vec_mul=_mul_schoolbook, _vec_val=_val_vector,
-                           _vec_inv=_inv_doubling, _unit_pow=_pow_chain),
+                           _vec_inv=_inv_doubling, _unit_pow=_pow_chain,
+                           _pow_price=_price_chain),
         "packed": dict(_vec_mul=_mul_packed, _vec_val=_val_vector, _vec_inv=_inv_doubling,
-                       _unit_pow=_pow_chain),
+                       _unit_pow=_pow_chain, _pow_price=_price_chain),
     }
 
 

@@ -8,6 +8,7 @@ factorial stripping) before the assertions were written.
 import math
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -201,84 +202,61 @@ def test_q_power_split_matches_exp_of_x_log_q():
                     assert _outcome(analytic._QSplit(q).power, x) == want, (c, q, x)
 
 
-def _power_split_reference(p, e, t, target, a0, rest):
-    """_power_split as one loop over k: n = a0 mod p^k, v_p(a0 - n) by division."""
-    best_n = best = None
-    n, k = 0, 0
-    while best is None or 4 * (n.bit_length() - 1) < best:
-        d = a0 - n
-        v = min(rest, e * core._vp(d, p)) if d else rest
-        cost = 4 * max(n.bit_length() + bin(n).count("1") - 2, 0)
-        if v + t < target:
-            terms = analytic._exp_cutoff(p, e, v + t, target)
-            cost += 8 * math.isqrt(terms) + terms
-        if best is None or cost < best:
-            best_n, best = n, cost
-        if v == rest or v + t >= target:
-            break
-        k += 1
-        n = a0 % p ** k
-    return best_n
+# q^n's price in each kernel set, as _power_split's docstring states it
+_POW_PRICES = {
+    "zp": lambda p, n, target: n.bit_length() * math.isqrt((p ** target).bit_length()) // 24,
+    "packed": lambda p, n, target: 4 * max(n.bit_length() + bin(n).count("1") - 2, 0),
+}
 
 
-@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 10), st.integers(0, 6),
-       st.integers(1, 600), st.lists(st.integers(0, 9), max_size=60), st.integers(1, 700))
-@settings(max_examples=300, deadline=None)
-def test_power_split_walk_matches_the_division_loop(p, e, dt, span, digits, rest):
-    # a0's digits lean to zero, so runs of zero digits are passed over
-    t = e // (p - 1) + 1 + dt
-    a0 = sum(max(d - 4, 0) % p * p ** k for k, d in enumerate(digits))
-    want = _power_split_reference(p, e, t, t + span, a0, rest)
-    assert analytic._power_split(p, e, t, t + span, a0, rest) == want
-
-
-def _zp_prices_reference(p, t, target, a0, rest, log_price):
-    """(n, price) of every candidate of _zp_power_split, k = v_p(a0) up to
+def _split_prices_reference(p, e, kernels, t, target, a0, rest, log_price):
+    """(n, price) of every candidate of _power_split, k = v_p(a0) up to
     stop, each priced as its docstring states, with no cache and no early
     stop."""
-    stop, v0 = min(rest, target - t), core._vp(a0, p)
-    per_bit = math.isqrt((p ** target).bit_length())
+    price = _POW_PRICES[kernels]
+    stop = -(-min(rest, target - t) // e)
+    v0 = core._vp(a0, p) if a0 else stop
     out = []
-    for k in range(v0, stop + 1):
+    for k in range(min(v0, stop), stop + 1):
         n = a0 % p ** k
         if k == stop:
-            cost = n.bit_length() * per_bit // 24
+            cost, v = price(p, n, target), rest
         else:
-            terms = analytic._exp_cutoff(p, 1, k + t, target)
-            cost = 8 * math.isqrt(terms) + terms + analytic._ZP_EXP_FIXED + log_price
-            if k > v0:
-                cost += (p ** k - 1).bit_length() * per_bit // 24
+            cost, v = price(p, p ** k - 1, target) if k > v0 else 0, e * k
+        if v + t < target:
+            terms = analytic._exp_cutoff(p, e, v + t, target)
+            cost += 8 * math.isqrt(terms) + terms + analytic._EXP_FIXED + log_price
         out.append((n, cost))
     return out
 
 
-def _zp_power_split_reference(p, t, target, a0, rest, log_price):
-    """The smallest k of least price."""
-    prices = _zp_prices_reference(p, t, target, a0, rest, log_price)
-    return min(prices, key=lambda nc: nc[1])[0]
+def _split_context(p, e, kernels):
+    """What _power_split reads of a context, with the kernel set's price at
+    any e."""
+    return SimpleNamespace(p=p, e=e, _pow_price=PrimeContext._KERNELS[kernels]["_pow_price"]
+                           .__func__, _ppow=lambda m: p ** m)
 
 
-@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(0, 5), st.integers(2, 300),
-       st.integers(0, 10 ** 6), st.integers(0, 4), st.integers(0, 400))
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 10), st.sampled_from(("zp", "packed")),
+       st.integers(0, 6), st.integers(1, 600), st.integers(-2, 2) | st.integers(-600, 700),
+       st.lists(st.integers(0, 9), max_size=80), st.integers(0, 400))
 @settings(max_examples=300, deadline=None)
-def test_zp_power_split_matches_the_reference(p, dt, K, seed, v, log_price):
-    # x a unit or of valuation v, at precision K, and q - 1 nonzero of
-    # valuation t at precision K: the call shapes of _QSplit.power, whose
-    # target is min(K + t, K + v)
-    t = 1 // (p - 1) + 1 + dt
-    K, v = max(K, t + 1), min(v, K - 1)
-    a0 = Random(seed).randrange(1, p ** (K - v)) * p ** v
-    if a0 % p ** (v + 1) == 0:
-        a0 += p ** v
-    target = min(K + t, K + v)
-    want = _zp_power_split_reference(p, t, target, a0, K, log_price)
-    assert analytic._zp_power_split(p, t, target, a0, K, log_price) == want
+def test_power_split_matches_the_reference(p, e, kernels, dt, span, off, digits, log_price):
+    # the smallest k of least price among all candidates, for both prices at
+    # every e; a0's digits lean to zero, so runs of zero digits and a0 = 0
+    # come up, and rest falls below, at and above target - t = span
+    t, rest = e // (p - 1) + 1 + dt, max(span + off, 1)
+    a0 = sum(max(d - 4, 0) % p * p ** k for k, d in enumerate(digits))
+    prices = _split_prices_reference(p, e, kernels, t, t + span, a0, rest, log_price)
+    want = min(prices, key=lambda nc: nc[1])[0]
+    assert analytic._power_split(_split_context(p, e, kernels), t, t + span, a0, rest,
+                                 log_price) == want
 
 
 def test_log_reduction_gives_the_least_cost_and_its_k():
     # the walk's stop (4 k power >= best) loses no cheaper k: against every
     # k up to 40, the smallest k of least cost and that cost, which
-    # _zp_power_split reads as the log's price
+    # _power_split reads as the log's price
     for p in (2, 3, 5, 7, 11):
         power = p.bit_length() + bin(p).count("1") - 2
         for e in (1, 3, 10):
@@ -292,20 +270,21 @@ def test_log_reduction_gives_the_least_cost_and_its_k():
                     assert analytic._log_reduction(p, e, t, target) == (costs.index(best), best)
 
 
-def test_zp_power_split_gives_a_tie_to_the_part():
+def test_power_split_gives_a_tie_to_the_part():
     # with the log priced so that the best part and all of x cost the same,
     # the part wins, as the smaller k; one more unit of log price and the
     # whole x wins
     a0 = Random(32).randrange(3 ** 239) * 3 + 1
-    prices = _zp_prices_reference(3, 1, 240, a0, 240, 0)
+    prices = _split_prices_reference(3, 1, "zp", 1, 240, a0, 240, 0)
     part, whole = min(prices[:-1], key=lambda nc: nc[1]), prices[-1]
     log = whole[1] - part[1]
     assert log > 0
-    assert analytic._zp_power_split(3, 1, 240, a0, 240, log) == part[0]
-    assert analytic._zp_power_split(3, 1, 240, a0, 240, log + 1) == whole[0]
+    c = ctx_new(3, 1, 240)
+    assert analytic._power_split(c, 1, 240, a0, 240, log) == part[0]
+    assert analytic._power_split(c, 1, 240, a0, 240, log + 1) == whole[0]
 
 
-def test_zp_power_split_takes_the_whole_x_or_a_part_as_priced(monkeypatch):
+def test_power_split_takes_the_whole_x_or_a_part_as_priced(monkeypatch):
     # log q is priced until the split holds it: at (3, 1, 60) q^x takes all
     # of x either way, at (3, 1, 120) all of x fresh (no log, no exp) and a
     # part once log q is held (one exp), at (3, 1, 480) a part either way;
@@ -323,7 +302,7 @@ def test_zp_power_split_takes_the_whole_x_or_a_part_as_priced(monkeypatch):
         x = sample(c, rng)
         a0, log = analytic._dz_vector(x)[0], analytic._log_reduction(3, 1, 1, K)[1]
         for log_price, full in ((log, fresh_full), (0, held_full)):
-            n = analytic._zp_power_split(3, 1, K, a0, K, log_price)
+            n = analytic._power_split(c, 1, K, a0, K, log_price)
             assert 0 < n and (n == a0 % 3 ** (K - 1)) == full, (K, log_price)
         calls.clear()
         fresh = analytic._QSplit(q).power(x)

@@ -1,6 +1,7 @@
 """Arithmetic, precision bookkeeping, and literal round-trips."""
 
 import copy
+import inspect
 import json
 import math
 import pickle
@@ -420,13 +421,19 @@ def test_deepcopy_keeps_context_parameters():
     (1, 2, "packed"), (2, 2, "packed"), (3, 3, "packed")])
 def test_kernel_set_is_chosen_by_e_and_f(e, f, kernels):
     # Z_p at e = f = 1, the schoolbook product at f = 1 below e = 5, packed
-    # products elsewhere; evaluate takes blocks only at e > 1.  A pickled
-    # context binds the same set again
+    # products elsewhere; evaluate takes blocks only at e > 1.  q^n is priced
+    # as one pow in Z_p and as square and multiply elsewhere, by the table's
+    # plain function, which holds no context.  A pickled context binds the
+    # same set again
     c = ctx_new(3, e, None, f)
+    price = PrimeContext._price_zp if kernels == "zp" else PrimeContext._price_chain
     for y in (c, pickle.loads(pickle.dumps(c))):
         assert y._kernels == kernels
         for name, kernel in PrimeContext._KERNELS[kernels].items():
-            assert getattr(y, name).__func__ is kernel
+            assert getattr(y, name) == kernel.__get__(y)
+        assert y._pow_price is price and inspect.isfunction(price)
+        # 26 has 5 bits, 3 of them set, and 3^60 has 96 bits
+        assert y._pow_price(3, 26, 60) == (5 * 9 // 24 if kernels == "zp" else 4 * 6)
         assert y._block_over == (math.inf if e == 1 else 2 * _core._BLOCK)
 
 

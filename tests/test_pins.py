@@ -16,11 +16,13 @@ that report and those commands, so both pins read one cached pass.
 import hashlib
 import importlib
 import json
+from collections import Counter
 from pathlib import Path
 from random import Random
 
 import pytest
 
+from qbracket import analytic
 from qbracket import (
     DomainError,
     PadicError,
@@ -118,21 +120,29 @@ def test_brackets_powers_and_jets_at_residue_degree_above_one():
 def workload_results():
     """A lookup of each distinct op of a perfbench workload's plan, in plan
     order, with the op's first result, as run.py takes them; each plan runs
-    once per session."""
+    once per session.  ``first.calls[workload, seed][key]`` counts the
+    ``analytic.exp`` and ``analytic.log1p`` calls of that first run."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         workloads = importlib.import_module("workloads")
-    cache = {}
+    cache, calls = {}, {}
 
     def first(workload: str, seed: int) -> dict:
         if (workload, seed) not in cache:
             plan = workloads.build(workload, seed)
-            cache[workload, seed] = {}
+            cache[workload, seed], calls[workload, seed] = {}, {}
             for op in plan.round_ops + plan.pass_ops:
                 if op.key not in cache[workload, seed]:
-                    cache[workload, seed][op.key] = (op, op.call())
+                    count = calls[workload, seed][op.key] = Counter()
+                    with pytest.MonkeyPatch.context() as mp:
+                        for name in ("exp", "log1p"):
+                            fn = getattr(analytic, name)
+                            mp.setattr(analytic, name, lambda z, fn=fn, name=name:
+                                       count.update((name,)) or fn(z))
+                        cache[workload, seed][op.key] = (op, op.call())
         return cache[workload, seed]
 
+    first.calls = calls
     return first
 
 
@@ -147,6 +157,19 @@ def test_default_reports_and_readme_commands(workload_results):
     assert _digest(reports) == "e418205b8cf5ea4fc4bd6d7190f98a66b5cd054e90fdd3226a497f307aa29a97"
     rows = [list(res) for key, (_, res) in results.items() if key.startswith("readme.")]
     assert _digest(rows) == "615815478882660b9879ae706813ee9246306fe4c1c9c0c92acbcd4cbd0e9bf4"
+
+
+def test_q_power_splits_make_the_pinned_exp_and_log1p_calls(workload_results):
+    # which n each q^x takes as q^n exp((x - n) log q) sets the exp and log1p
+    # calls: those of the seed-0 verify pass, run_all(seed=0), and of one
+    # seed-0 bracket-grid round, whose 60 ops are distinct and which has no
+    # pass
+    workload_results("verify", 0)
+    assert workload_results.calls["verify", 0]["verify"] == {"exp": 700, "log1p": 734}
+    grid = workload_results("bracket-grid", 0)
+    assert len(grid) == 60
+    assert sum(workload_results.calls["bracket-grid", 0].values(), Counter()) == {
+        "exp": 30, "log1p": 30}
 
 
 # The SHA-256 of each benchmark workload's outputs, as perfbench/run.py
