@@ -60,12 +60,15 @@ valuation at every point (``_log_form_terms``).  Term n gains v(y) over
 term n - 1, where the series1 and series2 terms gain v(y) - e/(p - 1),
 so on the heavy fixed-points leg, (5, 10, 200) with v(y) = 3/10, the 77
 coefficients of F below do what 426 of series1 did.  In X, F = (X - 1)
-Psi has the units u^(n-2) of y = pi^t u, one vector product each, formed
-when read, and its constant is log1p's series over y^2
-(``_QSplit.log_form``); in U, with y = pi^t U, the coefficients hold
-[n-1]_x, one Horner step each (``_log_form_in_u``).  At an integer x = j
-the parameter fiber is a polynomial of degree j - 2, which series2's
-monomials are there, and the solver keeps it (``_parameter_series``).
+Psi has the units u^(n-2) of y = pi^t u, one fixed-multiplier step each,
+and Psi is built in one Horner pass from the top, the division of F's
+terms by X - 1, whose last partial sum Psi_0 makes F's constant -Psi_0:
+F(1) = 0 by construction, and F is read only for its valuations and
+precisions (``_QSplit.log_fiber``).  In U, with y = pi^t U, the
+coefficients hold [n-1]_x, one Horner step each (``_log_form_in_u``).  At
+an integer x = j the parameter fiber is a polynomial of degree j - 2,
+which series2's monomials are there, and the solver keeps it
+(``_parameter_series``).
 series1 and series2 stay what they were, for their callers and the CLI's
 polygon.
 
@@ -81,9 +84,10 @@ core's ``_from_raw``.  The base only bounds every kept valuation from
 below, so a series derived from another (its derivative, a deflation, a
 recentring) keeps its source's base and shifts no vector.  A series'
 vectors come from one source, read as far as a pass reads: a running
-product or a log form's powers, resumed from the last vector formed, or
-a derivative, a view on its series' vectors that forms n w_n from
-w_n.  So a root lift never forms the coefficients its hints cut.
+product or the log form in U, resumed from the last vector formed, or a
+derivative, a view on its series' vectors that forms n w_n from w_n.  So
+a root lift never forms the coefficients its hints cut; F and Psi in X,
+whose pass runs from the top, are formed whole.
 
 A series' evaluation takes its precision first and its digits second.
 The precision is the one the PadicNumber loop would carry, P <- min(P +
@@ -420,9 +424,10 @@ def _log_form_terms(ctx: PrimeContext, t: int) -> tuple:
     Psi = Phi/(y^2 X (X - 1)) for Phi(X, y) = X log(1 + y) - log(1 + yX)
     = sum_n T_n (X - X^n), T_n = (-1)^(n+1) y^n/n log1p's terms, and
     X - X^n = -X (X - 1) [n-1]_X gives term n.  Both series the solver
-    solves on are Psi: in X at fixed y (``_QSplit.log_form``), and in U at
-    fixed x with y = pi^t U (``_log_form_in_u``), where coefficient 0,
-    [1]_x/2 = 1/2, is a unit.  The scalar part (-1)^n/n of term n has
+    solves on are Psi: in X at fixed y, the terms of F = (X - 1) Psi
+    divided by X - 1 in one pass from the top (``_QSplit.log_fiber``), and
+    in U at fixed x with y = pi^t U (``_log_form_in_u``), where coefficient
+    0, [1]_x/2 = 1/2, is a unit.  The scalar part (-1)^n/n of term n has
     valuation (n - 2) t - e v_p(n), its term n t - e v_p(n) in log1p's
     series less 2t, so ``_log_cutoff`` at K + 4t is a blockwise cutoff N
     with every omitted term at or above K + 2t, for every integral
@@ -723,37 +728,33 @@ class _QSplit:
             ctx, [_raw_of(c0), _raw_of(c1)], *_running_product(
                 term, itertools.repeat((lv, lp)), itertools.repeat(lu), 0, range(2, n_max + 1))))
 
-    def log_form(self) -> "TruncatedSeries":
-        """F = Phi(X, y)/(y^2 X) = (X - 1) Psi(X) around X = 0 (see
-        ``_log_form_terms``), the series ``fixed_points_for_q`` counts the
-        fiber on and deflates by its root 1.
+    def log_fiber(self) -> tuple:
+        """(F, Psi) around X = 0 (see ``_log_form_terms``), F = Phi(X, y)/(y^2 X)
+        = (X - 1) Psi(X): ``fixed_points_for_q`` counts the fiber on F and
+        lifts Psi.
 
-        Coefficient k >= 1 is term n = k + 1, its unit u^(n-2) one vector
-        product on the last, formed when a pass first reads it.  The
-        constant is (log(1 + y) - y)/y^2, log1p's terms n >= 2 over y^2, so
-        F(1) = 0 to the last digit: core's power sum adds them on the base
-        -2t modulo the least precision of the other coefficients, the one
-        their PadicNumber sum carries.  (log1p(y) - y)/y^2 would be known to
-        K - 2t at most: the subtraction cancels 2t leading digits.
+        F_k for k >= 1 is term n = k + 1, of valuation v_n and unit
+        (-1)^n u^(n-2)/m_n modulo pi^rel, rel = prec(y) - t, the powers u^1,
+        u^2, ... one fixed-multiplier step each.  Psi is F's synthetic
+        division by X - 1, ``_horner_division`` at 1 on F_1, F_2, ... alone:
+        its partial sums Psi_(k-1) = F_k + Psi_k are the quotient.  F_0 =
+        -(F_1 + F_2 + ...) = -Psi_0, so F(1) = 0 by construction and F's
+        constant takes no sum of its own.
         """
         ctx, y = self.q.ctx, self.y
-        p, e, t = ctx.p, ctx.e, y.val
-        rel = y.prec - t
+        t, rel = y.val, y.prec - y.val
         n_stop, vals, units = _log_form_terms(ctx, t)
-        prec0 = min(vals) + rel
-        terms = itertools.islice(
-            _log_terms(p, e, t, n_stop, ctx._ppow(_ceil_div(prec0 + 2 * t, e))), n_stop - 2)
-        c0 = _from_raw(ctx, -2 * t, ctx._power_sum(y._unit, terms, n_stop - 2, prec0 + 2 * t),
-                       prec0)
-
-        def raw():
-            power = ctx._vec_reduce(ctx.one()._unit, rel)
-            for n, v in enumerate(vals, 2):
-                if n > 2:
-                    power = ctx._vec_reduce(ctx._vec_mul(power, y._unit), rel)
-                yield v, units(power, n, rel), v + rel
-        return TruncatedSeries._make(ctx, ctx.zero(), Fraction(ctx.K + 2 * t, e), *_on_least(
-            ctx, [_raw_of(c0)], [(v, v + rel) for v in vals], raw()))
+        base, step = min(vals), ctx._horner_step(y._unit, rel)
+        powers = itertools.accumulate(range(n_stop - 3), lambda power, _: step(power, None),
+                                      initial=ctx._vec_reduce(self.one._unit, rel))
+        terms = [(v, tuple(ctx._vec_shift(units(power, n, rel), v - base)), v + rel)
+                 for n, v, power in zip(itertools.count(2), vals, powers)]
+        psi = _horner_division(base, terms, self.one, max(vals) + rel)
+        v, w, prec = psi[0]
+        head = (v, None if w is None else ctx._vec_reduce([-a for a in w], prec - base), prec)
+        tail = Fraction(ctx.K + 2 * t, ctx.e)
+        return tuple(TruncatedSeries._make(ctx, ctx.zero(), tail, base, *zip(*c))
+                     for c in ([head, *terms], psi))
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -823,8 +824,8 @@ class TruncatedSeries:
     of vectors on the base and the precisions; the ints and the tail cap
     floor(tail_bound e) in pi-units are fixed there, and the iterable is
     read only as far as a pass reads (``_vectors``), so the vectors of a
-    series1 jet, a series2 at 0, a log form or a derivative are formed
-    when first read.
+    series1 jet, a series2 at 0, a log form in U or a derivative are
+    formed when first read.
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_cap", "_base", "_vals", "_vecs", "_precs",
@@ -1140,7 +1141,8 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int,
     or above P + v(rho), so every value, digit, precision and zero flag is
     the loop's.  This is the one pass that carries the loop's precision,
     for evaluation and its precision (``TruncatedSeries.evaluate`` and
-    ``_prec_at``), deflation and series2's recentring; ``_decided`` is its
+    ``_prec_at``), deflation, Psi's division by X - 1
+    (``_QSplit.log_fiber``) and series2's recentring; ``_decided`` is its
     closed form.  Valuations add along a product, so unless
     v(c_i) = v(rho s_(i+1)) the sum has the lesser, or is zero-flagged when
     that reaches P: only a tie below P is measured.

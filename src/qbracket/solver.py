@@ -8,10 +8,11 @@ The solver works on Psi = Phi/(y^2 X (X - 1)), with the trivial fixed
 points 0 and 1 and the factor y^2 out of the way before any Newton step:
 it has the valuation of the deflated quotient ([X]_q - X)/(y X (X - 1))
 at every point, but its terms gain v(y) each, where that quotient's gain
-v(y) - e/(p - 1).  The fiber of q is counted on F = (X - 1) Psi(X) and
-lifted on Psi in X (``_QSplit.log_form``); the parameter direction
-lifts Psi(x, pi^t U) in U, with q = 1 + pi^t U, or at an integer x the
-polynomial that series2 is there (``_parameter_series``).
+v(y) - e/(p - 1).  The fiber of q is counted on F = (X - 1) Psi(X), read
+only for its valuations, and lifted on Psi in X, F's terms divided by
+X - 1 in one Horner pass (``_QSplit.log_fiber``); the parameter
+direction lifts Psi(x, pi^t U) in U, with q = 1 + pi^t U, or at an
+integer x the polynomial that series2 is there (``_parameter_series``).
 Every returned record is re-certified by one direct evaluation at x,
 independent of the series the root was found on: the first two Taylor
 coefficients of [X]_q - X at x give both the certification gap
@@ -19,8 +20,8 @@ coefficients of [X]_q - X at x give both the certification gap
 
 The solver never takes q apart itself.  It asks the analytic layer for
 one split of q per fiber (per record in the parameter direction, where
-each record has its own q) and reads m0, u, the series F and every
-certification of that fiber from it, so log q is computed once.
+each record has its own q) and reads m0, u, Psi with F's valuations and
+every certification of that fiber from it, so log q is computed once.
 
 Newton iteration runs on a precision ladder: each step evaluates the
 series only a little past the accuracy the iterate already has, 2e
@@ -393,9 +394,10 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     """All nontrivial fixed points of [X]_q in the working field.
 
     Counts the fiber on F = (X - 1) Psi(X), whose zeros in the unit disk
-    are those of [X]_q - X but 0, and lifts Psi, F deflated by its root 1,
-    from every residue where its reduction may vanish, until the count
-    is reached.
+    are those of [X]_q - X but 0, from F's valuations and precisions
+    alone, and lifts Psi, F's terms divided by X - 1 in one Horner pass,
+    from every residue where its reduction may vanish, until the count is
+    reached.
     """
     ctx = q.ctx
     s = _QSplit(q)
@@ -403,9 +405,8 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     _, m0, u = s.parts()
     if not phi2_contains(m0, ctx.p):
         return SolveOutcome((), 0, m0)
-    f = s.log_form()
-    return _solve_fiber(f.divide_by_root(s.one), unit_disk_zero_count(f) - 1, m0,
-                        lambda x: (x, s, u))
+    f, psi = s.log_fiber()
+    return _solve_fiber(psi, unit_disk_zero_count(f) - 1, m0, lambda x: (x, s, u))
 
 
 def _phi1_val(x: PadicNumber) -> int | None:

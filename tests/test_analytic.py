@@ -1536,65 +1536,110 @@ def test_series2_recentring_matches_reference(case, kind, seed):
 _FIXED_POINT_LEGS = ((3, 1, 60, 1), (3, 4, 120, 3), (5, 3, 90, 1), (5, 10, 200, 3))
 
 
+def _psi_ref(q):
+    """Psi from PadicNumbers: F of ``_log_form_ref`` deflated by its root 1,
+    as (F, Psi), Psi on F's base."""
+    f = _log_form_ref(q)
+    psi = TruncatedSeries(q.ctx, *_divide_by_root_ref(f, q.ctx.one()))
+    assert psi._base == f._base
+    return f, psi
+
+
+def _stored_ref(series):
+    """The raw triples a series of these PadicNumber coefficients stores
+    on its base: each unit shifted onto it and reduced to its precision."""
+    ctx, base = series.ctx, series._base
+    return tuple((None, None, c.prec) if c.is_zero else (c.val, ctx._vec_reduce(
+        ctx._vec_shift(c._unit, c.val - base), c.prec - base), c.prec) for c in series.coeffs)
+
+
+def _assert_matches_the_deflation(q) -> None:
+    """The one pass of ``_QSplit.log_fiber`` must give the deflation of the
+    PadicNumber-built F by its root 1, bit for bit: Psi's base, valuations,
+    stored vectors and precisions.  F's ints, the count's input, and its
+    vectors must be the reference's too, its constant -Psi_0 in value,
+    precision and zero flag."""
+    f, psi = analytic._QSplit(q).log_fiber()
+    ref, want = _psi_ref(q)
+    assert ((psi._base, psi._vals, tuple(psi._stored()), psi._precs, psi.tail_bound)
+            == (want._base, want._vals, _stored_ref(want), want._precs, want.tail_bound))
+    assert psi.coeffs == want.coeffs
+    assert ((f._base, f._vals, f._precs, f.tail_bound)
+            == (ref._base, ref._vals, ref._precs, ref.tail_bound))
+    assert tuple(f._stored()) == _stored_ref(ref) and f.coeffs == ref.coeffs
+    assert f.coeffs[0] == -psi.coeffs[0]
+
+
 def test_deflation_at_bench_scale_matches_reference(monkeypatch):
-    # the strategies draw at most 10 coefficients; the deflation of
-    # F = (X - 1) Psi by its root 1 divides 66 to 99 coefficients (g's jet
-    # had 124 to 426: F's terms gain v(q - 1) a term where the jet's gained
-    # v(q - 1) - e/(p - 1)), each pass caught inside fixed_points_for_q and
-    # compared bit for bit
+    # the raw-series strategies draw at most 10 coefficients; Psi, F = (X - 1) Psi
+    # divided by its root 1, is built from 66 to 99 coefficients of F (g's
+    # jet had 124 to 426: F's terms gain v(q - 1) a term where the jet's
+    # gained v(q - 1) - e/(p - 1)), each pass caught inside
+    # fixed_points_for_q and compared bit for bit with the deflation of the
+    # PadicNumber-built F
     seen = []
-    divide = TruncatedSeries.divide_by_root
+    log_fiber = analytic._QSplit.log_fiber
 
-    def caught(series, root):
-        seen.append((series, root))
-        return divide(series, root)
+    def caught(split):
+        seen.append(split.q)
+        return log_fiber(split)
 
-    monkeypatch.setattr(TruncatedSeries, "divide_by_root", caught)
+    monkeypatch.setattr(analytic._QSplit, "log_fiber", caught)
     rng = Random(21)
     for p, e, K, t in _FIXED_POINT_LEGS:
         c = ctx_new(p, e, K)
         fixed_points_for_q(c.one() + sample(c, rng, valuation=t))
-    assert [len(s) for s, _ in seen] == [66, 47, 99, 77]
-    for s, root in seen:
-        assert _as_built(lambda: divide(s, root)) == _as_built(lambda: _divide_by_root_ref(s, root))
+    monkeypatch.undo()
+    assert [len(_log_form_ref(q)) for q in seen] == [66, 47, 99, 77]
+    for q in seen:
+        _assert_matches_the_deflation(q)
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 10), st.sampled_from((1, 2)),
+       st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=150, deadline=None)
+def test_log_fiber_matches_the_deflation(p, e, f, seed, data):
+    # Psi in one pass over the powers of u, against F = (X - 1) Psi built
+    # from PadicNumbers, F_0 = -(F_1 + F_2 + ...), and divided by X - 1 by
+    # the PadicNumber loop; F(1) = 0, which the division's zero remainder
+    # checked, is the constant -Psi_0 being F_0 in value, precision and
+    # zero flag.  q is known to K or to fewer digits
+    K = data.draw(st.integers(2 * e, 6 * e + 12))
+    c = ctx_new(p, e, K, f)
+    t = data.draw(st.integers(e // (p - 1) + 1, min(2 * e, K - 1)))
+    q = c.one() + sample(c, Random(seed), valuation=t)
+    if t + 1 < K and data.draw(st.booleans()):
+        q = q._cap_prec(data.draw(st.integers(t + 1, K - 1)))
+    _assert_matches_the_deflation(q)
 
 
 def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
-    # s_i = c_i + rho s_(i+1) has the lesser of v(c_i) and v(rho s_(i+1))
-    # when they differ, so the Horner division measures a valuation only at
-    # a tie or where a sum comes out zero-flagged: on F's deflation at
-    # (5, 3, 90), 17 of its 99 sums (58 of 376 on g's jet), where it
-    # measured every one
-    seen, calls = [], [0]
-    divide = TruncatedSeries.divide_by_root
-    monkeypatch.setattr(TruncatedSeries, "divide_by_root",
-                        lambda series, root: seen.append((series, root)) or divide(series, root))
+    # Psi_(k-1) = F_k + Psi_k has the lesser of v(F_k) and v(Psi_k) when
+    # they differ, so the pass measures a valuation only on a tie: on the
+    # fiber at (5, 3, 90), 16 of Psi's 98 coefficients (58 of 376 on g's
+    # jet), where a pass that measured every sum would measure 98
+    calls = [0]
     patch_kernel(monkeypatch, "_vec_val", lambda vec_val: lambda ctx, *args: (
         calls.__setitem__(0, calls[0] + 1) or vec_val(ctx, *args)))
     c = ctx_new(5, 3, 90)
-    fixed_points_for_q(c.one() + sample(c, Random(0), valuation=1))
-    ((s, root),) = seen
+    q = c.one() + sample(c, Random(0), valuation=1)
+    split = analytic._QSplit(q)
     calls[0] = 0
-    quotient = divide(s, root)
+    psi = split.log_fiber()[1]
     measured = calls[0]
-    assert quotient.coeffs == _divide_by_root_ref(s, root)[1]
-    rho, cs = root - s.center, s.coeffs
-    sums = [cs[-1]]  # s_(n-1) ... s_0 by the PadicNumber loop
-    for ci in reversed(cs[:-1]):
-        sums.append(ci + rho * sums[-1])
-    sums.reverse()
-    ties = sum(not (a.is_zero or b.is_zero or rho.is_zero) and a.val == rho.val + b.val
-               for a, b in zip(cs, sums[1:]))
-    zero_flagged = sum(z.is_zero for z in sums)
-    assert measured <= ties + zero_flagged
-    assert (len(s), measured, ties) == (99, 17, 17)
+    f, want = _psi_ref(q)
+    assert psi.coeffs == want.coeffs
+    cs, sums = f.coeffs, want.coeffs + (c.zero(),)
+    ties = sum(not (a.is_zero or b.is_zero) and a.val == b.val
+               for a, b in zip(cs[1:], sums[1:]))
+    assert (len(psi), measured, ties) == (98, 16, 16)
 
 
 # -- the log form against PadicNumber references and against exp ---------
 #
-# fixed_points_for_q solves on F = Phi/(y^2 X) = (X - 1) Psi(X), q = 1 + y,
-# and q_for_x and local_Q on Psi(x, pi^t U), Phi = X log(1 + y) -
-# log(1 + yX) and Psi = sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n.  The raw
+# fixed_points_for_q counts on F = Phi/(y^2 X) = (X - 1) Psi(X), q = 1 + y,
+# and lifts Psi; q_for_x and local_Q lift Psi(x, pi^t U).  Phi = X log(1 + y)
+# - log(1 + yX) and Psi = sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n.  The raw
 # builders must give, digit for digit, the coefficients the PadicNumber
 # chains below give, read in any order; and Psi must meet the bracket
 # through q^X - 1 - yX = (1 + yX)(exp(Phi) - 1) at every claimed digit.
@@ -1660,8 +1705,9 @@ def test_log_form_builds_match_reference(case, seed, hint):
             == _read_then_built(lambda: _log_form_in_u_ref(x, m0), point, hint))
     y = q - c.one()
     if not y.is_zero and in_S(y):
-        assert (_read_then_built(analytic._QSplit(q).log_form, point, hint)
-                == _read_then_built(lambda: _log_form_ref(q), point, hint))
+        for i in (0, 1):  # F and Psi
+            assert (_read_then_built(lambda: analytic._QSplit(q).log_fiber()[i], point, hint)
+                    == _read_then_built(lambda: _psi_ref(q)[i], point, hint))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -1722,7 +1768,7 @@ def test_log_form_meets_the_bracket_through_exp(case):
     c = q.ctx
     s = analytic._QSplit(q)
     y, one = s.y, c.one()
-    psi = s.log_form().divide_by_root(one)
+    psi = s.log_fiber()[1]
     for x in points:
         lhs = q_bracket(x, q) - x
         rhs = (one + y * x) * (exp(y * y * x * (x - one) * psi.evaluate(x)) - one) * s.inv_y

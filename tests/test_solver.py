@@ -627,12 +627,18 @@ def test_heavy_solve_vector_products(vector_products):
     # most 76 coefficients, so only the 27 evaluations whose hint keeps more
     # than 2B run blocks (block 5532 -> 896, join 674 -> 96), with 126 fewer
     # power steps, and the other 19 past the screens take 171 Horner steps
-    # (step 794 -> 490)
+    # (step 794 -> 490).  Now Psi is F's terms F_1 ... F_76 divided by
+    # X - 1, and F's constant is -Psi_0: the powers u^1 ... u^75 are 75
+    # steps of one fixed-multiplier kernel, not 75 _vec_mul calls (vec_mul
+    # 295 -> 220); the division, with no F_0 below it, takes 75 steps at
+    # multiplier 1, not 76; and F's constant takes no power sum: its 58
+    # terms, 9 joins and 7 power steps are gone (power_term 394 -> 336,
+    # power_join 48 -> 39, step 490 -> 557)
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 295, "step": 490, "block": 896, "join": 96,
-                               "power_term": 394, "power_join": 48}
+    assert vector_products == {"vec_mul": 220, "step": 557, "block": 896, "join": 96,
+                               "power_term": 336, "power_join": 39}
 
 
 def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
