@@ -81,13 +81,13 @@ zero-flagged.  The builders hand their raw coefficients over, and every
 operation on that form keeps each coefficient digit for digit the
 PadicNumber one; ``coeffs`` builds those PadicNumbers only when read, by
 core's ``_from_raw``.  The base only bounds every kept valuation from
-below, so a series derived from another (its derivative, a deflation, a
-recentring) keeps its source's base and shifts no vector.  A series'
-vectors come from one source, read as far as a pass reads: a running
-product or the log form in U, resumed from the last vector formed, or a
-derivative, a view on its series' vectors that forms n w_n from w_n.  So
-a root lift never forms the coefficients its hints cut; F and Psi in X,
-whose pass runs from the top, are formed whole.
+below, so a series derived from another (its derivative, a recentring)
+keeps its source's base and shifts no vector.  A series' vectors come
+from one source, read as far as a pass reads: a running product or the
+log form in U, resumed from the last vector formed, or a derivative, a
+view on its series' vectors that forms n w_n from w_n.  So a root lift
+never forms the coefficients its hints cut; F and Psi in X, whose pass
+runs from the top, are formed whole.
 
 A series' evaluation takes its precision first and its digits second.
 The precision is the one the PadicNumber loop would carry, P <- min(P +
@@ -107,8 +107,8 @@ once per pass for the fixed multiplier dz.  Where they can bind, the
 evaluation is that division's remainder.  The solver reads the precision
 of a probe point or a Newton target with no evaluation: the closed
 form, or the division's pass run modulo the few pi-units where a
-v(acc) term can bind.  Deflation at a root and series2's recentring at
-u, one pass per coefficient, are that division too.
+v(acc) term can bind.  Psi's division by X - 1, one pass, and series2's
+recentring at u, one pass per coefficient, are that division too.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
-from .errors import CertificationFailure, ContextMismatch, DomainError
+from .errors import ContextMismatch, DomainError
 
 __all__ = [
     "TruncatedSeries",
@@ -815,8 +815,8 @@ class TruncatedSeries:
     what ``coeffs`` builds on each read.  b lies at or below every kept
     valuation.  A series built from PadicNumbers or by a builder takes the
     least valuation, a zero-flagged coefficient's precision standing in
-    for one; a series derived from another, its derivative, a deflation
-    or a recentring, keeps its source's b, so no vector is shifted when a
+    for one; a series derived from another, its derivative or a
+    recentring, keeps its source's b, so no vector is shifted when a
     derived coefficient's valuation rises.  The suffix minima of the
     valuations are kept beside them, so a hint cuts the trailing
     coefficients by one bisection.  Every series comes from one
@@ -1081,39 +1081,6 @@ class TruncatedSeries:
             [None if v is None else v + up for v, up in zip(self._vals[1:], ups)],
             self._derived(precs), precs)
 
-    def drop_center_root(self) -> "TruncatedSeries":
-        """Divide by (X - center) when the center is an exact root.
-
-        Index shift only; the caller asserts the analytic fact, the
-        constant coefficient merely confirms it numerically.
-        """
-        if not self._vals:
-            raise DomainError("series too short to divide")
-        if self._vals[0] is not None:
-            raise CertificationFailure(
-                "constant coefficient is not zero at precision; center is not a confirmed root")
-        return TruncatedSeries._make(self.ctx, self.center, self.tail_bound, self._base,
-                                     self._vals[1:], self._vectors(len(self))[1:], self._precs[1:])
-
-    def divide_by_root(self, root: PadicNumber) -> "TruncatedSeries":
-        """Divide by (X - root) for an exact root inside the unit disk.
-
-        Synthetic division of the stored polynomial part, one Horner pass
-        at root - center (``_horner_division``).  Because the root is exact,
-        the true quotient coefficients are tail sums of the original ones,
-        so the same tail bound stays valid on the whole disk (the apparent
-        pole cancels analytically).
-        """
-        rho = root - self.center
-        if not rho.is_zero and rho.val < 0:
-            raise DomainError("root outside the closed unit disk around the center")
-        if len(self) < 2:
-            raise DomainError("series too short to divide")
-        rem, *out = _horner_division(self._base, list(self._stored()), rho, self._wall)
-        if rem[0] is not None:
-            raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
-        return TruncatedSeries._make(self.ctx, self.center, self.tail_bound, self._base, *zip(*out))
-
     def valuation_points(self) -> list:
         """(index, valuation) pairs for polygon building; None marks zero-flagged."""
         e = self.ctx.e
@@ -1141,11 +1108,11 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int,
     or above P + v(rho), so every value, digit, precision and zero flag is
     the loop's.  This is the one pass that carries the loop's precision,
     for evaluation and its precision (``TruncatedSeries.evaluate`` and
-    ``_prec_at``), deflation, Psi's division by X - 1
-    (``_QSplit.log_fiber``) and series2's recentring; ``_decided`` is its
-    closed form.  Valuations add along a product, so unless
-    v(c_i) = v(rho s_(i+1)) the sum has the lesser, or is zero-flagged when
-    that reaches P: only a tie below P is measured.
+    ``_prec_at``), Psi's division by X - 1 (``_QSplit.log_fiber``) and
+    series2's recentring; ``_decided`` is its closed form.  Valuations add
+    along a product, so unless v(c_i) = v(rho s_(i+1)) the sum has the
+    lesser, or is zero-flagged when that reaches P: only a tie below P is
+    measured.
 
     The pass runs modulo pi^rel, rel = W - b by default: each sum is
     reduced, and each tie measured, modulo pi^min(P - b, rel).  A smaller

@@ -418,7 +418,7 @@ class PrimeContext:
     # 1.8x at e = 3 and 4, and 1.6x at e = 10; at f > 1, at the seven
     # contexts above, 0.6x, 1.0x, 1.2x, 1.7x, 2.5x, 3.4x and 4.5x as fast
     # as steps by the table walk.  A series' evaluation is such a pass, and
-    # so are its synthetic divisions, deflation by a root and series2's
+    # so are its synthetic divisions, Psi's division by X - 1 and series2's
     # recentring, whose partial sums are the quotient.
     #
     # _block_pass reduces once per B = _BLOCK coefficients (rectangular

@@ -11,7 +11,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbracket import analytic, core
@@ -433,16 +433,6 @@ def test_series2_rejects_non_unit_center():
         series2(c.from_int(3), c.from_int(3), Fraction(1))
 
 
-def test_divide_by_root_exact_polynomial():
-    # (X-2)(X-3) = 6 - 5X + X^2 divided by the root 2 leaves -3 + X
-    c = ctx_new(5, 1, 40)
-    coeffs = (c.from_int(6), c.from_int(-5), c.from_int(1))
-    s = TruncatedSeries(c, c.from_int(0), coeffs, None)
-    qt = s.divide_by_root(c.from_int(2))
-    assert (qt.coeffs[0] - c.from_int(-3)).is_zero
-    assert (qt.coeffs[1] - c.one()).is_zero
-
-
 def test_derivative_of_polynomial():
     c = ctx_new(5, 1, 40)
     coeffs = (c.from_int(6), c.from_int(-5), c.from_int(1))
@@ -536,15 +526,17 @@ def _analytic_results(c, z, y, x, w, n, hint, u, n_max):
     out["series1(w)"] = s.evaluate(w)
     for k, ck in enumerate(s.coeffs[:8]):
         out[f"series1[{k}]"] = ck
-    # the solver's deflation: the trivial roots 0 and 1 divided out
-    deflated = series1(0, q).drop_center_root().divide_by_root(one)
-    out["deflated(w)"] = deflated.evaluate(w, hint)
+    # the series the solver lifts: Psi in X for a q fiber, Psi in U (or
+    # series2's polynomial at an integer x) for an x fiber
+    out["Psi in X(w)"] = analytic._QSplit(q).log_fiber()[1].evaluate(w, hint)
     m0 = Fraction(y.val, c.e)
     if m0 * (c.p - 1) > 1 and not (x.is_zero or (x - one).is_zero):
+        out["Psi in U(w)"] = analytic._parameter_series(x, m0).evaluate(w, hint)
         # one cutoff for K and 2K: a recentred coefficient sums every kept
         # monomial, and the default cutoff near the edge of S takes
         # hundreds of monomials, and seconds to recentre, at 2K.  The
-        # monomials themselves (u = 0) are what every library caller uses
+        # monomials themselves (u = 0) are what the solver lifts at an
+        # integer x
         for name, center in (("series2", u), ("series2@0", 0)):
             h = series2(x, center, m0, n_max)
             out[f"{name}(w)"] = h.evaluate(w)
@@ -1351,10 +1343,11 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
 
 # -- the raw series operations against their PadicNumber bodies ----------
 #
-# The functions below are the pre-change bodies of derivative,
-# drop_center_root, divide_by_root and the series2 recentring, on the
+# The functions below are the pre-change bodies of derivative, the
+# synthetic division by (X - rho) and the series2 recentring, on the
 # PadicNumber coefficients.  The raw form must give the same
 # coefficients, bit for bit, the same tail bound, or the same error.
+# _divide_by_root_ref deflates a root, as the reference of Psi does.
 # _scale_ref, the body of the scaling the fused series1 build replaced,
 # builds the series of negative valuation the strategies draw.
 
@@ -1371,28 +1364,35 @@ def _scale_ref(s, c):
     return s.center, tuple(c * ci for ci in s.coeffs), tail
 
 
-def _drop_center_root_ref(s):
-    if not s.coeffs[0].is_zero:
-        raise CertificationFailure(
-            "constant coefficient is not zero at precision; center is not a confirmed root")
-    return s.center, s.coeffs[1:], s.tail_bound
+def _horner_division_ref(coeffs, rho):
+    """The partial sums s_i = c_i + rho s_(i+1) from the top, s_0 ...
+    s_(n-1): the remainder at rho, then the quotient by (X - rho)."""
+    sums = []
+    for c in reversed(coeffs):
+        sums.append(c + rho * sums[-1] if sums else c)
+    return sums[::-1]
+
+
+_NONZERO_REMAINDER = "nonzero remainder: the given point is not a root at precision"
 
 
 def _divide_by_root_ref(s, root):
     rho = root - s.center
     if not rho.is_zero and rho.val < 0:
         raise DomainError("root outside the closed unit disk around the center")
-    cs = s.coeffs
-    if len(cs) < 2:
+    if len(s) < 2:
         raise DomainError("series too short to divide")
-    out = [cs[-1]]
-    for i in range(len(cs) - 2, 0, -1):
-        out.append(cs[i] + rho * out[-1])
-    out.reverse()
-    rem = cs[0] + rho * out[0]
+    rem, *out = _horner_division_ref(s.coeffs, rho)
     if not rem.is_zero:
-        raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
+        raise CertificationFailure(_NONZERO_REMAINDER)
     return s.center, tuple(out), s.tail_bound
+
+
+def _on_base(ctx, base, coeffs):
+    """The raw triples of these PadicNumbers stored on ``base``: each unit
+    shifted onto it and reduced to its precision."""
+    return tuple((None, None, c.prec) if c.is_zero else (c.val, ctx._vec_reduce(
+        ctx._vec_shift(c._unit, c.val - base), c.prec - base), c.prec) for c in coeffs)
 
 
 def _series2_ref(x, u, m0, n_max=None):
@@ -1456,7 +1456,14 @@ def _raw_series_arguments(draw):
     return s, center + rho
 
 
+def _exact_quadratic():
+    """(X - 2)(X - 3) = 6 - 5X + X^2 and its root 2: the quotient is X - 3."""
+    c = ctx_new(5, 1, 40)
+    return TruncatedSeries(c, c.zero(), tuple(map(c.from_int, (6, -5, 1))), None), c.from_int(2)
+
+
 @given(_raw_series_arguments())
+@example(_exact_quadratic())
 @settings(max_examples=300, deadline=None)
 def test_raw_series_operations_match_reference(case):
     s, root = case
@@ -1464,21 +1471,30 @@ def test_raw_series_operations_match_reference(case):
     assert s.valuation_points() == [(n, None if d.is_zero else Fraction(d.val, e))
                                     for n, d in enumerate(s.coeffs)]
     assert _as_built(s.derivative) == _as_built(lambda: _derivative_ref(s))
-    assert _as_built(s.drop_center_root) == _as_built(lambda: _drop_center_root_ref(s))
-    assert (_as_built(lambda: s.divide_by_root(root))
-            == _as_built(lambda: _divide_by_root_ref(s, root)))
-    for derived in (s.derivative, lambda: s.derivative().derivative(), s.drop_center_root,
-                    lambda: s.divide_by_root(root)):
-        assert _base_kept(s, derived)
+    view = s.derivative()
+    assert view._base == view.derivative()._base == s._base
+    _assert_division_matches(s, s, root)
 
 
-def _base_kept(s, derive) -> bool:
-    """Does the series ``derive`` builds, if it builds, keep s's base?"""
-    try:
-        out = derive()
-    except (DomainError, CertificationFailure):
-        return True
-    return out._base == s._base
+def _assert_division_matches(series, ref, root):
+    """``_horner_division`` of the series' stored triples at rho = root -
+    center must give the PadicNumber loop's partial sums on ref's
+    coefficients, bit for bit, stored on the series' base: the quotient
+    keeps that base, and the remainder is zero-flagged exactly where
+    _divide_by_root_ref deflates.  Where that refuses before dividing, at a
+    root outside the disk or a series too short, no pass runs."""
+    rho = root - series.center
+    want = _as_built(lambda: _divide_by_root_ref(ref, root))
+    if not rho.is_zero and rho.val < 0:
+        assert want == (DomainError, "root outside the closed unit disk around the center")
+    elif len(series) < 2:
+        assert want == (DomainError, "series too short to divide")
+    else:
+        base = series._base
+        got = analytic._horner_division(base, list(series._stored()), rho, series._wall)
+        assert all(v is None or v >= base for v, _, _ in got)
+        assert tuple(got) == _on_base(series.ctx, base, _horner_division_ref(ref.coeffs, rho))
+        assert (got[0][0] is None) == (want != (CertificationFailure, _NONZERO_REMAINDER))
 
 
 @given(_evaluate_arguments(es=_WIDE_ES, most=24))
@@ -1500,22 +1516,8 @@ def test_derivative_view_matches_reference(case):
     assert (view.center, view.coeffs, view.tail_bound) == _derivative_ref(s)
     assert (second.center, second.coeffs, second.tail_bound) == _derivative_ref(ref)
     assert view.valuation_points() == ref.valuation_points()
-    assert _as_built(view.drop_center_root) == _as_built(ref.drop_center_root)
-    assert (_as_built(lambda: view.divide_by_root(point))
-            == _as_built(lambda: _divide_by_root_ref(ref, point)))
     assert view._base == second._base == s._base
-    for derived in (view.drop_center_root, lambda: view.divide_by_root(point)):
-        assert _base_kept(s, derived)
-
-
-def test_drop_center_root_refuses_a_series_with_no_coefficients():
-    # a series with no constant coefficient has no root at its center to
-    # drop; it is refused as divide_by_root refuses one too short to divide
-    c = ctx_new(5, 1, 20)
-    empty = TruncatedSeries(c, c.zero(), (), None)
-    for drop in (empty.drop_center_root, lambda: empty.divide_by_root(c.one())):
-        with pytest.raises(DomainError, match="series too short to divide"):
-            drop()
+    _assert_division_matches(view, ref, point)
 
 
 @given(_series_build_arguments(), st.sampled_from(("zero", "unit", "low", "deep")),
@@ -1547,10 +1549,8 @@ def _psi_ref(q):
 
 def _stored_ref(series):
     """The raw triples a series of these PadicNumber coefficients stores
-    on its base: each unit shifted onto it and reduced to its precision."""
-    ctx, base = series.ctx, series._base
-    return tuple((None, None, c.prec) if c.is_zero else (c.val, ctx._vec_reduce(
-        ctx._vec_shift(c._unit, c.val - base), c.prec - base), c.prec) for c in series.coeffs)
+    on its base."""
+    return _on_base(series.ctx, series._base, series.coeffs)
 
 
 def _assert_matches_the_deflation(q) -> None:
@@ -1790,8 +1790,8 @@ def test_series2_recentring_at_bench_scale_matches_reference():
 
 
 def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypatch):
-    # divide_by_root at a root that is no integer, so each step is a packed
-    # product, and the recentring of series2 at a unit, one pass per
+    # synthetic division at a root that is no integer, so each step is a
+    # packed product, and the recentring of series2 at a unit, one pass per
     # coefficient, build one step kernel a pass and call _vec_mul never
     counts = dict.fromkeys(("vec_mul", "horner_step"), 0)
 
@@ -1812,9 +1812,11 @@ def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypa
     s = TruncatedSeries(c, c.zero(), [-(root * quotient[0])] + [
         a - root * b for a, b in zip(quotient, quotient[1:])] + [quotient[-1]], None)
     want = _divide_by_root_ref(s, root)[1]
+    stored = list(s._stored())
     counts.update(dict.fromkeys(counts, 0))
-    assert s.divide_by_root(root).coeffs == want
+    rem, *got = analytic._horner_division(s._base, stored, root, s._wall)
     assert counts == {"vec_mul": 0, "horner_step": 1}
+    assert rem[0] is None and tuple(got) == _on_base(c, s._base, want)
     x, m0 = sample(c, rng), Fraction(1, 3)
     counts.update(dict.fromkeys(counts, 0))
     h = series2(x, 0, m0)

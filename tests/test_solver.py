@@ -946,7 +946,19 @@ def _fixed_points_ref(q):
         return solver.SolveOutcome((), 0, m0)
     n_max = analytic._n_for_tail(m0 - Fraction(1, ctx.p - 1), Fraction(ctx.K, ctx.e) + m0 + 1)
     s1 = _scale_raw_ref(series1(ctx.zero(), q, n_max), s.inv_y)
-    g = s1.drop_center_root().divide_by_root(s.one)
+    # the trivial roots divided out: 0 by dropping the constant, 1 by one
+    # synthetic division
+    stored = list(s1._stored())
+    if stored[0][0] is not None:
+        raise CertificationFailure(
+            "constant coefficient is not zero at precision; center is not a confirmed root")
+    if len(stored) < 3:
+        raise DomainError("series too short to divide")
+    rem, *out = analytic._horner_division(s1._base, stored[1:], s.one,
+                                          max(prec for *_, prec in stored[1:]))
+    if rem[0] is not None:
+        raise CertificationFailure("nonzero remainder: the given point is not a root at precision")
+    g = TruncatedSeries._make(ctx, s1.center, s1.tail_bound, s1._base, *zip(*out))
     return solver._solve_fiber(g, unit_disk_zero_count(s1) - 2, m0, lambda x: (x, s, u))
 
 
