@@ -13,11 +13,16 @@ exp and log1p sum their series modulo pi^target by core's power sum
 (Paterson-Stockmeyer) on Kronecker-packed integers, the one pass that a
 series' block evaluation also runs, which for N terms takes about 2 sqrt(N)
 products of packed vectors and, per term, one scalar times a packed
-power.  log1p first raises 1+y to a p-power, which moves y deeper into S
-so the series needs fewer terms, then divides the log by that power.  Both
-return, digit for digit, the truncated series of the stored
-representative, so the claimed precisions are those the proved cutoffs
-give, as before: no digit and no precision changes with the method.
+power.  The scalars, each term's class and place in its block included,
+depend on p, e, the argument's valuation, N and the modulus alone, never
+on a digit of the argument, so each shape's are built once and kept in
+a bounded cache keyed by those ints, as Psi's scalars are (``_TABLES``);
+a kept table holds no context.  log1p first raises 1+y to a p-power,
+which moves y deeper into S so the series needs fewer terms, then
+divides the log by that power.  Both return, digit for digit, the
+truncated series of the stored representative, so the claimed precisions
+are those the proved cutoffs give, as before: no digit and no precision
+changes with the method.
 
 The parameter q enters only through q^x with q = 1 + y in 1+S.  There
 q^x = exp(x log q) is also the limit of the integer powers q^n as n -> x,
@@ -121,7 +126,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw, _vp
+from .core import PadicNumber, PrimeContext, _ceil_div, _from_raw, _power_table, _vp
 from .errors import ContextMismatch, DomainError
 
 __all__ = [
@@ -188,9 +193,9 @@ def log1p(y: PadicNumber) -> PadicNumber:
     Argument reduction: Y = (1+y)^(p^k) - 1 has valuation t + k*e and
     log(1+Y) = p^k log(1+y).  So y is lifted to its exact representative
     at target + k*e, raised by k p-th powers, the series for Y is summed
-    to target + k*e by ``PrimeContext._power_sum``, and the sum is divided
-    by p^k.  That takes fewer
-    terms, about (target + k*e)/(t + k*e); ``_log_reduction`` picks k.
+    to target + k*e by ``PrimeContext._power_sum``, on scalars built once
+    per shape (``_log_table``), and the sum is divided by p^k.  That takes
+    fewer terms, about (target + k*e)/(t + k*e); ``_log_reduction`` picks k.
     The result is the value the unreduced series gives for the stored
     representative, modulo pi^target, and is claimed to the same
     precision, because log is an isometry on S.
@@ -211,9 +216,7 @@ def log1p(y: PadicNumber) -> PadicNumber:
             big = big ** p
         y = big - one
     t, rel = y.val, y.prec
-    n_stop = _log_cutoff(p, e, t, rel)
-    terms = _log_terms(p, e, t, n_stop, ctx._ppow(_ceil_div(rel, e)))
-    return _from_raw(ctx, -k * e, ctx._power_sum(y._unit, terms, n_stop, rel), target)
+    return _from_raw(ctx, -k * e, ctx._power_sum(y._unit, _log_table(p, e, t, rel), rel), target)
 
 
 def _log_cutoff(p: int, e: int, t: int, target: int) -> int:
@@ -232,8 +235,12 @@ def _log_reduction(p: int, e: int, t: int, target: int) -> tuple:
     Integer cost rule, in vector products: a p-th power by square and
     multiply takes bit_length(p) + popcount(p) - 2, the series on N
     terms takes about 2 sqrt(N) (``PrimeContext._power_sum``), and each
-    term adds a modular inverse and
-    a scalar times a packed power, counted as 1/4 of a product.  The
+    term adds a scalar times a packed power, counted as 1/4 of a product.
+    Each term's modular inverse is paid once per shape, when its table is
+    built (``_log_table``), not per call; the weight 1/4, and exp's
+    (``_exp_price``), were timed when every call paid it and are kept
+    as they are, because a new weight changes which k and which split of
+    q^x win, and with them the vector products that tests count.  The
     smallest k of least cost wins.  Which k wins changes no digit, since
     log1p's identity log(1+Y) = p^k log(1+y) holds for every k.  The
     result depends on the four ints alone and is kept per call shape.
@@ -417,6 +424,21 @@ def _log_terms(p: int, e: int, t: int, n_stop: int, mod: int):
     yield 0, 0
 
 
+# the most shapes whose q-independent scalars each of _log_table, _exp_table
+# and _log_form_table keeps; one round of each benchmark workload at seeds
+# 0-5 (verify: 0-1) reads at most 29 exp, 11 log and 5 Psi shapes
+_TABLES = 64
+
+
+@lru_cache(maxsize=_TABLES)
+def _log_table(p: int, e: int, t: int, rel: int) -> tuple:
+    """``_power_table`` of log1p's series at v(y) = t summed modulo pi^rel,
+    on ``_log_cutoff``'s N terms: its scalars are paid once per shape."""
+    n_stop = _log_cutoff(p, e, t, rel)
+    return _power_table(p, e, n_stop, rel,
+                        _log_terms(p, e, t, n_stop, p ** _ceil_div(rel, e)))
+
+
 def _log_form_terms(ctx: PrimeContext, t: int) -> tuple:
     """(N, valuations, units) of the terms n = 2 ... N - 1 of
     Psi = sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n, for v(y) = t.
@@ -434,22 +456,40 @@ def _log_form_terms(ctx: PrimeContext, t: int) -> tuple:
     [n-1]_X and every y = pi^t U with U integral.
 
     ``units(vec, n, rel)`` is (-1)^n vec / m_n modulo pi^rel, m_n the
-    part of n prime to p: the chain's ``_scale((-1)^n, n)``.
+    part of n prime to p: the chain's ``_scale((-1)^n, n)``, for rel <= K,
+    as every caller's is.  N, the valuations and the scalars (-1)^n/m_n
+    modulo p^ceil(K/e), a multiple of each p^ceil(rel/e), depend on p, e, t
+    and K alone and are kept per shape (``_log_form_table``), so no call
+    takes an inverse.
     """
-    p, e = ctx.p, ctx.e
-    n_stop = _log_form_cutoff(ctx, t)
-    vals = [(n - 2) * t - e * _vp(n, p) for n in range(2, n_stop)]
+    n_stop, vals, scalars = _log_form_table(ctx.p, ctx.e, t, ctx.K)
 
     def units(vec, n: int, rel: int) -> tuple:
-        m = n // p ** _vp(n, p)
-        c = pow(-m if n % 2 else m, -1, ctx._ppow(_ceil_div(rel, e)))
+        c = scalars[n - 2]
         return ctx._vec_reduce([c * a for a in vec], rel)
     return n_stop, vals, units
 
 
+@lru_cache(maxsize=_TABLES)
+def _log_form_table(p: int, e: int, t: int, K: int) -> tuple:
+    """(N, valuations, scalars) of ``_log_form_terms`` for the terms
+    n = 2 ... N - 1: N is log1p's blockwise cutoff at K + 4t, term n has
+    valuation (n - 2) t - e v_p(n) and scalar (-1)^n/m_n modulo
+    p^ceil(K/e)."""
+    n_stop = _log_cutoff(p, e, t, K + 4 * t)
+    mod = p ** _ceil_div(K, e)
+    vals, scalars = [], []
+    for n in range(2, n_stop):
+        v = _vp(n, p)
+        m = n // p ** v
+        vals.append((n - 2) * t - e * v)
+        scalars.append(pow(-m if n % 2 else m, -1, mod))
+    return n_stop, tuple(vals), tuple(scalars)
+
+
 def _log_form_cutoff(ctx: PrimeContext, t: int) -> int:
     """N of ``_log_form_terms``: log1p's blockwise cutoff at K + 4t."""
-    return _log_cutoff(ctx.p, ctx.e, t, ctx.K + 4 * t)
+    return _log_form_table(ctx.p, ctx.e, t, ctx.K)[0]
 
 
 def exp(z: PadicNumber) -> PadicNumber:
@@ -461,8 +501,10 @@ def exp(z: PadicNumber) -> PadicNumber:
     m_n is n! stripped of p.  It is taken by rectangular splitting on
     packed integers (``PrimeContext._power_sum``, Paterson and Stockmeyer
     1973): about 2 sqrt(N) vector products instead of N, and per term one
-    scalar times a packed power, with the m_n^-1 from one modular inverse
-    and a running product taken in the order of the Horner pass.  The
+    scalar times a packed power.  The scalars, p^(s_n // e)/m_n modulo
+    p^ceil(target/e) with the m_n^-1 from one modular inverse and a running
+    product taken in the order of the Horner pass, depend on p, e, t and
+    the target alone and are built once per shape (``_exp_table``).  The
     result is the value the term-by-term series gives for the stored
     representative, modulo pi^target, and is claimed to the same
     precision.  q^x reaches exp only for what is left of x log q once an
@@ -476,9 +518,8 @@ def exp(z: PadicNumber) -> PadicNumber:
             raise DomainError("zero at too little precision to certify membership in S")
         return ctx.one(z.prec)
     t, target = z.val, z.prec
-    n_stop = _exp_cutoff(ctx.p, ctx.e, t, target)
-    terms = _exp_terms(ctx.p, ctx.e, t, n_stop, ctx._ppow(_ceil_div(target, ctx.e)))
-    return _from_raw(ctx, 0, ctx._power_sum(z._unit, terms, n_stop, target), target)
+    table = _exp_table(ctx.p, ctx.e, t, target)
+    return _from_raw(ctx, 0, ctx._power_sum(z._unit, table, target), target)
 
 
 def _exp_cutoff(p: int, e: int, t: int, target: int) -> int:
@@ -495,12 +536,21 @@ def _exp_price(p: int, e: int, t: int, target: int) -> int:
     return 8 * math.isqrt(terms) + terms
 
 
+@lru_cache(maxsize=_TABLES)
+def _exp_table(p: int, e: int, t: int, target: int) -> tuple:
+    """``_power_table`` of exp's series at v(z) = t summed modulo pi^target,
+    on ``_exp_cutoff``'s N terms: its scalars are paid once per shape."""
+    n_stop = _exp_cutoff(p, e, t, target)
+    return _power_table(p, e, n_stop, target,
+                        _exp_terms(p, e, t, n_stop, p ** _ceil_div(target, e)))
+
+
 def _exp_terms(p: int, e: int, t: int, n_stop: int, mod: int):
     """(s_n, m_n^-1 modulo ``mod``) for the exp series, n = n_stop - 1 down to 0.
 
     One forward pass forms m_{N-1}, one pow inverts it, and m_(n-1)^-1
-    = m_n^-1 * (n stripped of p) walks back down; nothing of size N is
-    stored.
+    = m_n^-1 * (n stripped of p) walks back down, as ``_exp_table`` reads
+    the terms, once per shape.
     """
     n = n_stop - 1
     m = 1

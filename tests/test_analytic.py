@@ -5,7 +5,9 @@ integer/Fraction oracles (partial sums, big-integer Hensel, direct
 factorial stripping) before the assertions were written.
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -749,9 +751,10 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
     assert negative == []
 
 
-# _power_sum(u, terms, n_stop, rel) against the sum taken term by term on
-# unpacked integers: u^n by the schoolbook product or table walk of
-# tests/test_core.py, pi^(s_n) by _vec_shift, one reduction at the end.
+# _power_sum(u, _power_table(p, e, n_stop, rel, terms), rel) against the sum
+# taken term by term on unpacked integers: u^n by the schoolbook product or
+# table walk of tests/test_core.py, pi^(s_n) by _vec_shift, one reduction at
+# the end.
 
 def _power_sum_ref(c, u, terms, rel):
     acc, power = [0] * c._dim, c._vec_reduce([1] + [0] * (c._dim - 1), rel)
@@ -779,8 +782,99 @@ def test_power_sum_at_the_widest_slot_sums():
                 for n_stop in (2, 3, 5, 9, 25, 37, 49):
                     for s_of in (lambda n: 0, lambda n: e - 1, lambda n: n % e, lambda n: n):
                         terms = [(s_of(n), big_m - 1) for n in range(n_stop - 1, -1, -1)]
-                        got = c._power_sum(u, iter(terms), n_stop, rel)
+                        table = core._power_table(p, e, n_stop, rel, iter(terms))
+                        got = c._power_sum(u, table, rel)
                         assert got == _power_sum_ref(c, u, terms, rel), (p, e, rel, n_stop)
+
+
+_TABLE_CACHES = (analytic._exp_table, analytic._log_table, analytic._log_form_table)
+
+
+def _clear_tables():
+    for cache in _TABLE_CACHES:
+        cache.cache_clear()
+
+
+def _fiber_state(q):
+    # everything of (F, Psi) that a caller or the solver reads
+    return [(s._base, s._vals, tuple(s._stored()), s._precs, s.tail_bound, s.coeffs)
+            for s in analytic._QSplit(q).log_fiber()]
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_power_tables_match_the_term_sum_cold_and_warm(p, e, data):
+    # the scalars exp and log1p keep per (p, e, t, rel) give the sum taken
+    # term by term, built right after the caches are cleared and read back
+    # from them; every t in S, rel up to the large-K cells (2880 pi-units),
+    # t raised until both series have at most 400 terms, so the reference's
+    # one vector product per term stays cheap
+    rel = data.draw(st.integers(2, 2880))
+    t = data.draw(st.integers(e // (p - 1) + 1, e // (p - 1) + 12))
+    while max(analytic._exp_cutoff(p, e, t, rel), analytic._log_cutoff(p, e, t, rel)) > 400:
+        t += 1
+    f = data.draw(st.sampled_from((1, 2)))
+    c = ctx_new(p, e, max(rel, 2 * e), f)
+    big_m = p ** -(-rel // e)
+    digits = st.integers(0, big_m - 1)
+    u = data.draw(st.just([big_m - 1] * c._dim) | st.lists(digits, min_size=c._dim,
+                                                           max_size=c._dim))
+    for table, cutoff, terms in ((analytic._exp_table, analytic._exp_cutoff, analytic._exp_terms),
+                                 (analytic._log_table, analytic._log_cutoff, analytic._log_terms)):
+        n_stop = cutoff(p, e, t, rel)
+        want = _power_sum_ref(c, u, list(terms(p, e, t, n_stop, big_m)), rel)
+        _clear_tables()
+        assert c._power_sum(u, table(p, e, t, rel), rel) == want
+        hits = table.cache_info().hits
+        assert c._power_sum(u, table(p, e, t, rel), rel) == want
+        assert table.cache_info().hits == hits + 1
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 10), st.sampled_from((1, 2)),
+       st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exp_log_and_psi_are_the_same_cold_and_warm(p, e, f, seed, data):
+    # exp, log1p and Psi's build give the same digits, precision and zero
+    # flag on tables built right after the caches are cleared and on the
+    # tables kept from that call; z is known to K or to fewer digits
+    lo = e // (p - 1) + 1  # the least valuation in S
+    K = data.draw(st.integers(max(2 * e, lo + 1), 12 * e + 24))
+    c = ctx_new(p, e, K, f)
+    t = data.draw(st.integers(lo, min(lo + 2 * e, K - 1)))
+    z = sample(c, Random(seed), valuation=t)
+    if data.draw(st.booleans()):
+        z = z._cap_prec(data.draw(st.integers(t + 1, K)))
+    for fn, arg in ((exp, z), (log1p, z), (_fiber_state, c.one() + z)):
+        _clear_tables()
+        cold = _outcome(fn, arg)
+        assert _outcome(fn, arg) == cold
+
+
+class _WeakContext(PrimeContext):
+    __slots__ = ("__weakref__",)
+
+
+def test_kept_tables_hold_no_context_and_stay_at_their_bound():
+    # a context is freed once dropped, whatever exp, log1p, the q-bracket
+    # and Psi's build kept; a sweep of more shapes than the bound keeps
+    # each cache at it
+    c = _WeakContext(5, 3, 90)
+    z = sample(c, Random(5), valuation=2)
+    q = c.one() + z
+    exp(z), log1p(z), q_bracket(c.from_rational(1, 3), q), analytic._QSplit(q).log_fiber()
+    analytic._log_form_in_u(c, 3, c.K, list(c.from_rational(2, 7)._unit))
+    alive = weakref.ref(c)
+    del c, z, q
+    gc.collect()
+    assert alive() is None
+    bound = analytic._TABLES
+    c = ctx_new(3, 1, bound + 40)
+    z = sample(c, Random(6), valuation=2)
+    for target in range(3, bound + 40):
+        exp(z._cap_prec(target)), log1p(z._cap_prec(target))
+    for K in range(2, bound + 40):
+        analytic._log_form_terms(ctx_new(3, 1, K), 1)
+    assert [cache.cache_info().currsize for cache in _TABLE_CACHES] == [bound] * 3
 
 
 # -- TruncatedSeries.evaluate against the PadicNumber Horner loop --------
