@@ -380,17 +380,19 @@ class PrimeContext:
     # at e = f = 1, works on plain integers, as FLINT's padic module
     # treats Z_p at fixed precision apart from its extensions: a vector is
     # one integer modulo p^rel, the product one multiply, the valuation v_p
-    # of that entry, and the inverse and the powers one C-level pow each.
-    # The schoolbook set, at f = 1 and 2 <= e < _PACKED_MIN_E, takes the
-    # product as a double loop, and the packed set, everywhere else, by
-    # Kronecker substitution (Harvey, J. Symb. Comput. 2009); the two share
-    # the valuation, the Newton doubling of the inverse, and square and
-    # multiply for powers.  Each set also prices its power, _pow_price(p, n,
-    # target), a plain function, so a cache keyed on it holds no context: by
-    # the bits of n and of p^target for Z_p's pow, by the squares and
-    # multiplies of the chain in the other two (analytic's split of q^x
-    # reads it).  A kernel call tests no e or f.  Each product returns
-    # unreduced integers, the same whichever kernel forms them.
+    # of that entry, the inverse Newton doubling on that integer, and the
+    # powers one C-level pow.  The schoolbook set, at f = 1 and
+    # 2 <= e < _PACKED_MIN_E, takes the product as a double loop and the
+    # inverse through the norm to Z_p, and the packed set, everywhere else,
+    # the product by Kronecker substitution (Harvey, J. Symb. Comput. 2009)
+    # and the inverse by Newton doubling on vectors; the two share the
+    # valuation, and square and multiply for powers.  Each set also prices
+    # its power, _pow_price(p, n, target), a plain function, so a cache
+    # keyed on it holds no context: by the bits of n and of p^target for
+    # Z_p's pow, by the squares and multiplies of the chain in the other two
+    # (analytic's split of q^x reads it).  A kernel call tests no e or f.
+    # Each product returns unreduced integers, the same whichever kernel
+    # forms them.
     # Kronecker substitution writes each operand as one integer,
     # entry j*e + i in slot j(2e - 1) + i of w bits (_packer), and takes one
     # big-integer product, whose row d, slots d(2e - 1) to
@@ -489,16 +491,25 @@ class PrimeContext:
     # block there.  A tuple (r, j, c) per term summed 0.46x and 0.62x, but
     # its tables took 1.1-1.5x the memory at K >= 180.
     #
-    # _vec_inv doubles u^-1 by w <- w (2 - u w), two products a step, from
-    # the residue inverse or from a start, the inverse of a nearby unit,
-    # which one product at full precision measures and the first step
-    # reuses.  The solver's Newton ladder starts each f'^-1 from the last
-    # step's, which agrees with it to about the last iterate's accuracy.
-    # On the heavy fixed-points solve at (5, 10, 200) the 20 inverses after
-    # each lift's first took 110 products where they took 236 from the
-    # residue, and a start right to rel takes one.  The Z_p set takes the
-    # inverse as one C-level pow(u, -1, p^rel), no product at all, and a
-    # unit power as one pow(u, n, p^rel) (PadicNumber.__pow__).
+    # The packed set's _vec_inv doubles u^-1 by w <- w (2 - u w), two
+    # products a step, from the residue inverse or from a start, the
+    # inverse of a nearby unit, which one product at full precision
+    # measures and the first step reuses.  The solver's Newton ladder starts
+    # each f'^-1 from the last step's, which agrees with it to about the last
+    # iterate's accuracy.  On the heavy fixed-points solve at (5, 10, 200)
+    # the 20 inverses after each lift's first took 110 products where they
+    # took 236 from the residue, and a start right to rel takes one.  The
+    # Z_p set inverts its integer by the same doubling on integers,
+    # _int_inv, and the schoolbook set takes u^-1 = adj(u) N(u)^-1, one
+    # _int_inv of the norm N(u) = u adj(u) in Z_p (_ring_inv), all modulo
+    # p^ceil(rel/e): no vector product, and no start read.  On the inverses
+    # of one round of each workload, taken again on the same operands, 15
+    # interleaved repeats (2-vCPU Linux VM, Python 3.11.7), they took 0.12x
+    # the time of the C-level pow(u, -1, p^rel) they replaced at
+    # (p, e, K) = (3, 1, 480), 0.41-0.91x at (3, 1, 60), where pow is the
+    # faster below about 40 bits, and 0.13-0.20x the time of the vector
+    # doubling at (5, 3, 90), (5, 3, 180) and (3, 4, 120).  A unit power in
+    # the Z_p set is one pow(u, n, p^rel) (PadicNumber.__pow__).
     #
     # Every packed kernel folds and unpacks through _unpacker, whose
     # closure _packer keeps per width and modulus.  The closure adds one
@@ -606,7 +617,7 @@ class PrimeContext:
         return s if s < rel else None
 
     def _inv_zp(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
-        return (pow(u[0], -1, self._ppow(rel)),)
+        return (self._int_inv(u[0], rel),)
 
     def _pow_zp(self, u: Sequence[int], n: int, rel: int) -> tuple:
         return (pow(u[0], n, self._ppow(rel)),)
@@ -775,9 +786,9 @@ class PrimeContext:
         ``start``, an inverse of a nearby unit: one product measures its
         k = v(u start - 1), and the first step reuses that d; a start
         wrong modulo pi falls back to the residue inverse.  The inverse
-        modulo pi^rel is unique, so the start changes no digit; the Z_p
-        set's inverse, one C-level ``pow`` with exponent -1, does not read
-        it.
+        modulo pi^rel is unique, so the start changes no digit; only the
+        packed set takes this inverse, and the other sets' inverses on
+        integers (``_int_inv``) do not read a start.
         """
         w = d = None
         if start is not None:
@@ -802,6 +813,57 @@ class PrimeContext:
             d = None
         return self._vec_reduce(w, rel)
 
+    def _int_inv(self, a: int, m: int) -> int:
+        """a^-1 modulo p^m, m >= 1, for an integer a prime to p, by Newton
+        doubling on integers: w <- w (2 - a w) modulo p^k takes w right to
+        ceil(k/2) digits to k, so from a^-1 modulo p the steps run at
+        k = ceil(m/2^i), from the top i down, and the last one lands on m."""
+        tops = []
+        while m > 1:
+            tops.append(m)
+            m = (m + 1) // 2
+        w = pow(a % self.p, -1, self.p)
+        for k in reversed(tops):
+            mod = self._ppow(k)
+            w = w * (2 - a % mod * w) % mod
+        return w
+
+    def _inv_norm(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
+        """``_vec_inv`` at f = 1 and e <= 4: u^-1 = adj(u) N(u)^-1, with
+        N(u) = u adj(u) in Z_p, taken modulo p^ceil(rel/e) = pi^(e ceil(rel/e))
+        and reduced modulo pi^rel once.  The inverse modulo pi^rel is unique,
+        so it has the doubling's digits; a start is not read."""
+        return self._vec_reduce(self._ring_inv(u, _ceil_div(rel, self.e)), rel)
+
+    def _ring_inv(self, u: Sequence[int], m: int) -> tuple:
+        """u^-1 modulo p^m, unreduced, for a unit u of Z_p[rho], rho^n = p,
+        n = len(u) <= 4, as adj(u) N(u)^-1 with one ``_int_inv`` of the norm.
+
+        At even n the conjugate u(-rho) negates the odd entries, and for
+        u = A + rho B with A and B in Z_p[sigma], sigma = rho^2,
+        u u(-rho) = A^2 - sigma B^2 lies in Z_p[sigma]: so u^-1 =
+        u(-rho) (u u(-rho))^-1, the second inverse taken at n/2.  At n = 3
+        adj(u) is the adjugate of the matrix of multiplication by u.
+        """
+        p, n, mod = self.p, len(u), self._ppow(m)
+        if n == 1:
+            return (self._int_inv(u[0], m),)
+        if n == 2:
+            a, b = u
+            norm = self._int_inv((a * a - p * b * b) % mod, m)
+            return (a * norm, -b * norm)
+        if n == 3:
+            a, b, c = u
+            adj = ((a * a - p * b * c) % mod, (p * c * c - a * b) % mod, (b * b - a * c) % mod)
+            norm = self._int_inv((a * adj[0] + p * (b * adj[2] + c * adj[1])) % mod, m)
+            return tuple(x * norm for x in adj)
+        u0, u1, u2, u3 = u  # A = u0 + u2 sigma, B = u1 + u3 sigma, sigma^2 = p
+        c0, c1 = self._ring_inv(((u0 * u0 + p * (u2 * u2 - 2 * u1 * u3)) % mod,
+                                 (2 * u0 * u2 - u1 * u1 - p * u3 * u3) % mod), m)
+        c0, c1 = c0 % mod, c1 % mod
+        return (u0 * c0 + p * u2 * c1, -u1 * c0 - p * u3 * c1,
+                u2 * c0 + u0 * c1, -u3 * c0 - u1 * c1)
+
     # The kernel sets, by name: __init__ binds one onto the context as its
     # _vec_mul, _vec_val, _vec_inv and _unit_pow, and sets its _pow_price,
     # a static method, as the plain function (see the kernel note)
@@ -809,7 +871,7 @@ class PrimeContext:
         "zp": dict(_vec_mul=_mul_zp, _vec_val=_val_zp, _vec_inv=_inv_zp, _unit_pow=_pow_zp,
                    _pow_price=_price_zp),
         "schoolbook": dict(_vec_mul=_mul_schoolbook, _vec_val=_val_vector,
-                           _vec_inv=_inv_doubling, _unit_pow=_pow_chain,
+                           _vec_inv=_inv_norm, _unit_pow=_pow_chain,
                            _pow_price=_price_chain),
         "packed": dict(_vec_mul=_mul_packed, _vec_val=_val_vector, _vec_inv=_inv_doubling,
                        _unit_pow=_pow_chain, _pow_price=_price_chain),
@@ -1055,8 +1117,9 @@ class PadicNumber:
         return self._inv()
 
     def _inv(self, near: "PadicNumber | None" = None) -> "PadicNumber":
-        """``inv``, its doubling started from ``near``, the inverse of a nearby
-        nonzero value, when given (``PrimeContext._vec_inv``): the same digits."""
+        """``inv``, the packed kernel set's doubling started from ``near``,
+        the inverse of a nearby nonzero value, when given
+        (``PrimeContext._vec_inv``): the same digits."""
         if self._is_zero:
             raise PrecisionExhausted("cannot invert a value that is zero at precision")
         ctx = self.ctx

@@ -171,11 +171,13 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     f' is evaluated at hint - v(f(x)) + s, which gives the quotient the
     same digits and precision as f' at the full hint; when that value is
     zero-flagged, has v != s or comes back short of the asked precision,
-    f' is evaluated at the full hint as before.  f'(x)^-1 is doubled from
+    f' is evaluated at the full hint as before.  f'(x)^-1 is started from
     the last step's inverse (``PadicNumber._inv``): f' moved by about
     f''(x) f(x)/f'(x) since, so the two agree to about as many digits as
-    the last step's iterate had, and the doubling takes up from there.
-    The inverse is unique, so this changes no digit.
+    the last step's iterate had.  Only the packed kernel set reads that
+    start, and its doubling takes up from there; the others invert on
+    integers from the residue.  The inverse is unique, so this changes no
+    digit.
 
     A lift ends on an evaluation at the target that is zero there, or,
     given ``closes(old, new, f(old), f'(old), target)``, on the update

@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbracket.core as _core
@@ -1038,35 +1038,83 @@ def test_vec_inv_from_a_start_matches_the_doubling(data):
 
 
 def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
-    # one product measures the start; a right one is the inverse, and one
-    # wrong at the residue costs that product on top of the doubling; at
-    # e = f = 1 the inverse is one pow and takes no product, start or not
+    # in the packed set the doubling from the residue inverse takes two
+    # products a step, after the square and multiply of u^(p^f - 2) at
+    # f > 1; one product measures a start, a right one is the inverse, and
+    # one wrong at the residue costs that product on top of the doubling;
+    # the Z_p and schoolbook sets invert on integers and take no product,
+    # start or not
     calls = []
     patch_kernel(monkeypatch, "_vec_mul",
                  lambda vec_mul: lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
-    for p, e, f in ((5, 1, 1), (5, 3, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3)):
+    for p, e, f in ((5, 1, 1), (5, 3, 1), (3, 4, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3)):
         c = ctx_new(p, e, 30 * e, f)
         assert sees_one_product(c, lambda: len(calls))
         u = sample(c, Random(20))._unit
         rel = c.K - 1
         inverse = c._vec_inv(u, rel)
-        calls.clear()
-        c._vec_inv(u, rel)
-        fresh = len(calls)
-        right = 0 if c._kernels == "zp" else 1  # the product that measures a start
-        assert fresh or not right
-        for start, products in ((inverse, right), ([0] * c._dim, fresh + right)):
+        packed = c._kernels == "packed"
+        chain = p ** f - 2 if f > 1 else 1
+        fresh = (2 * (rel - 1).bit_length() + chain.bit_length() + chain.bit_count() - 2
+                 if packed else 0)
+        for start, products in ((None, fresh), (inverse, int(packed)),
+                                ([0] * c._dim, fresh + packed)):
             calls.clear()
             assert c._vec_inv(u, rel, start) == inverse
-            assert len(calls) == products
+            assert len(calls) == products, (p, e, f, start is None)
+
+
+# The Z_p set inverts by Newton doubling on one integer, the schoolbook set
+# as adj(u) N(u)^-1 with N(u) in Z_p, by halving at even e and the 3 x 3
+# adjugate at e = 3, both modulo p^ceil(rel/e).  The vector doubling from the
+# residue inverse is the reference in every set, at rel deep enough that the
+# integer doubling takes many steps: a unit drawn at random, one integer
+# alone, one congruent to 1 modulo pi, 1 itself, and every entry at its
+# modulus minus 1.
+
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 6), st.integers(1, 2),
+       st.integers(1, 400), st.sampled_from(("random", "integer", "residue 1", "one", "top")),
+       st.integers(0, 10 ** 6))
+@example(3, 1, 1, 960, "random", 0)
+@example(5, 3, 1, 2880, "random", 0)
+@settings(max_examples=200, deadline=None)
+def test_vec_inv_matches_the_doubling_at_large_rel(p, e, f, rel, kind, seed):
+    c = ctx_new(p, e, max(rel, 2 * e), f)
+    rng = Random(seed)
+    if kind == "random":
+        u = sample(c, rng)._unit
+    elif kind == "integer":
+        u = [rng.randrange(1, p) + p * rng.randrange(p ** rel)] + [0] * (c._dim - 1)
+    elif kind == "residue 1":
+        u = c._vec_shift(sample(c, rng)._unit, 1)
+        u[0] += 1
+    elif kind == "one":
+        u = [1] + [0] * (c._dim - 1)
+    else:
+        u = [m - 1 for m in c._moduli(rel)]
+    u = c._vec_reduce(u, rel)
+    w = c._vec_inv(u, rel)
+    assert w == PrimeContext._inv_doubling(c, u, rel)
+    assert c._vec_reduce(_vec_mul_ref(c, u, w), rel) == c._vec_reduce([1] + [0] * (c._dim - 1), rel)
+
+
+def test_every_schoolbook_e_has_a_norm_formula():
+    # the schoolbook set's inverse has formulas for e <= 4 only: every e the
+    # set takes must reach one, at a random unit and at the top entries
+    for e in range(2, _core._PACKED_MIN_E):
+        c = ctx_new(3, e, 30 * e)
+        assert c._kernels == "schoolbook"
+        for u in (sample(c, Random(e))._unit, [m - 1 for m in c._moduli(c.K)]):
+            w = c._vec_inv(u, c.K)
+            assert w == PrimeContext._inv_doubling(c, u, c.K)
 
 
 # PadicNumber.__pow__ takes the unit power of the context's kernel set:
 # square and multiply on vectors, or one C-level pow in the Z_p set, at
-# e = f = 1, where a unit is one integer modulo p^rel and _vec_inv is one
-# pow too.  The references are square and multiply on PadicNumber
-# products, and the Newton doubling w <- w (2 - u w) from the residue
-# inverse.
+# e = f = 1, where a unit is one integer modulo p^rel and _vec_inv is the
+# Newton doubling on that integer.  The references are square and multiply
+# on PadicNumber products, and the Newton doubling w <- w (2 - u w) from the
+# residue inverse, the precision doubled from the bottom up.
 
 def _pow_chain(x, n):
     result, base = None, x
