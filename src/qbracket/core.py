@@ -837,7 +837,8 @@ class PrimeContext:
 
     def _ring_inv(self, u: Sequence[int], m: int) -> tuple:
         """u^-1 modulo p^m, unreduced, for a unit u of Z_p[rho], rho^n = p,
-        n = len(u) <= 4, as adj(u) N(u)^-1 with one ``_int_inv`` of the norm.
+        n = len(u) in {2, 3, 4}, as adj(u) N(u)^-1 with one ``_int_inv`` of
+        the norm.
 
         At even n the conjugate u(-rho) negates the odd entries, and for
         u = A + rho B with A and B in Z_p[sigma], sigma = rho^2,
@@ -846,8 +847,6 @@ class PrimeContext:
         adj(u) is the adjugate of the matrix of multiplication by u.
         """
         p, n, mod = self.p, len(u), self._ppow(m)
-        if n == 1:
-            return (self._int_inv(u[0], m),)
         if n == 2:
             a, b = u
             norm = self._int_inv((a * a - p * b * b) % mod, m)
