@@ -32,7 +32,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from random import Random
 from typing import Iterable, Sequence
 
@@ -169,17 +169,18 @@ class PrimeContext:
     parameters agree.
 
     A context binds one kernel set of ``_KERNELS`` when it is built, as its
-    ``_vec_mul``, ``_vec_val``, ``_vec_inv``, ``_unit_pow`` and the price
-    of a unit power, ``_pow_price``: the Z_p set
-    at e = f = 1, the schoolbook set at f = 1 and 2 <= e <
-    ``_PACKED_MIN_E``, and the packed set otherwise (see the notes on the
-    coefficient-vector kernels).  ``_kernels`` names the set.  A pickled
-    context is rebuilt from (p, e, K, f), so its caches are not kept.
+    ``_vec_mul``, ``_vec_val``, ``_unit_pow`` and the price of a unit
+    power, ``_pow_price``: the Z_p set at e = f = 1, the schoolbook set at
+    f = 1 and 2 <= e < ``_PACKED_MIN_E``, and the packed set otherwise (see
+    the notes on the coefficient-vector kernels).  ``_kernels`` names the
+    set.  Its ``_vec_inv`` goes by f alone: on integers at f = 1, by vector
+    doubling at f > 1.  A pickled context is rebuilt from (p, e, K, f), so
+    its caches are not kept.
     """
 
     __slots__ = ("p", "e", "K", "f", "modulus", "_dim", "_pp", "_mods", "_packers", "_kernels",
                  "_row_weight", "_block_over", "_vec_mul", "_vec_val", "_vec_inv", "_unit_pow",
-                 "_pow_price")
+                 "_pow_price", "_pack_vec")
 
     def __init__(self, p: int, e: int, K: int | None = None, f: int = 1):
         if not _is_prime(p):
@@ -210,6 +211,12 @@ class PrimeContext:
                          else "schoolbook")
         for name, kernel in self._KERNELS[self._kernels].items():
             setattr(self, name, kernel.__get__(self))
+        # the inverse goes by f, not by the product: on integers at f = 1,
+        # through the norm to Z_p at e > 1, and by vector doubling at f > 1;
+        # the pack function by whether a vector has more than one row of slots
+        self._vec_inv = (self._inv_doubling if f > 1 else self._inv_norm if e > 1
+                         else self._inv_zp)
+        self._pack_vec = _pack if f == 1 or e == 1 else partial(_pack_rows, e=e)
 
     def __reduce__(self):
         return PrimeContext, (self.p, self.e, self.K, self.f)
@@ -374,25 +381,25 @@ class PrimeContext:
     # reduced: entry j*e + i canonical in [0, p^ceil((rel-i)/e)).
     # Reduction, valuation and shifts treat every block alike.
     #
-    # The product, the valuation, the inverse and the unit power are the
-    # context's kernel set, chosen once, when the context is built, from
-    # _KERNELS (at the end of the class), and bound onto it.  The Z_p set,
-    # at e = f = 1, works on plain integers, as FLINT's padic module
-    # treats Z_p at fixed precision apart from its extensions: a vector is
-    # one integer modulo p^rel, the product one multiply, the valuation v_p
-    # of that entry, the inverse Newton doubling on that integer, and the
-    # powers one C-level pow.  The schoolbook set, at f = 1 and
-    # 2 <= e < _PACKED_MIN_E, takes the product as a double loop and the
-    # inverse through the norm to Z_p, and the packed set, everywhere else,
-    # the product by Kronecker substitution (Harvey, J. Symb. Comput. 2009)
-    # and the inverse by Newton doubling on vectors; the two share the
-    # valuation, and square and multiply for powers.  Each set also prices
-    # its power, _pow_price(p, n, target), a plain function, so a cache
-    # keyed on it holds no context: by the bits of n and of p^target for
-    # Z_p's pow, by the squares and multiplies of the chain in the other two
-    # (analytic's split of q^x reads it).  A kernel call tests no e or f.
-    # Each product returns unreduced integers, the same whichever kernel
-    # forms them.
+    # The product, the valuation and the unit power are the context's
+    # kernel set, chosen once, when the context is built, from _KERNELS (at
+    # the end of the class), and bound onto it, and the inverse is bound
+    # beside them by f.  The Z_p set, at e = f = 1, works on plain integers,
+    # as FLINT's padic module treats Z_p at fixed precision apart from its
+    # extensions: a vector is one integer modulo p^rel, the product one
+    # multiply, the valuation v_p of that entry, the inverse Newton doubling
+    # on that integer, and the powers one C-level pow.  The schoolbook set,
+    # at f = 1 and 2 <= e < _PACKED_MIN_E, takes the product as a double
+    # loop, and the packed set, everywhere else, by Kronecker substitution
+    # (Harvey, J. Symb. Comput. 2009); the two share the valuation, and
+    # square and multiply for powers.  Every f = 1 context past Z_p inverts
+    # through the norm to Z_p, and f > 1 by Newton doubling on vectors.
+    # Each set also prices its power, _pow_price(p, n, target), a plain
+    # function, so a cache keyed on it holds no context: by the bits of n
+    # and of p^target for Z_p's pow, by the squares and multiplies of the
+    # chain in the other two (analytic's split of q^x reads it).  A kernel
+    # call tests no e or f.  Each product returns unreduced integers, the
+    # same whichever kernel forms them.
     # Kronecker substitution writes each operand as one integer,
     # entry j*e + i in slot j(2e - 1) + i of w bits (_packer), and takes one
     # big-integer product, whose row d, slots d(2e - 1) to
@@ -491,24 +498,37 @@ class PrimeContext:
     # block there.  A tuple (r, j, c) per term summed 0.46x and 0.62x, but
     # its tables took 1.1-1.5x the memory at K >= 180.
     #
-    # The packed set's _vec_inv doubles u^-1 by w <- w (2 - u w), two
-    # products a step, from the residue inverse or from a start, the
-    # inverse of a nearby unit, which one product at full precision
-    # measures and the first step reuses.  The solver's Newton ladder starts
-    # each f'^-1 from the last step's, which agrees with it to about the last
-    # iterate's accuracy.  On the heavy fixed-points solve at (5, 10, 200)
-    # the 20 inverses after each lift's first took 110 products where they
-    # took 236 from the residue, and a start right to rel takes one.  The
-    # Z_p set inverts its integer by the same doubling on integers,
-    # _int_inv, and the schoolbook set takes u^-1 = adj(u) N(u)^-1, one
-    # _int_inv of the norm N(u) = u adj(u) in Z_p (_ring_inv), all modulo
-    # p^ceil(rel/e): no vector product, and no start read.  On the inverses
-    # of one round of each workload, taken again on the same operands, 15
-    # interleaved repeats (2-vCPU Linux VM, Python 3.11.7), they took 0.12x
-    # the time of the C-level pow(u, -1, p^rel) they replaced at
-    # (p, e, K) = (3, 1, 480), 0.41-0.91x at (3, 1, 60), where pow is the
-    # faster below about 40 bits, and 0.13-0.20x the time of the vector
-    # doubling at (5, 3, 90), (5, 3, 180) and (3, 4, 120).  A unit power in
+    # Every f = 1 unit inverts on integers.  The Z_p set takes Newton
+    # doubling on its integer, _int_inv, whose first rung is one C-level
+    # pow modulo the largest power of p below 2^32.  Every e > 1 takes
+    # u^-1 = adj(u) N(u)^-1, one _int_inv of the norm N(u) in Z_p, all
+    # modulo p^ceil(rel/e) (_ring_inv): the norm descends through the
+    # subrings Z_p[pi^2] at even e, with u(-pi) for adj, and Z_p[pi^3] at
+    # 3 | e, with the 3 x 3 adjugate, to Z_p or to a core prime to 6, which
+    # division-free elimination on the matrix of multiplication solves with
+    # one _int_inv of the product of its pivots (_solve_unit).  The top step
+    # takes the context's own products, packed at e >= _PACKED_MIN_E, and
+    # the subrings the schoolbook loop.  No start is read.  At f > 1 the
+    # residue inverse is a unit power in F_(p^f), and _vec_inv doubles u^-1
+    # on vectors by w <- w (2 - u w), two products a step, from it or from a
+    # start, the inverse of a nearby unit, which one product at full
+    # precision measures and the first step reuses; the solver's Newton
+    # ladder starts each f'^-1 from the last step's.  On the inverses of one
+    # round of each workload, taken again on the same operands, 15
+    # interleaved repeats (2-vCPU Linux VM, Python 3.11.7), the descent took
+    # 0.48x the time of the vector doubling at (p, e, K) = (5, 10, 600), and
+    # 0.91x the time of the doubling from the last step's inverse at
+    # (5, 10, 200), where that start is near the answer.  Against the
+    # doubling from the residue on random units at p = 5, up to rel 600, it
+    # took 0.22-0.26x at e = 6 and 8, 0.30-0.37x at e = 12, 0.36-0.43x at
+    # e = 9, 0.48-0.60x at e = 5 and 10 and 0.81-0.93x at e = 7.  The core's
+    # elimination takes about n^3 products at full precision where the
+    # doubling takes 2 log2(rel) packed ones, so e = 7 read up to 1.2x past
+    # rel 1000, and e = 11 1.3-2.1x at every rel (p = 3 and 5).  At e <= 4
+    # the step is written out on integers, as the vector products of so
+    # short a ring cost more than its arithmetic.  The pow rung took the
+    # integer inverses at (3, 1, 60), (3, 1, 480) and (5, 3, 90) to
+    # 0.85-0.94x the time of the ladder from the residue.  A unit power in
     # the Z_p set is one pow(u, n, p^rel) (PadicNumber.__pow__).
     #
     # Every packed kernel folds and unpacks through _unpacker, whose
@@ -564,15 +584,15 @@ class PrimeContext:
         """
         pair = self._packers.get((w, rel))
         if pair is None:
-            e, mods = self.e, None if rel is None else self._moduli(rel)
-            unpack = _unpacker(self.p, e, w, mods, self.modulus)
-            pack = _pack if self.f == 1 or e == 1 else lambda vec, w: _pack_rows(vec, w, e)
-            pair = self._packers[w, rel] = pack, unpack
+            mods = None if rel is None else self._moduli(rel)
+            pair = self._packers[w, rel] = (
+                self._pack_vec, _unpacker(self.p, self.e, w, mods, self.modulus))
         return pair
 
     def _mul_schoolbook(self, a: Sequence[int], b: Sequence[int]) -> list:
-        """``_vec_mul`` at f = 1 by the double loop, which skips zero entries."""
-        e, p = self.e, self.p
+        """``_vec_mul`` at f = 1 by the double loop, which skips zero entries:
+        the product of Z_p[rho], rho^e = p, e = len(a) = len(b)."""
+        e, p = len(a), self.p
         c = [0] * e
         for i, ai in enumerate(a):
             if not ai:
@@ -778,17 +798,17 @@ class PrimeContext:
         return w
 
     def _inv_doubling(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
-        """``_vec_inv``: the inverse of a unit vector modulo pi^rel, by Newton
-        doubling.
+        """``_vec_inv`` at f > 1: the inverse of a unit vector modulo pi^rel,
+        by Newton doubling.
 
         A step w <- w (1 - d), d = u w - 1, takes v(d) = k to 2k.  The
         doubling starts at k = 1 from the residue inverse, or from
         ``start``, an inverse of a nearby unit: one product measures its
         k = v(u start - 1), and the first step reuses that d; a start
         wrong modulo pi falls back to the residue inverse.  The inverse
-        modulo pi^rel is unique, so the start changes no digit; only the
-        packed set takes this inverse, and the other sets' inverses on
-        integers (``_int_inv``) do not read a start.
+        modulo pi^rel is unique, so the start changes no digit.  Only
+        f > 1 takes this inverse; every f = 1 inverse is on integers
+        (``_int_inv``, ``_inv_norm``) and reads no start.
         """
         w = d = None
         if start is not None:
@@ -816,37 +836,49 @@ class PrimeContext:
     def _int_inv(self, a: int, m: int) -> int:
         """a^-1 modulo p^m, m >= 1, for an integer a prime to p, by Newton
         doubling on integers: w <- w (2 - a w) modulo p^k takes w right to
-        ceil(k/2) digits to k, so from a^-1 modulo p the steps run at
-        k = ceil(m/2^i), from the top i down, and the last one lands on m."""
-        tops = []
-        while m > 1:
-            tops.append(m)
+        ceil(k/2) digits to k, so the steps run at k = ceil(m/2^i), from the
+        top i down, and the last one lands on m.  The first rung is the
+        largest k whose p^k fits in 32 bits (k = 1 when p does not), taken
+        by CPython's pow(a, -1, p^k), which is the faster below about 35
+        bits."""
+        mods, mod = [], self._ppow(m)
+        while mod >> 32 and m > 1:
+            mods.append(mod)
             m = (m + 1) // 2
-        w = pow(a % self.p, -1, self.p)
-        for k in reversed(tops):
-            mod = self._ppow(k)
+            mod = self._ppow(m)
+        w = pow(a, -1, mod)
+        for mod in reversed(mods):
             w = w * (2 - a % mod * w) % mod
         return w
 
     def _inv_norm(self, u: Sequence[int], rel: int, start: Sequence[int] | None = None) -> tuple:
-        """``_vec_inv`` at f = 1 and e <= 4: u^-1 = adj(u) N(u)^-1, with
-        N(u) = u adj(u) in Z_p, taken modulo p^ceil(rel/e) = pi^(e ceil(rel/e))
-        and reduced modulo pi^rel once.  The inverse modulo pi^rel is unique,
-        so it has the doubling's digits; a start is not read."""
-        return self._vec_reduce(self._ring_inv(u, _ceil_div(rel, self.e)), rel)
+        """``_vec_inv`` at f = 1 and e > 1: ``_ring_inv`` modulo
+        p^ceil(rel/e) = pi^(e ceil(rel/e)), its top products the context's
+        own ``_vec_mul``, reduced modulo pi^rel once.  The inverse modulo
+        pi^rel is unique, so it has the doubling's digits; a start is not
+        read."""
+        return self._vec_reduce(self._ring_inv(u, _ceil_div(rel, self.e), self._vec_mul), rel)
 
-    def _ring_inv(self, u: Sequence[int], m: int) -> tuple:
+    def _ring_inv(self, u: Sequence[int], m: int, mul) -> Sequence[int]:
         """u^-1 modulo p^m, unreduced, for a unit u of Z_p[rho], rho^n = p,
-        n = len(u) in {2, 3, 4}, as adj(u) N(u)^-1 with one ``_int_inv`` of
-        the norm.
+        n = len(u) >= 2, its entries in [0, p^m]: adj(u) N(u)^-1, with one
+        ``_int_inv`` of a norm in Z_p, by descent through subrings.  ``mul``
+        is the product of Z_p[rho] on entries >= 0; the subrings take the
+        schoolbook product.
 
-        At even n the conjugate u(-rho) negates the odd entries, and for
-        u = A + rho B with A and B in Z_p[sigma], sigma = rho^2,
-        u u(-rho) = A^2 - sigma B^2 lies in Z_p[sigma]: so u^-1 =
-        u(-rho) (u u(-rho))^-1, the second inverse taken at n/2.  At n = 3
-        adj(u) is the adjugate of the matrix of multiplication by u.
+        At d = 2 or 3 dividing n, u = a + b (+ c), its parts at the powers
+        rho^i with i = 0, 1 (, 2) modulo d, and R = Z_p[rho^d].  adj(u) is
+        a - b at d = 2, the conjugate u(-rho), and (a - b)(a - c) + (b - c)^2
+        at d = 3, the adjugate of the matrix of multiplication by u over R,
+        written in rho: its entries are those of (A^2 - tau B C) +
+        rho (tau C^2 - A B) + rho^2 (B^2 - A C) for u = A + rho B + rho^2 C,
+        tau = rho^3.  Either way u adj(u) lies in R, so u^-1 = adj(u)
+        (u adj(u))^-1, the second inverse taken at n/d, 2 before 3.  At
+        n <= 4 the step is written out on integers, where the products of
+        short vectors would cost more than the arithmetic.  At any other n,
+        prime to 6, ``_solve_unit`` eliminates on the matrix.
         """
-        p, n, mod = self.p, len(u), self._ppow(m)
+        n, p, mod = len(u), self.p, self._ppow(m)
         if n == 2:
             a, b = u
             norm = self._int_inv((a * a - p * b * b) % mod, m)
@@ -856,24 +888,71 @@ class PrimeContext:
             adj = ((a * a - p * b * c) % mod, (p * c * c - a * b) % mod, (b * b - a * c) % mod)
             norm = self._int_inv((a * adj[0] + p * (b * adj[2] + c * adj[1])) % mod, m)
             return tuple(x * norm for x in adj)
-        u0, u1, u2, u3 = u  # A = u0 + u2 sigma, B = u1 + u3 sigma, sigma^2 = p
-        c0, c1 = self._ring_inv(((u0 * u0 + p * (u2 * u2 - 2 * u1 * u3)) % mod,
-                                 (2 * u0 * u2 - u1 * u1 - p * u3 * u3) % mod), m)
-        c0, c1 = c0 % mod, c1 % mod
-        return (u0 * c0 + p * u2 * c1, -u1 * c0 - p * u3 * c1,
-                u2 * c0 + u0 * c1, -u3 * c0 - u1 * c1)
+        if n == 4:  # A = u0 + u2 sigma, B = u1 + u3 sigma, sigma^2 = p
+            u0, u1, u2, u3 = u
+            c0, c1 = self._ring_inv(((u0 * u0 + p * (u2 * u2 - 2 * u1 * u3)) % mod,
+                                     (2 * u0 * u2 - u1 * u1 - p * u3 * u3) % mod), m, mul)
+            c0, c1 = c0 % mod, c1 % mod
+            return (u0 * c0 + p * u2 * c1, -u1 * c0 - p * u3 * c1,
+                    u2 * c0 + u0 * c1, -u3 * c0 - u1 * c1)
+        if n % 2 == 0:
+            d, adj = 2, list(u)
+            adj[1::2] = [mod - x for x in u[1::2]]
+        elif n % 3 == 0:
+            # a - b, a - c and b - c, an entry x negated as p^m - x
+            ab, ac, bc = ([x if s == 1 else mod - x if s else 0
+                           for x, s in zip(u, itertools.cycle(signs))]
+                          for signs in ((1, -1, 0), (1, 0, -1), (0, 1, -1)))
+            d, adj = 3, [(x + y) % mod for x, y in zip(mul(ab, ac), mul(bc, bc))]
+        else:
+            return self._solve_unit(u, m)
+        c = self._ring_inv([x % mod for x in mul(u, adj)[::d]], m, self._mul_schoolbook)
+        spread = [0] * n
+        spread[::d] = [x % mod for x in c]
+        return mul(adj, spread)
+
+    def _solve_unit(self, u: Sequence[int], m: int) -> list:
+        """u^-1 modulo p^m for a unit u of Z_p[rho], rho^n = p, n = len(u):
+        the solution x of M x = (1, 0, ..., 0), M the matrix of
+        multiplication by u, column j holding u rho^j.
+
+        M[i][j] is u_(i-j) on and below the diagonal and p u_(n+i-j) above
+        it, so modulo p it is lower triangular with the unit u_0 on the
+        diagonal.  Division-free elimination, row i <- d_k row i - M[i][k]
+        row k below each pivot d_k, keeps that: every pivot is a unit, and
+        no row is swapped.  Back substitution divides by the pivots, whose
+        inverses come from one ``_int_inv`` of their product and its prefix
+        products (Montgomery's trick).
+        """
+        n, p, mod = len(u), self.p, self._ppow(m)
+        rows = [[u[i - j] if i >= j else p * u[n + i - j] for j in range(n)] + [int(not i)]
+                for i in range(n)]
+        for k in range(n - 1):
+            top = rows[k]
+            d, right = top[k], top[k + 1:]
+            for row in rows[k + 1:]:
+                h = row[k]
+                row[k + 1:] = [(d * x - h * y) % mod for x, y in zip(row[k + 1:], right)]
+        pivots = [row[k] % mod for k, row in enumerate(rows)]
+        prefix = list(itertools.accumulate(pivots, lambda x, y: x * y % mod))
+        w = self._int_inv(prefix[-1], m)
+        x = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = rows[k]
+            inv = w * prefix[k - 1] % mod if k else w
+            w = w * pivots[k] % mod
+            x[k] = (row[n] - sum(map(operator.mul, row[k + 1:n], x[k + 1:]))) * inv % mod
+        return x
 
     # The kernel sets, by name: __init__ binds one onto the context as its
-    # _vec_mul, _vec_val, _vec_inv and _unit_pow, and sets its _pow_price,
+    # _vec_mul, _vec_val and _unit_pow, and sets its _pow_price,
     # a static method, as the plain function (see the kernel note)
     _KERNELS = {
-        "zp": dict(_vec_mul=_mul_zp, _vec_val=_val_zp, _vec_inv=_inv_zp, _unit_pow=_pow_zp,
-                   _pow_price=_price_zp),
-        "schoolbook": dict(_vec_mul=_mul_schoolbook, _vec_val=_val_vector,
-                           _vec_inv=_inv_norm, _unit_pow=_pow_chain,
+        "zp": dict(_vec_mul=_mul_zp, _vec_val=_val_zp, _unit_pow=_pow_zp, _pow_price=_price_zp),
+        "schoolbook": dict(_vec_mul=_mul_schoolbook, _vec_val=_val_vector, _unit_pow=_pow_chain,
                            _pow_price=_price_chain),
-        "packed": dict(_vec_mul=_mul_packed, _vec_val=_val_vector, _vec_inv=_inv_doubling,
-                       _unit_pow=_pow_chain, _pow_price=_price_chain),
+        "packed": dict(_vec_mul=_mul_packed, _vec_val=_val_vector, _unit_pow=_pow_chain,
+                       _pow_price=_price_chain),
     }
 
 
@@ -1116,9 +1195,10 @@ class PadicNumber:
         return self._inv()
 
     def _inv(self, near: "PadicNumber | None" = None) -> "PadicNumber":
-        """``inv``, the packed kernel set's doubling started from ``near``,
-        the inverse of a nearby nonzero value, when given
-        (``PrimeContext._vec_inv``): the same digits."""
+        """``inv``, at f > 1 the doubling started from ``near``, the inverse
+        of a nearby nonzero value, when given (``PrimeContext._vec_inv``):
+        the same digits.  Every f = 1 inverse is on integers and reads no
+        start."""
         if self._is_zero:
             raise PrecisionExhausted("cannot invert a value that is zero at precision")
         ctx = self.ctx

@@ -39,9 +39,10 @@ The derivative is a view on the series' vectors, which forms a
 coefficient when a hint first keeps it.  The target, the precision a
 full evaluation would carry, is read off the precision recurrence
 without one (``TruncatedSeries._prec_at``), for the fiber's probe and
-for ``local_Q``'s target alike.  And each step starts inverting f' from
-the inverse of the step before, whose digits agree with the new one to
-about the accuracy the iterate had then.
+for ``local_Q``'s target alike.  And at f > 1, where the inverse doubles
+on vectors, each step starts inverting f' from the inverse of the step
+before, whose digits agree with the new one to about the accuracy the
+iterate had then.
 
 Nor does a lift on a series evaluate it once more only to confirm that
 its last step reached the target.  When the step was taken at the
@@ -174,10 +175,9 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     f' is evaluated at the full hint as before.  f'(x)^-1 is started from
     the last step's inverse (``PadicNumber._inv``): f' moved by about
     f''(x) f(x)/f'(x) since, so the two agree to about as many digits as
-    the last step's iterate had.  Only the packed kernel set reads that
-    start, and its doubling takes up from there; the others invert on
-    integers from the residue.  The inverse is unique, so this changes no
-    digit.
+    the last step's iterate had.  Only f > 1 reads that start, and its
+    doubling takes up from there; every f = 1 unit inverts on integers,
+    through its norm.  The inverse is unique, so this changes no digit.
 
     A lift ends on an evaluation at the target that is zero there, or,
     given ``closes(old, new, f(old), f'(old), target)``, on the update

@@ -6,10 +6,10 @@ from qbracket import PrimeContext
 
 
 def patch_kernel(monkeypatch, name: str, wrap) -> None:
-    """Replace kernel ``name`` (``_vec_mul``, ``_vec_val``, ``_vec_inv`` or
-    ``_unit_pow``) by ``wrap(kernel)`` in every kernel set of
-    ``PrimeContext._KERNELS``.  A context binds its set when it is built,
-    so the wrapped kernel reaches only the contexts built after the patch."""
+    """Replace kernel ``name`` (``_vec_mul``, ``_vec_val`` or ``_unit_pow``)
+    by ``wrap(kernel)`` in every kernel set of ``PrimeContext._KERNELS``.  A
+    context binds its set when it is built, so the wrapped kernel reaches
+    only the contexts built after the patch."""
     for kernels in PrimeContext._KERNELS.values():
         monkeypatch.setitem(kernels, name, wrap(kernels[name]))
 

@@ -429,6 +429,10 @@ def test_kernel_set_is_chosen_by_e_and_f(e, f, kernels):
     price = PrimeContext._price_zp if kernels == "zp" else PrimeContext._price_chain
     for y in (c, pickle.loads(pickle.dumps(c))):
         assert y._kernels == kernels
+        # the inverse goes by f: on integers at f = 1, by doubling at f > 1;
+        # the pack function by whether there is more than one row of blocks
+        assert y._vec_inv == (y._inv_doubling if f > 1 else y._inv_norm if e > 1 else y._inv_zp)
+        assert (y._pack_vec is _core._pack) == (f == 1 or e == 1)
         for name, kernel in PrimeContext._KERNELS[kernels].items():
             assert getattr(y, name) == kernel.__get__(y)
         assert y._pow_price is price and inspect.isfunction(price)
@@ -1038,45 +1042,55 @@ def test_vec_inv_from_a_start_matches_the_doubling(data):
 
 
 def test_vec_inv_from_a_start_right_to_rel_takes_one_product(monkeypatch):
-    # in the packed set the doubling from the residue inverse takes two
-    # products a step, after the square and multiply of u^(p^f - 2) at
-    # f > 1; one product measures a start, a right one is the inverse, and
-    # one wrong at the residue costs that product on top of the doubling;
-    # the Z_p and schoolbook sets invert on integers and take no product,
-    # start or not
+    # at f > 1 the doubling from the residue inverse takes two products a
+    # step, after the square and multiply of u^(p^f - 2); one product
+    # measures a start, a right one is the inverse, and one wrong at the
+    # residue costs that product on top of the doubling.  Every f = 1 unit
+    # inverts on integers and reads no start: the descent's top step takes
+    # two of the context's products at e = 10, u adj(u) and adj(u) times
+    # the inverse from below, and none at e <= 4, where the step is written
+    # out on integers
     calls = []
     patch_kernel(monkeypatch, "_vec_mul",
                  lambda vec_mul: lambda ctx, a, b: calls.append(1) or vec_mul(ctx, a, b))
-    for p, e, f in ((5, 1, 1), (5, 3, 1), (3, 4, 1), (7, 10, 1), (3, 2, 2), (5, 1, 3)):
+    for p, e, f, top in ((5, 1, 1, 0), (5, 3, 1, 0), (3, 4, 1, 0), (7, 10, 1, 2), (3, 2, 2, None),
+                         (5, 1, 3, None)):
         c = ctx_new(p, e, 30 * e, f)
         assert sees_one_product(c, lambda: len(calls))
         u = sample(c, Random(20))._unit
         rel = c.K - 1
         inverse = c._vec_inv(u, rel)
-        packed = c._kernels == "packed"
-        chain = p ** f - 2 if f > 1 else 1
-        fresh = (2 * (rel - 1).bit_length() + chain.bit_length() + chain.bit_count() - 2
-                 if packed else 0)
-        for start, products in ((None, fresh), (inverse, int(packed)),
-                                ([0] * c._dim, fresh + packed)):
+        if f == 1:
+            counts = (top, top, top)
+        else:
+            chain = p ** f - 2
+            fresh = 2 * (rel - 1).bit_length() + chain.bit_length() + chain.bit_count() - 2
+            counts = (fresh, 1, fresh + 1)
+        for start, products in zip((None, inverse, [0] * c._dim), counts):
             calls.clear()
             assert c._vec_inv(u, rel, start) == inverse
             assert len(calls) == products, (p, e, f, start is None)
 
 
-# The Z_p set inverts by Newton doubling on one integer, the schoolbook set
-# as adj(u) N(u)^-1 with N(u) in Z_p, by halving at even e and the 3 x 3
-# adjugate at e = 3, both modulo p^ceil(rel/e).  The vector doubling from the
-# residue inverse is the reference in every set, at rel deep enough that the
-# integer doubling takes many steps: a unit drawn at random, one integer
-# alone, one congruent to 1 modulo pi, 1 itself, and every entry at its
-# modulus minus 1.
+# Every f = 1 unit inverts on integers: the Z_p set by Newton doubling on
+# one integer, every e > 1 as adj(u) N(u)^-1 with N(u) in Z_p, by the
+# descent of _ring_inv (halving at even e, the 3 x 3 adjugate at 3 | e,
+# elimination at a core prime to 6), modulo p^ceil(rel/e).  The vector
+# doubling from the residue inverse is the reference at every e and f, at
+# rel deep enough that the integer doubling takes many steps: a unit drawn
+# at random, one integer alone, one congruent to 1 modulo pi, 1 itself, and
+# every entry at its modulus minus 1.  The examples put every branch against
+# the doubling at deep rel: 10 -> 5 at p = 5 and 2, the core 5 alone, 9 -> 3.
 
-@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 6), st.integers(1, 2),
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 12), st.integers(1, 2),
        st.integers(1, 400), st.sampled_from(("random", "integer", "residue 1", "one", "top")),
        st.integers(0, 10 ** 6))
 @example(3, 1, 1, 960, "random", 0)
 @example(5, 3, 1, 2880, "random", 0)
+@example(5, 10, 1, 1600, "random", 0)
+@example(7, 5, 1, 1400, "random", 0)
+@example(3, 9, 1, 960, "random", 0)
+@example(2, 10, 1, 600, "random", 0)
 @settings(max_examples=200, deadline=None)
 def test_vec_inv_matches_the_doubling_at_large_rel(p, e, f, rel, kind, seed):
     c = ctx_new(p, e, max(rel, 2 * e), f)
@@ -1098,14 +1112,27 @@ def test_vec_inv_matches_the_doubling_at_large_rel(p, e, f, rel, kind, seed):
     assert c._vec_reduce(_vec_mul_ref(c, u, w), rel) == c._vec_reduce([1] + [0] * (c._dim - 1), rel)
 
 
-def test_every_schoolbook_e_has_a_norm_formula():
-    # the schoolbook set's inverse has formulas for e <= 4 only: every e the
-    # set takes must reach one, at a random unit and at the top entries
-    for e in range(2, _core._PACKED_MIN_E):
-        c = ctx_new(3, e, 30 * e)
-        assert c._kernels == "schoolbook"
+def test_every_f1_e_reaches_a_descent_branch(monkeypatch):
+    # every f = 1 context past Z_p inverts through the norm, whichever
+    # product it takes; the descent goes 2 before 3, ends written out at
+    # n <= 4 or eliminates on a core prime to 6, and each e <= 12 must
+    # take the path below and give the doubling's inverse at a random unit
+    # and at the top entries, deep enough for several integer steps
+    paths = {2: [2], 3: [3], 4: [4, 2], 5: [5, "core"], 6: [6, 3], 7: [7, "core"],
+             8: [8, 4, 2], 9: [9, 3], 10: [10, 5, "core"], 11: [11, "core"], 12: [12, 6, 3]}
+    seen = []
+    ring_inv, solve = PrimeContext._ring_inv, PrimeContext._solve_unit
+    monkeypatch.setattr(PrimeContext, "_ring_inv",
+                        lambda ctx, u, m, mul: seen.append(len(u)) or ring_inv(ctx, u, m, mul))
+    monkeypatch.setattr(PrimeContext, "_solve_unit",
+                        lambda ctx, u, m: seen.append("core") or solve(ctx, u, m))
+    for e, path in paths.items():
+        c = ctx_new(3, e, 40 * e)
+        assert c._vec_inv == c._inv_norm
         for u in (sample(c, Random(e))._unit, [m - 1 for m in c._moduli(c.K)]):
+            seen.clear()
             w = c._vec_inv(u, c.K)
+            assert seen == path, e
             assert w == PrimeContext._inv_doubling(c, u, c.K)
 
 
@@ -1139,10 +1166,17 @@ def _inv_doubling(p, u, rel):
 @settings(max_examples=200, deadline=None)
 def test_dim1_pow_and_inverse_match_the_chain_and_the_doubling(p, K, data):
     # the powers in every kernel set, e <= 6 and f <= 3, half the draws at
-    # e = f = 1 and n at most 2^9 elsewhere; the inverse in the Z_p set
+    # e = f = 1 and n at most 2^9 elsewhere; the inverse in the Z_p set, and
+    # the integer inverse at moduli either side of the ladder's first rung,
+    # the largest k with p^k below 2^32, and of the rungs above it
     draw = data.draw
     e, f = (1, 1) if draw(st.booleans()) else (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     c = ctx_new(p, e, e * K, f)
+    word = max(k for k in range(1, 33) if p ** k < 2 ** 32)
+    m = draw(st.sampled_from((word - 1, word, word + 1, 2 * word - 1, 2 * word, 2 * word + 1,
+                              4 * word + 1)))
+    a = draw(st.integers(0, p ** (2 * m))) * p + draw(st.integers(1, p - 1))
+    assert c._int_inv(a, m) == _inv_doubling(p, a, m)
     v = draw(st.integers(-3, c.K - 1))
     x = sample(c, Random(draw(st.integers(0, 10 ** 6))), valuation=max(v, 0)).scale_pi(min(v, 0))
     kind = draw(st.sampled_from(("as drawn", "capped", "lifted")))

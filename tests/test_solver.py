@@ -633,11 +633,16 @@ def test_heavy_solve_vector_products(vector_products):
     # 295 -> 220); the division, with no F_0 below it, takes 75 steps at
     # multiplier 1, not 76; and F's constant takes no power sum: its 58
     # terms, 9 joins and 7 power steps are gone (power_term 394 -> 336,
-    # power_join 48 -> 39, step 490 -> 557)
+    # power_join 48 -> 39, step 490 -> 557).  Now every f = 1 unit inverts
+    # through its norm, started or not: each of the 24 inverses, y^-1 and
+    # the f'^-1 of every Newton step, halves once at the top with two
+    # products, u u(-pi) and u(-pi) times the inverse of the half, and
+    # eliminates the rest on integers: 48 _vec_mul calls where the doubling
+    # took 168 (vec_mul 220 -> 100)
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 220, "step": 557, "block": 896, "join": 96,
+    assert vector_products == {"vec_mul": 100, "step": 557, "block": 896, "join": 96,
                                "power_term": 336, "power_join": 39}
 
 
