@@ -40,7 +40,8 @@ needs no log and no exp.  How q splits is decided here, once per
 public call: a private split holds y = pi^t u, the q = 1 and 1+S checks,
 log q and y^-1 from their first use, and q^x, so q_pow, q_bracket, the
 series1 jets and the solver's certifications share at most one log1p
-per q.
+per q, and a fiber solved in X takes none: its Psi_0 gives log q
+(``_QSplit.log_from``).
 
 TruncatedSeries is the package's jet type: a finite coefficient list
 around a center plus a proven lower bound on the valuation of everything
@@ -66,11 +67,13 @@ term n - 1, where the series1 and series2 terms gain v(y) - e/(p - 1),
 so on the heavy fixed-points leg, (5, 10, 200) with v(y) = 3/10, the 77
 coefficients of F below do what 426 of series1 did.  In X, F = (X - 1)
 Psi has the units u^(n-2) of y = pi^t u, one fixed-multiplier step each,
-and Psi is built in one Horner pass from the top, the division of F's
-terms by X - 1, whose last partial sum Psi_0 makes F's constant -Psi_0:
-F(1) = 0 by construction, and F is read only for its valuations and
-precisions (``_QSplit.log_fiber``).  In U, with y = pi^t U, the
-coefficients hold [n-1]_x, one Horner step each (``_log_form_in_u``).  At
+and Psi_k is the sum of F's terms above k: each term is its packed power
+times one scalar of a table kept per shape, the sums run from the top on
+those packed integers, and each Psi_k is unpacked and reduced once.  Its
+sum Psi_0 makes F's constant -Psi_0: F(1) = 0 by construction, and F is
+read only for its valuations and precisions (``_QSplit.log_fiber``).  In
+U, with y = pi^t U, the coefficients hold [n-1]_x, one Horner step each,
+scaled and shifted by the same table (``_log_form_in_u``).  At
 an integer x = j the parameter fiber is a polynomial of degree j - 2,
 which series2's monomials are there, and the solver keeps it
 (``_parameter_series``).
@@ -89,10 +92,13 @@ core's ``_from_raw``.  The base only bounds every kept valuation from
 below, so a series derived from another (its derivative, a recentring)
 keeps its source's base and shifts no vector.  A series' vectors come
 from one source, read as far as a pass reads: a running product or the
-log form in U, resumed from the last vector formed, or a derivative, a
-view on its series' vectors that forms n w_n from w_n.  So a root lift
-never forms the coefficients its hints cut; F and Psi in X, whose pass
-runs from the top, are formed whole.
+log form in U, resumed from the last vector formed, F's packed terms, or
+a derivative, a view on its series' vectors that forms n w_n from w_n.
+So a root lift never forms the coefficients its hints cut, F's vectors
+are formed only when read, and Psi in X, whose sums run from the top, is
+formed whole.  A block pass reads packed coefficients, which a series
+packs from its vectors once and a derivative takes as n times its
+series' packed c_n, forming no vector.
 
 A series' evaluation takes its precision first and its digits second.
 The precision is the one the PadicNumber loop would carry, P <- min(P +
@@ -112,8 +118,9 @@ once per pass for the fixed multiplier dz.  Where they can bind, the
 evaluation is that division's remainder.  The solver reads the precision
 of a probe point or a Newton target with no evaluation: the closed
 form, or the division's pass run modulo the few pi-units where a
-v(acc) term can bind.  Psi's division by X - 1, one pass, and series2's
-recentring at u, one pass per coefficient, are that division too.
+v(acc) term can bind, over the coefficients below those that sit at or
+above them.  series2's recentring at u, one pass per coefficient, is
+that division too.
 """
 
 from __future__ import annotations
@@ -440,41 +447,48 @@ def _log_table(p: int, e: int, t: int, rel: int) -> tuple:
 
 
 def _log_form_terms(ctx: PrimeContext, t: int) -> tuple:
-    """(N, valuations, units) of the terms n = 2 ... N - 1 of
+    """(N, valuations, term) of the terms n = 2 ... N - 1 of
     Psi = sum_(n>=2) (-1)^n y^(n-2) [n-1]_X / n, for v(y) = t.
 
     Psi = Phi/(y^2 X (X - 1)) for Phi(X, y) = X log(1 + y) - log(1 + yX)
     = sum_n T_n (X - X^n), T_n = (-1)^(n+1) y^n/n log1p's terms, and
     X - X^n = -X (X - 1) [n-1]_X gives term n.  Both series the solver
-    solves on are Psi: in X at fixed y, the terms of F = (X - 1) Psi
-    divided by X - 1 in one pass from the top (``_QSplit.log_fiber``), and
-    in U at fixed x with y = pi^t U (``_log_form_in_u``), where coefficient
+    solves on are Psi: in X at fixed y, the sums from the top of the terms
+    of F = (X - 1) Psi, each its packed power of u times a scalar of the
+    table below (``_QSplit.log_fiber``), and in U at fixed x with
+    y = pi^t U, each coefficient one ``term`` (``_log_form_in_u``), where coefficient
     0, [1]_x/2 = 1/2, is a unit.  The scalar part (-1)^n/n of term n has
     valuation (n - 2) t - e v_p(n), its term n t - e v_p(n) in log1p's
     series less 2t, so ``_log_cutoff`` at K + 4t is a blockwise cutoff N
     with every omitted term at or above K + 2t, for every integral
     [n-1]_X and every y = pi^t U with U integral.
 
-    ``units(vec, n, rel)`` is (-1)^n vec / m_n modulo pi^rel, m_n the
-    part of n prime to p: the chain's ``_scale((-1)^n, n)``, for rel <= K,
-    as every caller's is.  N, the valuations and the scalars (-1)^n/m_n
-    modulo p^ceil(K/e), a multiple of each p^ceil(rel/e), depend on p, e, t
-    and K alone and are kept per shape (``_log_form_table``), so no call
-    takes an inverse.
+    ``term(vec, i, rel)`` is term n = i + 2 on the least valuation b of
+    them all: pi^(v_n - b) (-1)^n vec / m_n reduced modulo
+    pi^(v_n - b + rel), m_n the part of n prime to p, for vec known modulo
+    pi^rel and rel <= K, as every caller's is.  That is the chain's
+    ``_scale((-1)^n, n)`` shifted onto b, in one pass of core's
+    ``_rotate`` and one reduction.  N, the valuations and, per term, the
+    shift (r_n, c_n p^s_n) for v_n - b = e s_n + r_n, c_n = (-1)^n/m_n
+    modulo p^ceil(K/e), a multiple of each p^ceil(rel/e), depend on p, e,
+    t and K alone and are kept per shape (``_log_form_table``), so no call
+    takes an inverse or a power of p.
     """
-    n_stop, vals, scalars = _log_form_table(ctx.p, ctx.e, t, ctx.K)
+    n_stop, vals, shifts = _log_form_table(ctx.p, ctx.e, t, ctx.K)
+    base = min(vals)
 
-    def units(vec, n: int, rel: int) -> tuple:
-        c = scalars[n - 2]
-        return ctx._vec_reduce([c * a for a in vec], rel)
-    return n_stop, vals, units
+    def term(vec, i: int, rel: int) -> tuple:
+        r, lo = shifts[i]
+        return ctx._vec_reduce(ctx._rotate(vec, r, lo, lo * ctx.p), vals[i] - base + rel)
+    return n_stop, vals, term
 
 
 @lru_cache(maxsize=_TABLES)
 def _log_form_table(p: int, e: int, t: int, K: int) -> tuple:
-    """(N, valuations, scalars) of ``_log_form_terms`` for the terms
+    """(N, valuations, shifts) of ``_log_form_terms`` for the terms
     n = 2 ... N - 1: N is log1p's blockwise cutoff at K + 4t, term n has
-    valuation (n - 2) t - e v_p(n) and scalar (-1)^n/m_n modulo
+    valuation v_n = (n - 2) t - e v_p(n), and its shift is (r, c p^s) for
+    v_n - b = e s + r, b the least v_n and c = (-1)^n/m_n modulo
     p^ceil(K/e)."""
     n_stop = _log_cutoff(p, e, t, K + 4 * t)
     mod = p ** _ceil_div(K, e)
@@ -484,7 +498,9 @@ def _log_form_table(p: int, e: int, t: int, K: int) -> tuple:
         m = n // p ** v
         vals.append((n - 2) * t - e * v)
         scalars.append(pow(-m if n % 2 else m, -1, mod))
-    return n_stop, tuple(vals), tuple(scalars)
+    base = min(vals)
+    shifts = tuple((r, c * p ** s) for c, (s, r) in zip(scalars, (divmod(v - base, e) for v in vals)))
+    return n_stop, tuple(vals), shifts
 
 
 def _log_form_cutoff(ctx: PrimeContext, t: int) -> int:
@@ -682,10 +698,11 @@ def _integral(ctx: PrimeContext, x, who: str) -> PadicNumber:
 class _QSplit:
     """q = 1 + y, split once per public call and shared by every use of q.
 
-    L = log1p(y) and y^-1 are computed on first use and kept, so q^x,
+    L = log q and y^-1 are computed on first use and kept, so q^x,
     [x]_q and series1 jets at any number of points share one log1p, and a
     path that needs neither, such as q^x at an integer x, never computes
-    them.
+    them.  A fiber solved in X holds Psi, whose constant gives L with no
+    log1p (``log_from``).
     """
 
     def __init__(self, q: PadicNumber):
@@ -706,6 +723,7 @@ class _QSplit:
 
     @cached_property
     def log_q(self) -> PadicNumber:
+        """log1p(y), unless ``log_from`` kept y - y^2 Psi_0, its digits."""
         return log1p(self.y)
 
     @cached_property
@@ -784,27 +802,77 @@ class _QSplit:
         lifts Psi.
 
         F_k for k >= 1 is term n = k + 1, of valuation v_n and unit
-        (-1)^n u^(n-2)/m_n modulo pi^rel, rel = prec(y) - t, the powers u^1,
-        u^2, ... one fixed-multiplier step each.  Psi is F's synthetic
-        division by X - 1, ``_horner_division`` at 1 on F_1, F_2, ... alone:
-        its partial sums Psi_(k-1) = F_k + Psi_k are the quotient.  F_0 =
+        (-1)^n u^(n-2)/m_n modulo pi^rel, rel = prec(y) - t, stored on
+        b = min v_n.  The powers u^0, u^1, ... are packed in slots of w bits
+        by core's ``_packed_powers``, one fixed-multiplier step each, and
+        term n is its power times lo_n moved up r_n slots, (r_n, lo_n) its
+        shift in ``_log_form_table``: the entries past slot e - 1 of a block
+        are the ones that wrap, which the unpacking folds times p, as
+        pi^e = p asks.  No term is reduced, so w holds N - 2 of them, each
+        entry below p lo_n M for M = p^ceil(rel/e).
+
+        Psi is F's synthetic division by X - 1, as ``_horner_division`` at 1
+        on F_1, F_2, ... alone would take it: its partial sums
+        Psi_(k-1) = F_k + Psi_k are the sums of the packed terms from the
+        top, so each Psi_k is unpacked once and reduced to the precision
+        that pass's recurrence gives it, P_k = min(prec(F_(k+1)), W, P_(k+1),
+        K + v(Psi_(k+1))), 1 being known to K.  A sum agrees with the pass's
+        below P_k, as P_k never exceeds a precision above it, so every
+        digit, precision and zero flag is the pass's; as there, a valuation
+        is measured only where F_(k+1) and Psi_(k+1) tie.  F_0 =
         -(F_1 + F_2 + ...) = -Psi_0, so F(1) = 0 by construction and F's
-        constant takes no sum of its own.
+        constant takes no sum of its own.  F's vectors, each packed term
+        unpacked and reduced to its precision, are formed when first read,
+        and the zero count reads none.
         """
         ctx, y = self.q.ctx, self.y
-        t, rel = y.val, y.prec - y.val
-        n_stop, vals, units = _log_form_terms(ctx, t)
-        base, step = min(vals), ctx._horner_step(y._unit, rel)
-        powers = itertools.accumulate(range(n_stop - 3), lambda power, _: step(power, None),
-                                      initial=ctx._vec_reduce(self.one._unit, rel))
-        terms = [(v, tuple(ctx._vec_shift(units(power, n, rel), v - base)), v + rel)
-                 for n, v, power in zip(itertools.count(2), vals, powers)]
-        psi = _horner_division(base, terms, self.one, max(vals) + rel)
-        v, w, prec = psi[0]
-        head = (v, None if w is None else ctx._vec_reduce([-a for a in w], prec - base), prec)
+        p, e, t, rel = ctx.p, ctx.e, y.val, y.prec - y.val
+        n_stop, vals, shifts = _log_form_table(p, e, t, ctx.K)
+        base, wall = min(vals), max(vals) + rel
+        # lo_n < p^(s_n + ceil(K/e)) and s_n <= (max v_n - b)/e (``_log_form_table``)
+        lo_top = ctx._ppow((wall - rel - base) // e + _ceil_div(ctx.K, e))
+        w = ((n_stop - 2) * p * lo_top * (ctx._ppow(_ceil_div(rel, e)) - 1)).bit_length()
+        unpack = ctx._packer(w)[1]
+        packed = [lo * z << r * w for (r, lo), z in zip(
+            shifts, ctx._packed_powers(y._unit, rel, n_stop - 3, w))]
+        psi, last, low = [], math.inf, None  # Psi_(N-2) = 0 exactly
+        for v, z in zip(reversed(vals), itertools.accumulate(reversed(packed))):
+            prec = min(v + rel, wall, last, self.one.prec + (last if low is None else low))
+            tie = v == low
+            if low is not None and low < v:
+                v = low
+            vec = None
+            if v < prec:
+                vec = ctx._vec_reduce(unpack(z), prec - base)
+                if tie:
+                    v = ctx._vec_val(vec, prec - base)
+                    v = None if v is None else base + v
+            if v is None or v >= prec:
+                v = vec = None
+            psi.append((v, vec, prec))
+            last, low = prec, v
+        psi.reverse()
+        v, w0, prec = psi[0]
+        head = None if w0 is None else ctx._vec_reduce([-a for a in w0], prec - base)
         tail = Fraction(ctx.K + 2 * t, ctx.e)
-        return tuple(TruncatedSeries._make(ctx, ctx.zero(), tail, base, *zip(*c))
-                     for c in ([head, *terms], psi))
+        terms = (ctx._vec_reduce(unpack(z), vn - base + rel) for z, vn in zip(packed, vals))
+        f = TruncatedSeries._make(ctx, ctx.zero(), tail, base, [v, *vals],
+                                  itertools.chain([head], terms), [prec] + [vn + rel for vn in vals])
+        return f, TruncatedSeries._make(ctx, ctx.zero(), tail, base, *zip(*psi))
+
+    def log_from(self, psi: "TruncatedSeries") -> None:
+        """Keep log q = y - y^2 Psi_0, Psi_0 the constant of ``log_fiber``'s
+        Psi (Psi_0 = (y - log q)/y^2, ``_log_form_terms``), capped at
+        prec(y), where it is known to prec(y), the precision log1p claims:
+        log is an isometry on S, so the two agree digit for digit.  A log
+        already taken is kept, and a Psi_0 too short leaves log q to log1p."""
+        y = self.y
+        if "log_q" not in self.__dict__:
+            _, w, prec = next(psi._stored(1))
+            psi0 = y.ctx.zero(prec) if w is None else _from_raw(y.ctx, psi._base, w, prec)
+            big_l = (y - y * y * psi0)._cap_prec(y.prec)
+            if big_l.prec == y.prec:
+                self.__dict__["log_q"] = big_l
 
 
 def q_pow(x, q: PadicNumber) -> PadicNumber:
@@ -874,12 +942,16 @@ class TruncatedSeries:
     of vectors on the base and the precisions; the ints and the tail cap
     floor(tail_bound e) in pi-units are fixed there, and the iterable is
     read only as far as a pass reads (``_vectors``), so the vectors of a
-    series1 jet, a series2 at 0, a log form in U or a derivative are
-    formed when first read.
+    series1 jet, a series2 at 0, a log form in U, F in X or a derivative
+    are formed when first read.  A block pass reads the coefficients
+    packed instead (``_packing``): a series packs its own vectors, in slots
+    with room for a multiplier below its length, and its derivative takes
+    n times its packed c_n, so a derivative forms vectors only for passes
+    of Horner steps.
     """
 
     __slots__ = ("ctx", "center", "tail_bound", "_cap", "_base", "_vals", "_vecs", "_precs",
-                 "_lows", "_wall", "_packed", "_source")
+                 "_lows", "_wall", "_packed", "_source", "_parent")
 
     def __init__(self, ctx: PrimeContext, center: PadicNumber, coeffs,
                  tail_bound: Fraction | None):
@@ -912,7 +984,7 @@ class TruncatedSeries:
         self._base = base
         self._lows = tuple(lows)
         self._wall = max(self._precs, default=None)
-        self._packed = None
+        self._packed = self._parent = None
         self._vecs, self._source = [], iter(vectors)
 
     @property
@@ -956,9 +1028,11 @@ class TruncatedSeries:
         summed: over more than the context's ``_block_over`` coefficients,
         2 B at e > 1 and never at e = 1, by ``PrimeContext._block_pass``,
         one reduction per B = ``core._BLOCK`` coefficients, on the
-        coefficients this series packs once, modulo pi^(min(W, top) - b):
-        top = min(tail cap, max prec(c_n)) is the modulus they are packed
-        at, whose slots a wider pass would overrun, and P never exceeds it.
+        coefficients this series packs once (``_packing``), modulo
+        pi^(min(W, top) - b): top, min(tail cap, max prec(c_n)) of the series
+        or of the series a derivative is taken of, is the modulus they are
+        packed at, whose slots a wider pass would overrun, and P never
+        exceeds it.
         Otherwise each step is acc <- acc D + c_n modulo pi^(W-b), one step
         of ``PrimeContext._horner_step``, which reduces D once per pass.
         """
@@ -1028,6 +1102,15 @@ class TruncatedSeries:
         acc <- acc dz + c, so every binding v(acc) is the one the full pass
         measures.  At the solver's probes T is a few pi-units, where the
         pass keeps W - b.
+
+        When prec(dz) >= 0, the pass runs only on the first m coefficients,
+        m = bisect_left(``_lows``, b + T): from m on every coefficient, and so
+        every partial sum and its precision, sits at or above b + T, where
+        it adds nothing modulo pi^T and its v(acc) term lies at or above W.
+        Their precisions take the recurrence on ints, P <- min(P + v(dz),
+        prec(c_i), W), and hand P_m to the pass as a zero-flagged
+        coefficient at P_m, which adds no digit and no v(acc) term below W.
+        So the coefficients from m on are never formed.
         """
         dz = self._offset(point)
         target, n, wall = self._kept(None)
@@ -1036,8 +1119,16 @@ class TruncatedSeries:
         prec = self._decided(dz, n, wall)
         if prec is None:
             base = self._base
-            prec = _horner_division(base, list(self._stored(n)), dz, wall,
-                                    min(wall - dz.prec, wall) - base)[0][2]
+            rel, m, last = min(wall - dz.prec, wall) - base, n, math.inf
+            if dz.prec >= 0:
+                m = bisect.bisect_left(self._lows, base + rel, 0, n)
+                v = dz.prec if dz.is_zero else dz.val
+                for c in reversed(self._precs[m:n]):
+                    last = min(c, wall, last + v)
+            coeffs = list(self._stored(m))
+            if m < n:
+                coeffs.append((None, None, last))
+            prec = _horner_division(base, coeffs, dz, wall, rel)[0][2]
         return prec
 
     def _closes(self, old: PadicNumber, new: PadicNumber, fx: PadicNumber,
@@ -1072,20 +1163,36 @@ class TruncatedSeries:
 
     def _packing(self, n: int) -> tuple:
         """(top, w, coefficients packed for ``PrimeContext._block_pass``), the
-        first n of them at least: top = min(tail cap, max prec(c_n)), each
-        vector reduced modulo pi^(top - b) in slots of w =
-        ``_block_width(top - b)`` bits, 0 for a zero-flagged coefficient.
-        Each coefficient is packed once, when a pass first needs it."""
-        ctx = self.ctx
+        first n of them at least, each packed once, when a pass first needs
+        it.  A series packs its vectors: top = min(tail cap, max prec(c_n)),
+        each vector reduced modulo pi^(top - b) in slots of w =
+        ``_block_width(top - b)`` bits plus bits(len), 0 for a zero-flagged
+        coefficient.  Its derivative packs coefficient n - 1 as n times the
+        series' packed c_n, n < len, which those spare bits hold, in the
+        series' slots and at its top: n c_n is n w_n modulo pi^(top - b), and
+        a pass claims at most W, and at most the derivative's first
+        precision, prec(c_1) <= max prec(c_n), so at most top, which the pass
+        modulus min(W, top) - b keeps: the digits below the claim are those
+        of the formed vectors.  A derivative's derivative packs its own
+        vectors."""
+        ctx, parent = self.ctx, self._parent
         if self._packed is None:
-            top = self._wall if self._cap is None else min(self._cap, self._wall)
-            self._packed = top, ctx._block_width(top - self._base), []
+            if parent is None:
+                top = self._wall if self._cap is None else min(self._cap, self._wall)
+                w = ctx._block_width(top - self._base) + len(self).bit_length()
+            else:
+                top, w, _ = parent._packing(0)
+            self._packed = top, w, []
         top, w, packed = self._packed
         if len(packed) < n:
-            rel = top - self._base
-            pack = ctx._packer(w, rel)[0]
-            packed += [0 if v is None else pack(ctx._vec_reduce(v, rel), w)
-                       for v in self._vectors(n)[len(packed):n]]
+            if parent is None:
+                rel = top - self._base
+                pack = ctx._packer(w, rel)[0]
+                packed += [0 if v is None else pack(ctx._vec_reduce(v, rel), w)
+                           for v in self._vectors(n)[len(packed):n]]
+            else:
+                source = parent._packing(n + 1)[2]
+                packed += [k * source[k] for k in range(len(packed) + 1, n + 1)]
         return self._packed
 
     def _stored(self, n: int | None = None):
@@ -1118,18 +1225,22 @@ class TruncatedSeries:
         c_n's plus e v_p(n), and v(n c_n) >= v(c_n), so the tail bound
         carries over.  Those ints are set here, and the view keeps this
         series' base b; vector n - 1, n w_n reduced modulo pi^(prec - b),
-        is formed from w_n when a pass first reads it (``_derived``), and
-        packed when a block pass first needs it.  So a coefficient past the
+        is formed from w_n when a pass of Horner steps first reads it
+        (``_derived``), and a block pass reads n times the series' packed
+        c_n, with no vector formed (``_packing``).  So a coefficient past the
         largest hint is never formed, and every coefficient, read or
         evaluated, is the one n c_n gives.
         """
         ctx = self.ctx
         ups = [ctx.e * _vp(n, ctx.p) for n in range(1, len(self))]
         precs = [p + up for p, up in zip(self._precs[1:], ups)]
-        return TruncatedSeries._make(
+        view = TruncatedSeries._make(
             ctx, self.center, self.tail_bound, self._base,
             [None if v is None else v + up for v, up in zip(self._vals[1:], ups)],
             self._derived(precs), precs)
+        if self._parent is None:
+            view._parent = self
+        return view
 
     def valuation_points(self) -> list:
         """(index, valuation) pairs for polygon building; None marks zero-flagged."""
@@ -1158,8 +1269,9 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int,
     or above P + v(rho), so every value, digit, precision and zero flag is
     the loop's.  This is the one pass that carries the loop's precision,
     for evaluation and its precision (``TruncatedSeries.evaluate`` and
-    ``_prec_at``), Psi's division by X - 1 (``_QSplit.log_fiber``) and
-    series2's recentring; ``_decided`` is its closed form.  Valuations add
+    ``_prec_at``) and series2's recentring; ``_decided`` is its closed
+    form, and Psi's sums from the top (``_QSplit.log_fiber``) run its
+    recurrence at rho = 1 on packed sums.  Valuations add
     along a product, so unless v(c_i) = v(rho s_(i+1)) the sum has the
     lesser, or is zero-flagged when that reaches P: only a tie below P is
     measured.
@@ -1241,25 +1353,26 @@ def _log_form_in_u(ctx: PrimeContext, t: int, prec: int, vec: list) -> Truncated
     [n-2]_x + 1 is one Horner step on x's integral vector modulo pi^prec,
     which every [n-1]_x is known to; its valuation is measured, a
     zero-flagged one standing at prec, so the steps run at the build.  Each
-    coefficient's unit, scaled by (-1)^n/m_n, is formed when a pass first
-    reads it.
+    coefficient's vector is formed when a pass first reads it: one ``term``
+    of the shift table scales [n-1]_x by (-1)^n/m_n and shifts it onto the
+    terms' least valuation, and where this series' base, its own least
+    valuation, lies above that, one downshift moves it there.
     """
-    n_stop, vals, units = _log_form_terms(ctx, t)
+    n_stop, vals, term = _log_form_terms(ctx, t)
     one = ctx._vec_reduce(ctx.one()._unit, prec)
     step = ctx._horner_step(vec, prec)
-    ints, sums, acc = [], [], None
-    for v in vals:
-        acc = one if acc is None else step(acc, one)
-        w = ctx._vec_val(acc, prec)
-        ints.append((None if w is None else v + w, v + prec))
-        sums.append((acc, w))
+    sums = list(itertools.accumulate(vals[1:], lambda acc, _: step(acc, one), initial=one))
+    ints = [(None if w is None else v + w, v + prec)
+            for v, w in zip(vals, (ctx._vec_val(acc, prec) for acc in sums))]
+    base = min(top if v is None else v for v, top in ints)
+    drop = min(vals) - base  # <= 0
 
-    def raw():
-        for n, (v, top), (acc, w) in zip(itertools.count(2), ints, sums):
-            yield (None, None, top) if w is None else (
-                v, units(ctx._vec_shift(acc, -w), n, prec - w), top)
-    return TruncatedSeries._make(ctx, ctx.zero(), Fraction(ctx.K + 2 * t, ctx.e),
-                                 *_on_least(ctx, [], ints, raw()))
+    def vectors():
+        for i, ((v, _), acc) in enumerate(zip(ints, sums)):
+            w = None if v is None else term(acc, i, prec)
+            yield tuple(ctx._vec_shift(w, drop)) if w is not None and drop else w
+    return TruncatedSeries._make(ctx, ctx.zero(), Fraction(ctx.K + 2 * t, ctx.e), base,
+                                 [v for v, _ in ints], vectors(), [top for _, top in ints])
 
 
 def _parameter_series(x: PadicNumber, m0: Fraction) -> TruncatedSeries:

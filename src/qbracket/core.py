@@ -56,11 +56,25 @@ _BLOCK = 8
 
 
 def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    """p-adic valuation of a nonzero integer, in O(log v) divisions.
+
+    The powers p, p^2, p^4, ... are divided out while they divide n, which
+    leaves a valuation below the last square tried, and the same powers,
+    from the top down, then take its binary digits.  Most n here are prime
+    to p, which one remainder settles."""
+    if n % p:
+        return 0
+    n //= p
+    v, pw, ladder = 1, p, []
+    while not n % pw:
+        n //= pw
+        v += 1 << len(ladder)
+        ladder.append(pw)
+        pw *= pw
+    for k in range(len(ladder) - 1, -1, -1):
+        if not n % ladder[k]:
+            n //= ladder[k]
+            v += 1 << k
     return v
 
 
@@ -173,8 +187,9 @@ class PrimeContext:
     power, ``_pow_price``: the Z_p set at e = f = 1, the schoolbook set at
     f = 1 and 2 <= e < ``_PACKED_MIN_E``, and the packed set otherwise (see
     the notes on the coefficient-vector kernels).  ``_kernels`` names the
-    set.  Its ``_vec_inv`` goes by f alone: on integers at f = 1, by vector
-    doubling at f > 1.  A pickled context is rebuilt from (p, e, K, f), so
+    set.  Its ``_vec_inv`` goes by f and e: on integers at f = 1, by vector
+    doubling at f > 1 and where the norm's descent would end on a core of
+    11 or more.  A pickled context is rebuilt from (p, e, K, f), so
     its caches are not kept.
     """
 
@@ -212,9 +227,15 @@ class PrimeContext:
         for name, kernel in self._KERNELS[self._kernels].items():
             setattr(self, name, kernel.__get__(self))
         # the inverse goes by f, not by the product: on integers at f = 1,
-        # through the norm to Z_p at e > 1, and by vector doubling at f > 1;
-        # the pack function by whether a vector has more than one row of slots
-        self._vec_inv = (self._inv_doubling if f > 1 else self._inv_norm if e > 1
+        # through the norm to Z_p at e > 1, and by vector doubling at f > 1
+        # and where the norm's descent ends on a core of 11 or more (see the
+        # kernel note); the pack function by whether a vector has more than
+        # one row of slots
+        core = e
+        for d in (2, 3):
+            while core % d == 0:
+                core //= d
+        self._vec_inv = (self._inv_doubling if f > 1 or core >= 11 else self._inv_norm if e > 1
                          else self._inv_zp)
         self._pack_vec = _pack if f == 1 or e == 1 else partial(_pack_rows, e=e)
 
@@ -436,8 +457,9 @@ class PrimeContext:
     # 1.8x at e = 3 and 4, and 1.6x at e = 10; at f > 1, at the seven
     # contexts above, 0.6x, 1.0x, 1.2x, 1.7x, 2.5x, 3.4x and 4.5x as fast
     # as steps by the table walk.  A series' evaluation is such a pass, and
-    # so are its synthetic divisions, Psi's division by X - 1 and series2's
-    # recentring, whose partial sums are the quotient.
+    # so is its synthetic division, series2's recentring, whose partial sums
+    # are the quotient; analytic's Psi takes the powers of u from one
+    # such pass (_packed_powers).
     #
     # _block_pass reduces once per B = _BLOCK coefficients (rectangular
     # splitting, Paterson and Stockmeyer 1973): from the top block down,
@@ -524,7 +546,12 @@ class PrimeContext:
     # e = 9, 0.48-0.60x at e = 5 and 10 and 0.81-0.93x at e = 7.  The core's
     # elimination takes about n^3 products at full precision where the
     # doubling takes 2 log2(rel) packed ones, so e = 7 read up to 1.2x past
-    # rel 1000, and e = 11 1.3-2.1x at every rel (p = 3 and 5).  At e <= 4
+    # rel 1000, and e = 11 1.3-2.1x at every rel (p = 3 and 5).  So a context
+    # whose descent would end on a core of 11 or more binds the doubling
+    # (__init__): on 6 random units a cell, rel 50 to 1600, p = 3 and 5, the
+    # descent took 1.3-2.2x its time at e = 11, 1.7-2.5x at e = 13,
+    # 0.99-1.33x at e = 22 (22 -> 11) and 5.1-7.9x at e = 25, while e = 7
+    # keeps the elimination, 0.61-0.97x up to rel 600.  At e <= 4
     # the step is written out on integers, as the vector products of so
     # short a ring cost more than its arithmetic.  The pow rung took the
     # integer inverses at (3, 1, 60), (3, 1, 480) and (5, 3, 90) to
@@ -720,9 +747,11 @@ class PrimeContext:
                     w: int) -> list:
         """sum_{i<n} c_i d^i reduced modulo pi^rel, _BLOCK terms a reduction.
 
-        ``coeffs[i]`` is c_i packed in slots of w = ``_block_width(top)``
-        bits, its entries reduced modulo pi^top for some top >= rel, and 0
-        when c_i is zero; d is integral.  The top block holds c_i ... c_(n-1)
+        ``coeffs[i]`` is c_i packed in slots of w bits, 0 when c_i is zero,
+        its entries below k M for M = p^ceil(top/e), some top >= rel and
+        w >= ``_block_width(top)`` + bits(k): a coefficient reduced modulo
+        pi^top has k = 1, and a derivative's, n times its series' packed
+        c_n, k = n; d is integral.  The top block holds c_i ... c_(n-1)
         for i = _BLOCK floor((n - 1) / _BLOCK).
         """
         top = (n - 1) // _BLOCK * _BLOCK
@@ -758,18 +787,8 @@ class PrimeContext:
             return list(vec)
         e = self.e
         if t > 0:
-            # pi^t = p^s pi^r: entry i of a block moves to i + r, and the
-            # last r entries wrap to the front of the block with one more p
             s, r = divmod(t, e)
-            lo = self._ppow(s)
-            if not r:
-                return [lo * x for x in vec]
-            hi = self._ppow(s + 1)
-            out = []
-            for j in range(0, self._dim, e):
-                out += [hi * x for x in vec[j + e - r:j + e]]
-                out += [lo * x for x in vec[j:j + e - r]]
-            return out
+            return self._rotate(vec, r, self._ppow(s), self._ppow(s + 1))
         out = [0] * self._dim
         for k, ak in enumerate(vec):
             if not ak:
@@ -783,6 +802,19 @@ class PrimeContext:
                 if rem:
                     raise PrecisionExhausted("non-integral shift; internal valuation accounting broke")
                 out[k - i + r] += q
+        return out
+
+    def _rotate(self, vec: Sequence[int], r: int, lo: int, hi: int) -> list:
+        """c pi^(e s + r) times vec, 0 <= r < e, given lo = c p^s and
+        hi = c p^(s + 1): pi^(e s + r) = p^s pi^r, so entry i of a block
+        moves to i + r times lo, and the last r entries wrap to the front
+        of the block times hi, one more p.  ``_vec_shift`` takes c = 1."""
+        if not r:
+            return [lo * x for x in vec]
+        e, out = self.e, []
+        for j in range(0, self._dim, e):
+            out += [hi * x for x in vec[j + e - r:j + e]]
+            out += [lo * x for x in vec[j:j + e - r]]
         return out
 
     def _residue_inv(self, u: Sequence[int]) -> Sequence[int]:
@@ -806,9 +838,11 @@ class PrimeContext:
         ``start``, an inverse of a nearby unit: one product measures its
         k = v(u start - 1), and the first step reuses that d; a start
         wrong modulo pi falls back to the residue inverse.  The inverse
-        modulo pi^rel is unique, so the start changes no digit.  Only
-        f > 1 takes this inverse; every f = 1 inverse is on integers
-        (``_int_inv``, ``_inv_norm``) and reads no start.
+        modulo pi^rel is unique, so the start changes no digit.  f > 1
+        takes this inverse, and so does f = 1 where e stripped of 2 and 3
+        is 11 or more, whose elimination on the core (``_solve_unit``) costs
+        more; every other f = 1 inverse is on integers (``_int_inv``,
+        ``_inv_norm``) and reads no start.
         """
         w = d = None
         if start is not None:

@@ -9,8 +9,8 @@ points 0 and 1 and the factor y^2 out of the way before any Newton step:
 it has the valuation of the deflated quotient ([X]_q - X)/(y X (X - 1))
 at every point, but its terms gain v(y) each, where that quotient's gain
 v(y) - e/(p - 1).  The fiber of q is counted on F = (X - 1) Psi(X), read
-only for its valuations, and lifted on Psi in X, F's terms divided by
-X - 1 in one Horner pass (``_QSplit.log_fiber``); the parameter
+only for its valuations, and lifted on Psi in X, the sums of F's terms
+from the top (``_QSplit.log_fiber``); the parameter
 direction lifts Psi(x, pi^t U) in U, with q = 1 + pi^t U, or at an
 integer x the polynomial that series2 is there (``_parameter_series``).
 Every returned record is re-certified by one direct evaluation at x,
@@ -21,7 +21,9 @@ coefficients of [X]_q - X at x give both the certification gap
 The solver never takes q apart itself.  It asks the analytic layer for
 one split of q per fiber (per record in the parameter direction, where
 each record has its own q) and reads m0, u, Psi with F's valuations and
-every certification of that fiber from it, so log q is computed once.
+every certification of that fiber from it, so log q is computed once; a
+fiber in X hands Psi back to its split, whose Psi_0 gives log q, so its
+certifications take no log1p (``_QSplit.log_from``).
 
 Newton iteration runs on a precision ladder: each step evaluates the
 series only a little past the accuracy the iterate already has, 2e
@@ -36,7 +38,8 @@ digits and precision, whatever hints it climbed through.
 
 Nothing on the ladder is rebuilt that an earlier rung already holds.
 The derivative is a view on the series' vectors, which forms a
-coefficient when a hint first keeps it.  The target, the precision a
+coefficient when a pass of Horner steps first keeps it, and packs one
+for a block pass from the series' own packing.  The target, the precision a
 full evaluation would carry, is read off the precision recurrence
 without one (``TruncatedSeries._prec_at``), for the fiber's probe and
 for ``local_Q``'s target alike.  And at f > 1, where the inverse doubles
@@ -397,9 +400,10 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
 
     Counts the fiber on F = (X - 1) Psi(X), whose zeros in the unit disk
     are those of [X]_q - X but 0, from F's valuations and precisions
-    alone, and lifts Psi, F's terms divided by X - 1 in one Horner pass,
-    from every residue where its reduction may vanish, until the count is
-    reached.
+    alone, and lifts Psi, the sums of F's terms from the top, from every
+    residue where its reduction may vanish, until the count is reached.
+    Psi_0 gives the split its log q, which every record's certification
+    reads.
     """
     ctx = q.ctx
     s = _QSplit(q)
@@ -408,6 +412,7 @@ def fixed_points_for_q(q: PadicNumber) -> SolveOutcome:
     if not phi2_contains(m0, ctx.p):
         return SolveOutcome((), 0, m0)
     f, psi = s.log_fiber()
+    s.log_from(psi)
     return _solve_fiber(psi, unit_disk_zero_count(f) - 1, m0, lambda x: (x, s, u))
 
 

@@ -1707,6 +1707,121 @@ def test_log_fiber_matches_the_deflation(p, e, f, seed, data):
     _assert_matches_the_deflation(q)
 
 
+# Psi in X is the suffix sums of F's terms packed and scaled with no
+# reduction, each partial sum unpacked and reduced once.  The reference is
+# the synthetic division it replaced: F's terms from PadicNumbers, stored on
+# their base, divided by X - 1 in one _horner_division pass.  The packed
+# derivative, n + 1 times the series' packed c_(n+1), must evaluate to the
+# division's remainder on the derivative's formed vectors, on both sides of
+# 2B kept coefficients, where evaluate turns from Horner steps to blocks.
+
+def _log_fiber_case(p, e, f, seed, data):
+    """q = 1 + y at a drawn (p, e, K, f) and t, known to K or below it."""
+    K = data.draw(st.integers(2 * e, 6 * e + 12))
+    c = ctx_new(p, e, K, f)
+    t = data.draw(st.integers(e // (p - 1) + 1, min(2 * e, K - 1)))
+    q = c.one() + sample(c, Random(seed), valuation=t)
+    if t + 1 < K and data.draw(st.booleans()):
+        q = q._cap_prec(data.draw(st.integers(t + 1, K - 1)))
+    return q
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 10), st.sampled_from((1, 2)),
+       st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=100, deadline=None)
+@example(5, 10, 1, 12, None)
+@example(3, 4, 2, 7, None)
+@example(5, 3, 1, 3, None)
+def test_packed_psi_is_the_horner_division_build(p, e, f, seed, data):
+    if data is None:  # a fixed-points leg's (p, e, K) and t
+        K, t = {(5, 10): (200, 3), (3, 4): (120, 3), (5, 3): (90, 1)}[p, e]
+        c = ctx_new(p, e, K, f)
+        q = c.one() + sample(c, Random(seed), valuation=t)
+    else:
+        q = _log_fiber_case(p, e, f, seed, data)
+    c = q.ctx
+    f_series, psi = analytic._QSplit(q).log_fiber()
+    ref = _log_form_ref(q)
+    terms = list(_on_base(c, ref._base, ref.coeffs[1:]))
+    want = analytic._horner_division(ref._base, terms, c.one(), max(p for *_, p in terms))
+    assert ((psi._base, psi._vals, psi._precs, tuple(psi._stored()))
+            == (ref._base, tuple(v for v, *_ in want), tuple(p for *_, p in want), tuple(want)))
+    # F's vectors are formed when read, each term's own reduction
+    assert f_series._vecs == [] and tuple(f_series._stored())[1:] == tuple(terms)
+    # the derivative, packed from Psi's packing, at a unit and a deep point,
+    # at every hint that keeps a count from 2B - 1 to 2B + 2
+    rng = Random(seed)
+    view = psi.derivative()
+    for point in (sample(c, rng), sample(c, rng, valuation=1)):
+        hints = {h for h in range(-e, psi._cap + 1)
+                 if 2 * core._BLOCK - 1 <= view._kept(h)[1] <= 2 * core._BLOCK + 2}
+        for hint in sorted(hints) + [None]:
+            _, n, wall = view._kept(hint)
+            v, acc, prec = analytic._horner_division(
+                view._base, list(view._stored(n)), point, wall)[0]
+            want = c.zero(prec) if v is None else core._from_raw(c, view._base, acc, prec)
+            assert view.evaluate(point, hint) == want, hint
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 10), st.sampled_from((1, 2)),
+       st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=100, deadline=None)
+def test_log_q_from_psi0_is_log1p(p, e, f, seed, data):
+    # log q = y - y^2 Psi_0 to prec(y) is log1p(y) digit for digit, at that
+    # precision; a Psi_0 too short for it leaves log q to log1p, and a log
+    # already taken is kept
+    q = _log_fiber_case(p, e, f, seed, data)
+    c, t = q.ctx, (q - q.ctx.one()).val
+    split = analytic._QSplit(q)
+    psi = split.log_fiber()[1]
+    split.log_from(psi)
+    want = log1p(split.y)
+    assert split.__dict__["log_q"] == want and want.prec == split.y.prec
+    short = analytic._QSplit(q)
+    psi0 = psi.coeffs[0]
+    low = split.y.prec - 2 * t - 1  # 2t + prec(Psi_0) falls below prec(y)
+    short.log_from(TruncatedSeries(c, c.zero(), [psi0._cap_prec(low)], None))
+    assert "log_q" not in short.__dict__ and short.log_q == want
+    held = analytic._QSplit(q)
+    taken = held.log_q
+    held.log_from(psi)
+    assert held.log_q is taken
+
+
+# The short probe pass: where the precision is not decided before the pass,
+# _prec_at runs the division's pass modulo pi^T only on the coefficients
+# below the first whose suffix sits at or above b + T, and the precision
+# recurrence on ints above it.  On Psi in X and in U, series of up to 99
+# coefficients whose suffix minima rise past b + T, and on their
+# derivatives, it must be evaluate's precision and the whole pass's
+
+@given(_series_build_arguments(), st.integers(0, 10 ** 6), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_short_probe_pass_is_the_whole_pass(case, seed, digits):
+    x, m0, q, _ = case
+    c = x.ctx
+    series = []
+    try:
+        series.append(_log_form_in_u(x, m0))
+    except DomainError:
+        pass
+    y = q - c.one()
+    if not y.is_zero and in_S(y):
+        series.append(analytic._QSplit(q).log_fiber()[1])
+    rng = Random(seed)
+    points = [sample(c, rng), sample(c, rng)._cap_prec(digits), sample(c, rng, valuation=1),
+              c.zero(digits)]
+    for s in series + [s.derivative() for s in series]:
+        for point in points:
+            _, n, wall = s._kept(None)
+            dz = s._offset(point)
+            if not n or s._decided(dz, n, wall) is not None:
+                continue
+            whole = analytic._horner_division(s._base, list(s._stored(n)), dz, wall,
+                                              min(wall - dz.prec, wall) - s._base)[0][2]
+            assert s._prec_at(point) == s.evaluate(point).prec == whole
+
+
 def test_deflation_measures_only_the_tied_partial_sums(monkeypatch):
     # Psi_(k-1) = F_k + Psi_k has the lesser of v(F_k) and v(Psi_k) when
     # they differ, so the pass measures a valuation only on a tie: on the

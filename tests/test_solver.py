@@ -296,7 +296,9 @@ def test_round_trip_between_the_two_charts():
 def test_one_log_per_q_per_call(monkeypatch):
     # q is split once per public call: the fiber's series and every record's
     # certification, local_Q's certification and law, and the three brackets
-    # and the power of the cocycle identity all share at most one log q.  q^x
+    # and the power of the cocycle identity all share at most one log q.  The
+    # fiber's Psi gives log q = y - y^2 Psi_0 to prec(y), so its records'
+    # certifications take no log1p at all (``_QSplit.log_from``).  q^x
     # is q^n exp((x - n) log q), and at an integer x below p^k the exp
     # factor is 1, so the cocycle identity at integers takes no log at all.
     # At e = f = 1 and K = 60, q^n is one pow and a fresh split prices the
@@ -314,7 +316,7 @@ def test_one_log_per_q_per_call(monkeypatch):
         fn(*args)
         return len(calls)
 
-    assert count(fixed_points_for_q, q) == 1
+    assert count(fixed_points_for_q, q) == 0
     x = fixed_points_for_q(q)[0].x
     assert count(local_Q, x, q, x + sample(c, Random(5), valuation=3)) == 1
     assert count(cocycle_check, 2, 5, q) == 0
@@ -638,12 +640,18 @@ def test_heavy_solve_vector_products(vector_products):
     # the f'^-1 of every Newton step, halves once at the top with two
     # products, u u(-pi) and u(-pi) times the inverse of the half, and
     # eliminates the rest on integers: 48 _vec_mul calls where the doubling
-    # took 168 (vec_mul 220 -> 100)
+    # took 168 (vec_mul 220 -> 100).  Now Psi is the suffix sums of F's
+    # packed terms, each its packed power times one scalar, not a division:
+    # its 75 steps at multiplier 1 are gone, and the powers u^2 ... u^75 are
+    # 74 steps, u^1 being u itself (step 557 -> 481).  And log q is
+    # y - y^2 Psi_0, two PadicNumber products, where log1p took 6 _vec_mul
+    # calls, 2 power steps, 6 power terms and 3 joins (vec_mul 100 -> 96,
+    # step 481 -> 479, power_term 336 -> 330, power_join 39 -> 36)
     c = ctx_new(5, 10, 200)
     q = c.one() + sample(c, Random(12), valuation=3)
     assert len(fixed_points_for_q(q)) == 3
-    assert vector_products == {"vec_mul": 100, "step": 557, "block": 896, "join": 96,
-                               "power_term": 336, "power_join": 39}
+    assert vector_products == {"vec_mul": 96, "step": 479, "block": 896, "join": 96,
+                               "power_term": 330, "power_join": 36}
 
 
 def test_heavy_solve_evaluates_g_by_blocks(monkeypatch):
@@ -792,10 +800,16 @@ def test_local_Q_makes_no_unhinted_evaluation(monkeypatch):
 
 
 def test_solve_fiber_forms_no_derivative_vector_past_the_kept_ones(monkeypatch):
-    # the derivative is a view on the series' vectors, and its vector n is
-    # formed when a pass first keeps coefficient n: as many are formed as
-    # the largest hint keeps, and on these fibers that leaves most unformed
-    views, kept = [], {}
+    # the derivative is a view on the series' vectors: its vector n is
+    # formed when a pass of Horner steps (at e = 1, or over at most 2B
+    # coefficients) first keeps coefficient n, and a block pass packs
+    # coefficient n as n + 1 times the series' packed c_(n+1), forming no
+    # vector.  So the view forms as many vectors as the largest Horner pass
+    # keeps, packs as many as the largest block pass keeps, and the larger
+    # of the two is the largest kept count; on these fibers most stay
+    # unformed.  Per solve, (vectors formed, coefficients packed, length):
+    # q_for_x on each param-fiber op's x, then the heavy fixed-points fiber
+    views, kept, rows = [], {}, []
     derivative, kept_at = TruncatedSeries.derivative, TruncatedSeries._kept
 
     def spy_derivative(series):
@@ -817,19 +831,30 @@ def test_solve_fiber_forms_no_derivative_vector_past_the_kept_ones(monkeypatch):
         kept.clear()
         assert solve()
         (view,) = views
-        assert len(view._vecs) == kept[id(view)] < len(view) / 2
+        packed = 0 if view._packed is None else len(view._packed[2])
+        assert max(len(view._vecs), packed) == kept[id(view)] < len(view) / 2
+        rows.append((len(view._vecs), packed, len(view)))
+    e1, e3, e4 = (28, 0, 64), (13, 38, 97), (10, 22, 45)
+    assert rows == [e4, e1, e3, (10, 19, 45), (25, 0, 64), e3, (10, 19, 45), e1, e3, e4, e4, e1,
+                    e3, e4, e1, e3, (16, 0, 45), e1, e3, (10, 20, 45), (13, 28, 75)]
 
 
 def test_param_fiber_forms_no_series2_vector_past_the_kept_ones(monkeypatch):
     # the parameter series, Psi in U on these legs, forms
     # vector k when a pass first reads it, and the derivative view's vector
-    # n reads the series' vector n + 1: so q_for_x and local_Q form as many
-    # vectors of h as the largest kept count of h and of its view asks for,
-    # which on these legs leaves the tail unformed.  Every evaluation there
-    # has a hint; a count kept without one is a precision read off the
-    # recurrence (``_prec_at``), which reads its kept vectors only when the
-    # precision is not decided before the pass
-    made, views, kept = [], {}, {}
+    # n, or its packed coefficient n, reads the series' vector n + 1: so
+    # q_for_x and local_Q form as many vectors of h as the largest kept
+    # count of h and of its view asks for, which on these legs leaves the
+    # tail unformed.  Every evaluation there has a hint; a count kept without
+    # one is a precision read off the recurrence (``_prec_at``), which reads
+    # vectors only when the precision is not decided before the pass, and
+    # then only below the first coefficient whose suffix sits at or above
+    # b + T, T the pass's modulus: on local_Q's h that pass would keep 44,
+    # 62 and 94 coefficients (per leg below) and reads fewer than the hints
+    # do.  Per leg, the vectors formed of q_for_x's h and of local_Q's, and
+    # h's length, on every op
+    made, views, kept, whole = [], {}, {}, {}
+    formed = {"p3e4K120": (41, 41, 46), "p3e1K60": (62, 59, 65), "p5e3K90": (90, 89, 98)}
     build, derivative, kept_at = (solver._parameter_series, TruncatedSeries.derivative,
                                   TruncatedSeries._kept)
     prec_at = TruncatedSeries._prec_at
@@ -851,7 +876,7 @@ def test_param_fiber_forms_no_series2_vector_past_the_kept_ones(monkeypatch):
     def spy_prec_at(series, point):
         _, n, wall = kept_at(series, None)
         if series._decided(series._offset(point), n, wall) is None:
-            kept[id(series)] = max(kept.get(id(series), 0), n)
+            whole[id(series)] = n
         return prec_at(series, point)
 
     ops = _bench_ops(monkeypatch, "param-fiber")
@@ -863,11 +888,15 @@ def test_param_fiber_forms_no_series2_vector_past_the_kept_ones(monkeypatch):
         made.clear()
         views.clear()
         kept.clear()
+        whole.clear()
         op.call()
         assert len(made) == 2  # q_for_x's h, then local_Q's
         for h in made:
             view = views[id(h)]
-            assert len(h._vecs) == max(kept[id(h)], kept.get(id(view), 0) + 1) < len(h)
+            assert len(h._vecs) == max(kept[id(h)], kept.get(id(view), 0) + 1)
+        q_h, local_h = made
+        assert (len(q_h._vecs), len(local_h._vecs), len(local_h)) == formed[op.cell]
+        assert list(whole.values()) == [{"p3e4K120": 44, "p3e1K60": 62, "p5e3K90": 94}[op.cell]]
 
 
 def test_solver_reads_coefficients_only_to_certify(monkeypatch):
