@@ -478,8 +478,7 @@ def _log_form_terms(ctx: PrimeContext, t: int) -> tuple:
     base = min(vals)
 
     def term(vec, i: int, rel: int) -> tuple:
-        r, lo = shifts[i]
-        return ctx._vec_reduce(ctx._rotate(vec, r, lo, lo * ctx.p), vals[i] - base + rel)
+        return ctx._vec_reduce(ctx._rotate(vec, *shifts[i]), vals[i] - base + rel)
     return n_stop, vals, term
 
 
@@ -816,10 +815,14 @@ class _QSplit:
         Psi_(k-1) = F_k + Psi_k are the sums of the packed terms from the
         top, so each Psi_k is unpacked once and reduced to the precision
         that pass's recurrence gives it, P_k = min(prec(F_(k+1)), W, P_(k+1),
-        K + v(Psi_(k+1))), 1 being known to K.  A sum agrees with the pass's
-        below P_k, as P_k never exceeds a precision above it, so every
-        digit, precision and zero flag is the pass's; as there, a valuation
-        is measured only where F_(k+1) and Psi_(k+1) tie.  F_0 =
+        K + v(Psi_(k+1))) with 1 known to K.  Here only the first and third
+        bind: v(Psi_(k+1)) is at least the least valuation of F_(k+2),
+        F_(k+3), ..., or Psi_(k+1) is zero-flagged at P_(k+1), and rel < K,
+        so K + v(Psi_(k+1)) exceeds P_(k+1), as W does; so P_k is the least
+        precision of F_(k+1), F_(k+2), ....  A sum agrees with the pass's below P_k, as
+        P_k never exceeds a precision above it, so every digit, precision
+        and zero flag is the pass's; as there, a valuation is measured only
+        where F_(k+1) and Psi_(k+1) tie.  F_0 =
         -(F_1 + F_2 + ...) = -Psi_0, so F(1) = 0 by construction and F's
         constant takes no sum of its own.  F's vectors, each packed term
         unpacked and reduced to its precision, are formed when first read,
@@ -828,16 +831,16 @@ class _QSplit:
         ctx, y = self.q.ctx, self.y
         p, e, t, rel = ctx.p, ctx.e, y.val, y.prec - y.val
         n_stop, vals, shifts = _log_form_table(p, e, t, ctx.K)
-        base, wall = min(vals), max(vals) + rel
+        base = min(vals)
         # lo_n < p^(s_n + ceil(K/e)) and s_n <= (max v_n - b)/e (``_log_form_table``)
-        lo_top = ctx._ppow((wall - rel - base) // e + _ceil_div(ctx.K, e))
+        lo_top = ctx._ppow((max(vals) - base) // e + _ceil_div(ctx.K, e))
         w = ((n_stop - 2) * p * lo_top * (ctx._ppow(_ceil_div(rel, e)) - 1)).bit_length()
         unpack = ctx._packer(w)[1]
         packed = [lo * z << r * w for (r, lo), z in zip(
             shifts, ctx._packed_powers(y._unit, rel, n_stop - 3, w))]
-        psi, last, low = [], math.inf, None  # Psi_(N-2) = 0 exactly
+        psi, prec, low = [], math.inf, None  # Psi_(N-2) = 0 exactly
         for v, z in zip(reversed(vals), itertools.accumulate(reversed(packed))):
-            prec = min(v + rel, wall, last, self.one.prec + (last if low is None else low))
+            prec = min(prec, v + rel)
             tie = v == low
             if low is not None and low < v:
                 v = low
@@ -850,7 +853,7 @@ class _QSplit:
             if v is None or v >= prec:
                 v = vec = None
             psi.append((v, vec, prec))
-            last, low = prec, v
+            low = v
         psi.reverse()
         v, w0, prec = psi[0]
         head = None if w0 is None else ctx._vec_reduce([-a for a in w0], prec - base)

@@ -58,14 +58,19 @@ _BLOCK = 8
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer, in O(log v) divisions.
 
-    The powers p, p^2, p^4, ... are divided out while they divide n, which
-    leaves a valuation below the last square tried, and the same powers,
-    from the top down, then take its binary digits.  Most n here are prime
-    to p, which one remainder settles."""
-    if n % p:
-        return 0
-    n //= p
-    v, pw, ladder = 1, p, []
+    Most n here have v below 8, which as many divisions by p settle.  Past
+    that the powers p, p^2, p^4, ... are divided out while they divide n,
+    which leaves a valuation below the last square tried, and the same
+    powers, from the top down, then take its binary digits."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+        if v == 8:
+            break
+    else:
+        return v
+    pw, ladder = p, []
     while not n % pw:
         n //= pw
         v += 1 << len(ladder)
@@ -788,7 +793,8 @@ class PrimeContext:
         e = self.e
         if t > 0:
             s, r = divmod(t, e)
-            return self._rotate(vec, r, self._ppow(s), self._ppow(s + 1))
+            lo = self._ppow(s)  # r = 0, as at every e = 1, takes no call
+            return self._rotate(vec, r, lo) if r else [lo * x for x in vec]
         out = [0] * self._dim
         for k, ak in enumerate(vec):
             if not ak:
@@ -804,14 +810,14 @@ class PrimeContext:
                 out[k - i + r] += q
         return out
 
-    def _rotate(self, vec: Sequence[int], r: int, lo: int, hi: int) -> list:
-        """c pi^(e s + r) times vec, 0 <= r < e, given lo = c p^s and
-        hi = c p^(s + 1): pi^(e s + r) = p^s pi^r, so entry i of a block
-        moves to i + r times lo, and the last r entries wrap to the front
-        of the block times hi, one more p.  ``_vec_shift`` takes c = 1."""
+    def _rotate(self, vec: Sequence[int], r: int, lo: int) -> list:
+        """c pi^(e s + r) times vec, 0 <= r < e, given lo = c p^s:
+        pi^(e s + r) = p^s pi^r, so entry i of a block moves to i + r times
+        lo, and the last r entries wrap to the front of the block times
+        lo p.  ``_vec_shift`` takes c = 1."""
         if not r:
             return [lo * x for x in vec]
-        e, out = self.e, []
+        e, hi, out = self.e, lo * self.p, []
         for j in range(0, self._dim, e):
             out += [hi * x for x in vec[j + e - r:j + e]]
             out += [lo * x for x in vec[j:j + e - r]]

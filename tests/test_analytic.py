@@ -1810,7 +1810,7 @@ def test_short_probe_pass_is_the_whole_pass(case, seed, digits):
         series.append(analytic._QSplit(q).log_fiber()[1])
     rng = Random(seed)
     points = [sample(c, rng), sample(c, rng)._cap_prec(digits), sample(c, rng, valuation=1),
-              c.zero(digits)]
+              sample(c, rng, valuation=1)._cap_prec(digits + 1), c.zero(digits)]
     for s in series + [s.derivative() for s in series]:
         for point in points:
             _, n, wall = s._kept(None)

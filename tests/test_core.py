@@ -304,11 +304,14 @@ def _vp_int(n, p):
 @given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(0, 2000), st.integers(1, 10 ** 30),
        st.booleans())
 @settings(max_examples=300, deadline=None)
-@example(3, 1023, 1, False)  # the climb divides out p^(2^j) in all: one below
-@example(3, 1024, 2, True)  # and at a rung
+@example(3, 8, 1, False)  # the last plain division
+@example(3, 9, 2, False)  # the first rung of the climb
+@example(3, 8 + 1023, 1, False)  # the climb divides out p^(2^j - 1): one below
+@example(3, 8 + 1024, 2, True)  # and at a rung
 def test_vp_matches_the_one_p_at_a_time_loop(p, v, m, negative):
-    # core's _vp climbs p, p^2, p^4, ... and walks back down; it must give
-    # the loop's valuation of p^v m for every unit part m, either sign
+    # core's _vp divides by p up to 8 times, then climbs p, p^2, p^4, ...
+    # and walks back down; it must give the loop's valuation of p^v m for
+    # every unit part m, either sign
     m //= p ** _vp_int(m, p)
     n = (-1) ** negative * p ** v * m
     assert _core._vp(n, p) == _vp_int(n, p) == v
