@@ -826,8 +826,8 @@ class _QSplit:
         pi^(P_k - b), and every B-th sum is replaced by Psi_k packed again,
         B = ``core._BLOCK``, so no sum carries the digits of the terms far
         above it into the reductions below: at (5, 3, 2880), where the sums
-        ran whole, the build took 1.11x the division's time, and 0.99x with
-        them cut back.  F_0 =
+        ran whole, the build took 1.08-1.11x the division's time, and
+        0.99-1.04x with them cut back.  F_0 =
         -(F_1 + F_2 + ...) = -Psi_0, so F(1) = 0 by construction and F's
         constant takes no sum of its own.  F's vectors, each packed term
         unpacked and reduced to its precision, are formed when first read,

@@ -1707,7 +1707,7 @@ def test_log_fiber_matches_the_deflation(p, e, f, seed, data):
     _assert_matches_the_deflation(q)
 
 
-# Psi in X is the suffix sums of F's terms packed and scaled with no
+# Psi in X is the sums from the top of F's terms, packed and scaled with no
 # reduction, each partial sum unpacked and reduced once.  The reference is
 # the synthetic division it replaced: F's terms from PadicNumbers, stored on
 # their base, divided by X - 1 in one _horner_division pass.  The packed
@@ -1743,9 +1743,9 @@ def test_packed_psi_is_the_horner_division_build(p, e, f, seed, data):
     f_series, psi = analytic._QSplit(q).log_fiber()
     ref = _log_form_ref(q)
     terms = list(_on_base(c, ref._base, ref.coeffs[1:]))
-    want = analytic._horner_division(ref._base, terms, c.one(), max(p for *_, p in terms))
+    want = analytic._horner_division(ref._base, terms, c.one(), max(pr for *_, pr in terms))
     assert ((psi._base, psi._vals, psi._precs, tuple(psi._stored()))
-            == (ref._base, tuple(v for v, *_ in want), tuple(p for *_, p in want), tuple(want)))
+            == (ref._base, tuple(v for v, *_ in want), tuple(pr for *_, pr in want), tuple(want)))
     # F's vectors are formed when read, each term's own reduction
     assert f_series._vecs == [] and tuple(f_series._stored())[1:] == tuple(terms)
     # the derivative, packed from Psi's packing, at a unit and a deep point,
