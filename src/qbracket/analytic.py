@@ -89,8 +89,8 @@ zero-flagged.  The builders hand their raw coefficients over, and every
 operation on that form keeps each coefficient digit for digit the
 PadicNumber one; ``coeffs`` builds those PadicNumbers only when read, by
 core's ``_from_raw``.  The base only bounds every kept valuation from
-below, so a series derived from another (its derivative, a recentring)
-keeps its source's base and shifts no vector.  A series' vectors come
+below, so a series derived from another, its derivative, keeps its
+source's base and shifts no vector.  A series' vectors come
 from one source, read as far as a pass reads: a running product or the
 log form in U, resumed from the last vector formed, F's packed terms, or
 a derivative, a view on its series' vectors that forms n w_n from w_n.
@@ -119,8 +119,7 @@ evaluation is that division's remainder.  The solver reads the precision
 of a probe point or a Newton target with no evaluation: the closed
 form, or the division's pass run modulo the few pi-units where a
 v(acc) term can bind, over the coefficients below those that sit at or
-above them.  series2's recentring at u, one pass per coefficient, is
-that division too.
+above them.
 """
 
 from __future__ import annotations
@@ -945,9 +944,9 @@ class TruncatedSeries:
     what ``coeffs`` builds on each read.  b lies at or below every kept
     valuation.  A series built from PadicNumbers or by a builder takes the
     least valuation, a zero-flagged coefficient's precision standing in
-    for one; a series derived from another, its derivative or a
-    recentring, keeps its source's b, so no vector is shifted when a
-    derived coefficient's valuation rises.  The suffix minima of the
+    for one; a series derived from another, its derivative, keeps its
+    source's b, so no vector is shifted when a derived coefficient's
+    valuation rises.  The suffix minima of the
     valuations are kept beside them, so a hint cuts the trailing
     coefficients by one bisection.  Every series comes from one
     constructor (``_frame``) given the base, the valuations, any iterable
@@ -1281,12 +1280,11 @@ def _horner_division(base: int, coeffs: list, rho: PadicNumber, wall: int,
     or above P + v(rho), so every value, digit, precision and zero flag is
     the loop's.  This is the one pass that carries the loop's precision,
     for evaluation and its precision (``TruncatedSeries.evaluate`` and
-    ``_prec_at``) and series2's recentring; ``_decided`` is its closed
-    form, and Psi's sums from the top (``_QSplit.log_fiber``) run its
-    recurrence at rho = 1 on packed sums.  Valuations add
-    along a product, so unless v(c_i) = v(rho s_(i+1)) the sum has the
-    lesser, or is zero-flagged when that reaches P: only a tie below P is
-    measured.
+    ``_prec_at``); ``_decided`` is its closed form, and Psi's sums from
+    the top (``_QSplit.log_fiber``) run its recurrence at rho = 1 on
+    packed sums.  Valuations add along a product, so unless v(c_i) =
+    v(rho s_(i+1)) the sum has the lesser, or is zero-flagged when that
+    reaches P: only a tie below P is measured.
 
     The pass runs modulo pi^rel, rel = W - b by default: each sum is
     reduced, and each tie measured, modulo pi^min(P - b, rel).  A smaller
@@ -1440,28 +1438,8 @@ def _series2_monomials(x: PadicNumber, m0: Fraction, n_max: int | None = None,
             ek, *_minus_integers(x, 2, n_max + 2), t, range(3, n_max + 3))))
 
 
-def series2(x: PadicNumber, u, m0, n_max: int | None = None) -> TruncatedSeries:
-    """Coefficients d_n(x, u) of h(x, U) recentered at U = u (unit or zero).
-
-    At u = 0 it is the monomial series itself.  At a unit u it is repeated
-    synthetic division by (U - u): pass j is one Horner pass
-    (``_horner_division``) on the quotient of pass j - 1 and leaves d_j as
-    its remainder.
-    """
-    ctx = x.ctx
-    m0 = Fraction(m0)
-    u = _coerce(ctx, u)
-    if not u.is_zero and u.val != 0:
-        raise DomainError("u must be a unit or zero")
-    mono = _series2_monomials(x, m0, n_max)
-    if u.is_zero:
-        mono.center = u
-        return mono
-    base = mono._base
-    work = list(mono._stored())
-    # d_n also sums u^(k-n) binom(k, n) times every omitted monomial k,
-    # each of valuation above the tail bound, so d_n is known only to it;
-    # capping every pass there caps each d_n alike, as prec(u) > v(u) = 0
-    for j in range(len(work)):
-        work[j:] = _horner_division(base, work[j:], u, mono._cap)
-    return TruncatedSeries._make(ctx, u, mono.tail_bound, base, *zip(*work))
+def series2(x: PadicNumber, m0, n_max: int | None = None) -> TruncatedSeries:
+    """Coefficients of h(x, U) around U = 0, the monomials of
+    ``_series2_monomials``: h(x, u) (q - 1) x (x - 1) = [x]_q - x at
+    q = 1 + pi^t u, t = m0 e."""
+    return _series2_monomials(x, Fraction(m0), n_max)

@@ -181,7 +181,7 @@ def _cmd_polygon(args) -> int:
             raise _TokenError("--series series2 takes --m0, not --q")
         x = _parse_number(ctx, args.x, "--x")
         m0 = _parse_fraction(args.m0, "--m0") if args.m0 is not None else m0_for_x(x)
-        s = series2(x, 0, m0)
+        s = series2(x, m0)
         inputs = {"x": _numj(x), "m0": _frac_str(m0)}
     poly = _series_polygon(s).to_json()
     count = unit_disk_zero_count(s)

@@ -462,9 +462,9 @@ class PrimeContext:
     # 1.8x at e = 3 and 4, and 1.6x at e = 10; at f > 1, at the seven
     # contexts above, 0.6x, 1.0x, 1.2x, 1.7x, 2.5x, 3.4x and 4.5x as fast
     # as steps by the table walk.  A series' evaluation is such a pass, and
-    # so is its synthetic division, series2's recentring, whose partial sums
-    # are the quotient; analytic's Psi takes the powers of u from one
-    # such pass (_packed_powers).
+    # so is its synthetic division, whose partial sums are the quotient;
+    # analytic's Psi takes the powers of u from one such pass
+    # (_packed_powers).
     #
     # _block_pass reduces once per B = _BLOCK coefficients (rectangular
     # splitting, Paterson and Stockmeyer 1973): from the top block down,

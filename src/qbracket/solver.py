@@ -157,8 +157,8 @@ class SolveOutcome(Sequence):
 _HINT_FLOOR = 8
 
 
-def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
-                 known: tuple | None = None, closes=None) -> PadicNumber:
+def _newton_loop(feval, fpeval, seed: PadicNumber, target: int, known: tuple | None,
+                 closes) -> PadicNumber:
     """Newton iteration with laddered evaluation hints.
 
     ``feval(point, hint)`` must be honest: the result carries only
@@ -166,8 +166,8 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     Each step evaluates f at min(target, 2 est - s + 2e), est the bound
     on v(f(x)) the last step guarantees and s = v(f'(seed)), which keeps
     the Horner sums short early on.  ``known`` = (hint, f(seed),
-    f'(seed)) hands over evaluations the caller already made at the
-    seed; the first step takes them, whatever their hint.
+    f'(seed)), when not None, hands over evaluations the caller already
+    made at the seed; the first step takes them, whatever their hint.
 
     Until s is measured, f' is evaluated at f's hint, and again without
     a hint when it is zero-flagged there.  After that the quotient
@@ -182,14 +182,14 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
     doubling takes up from there; every f = 1 unit inverts on integers,
     through its norm.  The inverse is unique, so this changes no digit.
 
-    A lift ends on an evaluation at the target that is zero there, or,
-    given ``closes(old, new, f(old), f'(old), target)``, on the update
-    that makes it provable: one taken at the target whose next hint is
-    the target too, where ``closes`` proves from the step's own values
-    that the evaluation at new would be zero at exactly the target
+    A lift ends on an evaluation at the target that is zero there, or on
+    the update that ``closes(old, new, f(old), f'(old), target)`` makes
+    provable: one taken at the target whose next hint is the target too,
+    where ``closes`` proves from the step's own values that the
+    evaluation at new would be zero at exactly the target
     (``TruncatedSeries._closes``).  The loop returns then what that
     evaluation would have let it return, new capped at target - s.  When
-    ``closes`` refuses, or is None, f is evaluated at new as before.
+    ``closes`` refuses, f is evaluated at new as before.
     Raises LiftFailure once more than ceil(log2 K) + 2 steps were needed.
     """
     ctx = seed.ctx
@@ -239,44 +239,35 @@ def _newton_loop(feval, fpeval, seed: PadicNumber, target: int,
         updates += 1
         if updates > budget:
             break
-        if (closes is not None and hint == target <= 2 * est - s + 2 * ctx.e
-                and closes(old, x, fx, fpx, target)):
+        if hint == target <= 2 * est - s + 2 * ctx.e and closes(old, x, fx, fpx, target):
             return x._cap_prec(target - s)
     raise LiftFailure("no convergence within the iteration budget "
                       "(is the target precision attainable?)")
 
 
-def hensel_lift(f, seed: PadicNumber, *, target: int | None = None) -> PadicNumber:
-    """Lift a root from a seed with v(f(seed)) > 2 v(f'(seed)).
+def hensel_lift(f: TruncatedSeries, seed: PadicNumber, *,
+                target: int | None = None) -> PadicNumber:
+    """Lift a root of the series ``f`` from a seed with v(f(seed)) >
+    2 v(f'(seed)).
 
-    ``f`` is a TruncatedSeries, or a pair (f, fprime) of callables on
-    PadicNumbers.  The default target is K - 2e pi-units, lowered to the
-    series tail bound when that is smaller.  The returned root satisfies
-    v(root - seed) > v(f'(seed)).  A series lift ends on its last Newton
-    step when that step's values prove v(f(root)) >= target
-    (``TruncatedSeries._closes``), else on an evaluation of f at the
-    target; a pair of callables always ends on that evaluation.
+    The default target is K - 2e pi-units, lowered to the series tail
+    bound when that is smaller.  The returned root satisfies v(root -
+    seed) > v(f'(seed)).  The lift ends on its last Newton step when that
+    step's values prove v(f(root)) >= target (``TruncatedSeries._closes``),
+    else on an evaluation of f at the target.
     """
+    if not isinstance(f, TruncatedSeries):
+        raise TypeError("f must be a TruncatedSeries")
     ctx = seed.ctx
-    if isinstance(f, TruncatedSeries):
-        fd = f.derivative()
-        feval, fpeval, closes = f.evaluate, fd.evaluate, f._closes
-        cap = f._cap
-    elif isinstance(f, tuple) and len(f) == 2:
-        raw_f, raw_fp = f
-        feval = lambda pt, hint: raw_f(pt)
-        fpeval = lambda pt, hint: raw_fp(pt)
-        cap = closes = None
-    else:
-        raise TypeError("f must be a TruncatedSeries or a (f, fprime) pair of callables")
+    fd = f.derivative()
     if target is None:
         target = ctx.K - 2 * ctx.e
-        if cap is not None:
-            target = min(target, cap)
-    fp0 = fpeval(seed, None)
+        if f._cap is not None:
+            target = min(target, f._cap)
+    fp0 = fd.evaluate(seed, None)
     if fp0.is_zero:
         raise LiftFailure("derivative is zero-flagged at precision (multiple root?)")
-    root = _newton_loop(feval, fpeval, seed, target, closes=closes)
+    root = _newton_loop(f.evaluate, fd.evaluate, seed, target, None, f._closes)
     moved = root - seed
     if not moved.is_zero and moved.val <= fp0.val:
         raise LiftFailure("lift left the contraction ball of the seed")
@@ -489,7 +480,7 @@ def local_Q(x: PadicNumber, q: PadicNumber, xp: PadicNumber) -> PadicNumber:
             raise DomainError("x' lies outside the open ball B(x, |A_{p-2}(x)|)")
     t, m0, u = s.parts()
     h = _parameter_series(xp, m0)
-    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h._prec_at(u), closes=h._closes)
+    u2 = _newton_loop(h.evaluate, h.derivative().evaluate, u, h._prec_at(u), None, h._closes)
     one = s.one
     q2 = one + u2.scale_pi(t)
     lhs = q2 - q

@@ -238,7 +238,7 @@ def test_criterion_09_series_match_direct_evaluation():
                        (ctx_new(5, 3, 90), None, 1)):
         x = ctx.from_int(5) if xv is None else xv
         m0 = Fraction(t, ctx.e)
-        s = series2(x, 0, m0)
+        s = series2(x, m0)
         one = ctx.one()
         for _ in range(50):
             u = sample(ctx, rng, valuation=0)

@@ -406,33 +406,13 @@ def test_series2_evaluates_to_scaled_gap():
     rng = Random(9)
     x = c.from_rational(Fraction(-1, 2))
     m0 = Fraction(1)
-    s = series2(x, 0, m0)
+    s = series2(x, m0)
     for _ in range(10):
         u = sample(c, rng, valuation=0)
         q = c.one() + c.from_int(3) * u
         lhs = s.evaluate(u) * (q - c.one()) * x * (x - c.one())
         rhs = q_bracket(x, q) - x
         assert (lhs - rhs).is_zero
-
-
-def test_series2_recentering_matches_shift():
-    c = ctx_new(3, 1, 60)
-    x = c.from_rational(Fraction(-1, 2))
-    u0 = c.from_int(1)
-    mono = series2(x, 0, Fraction(1))
-    cent = series2(x, u0, Fraction(1))
-    rng = Random(10)
-    for _ in range(10):
-        du = sample(c, rng, valuation=rng.randrange(1, 4))
-        a = mono.evaluate(u0 + du)
-        b = cent.evaluate(u0 + du)
-        assert (a - b).is_zero
-
-
-def test_series2_rejects_non_unit_center():
-    c = ctx_new(3, 1, 40)
-    with pytest.raises(DomainError):
-        series2(c.from_int(3), c.from_int(3), Fraction(1))
 
 
 def test_derivative_of_polynomial():
@@ -513,13 +493,12 @@ def _analytic_inputs(draw):
     w = digits(draw(st.sampled_from((0, 0, 1))))
     n = draw(st.integers(0, 12))
     hint = draw(st.none() | st.integers(1, 2 * K))
-    u = digits(0)
     n_max = draw(st.integers(1, 40))
-    return (p, e, f, K), z, y, x, w, n, hint, u, n_max
+    return (p, e, f, K), z, y, x, w, n, hint, n_max
 
 
-def _analytic_results(c, z, y, x, w, n, hint, u, n_max):
-    z, y, x, w, u = (_read(c, *a) for a in (z, y, x, w, u))
+def _analytic_results(c, z, y, x, w, n, hint, n_max):
+    z, y, x, w = (_read(c, *a) for a in (z, y, x, w))
     one = c.one()
     q = one + y
     out = {"exp": exp(z), "log1p": log1p(y), "q_pow": q_pow(x, q),
@@ -534,26 +513,23 @@ def _analytic_results(c, z, y, x, w, n, hint, u, n_max):
     m0 = Fraction(y.val, c.e)
     if m0 * (c.p - 1) > 1 and not (x.is_zero or (x - one).is_zero):
         out["Psi in U(w)"] = analytic._parameter_series(x, m0).evaluate(w, hint)
-        # one cutoff for K and 2K: a recentred coefficient sums every kept
-        # monomial, and the default cutoff near the edge of S takes
-        # hundreds of monomials, and seconds to recentre, at 2K.  The
-        # monomials themselves (u = 0) are what the solver lifts at an
-        # integer x
-        for name, center in (("series2", u), ("series2@0", 0)):
-            h = series2(x, center, m0, n_max)
-            out[f"{name}(w)"] = h.evaluate(w)
-            for k, dk in enumerate(h.coeffs[:8]):
-                out[f"{name}[{k}]"] = dk
+        # one cutoff for K and 2K, as the default cutoff near the edge of S
+        # takes hundreds of monomials at 2K; the monomials are what the
+        # solver lifts at an integer x
+        h = series2(x, m0, n_max)
+        out["series2@0(w)"] = h.evaluate(w)
+        for k, dk in enumerate(h.coeffs[:8]):
+            out[f"series2@0[{k}]"] = dk
     return out
 
 
 @given(_analytic_inputs())
 @settings(max_examples=40, deadline=None)
 def test_analytic_layer_is_honest_below_claimed_precision(case):
-    (p, e, f, K), z, y, x, w, n, hint, u, n_max = case
+    (p, e, f, K), z, y, x, w, n, hint, n_max = case
     lo, hi = ctx_new(p, e, K, f), ctx_new(p, e, 2 * K, f)
-    low = _analytic_results(lo, z, y, x, w, n, hint, u, n_max)
-    high = _analytic_results(hi, z, y, x, w, n, hint, u, n_max)
+    low = _analytic_results(lo, z, y, x, w, n, hint, n_max)
+    high = _analytic_results(hi, z, y, x, w, n, hint, n_max)
     for name, v in low.items():
         assert _honest(v) and _honest(high[name]), name
         assert _agrees_below(v, high[name]), name
@@ -742,7 +718,7 @@ def test_vector_products_take_nonnegative_operands(monkeypatch):
     for stage, call in (("fixed_points_for_q", lambda: fixed_points_for_q(c.one() + z)),
                         ("exp", lambda: exp(z)), ("log1p", lambda: log1p(z)),
                         ("inv", lambda: sample(c, rng).inv()),
-                        ("series2", lambda: series2(x, 0, Fraction(3, 10)).coeffs),
+                        ("series2", lambda: series2(x, Fraction(3, 10)).coeffs),
                         ("q_for_x f=2", lambda: q_for_x(c2.from_int(5))),
                         ("fixed_points_for_q f=2",
                          lambda: fixed_points_for_q(c7.one() + c7.uniformizer()))):
@@ -1187,25 +1163,6 @@ def test_block_pass_clamps_an_exact_polynomial_to_its_packing(monkeypatch):
             assert ran == [K]
 
 
-def test_series2_recentred_coefficients_stay_below_the_tail():
-    # the recentred coefficients sum only the kept monomials; at the
-    # default cutoff each is known to the tail bound and no further, and
-    # must agree there with the same series at twice the precision
-    lo, hi = ctx_new(2, 1, 15), ctx_new(2, 1, 30)
-    m0 = Fraction(4)
-    rng = Random(11)
-    for _ in range(50):
-        x, u = ([1] + [rng.randrange(2) for _ in range(29)] for _ in "xu")
-        if not any(x[1:15]):
-            continue  # x = 1 at K is out of domain
-        low = series2(_read(lo, 0, x), _read(lo, 0, u), m0)
-        high = series2(_read(hi, 0, x), _read(hi, 0, u), m0)
-        cap = low._cap
-        for n, d in enumerate(low.coeffs):
-            assert d.prec <= cap, n
-            assert _agrees_below(d, high.coeffs[n]), n
-
-
 # -- the series builds against the PadicNumber recurrences ---------------
 #
 # The two loops below are the pre-change bodies of the series2 monomials
@@ -1376,7 +1333,7 @@ def test_lazy_series_match_an_eager_build(case, jet):
     if jet:
         lazy, ref = (lambda: series1(x, q, n_max)), (lambda: _jet_ref(x, q, n_max))
     else:
-        lazy = lambda: series2(x, 0, m0, n_max)
+        lazy = lambda: series2(x, m0, n_max)
         ref = lambda: _series2_monomials_ref(x, m0, n_max)
     built = _as_built(lazy)
     if isinstance(built[0], type):  # an error, which must be the reference's
@@ -1437,9 +1394,8 @@ def test_series2_monomial_steps_make_no_padic_arithmetic(monkeypatch):
 
 # -- the raw series operations against their PadicNumber bodies ----------
 #
-# The functions below are the pre-change bodies of derivative, the
-# synthetic division by (X - rho) and the series2 recentring, on the
-# PadicNumber coefficients.  The raw form must give the same
+# The functions below are the pre-change bodies of derivative and the
+# synthetic division by (X - rho), on the PadicNumber coefficients.  The raw form must give the same
 # coefficients, bit for bit, the same tail bound, or the same error.
 # _divide_by_root_ref deflates a root, as the reference of Psi does.
 # _scale_ref, the body of the scaling the fused series1 build replaced,
@@ -1487,22 +1443,6 @@ def _on_base(ctx, base, coeffs):
     shifted onto it and reduced to its precision."""
     return tuple((None, None, c.prec) if c.is_zero else (c.val, ctx._vec_reduce(
         ctx._vec_shift(c._unit, c.val - base), c.prec - base), c.prec) for c in coeffs)
-
-
-def _series2_ref(x, u, m0, n_max=None):
-    ctx = x.ctx
-    m0 = Fraction(m0)
-    if not u.is_zero and u.val != 0:
-        raise DomainError("u must be a unit or zero")
-    mono = analytic._series2_monomials(x, m0, n_max)
-    if u.is_zero:
-        return TruncatedSeries(ctx, u, mono.coeffs, mono.tail_bound)
-    work = list(mono.coeffs)
-    for j in range(len(work)):
-        for i in range(len(work) - 2, j - 1, -1):
-            work[i] = work[i] + u * work[i + 1]
-    cap = mono._cap
-    return TruncatedSeries(ctx, u, tuple(d._cap_prec(cap) for d in work), mono.tail_bound)
 
 
 def _as_built(fn):
@@ -1612,20 +1552,6 @@ def test_derivative_view_matches_reference(case):
     assert view.valuation_points() == ref.valuation_points()
     assert view._base == second._base == s._base
     _assert_division_matches(view, ref, point)
-
-
-@given(_series_build_arguments(), st.sampled_from(("zero", "unit", "low", "deep")),
-       st.integers(0, 10 ** 6))
-@settings(max_examples=150, deadline=None)
-def test_series2_recentring_matches_reference(case, kind, seed):
-    x, m0, _, n_max = case
-    n_max = min(n_max or 30, 30)  # the recentring is quadratic in n_max
-    c = x.ctx
-    rng = Random(seed)
-    u = {"zero": lambda: c.zero(), "unit": lambda: sample(c, rng),
-         "low": lambda: sample(c, rng)._cap_prec(max(1, c.K // 2)),
-         "deep": lambda: sample(c, rng, valuation=1)}[kind]()
-    assert (_built(series2, x, u, m0, n_max) == _built(_series2_ref, x, u, m0, n_max))
 
 
 # the fixed-points benchmark's legs, (p, e, K, v(q - 1)) in pi-units
@@ -1985,23 +1911,10 @@ def test_log_form_meets_the_bracket_through_exp(case):
         assert min(lhs.prec, rhs.prec) >= y.prec - y.val - c.e, x
 
 
-def test_series2_recentring_at_bench_scale_matches_reference():
-    # criterion 6's fiber: h(5, U) recentred at each of its three roots,
-    # 121 coefficients each, all but the first three zero-flagged (the
-    # factor x - 5 vanishes) and every pass capped at the tail
-    c = ctx_new(5, 3, 90, f=2)
-    x = c.from_int(5)
-    roots = [r.u for r in q_for_x(x).records]
-    assert len(roots) == 3
-    for u in roots:
-        assert (_built(series2, x, u, Fraction(1, 3), 120)
-                == _built(_series2_ref, x, u, Fraction(1, 3), 120))
-
-
 def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypatch):
     # synthetic division at a root that is no integer, so each step is a
-    # packed product, and the recentring of series2 at a unit, one pass per
-    # coefficient, build one step kernel a pass and call _vec_mul never
+    # packed product, builds one step kernel and calls _vec_mul never; the
+    # series2 monomials build no step kernel
     counts = dict.fromkeys(("vec_mul", "horner_step"), 0)
 
     def counted(name, fn):
@@ -2026,12 +1939,6 @@ def test_synthetic_division_takes_one_horner_pass_and_no_vector_product(monkeypa
     rem, *got = analytic._horner_division(s._base, stored, root, s._wall)
     assert counts == {"vec_mul": 0, "horner_step": 1}
     assert rem[0] is None and tuple(got) == _on_base(c, s._base, want)
-    x, m0 = sample(c, rng), Fraction(1, 3)
     counts.update(dict.fromkeys(counts, 0))
-    h = series2(x, 0, m0)
-    h.coeffs  # the monomials' vectors, formed on this first read
-    at_zero = dict(counts)
-    counts.update(dict.fromkeys(counts, 0))
-    series2(x, sample(c, rng), m0)
-    assert at_zero["horner_step"] == 0
-    assert counts == {"vec_mul": at_zero["vec_mul"], "horner_step": len(h)}
+    series2(sample(c, rng), Fraction(1, 3)).coeffs  # the vectors, formed on this first read
+    assert counts["horner_step"] == 0

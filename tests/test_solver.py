@@ -60,16 +60,6 @@ def test_hensel_series_form_sqrt8():
     assert root.prec >= 38  # default target K - 2e
 
 
-def test_hensel_callable_form_sqrt2():
-    # oracle: sqrt(2) in Z_7, residue-3 branch, digits 3,1,2,6,1,2,1,2,...
-    c = ctx_new(7, 1, 40)
-    f = lambda x: x * x - c.from_int(2)
-    fp = lambda x: x + x
-    root = hensel_lift((f, fp), c.from_int(3))
-    assert list(root.digits()[:8]) == [3, 1, 2, 6, 1, 2, 1, 2]
-    assert (f(root)).is_zero and root.prec >= 38
-
-
 def test_hensel_rejects_unit_value_at_seed():
     c = ctx_new(7, 1, 40)
     with pytest.raises(LiftFailure):
@@ -77,17 +67,19 @@ def test_hensel_rejects_unit_value_at_seed():
 
 
 def test_hensel_rejects_flagged_derivative():
+    # f' = 2X is zero at the seed 0, so f'(seed) is zero-flagged
     c = ctx_new(7, 1, 40)
-    f = lambda x: x * x - c.from_int(8)
-    fp = lambda x: c.zero(5)
-    with pytest.raises(LiftFailure):
-        hensel_lift((f, fp), c.from_int(1))
+    with pytest.raises(LiftFailure, match="derivative is zero-flagged"):
+        hensel_lift(_poly(c, [-8, 0, 1]), c.zero())
 
 
 def test_hensel_rejects_other_callables():
+    # only a TruncatedSeries is lifted, not a pair (f, f') of callables
     c = ctx_new(7, 1, 40)
-    with pytest.raises(TypeError):
-        hensel_lift(42, c.from_int(1))
+    pair = (lambda x: x * x - c.from_int(2), lambda x: x + x)
+    for f in (42, pair):
+        with pytest.raises(TypeError):
+            hensel_lift(f, c.from_int(3))
 
 
 def test_hensel_respects_explicit_target():
@@ -95,6 +87,17 @@ def test_hensel_respects_explicit_target():
     root = hensel_lift(_poly(c, [-8, 0, 1]), c.from_int(1), target=20)
     d = root * root - c.from_int(8)
     assert d.is_zero and d.prec >= 20
+
+
+def test_hensel_stops_at_the_tail_bound():
+    # X^2 - 8 known to 20 p-units: the default target falls from K - 2e = 38
+    # to the tail bound, and a target past it is refused
+    c = ctx_new(7, 1, 40)
+    f = TruncatedSeries(c, c.zero(), tuple(c.from_int(k) for k in (-8, 0, 1)), Fraction(20))
+    root = hensel_lift(f, c.from_int(1))
+    assert root.prec == 20 and list(root.digits()[:8]) == [1, 4, 2, 1, 3, 2, 4, 2]
+    with pytest.raises(LiftFailure, match="caps out below the target"):
+        hensel_lift(f, c.from_int(1), target=30)
 
 
 def test_roots_from_seed_subdivides_a_shared_residue_disk():
@@ -1021,7 +1024,7 @@ def _parameter_fiber(x, xp):
 def _parameter_fiber_ref(x, xp):
     """``_parameter_fiber`` with q_for_x and local_Q solving on series2."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_parameter_series", lambda x, m0: series2(x, 0, m0))
+        mp.setattr(solver, "_parameter_series", lambda x, m0: series2(x, m0))
         return _parameter_fiber(x, xp)
 
 
